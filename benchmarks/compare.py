@@ -7,11 +7,16 @@ Usage::
 
 For every suite present in both directories, prints one line per
 benchmark case with the wall-clock and peak-memory delta versus the
-baseline record.  This is a **soft gate**: regressions beyond the
-tolerance are flagged with ``!!`` and counted, but the exit status stays
-0 unless ``--strict`` is given — wall-clock on shared CI runners is too
-noisy for a hard fail, and the artifact upload preserves the numbers
-for human review.
+baseline record.  Two gates apply:
+
+* **counters: exact.**  The deterministic ``counters`` of a record
+  (candidate pairs, index builds, queries, ...) must equal its
+  baseline's; any difference exits 1.
+* **wall clock: soft.**  Regressions beyond the tolerance are flagged
+  with ``!!`` and counted, but the exit status stays 0 unless
+  ``--strict`` is given — wall-clock on shared CI runners is too noisy
+  for a hard fail, and the artifact upload preserves the numbers for
+  human review.
 
 Baselines are refreshed by copying ``benchmarks/out/BENCH_*.json`` into
 ``benchmarks/baselines/`` after a benchmark run at the same scale
@@ -42,6 +47,15 @@ def load_suites(directory: Path) -> dict[str, dict]:
 
 def index_records(doc: dict) -> dict[str, dict]:
     return {r["case"]: r for r in doc.get("records", [])}
+
+
+def counter_diff(new: dict, old: dict) -> dict[str, tuple]:
+    """``{counter: (baseline, fresh)}`` for every counter that differs."""
+    return {
+        name: (old.get(name), new.get(name))
+        for name in sorted(set(new) | set(old))
+        if new.get(name) != old.get(name)
+    }
 
 
 def fmt_delta(new: float | None, old: float | None) -> tuple[str, float | None]:
@@ -76,6 +90,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     regressions = 0
+    counter_mismatches = 0
     compared = 0
     for suite in sorted(fresh):
         if suite not in base:
@@ -110,10 +125,20 @@ def main(argv: list[str] | None = None) -> int:
                 f"  {case:<44} wall {record.get('wall_s', 0.0):9.4f}s "
                 f"({wall_str})  peak ({peak_str}){flag}"
             )
+            moved = counter_diff(
+                record.get("counters") or {}, old.get("counters") or {}
+            )
+            if moved:
+                counter_mismatches += 1
+                print(f"  {'':<44} !! counters moved (baseline, fresh): {moved}")
     print(
-        f"\ncompared {compared} cases; {regressions} wall-clock "
-        f"regression(s) beyond {args.tolerance:.0%}"
+        f"\ncompared {compared} cases; {counter_mismatches} counter "
+        f"mismatch(es); {regressions} wall-clock regression(s) beyond "
+        f"{args.tolerance:.0%}"
     )
+    if counter_mismatches:
+        print("exact gate: counters differ from the baselines")
+        return 1
     if regressions and args.strict:
         return 1
     if regressions:

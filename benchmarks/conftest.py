@@ -20,7 +20,9 @@ Each suite can also publish machine-readable results: call
 :func:`record_bench` with a case label, wall seconds, peak MB and a
 counter dict, and the session writes one ``BENCH_<suite>.json`` per
 suite into ``benchmarks/out/`` (override with ``REPRO_BENCH_OUT``) so
-CI can diff timings across commits without scraping stdout.
+CI can diff timings and counters across commits without scraping
+stdout.  Counter dicts come from metrics-registry deltas
+(:func:`repro.telemetry.counter_deltas`, see :func:`pair_counters`).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import APP_NAMES, paper_trace
+from repro.telemetry.metrics import PAIR_COUNTER_FIELDS
 
 #: Version stamp of the BENCH_<suite>.json document schema.
 BENCH_SCHEMA = 1
@@ -64,6 +67,18 @@ def record_bench(suite: str, case: str, wall_s: float,
     record.update(extra)
     _BENCH_RECORDS.setdefault(suite, []).append(record)
     return record
+
+
+def pair_counters(deltas: dict) -> dict:
+    """The pair-kernel counters of a record, from registry deltas.
+
+    Keyed by registry name without ``repro_pair_`` and ``_total`` — the
+    keys of the checked-in baselines.
+    """
+    return {
+        field: deltas[f"repro_pair_{field}_total"]
+        for field in PAIR_COUNTER_FIELDS
+    }
 
 
 def pytest_sessionfinish(session, exitstatus):

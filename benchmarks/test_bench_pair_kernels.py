@@ -25,20 +25,16 @@ import time
 import tracemalloc
 
 from repro.experiments import paper_trace
-from repro.geometry import (
-    pair_index_counters,
-    pair_index_forced,
-    pair_reuse_forced,
-    reset_pair_index_counters,
-)
+from repro.geometry import pair_index_forced, pair_reuse_forced
 from repro.simulator import (
     ghost_exchange_cells,
     ghost_message_pairs,
     interlevel_transfer_cells,
     migration_cells,
 )
+from repro.telemetry import counter_deltas
 
-from conftest import BENCH_NPROCS, bench_scale, record_bench
+from conftest import BENCH_NPROCS, bench_scale, pair_counters, record_bench
 from test_bench_owner_sparse import _distributions
 
 
@@ -59,16 +55,15 @@ def _metric_set(hierarchy, prev, cur) -> tuple:
 
 
 def _measure(mode: str, hierarchy, prev, cur):
-    """(result, seconds, peak bytes, counter snapshot) under one mode."""
-    reset_pair_index_counters()
+    """(result, seconds, peak bytes, counter deltas) under one mode."""
     tracemalloc.start()
     t0 = time.perf_counter()
-    with pair_index_forced(mode):
+    with pair_index_forced(mode), counter_deltas() as moved:
         result = _metric_set(hierarchy, prev, cur)
     seconds = time.perf_counter() - t0
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    return result, seconds, peak, pair_index_counters().as_dict()
+    return result, seconds, peak, pair_counters(moved)
 
 
 def _compare(app: str, scale: str, run_brute: bool = True) -> dict:
@@ -135,15 +130,18 @@ def _measure_reuse(mode: str, app: str, scale: str):
     cold index builds they amortise.
     """
     hierarchy, prev, cur = _distributions(app, scale)
-    reset_pair_index_counters()
     tracemalloc.start()
     t0 = time.perf_counter()
-    with pair_index_forced("grid"), pair_reuse_forced(mode):
+    with (
+        pair_index_forced("grid"),
+        pair_reuse_forced(mode),
+        counter_deltas() as moved,
+    ):
         result = _metric_set(hierarchy, prev, cur)
     seconds = time.perf_counter() - t0
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    return result, seconds, peak, pair_index_counters().as_dict()
+    return result, seconds, peak, pair_counters(moved)
 
 
 def _compare_reuse(app: str, scale: str) -> dict:

@@ -15,27 +15,26 @@ import time
 
 from repro.engine.components import create
 from repro.experiments import paper_trace
-from repro.geometry import (
-    pair_index_counters,
-    pair_index_forced,
-    pair_reuse_forced,
-    reset_pair_index_counters,
-)
+from repro.geometry import pair_index_forced, pair_reuse_forced
 from repro.simulator import TraceSimulator
+from repro.telemetry import counter_deltas
 
-from conftest import BENCH_NPROCS, bench_scale, record_bench
+from conftest import BENCH_NPROCS, bench_scale, pair_counters, record_bench
 
 
 def _replay(mode: str, app: str, scale: str):
     trace = paper_trace(app, scale)
     part = create("partitioner", "nature+fable")
     sim = TraceSimulator()
-    reset_pair_index_counters()
     t0 = time.perf_counter()
-    with pair_index_forced("grid"), pair_reuse_forced(mode):
+    with (
+        pair_index_forced("grid"),
+        pair_reuse_forced(mode),
+        counter_deltas() as moved,
+    ):
         result = sim.run(trace, part, BENCH_NPROCS)
     seconds = time.perf_counter() - t0
-    return result, seconds, pair_index_counters().as_dict()
+    return result, seconds, pair_counters(moved)
 
 
 def _compare_replay(app: str, scale: str) -> dict:

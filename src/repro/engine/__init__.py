@@ -31,8 +31,7 @@ declarative job:
 
 This package is the engine's **versioned public API**: everything in
 ``__all__`` follows the deprecation policy (one release of
-``DeprecationWarning`` before removal — currently the PR-2 helpers
-``make_partitioner`` / ``make_schedule`` / ``make_machine``), and
+``DeprecationWarning`` before removal), and
 :data:`ENGINE_API_VERSION` bumps its major component on breaking
 changes.  :data:`ENGINE_SCHEMA_VERSION` (part of every content hash) is
 orthogonal: it only moves when stored-result *semantics* change, so an
@@ -61,9 +60,6 @@ from .components import (
     describe,
     is_schedule,
     load_plugins,
-    make_machine,
-    make_partitioner,
-    make_schedule,
     register,
     registry,
     resolve_machine,
@@ -96,7 +92,12 @@ from .store import (
 #: (``REPRO_STORE_MMAP``), the per-process read cache
 #: (``REPRO_STORE_CACHE``, ``read_cache_stats``/``clear_read_cache``)
 #: — and the pair-kernel reuse layer (``REPRO_PAIR_REUSE``).
-ENGINE_API_VERSION = "1.4"
+#: 2.0: the deprecated PR-2 ``make_*`` construction shims are gone
+#: (use ``create`` / ``resolve_machine``); ``read_cache_stats`` is a view of
+#: the metrics registry that ``clear_read_cache`` no longer zeroes; an
+#: implicit input is planned only when a pending node consumes it
+#: (``SpecNode.pending`` is a field).
+ENGINE_API_VERSION = "2.0"
 
 __all__ = [
     # versions
@@ -150,10 +151,6 @@ __all__ = [
     "SCHEDULE_NAMES",
     "MACHINE_NAMES",
     "BACKEND_NAMES",
-    # deprecated shims (DeprecationWarning; removal after one release)
-    "make_partitioner",
-    "make_schedule",
-    "make_machine",
 ]
 
 

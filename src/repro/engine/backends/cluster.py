@@ -27,15 +27,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ...registry import register
-from ...telemetry import (
-    counter,
-    flight_dump,
-    flight_record,
-    gauge,
-    metric_gauge,
-    metric_inc,
-    telemetry_active,
-)
+from ...telemetry import flight_dump, flight_record, metric_gauge, metric_inc
 from ..graph import Plan
 from ..spec import RunSpec
 from ..store import ResultStore
@@ -258,11 +250,6 @@ class ClusterBackend(ExecutionBackend):
             now = time.time()
             for lease in queue.expire_leases(self.lease_timeout, now=now):
                 key = lease.get("key")
-                counter(
-                    "queue.lease_expired", depth=depth,
-                    key=str(key)[:12], owner=lease.get("owner"),
-                    lease_age_s=now - (lease.get("heartbeat_at") or now),
-                )
                 if key in pending:
                     label = pending[key].label()
                     say(
@@ -281,15 +268,6 @@ class ClusterBackend(ExecutionBackend):
                 if store.has(key):
                     done.add(key)
                     metric_inc("repro_queue_jobs_done_total")
-                    if telemetry_active():
-                        ticket = queue.read_ticket(key)
-                        enqueued_at = (ticket or {}).get("enqueued_at")
-                        counter(
-                            "queue.job_done", depth=depth, key=key[:12],
-                            queue_wall_s=(now - enqueued_at)
-                            if enqueued_at else None,
-                            attempts=(ticket or {}).get("attempt", 0),
-                        )
                     queue.retire(key)  # belt and braces if a worker died
                     queue.release(key)
                     continue
@@ -310,10 +288,6 @@ class ClusterBackend(ExecutionBackend):
                     flight_record(
                         "job", "retry-exhausted", key=key[:12],
                         depth=depth, attempts=ticket.get("attempt", 0),
-                    )
-                    counter(
-                        "queue.retry_exhausted", depth=depth, key=key[:12],
-                        attempts=ticket.get("attempt", 0),
                     )
                     say(
                         f"gave up on {spec.label()} after "
@@ -337,10 +311,6 @@ class ClusterBackend(ExecutionBackend):
                 if verbose:
                     say(status)
                 logger.debug("%s", status)
-                gauge("queue.depth", total - len(done) - len(dead),
-                      depth=depth)
-                gauge("queue.leased", leased, depth=depth)
-                gauge("queue.done", len(done), depth=depth)
                 metric_gauge(
                     "repro_queue_depth", total - len(done) - len(dead),
                     depth=depth,

@@ -37,7 +37,6 @@ from ...telemetry import (
     flight_dump,
     flight_record,
     flush_active,
-    gauge,
     metric_gauge,
     metric_inc,
     metric_observe,
@@ -259,10 +258,9 @@ class Worker:
                 # Heartbeat lag: how far past the nominal interval this
                 # beat landed — a loaded worker (or filesystem) shows up
                 # here long before its lease expires.
-                gauge(
-                    "worker.heartbeat_lag",
+                metric_gauge(
+                    "repro_worker_heartbeat_lag_seconds",
                     max(0.0, now - last_beat - self.heartbeat_interval),
-                    worker=self.worker_id, key=key[:12],
                 )
                 last_beat = now
                 self.queue.heartbeat(key, self.worker_id)

@@ -405,6 +405,11 @@ def _print_plan(plan: Plan) -> None:
         for node in stored:
             origin = "" if node.submitted else "  [input]"
             print(f"  hit  {node.spec.label():<44} {node.key[:12]}{origin}")
+    unneeded = [n for n in plan.nodes.values() if not n.stored and not n.pending]
+    if unneeded:
+        print(f"\nnot needed: every consumer is stored ({len(unneeded)}):")
+        for node in unneeded:
+            print(f"  skip {node.spec.label():<44} {node.key[:12]}  [input]")
     for depth, layer in enumerate(plan.layers):
         print(f"\nlayer {depth} ({len(layer)} jobs):")
         for key in layer:
@@ -428,6 +433,12 @@ def _cmd_plan(args) -> int:
     return 0
 
 
+def _node_state(node) -> str:
+    if node.stored:
+        return "stored"
+    return "compute" if node.pending else "not needed"
+
+
 def _cmd_graph(args) -> int:
     store = _store_from(args)
     plan = build_plan(_sweep_specs(args), store)
@@ -435,7 +446,7 @@ def _cmd_graph(args) -> int:
         print("digraph specs {")
         print("  rankdir=LR;")
         for node in plan.nodes.values():
-            state = "stored" if node.stored else "compute"
+            state = _node_state(node)
             shape = "box" if node.submitted else "ellipse"
             print(
                 f'  "{node.key[:12]}" [label="{node.spec.label()}\\n{state}"'
@@ -446,14 +457,13 @@ def _cmd_graph(args) -> int:
         print("}")
         return 0
     for node in plan.nodes.values():
-        state = "stored" if node.stored else "compute"
+        state = _node_state(node)
         if node.inputs:
             for input_key in node.inputs:
                 input_node = plan.nodes[input_key]
                 print(
                     f"{node.spec.label()} [{state}] <- "
-                    f"{input_node.spec.label()} "
-                    f"[{'stored' if input_node.stored else 'compute'}]"
+                    f"{input_node.spec.label()} [{_node_state(input_node)}]"
                 )
         else:
             print(f"{node.spec.label()} [{state}]")

@@ -17,14 +17,10 @@ The canonical surface is the registry itself::
     create("partitioner", "domain-sfc-hilbert", unit_size=4)
     tuple(registry("machine"))          # live scenario names
     describe("partitioner")             # parameter schemas for all of them
-
-The PR-2 helpers ``make_partitioner`` / ``make_schedule`` /
-``make_machine`` remain as deprecation shims.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Mapping
 
 from ..meta import ArmadaClassifier, MetaScheduler
@@ -54,9 +50,6 @@ __all__ = [
     "is_schedule",
     "validate_partitioner",
     "validate_scale",
-    "make_partitioner",
-    "make_schedule",
-    "make_machine",
 ]
 
 
@@ -239,38 +232,3 @@ def resolve_machine(
     if isinstance(machine, str):
         return create("machine", machine)
     return MachineModel(**dict(machine))
-
-
-# -- deprecation shims (PR-2 surface) --------------------------------------
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def make_partitioner(name: str, params: Mapping | None = None) -> Partitioner:
-    """Deprecated: use ``create("partitioner", name, **params)``."""
-    _deprecated("make_partitioner()", "repro.engine.create('partitioner', ...)")
-    if name in registry("schedule"):
-        raise ValueError(
-            f"{name!r} is a dynamic schedule; build it with "
-            f"create('schedule', ...)"
-        )
-    return create("partitioner", name, **dict(params or {}))
-
-
-def make_schedule(name: str, machine: MachineModel, nprocs: int):
-    """Deprecated: use ``create("schedule", name, machine=..., nprocs=...)``."""
-    _deprecated("make_schedule()", "repro.engine.create('schedule', ...)")
-    return create("schedule", name, machine=machine, nprocs=nprocs)
-
-
-def make_machine(
-    machine: str | Mapping | tuple | MachineModel,
-) -> MachineModel:
-    """Deprecated: use :func:`resolve_machine` (names, overrides, models)."""
-    _deprecated("make_machine()", "repro.engine.resolve_machine(...)")
-    return resolve_machine(machine)

@@ -158,10 +158,11 @@ def execute(spec: RunSpec, store: ResultStore | None = None) -> RunResult:
 
     Every execution runs inside a telemetry
     :func:`~repro.telemetry.run_scope`: with telemetry enabled this
-    opens the per-run ``run`` span, scopes the pair-kernel counters to
-    the run, and publishes a run profile for ``repro profile <key>``
-    under ``<store>/telemetry/`` — no matter which backend (or host)
-    performed the execution.  With telemetry off the scope is a no-op.
+    opens the per-run ``run`` span, records the metrics-registry
+    counter deltas of the run, and publishes a run profile for
+    ``repro profile <key>`` under ``<store>/telemetry/`` — no matter
+    which backend (or host) performed the execution.  With telemetry
+    off the scope is a no-op.
     """
     store = store or default_store()
     import time as _time

@@ -7,7 +7,8 @@ explicit.  :func:`build_plan` turns submitted specs into a
 :class:`Plan`:
 
 * implicit inputs become first-class nodes (a sim-only sweep grows its
-  trace jobs automatically),
+  trace jobs automatically), scheduled only when a pending node
+  consumes them,
 * duplicates collapse onto one node per content hash,
 * everything the store already holds is marked ``stored`` and never
   scheduled (a warm store resolves a whole sim sweep to zero trace
@@ -21,7 +22,7 @@ render them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .spec import RunSpec
@@ -46,7 +47,9 @@ class SpecNode:
 
     ``submitted`` distinguishes caller-provided specs from implicit
     inputs the graph pulled in; ``stored`` nodes resolve against the
-    store and are never executed.
+    store and are never executed; ``pending`` nodes will be computed.
+    An implicit input that is neither is not needed: every node that
+    consumes it is stored.
     """
 
     spec: RunSpec
@@ -54,11 +57,7 @@ class SpecNode:
     submitted: bool
     stored: bool
     inputs: tuple[str, ...]
-
-    @property
-    def pending(self) -> bool:
-        """Whether this node still needs to be computed."""
-        return not self.stored
+    pending: bool = False
 
 
 def toposort_layers(deps: Mapping[str, Iterable[str]]) -> list[list[str]]:
@@ -165,7 +164,9 @@ def build_plan(
 ) -> Plan:
     """Resolve submitted specs into a deduplicated, layered :class:`Plan`.
 
-    Implicit inputs are expanded transitively; ``force`` marks every
+    Implicit inputs are expanded transitively, and scheduled only when
+    a pending node consumes them: a stored result whose trace was
+    evicted does not regenerate the trace.  ``force`` marks every
     *submitted* node pending (implicit inputs still resolve against the
     store, matching the executor's force semantics).
     """
@@ -195,6 +196,14 @@ def build_plan(
             inputs=tuple(s.key() for s in inputs),
         )
         queue.extend((input_spec, False) for input_spec in inputs)
+    frontier = [k for k, n in nodes.items() if n.submitted and not n.stored]
+    needed = set(frontier)
+    while frontier:
+        for k in nodes[frontier.pop()].inputs:
+            if k not in needed and not nodes[k].stored:
+                needed.add(k)
+                frontier.append(k)
+    nodes = {k: replace(n, pending=k in needed) for k, n in nodes.items()}
     deps = {
         node.key: [k for k in node.inputs if k in nodes and nodes[k].pending]
         for node in nodes.values()

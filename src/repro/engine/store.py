@@ -31,7 +31,8 @@ from typing import Iterator
 
 import numpy as np
 
-from ..telemetry import metric_inc, span
+from ..telemetry import metric_inc, metrics_registry, span
+from ..telemetry.metrics import READ_CACHE_FIELDS
 from ..trace import Trace
 from .spec import RunResult, RunSpec
 
@@ -79,7 +80,6 @@ _TOUCH_TIMES: dict[tuple[str, str], float] = {}
 # while the signature still matches, so on-disk corruption, overwrite
 # and retirement are observed exactly as a cold read would see them.
 _READ_CACHE: OrderedDict[tuple[str, str, str], dict] = OrderedDict()
-_READ_STATS = {"hits": 0, "misses": 0, "evictions": 0, "mmap_loads": 0}
 
 
 def _read_cache_limit() -> int:
@@ -104,23 +104,27 @@ def _mmap_enabled() -> bool:
 
 
 def read_cache_stats() -> dict:
-    """Per-process read-cache counters.
+    """Per-process read-cache counters: a view of the metrics registry.
 
     ``hits`` are loads served from memory without touching artifact
     bytes; ``misses`` are loads that went to disk (and, budget
     permitting, populated the cache); ``mmap_loads`` counts cold series
     loads that went through the memory-mapped fast path instead of
-    ``np.load``'s buffered zip reader.
+    ``np.load``'s buffered zip reader.  Each is the process total of
+    ``repro_store_read_cache_<field>_total``; take differences to scope
+    them.
     """
-    return dict(_READ_STATS)
+    registry = metrics_registry()
+    return {
+        field: int(registry.counter_value(f"repro_store_read_cache_{field}_total"))
+        for field in READ_CACHE_FIELDS
+    }
 
 
 def clear_read_cache() -> None:
-    """Drop every cached read and zero the counters (test isolation)."""
+    """Drop every cached read (the counters keep counting)."""
     _READ_CACHE.clear()
     _TOUCH_TIMES.clear()
-    for field in _READ_STATS:
-        _READ_STATS[field] = 0
 
 
 def _cache_get(ckey: tuple[str, str, str]) -> dict | None:
@@ -138,7 +142,7 @@ def _cache_put(ckey: tuple[str, str, str], record: dict) -> None:
     _READ_CACHE.move_to_end(ckey)
     while len(_READ_CACHE) > limit:
         _READ_CACHE.popitem(last=False)
-        _READ_STATS["evictions"] += 1
+        metric_inc("repro_store_read_cache_evictions_total")
 
 
 def _evict_read_cache(root: str, key: str) -> None:
@@ -389,7 +393,7 @@ class ResultStore:
             record = _cache_get(ckey)
             if record is not None:
                 if record["sig"] == self._result_sig(key):
-                    _READ_STATS["hits"] += 1
+                    metric_inc("repro_store_read_cache_hits_total")
                     if self._touch(key):
                         record["sig"] = self._result_sig(key)
                     sp.annotate(hit=True, cached=True)
@@ -426,7 +430,7 @@ class ResultStore:
                         # memory: results are stable snapshots — a later
                         # in-place overwrite of the entry must never
                         # change arrays already handed to a caller.
-                        _READ_STATS["mmap_loads"] += 1
+                        metric_inc("repro_store_read_cache_mmap_loads_total")
                         arrays = {
                             name: np.array(arr) if isinstance(arr, np.memmap)
                             else arr
@@ -449,7 +453,7 @@ class ResultStore:
             for arr in arrays.values():
                 arr.setflags(write=False)
             self._touch(key)
-            _READ_STATS["misses"] += 1
+            metric_inc("repro_store_read_cache_misses_total")
             _cache_put(
                 ckey,
                 {
@@ -480,7 +484,7 @@ class ResultStore:
             record = _cache_get(ckey)
             if record is not None:
                 if record["sig"] == self._trace_sig(key):
-                    _READ_STATS["hits"] += 1
+                    metric_inc("repro_store_read_cache_hits_total")
                     if self._touch(key):
                         record["sig"] = self._trace_sig(key)
                     sp.annotate(hit=True, cached=True)
@@ -499,7 +503,7 @@ class ResultStore:
                 self._corrupt_miss(key, f"trace.json.gz unreadable: {exc}")
                 return None
             self._touch(key)
-            _READ_STATS["misses"] += 1
+            metric_inc("repro_store_read_cache_misses_total")
             _cache_put(ckey, {"sig": self._trace_sig(key), "trace": trace})
             sp.annotate(hit=True)
             return trace

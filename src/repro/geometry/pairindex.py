@@ -35,10 +35,11 @@ every path — asserted by the property suite and by
 The active path is selected by the ``REPRO_PAIR_INDEX`` environment
 variable (``auto`` | ``grid`` | ``sweep`` | ``bruteforce``; default
 ``auto`` = grid with a small-product brute-force cutoff) or forced
-in-process with :func:`pair_index_forced`.  :func:`pair_index_counters`
-exposes pruning effectiveness (candidate pairs generated vs. exact
-pairs surviving vs. the brute-force product) for the benchmark tables
-and ``repro describe --kind pair-index``.
+in-process with :func:`pair_index_forced`.  The kernels charge their
+pruning effectiveness (candidate pairs generated vs. exact pairs
+surviving vs. the brute-force product) to the metrics registry's
+``repro_pair_*_total`` counters, which the benchmark tables, run
+profiles and ``/metrics`` all read.
 
 **Persistent indexes** (:class:`PairIndex`) exploit the temporal
 coherence the paper's whole premise rests on: consecutive regrid steps
@@ -62,25 +63,21 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..registry import declare_kind, register
+from ..telemetry.metrics import PAIR_COUNTER_FIELDS, metrics_registry
 
 __all__ = [
     "PAIR_INDEX_MODES",
     "PAIR_REUSE_MODES",
     "PairIndex",
-    "PairKernelCounters",
     "candidate_pairs",
-    "pair_counters_scope",
-    "pair_index_counters",
     "pair_index_forced",
     "pair_index_mode",
     "pair_reuse_forced",
     "pair_reuse_mode",
-    "reset_pair_index_counters",
 ]
 
 #: Recognized values of ``REPRO_PAIR_INDEX``.
@@ -186,108 +183,11 @@ def pair_reuse_forced(mode: str):
         _FORCED_REUSE = previous
 
 
-@dataclass
-class PairKernelCounters:
-    """Pruning-effectiveness accounting of the pair kernels.
-
-    ``pair_product`` is what a pure brute-force run would examine;
-    ``candidate_pairs`` is what the index actually emitted to the exact
-    arithmetic; ``exact_pairs`` is what survived it.  The gap between
-    the first two is the pruning win, the gap between the last two the
-    remaining slack of the index.
-    """
-
-    queries: int = 0
-    grid_queries: int = 0
-    sweep_queries: int = 0
-    brute_queries: int = 0
-    pair_product: int = 0
-    bruteforce_pairs: int = 0
-    candidate_pairs: int = 0
-    exact_pairs: int = 0
-    index_builds: int = 0
-    index_reuses: int = 0
-    delta_updates: int = 0
-
-    def as_dict(self) -> dict:
-        """JSON-able snapshot (benchmark tables, ``describe`` output)."""
-        return {
-            "queries": self.queries,
-            "grid_queries": self.grid_queries,
-            "sweep_queries": self.sweep_queries,
-            "brute_queries": self.brute_queries,
-            "pair_product": self.pair_product,
-            "bruteforce_pairs": self.bruteforce_pairs,
-            "candidate_pairs": self.candidate_pairs,
-            "exact_pairs": self.exact_pairs,
-            "index_builds": self.index_builds,
-            "index_reuses": self.index_reuses,
-            "delta_updates": self.delta_updates,
-        }
-
-    def pruning_ratio(self) -> float:
-        """Brute-force pairs avoided per emitted candidate (>= 1)."""
-        examined = self.candidate_pairs + self.bruteforce_pairs
-        if examined == 0:
-            return 1.0
-        return self.pair_product / examined
-
-
-# Counter frames: every kernel event is charged to *all* live frames.
-# Frame 0 is the historical process-global accumulator (kept for the
-# benchmark tables and ``repro describe``); :func:`pair_counters_scope`
-# pushes scoped frames on top so the executor can attribute kernel work
-# to a single run — the fix for counters silently accumulating across
-# runs in one process (pool workers, daemons), which skewed per-run
-# pruning ratios.
-_COUNTER_STACK: list[PairKernelCounters] = [PairKernelCounters()]
-
-
-def pair_index_counters() -> PairKernelCounters:
-    """The process-global counter frame (mutated by every pair kernel).
-
-    Accumulates since import (or the last explicit reset).  For per-run
-    accounting use :func:`pair_counters_scope` instead.
-    """
-    return _COUNTER_STACK[0]
-
-
-def reset_pair_index_counters() -> PairKernelCounters:
-    """Zero the process-global frame; returns the struct for chaining.
-
-    Scoped frames pushed by :func:`pair_counters_scope` are unaffected
-    — a benchmark resetting the global cannot corrupt a concurrent
-    run's attribution.
-    """
-    _COUNTER_STACK[0] = PairKernelCounters()
-    return _COUNTER_STACK[0]
-
-
-@contextmanager
-def pair_counters_scope():
-    """A fresh counter frame covering only this dynamic extent.
-
-    Yields a :class:`PairKernelCounters` that sees exactly the kernel
-    work performed inside the block (the global frame keeps
-    accumulating in parallel).  Scopes nest: an inner scope's events
-    are charged to every enclosing frame too.
-    """
-    frame = PairKernelCounters()
-    _COUNTER_STACK.append(frame)
-    try:
-        yield frame
-    finally:
-        try:
-            _COUNTER_STACK.remove(frame)
-        except ValueError:  # pragma: no cover - double-exit guard
-            pass
-
-
-def _record(**deltas: int) -> None:
-    """Charge counter deltas to every live frame."""
-    for frame in _COUNTER_STACK:
-        for field, n in deltas.items():
-            setattr(frame, field, getattr(frame, field) + n)
+#: Charges kernel events to the metrics registry's
+#: ``repro_pair_<field>_total`` counters (``_record(queries=1, ...)``).
+_record = metrics_registry().counter_group(
+    "repro_pair_{}_total", PAIR_COUNTER_FIELDS
+)
 
 
 def _record_exact(n: int) -> None:

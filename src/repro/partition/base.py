@@ -9,9 +9,8 @@ arrays, so simulator cost scales with patch counts rather than with the
 volume of the finest index space.
 
 Dense per-level owner rasters — the original representation — remain
-available through :meth:`PartitionResult.rasters` (and the deprecated
-:attr:`PartitionResult.owners` shim, which rasterizes lazily); they are
-kept as a cross-check path and for visualization, not for the hot path.
+available through :meth:`PartitionResult.rasters`; they are kept as a
+cross-check path and for visualization, not for the hot path.
 
 The P of the paper's PAC-triple is a :class:`Partitioner` instance; its
 parameters are what the meta-partitioner tunes at run time.
@@ -20,7 +19,6 @@ parameters are what the meta-partitioner tunes at run time.
 from __future__ import annotations
 
 import abc
-import warnings
 
 import numpy as np
 
@@ -106,18 +104,6 @@ class PartitionResult:
         if self._rasters is None:
             self._rasters = tuple(m.rasterize() for m in self.maps)
         return self._rasters
-
-    @property
-    def owners(self) -> tuple[np.ndarray, ...]:
-        """Deprecated dense view; use :attr:`maps` or :meth:`rasters`."""
-        warnings.warn(
-            "PartitionResult.owners is deprecated: distributions are sparse "
-            "OwnerMaps now; use .maps for the sparse form or .rasters() for "
-            "an explicit dense conversion",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.rasters()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cells = sum(m.ncells for m in self.maps)

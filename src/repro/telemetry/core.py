@@ -1,12 +1,14 @@
-"""Zero-dependency span/counter/gauge telemetry.
+"""Zero-dependency span telemetry.
 
 The paper's Section 4.3 argues the partitioner should "call a timer to
 determine the invocation intervals" because "these timing calls will
 impose insignificant overhead".  This module generalises that stance to
 the whole stack: hierarchical **spans** (context-managed wall-clock
-intervals), **counters** (monotonic event tallies) and **gauges**
-(instantaneous levels) recorded against an injectable monotonic clock,
-with a hard zero-cost guarantee when disabled.
+intervals carrying attributes) recorded against an injectable monotonic
+clock, with a hard zero-cost guarantee when disabled.  Counts and
+levels do not live here: they belong to the always-on metrics registry
+(:mod:`repro.telemetry.metrics`), and a span that wants them records
+the registry delta over its extent as attributes.
 
 Design constraints, in order:
 
@@ -15,9 +17,9 @@ Design constraints, in order:
    written under ``<store>/telemetry/`` which the content-addressed
    store never scans (``ResultStore.entries`` walks ``objects/`` only),
    and no telemetry value flows into result payloads.
-2. **Free when off.**  The module-level :func:`span` / :func:`counter`
-   / :func:`gauge` fast-path is a single global-``None`` check; with no
-   active recorder :func:`span` returns a shared do-nothing singleton.
+2. **Free when off.**  The module-level :func:`span` fast path is a
+   single global-``None`` check; with no active recorder it returns a
+   shared do-nothing singleton.
 3. **Deterministic under test.**  ``TelemetryRecorder(clock=...)``
    accepts any zero-argument float callable, mirroring
    :class:`repro.meta.timer.InvocationTimer`.
@@ -36,9 +38,6 @@ Event-log schema (one JSON object per line, ``sort_keys=True``):
     Appended when a span *closes*; ``ts``/``dur`` are seconds relative
     to the recorder epoch; ``parent`` is the enclosing span id (0 for
     top-level); ``error`` marks spans exited by an exception.
-``{"type": "counter"|"gauge", "name", "value", "parent", "tid", "ts",
-["attrs"]}``
-    Point samples, parented to the span open at emission time.
 """
 
 from __future__ import annotations
@@ -61,10 +60,8 @@ __all__ = [
     "activate",
     "active_recorder",
     "annotate",
-    "counter",
     "deactivate",
     "flush_active",
-    "gauge",
     "recording",
     "session",
     "span",
@@ -181,11 +178,6 @@ class TelemetryRecorder:
             stack = self._local.stack = []
         return stack
 
-    def current_span_id(self) -> int:
-        """Id of the innermost open span on this thread (0 if none)."""
-        stack = self._stack()
-        return stack[-1].id if stack else 0
-
     # -- spans --------------------------------------------------------------
 
     def span(self, name: str, cat: str = "", **attrs) -> Span:
@@ -228,30 +220,6 @@ class TelemetryRecorder:
         if stack:
             stack[-1].attrs.update(attrs)
 
-    # -- point samples ------------------------------------------------------
-
-    def counter(self, name: str, value: float = 1.0, **attrs) -> None:
-        """Record a monotonic event tally (e.g. jobs completed)."""
-        self._sample("counter", name, value, attrs)
-
-    def gauge(self, name: str, value: float, **attrs) -> None:
-        """Record an instantaneous level (e.g. queue depth)."""
-        self._sample("gauge", name, value, attrs)
-
-    def _sample(self, type_: str, name: str, value: float, attrs: dict) -> None:
-        event = {
-            "type": type_,
-            "name": name,
-            "value": float(value),
-            "parent": self.current_span_id(),
-            "tid": self._tid(),
-            "ts": self._now(),
-        }
-        if attrs:
-            event["attrs"] = attrs
-        with self._lock:
-            self.events.append(event)
-
     # -- persistence --------------------------------------------------------
 
     def bind_jsonl(self, path: str | os.PathLike) -> None:
@@ -286,10 +254,10 @@ class TelemetryRecorder:
     # -- queries ------------------------------------------------------------
 
     def subtree(self, root_id: int) -> list[dict]:
-        """All events at or under the span ``root_id``, in log order."""
+        """All spans at or under the span ``root_id``, in log order."""
         with self._lock:
             events = list(self.events)
-        parent_of = {e["id"]: e["parent"] for e in events if e["type"] == "span"}
+        parent_of = {e["id"]: e["parent"] for e in events}
 
         def under(span_id: int) -> bool:
             seen: set[int] = set()
@@ -300,14 +268,9 @@ class TelemetryRecorder:
                 span_id = parent_of.get(span_id, 0)
             return False
 
-        kept = []
-        for e in events:
-            if e["type"] == "span":
-                if e["id"] == root_id or under(e["parent"]):
-                    kept.append(e)
-            elif under(e.get("parent", 0)):
-                kept.append(e)
-        return kept
+        return [
+            e for e in events if e["id"] == root_id or under(e["parent"])
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +311,6 @@ def span(name: str, cat: str = "", **attrs):
     if rec is None:
         return _NULL_SPAN
     return rec.span(name, cat=cat, **attrs)
-
-
-def counter(name: str, value: float = 1.0, **attrs) -> None:
-    """Counter sample on the active recorder (no-op when off)."""
-    rec = _ACTIVE
-    if rec is not None:
-        rec.counter(name, value, **attrs)
-
-
-def gauge(name: str, value: float, **attrs) -> None:
-    """Gauge sample on the active recorder (no-op when off)."""
-    rec = _ACTIVE
-    if rec is not None:
-        rec.gauge(name, value, **attrs)
 
 
 def annotate(**attrs) -> None:

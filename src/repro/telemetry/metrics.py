@@ -15,16 +15,14 @@ log** — a counter incremented a billion times occupies one float.  That
 is what makes it safe to leave on unconditionally, unlike the span
 layer.
 
-Aggregation happens in place at the existing hot seams two ways:
-
-* *push* — instrumentation calls :func:`metric_inc` /
-  :func:`metric_gauge` / :func:`metric_observe` (worker job outcomes,
-  queue transitions, DAG layer progress);
-* *pull* — **collectors** run at snapshot time and export state the
-  codebase already aggregates in place (the pair-kernel counter frame
-  of :mod:`repro.geometry.pairindex`, the store read-cache stats of
-  :func:`repro.engine.store.read_cache_stats`), so the hottest paths
-  pay nothing extra at all.
+The registry is the only place a count lives.  Instrumentation pushes
+into it at the seams (worker job outcomes, queue transitions, DAG layer
+progress, store reads); the pair kernels, which fire ~10^5 events per
+sweep, charge their tallies through a pre-keyed
+:meth:`MetricsRegistry.counter_group`.  Scoping — "how much of this
+happened inside that run / that kernel phase" — is a delta of two
+snapshots (:func:`counter_deltas`), never a second store.  The one
+pull-time *collector* left reads process vitals no counter holds.
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON-able dicts;
 :mod:`repro.telemetry.export` renders them as Prometheus text or JSON,
@@ -46,12 +44,17 @@ import re
 import socket
 import threading
 import time
+from contextlib import contextmanager
 from typing import Callable, Iterable
 
 __all__ = [
+    "BUILTIN_COUNTERS",
     "DEFAULT_BUCKETS",
     "METRICS_SCHEMA",
     "MetricsRegistry",
+    "PAIR_COUNTER_FIELDS",
+    "READ_CACHE_FIELDS",
+    "counter_deltas",
     "metric_inc",
     "metric_gauge",
     "metric_observe",
@@ -70,6 +73,34 @@ METRICS_SCHEMA = 1
 #: ``+Inf`` bucket, so the tail is never lost, only coarsened.
 DEFAULT_BUCKETS = tuple(0.001 * 2.0**i for i in range(17))
 
+#: Pair-kernel tallies, exported as ``repro_pair_<field>_total``.
+#: ``pair_product`` is what a pure brute-force run would examine,
+#: ``candidate_pairs`` what the index emitted to the exact arithmetic,
+#: ``exact_pairs`` what survived it.
+PAIR_COUNTER_FIELDS = (
+    "queries",
+    "grid_queries",
+    "sweep_queries",
+    "brute_queries",
+    "pair_product",
+    "bruteforce_pairs",
+    "candidate_pairs",
+    "exact_pairs",
+    "index_builds",
+    "index_reuses",
+    "delta_updates",
+)
+
+#: Store read-cache tallies, exported as
+#: ``repro_store_read_cache_<field>_total``.
+READ_CACHE_FIELDS = ("hits", "misses", "evictions", "mmap_loads")
+
+#: Counters the global registry exports from the moment it exists, at 0
+#: until first incremented: perfbench and Prometheus read them by name.
+BUILTIN_COUNTERS = tuple(
+    f"repro_pair_{field}_total" for field in PAIR_COUNTER_FIELDS
+) + tuple(f"repro_store_read_cache_{field}_total" for field in READ_CACHE_FIELDS)
+
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
@@ -77,13 +108,26 @@ _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 SeriesKey = tuple[str, tuple[tuple[str, str], ...]]
 
 
-def _series_key(name: str, labels: dict) -> SeriesKey:
+#: Label-less series keys, validated once and reused by every later
+#: sample of the same name.
+_PLAIN_KEYS: dict[str, SeriesKey] = {}
+
+
+def _check_name(name: str) -> None:
     if not _NAME_RE.match(name):
         raise ValueError(
             f"invalid metric name {name!r} (want [a-zA-Z_:][a-zA-Z0-9_:]*)"
         )
+
+
+def _series_key(name: str, labels: dict) -> SeriesKey:
     if not labels:
-        return (name, ())
+        key = _PLAIN_KEYS.get(name)
+        if key is None:
+            _check_name(name)
+            key = _PLAIN_KEYS[name] = (name, ())
+        return key
+    _check_name(name)
     pairs = []
     for label, value in sorted(labels.items()):
         if not _LABEL_RE.match(label):
@@ -111,6 +155,7 @@ class MetricsRegistry:
         self._hists: dict[SeriesKey, list] = {}
         self._hist_bounds: dict[str, tuple[float, ...]] = {}
         self._collectors: dict[str, Callable[["MetricsRegistry"], None]] = {}
+        self._declared: tuple[SeriesKey, ...] = ()
         self.started_at = self._clock()
 
     # -- write paths --------------------------------------------------------
@@ -121,16 +166,43 @@ class MetricsRegistry:
         with self._lock:
             self._counters[key] = self._counters.get(key, 0.0) + float(value)
 
-    def set_total(self, name: str, value: float, **labels) -> None:
-        """Set a counter series to an absolute cumulative total.
+    def declare(self, *names: str) -> None:
+        """Export label-less counters at 0 before their first increment.
 
-        The pull path for state the codebase already accumulates in
-        place (collectors): the source owns the monotonic total, the
-        registry just mirrors it.
+        Declared series survive :meth:`reset` (at 0), so scrapers and
+        benchmarks can read them by name at any time.
         """
-        key = _series_key(name, labels)
+        keys = tuple(_series_key(name, {}) for name in names)
         with self._lock:
-            self._counters[key] = float(value)
+            for key in keys:
+                self._counters.setdefault(key, 0.0)
+            self._declared += keys
+
+    def counter_group(
+        self, template: str, fields: Iterable[str]
+    ) -> Callable[..., None]:
+        """A hot-path incrementer for the counters ``template.format(f)``.
+
+        The counters are declared (exported at 0) and keyed once, here;
+        the returned ``add(field=n, ...)`` charges all its deltas under
+        one lock.  The pair kernels call it ~10^5 times per sweep, where
+        an :meth:`inc` per field costs over twice as much.
+        """
+        names = {field: template.format(field) for field in fields}
+        self.declare(*names.values())
+        keys = {field: _PLAIN_KEYS[name] for field, name in names.items()}
+        acquire, release = self._lock.acquire, self._lock.release
+        counters = self._counters
+
+        def add(**deltas: float) -> None:
+            acquire()
+            try:
+                for field, n in deltas.items():
+                    counters[keys[field]] += n
+            finally:
+                release()
+
+        return add
 
     def set(self, name: str, value: float, **labels) -> None:
         """Set a gauge series to an instantaneous level."""
@@ -190,16 +262,12 @@ class MetricsRegistry:
     ) -> None:
         """Register a pull-time exporter run by every :meth:`snapshot`.
 
-        A collector receives the registry and mirrors externally
-        aggregated state via :meth:`set_total` / :meth:`set`.  A raising
-        collector is skipped (logged at debug), never fatal — the
-        metrics plane must not take the worker down with it.
+        A collector receives the registry and sets gauges from state no
+        counter holds (process vitals).  A raising collector is skipped
+        (logged at debug), never fatal — the metrics plane must not take
+        the worker down with it.
         """
         self._collectors[name] = fn
-
-    def remove_collector(self, name: str) -> None:
-        """Drop a collector by name (no-op when absent)."""
-        self._collectors.pop(name, None)
 
     # -- read path ----------------------------------------------------------
 
@@ -249,39 +317,46 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get(_series_key(name, labels), 0.0)
 
+    def counter_totals(self) -> dict[str, float]:
+        """Every counter's value by name, summed over its label sets."""
+        totals: dict[str, float] = {}
+        with self._lock:
+            for (name, _), value in self._counters.items():
+                totals[name] = totals.get(name, 0.0) + value
+        return totals
+
     def reset(self) -> None:
-        """Zero every series (test isolation; collectors are kept)."""
+        """Zero every series (test isolation).
+
+        Collectors are kept, and declared counters stay exported at 0.
+        """
         with self._lock:
             self._counters.clear()
+            self._counters.update(dict.fromkeys(self._declared, 0.0))
             self._gauges.clear()
             self._hists.clear()
             self._hist_bounds.clear()
         self.started_at = self._clock()
 
 
-# ---------------------------------------------------------------------------
-# built-in collectors: state the codebase already aggregates in place
-# ---------------------------------------------------------------------------
+@contextmanager
+def counter_deltas(registry: MetricsRegistry | None = None):
+    """Yield a dict that, on exit, maps each counter name to its growth.
 
-def _collect_pair_counters(registry: MetricsRegistry) -> None:
-    """Mirror the process-global pair-kernel counter frame.
-
-    ``index_builds`` / ``delta_updates`` / ``index_reuses`` and the
-    candidate/exact pruning tallies accumulate in place inside the
-    kernels (PR 6/9); exporting them is a pull, not extra hot-path work.
+    The one scoping mechanism: a run profile, a kernel-phase span and a
+    benchmark case each take the delta of two registry snapshots around
+    their block.  Every counter the registry holds gets an entry (0 when
+    it did not move), summed over labels.  The deltas are exact because
+    every backend runs one spec per process at a time.
     """
-    from ..geometry.pairindex import pair_index_counters
-
-    for field, value in pair_index_counters().as_dict().items():
-        registry.set_total(f"repro_pair_{field}_total", value)
-
-
-def _collect_store_read_cache(registry: MetricsRegistry) -> None:
-    """Mirror the store read-cache stats (hits/misses/evictions/mmap)."""
-    from ..engine.store import read_cache_stats
-
-    for field, value in read_cache_stats().items():
-        registry.set_total(f"repro_store_read_cache_{field}_total", value)
+    registry = metrics_registry() if registry is None else registry
+    before = registry.counter_totals()
+    deltas: dict[str, float] = {}
+    try:
+        yield deltas
+    finally:
+        for name, value in registry.counter_totals().items():
+            deltas[name] = value - before.get(name, 0.0)
 
 
 def _collect_process(registry: MetricsRegistry) -> None:
@@ -316,10 +391,7 @@ def metrics_registry() -> MetricsRegistry:
         with _GLOBAL_LOCK:
             if _GLOBAL is None:
                 registry = MetricsRegistry()
-                registry.add_collector("pair_kernels", _collect_pair_counters)
-                registry.add_collector(
-                    "store_read_cache", _collect_store_read_cache
-                )
+                registry.declare(*BUILTIN_COUNTERS)
                 registry.add_collector("process", _collect_process)
                 _GLOBAL = registry
     return _GLOBAL

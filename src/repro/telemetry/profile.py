@@ -3,18 +3,19 @@
 Three consumers of the raw spans live here:
 
 * :func:`run_scope` — the single integration point the executor wraps
-  around every spec execution.  It opens the ``run`` root span, scopes
-  the pair-kernel counters to the run (so pruning ratios are per-run
-  accurate under any backend), and on success writes a **run profile**
-  (``<store>/telemetry/runs/<k..>/<key>.json``: wall time, counter
-  snapshot, the span subtree) that ``repro profile <key>`` renders.
+  around every spec execution.  It opens the ``run`` root span, takes
+  the metrics-registry counter deltas over the run (so pruning ratios
+  are per-run accurate under any backend), and on success writes a
+  **run profile** (``<store>/telemetry/runs/<k..>/<key>.json``: wall
+  time, counter deltas keyed by registry name, the span subtree) that
+  ``repro profile <key>`` renders.
   Because it self-activates an ephemeral recorder when telemetry is on
   but no session is live, profiles appear identically whether the run
   happened in-process, in a pool worker, or in a ``repro worker``
   daemon on another host.
 * :func:`aggregate_timings` / :func:`render_timings` — ``repro report
   --timings``: fold every run profile of a store into one table of span
-  totals across the sweep.
+  totals and one counter block across the sweep.
 * :func:`cluster_status_doc` / :func:`render_cluster_status` —
   ``repro top`` (and ``repro top --json``): the live worker / lease /
   queue table read straight off the queue directory, enriched with
@@ -41,6 +42,7 @@ from .core import (
     deactivate,
     telemetry_mode,
 )
+from .metrics import counter_deltas
 from .sinks import read_jsonl, write_json_atomic  # noqa: F401  (re-export)
 
 __all__ = [
@@ -58,8 +60,9 @@ __all__ = [
     "telemetry_root",
 ]
 
-#: Version stamp of the run-profile document schema.
-RUN_PROFILE_SCHEMA = 1
+#: Version stamp of the run-profile document schema.  2: the counter
+#: block is ``counters``, keyed by metrics-registry name.
+RUN_PROFILE_SCHEMA = 2
 
 
 def telemetry_root(store_root: str | os.PathLike) -> Path:
@@ -98,12 +101,10 @@ def run_scope(spec, store):
             / f"exec-{socket.gethostname()}-{os.getpid()}.jsonl"
         )
         rec = activate(ephemeral)
-    from ..geometry.pairindex import pair_counters_scope
-
     key = spec.key()
     failed = False
     try:
-        with pair_counters_scope() as frame:
+        with counter_deltas() as moved:
             root = rec.span("run", cat="engine", kind=spec.kind,
                             label=spec.label(), key=key[:12])
             with root:
@@ -126,7 +127,7 @@ def run_scope(spec, store):
                 "app": spec.app,
                 "scale": spec.scale,
                 "wall_s": root_event["dur"] if root_event else 0.0,
-                "pair_counters": frame.as_dict(),
+                "counters": {name: n for name, n in moved.items() if n},
                 "spans": events,
             }
             write_json_atomic(run_profile_path(store.root, key), doc)
@@ -245,31 +246,43 @@ def _format_tree(nodes: list[dict], indent: int, lines: list[str]) -> None:
 
 
 def _counters_summary(counters: dict) -> list[str]:
-    """Human lines for a pair-kernel counter snapshot."""
-    product = counters.get("pair_product", 0)
-    candidates = counters.get("candidate_pairs", 0)
-    exact = counters.get("exact_pairs", 0)
-    brute = counters.get("bruteforce_pairs", 0)
-    examined = candidates + brute
+    """Human lines for a counter block keyed by registry name."""
+
+    def count(name: str) -> int:
+        return int(counters.get(name, 0))
+
+    product = count("repro_pair_pair_product_total")
+    examined = count("repro_pair_candidate_pairs_total") + count(
+        "repro_pair_bruteforce_pairs_total"
+    )
     lines = [
-        f"  pair kernels: {counters.get('queries', 0)} queries, "
+        f"  pair kernels: {count('repro_pair_queries_total')} queries, "
         f"{product:,} brute-force pair product"
     ]
     if examined:
         lines.append(
             f"  candidates examined: {examined:,} "
             f"(x{product / examined:.1f} pruning), "
-            f"{exact:,} exact pairs survived"
+            f"{count('repro_pair_exact_pairs_total'):,} exact pairs survived"
         )
-    builds = counters.get("index_builds", 0)
-    reuses = counters.get("index_reuses", 0)
-    deltas = counters.get("delta_updates", 0)
+    builds = count("repro_pair_index_builds_total")
+    reuses = count("repro_pair_index_reuses_total")
+    deltas = count("repro_pair_delta_updates_total")
     if builds or reuses or deltas:
         served = builds + reuses
         reuse_frac = reuses / served if served else 0.0
         lines.append(
             f"  index reuse: {builds} builds, {deltas} delta updates, "
             f"{reuses} reuses ({reuse_frac:.0%} of queries served warm)"
+        )
+    hits = count("repro_store_read_cache_hits_total")
+    misses = count("repro_store_read_cache_misses_total")
+    if hits + misses:
+        lines.append(
+            f"  store read cache: {hits:,} hits / {misses:,} misses "
+            f"({hits / (hits + misses):.0%} hit rate), "
+            f"{count('repro_store_read_cache_evictions_total'):,} evictions, "
+            f"{count('repro_store_read_cache_mmap_loads_total'):,} mmap loads"
         )
     return lines
 
@@ -282,17 +295,17 @@ def render_profile(doc: dict) -> str:
         f"  {'span':<38}{'count':>6}  {'total':>10} {'self':>10}",
     ]
     _format_tree(profile_tree(doc.get("spans", [])), 0, lines)
-    lines.extend(_counters_summary(doc.get("pair_counters", {})))
+    lines.extend(_counters_summary(doc.get("counters", {})))
     return "\n".join(lines)
 
 
 def aggregate_timings(store_root: str | os.PathLike) -> dict:
-    """Fold every run profile of a store into one span-total table."""
+    """Fold every run profile of a store into span totals and counters."""
     import json
 
     spans: dict[str, dict] = {}
     runs = []
-    counters: dict[str, int] = {}
+    counters: dict[str, float] = {}
     for path in find_run_profiles(store_root):
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
@@ -313,26 +326,12 @@ def aggregate_timings(store_root: str | os.PathLike) -> dict:
             )
             g["count"] += 1
             g["total"] += event["dur"]
-        for name, value in (doc.get("pair_counters") or {}).items():
-            counters[name] = counters.get(name, 0) + int(value)
-    from .export import load_metrics_snapshots
-
-    metrics: dict[str, float] = {}
-    snapshots = load_metrics_snapshots(store_root)
-    for snap in snapshots:
-        for entry in snap.get("counters", ()):
-            name = entry.get("name")
-            try:
-                value = float(entry.get("value", 0.0))
-            except (TypeError, ValueError):
-                continue
-            metrics[name] = metrics.get(name, 0.0) + value
+        for name, value in (doc.get("counters") or {}).items():
+            counters[name] = counters.get(name, 0.0) + value
     return {
         "runs": sorted(runs, key=lambda r: -r["wall_s"]),
         "spans": sorted(spans.values(), key=lambda g: -g["total"]),
-        "pair_counters": counters,
-        "metrics": metrics,
-        "metrics_snapshots": len(snapshots),
+        "counters": dict(sorted(counters.items())),
     }
 
 
@@ -356,48 +355,8 @@ def render_timings(doc: dict) -> str:
             f"    {r['wall_s']:>8.3f}s  {r['kind']:<10} {r['label']} "
             f"({r['key'][:12]})"
         )
-    lines.extend(_counters_summary(doc.get("pair_counters", {})))
-    lines.extend(_metrics_summary(doc))
+    lines.extend(_counters_summary(doc.get("counters", {})))
     return "\n".join(lines)
-
-
-def _metrics_summary(doc: dict) -> list[str]:
-    """Fleet-wide lines from the metrics file snapshots (if any)."""
-    metrics = doc.get("metrics") or {}
-    if not metrics:
-        return []
-    lines = [
-        f"  fleet metrics ({doc.get('metrics_snapshots', 0)} process "
-        f"snapshots):"
-    ]
-    hits = metrics.get("repro_store_read_cache_hits_total", 0.0)
-    misses = metrics.get("repro_store_read_cache_misses_total", 0.0)
-    if hits + misses:
-        lines.append(
-            f"    store read cache: {int(hits):,} hits / "
-            f"{int(misses):,} misses ({hits / (hits + misses):.0%} hit "
-            f"rate), {int(metrics.get('repro_store_read_cache_evictions_total', 0)):,} "
-            f"evictions, "
-            f"{int(metrics.get('repro_store_read_cache_mmap_loads_total', 0)):,} "
-            f"mmap loads"
-        )
-    builds = metrics.get("repro_pair_index_builds_total", 0.0)
-    reuses = metrics.get("repro_pair_index_reuses_total", 0.0)
-    deltas = metrics.get("repro_pair_delta_updates_total", 0.0)
-    if builds or reuses or deltas:
-        served = builds + reuses
-        warm = reuses / served if served else 0.0
-        lines.append(
-            f"    pair-index reuse: {int(builds):,} builds, "
-            f"{int(deltas):,} delta updates, {int(reuses):,} reuses "
-            f"({warm:.0%} served warm)"
-        )
-    jobs = sum(
-        v for k, v in metrics.items() if k == "repro_worker_jobs_total"
-    )
-    if jobs:
-        lines.append(f"    worker jobs completed: {int(jobs):,}")
-    return lines
 
 
 # ---------------------------------------------------------------------------

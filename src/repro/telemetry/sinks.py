@@ -6,8 +6,7 @@ of the same events into the `trace-event format
 <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_
 so a session can be dropped straight into ``chrome://tracing`` or
 Perfetto.  Spans become complete events (``ph: "X"``, microsecond
-``ts``/``dur``); counters and gauges become counter events
-(``ph: "C"``).
+``ts``/``dur``).
 """
 
 from __future__ import annotations
@@ -33,31 +32,21 @@ def chrome_trace(events, meta: dict | None = None, pid: int | None = None) -> di
     pid = os.getpid() if pid is None else pid
     trace_events = []
     for event in events:
-        kind = event.get("type")
-        if kind == "span":
-            entry = {
-                "name": event["name"],
-                "cat": event.get("cat") or "repro",
-                "ph": "X",
-                "ts": event["ts"] * 1e6,
-                "dur": event["dur"] * 1e6,
-                "pid": pid,
-                "tid": event.get("tid", 0),
-                "args": dict(event.get("attrs") or {}),
-            }
-            if event.get("error"):
-                entry["args"]["error"] = True
-            trace_events.append(entry)
-        elif kind in ("counter", "gauge"):
-            trace_events.append({
-                "name": event["name"],
-                "cat": kind,
-                "ph": "C",
-                "ts": event["ts"] * 1e6,
-                "pid": pid,
-                "tid": event.get("tid", 0),
-                "args": {event["name"]: event["value"]},
-            })
+        if event.get("type") != "span":
+            continue
+        entry = {
+            "name": event["name"],
+            "cat": event.get("cat") or "repro",
+            "ph": "X",
+            "ts": event["ts"] * 1e6,
+            "dur": event["dur"] * 1e6,
+            "pid": pid,
+            "tid": event.get("tid", 0),
+            "args": dict(event.get("attrs") or {}),
+        }
+        if event.get("error"):
+            entry["args"]["error"] = True
+        trace_events.append(entry)
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ms",

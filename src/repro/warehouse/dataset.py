@@ -48,7 +48,7 @@ import numpy as np
 
 from ..engine.spec import RunSpec
 from ..engine.store import ResultStore
-from ..telemetry import counter, span
+from ..telemetry import span
 from .formats import WarehouseFormat, resolve_format
 from .schema import (
     PARTITION_COLUMNS,
@@ -448,7 +448,7 @@ class Warehouse:
         with span(
             "warehouse.build", cat="warehouse", root=str(self.root),
             format=self.format.name, candidates=len(plan_keys),
-        ):
+        ) as build_span:
             for partition in sorted(by_partition):
                 adopted += self._repair_partition(partition)
                 pending = [
@@ -495,8 +495,7 @@ class Warehouse:
                     buffered_rows += flat.n_steps
                 flush()
                 touched.append(partition)
-        counter("warehouse.ingest.runs", runs)
-        counter("warehouse.ingest.rows", rows)
+            build_span.annotate(runs=runs, rows=rows)
         return BuildReport(
             runs=runs,
             rows=rows,

@@ -8,8 +8,7 @@ ever materializing the dataset:
 * :func:`scan` streams one chunk (dict of aligned columns) per shard,
   pruning whole hive partitions when a filter binds ``app`` / ``scale``
   / ``partitioner`` (no shard in a pruned partition is opened — the
-  manifest's per-partition row counts feed the
-  ``warehouse.scan.rows_pruned`` telemetry counter);
+  ``warehouse.scan`` span records rows scanned and pruned);
 * :func:`scan_table` concatenates a scan (convenience for small
   results);
 * :func:`group_stats` folds a scan into per-group count/mean/std/
@@ -27,7 +26,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..telemetry import counter, span
+from ..telemetry import span
 from .dataset import Warehouse
 from .schema import PARTITION_COLUMNS
 
@@ -81,8 +80,8 @@ def scan(
         columns first and mask each chunk.
 
     Yields chunks whose columns are aligned 1-d arrays; empty chunks
-    (fully masked shards) are skipped.  Telemetry counters record rows
-    scanned vs. rows pruned (``warehouse.scan.*``).
+    (fully masked shards) are skipped.  The ``warehouse.scan`` span
+    records rows scanned vs. rows pruned.
     """
     filters = _normalize_filters(filters)
     wanted = None if columns is None else list(columns)
@@ -151,9 +150,6 @@ def scan(
             rows=rows_scanned, rows_pruned=rows_pruned,
             shards=shards_opened, partitions_pruned=partitions_pruned,
         )
-    counter("warehouse.scan.rows", rows_scanned, table=table)
-    counter("warehouse.scan.rows_pruned", rows_pruned, table=table)
-    counter("warehouse.scan.shards", shards_opened, table=table)
 
 
 def scan_table(

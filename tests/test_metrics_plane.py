@@ -13,6 +13,7 @@ cluster-status ages, and the ``repro top --json`` / ``repro report
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -26,6 +27,7 @@ from repro.telemetry import (
     MetricsRegistry,
     MetricsServer,
     cluster_status_doc,
+    counter_deltas,
     evaluate_health,
     find_crash_dumps,
     load_crash_dump,
@@ -38,6 +40,7 @@ from repro.telemetry import (
     render_timings,
     write_metrics_files,
 )
+from repro.telemetry.metrics import BUILTIN_COUNTERS
 from repro.telemetry.profile import aggregate_timings
 
 from test_backends import _spawn_worker
@@ -65,11 +68,37 @@ def test_counter_gauge_and_labels():
     ]
 
 
-def test_set_total_is_absolute():
+def test_counter_group_charges_prekeyed_counters():
     reg = MetricsRegistry()
-    reg.set_total("repro_pair_index_builds_total", 5)
-    reg.set_total("repro_pair_index_builds_total", 9)
-    assert reg.counter_value("repro_pair_index_builds_total") == 9
+    add = reg.counter_group("repro_k_{}_total", ("hits", "misses"))
+    add(hits=2, misses=1)
+    add(hits=3)
+    assert reg.counter_value("repro_k_hits_total") == 5
+    assert reg.counter_value("repro_k_misses_total") == 1
+    with pytest.raises(ValueError):
+        reg.counter_group("bad-{}", ("name",))
+
+
+def test_declared_counters_survive_reset_at_zero():
+    reg = MetricsRegistry()
+    reg.declare("repro_a_total")
+    reg.inc("repro_a_total", 4)
+    reg.inc("repro_b_total")
+    reg.reset()
+    names = {c["name"]: c["value"]
+             for c in reg.snapshot(run_collectors=False)["counters"]}
+    assert names == {"repro_a_total": 0.0}
+
+
+def test_counter_deltas_scope_a_block():
+    reg = MetricsRegistry()
+    reg.inc("repro_a_total", 10)
+    with counter_deltas(reg) as outer:
+        reg.inc("repro_a_total", 2, kind="x")
+        with counter_deltas(reg) as inner:
+            reg.inc("repro_b_total", 3)
+    assert outer == {"repro_a_total": 2.0, "repro_b_total": 3.0}
+    assert inner == {"repro_a_total": 0.0, "repro_b_total": 3.0}
 
 
 def test_invalid_names_rejected():
@@ -104,20 +133,30 @@ def test_histogram_bounds_pinned_by_first_observation():
 
 def test_registry_thread_safety_under_concurrent_increments():
     reg = MetricsRegistry()
+    add = reg.counter_group("repro_grouped_{}_total", ("a", "b"))
     threads = 8
     per_thread = 1000
 
     def worker():
         for _ in range(per_thread):
             reg.inc("repro_contended_total")
+            add(a=1, b=2)
             reg.observe("repro_contended_seconds", 0.01, buckets=(1.0,))
 
-    pool = [threading.Thread(target=worker) for _ in range(threads)]
-    for t in pool:
-        t.start()
-    for t in pool:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=worker) for _ in range(threads)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in pool)
     assert reg.counter_value("repro_contended_total") == threads * per_thread
+    assert reg.counter_value("repro_grouped_a_total") == threads * per_thread
+    assert reg.counter_value("repro_grouped_b_total") == 2 * threads * per_thread
     [hist] = reg.snapshot(run_collectors=False)["histograms"]
     assert hist["count"] == threads * per_thread
     assert hist["counts"][0] == threads * per_thread
@@ -125,21 +164,22 @@ def test_registry_thread_safety_under_concurrent_increments():
 
 def test_collectors_run_at_snapshot_and_never_raise():
     reg = MetricsRegistry()
-    reg.add_collector("ok", lambda r: r.set_total("repro_ok_total", 4))
+    reg.add_collector("ok", lambda r: r.set("repro_ok", 4))
     reg.add_collector("boom", lambda r: 1 / 0)
     snap = reg.snapshot()
-    assert any(c["name"] == "repro_ok_total" for c in snap["counters"])
+    assert any(g["name"] == "repro_ok" for g in snap["gauges"])
 
 
 def test_global_registry_exports_pair_and_store_cache_counters():
     snap = metrics_registry().snapshot()
     names = {c["name"] for c in snap["counters"]}
-    # Collector-sourced series: the pair-kernel frame and the store
-    # read cache are always visible, even at zero.
+    # The pair kernels' and the store read cache's counters are always
+    # visible, even at zero.
     assert "repro_pair_index_builds_total" in names
     assert "repro_pair_index_reuses_total" in names
     assert "repro_store_read_cache_hits_total" in names
     assert "repro_store_read_cache_misses_total" in names
+    assert set(BUILTIN_COUNTERS) <= names
 
 
 # ---------------------------------------------------------------------------
@@ -437,28 +477,25 @@ def test_worker_rates_join_status_by_host_pid(tmp_path):
 # report --timings surfacing
 # ---------------------------------------------------------------------------
 
-def test_timings_surface_fleet_metrics(tmp_path):
-    # One hand-crafted run profile (the spans side)...
-    profile_dir = tmp_path / "telemetry" / "runs" / "ab"
-    profile_dir.mkdir(parents=True)
-    (profile_dir / ("ab" + "0" * 62 + ".json")).write_text(json.dumps({
-        "schema": 1, "key": "ab" + "0" * 62, "kind": "sim",
-        "label": "tp2d small", "wall_s": 1.0,
-        "pair_counters": {}, "spans": [],
-    }), encoding="utf-8")
-    # ...plus one metrics snapshot (the fleet side).
-    reg = MetricsRegistry()
-    reg.set_total("repro_store_read_cache_hits_total", 30)
-    reg.set_total("repro_store_read_cache_misses_total", 10)
-    reg.set_total("repro_pair_index_builds_total", 2)
-    reg.set_total("repro_pair_index_reuses_total", 6)
-    reg.inc("repro_worker_jobs_total", 5, outcome="completed")
-    write_metrics_files(tmp_path, registry=reg)
+def test_timings_print_one_counter_block(tmp_path):
+    # Two hand-crafted run profiles: their counter blocks add up.
+    for key, hits in (("ab" + "0" * 62, 20), ("cd" + "0" * 62, 10)):
+        profile_dir = tmp_path / "telemetry" / "runs" / key[:2]
+        profile_dir.mkdir(parents=True)
+        (profile_dir / f"{key}.json").write_text(json.dumps({
+            "schema": 2, "key": key, "kind": "sim",
+            "label": "tp2d small", "wall_s": 1.0, "spans": [],
+            "counters": {
+                "repro_store_read_cache_hits_total": hits,
+                "repro_store_read_cache_misses_total": 5,
+                "repro_pair_index_builds_total": 1,
+                "repro_pair_index_reuses_total": 3,
+            },
+        }), encoding="utf-8")
     doc = aggregate_timings(tmp_path)
-    assert doc["metrics"]["repro_store_read_cache_hits_total"] == 30
-    assert doc["metrics_snapshots"] == 1
+    assert doc["counters"]["repro_store_read_cache_hits_total"] == 30
     text = render_timings(doc)
     assert "store read cache: 30 hits / 10 misses (75% hit rate)" in text
-    assert "pair-index reuse: 2 builds" in text and "6 reuses" in text
-    assert "(75% served warm)" in text
-    assert "worker jobs completed: 5" in text
+    assert "index reuse: 2 builds" in text and "6 reuses" in text
+    assert "(75% of queries served warm)" in text
+    assert text.count("index reuse:") == 1

@@ -24,11 +24,9 @@ from repro.geometry import (
     OwnerMap,
     face_contacts,
     overlap_volume,
-    pair_index_counters,
     pair_index_forced,
     pair_intersections,
     rasterize_owners,
-    reset_pair_index_counters,
 )
 from repro.hierarchy import GridHierarchy, PatchLevel
 from repro.partition import (
@@ -48,6 +46,7 @@ from repro.simulator import (
     migration_cells_dense,
     per_rank_comm_cells,
 )
+from repro.telemetry import counter_deltas
 
 from tests.strategies import disjoint_boxlists
 
@@ -299,18 +298,17 @@ class TestPairIndex:
         _assert_face_results_identical(corners, ranks)
 
     def test_counters_record_pruning(self, ndim):
-        reset_pair_index_counters()
         rng = np.random.default_rng(7)
         lo = rng.integers(0, 4000, size=(600, ndim))
         a = np.concatenate((lo, lo + 4), axis=1).astype(np.int64)
-        with pair_index_forced("grid"):
+        with pair_index_forced("grid"), counter_deltas() as c:
             pair_intersections(a, a)
-        c = pair_index_counters()
-        assert c.queries == 1
-        assert c.pair_product == 600 * 600
-        assert c.candidate_pairs < c.pair_product
-        assert c.exact_pairs <= c.candidate_pairs
-        assert c.pruning_ratio() > 1.0
+        candidates = c["repro_pair_candidate_pairs_total"]
+        assert c["repro_pair_queries_total"] == 1
+        assert c["repro_pair_pair_product_total"] == 600 * 600
+        assert c["repro_pair_bruteforce_pairs_total"] == 0
+        assert 0 < candidates < c["repro_pair_pair_product_total"]
+        assert c["repro_pair_exact_pairs_total"] <= candidates
 
 
 PARTITIONERS = [

@@ -27,12 +27,12 @@ from repro.engine.components import create
 from repro.experiments import paper_trace
 from repro.geometry import (
     PairIndex,
-    pair_counters_scope,
     pair_index_forced,
     pair_reuse_forced,
     pair_reuse_mode,
 )
 from repro.simulator import TraceSimulator
+from repro.telemetry import counter_deltas
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -177,12 +177,12 @@ def test_full_replacement_rebuilds(ndim, data):
         )
     with pair_index_forced("grid"):
         base = PairIndex(tuple([32] * ndim), old)
-        with pair_counters_scope() as counters:
+        with counter_deltas() as counters:
             updated = base.updated_to(new)
     if old.shape[0] and new.shape[0]:
         # zero shared rows => churn above threshold => rebuild, no delta
-        assert counters.delta_updates == 0
-        assert counters.index_builds >= 1
+        assert counters["repro_pair_delta_updates_total"] == 0
+        assert counters["repro_pair_index_builds_total"] >= 1
     q = data.draw(corner_arrays(ndim, max_boxes=6))
     got = _query_pairs(updated, q, False)
     if got is not None:
@@ -201,10 +201,10 @@ def test_noop_diff_is_a_delta(kind):
     with pair_index_forced(kind):
         base = PairIndex((16, 16), corners)
         clone = corners.copy()
-        with pair_counters_scope() as counters:
+        with counter_deltas() as counters:
             updated = base.updated_to(clone)
-    assert counters.delta_updates == 1
-    assert counters.index_builds == 0
+    assert counters["repro_pair_delta_updates_total"] == 1
+    assert counters["repro_pair_index_builds_total"] == 0
     assert updated.indexes(clone) and not updated.indexes(corners)
     q = np.asarray([[1, 1, 6, 6]], dtype=np.int64)
     assert _query_pairs(updated, q, False) == _query_pairs(base, q, False)
@@ -337,17 +337,21 @@ def test_reuse_engages_on_paper_trace(_small_replay):
     trace, part = _small_replay
     sim = TraceSimulator()
     with pair_index_forced("grid"), pair_reuse_forced("auto"):
-        with pair_counters_scope() as counters:
+        with counter_deltas() as counters:
             result_on = sim.run(trace, part, 8)
-    assert counters.index_builds > 0
-    assert counters.index_reuses > 0, "persistent indexes never reused"
-    assert counters.delta_updates > 0, "no step-to-step delta updates"
+    assert counters["repro_pair_index_builds_total"] > 0
+    assert counters["repro_pair_index_reuses_total"] > 0, (
+        "persistent indexes never reused"
+    )
+    assert counters["repro_pair_delta_updates_total"] > 0, (
+        "no step-to-step delta updates"
+    )
     with pair_index_forced("grid"), pair_reuse_forced("off"):
-        with pair_counters_scope() as off_counters:
+        with counter_deltas() as off_counters:
             result_off = sim.run(trace, part, 8)
-    assert off_counters.index_builds == 0
-    assert off_counters.index_reuses == 0
-    assert off_counters.delta_updates == 0
+    assert off_counters["repro_pair_index_builds_total"] == 0
+    assert off_counters["repro_pair_index_reuses_total"] == 0
+    assert off_counters["repro_pair_delta_updates_total"] == 0
     assert len(result_on.steps) == len(result_off.steps)
     for s_on, s_off in zip(result_on.steps, result_off.steps):
         assert s_on == s_off, "reuse layer changed a step metric"

@@ -85,13 +85,6 @@ def test_on_real_traces(small_traces, part):
 
 
 class TestPartitionResult:
-    def test_owners_shim_warns_and_matches_rasters(self, simple_hierarchy):
-        res = DomainSfcPartitioner().partition(simple_hierarchy, 4)
-        with pytest.warns(DeprecationWarning, match="OwnerMap"):
-            legacy = res.owners
-        for shim, raster in zip(legacy, res.rasters()):
-            np.testing.assert_array_equal(shim, raster)
-
     def test_legacy_raster_construction_round_trips(self):
         raster = np.array([[0, 0, 1], [2, 2, 1]], dtype=np.int32)
         res = PartitionResult(owners=(raster,), nprocs=3)

@@ -2,9 +2,9 @@
 
 Covers the redesigned public surface: decorator registration, live
 mapping views, parameter-schema introspection and validation,
-duplicate/unknown names, entry-point plugin discovery, the deprecation
-shims for the PR-2 ``make_*`` helpers, and the hash-stability guarantee
-the redesign ships under (existing store keys must not move).
+duplicate/unknown names, entry-point plugin discovery, and the
+hash-stability guarantee the redesign ships under (existing store keys
+must not move).
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ from repro.engine import (
     STATIC_SUITE,
     create,
     describe,
-    make_machine,
-    make_partitioner,
-    make_schedule,
     penalties_spec,
     registry,
     resolve_machine,
@@ -28,7 +25,7 @@ from repro.engine import (
     trace_spec,
 )
 from repro.engine.spec import _normalize_pairs
-from repro.partition import NaturePlusFable, PatchBasedPartitioner
+from repro.partition import PatchBasedPartitioner
 from repro.simulator import MachineModel
 
 
@@ -274,34 +271,23 @@ class TestAppRegistration:
             registry_module.load_plugins(reload=True)
 
 
-class TestDeprecationShims:
-    def test_make_partitioner_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="make_partitioner"):
-            part = make_partitioner("nature+fable")
-        assert isinstance(part, NaturePlusFable)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="schedule"):
-                make_partitioner("meta-partitioner")
-
-    def test_make_schedule_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="make_schedule"):
-            schedule = make_schedule("armada-octant", MachineModel(), 8)
-        assert schedule is not None
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="unknown schedule"):
-                make_schedule("nope", MachineModel(), 8)
-
-    def test_make_machine_accepts_instances_and_names(self):
-        # The old type hint lied about MachineModel instances; the fixed
-        # surface accepts names, override mappings and built models.
+class TestEngineSurface:
+    def test_resolve_machine_accepts_instances_and_names(self):
+        # Names, override mappings and built models all resolve.
         model = MachineModel(bandwidth_bytes_per_s=1.0)
-        with pytest.warns(DeprecationWarning, match="make_machine"):
-            assert make_machine(model) is model
         assert resolve_machine(model) is model
         assert resolve_machine("net-starved").bandwidth_bytes_per_s == 5.0e7
         assert (
             resolve_machine({"latency_seconds": 1e-6}).latency_seconds == 1e-6
         )
+
+    def test_expired_construction_shims_are_gone(self):
+        import repro.engine as engine
+        import repro.engine.components as components
+
+        assert ENGINE_API_VERSION == "2.0"
+        assert not [n for n in engine.__all__ if n.startswith("make_")]
+        assert not [n for n in vars(components) if n.startswith("make_")]
 
     def test_engine_all_is_clean(self):
         import repro.engine as engine

@@ -25,6 +25,7 @@ from repro.engine import (
     toposort_layers,
     trace_spec,
 )
+from repro.engine import cli
 from repro.engine import executor as executor_module
 from repro.experiments.workloads import _cached_trace, paper_trace
 
@@ -214,6 +215,37 @@ class TestDagExecutor:
             )
         # The dependent sim was never attempted.
         assert executed == ["trace:bl2d:small"]
+
+    def test_stored_result_with_evicted_trace_executes_zero_jobs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # `repro cache gc` can evict a trace whose results stay stored: no
+        # pending node consumes the trace, so nothing may regenerate it.
+        store = ResultStore(tmp_path / "store")
+        sim = sim_spec("tp2d", "small", nprocs=NPROCS)
+        run_specs([sim], store=store)
+        trace_key = trace_spec("tp2d", "small").key()
+        assert store.remove(trace_key)
+        _cached_trace.cache_clear()
+        plan = build_plan([sim], store)
+        assert plan.counts()["implicit_compute"] == 0
+        assert plan.layers == ()
+        node = plan.node(trace_key)
+        assert not node.stored and not node.pending
+        computed = _count_executes(monkeypatch)
+        [result] = run_specs([sim], store=store)
+        assert computed == []
+        assert result.key == sim.key()
+        assert not store.has(trace_key)
+        # The plan/graph views still render the unneeded input.
+        args = ["--scale", "small", "--apps", "tp2d",
+                "--partitioners", "nature+fable", "--nprocs", str(NPROCS),
+                "--cache-dir", str(store.root)]
+        assert cli.main(["plan", *args]) == 0
+        out = capsys.readouterr().out
+        assert "skip trace:tp2d:small" in out and "nothing to compute" in out
+        assert cli.main(["graph", *args]) == 0
+        assert "<- trace:tp2d:small [not needed]" in capsys.readouterr().out
 
     def test_progress_reports_trace_inputs(self, tmp_path):
         store = ResultStore(tmp_path / "store")

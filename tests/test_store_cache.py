@@ -23,12 +23,14 @@ import pytest
 
 from repro.engine import ResultStore, RunResult, sim_spec, trace_spec
 from repro.engine.store import clear_read_cache, read_cache_stats
+from repro.telemetry import reset_metrics
 
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
-    """Each test starts and ends with an empty read cache."""
+    """Each test starts with an empty read cache and zeroed counters."""
     clear_read_cache()
+    reset_metrics()
     yield
     clear_read_cache()
 
@@ -76,7 +78,7 @@ def test_mmap_arrays_match_eager_load(tmp_path, monkeypatch):
     clear_read_cache()
     monkeypatch.setenv("REPRO_STORE_MMAP", "off")
     eager = ResultStore(tmp_path).get_result(result.key)
-    assert read_cache_stats()["mmap_loads"] == 0
+    assert read_cache_stats()["mmap_loads"] == 1  # the eager load adds none
     for name in result.arrays:
         assert not isinstance(eager.arrays[name], np.memmap)
         np.testing.assert_array_equal(

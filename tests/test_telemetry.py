@@ -101,9 +101,8 @@ class TestRecorder:
         def scenario() -> list[str]:
             rec = TelemetryRecorder(clock=FakeClock(), meta={"run": 1})
             with rec.span("outer", cat="t", depth=0):
-                rec.counter("events", 3)
-                with rec.span("inner", cat="t"):
-                    rec.gauge("level", 0.5)
+                with rec.span("inner", cat="t", level=0.5):
+                    pass
             return [json.dumps(e, sort_keys=True) for e in rec.events]
 
         assert scenario() == scenario()
@@ -112,13 +111,14 @@ class TestRecorder:
         rec = TelemetryRecorder(clock=FakeClock())
         with rec.span("outer") as outer:
             with rec.span("inner") as inner:
-                rec.counter("ticks", 1)
+                with rec.span("leaf"):
+                    pass
         names = [e["name"] for e in rec.events]
         # Children close (and therefore log) before their parents.
-        assert names == ["ticks", "inner", "outer"]
+        assert names == ["leaf", "inner", "outer"]
         by_name = {e["name"]: e for e in rec.events}
         assert by_name["inner"]["parent"] == outer.id
-        assert by_name["ticks"]["parent"] == inner.id
+        assert by_name["leaf"]["parent"] == inner.id
         assert by_name["outer"]["parent"] == 0
         assert by_name["inner"]["dur"] >= 0.0
         # The parent interval encloses the child's.
@@ -172,8 +172,7 @@ class TestRecorder:
 class TestSinks:
     def _recorded(self) -> TelemetryRecorder:
         rec = TelemetryRecorder(clock=FakeClock(), meta={"session": "t"})
-        with rec.span("outer", cat="engine"):
-            rec.counter("queue.depth", 2)
+        with rec.span("outer", cat="engine", depth=2):
             with rec.span("inner", cat="kernel", step=3):
                 pass
         return rec
@@ -184,19 +183,19 @@ class TestSinks:
         doc = json.loads(json.dumps(doc))
         assert set(doc) == {"traceEvents", "displayTimeUnit", "otherData"}
         assert doc["otherData"] == {"session": "t"}
-        assert len(doc["traceEvents"]) == 3
+        assert len(doc["traceEvents"]) == 2
         for event in doc["traceEvents"]:
-            assert event["ph"] in ("X", "C")
+            assert event["ph"] == "X"
             assert isinstance(event["name"], str) and event["name"]
             assert isinstance(event["cat"], str)
             assert event["pid"] == 1234
             assert isinstance(event["tid"], int)
             assert event["ts"] >= 0.0  # microseconds
+            assert event["dur"] >= 0.0
             assert isinstance(event["args"], dict)
-            if event["ph"] == "X":
-                assert event["dur"] >= 0.0
-        counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
-        assert counters[0]["args"] == {"queue.depth": 2}
+        by_name = {e["name"]: e for e in doc["traceEvents"]}
+        assert by_name["outer"]["args"] == {"depth": 2}
+        assert by_name["inner"]["args"] == {"step": 3}
 
     def test_session_writes_jsonl_and_chrome_trace(self, tmp_path):
         with session(tmp_path, name="unit test!", mode="chrome",
@@ -283,7 +282,8 @@ class TestProfiles:
         names = {e["name"] for e in doc["spans"] if e["type"] == "span"}
         # The tree reaches from the run root down into the kernels.
         assert {"run", "sim.partition", "sim.measure_step"} <= names
-        assert doc["pair_counters"]["queries"] > 0
+        assert doc["schema"] == 2
+        assert doc["counters"]["repro_pair_queries_total"] > 0
         tree = profile_tree(doc["spans"])
         assert tree[0]["name"] == "run"
         rendered = render_profile(doc)
