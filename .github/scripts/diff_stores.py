@@ -23,9 +23,9 @@ def snapshot(root: str) -> dict[tuple[str, str], str]:
     """``{(entry key, file name): sha256}`` over a whole store."""
     store = ResultStore(root)
     return {
-        (doc["key"], path.name): hashlib.sha256(path.read_bytes()).hexdigest()
-        for doc in store.entries()
-        for path in sorted(store.entry_dir(doc["key"]).iterdir())
+        (key, path.name): hashlib.sha256(path.read_bytes()).hexdigest()
+        for key, _ in store.iter_results()
+        for path in sorted(store.entry_dir(key).iterdir())
         if path.is_file()
     }
 

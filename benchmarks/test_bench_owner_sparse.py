@@ -7,7 +7,7 @@ migration) under both representations:
 * **sparse**: box calculus on :class:`~repro.geometry.OwnerMap` corner
   arrays (the production path);
 * **dense**: rasterize the same distributions and run the original numpy
-  raster reductions (the cross-check path).
+  raster reductions (the tests' dense oracle, ``tests/dense_oracle.py``).
 
 Two workloads are exercised: the paper's 2-D scale and the 3-D ``deep``
 scale (32^3 base, 5 levels — a 512^3 finest index space) that motivated
@@ -31,10 +31,10 @@ from repro.simulator import (
     ghost_message_pairs,
     interlevel_transfer_cells,
     migration_cells,
-    migration_cells_dense,
 )
 
 from conftest import BENCH_NPROCS, bench_scale, record_bench
+from tests import dense_oracle as dense
 
 
 def _distributions(app: str, scale: str):
@@ -67,20 +67,22 @@ def _dense_metrics(hierarchy, prev, cur) -> tuple:
     prev_rasters = tuple(m.rasterize() for m in prev.maps)
     cur_rasters = tuple(m.rasterize() for m in cur.maps)
     ghost = sum(
-        ghost_exchange_cells(cur_rasters[level.index]) for level in hierarchy
+        dense.ghost_exchange_cells(cur_rasters[level.index])
+        for level in hierarchy
     )
     pairs = sum(
-        ghost_message_pairs(cur_rasters[level.index]) for level in hierarchy
+        dense.ghost_message_pairs(cur_rasters[level.index])
+        for level in hierarchy
     )
     inter = sum(
-        interlevel_transfer_cells(
+        dense.interlevel_transfer_cells(
             cur_rasters[level.index - 1],
             cur_rasters[level.index],
             level.ratio,
         )
         for level in hierarchy.levels[1:]
     )
-    return ghost, pairs, inter, migration_cells_dense(prev_rasters, cur_rasters)
+    return ghost, pairs, inter, dense.migration_cells(prev_rasters, cur_rasters)
 
 
 def _measure(fn, *args) -> tuple[tuple, float, int]:

@@ -88,16 +88,24 @@ from .store import (
 #: :mod:`repro.warehouse` columnar subsystem (``repro warehouse``,
 #: ``repro report --from-warehouse``, registry kind
 #: ``warehouse-format``).
-#: 1.4: the zero-copy store read plane — memory-mapped series loads
-#: (``REPRO_STORE_MMAP``), the per-process read cache
-#: (``REPRO_STORE_CACHE``, ``read_cache_stats``/``clear_read_cache``)
+#: 1.4: the store read plane — memory-mapped series loads, the
+#: per-process read cache (``read_cache_stats``/``clear_read_cache``)
 #: — and the pair-kernel reuse layer (``REPRO_PAIR_REUSE``).
 #: 2.0: the deprecated PR-2 ``make_*`` construction shims are gone
 #: (use ``create`` / ``resolve_machine``); ``read_cache_stats`` is a view of
 #: the metrics registry that ``clear_read_cache`` no longer zeroes; an
 #: implicit input is planned only when a pending node consumes it
 #: (``SpecNode.pending`` is a field).
-ENGINE_API_VERSION = "2.0"
+#: 3.0: one runtime path per metric and per store read.  Removed: the
+#: simulator's dense cross-check flag and the dense migration reference
+#: (the metric functions take owner maps only; convert a raster with
+#: ``OwnerMap.from_raster``); the memory-mapped series loader, its
+#: environment switch and its read-cache counter; the read-cache size
+#: and flight-ring size environment knobs (now the constants
+#: ``store.READ_CACHE_ENTRIES`` and ``telemetry.flight.FLIGHT_CAPACITY``)
+#: and ``FLIGHT_CAPACITY_ENV``; ``ResultStore.entries`` (use
+#: ``iter_results``).
+ENGINE_API_VERSION = "3.0"
 
 __all__ = [
     # versions

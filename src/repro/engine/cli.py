@@ -810,7 +810,7 @@ def _cmd_cache(args) -> int:
         removed, freed = store.gc(
             max_bytes=args.max_bytes, older_than_seconds=args.older_than
         )
-        kept = list(store.entries())
+        kept = [doc for _, doc in store.iter_results()]
         remaining = sum(doc["nbytes"] for doc in kept)
         print(
             f"evicted {removed} entries ({freed / 1e6:.1f} MB reclaimed) "
@@ -820,12 +820,12 @@ def _cmd_cache(args) -> int:
             f"store now holds {len(kept)} entries, {remaining / 1e6:.1f} MB"
         )
         return 0
+    # Corrupt entries are warn-skipped (and retired) by the walker.
+    entries = list(store.iter_results(kind=args.kind))
+    now = time.time()
     if args.json:
-        # Machine-readable listing (scripting surface; streamed via
-        # iter_results so corrupt entries are warn-skipped, not fatal).
-        now = time.time()
         docs = []
-        for key, doc in store.iter_results(kind=args.kind):
+        for key, doc in entries:
             spec = RunSpec.from_json(doc["spec"])
             docs.append({
                 "key": key,
@@ -839,13 +839,11 @@ def _cmd_cache(args) -> int:
             })
         print(json.dumps(docs, indent=1, sort_keys=True))
         return 0
-    entries = list(store.entries())
-    total = sum(doc["nbytes"] for doc in entries)
+    total = sum(doc["nbytes"] for _, doc in entries)
     print(f"store: {store.root} ({len(entries)} entries, {total / 1e6:.1f} MB)")
     if entries:
-        now = time.time()
         print(f"{'key':<14} {'kind':<10} {'job':<40} {'kB':>8} {'age':>8}")
-        for doc in entries:
+        for key, doc in entries:
             spec = RunSpec.from_json(doc["spec"])
             age = max(0.0, now - doc["mtime"])
             if age >= 86400:
@@ -855,7 +853,7 @@ def _cmd_cache(args) -> int:
             else:
                 age_str = f"{age / 60:.1f}m"
             print(
-                f"{doc['key'][:12]:<14} {doc['kind']:<10} "
+                f"{key[:12]:<14} {doc['kind']:<10} "
                 f"{spec.label():<40} {doc['nbytes'] / 1024:>8.1f} "
                 f"{age_str:>8}"
             )
@@ -1296,7 +1294,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("cache_cmd", choices=["ls", "clear", "gc", "verify"])
     cache.add_argument("--kind", default=None,
                        choices=["trace", "sim", "penalties"],
-                       help="restrict clear / ls --json to one kind")
+                       help="restrict clear / ls to one kind")
     cache.add_argument("--json", action="store_true",
                        help="ls: machine-readable listing (key, app, "
                        "scale, bytes, age)")

@@ -81,26 +81,8 @@ _TOUCH_TIMES: dict[tuple[str, str], float] = {}
 # and retirement are observed exactly as a cold read would see them.
 _READ_CACHE: OrderedDict[tuple[str, str, str], dict] = OrderedDict()
 
-
-def _read_cache_limit() -> int:
-    """Entry budget of the read cache (``REPRO_STORE_CACHE``, 0 = off)."""
-    raw = os.environ.get("REPRO_STORE_CACHE", "64")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        raise ValueError(
-            f"REPRO_STORE_CACHE must be an integer, got {raw!r}"
-        ) from None
-
-
-def _mmap_enabled() -> bool:
-    """Whether series arrays may be memory-mapped (``REPRO_STORE_MMAP``)."""
-    mode = os.environ.get("REPRO_STORE_MMAP", "auto")
-    if mode not in ("auto", "off"):
-        raise ValueError(
-            f"REPRO_STORE_MMAP must be 'auto' or 'off', got {mode!r}"
-        )
-    return mode == "auto"
+#: Entry budget of the read cache.
+READ_CACHE_ENTRIES = 64
 
 
 def read_cache_stats() -> dict:
@@ -108,11 +90,10 @@ def read_cache_stats() -> dict:
 
     ``hits`` are loads served from memory without touching artifact
     bytes; ``misses`` are loads that went to disk (and, budget
-    permitting, populated the cache); ``mmap_loads`` counts cold series
-    loads that went through the memory-mapped fast path instead of
-    ``np.load``'s buffered zip reader.  Each is the process total of
-    ``repro_store_read_cache_<field>_total``; take differences to scope
-    them.
+    permitting, populated the cache); ``evictions`` are records the LRU
+    dropped to stay within :data:`READ_CACHE_ENTRIES`.  Each is the
+    process total of ``repro_store_read_cache_<field>_total``; take
+    differences to scope them.
     """
     registry = metrics_registry()
     return {
@@ -135,12 +116,9 @@ def _cache_get(ckey: tuple[str, str, str]) -> dict | None:
 
 
 def _cache_put(ckey: tuple[str, str, str], record: dict) -> None:
-    limit = _read_cache_limit()
-    if limit <= 0:
-        return
     _READ_CACHE[ckey] = record
     _READ_CACHE.move_to_end(ckey)
-    while len(_READ_CACHE) > limit:
+    while len(_READ_CACHE) > READ_CACHE_ENTRIES:
         _READ_CACHE.popitem(last=False)
         metric_inc("repro_store_read_cache_evictions_total")
 
@@ -159,54 +137,6 @@ def _stat_sig(path: Path) -> tuple[int, int] | None:
     except OSError:
         return None
     return (st.st_mtime_ns, st.st_size)
-
-
-def _load_series_mmap(path: Path) -> dict[str, np.ndarray] | None:
-    """Zero-copy load of an uncompressed npz: memory-map every member.
-
-    ``np.savez`` stores members uncompressed (``ZIP_STORED``), so each
-    ``.npy`` payload is a contiguous byte range of the archive; this
-    parses the zip local headers plus the npy header and maps the array
-    data in place — no decompression, no copy, pages fault in on use
-    and stay evictable.  Returns ``None`` when any member cannot be
-    mapped (compressed, object dtype, Fortran order, 0-d) so the caller
-    falls back to ``np.load``; corruption raises the same exceptions a
-    cold ``np.load`` would.
-    """
-    arrays: dict[str, np.ndarray] = {}
-    with zipfile.ZipFile(path) as zf, open(path, "rb") as fh:
-        for info in zf.infolist():
-            if (
-                not info.filename.endswith(".npy")
-                or info.compress_type != zipfile.ZIP_STORED
-            ):
-                return None
-            fh.seek(info.header_offset)
-            local = fh.read(30)
-            if len(local) < 30 or local[:4] != b"PK\x03\x04":
-                raise zipfile.BadZipFile(
-                    f"bad local file header for {info.filename!r}"
-                )
-            name_len = int.from_bytes(local[26:28], "little")
-            extra_len = int.from_bytes(local[28:30], "little")
-            fh.seek(info.header_offset + 30 + name_len + extra_len)
-            version = np.lib.format.read_magic(fh)
-            if version == (1, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
-            elif version == (2, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_2_0(fh)
-            else:
-                return None
-            if fortran or dtype.hasobject or shape == ():
-                return None
-            name = info.filename[:-4]
-            if int(np.prod(shape)) == 0:
-                arrays[name] = np.empty(shape, dtype=dtype)
-            else:
-                arrays[name] = np.memmap(
-                    path, dtype=dtype, mode="r", offset=fh.tell(), shape=shape
-                )
-    return arrays
 
 
 def default_store() -> "ResultStore":
@@ -416,29 +346,14 @@ class ResultStore:
             except Exception as exc:
                 self._corrupt_miss(key, f"spec does not parse: {exc}")
                 return None
-            arrays: dict[str, np.ndarray] | None = None
             series = self.entry_dir(key) / _SERIES
-            # Resolve config outside the load guard: a REPRO_STORE_MMAP
-            # typo must raise, not retire a perfectly good entry.
-            use_mmap = _mmap_enabled()
             if series.is_file():
                 try:
-                    if use_mmap:
-                        arrays = _load_series_mmap(series)
-                    if arrays is not None:
-                        # Materialize the mapped pages into process
-                        # memory: results are stable snapshots — a later
-                        # in-place overwrite of the entry must never
-                        # change arrays already handed to a caller.
-                        metric_inc("repro_store_read_cache_mmap_loads_total")
-                        arrays = {
-                            name: np.array(arr) if isinstance(arr, np.memmap)
-                            else arr
-                            for name, arr in arrays.items()
-                        }
-                    else:
-                        with np.load(series) as npz:
-                            arrays = {name: npz[name] for name in npz.files}
+                    # np.load reads every member into process memory:
+                    # results are stable snapshots that a later in-place
+                    # overwrite of the entry never changes.
+                    with np.load(series) as npz:
+                        arrays = {name: npz[name] for name in npz.files}
                 except _CORRUPTION_ERRORS as exc:
                     self._corrupt_miss(key, f"series.npz unreadable: {exc}")
                     return None
@@ -523,8 +438,9 @@ class ResultStore:
         The streaming complement of :meth:`get_result`: nothing but the
         small ``meta.json`` is read — no series array is ever loaded —
         so iterating a million-run store costs a directory walk plus
-        one small JSON parse per entry.  This is what warehouse ingest
-        and ``repro cache ls`` scan.
+        one small JSON parse per entry.  It is the store's one walker:
+        warehouse ingest, ``repro cache ls``, :meth:`clear` and
+        :meth:`gc` all scan through it.
 
         Corrupt entries (unparsable ``meta.json``, meta lacking its
         spec, a spec that no longer parses) are warn-skipped and
@@ -572,30 +488,12 @@ class ResultStore:
                 yield key, doc
 
     # -- maintenance -------------------------------------------------------
-    def entries(self) -> Iterator[dict]:
-        """All published ``meta.json`` documents (stable key order)."""
-        if not self._objects.is_dir():
-            return
-        for shard in sorted(self._objects.iterdir()):
-            if not shard.is_dir():
-                continue
-            for entry in sorted(shard.iterdir()):
-                doc = self.load_meta(entry.name)
-                if doc is not None:
-                    doc["nbytes"] = sum(
-                        f.stat().st_size for f in entry.iterdir() if f.is_file()
-                    )
-                    doc["mtime"] = (entry / _META).stat().st_mtime
-                    yield doc
-
     def clear(self, kind: str | None = None) -> int:
         """Remove entries (all, or one ``kind``); returns the count removed."""
         removed = 0
-        for doc in list(self.entries()):
-            if kind is not None and doc.get("kind") != kind:
-                continue
-            _evict_read_cache(str(self.root), doc["key"])
-            shutil.rmtree(self.entry_dir(doc["key"]), ignore_errors=True)
+        for key, _ in list(self.iter_results(kind=kind)):
+            _evict_read_cache(str(self.root), key)
+            shutil.rmtree(self.entry_dir(key), ignore_errors=True)
             removed += 1
         shutil.rmtree(self._tmp, ignore_errors=True)
         return removed
@@ -623,7 +521,10 @@ class ResultStore:
             raise ValueError("max_bytes must be >= 0")
         if older_than_seconds is not None and older_than_seconds < 0:
             raise ValueError("older_than_seconds must be >= 0")
-        docs = sorted(self.entries(), key=lambda d: d["mtime"])  # LRU first
+        docs = sorted(  # LRU first
+            ({**doc, "key": key} for key, doc in self.iter_results()),
+            key=lambda d: d["mtime"],
+        )
         now = time.time() if now is None else now
         removed, freed = 0, 0
         if older_than_seconds is not None:

@@ -35,7 +35,7 @@ def intersection_volume(a: Sequence[Box], b: Sequence[Box]) -> int:
     ``|union(a) ∩ union(b)|``.  Delegates to the pair-index-accelerated
     :func:`~repro.geometry.ownermap.overlap_volume`, so the candidate
     product is pruned to near-linear at scale (``REPRO_PAIR_INDEX``
-    selects the path; brute force remains the cross-check).
+    selects the path; brute force remains the oracle).
     """
     from .ownermap import overlap_volume
 

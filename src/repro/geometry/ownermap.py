@@ -15,12 +15,12 @@ gigabyte per distribution, while its owner map is a few thousand corner
 rows.
 
 The dense raster representation remains available through
-:meth:`OwnerMap.rasterize` / :meth:`OwnerMap.from_raster` and is used as a
-cross-check (property tests assert sparse == dense on random N-D
-hierarchies); equality of owner maps is *semantic* — two maps are equal
-when they assign the same rank to the same cells, regardless of how the
-region is cut into boxes — so ``from_raster(rasterize(m)) == m`` always
-holds.
+:meth:`OwnerMap.rasterize` / :meth:`OwnerMap.from_raster`; the property
+tests keep a dense-raster oracle of every metric and assert sparse ==
+dense on random N-D hierarchies.  Equality of owner maps is *semantic*
+— two maps are equal when they assign the same rank to the same cells,
+regardless of how the region is cut into boxes — so
+``from_raster(rasterize(m)) == m`` always holds.
 
 The pair kernels themselves (:func:`pair_intersections`,
 :func:`overlap_volume`, :func:`face_contacts`) dispatch through the
@@ -28,7 +28,7 @@ grid-bucket pair-pruning index (:mod:`repro.geometry.pairindex`): at
 scale the O(n_a * n_b) candidate product is pruned to near-linear before
 the exact arithmetic runs, with output ordering guaranteed bit-identical
 to the historical broadcast (which survives as the ``bruteforce``
-cross-check path, selected via ``REPRO_PAIR_INDEX``).
+oracle, selected via ``REPRO_PAIR_INDEX``).
 """
 
 from __future__ import annotations

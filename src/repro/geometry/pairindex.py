@@ -23,14 +23,14 @@ the exact arithmetic runs:
   selected when the grid's cell incidences exceed
   ``_GRID_INCIDENCE_FACTOR`` times the box count.
 * **bruteforce** — the original quadratic kernels, kept verbatim as the
-  cross-check path (``None`` from :func:`candidate_pairs` tells the
+  runtime oracle (``None`` from :func:`candidate_pairs` tells the
   kernel to run its historical broadcast).
 
 Candidates are always deduplicated and returned in brute-force emission
 order (``ai``-major, ``bj``-minor via a sort + dedup on packed pair
 keys), so every downstream kernel produces **bit-identical** outputs on
-every path — asserted by the property suite and by
-``TraceSimulator(cross_check=True)``.
+every path — asserted by the property suite, which replays every
+registered partitioner's simulator steps under both modes.
 
 The active path is selected by the ``REPRO_PAIR_INDEX`` environment
 variable (``auto`` | ``grid`` | ``sweep`` | ``bruteforce``; default
@@ -130,8 +130,8 @@ def pair_index_mode() -> str:
 def pair_index_forced(mode: str):
     """Force one candidate mode for the dynamic extent of the block.
 
-    The simulator's ``cross_check`` and the property suite use this to
-    replay the same query on two paths and assert bit-identical output.
+    The property suite uses this to replay the same query (or a whole
+    simulator step) on two paths and assert bit-identical output.
     """
     global _FORCED_MODE
     if mode not in PAIR_INDEX_MODES:
@@ -784,7 +784,7 @@ def _register_modes() -> None:
             f"{_GRID_INCIDENCE_FACTOR}x the box count)"
         ),
         "sweep": "force the sorted interval sweep along the most selective axis",
-        "bruteforce": "force the historical O(n^2) broadcast (cross-check path)",
+        "bruteforce": "force the historical O(n^2) broadcast (the oracle)",
     }
     for name, description in docs.items():
         register(

@@ -9,8 +9,8 @@ arrays, so simulator cost scales with patch counts rather than with the
 volume of the finest index space.
 
 Dense per-level owner rasters — the original representation — remain
-available through :meth:`PartitionResult.rasters`; they are kept as a
-cross-check path and for visualization, not for the hot path.
+available through :meth:`PartitionResult.rasters`; they serve the tests'
+dense oracle and visualization, never the hot path.
 
 The P of the paper's PAC-triple is a :class:`Partitioner` instance; its
 parameters are what the meta-partitioner tunes at run time.
@@ -96,7 +96,7 @@ class PartitionResult:
     def rasters(self) -> tuple[np.ndarray, ...]:
         """Dense int32 owner rasters of every level (computed lazily).
 
-        The raster view is the cross-check representation: it can be
+        The raster view is the dense-oracle representation: it can be
         orders of magnitude larger than the owner maps (it scales with the
         index-space volume), so the simulator never touches it.  Results
         constructed from legacy rasters return the original arrays.

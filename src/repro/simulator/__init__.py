@@ -7,7 +7,6 @@ from .raster_metrics import (
     ghost_message_pairs,
     interlevel_transfer_cells,
     migration_cells,
-    migration_cells_dense,
     per_rank_comm_cells,
 )
 from .simulator import SimulationResult, StepMetrics, TraceSimulator
@@ -19,7 +18,6 @@ __all__ = [
     "ghost_message_pairs",
     "interlevel_transfer_cells",
     "migration_cells",
-    "migration_cells_dense",
     "per_rank_comm_cells",
     "SimulationResult",
     "StepMetrics",

@@ -1,4 +1,4 @@
-"""Vectorized per-distribution metrics: sparse box calculus + dense cross-check.
+"""Vectorized per-distribution metrics: sparse box calculus on owner maps.
 
 Everything the execution simulator measures — ghost-cell exchange volume,
 parent-child (inter-level) transfer volume, data migration between
@@ -11,15 +11,12 @@ pair sweeps themselves run through the grid-bucket pair index
 (:mod:`repro.geometry.pairindex`), so the candidate product is pruned to
 near-linear in the box count: ``deep`` and ``ultra`` 3-D runs are
 tractable end to end.  ``REPRO_PAIR_INDEX=bruteforce`` restores the
-historical quadratic sweeps (bit-identical results, asserted by the
-cross-check).
+historical quadratic sweeps, bit-identical on every input: that mode is
+the runtime oracle the tests replay every partitioner against.
 
-Every public function also accepts the original dense owner rasters
-(int32 arrays, :data:`~repro.geometry.NO_OWNER` outside the refined
-region) and then runs the original numpy reductions.  The dense path is
-the cross-check: the property suite asserts sparse == dense on random
-N-D hierarchies, and :class:`~repro.simulator.TraceSimulator` can be
-built with ``cross_check=True`` to compare both on every step.
+Every function takes owner maps only; a dense owner raster (int32,
+:data:`~repro.geometry.NO_OWNER` outside the refined region) converts
+with :meth:`OwnerMap.from_raster <repro.geometry.OwnerMap.from_raster>`.
 
 These quantities are the exact counterparts of what the Rutgers
 trace-driven simulator reports (section 5.1.3: "load balance,
@@ -33,13 +30,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..geometry import (
-    NO_OWNER,
     OwnerMap,
     face_contacts,
     matched_volume,
     overlap_and_matched_volume,
     overlay_corners,
-    upsample,
 )
 
 if TYPE_CHECKING:  # import cycle guard: repro.partition imports nothing
@@ -52,7 +47,6 @@ __all__ = [
     "ghost_message_pairs",
     "interlevel_transfer_cells",
     "migration_cells",
-    "migration_cells_dense",
     "per_rank_comm_cells",
 ]
 
@@ -75,9 +69,7 @@ def ghost_face_stats(owners: OwnerMap) -> tuple[int, int]:
     return int(area.sum()), int(pairs)
 
 
-def ghost_exchange_cells(
-    owners: OwnerMap | np.ndarray, ghost_width: int = 1
-) -> int:
+def ghost_exchange_cells(owners: OwnerMap, ghost_width: int = 1) -> int:
     """Cells exchanged per local step across rank boundaries of one level.
 
     Every face between two refined cells with different owners moves
@@ -86,71 +78,35 @@ def ghost_exchange_cells(
     """
     if ghost_width < 0:
         raise ValueError("ghost_width must be >= 0")
-    if isinstance(owners, OwnerMap):
-        faces, _ = ghost_face_stats(owners)
-        return 2 * ghost_width * faces
-    raster = owners
-    total = 0
-    for axis in range(raster.ndim):
-        a = np.moveaxis(raster, axis, 0)[:-1]
-        b = np.moveaxis(raster, axis, 0)[1:]
-        faces = (a != NO_OWNER) & (b != NO_OWNER) & (a != b)
-        total += int(faces.sum())
-    return 2 * ghost_width * total
+    faces, _ = ghost_face_stats(owners)
+    return 2 * ghost_width * faces
 
 
-def ghost_message_pairs(owners: OwnerMap | np.ndarray) -> int:
+def ghost_message_pairs(owners: OwnerMap) -> int:
     """Distinct communicating (owner, owner) neighbour pairs of one level.
 
     Approximates the per-step message count of the ghost exchange (each
     adjacent rank pair exchanges one message per direction per step).
     """
-    if isinstance(owners, OwnerMap):
-        _, pairs = ghost_face_stats(owners)
-        return 2 * pairs
-    raster = owners
-    packed: list[np.ndarray] = []
-    for axis in range(raster.ndim):
-        a = np.moveaxis(raster, axis, 0)[:-1]
-        b = np.moveaxis(raster, axis, 0)[1:]
-        faces = (a != NO_OWNER) & (b != NO_OWNER) & (a != b)
-        if faces.any():
-            av = a[faces].astype(np.int64)
-            bv = b[faces].astype(np.int64)
-            lo = np.minimum(av, bv)
-            hi = np.maximum(av, bv)
-            packed.append((lo << np.int64(32)) | hi)
-    if not packed:
-        return 0
-    return 2 * int(np.unique(np.concatenate(packed)).size)
+    _, pairs = ghost_face_stats(owners)
+    return 2 * pairs
 
 
 def per_rank_comm_cells(
-    owners: OwnerMap | np.ndarray, nprocs: int, ghost_width: int = 1
+    owners: OwnerMap, nprocs: int, ghost_width: int = 1
 ) -> np.ndarray:
     """Ghost cells sent+received per rank per local step (one level)."""
-    if isinstance(owners, OwnerMap):
-        ra, rb, area = face_contacts(
-            owners.corners, owners.ranks, index=owners.pair_index()
-        )
-        counts = np.zeros(nprocs, dtype=np.int64)
-        np.add.at(counts, ra, area)
-        np.add.at(counts, rb, area)
-        return counts * ghost_width
-    raster = owners
+    ra, rb, area = face_contacts(
+        owners.corners, owners.ranks, index=owners.pair_index()
+    )
     counts = np.zeros(nprocs, dtype=np.int64)
-    for axis in range(raster.ndim):
-        a = np.moveaxis(raster, axis, 0)[:-1]
-        b = np.moveaxis(raster, axis, 0)[1:]
-        faces = (a != NO_OWNER) & (b != NO_OWNER) & (a != b)
-        if faces.any():
-            counts += np.bincount(a[faces], minlength=nprocs)
-            counts += np.bincount(b[faces], minlength=nprocs)
+    np.add.at(counts, ra, area)
+    np.add.at(counts, rb, area)
     return counts * ghost_width
 
 
 def interlevel_transfer_cells(
-    coarse: OwnerMap | np.ndarray, fine: OwnerMap | np.ndarray, ratio: int
+    coarse: OwnerMap, fine: OwnerMap, ratio: int
 ) -> int:
     """Fine cells whose parent coarse cell lives on a different rank.
 
@@ -160,32 +116,22 @@ def interlevel_transfer_cells(
     """
     if ratio < 1:
         raise ValueError("ratio must be >= 1")
-    if isinstance(coarse, OwnerMap) and isinstance(fine, OwnerMap):
-        expected = tuple(s * ratio for s in coarse.shape)
-        if fine.shape != expected:
-            raise ValueError(
-                f"fine shape {fine.shape} does not equal coarse "
-                f"{coarse.shape} x {ratio}"
-            )
-        parents = coarse.corners * ratio
-        # One probe of the fine level's persistent index answers both
-        # sums (falls back to the two historical kernels without one).
-        both, same = overlap_and_matched_volume(
-            parents,
-            coarse.ranks,
-            fine.corners,
-            fine.ranks,
-            b_index=fine.pair_index(),
-        )
-        return both - same
     expected = tuple(s * ratio for s in coarse.shape)
     if fine.shape != expected:
         raise ValueError(
-            f"fine shape {fine.shape} does not equal coarse {coarse.shape} x {ratio}"
+            f"fine shape {fine.shape} does not equal coarse "
+            f"{coarse.shape} x {ratio}"
         )
-    parent = upsample(coarse, ratio)
-    mask = (fine != NO_OWNER) & (parent != NO_OWNER) & (fine != parent)
-    return int(mask.sum())
+    # One probe of the fine level's persistent index answers both sums
+    # (falls back to the two historical kernels without one).
+    both, same = overlap_and_matched_volume(
+        coarse.corners * ratio,
+        coarse.ranks,
+        fine.corners,
+        fine.ranks,
+        b_index=fine.pair_index(),
+    )
+    return both - same
 
 
 def migration_cells(prev: "PartitionResult", cur: "PartitionResult") -> int:
@@ -249,42 +195,3 @@ def migration_cells(prev: "PartitionResult", cur: "PartitionResult") -> int:
         )
     return total
 
-
-def migration_cells_dense(
-    prev_rasters: tuple[np.ndarray, ...], cur_rasters: tuple[np.ndarray, ...]
-) -> int:
-    """Dense-raster reference implementation of :func:`migration_cells`.
-
-    Operates on the legacy per-level owner rasters; kept as the
-    cross-check for the sparse path (see the module docstring).
-    """
-    total = 0
-    source: np.ndarray | None = None
-    for l in range(len(cur_rasters)):
-        b = cur_rasters[l]
-        if source is None:
-            if prev_rasters[0].shape != b.shape:
-                raise ValueError(
-                    f"level 0 raster shapes differ: {prev_rasters[0].shape} "
-                    f"vs {b.shape}"
-                )
-            src_l = prev_rasters[0]
-        else:
-            ratio = b.shape[0] // source.shape[0] if source.shape[0] else 0
-            if ratio < 1 or b.shape != tuple(s * ratio for s in source.shape):
-                raise ValueError(
-                    f"level {l} shape {b.shape} not a multiple of level "
-                    f"{l - 1} shape {source.shape}"
-                )
-            src_l = upsample(source, ratio)
-        if l < len(prev_rasters):
-            pl = prev_rasters[l]
-            if pl.shape != b.shape:
-                raise ValueError(
-                    f"level {l} raster shapes differ: {pl.shape} vs {b.shape}"
-                )
-            src_l = np.where(pl != NO_OWNER, pl, src_l)
-        owned = b != NO_OWNER
-        total += int((owned & (src_l != b)).sum())
-        source = src_l
-    return total

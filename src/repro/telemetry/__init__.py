@@ -40,7 +40,6 @@ from .export import (
     write_metrics_files,
 )
 from .flight import (
-    FLIGHT_CAPACITY_ENV,
     FlightRecorder,
     crash_dir,
     find_crash_dumps,
@@ -79,7 +78,6 @@ from .sinks import chrome_trace, read_jsonl, write_chrome_trace
 
 __all__ = [
     "DEFAULT_BUCKETS",
-    "FLIGHT_CAPACITY_ENV",
     "FlightRecorder",
     "MetricsRegistry",
     "MetricsServer",

@@ -15,8 +15,8 @@ Design constraints, in order:
 1. **No hash impact.**  Telemetry must never change a ``RunSpec`` key,
    a published series, or any store artifact byte.  Event logs are
    written under ``<store>/telemetry/`` which the content-addressed
-   store never scans (``ResultStore.entries`` walks ``objects/`` only),
-   and no telemetry value flows into result payloads.
+   store never scans (``ResultStore.iter_results`` walks ``objects/``
+   only), and no telemetry value flows into result payloads.
 2. **Free when off.**  The module-level :func:`span` fast path is a
    single global-``None`` check; with no active recorder it returns a
    shared do-nothing singleton.

@@ -26,13 +26,12 @@ import http.server
 import json
 import os
 import socket
-import tempfile
 import threading
 from pathlib import Path
 from typing import Callable
 
 from .metrics import MetricsRegistry, _fmt_value, metrics_registry
-from .sinks import write_json_atomic
+from .sinks import write_json_atomic, write_text_atomic
 
 __all__ = [
     "MetricsServer",
@@ -298,22 +297,6 @@ def _snapshot_stem() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-def _write_text_atomic(path: Path, text: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
-
-
 def write_metrics_files(
     store_root: str | os.PathLike,
     registry: MetricsRegistry | None = None,
@@ -329,7 +312,7 @@ def write_metrics_files(
     stem = _snapshot_stem()
     target = metrics_dir(store_root)
     write_json_atomic(target / f"{stem}.json", snapshot)
-    return _write_text_atomic(
+    return write_text_atomic(
         target / f"{stem}.prom", render_prometheus(snapshot)
     )
 

@@ -38,7 +38,7 @@ from .metrics import metrics_registry
 from .sinks import write_json_atomic
 
 __all__ = [
-    "FLIGHT_CAPACITY_ENV",
+    "FLIGHT_CAPACITY",
     "FLIGHT_SCHEMA",
     "FlightRecorder",
     "crash_dir",
@@ -53,24 +53,18 @@ __all__ = [
 
 FLIGHT_SCHEMA = 1
 
-#: Ring capacity override (events). 0 disables recording entirely.
-FLIGHT_CAPACITY_ENV = "REPRO_FLIGHT_EVENTS"
-DEFAULT_FLIGHT_CAPACITY = 512
-
-
-def _capacity() -> int:
-    raw = os.environ.get(FLIGHT_CAPACITY_ENV, "")
-    try:
-        return max(0, int(raw)) if raw else DEFAULT_FLIGHT_CAPACITY
-    except ValueError:
-        return DEFAULT_FLIGHT_CAPACITY
+#: Ring capacity (events) of the process-global recorder.
+FLIGHT_CAPACITY = 512
 
 
 class FlightRecorder:
-    """Bounded, thread-safe ring of recent events (always recording)."""
+    """Bounded, thread-safe ring of recent events (always recording).
 
-    def __init__(self, capacity: int | None = None):
-        self.capacity = _capacity() if capacity is None else max(0, capacity)
+    ``capacity=0`` disables recording entirely.
+    """
+
+    def __init__(self, capacity: int = FLIGHT_CAPACITY):
+        self.capacity = max(0, capacity)
         self._lock = threading.Lock()
         self._ring: deque = deque(maxlen=self.capacity or 1)
 

@@ -93,7 +93,7 @@ PAIR_COUNTER_FIELDS = (
 
 #: Store read-cache tallies, exported as
 #: ``repro_store_read_cache_<field>_total``.
-READ_CACHE_FIELDS = ("hits", "misses", "evictions", "mmap_loads")
+READ_CACHE_FIELDS = ("hits", "misses", "evictions")
 
 #: Counters the global registry exports from the moment it exists, at 0
 #: until first incremented: perfbench and Prometheus read them by name.

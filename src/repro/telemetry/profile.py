@@ -281,8 +281,7 @@ def _counters_summary(counters: dict) -> list[str]:
         lines.append(
             f"  store read cache: {hits:,} hits / {misses:,} misses "
             f"({hits / (hits + misses):.0%} hit rate), "
-            f"{count('repro_store_read_cache_evictions_total'):,} evictions, "
-            f"{count('repro_store_read_cache_mmap_loads_total'):,} mmap loads"
+            f"{count('repro_store_read_cache_evictions_total'):,} evictions"
         )
     return lines
 

@@ -21,6 +21,7 @@ __all__ = [
     "read_jsonl",
     "write_chrome_trace",
     "write_json_atomic",
+    "write_text_atomic",
 ]
 
 
@@ -61,13 +62,18 @@ def write_chrome_trace(path: str | os.PathLike, events,
 
 
 def write_json_atomic(path: str | os.PathLike, doc: dict) -> Path:
-    """Stage-then-rename JSON write (same discipline as the store)."""
+    """Atomic JSON write (sorted keys); returns the path."""
+    return write_text_atomic(path, json.dumps(doc, sort_keys=True))
+
+
+def write_text_atomic(path: str | os.PathLike, text: str) -> Path:
+    """Stage-then-rename text write (same discipline as the store)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -1,0 +1,135 @@
+"""Dense-raster oracle of the simulator metrics.
+
+The production metrics (:mod:`repro.simulator.raster_metrics`) are box
+calculus on sparse owner maps.  These are the original numpy reductions
+over dense owner rasters (int32, ``NO_OWNER`` outside the refined
+region): slow and volume-bound, but simple enough to check by eye.  The
+property tests and the owner-map benchmark compare the sparse path
+against them; nothing in ``src/`` imports this module.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.geometry import NO_OWNER, upsample
+
+__all__ = [
+    "ghost_exchange_cells",
+    "ghost_message_pairs",
+    "interlevel_transfer_cells",
+    "migration_cells",
+    "per_rank_comm_cells",
+    "proc_loads",
+    "step_cells",
+]
+
+
+def _faces(raster: np.ndarray):
+    """``(a, b, cut)`` per axis: face neighbours and the cut-face mask."""
+    for axis in range(raster.ndim):
+        a = np.moveaxis(raster, axis, 0)[:-1]
+        b = np.moveaxis(raster, axis, 0)[1:]
+        yield a, b, (a != NO_OWNER) & (b != NO_OWNER) & (a != b)
+
+
+def ghost_exchange_cells(raster: np.ndarray, ghost_width: int = 1) -> int:
+    """Cut faces of one level raster, times ``2 * ghost_width``."""
+    return 2 * ghost_width * sum(int(cut.sum()) for _, _, cut in _faces(raster))
+
+
+def ghost_message_pairs(raster: np.ndarray) -> int:
+    """Distinct unordered rank pairs sharing a cut face, times two."""
+    packed: list[np.ndarray] = []
+    for a, b, cut in _faces(raster):
+        if cut.any():
+            av = a[cut].astype(np.int64)
+            bv = b[cut].astype(np.int64)
+            lo = np.minimum(av, bv)
+            hi = np.maximum(av, bv)
+            packed.append((lo << np.int64(32)) | hi)
+    if not packed:
+        return 0
+    return 2 * int(np.unique(np.concatenate(packed)).size)
+
+
+def per_rank_comm_cells(
+    raster: np.ndarray, nprocs: int, ghost_width: int = 1
+) -> np.ndarray:
+    """Cut faces each rank takes part in, times ``ghost_width``."""
+    counts = np.zeros(nprocs, dtype=np.int64)
+    for a, b, cut in _faces(raster):
+        if cut.any():
+            counts += np.bincount(a[cut], minlength=nprocs)
+            counts += np.bincount(b[cut], minlength=nprocs)
+    return counts * ghost_width
+
+
+def interlevel_transfer_cells(
+    coarse: np.ndarray, fine: np.ndarray, ratio: int
+) -> int:
+    """Owned fine cells whose owned parent cell has a different owner."""
+    parent = upsample(coarse, ratio)
+    mask = (fine != NO_OWNER) & (parent != NO_OWNER) & (fine != parent)
+    return int(mask.sum())
+
+
+def migration_cells(
+    prev_rasters: tuple[np.ndarray, ...], cur_rasters: tuple[np.ndarray, ...]
+) -> int:
+    """Owned cells whose data source had a different owner.
+
+    A cell's source is its own previous owner where its level existed,
+    else the source of its parent column (level 0 always exists).
+    """
+    total = 0
+    source: np.ndarray | None = None
+    for l, b in enumerate(cur_rasters):
+        if source is None:
+            src_l = prev_rasters[0]
+        else:
+            src_l = upsample(source, b.shape[0] // source.shape[0])
+        if l < len(prev_rasters):
+            pl = prev_rasters[l]
+            src_l = np.where(pl != NO_OWNER, pl, src_l)
+        owned = b != NO_OWNER
+        total += int((owned & (src_l != b)).sum())
+        source = src_l
+    return total
+
+
+def proc_loads(rasters, hierarchy, nprocs: int) -> np.ndarray:
+    """Per-rank owned cells, weighted by each level's time refinement."""
+    loads = np.zeros(nprocs, dtype=np.float64)
+    for level, raster in zip(hierarchy, rasters):
+        owned = raster[raster != NO_OWNER]
+        if owned.size:
+            loads += np.bincount(owned, minlength=nprocs) * float(
+                level.time_refinement_weight()
+            )
+    return loads
+
+
+def step_cells(hierarchy, result, previous, ghost_width: int = 1):
+    """``(comm_cells, interlevel_cells, migration_cells)`` of one step.
+
+    The dense counterpart of the three cell counts
+    :meth:`TraceSimulator.measure_step` reports.
+    """
+    rasters = result.rasters()
+    comm = sum(
+        ghost_exchange_cells(rasters[level.index], ghost_width)
+        * level.time_refinement_weight()
+        for level in hierarchy
+    )
+    interlevel = sum(
+        interlevel_transfer_cells(
+            rasters[level.index - 1], rasters[level.index], level.ratio
+        )
+        * level.time_refinement_weight()
+        for level in hierarchy.levels[1:]
+    )
+    migrated = (
+        0 if previous is None else migration_cells(previous.rasters(), rasters)
+    )
+    return comm, interlevel, migrated

@@ -76,7 +76,7 @@ def test_read_cache_stats_is_a_registry_view(tmp_path):
     store = ResultStore(tmp_path)
     run_spec(spec, store=store)
     stats = read_cache_stats()
-    assert set(stats) == {"hits", "misses", "evictions", "mmap_loads"}
+    assert set(stats) == {"hits", "misses", "evictions"}
     registry = metrics_registry()
     for field, value in stats.items():
         name = f"repro_store_read_cache_{field}_total"

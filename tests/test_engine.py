@@ -20,6 +20,7 @@ import pytest
 
 from repro.engine import (
     ResultStore,
+    RunResult,
     RunSpec,
     default_store,
     penalties_spec,
@@ -159,17 +160,20 @@ class TestStore:
             assert np.array_equal(again.arrays[name], result.arrays[name])
             assert again.arrays[name].dtype == result.arrays[name].dtype
 
-    def test_entries_and_clear(self, tmp_path):
+    def test_iter_results_and_clear(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         run_spec(sim_spec("bl2d", "small", nprocs=NPROCS), store=store)
         run_spec(penalties_spec("bl2d", "small", nprocs=NPROCS), store=store)
-        kinds = sorted(doc["kind"] for doc in store.entries())
+
+        def kinds():
+            return sorted(doc["kind"] for _, doc in store.iter_results())
+
         # The sim and penalties entries plus the shared trace artifact.
-        assert kinds == ["penalties", "sim", "trace"]
+        assert kinds() == ["penalties", "sim", "trace"]
         assert store.clear(kind="sim") == 1
-        assert sorted(d["kind"] for d in store.entries()) == ["penalties", "trace"]
+        assert kinds() == ["penalties", "trace"]
         assert store.clear() == 2
-        assert list(store.entries()) == []
+        assert kinds() == []
 
     def test_default_store_honors_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "custom"))
@@ -331,7 +335,7 @@ class TestTraceCache:
         paper_trace("bl2d", "small", store=store)
         paper_trace("tp2d", "small", store=store)
         assert clear_trace_cache(store=store) == 2
-        assert list(store.entries()) == []
+        assert list(store.iter_results()) == []
 
     def test_memo_returns_same_object(self, tmp_path):
         store = ResultStore(tmp_path / "traces")
@@ -389,6 +393,31 @@ class TestCli:
         clear = _cli(["cache", "clear"], tmp_path)
         assert clear.returncode == 0
         assert "removed 2 entries" in clear.stdout
+
+    def test_cache_ls_skips_corrupt_entry(self, tmp_path, monkeypatch, capsys):
+        from repro.engine.cli import main
+
+        store = ResultStore(tmp_path / "store")
+        keys = []
+        for nprocs in (2, 4):
+            spec = sim_spec("bl2d", "small", nprocs=nprocs)
+            store.put_result(RunResult(
+                spec=spec, key=spec.key(), meta={},
+                arrays={"step": np.arange(3)},
+            ))
+            keys.append(spec.key())
+        sound, corrupt = keys
+        meta = store.entry_dir(corrupt) / "meta.json"
+        doc = json.loads(meta.read_text())
+        del doc["spec"]
+        meta.write_text(json.dumps(doc))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(store.root))
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            assert main(["cache", "ls"]) == 0
+        out = capsys.readouterr().out
+        assert "(1 entries" in out
+        assert sound[:12] in out and corrupt[:12] not in out
+        assert not store.has(corrupt)  # retired, like every other read
 
     def test_report_smoke(self, tmp_path):
         out = _cli(

@@ -1,13 +1,15 @@
 """Property tests: sparse owner-map calculus == dense raster reductions.
 
 The sparse :class:`~repro.geometry.OwnerMap` path is the production
-representation; the dense rasters are kept as the cross-check.  These
-tests drive both against each other on random N-D inputs (random owner
-rasters, random disjoint box assignments, and random properly-nested
-hierarchies built from the shared ``boxes_nd`` strategies) and assert
-exact agreement, plus the representation laws the refactor ships under:
-``from_raster(rasterize(m)) == m`` and semantic (decomposition-
-independent) equality.
+representation; the dense reductions of :mod:`tests.dense_oracle` are
+its oracle.  These tests drive both against each other on random N-D
+inputs (random owner rasters, random disjoint box assignments, and
+random properly-nested hierarchies built from the shared ``boxes_nd``
+strategies) and assert exact agreement, plus the representation laws
+the refactor ships under: ``from_raster(rasterize(m)) == m`` and
+semantic (decomposition-independent) equality.  Whole simulator steps
+of every registered partitioner are replayed under every pair-index
+mode against the ``bruteforce`` oracle and the dense one.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import create, registry
 from repro.geometry import (
     Box,
     BoxList,
@@ -31,10 +34,8 @@ from repro.geometry import (
 from repro.hierarchy import GridHierarchy, PatchLevel
 from repro.partition import (
     DomainSfcPartitioner,
-    NaturePlusFable,
     PartitionResult,
     PatchBasedPartitioner,
-    StickyRepartitioner,
     proc_loads,
 )
 from repro.simulator import (
@@ -43,11 +44,11 @@ from repro.simulator import (
     ghost_message_pairs,
     interlevel_transfer_cells,
     migration_cells,
-    migration_cells_dense,
     per_rank_comm_cells,
 )
 from repro.telemetry import counter_deltas
 
+from tests import dense_oracle as dense
 from tests.strategies import disjoint_boxlists
 
 
@@ -64,9 +65,10 @@ def owner_rasters(ndim: int, side: int, nprocs: int = 4):
 
 
 @st.composite
-def nested_hierarchies(draw, ndim: int = 2):
-    """Random properly-nested factor-2 hierarchies."""
-    side = draw(st.sampled_from([4, 8]))
+def nested_hierarchies(draw, ndim: int = 2, side: int | None = None):
+    """Random properly-nested factor-2 hierarchies (``side`` drawn from
+    4 or 8 unless given)."""
+    side = side or draw(st.sampled_from([4, 8]))
     domain = Box((0,) * ndim, (side,) * ndim)
     levels = [PatchLevel(0, [domain], ratio=1)]
     parent = BoxList([domain])
@@ -145,10 +147,10 @@ class TestMetricsAgree:
     def test_ghost_metrics(self, ndim, side, data):
         raster = data.draw(owner_rasters(ndim, side))
         m = OwnerMap.from_raster(raster)
-        assert ghost_exchange_cells(m, 2) == ghost_exchange_cells(raster, 2)
-        assert ghost_message_pairs(m) == ghost_message_pairs(raster)
+        assert ghost_exchange_cells(m, 2) == dense.ghost_exchange_cells(raster, 2)
+        assert ghost_message_pairs(m) == dense.ghost_message_pairs(raster)
         np.testing.assert_array_equal(
-            per_rank_comm_cells(m, 4), per_rank_comm_cells(raster, 4)
+            per_rank_comm_cells(m, 4), dense.per_rank_comm_cells(raster, 4)
         )
 
     @settings(max_examples=25, deadline=None)
@@ -158,7 +160,7 @@ class TestMetricsAgree:
         fine = data.draw(owner_rasters(ndim, side * 2))
         assert interlevel_transfer_cells(
             OwnerMap.from_raster(coarse), OwnerMap.from_raster(fine), 2
-        ) == interlevel_transfer_cells(coarse, fine, 2)
+        ) == dense.interlevel_transfer_cells(coarse, fine, 2)
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -173,7 +175,7 @@ class TestMetricsAgree:
         )
         prev = PartitionResult(owners=prev_rasters, nprocs=4)
         cur = PartitionResult(owners=cur_rasters, nprocs=4)
-        assert migration_cells(prev, cur) == migration_cells_dense(
+        assert migration_cells(prev, cur) == dense.migration_cells(
             prev_rasters, cur_rasters
         )
 
@@ -311,46 +313,54 @@ class TestPairIndex:
         assert c["repro_pair_exact_pairs_total"] <= candidates
 
 
-PARTITIONERS = [
-    DomainSfcPartitioner(unit_size=1),
-    PatchBasedPartitioner(),
-    NaturePlusFable(),
-    StickyRepartitioner(DomainSfcPartitioner(unit_size=1)),
-]
-
-
 @pytest.mark.parametrize("ndim", [2, 3])
 class TestHierarchyMetricsAgree:
-    """End-to-end: every simulator metric, sparse vs dense, on random
-    N-D hierarchies under every partitioner family (the simulator's
-    ``cross_check`` mode recomputes each step on rasters and asserts)."""
+    """End-to-end: whole simulator steps on random N-D hierarchies."""
 
-    @settings(max_examples=15, deadline=None)
+    @pytest.mark.parametrize("name", registry("partitioner").names())
+    @settings(max_examples=10, deadline=None)
     @given(data=st.data())
-    def test_measure_step_cross_checks(self, ndim, data):
-        hierarchy = data.draw(nested_hierarchies(ndim))
-        prev_h = data.draw(nested_hierarchies(ndim))
-        if prev_h.domain != hierarchy.domain:
-            prev_h = hierarchy
-        sim = TraceSimulator(cross_check=True)
-        for part in PARTITIONERS:
-            previous = part.partition(prev_h, 3)
+    def test_replay_matches_bruteforce_and_dense_oracles(self, name, ndim, data):
+        """Every registered partitioner, replayed over random regrids.
+
+        Each step's :class:`StepMetrics` must be identical under the
+        default pair-index mode, the forced ``grid`` and ``sweep``
+        indexes (probing the delta-updated per-map indexes the replay
+        seeds step to step) and the ``bruteforce`` oracle; its cell
+        counts must equal the dense oracle's on ``result.rasters()``.
+        """
+        side = data.draw(st.sampled_from([4, 8]))
+        hierarchies = [
+            data.draw(nested_hierarchies(ndim, side)) for _ in range(3)
+        ]
+        part = create("partitioner", name)
+        sim = TraceSimulator()
+        previous = prev_h = None
+        for step, hierarchy in enumerate(hierarchies):
             result = part.partition(hierarchy, 3, previous)
             result.validate(hierarchy)
-            sim.measure_step(hierarchy, result, previous, prev_h)
+            if previous is not None:
+                for prev_map, cur_map in zip(previous.maps, result.maps):
+                    cur_map.seed_pair_index_from(prev_map)
+            args = (hierarchy, result, previous, prev_h, step)
+            got = sim.measure_step(*args)
+            with pair_index_forced("bruteforce"):
+                assert sim.measure_step(*args) == got
+            for mode in INDEXED_MODES:
+                with pair_index_forced(mode):
+                    assert sim.measure_step(*args) == got, mode
+            assert (
+                got.comm_cells, got.interlevel_cells, got.migration_cells
+            ) == dense.step_cells(hierarchy, result, previous)
+            previous, prev_h = result, hierarchy
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_loads_match_dense_bincount(self, ndim, data):
         hierarchy = data.draw(nested_hierarchies(ndim))
-        for part in PARTITIONERS[:2]:
+        for part in (DomainSfcPartitioner(unit_size=1), PatchBasedPartitioner()):
             res = part.partition(hierarchy, 4)
-            loads = proc_loads(res, hierarchy)
-            dense = np.zeros(4, dtype=np.float64)
-            for level, raster in zip(hierarchy, res.rasters()):
-                owned = raster[raster != NO_OWNER]
-                if owned.size:
-                    dense += np.bincount(owned, minlength=4) * float(
-                        level.time_refinement_weight()
-                    )
-            np.testing.assert_array_equal(loads, dense)
+            np.testing.assert_array_equal(
+                proc_loads(res, hierarchy),
+                dense.proc_loads(res.rasters(), hierarchy, 4),
+            )

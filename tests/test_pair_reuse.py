@@ -13,7 +13,7 @@ invariant against a brute-force reference.
 The simulator-facing tests assert the layer actually engages on a paper
 trace (``index_reuses``/``delta_updates`` counters move), that
 ``REPRO_PAIR_REUSE=off`` restores the per-query path, and that both
-modes produce identical step metrics with the dense cross-check on.
+modes produce identical step metrics.
 """
 
 from __future__ import annotations
@@ -355,11 +355,3 @@ def test_reuse_engages_on_paper_trace(_small_replay):
     assert len(result_on.steps) == len(result_off.steps)
     for s_on, s_off in zip(result_on.steps, result_off.steps):
         assert s_on == s_off, "reuse layer changed a step metric"
-
-
-def test_cross_check_passes_with_reuse(_small_replay):
-    trace, part = _small_replay
-    sim = TraceSimulator(cross_check=True)
-    with pair_index_forced("grid"), pair_reuse_forced("auto"):
-        result = sim.run(trace, part, 8)
-    assert len(result.steps) == len(trace)

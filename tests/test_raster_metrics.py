@@ -1,4 +1,9 @@
-"""Hand-computed cases for the raster metric kernels."""
+"""Hand-computed cases for the metric kernels.
+
+Every case is written as a dense owner raster, the easiest form to
+check by hand, and runs on the production path through
+:meth:`OwnerMap.from_raster`.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.geometry import NO_OWNER
+from repro.geometry import NO_OWNER, OwnerMap
 from repro.partition import PartitionResult
 from repro.simulator import (
     ghost_exchange_cells,
@@ -22,6 +27,10 @@ def owners(array) -> np.ndarray:
     return np.asarray(array, dtype=np.int32)
 
 
+def owner_map(array) -> OwnerMap:
+    return OwnerMap.from_raster(owners(array))
+
+
 def random_owners(rng, shape, nprocs=5, hole_fraction=0.3) -> np.ndarray:
     raster = rng.integers(0, nprocs, size=shape).astype(np.int32)
     raster[rng.random(shape) < hole_fraction] = NO_OWNER
@@ -31,55 +40,57 @@ def random_owners(rng, shape, nprocs=5, hole_fraction=0.3) -> np.ndarray:
 class TestGhostExchange:
     def test_two_halves(self):
         raster = owners([[0, 0, 1, 1]] * 4).T  # vertical split, 4 faces
-        assert ghost_exchange_cells(raster, ghost_width=1) == 8
+        assert ghost_exchange_cells(owner_map(raster), ghost_width=1) == 8
 
     def test_uniform_no_comm(self):
         raster = owners(np.zeros((4, 4)))
-        assert ghost_exchange_cells(raster) == 0
+        assert ghost_exchange_cells(owner_map(raster)) == 0
 
     def test_unrefined_cells_ignored(self):
         raster = owners(np.full((4, 4), NO_OWNER))
         raster[0, 0] = 0
         raster[0, 1] = 1
-        assert ghost_exchange_cells(raster) == 2
+        assert ghost_exchange_cells(owner_map(raster)) == 2
 
     def test_ghost_width_scales(self):
         raster = owners([[0, 1], [0, 1]])
-        assert ghost_exchange_cells(raster, 2) == 2 * ghost_exchange_cells(raster, 1)
+        m = owner_map(raster)
+        assert ghost_exchange_cells(m, 2) == 2 * ghost_exchange_cells(m, 1)
 
     def test_negative_width_rejected(self):
         with pytest.raises(ValueError):
-            ghost_exchange_cells(owners(np.zeros((2, 2))), -1)
+            ghost_exchange_cells(owner_map(np.zeros((2, 2))), -1)
 
     def test_checkerboard_worst_case(self):
         n = 4
         raster = owners(np.indices((n, n)).sum(axis=0) % 2)
         # Every interior face is a cut: 2*n*(n-1) faces, doubled.
-        assert ghost_exchange_cells(raster) == 2 * 2 * n * (n - 1)
+        assert ghost_exchange_cells(owner_map(raster)) == 2 * 2 * n * (n - 1)
 
 
 class TestMessagePairs:
     def test_two_halves_one_pair(self):
         raster = owners([[0, 0, 1, 1]] * 4).T
-        assert ghost_message_pairs(raster) == 2  # one pair, both directions
+        # One pair, both directions.
+        assert ghost_message_pairs(owner_map(raster)) == 2
 
     def test_three_stripes_two_pairs(self):
         raster = owners([[0] * 4, [1] * 4, [2] * 4])
-        assert ghost_message_pairs(raster) == 4
+        assert ghost_message_pairs(owner_map(raster)) == 4
 
     def test_uniform_zero(self):
-        assert ghost_message_pairs(owners(np.ones((3, 3)))) == 0
+        assert ghost_message_pairs(owner_map(np.ones((3, 3)))) == 0
 
 
 class TestPerRankComm:
     def test_symmetric_split(self):
         raster = owners([[0, 0, 1, 1]] * 4).T
-        counts = per_rank_comm_cells(raster, nprocs=2)
+        counts = per_rank_comm_cells(owner_map(raster), nprocs=2)
         assert counts.tolist() == [4, 4]
 
     def test_middle_rank_communicates_twice(self):
         raster = owners([[0] * 4, [1] * 4, [2] * 4])
-        counts = per_rank_comm_cells(raster, nprocs=3)
+        counts = per_rank_comm_cells(owner_map(raster), nprocs=3)
         assert counts[1] == counts[0] + counts[2]
 
 
@@ -87,29 +98,35 @@ class TestInterlevel:
     def test_aligned_zero(self):
         coarse = owners([[0, 1], [0, 1]])
         fine = np.repeat(np.repeat(coarse, 2, 0), 2, 1)
-        assert interlevel_transfer_cells(coarse, fine, 2) == 0
+        assert interlevel_transfer_cells(
+            owner_map(coarse), owner_map(fine), 2
+        ) == 0
 
     def test_fully_mismatched(self):
         coarse = owners(np.zeros((2, 2)))
         fine = owners(np.ones((4, 4)))
-        assert interlevel_transfer_cells(coarse, fine, 2) == 16
+        assert interlevel_transfer_cells(
+            owner_map(coarse), owner_map(fine), 2
+        ) == 16
 
     def test_unrefined_fine_ignored(self):
         coarse = owners(np.zeros((2, 2)))
         fine = owners(np.full((4, 4), NO_OWNER))
         fine[0, 0] = 1
-        assert interlevel_transfer_cells(coarse, fine, 2) == 1
+        assert interlevel_transfer_cells(
+            owner_map(coarse), owner_map(fine), 2
+        ) == 1
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             interlevel_transfer_cells(
-                owners(np.zeros((2, 2))), owners(np.zeros((5, 5))), 2
+                owner_map(np.zeros((2, 2))), owner_map(np.zeros((5, 5))), 2
             )
 
     def test_ratio_validation(self):
         with pytest.raises(ValueError):
             interlevel_transfer_cells(
-                owners(np.zeros((2, 2))), owners(np.zeros((4, 4))), 0
+                owner_map(np.zeros((2, 2))), owner_map(np.zeros((4, 4))), 0
             )
 
 
@@ -138,10 +155,10 @@ class TestBruteForce3D:
                 pairs.add((min(a, b), max(a, b)))
                 per_rank[a] += 1
                 per_rank[b] += 1
-        assert ghost_exchange_cells(raster, ghost_width=1) == 2 * faces
-        assert ghost_message_pairs(raster) == 2 * len(pairs)
+        assert ghost_exchange_cells(owner_map(raster), ghost_width=1) == 2 * faces
+        assert ghost_message_pairs(owner_map(raster)) == 2 * len(pairs)
         np.testing.assert_array_equal(
-            per_rank_comm_cells(raster, nprocs=5), per_rank
+            per_rank_comm_cells(owner_map(raster), nprocs=5), per_rank
         )
 
     def test_interlevel_transfer(self):
@@ -154,7 +171,9 @@ class TestBruteForce3D:
             c = coarse[i // 2, j // 2, k // 2]
             if f != NO_OWNER and c != NO_OWNER and f != c:
                 expected += 1
-        assert interlevel_transfer_cells(coarse, fine, 2) == expected
+        assert interlevel_transfer_cells(
+            owner_map(coarse), owner_map(fine), 2
+        ) == expected
 
     def test_migration(self):
         rng = np.random.default_rng(13)

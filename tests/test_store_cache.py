@@ -1,15 +1,15 @@
-"""The store's zero-copy read plane: mmap loads, LRU cache, invalidation.
+"""The store's read plane: cold loads, LRU cache, invalidation.
 
 ``ResultStore.get_result``/``get_trace`` keep a per-process LRU of
-decoded entries (``REPRO_STORE_CACHE``) in front of lazy memory-mapped
-``series.npz`` loads (``REPRO_STORE_MMAP``).  The invariants under test:
+decoded entries (``READ_CACHE_ENTRIES``) in front of ``np.load`` reads
+of ``series.npz``.  The invariants under test:
 
 * a warm read is a cache hit even through a *fresh* store instance
   (the cache is per-process, keyed by root + key);
-* mmap-assisted cold loads are value- and dtype-identical to eagerly
-  loaded ones; returned arrays are materialized stable snapshots, so a
-  later in-place rewrite of the entry never mutates results already
-  handed out;
+* cold loads return read-only in-memory arrays, value- and
+  dtype-identical to what was published — stable snapshots, so a later
+  in-place rewrite of the entry never mutates results already handed
+  out;
 * every hit re-validates the entry's stat signature, so on-disk
   overwrites and corruption are observed exactly like cold reads;
 * eviction respects the configured capacity, and mtime recency touches
@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.engine import ResultStore, RunResult, sim_spec, trace_spec
+from repro.engine import store as store_module
 from repro.engine.store import clear_read_cache, read_cache_stats
 from repro.telemetry import reset_metrics
 
@@ -63,28 +64,20 @@ def test_warm_read_hits_cache_across_store_instances(tmp_path):
         assert second.arrays[name].dtype == want.dtype
 
 
-def test_mmap_arrays_match_eager_load(tmp_path, monkeypatch):
-    result = _make_result()
-    ResultStore(tmp_path).put_result(result)
-    monkeypatch.delenv("REPRO_STORE_MMAP", raising=False)
-    mapped = ResultStore(tmp_path).get_result(result.key)
-    assert read_cache_stats()["mmap_loads"] == 1, (
-        "mmap path never engaged on an uncompressed npz"
-    )
-    # Returned arrays are materialized snapshots, never live mappings.
-    assert not any(
-        isinstance(a, np.memmap) for a in mapped.arrays.values()
-    )
-    clear_read_cache()
-    monkeypatch.setenv("REPRO_STORE_MMAP", "off")
-    eager = ResultStore(tmp_path).get_result(result.key)
-    assert read_cache_stats()["mmap_loads"] == 1  # the eager load adds none
-    for name in result.arrays:
-        assert not isinstance(eager.arrays[name], np.memmap)
-        np.testing.assert_array_equal(
-            np.asarray(mapped.arrays[name]), eager.arrays[name]
-        )
-        assert mapped.arrays[name].dtype == eager.arrays[name].dtype
+def test_cold_load_returns_frozen_snapshots(tmp_path):
+    result = _make_result(value=1.0)
+    store = ResultStore(tmp_path)
+    store.put_result(result)
+    loaded = ResultStore(tmp_path).get_result(result.key)
+    assert read_cache_stats()["misses"] == 1
+    for name, want in result.arrays.items():
+        got = loaded.arrays[name]
+        assert type(got) is np.ndarray and got.dtype == want.dtype
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+    # Rewriting the entry in place never reaches arrays already handed out.
+    store.put_result(_make_result(value=5.0), overwrite=True)
+    assert loaded.arrays["load_imbalance"][0] == 1.0
 
 
 def test_hit_revalidates_against_disk(tmp_path):
@@ -113,7 +106,7 @@ def test_overwrite_evicts_stale_record(tmp_path):
 
 
 def test_eviction_respects_capacity(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_STORE_CACHE", "2")
+    monkeypatch.setattr(store_module, "READ_CACHE_ENTRIES", 2)
     store = ResultStore(tmp_path)
     keys = []
     for nprocs in (2, 4, 8):
@@ -130,27 +123,13 @@ def test_eviction_respects_capacity(tmp_path, monkeypatch):
 
 
 def test_cache_disabled(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_STORE_CACHE", "0")
+    monkeypatch.setattr(store_module, "READ_CACHE_ENTRIES", 0)
     result = _make_result()
     store = ResultStore(tmp_path)
     store.put_result(result)
     assert store.get_result(result.key) is not None
     assert store.get_result(result.key) is not None
     assert read_cache_stats()["hits"] == 0
-
-
-def test_bad_env_values_raise(tmp_path, monkeypatch):
-    result = _make_result()
-    store = ResultStore(tmp_path)
-    store.put_result(result)
-    clear_read_cache()
-    monkeypatch.setenv("REPRO_STORE_CACHE", "many")
-    with pytest.raises(ValueError):
-        store.get_result(result.key)
-    monkeypatch.setenv("REPRO_STORE_CACHE", "64")
-    monkeypatch.setenv("REPRO_STORE_MMAP", "sometimes")
-    with pytest.raises(ValueError):
-        store.get_result(result.key)
 
 
 def test_trace_reads_share_one_decoded_object(tmp_path, small_traces):

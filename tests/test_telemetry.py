@@ -84,11 +84,11 @@ def _sweep(apps=("tp2d",), partitioners=("nature+fable", "patch-lpt")):
 def _store_file_hashes(store: ResultStore) -> dict:
     """sha256 of every artifact file, keyed by (entry key, file name)."""
     out = {}
-    for doc in store.entries():
-        entry = store.entry_dir(doc["key"])
+    for key, _ in store.iter_results():
+        entry = store.entry_dir(key)
         for path in sorted(p for p in entry.iterdir() if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            out[(doc["key"], path.name)] = digest
+            out[(key, path.name)] = digest
     return out
 
 
@@ -258,8 +258,8 @@ class TestNoHashImpact:
         assert find_run_profiles(store_on.root)
         assert not find_run_profiles(store_off.root)
         # Telemetry artifacts never surface as store entries.
-        assert {d["key"] for d in store_off.entries()} == (
-            {d["key"] for d in store_on.entries()}
+        assert dict(store_off.iter_results()).keys() == (
+            dict(store_on.iter_results()).keys()
         )
 
 

@@ -602,8 +602,12 @@ class TestIterResults:
         store = _store(tmp_path)
         results = _seed_runs(store)
         listed = dict(store.iter_results())
+        # The two runs plus their shared trace, one per object directory.
+        assert set(listed) == {r.key for r in results} | {
+            results[0].spec.input_keys()[0]
+        }
         assert set(listed) == {
-            doc["key"] for doc in store.entries()
+            path.name for path in (store.root / "objects").glob("*/*")
         }
         for key, doc in listed.items():
             assert doc["nbytes"] > 0
