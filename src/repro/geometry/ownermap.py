@@ -64,9 +64,10 @@ __all__ = [
     "first_cells_in_scan_order",
 ]
 
-#: Row budget of one broadcasted (chunk, nboxes) pair sweep (~128 MB of
-#: int64 per spatial dimension).  Keeps worst-case pair kernels bounded in
-#: memory no matter how fragmented a distribution gets.
+#: Row budget of one broadcasted (chunk, nboxes) pair sweep (~128 MB per
+#: int64 temporary; the sweeps run one axis at a time).  Keeps worst-case
+#: pair kernels bounded in memory no matter how fragmented a distribution
+#: gets.
 _PAIR_CHUNK_CELLS = 16_000_000
 
 
@@ -99,6 +100,19 @@ def _chunks(n_a: int, n_b: int) -> Iterator[slice]:
     step = max(1, _PAIR_CHUNK_CELLS // max(1, n_b))
     for start in range(0, n_a, step):
         yield slice(start, min(start + step, n_a))
+
+
+def _axis_widths(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    """``(n_a, n_b)`` signed widths of every pairwise intersection along
+    axis ``d`` (positive where the two boxes overlap there).
+
+    The brute-force sweeps call this one axis at a time instead of
+    materialising ``(n_a, n_b, ndim)`` corner arrays.
+    """
+    ndim = a.shape[1] // 2
+    width = np.minimum(a[:, None, ndim + d], b[:, ndim + d])
+    width -= np.maximum(a[:, None, d], b[:, d])
+    return width
 
 
 def pair_intersections(
@@ -137,14 +151,20 @@ def pair_intersections(
     out_i: list[np.ndarray] = []
     out_j: list[np.ndarray] = []
     for sl in _chunks(a.shape[0], b.shape[0]):
-        lo = np.maximum(a[sl, None, :ndim], b[None, :, :ndim])
-        hi = np.minimum(a[sl, None, ndim:], b[None, :, ndim:])
-        nonempty = (hi > lo).all(axis=2)
+        nonempty = _axis_widths(a[sl], b, 0) > 0
+        for d in range(1, ndim):
+            nonempty &= _axis_widths(a[sl], b, d) > 0
         if not nonempty.any():
             continue
         ii, jj = np.nonzero(nonempty)
-        out_c.append(np.concatenate((lo[ii, jj], hi[ii, jj]), axis=1))
-        out_i.append(ii + sl.start)
+        ii += sl.start
+        # Corners of the surviving pairs only: max of the lo halves,
+        # min of the hi halves.
+        rows_a, rows_b = a[ii], b[jj]
+        corners = np.maximum(rows_a, rows_b)
+        np.minimum(rows_a[:, ndim:], rows_b[:, ndim:], out=corners[:, ndim:])
+        out_c.append(corners)
+        out_i.append(ii)
         out_j.append(jj)
     if not out_c:
         empty = np.empty(0, dtype=np.int64)
@@ -178,12 +198,9 @@ def overlap_volume(
     _record_brute(a.shape[0] * b.shape[0])
     total = 0
     for sl in _chunks(a.shape[0], b.shape[0]):
-        lo = np.maximum(a[sl, None, :ndim], b[None, :, :ndim])
-        hi = np.minimum(a[sl, None, ndim:], b[None, :, ndim:])
-        width = np.clip(hi - lo, 0, None)
-        vol = width[..., 0]
+        vol = np.maximum(_axis_widths(a[sl], b, 0), 0)
         for d in range(1, ndim):
-            vol = vol * width[..., d]
+            vol *= np.maximum(_axis_widths(a[sl], b, d), 0)
         total += int(vol.sum())
     return total
 

@@ -16,13 +16,14 @@ the exact arithmetic runs:
   sorted unique keys: only pairs sharing at least one bucket are
   emitted.  Two boxes that intersect (or abut, for the *closed* face
   query) always share a cell, so the candidate set is a superset of the
-  exact answer — pruning never changes results.
-* **sweep** — the fallback for degenerate aspect ratios (long skinny
-  boxes spanning many buckets blow up the incidence lists): a sorted
-  1-D interval sweep along the most selective axis.  Automatically
-  selected when the grid's cell incidences exceed
-  ``_GRID_INCIDENCE_FACTOR`` times the box count.
-* **bruteforce** — the original quadratic kernels, kept verbatim as the
+  exact answer — pruning never changes results.  Mixed scales (a few
+  large or long boxes among many small ones) can push the incidences
+  past ``_GRID_INCIDENCE_FACTOR`` times the box count; the cell is then
+  doubled along the axis whose spans sum highest until they fit.
+* **sweep** — a sorted 1-D interval sweep along the most selective
+  axis.  Only selected when forced, or as the kind of a persistent
+  :class:`PairIndex` whose domain-anchored buckets would explode.
+* **bruteforce** — the quadratic all-pairs kernels, kept as the
   runtime oracle (``None`` from :func:`candidate_pairs` tells the
   kernel to run its historical broadcast).
 
@@ -46,7 +47,7 @@ coherence the paper's whole premise rests on: consecutive regrid steps
 share most of their boxes, so the bucket structure of one step's
 distribution is almost the next step's too.  A :class:`PairIndex` is
 built *once* per corner array (grid buckets over the level's fixed
-domain, or the sorted-sweep fallback for degenerate aspect ratios),
+domain, or a sorted sweep when those buckets would explode),
 answers every kernel query against that array within a simulator step,
 and is *delta-updated* to the next step's array from the box
 add/remove diff — falling back to a full rebuild when churn exceeds
@@ -90,9 +91,10 @@ PAIR_REUSE_MODES = ("auto", "off")
 #: tiny inputs the quadratic kernel beats the index's setup cost.
 _AUTO_BRUTE_CUTOFF = 16_384
 
-#: The grid path falls back to the sorted sweep when its cell-incidence
-#: lists exceed this factor times the box count (degenerate aspect
-#: ratios: boxes spanning many buckets each).
+#: Incidence budget: while its cell-incidence lists exceed this factor
+#: times the box count (boxes spanning many buckets each), the one-shot
+#: grid coarsens its cell and a persistent :class:`PairIndex` takes the
+#: sweep kind.
 _GRID_INCIDENCE_FACTOR = 32
 
 #: Row budget of the sweep's chunked prefix enumeration (mirrors
@@ -331,22 +333,30 @@ def _grid_candidates(
     # touches at most 2 cells per axis.  max(1, ...) guards thin boxes.
     cell = np.maximum(1, np.median(extents, axis=0).astype(np.int64))
     inclusive_hi = hi if closed else hi - 1
+    lo_min, hi_max = lo.min(axis=0), inclusive_hi.max(axis=0)
+    reach = hi_max - lo_min + 1
+    budget = _GRID_INCIDENCE_FACTOR * (a.shape[0] + b.shape[0]) + 1024
     while True:
-        base = lo.min(axis=0) // cell
-        dims = inclusive_hi.max(axis=0) // cell - base + 1
+        base = lo_min // cell
+        dims = hi_max // cell - base + 1
         # int64 key packing must not overflow: grow cells until the grid
         # extent product fits (2 bits of headroom).
-        if int(np.prod([int(d) for d in dims])) < 2**62:
+        if int(np.prod([int(d) for d in dims])) >= 2**62:
+            cell = cell * 2
+            continue
+        lo_cell = lo // cell - base
+        hi_cell = inclusive_hi // cell - base
+        spans = hi_cell - lo_cell + 1
+        incidences = int(np.prod(spans, axis=1, dtype=np.int64).sum())
+        # Mixed scales (a few large or long boxes among many small ones)
+        # overflow the incidence budget at the median cell: double the
+        # cell along the axis whose spans sum highest, among the axes it
+        # does not cover whole yet.  A cell covering its axis leaves every
+        # box at most 2 cells along it, so the loop ends.
+        weight = np.where(cell < reach, spans.sum(axis=0), 0)
+        if incidences <= budget or not weight.any():
             break
-        cell = cell * 2
-    lo_cell = lo // cell - base
-    hi_cell = inclusive_hi // cell - base
-    spans = hi_cell - lo_cell + 1
-    incidences = int(np.prod(spans, axis=1, dtype=np.int64).sum())
-    if incidences > _GRID_INCIDENCE_FACTOR * (a.shape[0] + b.shape[0]) + 1024:
-        # Degenerate aspect ratios: enumerating the buckets would cost
-        # more than it prunes — fall back to the sorted sweep.
-        return _sweep_candidates(a, b, closed)
+        cell[int(np.argmax(weight))] *= 2
     _record(grid_queries=1)
     strides = np.ones(ndim, dtype=np.int64)
     for d in range(ndim - 2, -1, -1):
@@ -779,9 +789,9 @@ def _register_modes() -> None:
             f"{_AUTO_BRUTE_CUTOFF} candidate products (the default)"
         ),
         "grid": (
-            "force grid buckets (cell size = median box extent per axis; "
-            "falls back to the sorted sweep when cell incidences exceed "
-            f"{_GRID_INCIDENCE_FACTOR}x the box count)"
+            "force grid buckets (cell size = median box extent per axis, "
+            "doubled along the most-spanned axis while cell incidences "
+            f"exceed {_GRID_INCIDENCE_FACTOR}x the box count)"
         ),
         "sweep": "force the sorted interval sweep along the most selective axis",
         "bruteforce": "force the historical O(n^2) broadcast (the oracle)",

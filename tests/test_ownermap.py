@@ -26,6 +26,7 @@ from repro.geometry import (
     NO_OWNER,
     OwnerMap,
     face_contacts,
+    matched_volume,
     overlap_volume,
     pair_index_forced,
     pair_intersections,
@@ -258,8 +259,9 @@ class TestPairIndex:
         _assert_face_results_identical(a, ranks)
 
     def test_long_skinny_boxes(self, ndim):
-        # Adversarial: extreme aspect ratios spanning many buckets (the
-        # sweep-fallback trigger), crossing an orthogonal family.
+        # Adversarial: extreme aspect ratios, one family long in axis 0
+        # crossing an orthogonal family long in every other axis — the
+        # median cell is half a long side, so every pair is a candidate.
         n = 30
         a = np.zeros((n, 2 * ndim), dtype=np.int64)
         b = np.zeros((n, 2 * ndim), dtype=np.int64)
@@ -299,6 +301,26 @@ class TestPairIndex:
         ranks = (np.arange(n) % 3).astype(np.int32)
         _assert_face_results_identical(corners, ranks)
 
+    def test_domain_box_among_unit_boxes(self, ndim):
+        # Mixed scales: one box covering the whole domain among unit
+        # boxes spans 32k-65k median (unit) cells, far over the incidence
+        # budget.  The grid coarsens its cell until the incidences fit —
+        # it must terminate, stay exact, and never take the sweep.
+        side = 2 ** (16 // ndim)
+        lo = np.random.default_rng(ndim).integers(0, side, size=(300, ndim))
+        domain = [[0] * ndim + [side] * ndim]
+        corners = np.concatenate(
+            (domain, np.concatenate((lo, lo + 1), axis=1))
+        ).astype(np.int64)
+        ranks = (np.arange(corners.shape[0]) % 4).astype(np.int32)
+        _assert_pair_results_identical(corners, corners)
+        _assert_face_results_identical(corners, ranks)
+        with pair_index_forced("grid"), counter_deltas() as c:
+            pair_intersections(corners, corners)
+            face_contacts(corners, ranks)
+        assert c["repro_pair_grid_queries_total"] == 2
+        assert c.get("repro_pair_sweep_queries_total", 0) == 0
+
     def test_counters_record_pruning(self, ndim):
         rng = np.random.default_rng(7)
         lo = rng.integers(0, 4000, size=(600, ndim))
@@ -311,6 +333,81 @@ class TestPairIndex:
         assert c["repro_pair_bruteforce_pairs_total"] == 0
         assert 0 < candidates < c["repro_pair_pair_product_total"]
         assert c["repro_pair_exact_pairs_total"] <= candidates
+
+
+def mixed_scale_corners() -> tuple[np.ndarray, np.ndarray]:
+    """64 full-height 16x16x512 columns tiling a 128x128x512 domain, and
+    600 boxes of 4x4x(12 or 24) at seeded positions inside them.
+
+    The shape of a deep 3-D migration overlay: each column spans ~700
+    cells of the median box extent, which overflows the grid's incidence
+    budget at its first cell size.  Every small box lies in exactly one
+    column, so the exact answer has 600 pairs.
+    """
+    x, y = np.meshgrid(np.arange(0, 128, 16), np.arange(0, 128, 16))
+    x, y = x.ravel(), y.ravel()
+    zeros = np.zeros_like(x)
+    columns = np.stack((x, y, zeros, x + 16, y + 16, zeros + 512), axis=1)
+    rng = np.random.default_rng(11)
+    xy = rng.integers(0, 32, size=(600, 2)) * 4
+    z = rng.integers(0, 512 - 24, size=600)
+    dz = rng.choice([12, 24], size=600)
+    small = np.column_stack((xy, z, xy + 4, z + dz))
+    return columns.astype(np.int64), small.astype(np.int64)
+
+
+class TestMixedScaleGrid:
+    """Large boxes among many small ones stay on the grid path: the cell
+    coarsens until the incidences fit, bit-identical to brute force."""
+
+    def test_kernels_match_bruteforce_without_sweep(self):
+        columns, small = mixed_scale_corners()
+        column_ranks = (np.arange(columns.shape[0]) % 4).astype(np.int32)
+        small_ranks = np.random.default_rng(5).integers(
+            0, 4, size=small.shape[0]
+        ).astype(np.int32)
+        both = np.concatenate((columns, small))
+        both_ranks = np.concatenate((column_ranks, small_ranks))
+
+        def kernels():
+            return (
+                pair_intersections(columns, small),
+                overlap_volume(columns, small),
+                matched_volume(columns, column_ranks, small, small_ranks),
+                face_contacts(both, both_ranks),
+            )
+
+        with pair_index_forced("bruteforce"):
+            ref = kernels()
+        for mode in ("auto", "grid"):
+            with pair_index_forced(mode), counter_deltas() as c:
+                got = kernels()
+            assert got[1:3] == ref[1:3], mode
+            for r, g in zip(ref[0] + ref[3], got[0] + got[3]):
+                assert r.dtype == g.dtype
+                np.testing.assert_array_equal(r, g)
+            assert c.get("repro_pair_sweep_queries_total", 0) == 0, mode
+
+    def test_overflowing_query_prunes_to_exact(self):
+        columns, small = mixed_scale_corners()
+        with pair_index_forced("auto"), counter_deltas() as c:
+            corners, _, _ = pair_intersections(columns, small)
+        assert corners.shape[0] == 600
+        assert c["repro_pair_grid_queries_total"] == 1
+        assert c["repro_pair_candidate_pairs_total"] == 600
+
+    def test_zero_extent_boxes_terminate(self):
+        # An open query gives a zero-extent box no cell along its flat
+        # axes.  99 needles flat in x and y span only z, once each, so z
+        # gets the highest span sum while the slab still overflows the
+        # budget: coarsening must skip axes its cell already covers, or
+        # it would double z forever.
+        z = np.arange(99)
+        needles = np.column_stack((0 * z, 0 * z, z, 0 * z, 0 * z, z + 1))
+        corners = np.concatenate(
+            ([[0, 0, 0, 4096, 4096, 1]], needles)
+        ).astype(np.int64)
+        _assert_pair_results_identical(corners, corners)
 
 
 @pytest.mark.parametrize("ndim", [2, 3])
