@@ -105,7 +105,14 @@ from .store import (
 #: ``store.READ_CACHE_ENTRIES`` and ``telemetry.flight.FLIGHT_CAPACITY``)
 #: and ``FLIGHT_CAPACITY_ENV``; ``ResultStore.entries`` (use
 #: ``iter_results``).
-ENGINE_API_VERSION = "3.0"
+#: 4.0: the sweep warehouse is gone; the store scan is the one read
+#: path for figures and reports.  Removed: ``repro.warehouse``, the
+#: ``warehouse-format`` registry kind (``registry("warehouse-format")``
+#: raises), ``repro warehouse build|status|query``,
+#: ``repro report --from-warehouse``/``--warehouse-dir``, the
+#: ``warehouse=`` parameter of the figure functions and
+#: ``repro.experiments.render_group_stats``.
+ENGINE_API_VERSION = "4.0"
 
 __all__ = [
     # versions

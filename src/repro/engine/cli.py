@@ -38,15 +38,6 @@ Subcommands
 ``repro describe``
     Introspect the component registries: every registered app,
     partitioner, schedule, machine and scale with its parameter schema.
-``repro warehouse build | status | query``
-    The sweep warehouse (:mod:`repro.warehouse`): flatten stored runs
-    into hive-partitioned columnar tables and query them out-of-core.
-    ``build`` is incremental and idempotent (``--preview`` prints the
-    partition plan without writing; ``--follow`` keeps ingesting as a
-    live sweep publishes); ``query`` projects/filters/aggregates
-    (``--columns``, ``--where``, ``--group-by``/``--stats``).
-    ``repro report --from-warehouse`` renders the figures from the
-    warehouse, byte-identical to the store-scan path.
 ``repro cache ls | clear | gc | verify``
     Inspect, empty, garbage-collect or integrity-check the
     content-addressed store (``ls --json`` emits a machine-readable
@@ -470,6 +461,25 @@ def _cmd_graph(args) -> int:
     return 0
 
 
+def _figure_list(value: str) -> list[int]:
+    """``--figures``: a comma list of paper figure numbers, each kept
+    once, in ascending order; an empty list, a non-integer and an
+    unknown number are usage errors."""
+    from ..experiments.figures import FIGURE_APPS
+
+    choices = (1, *sorted(FIGURE_APPS))
+    try:
+        wanted = sorted({int(part) for part in _split(value)})
+    except ValueError:
+        wanted = []
+    if not wanted or not set(wanted) <= set(choices):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of figure numbers from "
+            f"{','.join(map(str, choices))}, got {value!r}"
+        )
+    return wanted
+
+
 def _cmd_report(args) -> int:
     from ..experiments.figures import FIGURE_APPS, figure1, figure_app
     from ..experiments.report import render_figure1, render_figure_app
@@ -489,56 +499,30 @@ def _cmd_report(args) -> int:
             return 1
         print(render_timings(doc))
         return 0
-    wanted = [int(f) for f in _split(args.figures)]
-    for fig in wanted:
-        if fig not in (1,) + tuple(FIGURE_APPS):
-            raise SystemExit(f"unknown figure {fig}; choose from 1,4,5,6,7")
-    warehouse = None
-    if args.from_warehouse:
-        # Read-only: figures come out of the columnar dataset,
-        # byte-identical to the store-scan path — nothing is computed,
-        # so there is no warm-up batch either.
-        from ..warehouse import Warehouse, default_warehouse_root
-
-        warehouse = Warehouse(
-            args.warehouse_dir or default_warehouse_root(store)
-        )
-    else:
-        # Warm the store for every figure in one sharded batch, then
-        # render.
-        specs: list[RunSpec] = []
-        if 1 in wanted:
+    # Warm the store for every figure in one sharded batch, then render.
+    specs: list[RunSpec] = []
+    for number in args.figures:
+        if number == 1:
             specs.append(sim_spec("bl2d", args.scale, nprocs=args.nprocs))
-        for number, app in sorted(FIGURE_APPS.items()):
-            if number in wanted:
-                specs.append(sim_spec(app, args.scale, nprocs=args.nprocs))
-                specs.append(
-                    penalties_spec(app, args.scale, nprocs=args.nprocs)
-                )
-        run_specs(specs, n_jobs=args.n_jobs, store=store,
-                  progress=None if args.quiet else print)
-    first = True
-    try:
-        for number in sorted(wanted):
-            if not first:
-                print("\n" + "=" * 78 + "\n")
-            first = False
-            if number == 1:
-                print(render_figure1(
-                    figure1(scale=args.scale, nprocs=args.nprocs,
-                            store=store, warehouse=warehouse)
-                ))
-            else:
-                fig = figure_app(
-                    FIGURE_APPS[number], scale=args.scale,
-                    nprocs=args.nprocs, store=store, warehouse=warehouse,
-                )
-                print(render_figure_app(fig, figure_number=number))
-    except KeyError as exc:
-        # A figure's run was never ingested: the warehouse never
-        # computes, it only reads back what a build flattened.
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 1
+        else:
+            app = FIGURE_APPS[number]
+            specs.append(sim_spec(app, args.scale, nprocs=args.nprocs))
+            specs.append(penalties_spec(app, args.scale, nprocs=args.nprocs))
+    run_specs(specs, n_jobs=args.n_jobs, store=store,
+              progress=None if args.quiet else print)
+    for index, number in enumerate(args.figures):
+        if index:
+            print("\n" + "=" * 78 + "\n")
+        if number == 1:
+            print(render_figure1(
+                figure1(scale=args.scale, nprocs=args.nprocs, store=store)
+            ))
+        else:
+            fig = figure_app(
+                FIGURE_APPS[number], scale=args.scale,
+                nprocs=args.nprocs, store=store,
+            )
+            print(render_figure_app(fig, figure_number=number))
     return 0
 
 
@@ -860,186 +844,6 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def _warehouse_from(args, store: ResultStore):
-    from ..warehouse import Warehouse, default_warehouse_root
-
-    root = args.warehouse_dir or default_warehouse_root(store)
-    return Warehouse(root, format=getattr(args, "format", None))
-
-
-def _build_summary(report, root) -> str:
-    extras = []
-    if report.adopted:
-        extras.append(f"{report.adopted} adopted from a crashed build")
-    if report.skipped_corrupt:
-        extras.append(f"{report.skipped_corrupt} corrupt skipped")
-    return (
-        f"ingested {report.runs} runs ({report.rows} rows, "
-        f"{report.shards} shard{'s' if report.shards != 1 else ''}) "
-        f"into {root}" + (f"  [{'; '.join(extras)}]" if extras else "")
-    )
-
-
-def _cmd_warehouse_build(args) -> int:
-    from ..warehouse import render_build_plan
-
-    store = _store_from(args)
-    wh = _warehouse_from(args, store)
-    kinds = tuple(_split(args.kinds))
-    if args.preview:
-        # Pre-execution analysis only: nothing is written, not even the
-        # manifest of a brand-new warehouse.
-        plan = wh.plan(store, kinds=kinds)
-        print(render_build_plan(plan, format_name=wh.format.name))
-        return 0
-    say = None if args.quiet else print
-    report = wh.build(
-        store, kinds=kinds,
-        max_rows_per_shard=args.max_rows_per_shard, progress=say,
-    )
-    print(_build_summary(report, wh.root))
-    if not args.follow:
-        return 0
-    # Keep appending results a live sweep publishes; exit after
-    # --idle-timeout seconds without new work (or on Ctrl-C).
-    idle = 0.0
-    while args.idle_timeout is None or idle < args.idle_timeout:
-        time.sleep(args.poll)
-        report = wh.build(
-            store, kinds=kinds,
-            max_rows_per_shard=args.max_rows_per_shard, progress=say,
-        )
-        if report.runs:
-            idle = 0.0
-            print(_build_summary(report, wh.root))
-        else:
-            idle += args.poll
-    print(f"idle for {idle:g}s, stopping --follow")
-    return 0
-
-
-def _cmd_warehouse_status(args) -> int:
-    store = _store_from(args)
-    wh = _warehouse_from(args, store)
-    doc = wh.status(store=store)
-    if args.json:
-        print(json.dumps(doc, indent=1, sort_keys=True))
-        return 0
-    print(
-        f"warehouse: {doc['root']} "
-        f"(schema {doc['schema']}, {doc['format']} shards)"
-    )
-    print(
-        f"  {doc['runs']} runs, {doc['rows']} steps rows, "
-        f"{doc['bytes'] / 1e6:.1f} MB on disk"
-    )
-    if doc["partitions"]:
-        width = max(len(p) for p in doc["partitions"])
-        print(f"  {'partition':<{width}} {'runs':>6} {'rows':>8}")
-        for partition, slot in doc["partitions"].items():
-            print(
-                f"  {partition:<{width}} {slot['runs']:>6} "
-                f"{slot['rows']:>8}"
-            )
-    pending = doc.get("pending", 0)
-    if pending:
-        print(
-            f"  {pending} store result{'s' if pending != 1 else ''} "
-            f"({doc['pending_rows']} rows) not yet ingested — "
-            f"run `repro warehouse build`"
-        )
-    else:
-        print(f"  current with the store at {store.root}")
-    return 0
-
-
-def _parse_where(pairs: list[str]) -> dict:
-    """``--where col=v1[,v2...]`` -> the query layer's filter mapping."""
-    filters: dict = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise SystemExit(f"--where expects column=value, got {pair!r}")
-        name, raw = pair.split("=", 1)
-        values = []
-        for piece in _split(raw) or [raw]:
-            try:
-                values.append(json.loads(piece))
-            except json.JSONDecodeError:
-                values.append(piece)
-        filters[name] = values[0] if len(values) == 1 else tuple(values)
-    return filters
-
-
-def _cmd_warehouse_query(args) -> int:
-    import numpy as np
-
-    from ..warehouse import group_stats, scan
-
-    store = _store_from(args)
-    wh = _warehouse_from(args, store)
-    filters = _parse_where(args.where)
-    if bool(args.group_by) != bool(args.stats):
-        raise SystemExit("--group-by and --stats go together")
-    if args.group_by:
-        by = _split(args.group_by)
-        values = _split(args.stats)
-        stats = group_stats(
-            wh, table=args.table, by=by, values=values, filters=filters
-        )
-        if args.json:
-            doc = [
-                {"group": dict(zip(by, group)), "stats": per_value}
-                for group, per_value in stats.items()
-            ]
-            print(json.dumps(doc, indent=1, sort_keys=True))
-            return 0
-        from ..experiments.report import render_group_stats
-
-        print(render_group_stats(stats, by, values))
-        return 0
-    columns = _split(args.columns) if args.columns else None
-    rows: list[dict] = []
-    chunks = scan(wh, table=args.table, columns=columns, filters=filters)
-    for chunk in chunks:
-        names = list(chunk)
-        n = len(chunk[names[0]])
-        for i in range(n):
-            rows.append({
-                name: chunk[name][i].item()
-                if isinstance(chunk[name][i], np.generic)
-                else chunk[name][i]
-                for name in names
-            })
-            if len(rows) >= args.limit:
-                break
-        if len(rows) >= args.limit:
-            chunks.close()
-            break
-    if args.json:
-        print(json.dumps(rows, indent=1, sort_keys=True, default=str))
-        return 0
-    if not rows:
-        print("no rows matched")
-        return 0
-    names = list(rows[0])
-
-    def cell(value) -> str:
-        return f"{value:.6g}" if isinstance(value, float) else str(value)
-
-    widths = {
-        name: max(len(name), max(len(cell(row[name])) for row in rows))
-        for name in names
-    }
-    print(" ".join(f"{name:<{widths[name]}}" for name in names))
-    for row in rows:
-        print(
-            " ".join(f"{cell(row[name]):<{widths[name]}}" for name in names)
-        )
-    if len(rows) == args.limit:
-        print(f"... (first {args.limit} rows; raise --limit for more)")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -1204,19 +1008,13 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="regenerate paper figures through the engine"
     )
     common(report)
-    report.add_argument("--figures", default="1,4,5,6,7",
+    report.add_argument("--figures", default="1,4,5,6,7", type=_figure_list,
                         help="comma list of figure numbers (default: all)")
     report.add_argument("--n-jobs", type=int, default=1)
     report.add_argument("--quiet", action="store_true")
     report.add_argument("--timings", action="store_true",
                         help="aggregate telemetry span timings across the "
                         "store's run profiles instead of figures")
-    report.add_argument("--from-warehouse", action="store_true",
-                        help="render from the columnar warehouse instead of "
-                        "the store (read-only; byte-identical output)")
-    report.add_argument("--warehouse-dir", default=None,
-                        help="warehouse location "
-                        "(default: <store>/warehouse)")
     report.set_defaults(func=_cmd_report)
 
     profile = sub.add_parser(
@@ -1311,85 +1109,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--cache-dir", default=None)
     cache.set_defaults(func=_cmd_cache)
 
-    warehouse = sub.add_parser(
-        "warehouse",
-        help="columnar analytics over the store: build, inspect, query",
-    )
-    wsub = warehouse.add_subparsers(dest="warehouse_cmd", required=True)
-
-    def warehouse_common(p):
-        p.add_argument(
-            "--cache-dir", default=None,
-            help="store location (default: $REPRO_CACHE_DIR or "
-            "~/.cache/repro)",
-        )
-        p.add_argument(
-            "--warehouse-dir", default=None,
-            help="dataset location (default: <store>/warehouse)",
-        )
-        telemetry_opt(p)
-
-    wbuild = wsub.add_parser(
-        "build",
-        help="incrementally flatten new store results into the dataset",
-    )
-    warehouse_common(wbuild)
-    wbuild.add_argument(
-        "--format", default=None,
-        help="shard format: npz (zero-dependency default) or parquet "
-        "(needs the pyarrow extra); pinned at first build",
-    )
-    wbuild.add_argument("--kinds", default="sim,penalties",
-                        help="comma list of run kinds to ingest "
-                        "(default: sim,penalties)")
-    wbuild.add_argument("--max-rows-per-shard", type=int, default=250_000,
-                        help="steps rows per shard file (bounds ingest "
-                        "memory; default: 250000)")
-    wbuild.add_argument("--preview", action="store_true",
-                        help="print the partition plan (runs, rows, bytes "
-                        "per hive partition) without writing anything")
-    wbuild.add_argument("--follow", action="store_true",
-                        help="keep polling the store and appending newly "
-                        "published results")
-    wbuild.add_argument("--poll", type=float, default=2.0,
-                        help="follow: seconds between store scans "
-                        "(default: 2)")
-    wbuild.add_argument("--idle-timeout", type=float, default=None,
-                        help="follow: exit after this many seconds with "
-                        "nothing new (default: follow until stopped)")
-    wbuild.add_argument("--quiet", action="store_true",
-                        help="suppress per-chunk progress lines")
-    wbuild.set_defaults(func=_cmd_warehouse_build)
-
-    wstatus = wsub.add_parser(
-        "status", help="summarize the dataset and what the store adds"
-    )
-    warehouse_common(wstatus)
-    wstatus.add_argument("--json", action="store_true")
-    wstatus.set_defaults(func=_cmd_warehouse_status)
-
-    wquery = wsub.add_parser(
-        "query", help="project, filter and aggregate the dataset"
-    )
-    warehouse_common(wquery)
-    wquery.add_argument("--table", default="steps",
-                        choices=["runs", "steps"])
-    wquery.add_argument("--columns", default=None,
-                        help="comma list projection (default: every column)")
-    wquery.add_argument("--where", action="append", default=[],
-                        metavar="COLUMN=VALUE[,VALUE...]",
-                        help="equality/membership filter (repeatable; "
-                        "app/scale/partitioner prune whole partitions)")
-    wquery.add_argument("--group-by", default=None,
-                        help="comma list of grouping columns "
-                        "(with --stats: out-of-core aggregation)")
-    wquery.add_argument("--stats", default=None,
-                        help="comma list of value columns to aggregate "
-                        "(count/mean/std/min/max per group)")
-    wquery.add_argument("--limit", type=int, default=20,
-                        help="row cap for plain scans (default: 20)")
-    wquery.add_argument("--json", action="store_true")
-    wquery.set_defaults(func=_cmd_warehouse_query)
     return parser
 
 

@@ -439,8 +439,8 @@ class ResultStore:
         small ``meta.json`` is read — no series array is ever loaded —
         so iterating a million-run store costs a directory walk plus
         one small JSON parse per entry.  It is the store's one walker:
-        warehouse ingest, ``repro cache ls``, :meth:`clear` and
-        :meth:`gc` all scan through it.
+        ``repro cache ls``, :meth:`clear` and :meth:`gc` all scan
+        through it.
 
         Corrupt entries (unparsable ``meta.json``, meta lacking its
         spec, a spec that no longer parses) are warn-skipped and

@@ -27,7 +27,6 @@ from .report import (
     ascii_chart,
     render_figure1,
     render_figure_app,
-    render_group_stats,
     render_regret,
 )
 from .workloads import (
@@ -63,7 +62,6 @@ __all__ = [
     "ascii_chart",
     "render_figure1",
     "render_figure_app",
-    "render_group_stats",
     "render_regret",
     "ALL_APP_NAMES",
     "APP_NAMES",

@@ -61,54 +61,23 @@ def _static_partitioner() -> Partitioner:
     return NaturePlusFable()
 
 
-def _as_warehouse(warehouse):
-    """Accept a :class:`~repro.warehouse.Warehouse` or a dataset path."""
-    from ..warehouse import Warehouse
-
-    if isinstance(warehouse, Warehouse):
-        return warehouse
-    return Warehouse(warehouse)
-
-
-def _fetch(spec, store, warehouse):
-    """One run's ``(trace name, series arrays)`` from either source.
-
-    With ``warehouse`` set the run is read back from the columnar
-    dataset (raising ``KeyError`` when it was never ingested — the
-    warehouse is a read-only view, it never computes); otherwise the
-    engine resolves the spec against the store, computing on a miss.
-    The warehouse readback is bit-identical to the stored arrays, so
-    every figure statistic is byte-for-byte the same either way.
-    """
-    if warehouse is not None:
-        wh = _as_warehouse(warehouse)
-        key = spec.key()
-        return str(wh.run_row(key)["trace"]), wh.run_series(key)
-    result = run_spec(spec, store=store)
-    return result.meta["trace"], result.arrays
-
-
 def figure1(
     trace: Trace | None = None,
     nprocs: int = DEFAULT_NPROCS,
     scale: str = "paper",
     store=None,
-    warehouse=None,
 ) -> dict:
     """Figure 1: dynamic behaviour of BL2D under a static P.
 
     Returns the per-step series the figure plots: load imbalance (in
     percent) and communication amount, against the time step.
-    ``warehouse`` switches the data source from the store-scan path to
-    a built :class:`~repro.warehouse.Warehouse` (bit-identical).
     """
     if trace is not None:
         return _figure1_inline(trace, nprocs)
-    name, arrays = _fetch(
-        sim_spec("bl2d", scale, nprocs=nprocs), store, warehouse
-    )
+    result = run_spec(sim_spec("bl2d", scale, nprocs=nprocs), store=store)
+    arrays = result.arrays
     return {
-        "trace": name,
+        "trace": result.meta["trace"],
         "nprocs": nprocs,
         "step": arrays["step"],
         # 100 * (max/avg - 1), identical to load_imbalance_percent on the
@@ -183,7 +152,6 @@ def figure_app(
     nprocs: int = DEFAULT_NPROCS,
     scale: str = "paper",
     store=None,
-    warehouse=None,
 ) -> dict:
     """Figures 4-7: model penalties vs. measured behaviour for one app.
 
@@ -207,26 +175,21 @@ def figure_app(
             result.series("relative_comm"),
             result.series("relative_migration"),
         )
-    trace_name, sim_arrays = _fetch(
-        sim_spec(name, scale, nprocs=nprocs), store, warehouse
-    )
-    _, model_arrays = _fetch(
-        penalties_spec(name, scale, nprocs=nprocs), store, warehouse
-    )
+    sim = run_spec(sim_spec(name, scale, nprocs=nprocs), store=store)
+    model = run_spec(penalties_spec(name, scale, nprocs=nprocs), store=store)
     return _figure_app_dict(
-        trace_name,
+        sim.meta["trace"],
         nprocs,
-        model_arrays["step"],
-        model_arrays["beta_c"],
-        model_arrays["beta_m"],
-        sim_arrays["relative_comm"],
-        sim_arrays["relative_migration"],
+        model.arrays["step"],
+        model.arrays["beta_c"],
+        model.arrays["beta_m"],
+        sim.arrays["relative_comm"],
+        sim.arrays["relative_migration"],
     )
 
 
 def shape_report(
-    nprocs: int = DEFAULT_NPROCS, scale: str = "paper", store=None,
-    warehouse=None,
+    nprocs: int = DEFAULT_NPROCS, scale: str = "paper", store=None
 ) -> dict[str, dict]:
     """Quantified section 5.2 claims for the whole suite.
 
@@ -237,10 +200,7 @@ def shape_report(
     """
     out: dict[str, dict] = {}
     for name in APP_NAMES:
-        fig = figure_app(
-            name, nprocs=nprocs, scale=scale, store=store,
-            warehouse=warehouse,
-        )
+        fig = figure_app(name, nprocs=nprocs, scale=scale, store=store)
         out[name] = {
             "comm_correlation": fig["comm_correlation"],
             "migration_correlation": fig["migration_correlation"],
@@ -263,7 +223,6 @@ def dimension2_series(
     nprocs: int = DEFAULT_NPROCS,
     scale: str = "paper",
     store=None,
-    warehouse=None,
 ) -> dict:
     """The dimension-II trajectory: requested vs offered time (section 4.3)."""
     if trace is not None:

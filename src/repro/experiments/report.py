@@ -14,7 +14,6 @@ __all__ = [
     "ascii_chart",
     "render_figure_app",
     "render_figure1",
-    "render_group_stats",
     "render_regret",
 ]
 
@@ -131,48 +130,6 @@ def render_figure1(fig: dict) -> str:
             comm,
         ]
     )
-
-
-def render_group_stats(
-    stats: dict[tuple, dict[str, dict]],
-    by: list[str] | tuple[str, ...],
-    values: list[str] | tuple[str, ...],
-) -> str:
-    """Render a :func:`repro.warehouse.group_stats` result as a table.
-
-    One row per (group, value column): the group-by columns, the value
-    column name, then count/mean/std/min/max.  This is the terminal
-    surface of ``repro warehouse query --group-by ... --stats ...``.
-    """
-    if not stats:
-        return "no rows matched"
-    rows = []
-    for group, per_value in stats.items():
-        for name in values:
-            entry = per_value.get(name)
-            if entry is None:
-                continue
-            rows.append((tuple(str(v) for v in group), name, entry))
-    widths = [
-        max(len(col), max(len(row[0][i]) for row in rows))
-        for i, col in enumerate(by)
-    ]
-    vwidth = max(len("value"), max(len(row[1]) for row in rows))
-    header = " ".join(
-        f"{col:<{w}}" for col, w in zip(by, widths)
-    ) + (
-        f" {'value':<{vwidth}} {'count':>8} {'mean':>12} {'std':>12} "
-        f"{'min':>12} {'max':>12}"
-    )
-    lines = [header, "-" * len(header)]
-    for group, name, entry in rows:
-        prefix = " ".join(f"{v:<{w}}" for v, w in zip(group, widths))
-        lines.append(
-            f"{prefix} {name:<{vwidth}} {entry['count']:>8} "
-            f"{entry['mean']:>12.6g} {entry['std']:>12.6g} "
-            f"{entry['min']:>12.6g} {entry['max']:>12.6g}"
-        )
-    return "\n".join(lines)
 
 
 def render_regret(worst: dict[str, float]) -> str:

@@ -312,7 +312,6 @@ for _kind, _label in (
     ("machine", "machine scenario"),
     ("scale", "workload scale"),
     ("backend", "execution backend"),
-    ("warehouse-format", "warehouse format"),
 ):
     declare_kind(_kind, _label)
 

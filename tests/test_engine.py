@@ -13,15 +13,20 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.engine import (
     ResultStore,
     RunResult,
     RunSpec,
+    clear_read_cache,
     default_store,
     penalties_spec,
     plan_specs,
@@ -54,6 +59,20 @@ def _cli(args: list[str], tmp_path: Path) -> subprocess.CompletedProcess:
         text=True,
         env=_cli_env(tmp_path),
     )
+
+
+#: Column dtypes the store's series files must round-trip bit for bit.
+_SERIES_DTYPES = st.sampled_from(
+    [np.float64, np.float32, np.int64, np.int32, np.uint16, np.bool_]
+)
+
+
+def _seed_runs(store: ResultStore) -> list[RunResult]:
+    """A bl2d sim run and its penalties run, sharing one trace."""
+    return [
+        run_spec(sim_spec("bl2d", "small", nprocs=NPROCS), store=store),
+        run_spec(penalties_spec("bl2d", "small", nprocs=NPROCS), store=store),
+    ]
 
 
 class TestSpecHash:
@@ -160,6 +179,74 @@ class TestStore:
             assert np.array_equal(again.arrays[name], result.arrays[name])
             assert again.arrays[name].dtype == result.arrays[name].dtype
 
+    @given(data=st.data(), n=st.integers(0, 6), ncols=st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_series_roundtrip_bitwise(self, data, n, ncols):
+        # Unbounded float columns draw NaN, infinities and -0.0 as well.
+        arrays = {
+            f"m{i}": data.draw(hnp.arrays(data.draw(_SERIES_DTYPES), n))
+            for i in range(ncols)
+        }
+        spec = sim_spec("bl2d", "small", nprocs=NPROCS, seed=7)
+        meta = {"trace": "synthetic", "summary": {"mean_x": 0.5}}
+        with tempfile.TemporaryDirectory() as tmp:
+            store = ResultStore(Path(tmp) / "store")
+            store.put_result(RunResult(
+                spec=spec, key=spec.key(), meta=meta, arrays=arrays
+            ))
+            clear_read_cache()  # read the entry back from disk
+            back = ResultStore(store.root).get_result(spec.key())
+        assert back.meta == meta
+        assert sorted(back.arrays) == sorted(arrays)
+        for name, arr in arrays.items():
+            assert back.arrays[name].dtype == arr.dtype
+            assert back.arrays[name].shape == arr.shape
+            assert back.arrays[name].tobytes() == arr.tobytes()
+
+    def test_nan_inf_and_signed_zero_survive(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        spec = sim_spec("bl2d", "small", nprocs=NPROCS, seed=11)
+        arrays = {
+            "weird": np.array([np.nan, np.inf, -np.inf, -0.0]),
+            "ints": np.array([1, 2, 3, 4], dtype=np.int32),
+        }
+        store.put_result(RunResult(
+            spec=spec, key=spec.key(), meta={"trace": "t"}, arrays=arrays
+        ))
+        clear_read_cache()
+        back = store.get_result(spec.key()).arrays
+        assert back["weird"].tobytes() == arrays["weird"].tobytes()
+        assert back["ints"].dtype == np.int32
+        assert back["ints"].tolist() == [1, 2, 3, 4]
+
+    def test_real_runs_reread_from_disk_bit_identical(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        results = _seed_runs(store)
+        clear_read_cache()
+        fresh = ResultStore(store.root)
+        for result in results:
+            back = fresh.get_result(result.key)
+            assert back.spec.key() == result.key
+            assert back.meta == result.meta
+            assert sorted(back.arrays) == sorted(result.arrays)
+            for name, arr in result.arrays.items():
+                assert back.arrays[name].dtype == arr.dtype
+                assert back.arrays[name].tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize("kind", ["sim", "penalties", "trace", "other"])
+    def test_iter_results_kind_filter(self, kind, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        _seed_runs(store)
+        every = dict(store.iter_results())
+        listed = dict(store.iter_results(kind=kind))
+        assert set(listed) == {
+            key for key, doc in every.items() if doc["kind"] == kind
+        }
+        # One entry of each seeded kind; a kind nobody stored lists empty.
+        assert len(listed) == (kind != "other")
+        for key, doc in listed.items():
+            assert doc == every[key]
+
     def test_iter_results_and_clear(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         run_spec(sim_spec("bl2d", "small", nprocs=NPROCS), store=store)
@@ -174,6 +261,42 @@ class TestStore:
         assert kinds() == ["penalties", "trace"]
         assert store.clear() == 2
         assert kinds() == []
+
+    def test_iter_results_streams_meta_with_bookkeeping(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        results = _seed_runs(store)
+        listed = dict(store.iter_results())
+        # The two runs plus their shared trace, one per object directory.
+        assert set(listed) == {r.key for r in results} | {
+            results[0].spec.input_keys()[0]
+        }
+        assert set(listed) == {
+            path.name for path in (store.root / "objects").glob("*/*")
+        }
+        for key, doc in listed.items():
+            assert doc["nbytes"] > 0
+            assert doc["mtime"] > 0
+            assert doc["key"] == key
+        sims = dict(store.iter_results(kind="sim"))
+        assert {doc["kind"] for doc in sims.values()} == {"sim"}
+        assert len(sims) == 1
+
+    def test_iter_results_corrupt_entry_warn_skipped_and_retired(
+        self, tmp_path
+    ):
+        store = ResultStore(tmp_path / "store")
+        results = _seed_runs(store)
+        victim = results[0].key
+        (store.entry_dir(victim) / "meta.json").write_text("not json{")
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            listed = dict(store.iter_results())
+        assert victim not in listed
+        assert len(listed) == 2  # trace + the surviving run
+        assert not store.has(victim)  # retired, next publish repairs
+
+    def test_iter_results_empty_store(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        assert list(store.iter_results()) == []
 
     def test_default_store_honors_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "custom"))
@@ -419,6 +542,25 @@ class TestCli:
         assert sound[:12] in out and corrupt[:12] not in out
         assert not store.has(corrupt)  # retired, like every other read
 
+    def test_cache_ls_json(self, tmp_path):
+        run = _cli(
+            ["run", "--app", "bl2d", "--scale", "small",
+             "--nprocs", str(NPROCS)],
+            tmp_path,
+        )
+        assert run.returncode == 0, run.stderr
+        ls = _cli(["cache", "ls", "--json"], tmp_path)
+        assert ls.returncode == 0, ls.stderr
+        docs = json.loads(ls.stdout)
+        assert len(docs) == 2  # trace + sim
+        for doc in docs:
+            assert set(doc) >= {
+                "key", "kind", "app", "scale", "bytes", "age_seconds"
+            }
+            assert doc["bytes"] > 0 and doc["age_seconds"] >= 0
+        only_sim = _cli(["cache", "ls", "--json", "--kind", "sim"], tmp_path)
+        assert [d["kind"] for d in json.loads(only_sim.stdout)] == ["sim"]
+
     def test_report_smoke(self, tmp_path):
         out = _cli(
             ["report", "--figures", "1,5", "--scale", "small",
@@ -429,6 +571,79 @@ class TestCli:
         assert "Figure 1" in out.stdout
         assert "Figure 5" in out.stdout
         assert "beta_C" in out.stdout
+
+    def test_report_renders_each_figure_once_in_order(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.engine.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        assert main(["report", "--figures", "5,1,5", "--scale", "small",
+                     "--nprocs", str(NPROCS), "--quiet"]) == 0
+        titles = [
+            line.split(" — ")[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("Figure ")
+        ]
+        assert titles == ["Figure 1", "Figure 5"]
+
+    @pytest.mark.parametrize(
+        "figures, expected",
+        [
+            ("1,4,5,6,7", [1, 4, 5, 6, 7]),
+            ("7,4", [4, 7]),
+            ("5,1,5", [1, 5]),
+            (" 6 , 1 ,", [1, 6]),
+        ],
+    )
+    def test_report_figure_list_parses_sorted_and_unique(
+        self, figures, expected
+    ):
+        from repro.engine.cli import build_parser
+
+        args = build_parser().parse_args(["report", "--figures", figures])
+        assert args.figures == expected
+
+    def test_report_default_figures_are_all_five(self):
+        from repro.engine.cli import build_parser
+
+        assert build_parser().parse_args(["report"]).figures == [1, 4, 5, 6, 7]
+
+    def test_report_warm_store_is_byte_identical_and_never_computes(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.engine.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        argv = ["report", "--figures", "1,5", "--scale", "small",
+                "--nprocs", str(NPROCS), "--quiet"]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        clear_read_cache()
+
+        def no_compute(spec, store=None):
+            raise AssertionError(f"warm report computed {spec.label()}")
+
+        monkeypatch.setattr(executor_module, "execute", no_compute)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+
+    @pytest.mark.parametrize("figures", [",", "", "x", "1,x", "2", "1,8"])
+    def test_report_bad_figure_list_is_a_usage_error(
+        self, figures, tmp_path, monkeypatch, capsys
+    ):
+        from repro.engine.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--figures", figures, "--scale", "small",
+                  "--quiet"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --figures" in captured.err
+        assert "1,4,5,6,7" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "store").exists()  # nothing was computed
 
     def test_unknown_app_fails_cleanly(self, tmp_path):
         out = _cli(["sweep", "--apps", "warp9", "--scale", "small"], tmp_path)

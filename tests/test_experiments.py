@@ -155,6 +155,39 @@ class TestFigures:
         assert (fig["beta_m"] >= 0).all() and (fig["beta_m"] <= 1).all()
         assert fig["beta_m"][0] == 0.0
 
+    def test_warm_store_figures_bit_identical_without_compute(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.engine import ResultStore, clear_read_cache
+        from repro.engine import executor as executor_module
+
+        def figures(store):
+            return {
+                "figure1": figure1(scale="small", nprocs=4, store=store),
+                "figure6": figure_app(
+                    "sc2d", scale="small", nprocs=4, store=store
+                ),
+            }
+
+        store = ResultStore(tmp_path / "store")
+        cold = figures(store)
+        clear_read_cache()
+
+        def no_compute(spec, store=None):
+            raise AssertionError(f"warm figure computed {spec.label()}")
+
+        monkeypatch.setattr(executor_module, "execute", no_compute)
+        warm = figures(ResultStore(store.root))
+        for name, fig in cold.items():
+            assert sorted(warm[name]) == sorted(fig)
+            for field, value in fig.items():
+                again = warm[name][field]
+                if isinstance(value, np.ndarray):
+                    assert again.dtype == value.dtype, (name, field)
+                    assert again.tobytes() == value.tobytes(), (name, field)
+                else:
+                    assert repr(again) == repr(value), (name, field)
+
     def test_figure_app_unknown(self):
         with pytest.raises(ValueError):
             figure_app("xx2d")
