@@ -1,12 +1,11 @@
-"""Backend benchmarks: dispatch overhead of serial/process/cluster.
+"""Backend benchmarks: dispatch overhead of serial/process.
 
-All three backends publish identical artifacts, so the interesting
-number is the *orchestration overhead* each one adds around the same
-simulator work: the serial loop is the floor, the process pool pays
-worker spawn once per plan, and the cluster broker pays ticket/lease
-filesystem round-trips plus worker daemon start-up.  A warm-store
-re-run through each backend is also timed — resume cost is pure
-plan-resolution and must be backend-independent.
+Both backends publish identical artifacts, so the interesting number is
+the *orchestration overhead* each one adds around the same simulator
+work: the serial loop is the floor, and the process pool pays worker
+spawn once per plan.  A warm-store re-run through each backend is also
+timed — resume cost is pure plan-resolution and must be
+backend-independent.
 
 Scale via ``REPRO_BENCH_SCALE`` as for the other benches.
 """
@@ -17,7 +16,7 @@ import time
 
 import numpy as np
 
-from repro.engine import ClusterBackend, ResultStore, run_specs, sim_spec
+from repro.engine import ResultStore, run_specs, sim_spec
 
 from conftest import BENCH_NPROCS, record_bench
 
@@ -38,10 +37,6 @@ def test_backend_overhead(tmp_path, scale):
     backends = {
         "serial": lambda: "serial",
         "process": lambda: "process",
-        "cluster": lambda: ClusterBackend(
-            workers=2, lease_timeout=15.0, poll_interval=0.05,
-            stall_timeout=600.0,
-        ),
     }
     cold: dict[str, float] = {}
     warm: dict[str, float] = {}
@@ -73,11 +68,8 @@ def test_backend_overhead(tmp_path, scale):
                      jobs=len(specs))
 
     # Identical results across backends, and warm resumes never compute.
-    for name in ("process", "cluster"):
-        for ser, other in zip(results["serial"], results[name]):
-            assert ser.key == other.key
-            for column in ser.arrays:
-                assert np.array_equal(
-                    ser.arrays[column], other.arrays[column]
-                )
+    for ser, other in zip(results["serial"], results["process"]):
+        assert ser.key == other.key
+        for column in ser.arrays:
+            assert np.array_equal(ser.arrays[column], other.arrays[column])
     assert warm["serial"] < cold["serial"]

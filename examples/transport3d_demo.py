@@ -32,8 +32,8 @@ def main() -> None:
         for name in APP_NAMES_3D
         for part in PARTITIONERS
     ]
-    # Equivalent to n_jobs=2; swap in backend="cluster", workers=2 to
-    # drain the same sweep through repro worker daemons instead.
+    # Equivalent to n_jobs=2; backend="serial" runs the same sweep
+    # in-process and publishes identical bytes.
     results = run_specs(specs, backend="process", n_jobs=2, progress=print)
 
     print(f"\nreplay on {NPROCS} ranks:")

@@ -18,16 +18,15 @@ declarative job:
   plans and hands them to an execution backend, then loads results back
   from the store;
 * :mod:`repro.engine.backends` — the pluggable execution backends
-  (registry kind ``"backend"``): ``serial`` (in-process), ``process``
-  (trace-aware shards over a local pool) and ``cluster`` (a
-  shared-filesystem job broker over ``repro worker`` daemons, with
-  lease heartbeats, crash requeue and a retry cap);
+  (registry kind ``"backend"``): ``serial`` (in-process) and
+  ``process`` (trace-aware shards over a local pool); a run that raises
+  on either leaves a failure record next to the store;
 * :mod:`repro.engine.components` — the built-in components, registered
   with the unified :mod:`repro.registry` (``create`` / ``registry`` /
   ``describe`` are re-exported here);
 * :mod:`repro.engine.cli` — the ``python -m repro`` command line
   (``run`` / ``sweep`` / ``plan`` / ``graph`` / ``report`` /
-  ``describe`` / ``cache``).
+  ``profile`` / ``describe`` / ``cache``).
 
 This package is the engine's **versioned public API**: everything in
 ``__all__`` follows the deprecation policy (one release of
@@ -44,13 +43,9 @@ inside functions.
 
 from .executor import execute, plan_specs, run_spec, run_specs, shard_specs
 from .backends import (
-    ClusterBackend,
-    ClusterJobError,
     ExecutionBackend,
-    JobQueue,
     ProcessBackend,
     SerialBackend,
-    Worker,
     resolve_backend,
 )
 from .graph import MissingInputError, Plan, SpecNode, build_plan, toposort_layers
@@ -112,7 +107,18 @@ from .store import (
 #: ``repro report --from-warehouse``/``--warehouse-dir``, the
 #: ``warehouse=`` parameter of the figure functions and
 #: ``repro.experiments.render_group_stats``.
-ENGINE_API_VERSION = "4.0"
+#: 5.0: a failed run leaves a failure record (its run profile with
+#: ``outcome: "failed"``) on every backend, and the fleet it replaces
+#: is gone.  Removed: the ``cluster`` backend with ``ClusterBackend``,
+#: ``ClusterJobError``, ``JobQueue``, ``Worker`` and ``new_worker_id``;
+#: ``repro.telemetry.flight`` (``FlightRecorder``, ``flight_dump``,
+#: ``render_blackbox``, ...); ``cluster_status_doc``,
+#: ``render_cluster_status`` and ``evaluate_health``; ``repro worker``,
+#: ``top``, ``health`` and ``blackbox``; ``--workers`` and
+#: ``--log-level``; the ``workers=`` parameter of ``run_specs`` and
+#: ``resolve_backend``; ``MetricsServer(health=)``; and the
+#: ``REPRO_WORKER_FAIL_KEYS`` knob.
+ENGINE_API_VERSION = "5.0"
 
 __all__ = [
     # versions
@@ -146,10 +152,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessBackend",
-    "ClusterBackend",
-    "ClusterJobError",
-    "JobQueue",
-    "Worker",
     "resolve_backend",
     # component registry
     "create",

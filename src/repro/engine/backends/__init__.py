@@ -1,22 +1,22 @@
 """Pluggable execution backends for draining spec plans.
 
-Three built-ins, all registered under the component kind ``"backend"``
-and all publishing through the content-addressed store (which is what
+Two built-ins, both registered under the component kind ``"backend"``
+and both publishing through the content-addressed store (which is what
 makes them bit-identical to each other):
 
 * ``serial`` — everything in-process, one job at a time (the historical
   ``n_jobs=1`` path);
 * ``process`` — trace-aware shards over a local
   :class:`~concurrent.futures.ProcessPoolExecutor` (the historical
-  ``n_jobs>1`` path);
-* ``cluster`` — a shared-filesystem job broker
-  (:class:`~repro.engine.backends.queue.JobQueue`: lease files with
-  owner/heartbeat/attempt metadata next to the store) over long-lived
-  ``repro worker`` daemons, with crash requeue and a retry cap.
+  ``n_jobs>1`` path).
+
+Every run that raises leaves a failure record in the store's telemetry
+directory, whichever backend ran it (see
+:func:`repro.telemetry.run_scope`).
 
 Select one through :func:`~repro.engine.executor.run_specs`
-(``backend="serial" | "process" | "cluster"`` or an instance), the CLI
-(``repro sweep --backend cluster --workers 2``), or build your own by
+(``backend="serial" | "process"`` or an instance), the CLI
+(``repro sweep --backend process --n-jobs 4``), or build your own by
 subclassing :class:`ExecutionBackend` and registering it::
 
     from repro.engine.backends import ExecutionBackend
@@ -36,26 +36,18 @@ from .base import (
     resolve_backend,
     verify_layer_inputs,
 )
-# Import order fixes registration order (serial, process, cluster) —
-# what BACKEND_NAMES and `repro describe --kind backend` display.
+# Import order fixes registration order (serial, process) — what
+# BACKEND_NAMES and `repro describe --kind backend` display.
 from .serial import SerialBackend
 from .process import ProcessBackend
-from .cluster import ClusterBackend, ClusterJobError
-from .queue import JobQueue, new_worker_id
-from .worker import Worker
 
 __all__ = [
     "BACKEND_KIND",
     "ExecutionBackend",
     "SerialBackend",
     "ProcessBackend",
-    "ClusterBackend",
-    "ClusterJobError",
-    "JobQueue",
-    "Worker",
     "backend_names",
     "layer_status",
-    "new_worker_id",
     "resolve_backend",
     "verify_layer_inputs",
 ]

@@ -3,14 +3,14 @@
 A backend is a strategy for draining a resolved
 :class:`~repro.engine.graph.Plan`: it walks the plan's topological
 layers and gets every pending spec *published into the content-addressed
-store* — how (in-process, a local process pool, a cluster of worker
-daemons over a shared filesystem) is the backend's business.  Because
-the store is the only channel results travel through, every backend is
-bit-identical by construction: :func:`~repro.engine.executor.run_specs`
-loads the final artifacts back from disk no matter who computed them.
+store* — how (in-process, a local process pool, ...) is the backend's
+business.  Because the store is the only channel results travel
+through, every backend is bit-identical by construction:
+:func:`~repro.engine.executor.run_specs` loads the final artifacts back
+from disk no matter who computed them.
 
 Backends are ordinary registry components (kind ``"backend"``), so
-``create("backend", "cluster", workers=2)`` works like any other
+``create("backend", "process", n_jobs=2)`` works like any other
 component, third parties can register their own (Slurm, ssh, ...), and
 ``repro describe --kind backend`` shows the parameter schemas.
 """
@@ -81,7 +81,7 @@ class ExecutionBackend(abc.ABC):
     The base class owns the layer walk (input verification, layer
     announcements); subclasses implement :meth:`run_layer` — and may
     wrap :meth:`run_plan` for plan-scoped setup/teardown (a process
-    pool, auto-spawned workers).
+    pool).
     """
 
     #: Registry name of the backend (cosmetic; the registry is canonical).
@@ -139,37 +139,21 @@ def resolve_backend(
     backend: "ExecutionBackend | str | None" = None,
     *,
     n_jobs: int = 1,
-    workers: int | None = None,
 ) -> ExecutionBackend:
     """Turn ``run_specs``'s backend argument into a backend instance.
 
     ``None`` keeps the historical behavior: ``serial`` for ``n_jobs=1``,
     ``process`` (with that many jobs) otherwise.  A string resolves
-    through the component registry — the built-in names get their
-    obvious knobs threaded (``process`` ← ``n_jobs``, ``cluster`` ←
-    ``workers``); other registered backends are created bare.  An
-    instance passes through untouched.
+    through the component registry — ``process`` gets ``n_jobs``
+    threaded; other registered backends are created bare.  An instance
+    passes through untouched.
     """
     if backend is None:
         backend = "process" if n_jobs > 1 else "serial"
     if isinstance(backend, ExecutionBackend):
-        if workers:
-            raise ValueError(
-                "workers= cannot be combined with a backend instance; "
-                "configure the instance itself"
-            )
         return backend
     if isinstance(backend, str):
-        if workers and backend != "cluster":
-            raise ValueError(
-                f"workers= is only meaningful for the cluster backend, "
-                f"not {backend!r} (did you mean n_jobs?)"
-            )
-        kwargs: dict = {}
-        if backend == "process":
-            kwargs["n_jobs"] = n_jobs
-        elif backend == "cluster" and workers is not None:
-            kwargs["workers"] = workers
+        kwargs = {"n_jobs": n_jobs} if backend == "process" else {}
         instance = create(BACKEND_KIND, backend, **kwargs)
         if not isinstance(instance, ExecutionBackend):
             raise TypeError(

@@ -6,16 +6,10 @@ Subcommands
     Execute (or fetch) a single job and print its summary or series.
 ``repro sweep``
     Fan a grid of jobs — apps x partitioners x machines — through an
-    execution backend (``--backend serial|process|cluster``; ``cluster``
-    auto-spawns local daemons via ``--workers N``).  Dependency
+    execution backend (``--backend serial|process``).  Dependency
     resolution schedules missing workload traces first; already-stored
     results are skipped, so re-running a killed sweep resumes where it
     left off.
-``repro worker``
-    Run one long-lived worker daemon: claim leases from the shared job
-    queue next to the store, execute specs, publish results, heartbeat.
-    Start any number of these (on any host that mounts the store) and
-    point ``repro sweep --backend cluster`` at the same cache dir.
 ``repro plan``
     Resolve the same grid into its dependency-aware execution plan
     *without running it*: what the store already holds vs. what would be
@@ -30,24 +24,22 @@ Subcommands
     store.
 ``repro profile``
     Render the per-run timing tree (span hierarchy, self/total time,
-    pair-kernel pruning ratios) a telemetry-enabled run left behind.
-``repro top``
-    One-shot (or ``--watch``) status table of a cluster sweep: worker
-    registry with heartbeat ages, live leases, waiting tickets, recent
-    failures — read straight off the shared queue directory.
+    pair-kernel pruning ratios) a telemetry-enabled run left behind, or
+    the error and traceback of a failure record.
 ``repro describe``
     Introspect the component registries: every registered app,
     partitioner, schedule, machine and scale with its parameter schema.
 ``repro cache ls | clear | gc | verify``
     Inspect, empty, garbage-collect or integrity-check the
-    content-addressed store (``ls --json`` emits a machine-readable
-    listing; ``gc`` takes ``--max-bytes`` / ``--older-than`` with an
-    LRU-by-mtime policy; ``verify`` scans for corrupt entries after
-    hard kills and removes them with ``--remove``).
+    content-addressed store (``ls`` also flags every failed run the
+    store lacks, ``ls --json`` emits a machine-readable listing; ``gc``
+    takes ``--max-bytes`` / ``--older-than`` with an LRU-by-mtime
+    policy; ``verify`` scans for corrupt entries after hard kills and
+    removes them with ``--remove``).
 
 The store location is ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``);
 ``--cache-dir`` overrides it per invocation.  ``--telemetry json|chrome``
-(or ``$REPRO_TELEMETRY``) turns on span tracing for any run/sweep/worker
+(or ``$REPRO_TELEMETRY``) turns on span tracing for any run/sweep
 invocation; event logs land under ``<store>/telemetry/`` and never touch
 content hashes.
 """
@@ -56,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 import time
@@ -65,7 +56,7 @@ from typing import Sequence
 from ..registry import describe as describe_components
 from ..registry import registry
 from ..telemetry import TELEMETRY_ENV, TELEMETRY_MODES
-from .backends import ClusterJobError, resolve_backend
+from .backends import resolve_backend
 from .executor import run_spec, run_specs
 from .graph import Plan, build_plan
 from .components import STATIC_SUITE
@@ -73,31 +64,6 @@ from .spec import RunSpec, penalties_spec, sim_spec, trace_spec
 from .store import ResultStore, default_store
 
 __all__ = ["main", "build_parser"]
-
-
-#: ``--log-level`` vocabulary, mapped onto the stdlib levels.
-_LOG_LEVELS = ("debug", "info", "warning", "error")
-
-
-def _setup_logging(level: str) -> None:
-    """Configure the ``repro`` logger tree for CLI output.
-
-    Broker and worker chatter goes through ``logging`` (timestamped,
-    filterable by ``--log-level``) instead of bare prints; idempotent so
-    tests can call :func:`main` repeatedly in one process.
-    """
-    logger = logging.getLogger("repro")
-    logger.setLevel(getattr(logging, level.upper()))
-    if not logger.handlers:
-        handler = logging.StreamHandler(sys.stderr)
-        handler.setFormatter(
-            logging.Formatter(
-                "%(asctime)s %(levelname)-7s %(name)s: %(message)s",
-                datefmt="%Y-%m-%dT%H:%M:%S",
-            )
-        )
-        logger.addHandler(handler)
-        logger.propagate = False
 
 
 def _store_from(args) -> ResultStore:
@@ -270,8 +236,6 @@ def _print_sweep_table(results) -> None:
 def _resolve_cli_backend(args):
     """Build the backend an invocation selected, or None for the default."""
     backend = getattr(args, "backend", None)
-    if getattr(args, "workers", None) and backend != "cluster":
-        raise SystemExit("--workers needs --backend cluster")
     if backend is None:
         return None
     if backend not in registry("backend"):
@@ -279,11 +243,7 @@ def _resolve_cli_backend(args):
             f"unknown backend {backend!r}; choose from "
             f"{tuple(registry('backend'))}"
         )
-    return resolve_backend(
-        backend,
-        n_jobs=getattr(args, "n_jobs", 1),
-        workers=getattr(args, "workers", None),
-    )
+    return resolve_backend(backend, n_jobs=getattr(args, "n_jobs", 1))
 
 
 def _cmd_run(args) -> int:
@@ -348,7 +308,7 @@ def _cmd_sweep(args) -> int:
         server = MetricsServer(port=args.metrics_port).start()
         if not args.quiet:
             print(
-                f"broker metrics on "
+                f"sweep metrics on "
                 f"http://{server.host}:{server.port}/metrics"
             )
     try:
@@ -358,8 +318,6 @@ def _cmd_sweep(args) -> int:
             store=store,
             force=args.force,
             progress=None if args.quiet else print,
-            # The resolved instance already carries --workers; passing it
-            # through run_specs' workers= too would double-configure it.
             backend=_resolve_cli_backend(args),
             verbose=args.verbose,
         )
@@ -559,85 +517,6 @@ def _cmd_describe(args) -> int:
     return 0
 
 
-def _cmd_worker(args) -> int:
-    import signal
-
-    from ..telemetry import MetricsServer, flight_dump, session
-    from .backends import JobQueue, Worker
-
-    # --quiet survives as shorthand for --log-level warning (per-job
-    # lines are INFO); an explicit --log-level wins.
-    level = args.log_level or ("warning" if args.quiet else "info")
-    _setup_logging(level)
-    worker_logger = logging.getLogger("repro.worker")
-    store = _store_from(args)
-    queue = (
-        JobQueue(args.queue_dir)
-        if args.queue_dir
-        else JobQueue.for_store(store)
-    )
-    worker = Worker(
-        store,
-        queue,
-        worker_id=args.worker_id,
-        poll_interval=args.poll_interval,
-        heartbeat_interval=args.heartbeat_interval,
-        idle_timeout=args.idle_timeout,
-        max_jobs=args.max_jobs,
-        die_after_claims=args.die_after_claims,
-        log=worker_logger.info,
-    )
-
-    def _worker_health() -> dict:
-        return {
-            "status": "ok",
-            "worker_id": worker.worker_id,
-            "jobs_done": worker.jobs_done,
-            "jobs_failed": worker.jobs_failed,
-            "current_job": worker.current_job,
-        }
-
-    server = None
-    if args.metrics_port is not None:
-        server = MetricsServer(
-            port=args.metrics_port, host=args.metrics_host,
-            health=_worker_health,
-        ).start()
-        worker_logger.info(
-            "worker %s metrics on http://%s:%d/metrics",
-            worker.worker_id, server.host, server.port,
-        )
-
-    # SIGTERM (the broker reaping auto-spawned daemons, systemd, ...)
-    # requests a graceful exit after the current job.  A TERM that lands
-    # *mid-job* is a kill worth a postmortem — dump the flight recorder;
-    # an idle TERM is just the broker tidying up, no black box needed.
-    def _on_sigterm(signum, frame):
-        if worker.current_job is not None:
-            flight_dump(
-                store.root, "sigterm-mid-job",
-                extra={"worker_id": worker.worker_id,
-                       "job": worker.current_job},
-            )
-        worker.stop()
-
-    signal.signal(signal.SIGTERM, _on_sigterm)
-    try:
-        with session(store.root, name=f"worker-{worker.worker_id}",
-                     meta={"worker_id": worker.worker_id}):
-            done = worker.run()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        done = worker.jobs_done
-    finally:
-        if server is not None:
-            server.stop()
-    worker_logger.info(
-        "worker %s exiting: %d completed, %d failed",
-        worker.worker_id, done, worker.jobs_failed,
-    )
-    return 0
-
-
 def _cmd_profile(args) -> int:
     from ..telemetry import load_run_profile, render_profile
 
@@ -651,118 +530,6 @@ def _cmd_profile(args) -> int:
         print(json.dumps(doc, indent=1, sort_keys=True))
         return 0
     print(render_profile(doc))
-    return 0
-
-
-def _cmd_top(args) -> int:
-    from ..telemetry import cluster_status_doc, render_cluster_status
-    from .backends import JobQueue
-
-    store = _store_from(args)
-    queue = (
-        JobQueue(args.queue_dir)
-        if args.queue_dir
-        else JobQueue.for_store(store)
-    )
-    if args.json:
-        if args.watch:
-            raise SystemExit("--json takes one snapshot; drop --watch")
-        print(json.dumps(
-            cluster_status_doc(
-                store, queue, lease_timeout=args.lease_timeout
-            ),
-            indent=1, sort_keys=True,
-        ))
-        return 0
-    if not args.watch:
-        print(render_cluster_status(
-            store, queue, lease_timeout=args.lease_timeout
-        ))
-        return 0
-    try:
-        while True:  # pragma: no branch - exits via KeyboardInterrupt
-            snapshot = render_cluster_status(
-                store, queue, lease_timeout=args.lease_timeout
-            )
-            # Clear screen + home, like top(1); plain rewrite keeps it
-            # usable under watch(1) or a dumb terminal too.
-            print(f"\x1b[2J\x1b[H{snapshot}", flush=True)
-            time.sleep(args.watch)
-    except KeyboardInterrupt:
-        return 0
-
-
-def _cmd_health(args) -> int:
-    from ..telemetry import evaluate_health
-    from .backends import JobQueue
-
-    store = _store_from(args)
-    queue = (
-        JobQueue(args.queue_dir)
-        if args.queue_dir
-        else JobQueue.for_store(store)
-    )
-    doc = evaluate_health(
-        store, queue,
-        lease_timeout=args.lease_timeout,
-        max_failures=args.max_failures,
-    )
-    healthy = doc["status"] == "ok"
-    if args.json:
-        print(json.dumps(doc, indent=1, sort_keys=True))
-        return 0 if healthy else 1
-    print(f"cluster health: {doc['status']}  (store {doc['store']})")
-    for check in doc["checks"]:
-        mark = "ok " if check["ok"] else "FAIL"
-        print(f"  [{mark}] {check['name']:<16} {check['detail']}")
-    return 0 if healthy else 1
-
-
-def _cmd_blackbox(args) -> int:
-    from ..telemetry import find_crash_dumps, load_crash_dump, render_blackbox
-
-    store = _store_from(args)
-    dumps = find_crash_dumps(store.root)
-    if args.clear:
-        for path in dumps:
-            path.unlink(missing_ok=True)
-        print(f"cleared {len(dumps)} crash dumps from {store.root}")
-        return 0
-    if not dumps:
-        print(
-            f"no crash dumps under {store.root}/telemetry/crash — "
-            "nothing has died unexpectedly",
-            file=sys.stderr,
-        )
-        return 1
-    if args.list:
-        for path in dumps:
-            doc = load_crash_dump(path)
-            print(
-                f"{path.name}  reason={doc.get('reason', '?')}  "
-                f"host={doc.get('host', '?')}  pid={doc.get('pid', '?')}  "
-                f"events={len(doc.get('events') or [])}"
-            )
-        return 0
-    if args.dump:
-        matches = [p for p in dumps if p.name.startswith(args.dump)]
-        if not matches:
-            print(f"no crash dump matching {args.dump!r}", file=sys.stderr)
-            return 1
-        selected = matches
-    else:
-        selected = [dumps[-1]]  # newest
-    first = True
-    for path in selected:
-        doc = load_crash_dump(path)
-        if args.json:
-            print(json.dumps(doc, indent=1, sort_keys=True))
-            continue
-        if not first:
-            print("\n" + "=" * 72 + "\n")
-        first = False
-        print(f"[{path.name}]")
-        print(render_blackbox(doc))
     return 0
 
 
@@ -841,6 +608,14 @@ def _cmd_cache(args) -> int:
                 f"{spec.label():<40} {doc['nbytes'] / 1024:>8.1f} "
                 f"{age_str:>8}"
             )
+    from ..telemetry import failure_records
+
+    for doc in failure_records(store.root, skip=store.has):
+        if args.kind in (None, doc.get("kind")):
+            print(
+                f"FAILED {doc.get('key', '?')[:12]} "
+                f"{doc.get('label', '?')}: {doc.get('error', '?')}"
+            )
     return 0
 
 
@@ -887,20 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
     def backend_opts(p):
         p.add_argument(
             "--backend", default=None,
-            help="execution backend: serial, process, cluster, or a "
-            "registered plugin (default: serial, or process when "
-            "--n-jobs > 1)",
-        )
-        p.add_argument(
-            "--workers", type=int, default=None,
-            help="cluster: auto-spawn this many local `repro worker` "
-            "daemons for the run (default: use externally started "
-            "workers)",
-        )
-        p.add_argument(
-            "--log-level", default=None, choices=_LOG_LEVELS,
-            help="broker logging threshold on stderr (timestamped via "
-            "the `repro` logger; default: warnings only)",
+            help="execution backend: serial, process, or a registered "
+            "plugin (default: serial, or process when --n-jobs > 1)",
         )
 
     run = sub.add_parser("run", help="run (or fetch) one job")
@@ -938,51 +701,10 @@ def build_parser() -> argparse.ArgumentParser:
                        "(jobs queued/leased/done)")
     sweep.add_argument("--metrics-port", type=int, default=None,
                        metavar="PORT",
-                       help="serve broker /metrics + /healthz on this "
-                       "port for the duration of the sweep (0: ephemeral)")
+                       help="serve /metrics, /metrics.json and /healthz "
+                       "on this port for the duration of the sweep "
+                       "(0: ephemeral)")
     sweep.set_defaults(func=_cmd_sweep)
-
-    worker = sub.add_parser(
-        "worker",
-        help="serve the shared job queue as a long-lived worker daemon",
-    )
-    worker.add_argument(
-        "--cache-dir", default=None,
-        help="store location (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    worker.add_argument(
-        "--queue-dir", default=None,
-        help="job queue location (default: <store>/queue)",
-    )
-    worker.add_argument("--worker-id", default=None,
-                        help="identity on leases (default: host-pid-nonce)")
-    worker.add_argument("--poll-interval", type=float, default=0.5,
-                        help="seconds between queue scans while idle")
-    worker.add_argument("--heartbeat-interval", type=float, default=5.0,
-                        help="seconds between lease heartbeats (keep well "
-                        "below the broker's lease timeout)")
-    worker.add_argument("--idle-timeout", type=float, default=None,
-                        help="exit after this many idle seconds "
-                        "(default: serve until stopped)")
-    worker.add_argument("--max-jobs", type=int, default=None,
-                        help="exit after completing this many jobs")
-    worker.add_argument("--die-after-claims", type=int, default=None,
-                        help="fault injection for tests: SIGKILL self after "
-                        "claiming the N-th job, before executing it")
-    worker.add_argument("--metrics-port", type=int, default=None,
-                        metavar="PORT",
-                        help="serve Prometheus /metrics, /metrics.json and "
-                        "/healthz on this port (0: ephemeral)")
-    worker.add_argument("--metrics-host", default="127.0.0.1",
-                        help="bind address for --metrics-port "
-                        "(default: 127.0.0.1; 0.0.0.0 for cluster scrapes)")
-    worker.add_argument("--quiet", action="store_true",
-                        help="shorthand for --log-level warning")
-    worker.add_argument("--log-level", default=None, choices=_LOG_LEVELS,
-                        help="stderr logging threshold (timestamped via "
-                        "the `repro` logger; default: info)")
-    telemetry_opt(worker)
-    worker.set_defaults(func=_cmd_worker)
 
     plan = sub.add_parser(
         "plan",
@@ -1019,63 +741,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="render the timing tree a telemetry-enabled run recorded",
+        help="render the timing tree a telemetry-enabled run recorded, "
+        "or the error of a failed run",
     )
     profile.add_argument("key", help="store key (or unique prefix)")
     profile.add_argument("--cache-dir", default=None)
     profile.add_argument("--json", action="store_true",
                          help="print the raw run-profile document")
     profile.set_defaults(func=_cmd_profile)
-
-    top = sub.add_parser(
-        "top", help="live worker/lease/queue status of a cluster sweep"
-    )
-    top.add_argument("--cache-dir", default=None)
-    top.add_argument("--queue-dir", default=None,
-                     help="job queue location (default: <store>/queue)")
-    top.add_argument("--watch", type=float, default=None, metavar="SECONDS",
-                     help="redraw every SECONDS until interrupted "
-                     "(default: one snapshot)")
-    top.add_argument("--lease-timeout", type=float, default=30.0,
-                     help="staleness threshold for workers/leases "
-                     "(default: 30s, the broker default)")
-    top.add_argument("--json", action="store_true",
-                     help="print one machine-readable snapshot "
-                     "(incompatible with --watch)")
-    top.set_defaults(func=_cmd_top)
-
-    health = sub.add_parser(
-        "health",
-        help="evaluate cluster health thresholds; exit nonzero when "
-        "unhealthy (CI/cron-friendly)",
-    )
-    health.add_argument("--cache-dir", default=None)
-    health.add_argument("--queue-dir", default=None,
-                        help="job queue location (default: <store>/queue)")
-    health.add_argument("--lease-timeout", type=float, default=30.0,
-                        help="heartbeat staleness threshold (default: 30s)")
-    health.add_argument("--max-failures", type=int, default=3,
-                        help="failure records at/above this count flag a "
-                        "retry spike (default: 3)")
-    health.add_argument("--json", action="store_true")
-    health.set_defaults(func=_cmd_health)
-
-    blackbox = sub.add_parser(
-        "blackbox",
-        help="render flight-recorder crash dumps a dying worker/broker "
-        "left under <store>/telemetry/crash",
-    )
-    blackbox.add_argument("dump", nargs="?", default=None,
-                          help="dump filename (or prefix); default: newest")
-    blackbox.add_argument("--cache-dir", default=None)
-    blackbox.add_argument("--list", action="store_true",
-                          help="one line per dump instead of a rendering")
-    blackbox.add_argument("--clear", action="store_true",
-                          help="delete all crash dumps (after triage, so "
-                          "`repro health` goes green again)")
-    blackbox.add_argument("--json", action="store_true",
-                          help="print the raw dump document(s)")
-    blackbox.set_defaults(func=_cmd_blackbox)
 
     desc = sub.add_parser(
         "describe", help="introspect the component registries"
@@ -1115,19 +788,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    # Exported (not just stashed on args) so process-pool shards and
-    # auto-spawned cluster workers inherit the telemetry mode.
+    # Exported (not just stashed on args) so process-pool shards
+    # inherit the telemetry mode.
     if getattr(args, "telemetry", None):
         os.environ[TELEMETRY_ENV] = args.telemetry
-    if getattr(args, "log_level", None):
-        _setup_logging(args.log_level)
     try:
         return args.func(args)
-    except ClusterJobError as exc:
-        # Jobs exhausted their retry cap: the per-job report is the
-        # outcome, not a traceback.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         # Spec/registry validation (bad seed, schedule params, ...) is a
         # usage error, not a crash.

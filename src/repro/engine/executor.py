@@ -10,14 +10,14 @@ hands the plan to an **execution backend**
 traces first, dependents fanned out in parallel once their inputs are
 published.
 
-``backend="serial"`` runs everything in-process, ``"process"`` shards
-each layer trace-aware across a local pool (specs sharing ``(app,
-scale, seed)`` stay together so each worker loads every trace at most
-once), and ``"cluster"`` brokers the layers through a shared-filesystem
-job queue drained by ``repro worker`` daemons.  Whoever computes,
-results travel only through the content-addressed store — the parent
-loads every artifact back from disk, so all backends return
-bit-identical results.
+``backend="serial"`` runs everything in-process, and ``"process"``
+shards each layer trace-aware across a local pool (specs sharing
+``(app, scale, seed)`` stay together so each worker loads every trace
+at most once).  Whoever computes, results travel only through the
+content-addressed store — the parent loads every artifact back from
+disk, so all backends return bit-identical results.  A run that
+raises, on any backend, leaves a failure record under
+``<store>/telemetry/runs/`` (see :func:`execute`).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 
 from ..simulator import TraceSimulator
 from ..telemetry import (
+    deactivate,
     metric_inc,
     metric_observe,
     run_scope,
@@ -157,12 +158,14 @@ def execute(spec: RunSpec, store: ResultStore | None = None) -> RunResult:
     repeated executions only pay for the simulator/model work.
 
     Every execution runs inside a telemetry
-    :func:`~repro.telemetry.run_scope`: with telemetry enabled this
-    opens the per-run ``run`` span, records the metrics-registry
-    counter deltas of the run, and publishes a run profile for
-    ``repro profile <key>`` under ``<store>/telemetry/`` — no matter
-    which backend (or host) performed the execution.  With telemetry
-    off the scope is a no-op.
+    :func:`~repro.telemetry.run_scope`, no matter which backend
+    performed it.  With telemetry enabled this opens the per-run ``run``
+    span, records the metrics-registry counter deltas of the run, and
+    publishes a run profile for ``repro profile <key>`` under
+    ``<store>/telemetry/``.  With telemetry on or off, a run that raises
+    publishes a failure record there (spec, error, traceback, counter
+    deltas), which ``repro cache ls`` flags and a later success of the
+    same key retires.
     """
     store = store or default_store()
     import time as _time
@@ -282,6 +285,10 @@ def shard_specs(specs: Sequence[RunSpec], n_shards: int) -> list[list[RunSpec]]:
 
 def _run_shard(root: str, spec_docs: list[dict], overwrite: bool) -> list[str]:
     """Worker entry point: compute one shard, publish into the store."""
+    # A forked worker inherits the parent's live session recorder, whose
+    # log only the parent flushes.  Drop it unflushed, so each run logs
+    # into this process's own exec log instead.
+    deactivate()
     store = ResultStore(root)
     keys: list[str] = []
     for doc in spec_docs:
@@ -301,7 +308,6 @@ def run_specs(
     force: bool = False,
     progress: Callable[[str], None] | None = None,
     backend: "str | object | None" = None,
-    workers: int | None = None,
     verbose: bool = False,
 ) -> list[RunResult]:
     """Run a batch of specs as a dependency graph over a backend.
@@ -327,15 +333,11 @@ def run_specs(
         Optional callback receiving one human-readable line per event.
     backend :
         Execution backend: a registered name (``"serial"``,
-        ``"process"``, ``"cluster"``, or a plugin's), an
+        ``"process"``, or a plugin's), an
         :class:`~repro.engine.backends.ExecutionBackend` instance, or
         ``None`` for the historical ``n_jobs`` behavior.  Every backend
         publishes to — and this function reads back from — the store,
         so results are bit-identical across backends.
-    workers :
-        ``cluster`` convenience: auto-spawn this many local ``repro
-        worker`` daemons for the duration of the run (``None``/0: rely
-        on externally started workers).
     verbose :
         Emit per-layer progress lines (jobs queued/leased/done) through
         ``progress`` in addition to the coarse events.
@@ -353,7 +355,7 @@ def run_specs(
     # front-end resolves them at call time.
     from .backends import resolve_backend
 
-    engine_backend = resolve_backend(backend, n_jobs=n_jobs, workers=workers)
+    engine_backend = resolve_backend(backend, n_jobs=n_jobs)
     # The sweep-wide telemetry session (a no-op when REPRO_TELEMETRY is
     # off, or transparent when an outer session is already live).
     with session(store.root, name="sweep",
@@ -391,8 +393,8 @@ def run_specs(
                     result = run_spec(node.spec, store)
                 by_key[node.key] = result
     # Leave a metrics file snapshot next to the run's other telemetry:
-    # the driving process (broker or serial sweep) is scrapeable from
-    # the store even after it exits.  Best-effort by design.
+    # the driving process is scrapeable from the store even after it
+    # exits.  Best-effort by design.
     try:
         write_metrics_files(store.root)
     except OSError:  # pragma: no cover - full disk / yanked store

@@ -74,8 +74,8 @@ _TOUCH_TIMES: dict[tuple[str, str], float] = {}
 # Per-process read cache, keyed (store root, content hash, artifact
 # kind).  Module-global on purpose: ``default_store()`` builds a fresh
 # ``ResultStore`` instance per call, so an instance-level cache would
-# never be hit.  Workers of the process/cluster backends each get their
-# own copy (the cache is inherited per-process, never shared).  Records
+# never be hit.  Workers of the process backend each get their own copy
+# (the cache is inherited per-process, never shared).  Records
 # carry the stat signature of the backing files; a hit is only served
 # while the signature still matches, so on-disk corruption, overwrite
 # and retirement are observed exactly as a cold read would see them.
@@ -180,7 +180,10 @@ class ResultStore:
             # moved-aside files alive via its open handles).
             retired = self._tmp / f"{key}.{os.getpid()}.old"
             shutil.rmtree(retired, ignore_errors=True)
-            os.replace(final, retired)
+            try:
+                os.replace(final, retired)
+            except FileNotFoundError:
+                pass  # a concurrent overwriter retired it first
             shutil.rmtree(retired, ignore_errors=True)
         try:
             os.replace(stage, final)
@@ -387,8 +390,9 @@ class ResultStore:
         """Load a stored trace artifact, or ``None`` on a miss.
 
         Like :meth:`get_result`, a truncated or partially-deleted trace
-        entry is retired with a warning and treated as a miss (the trace
-        cache then regenerates and republishes it).
+        entry — its ``trace.json.gz`` or its ``meta.json`` — is retired
+        with a warning and treated as a miss (the trace cache then
+        regenerates and republishes it).
         """
         key = (
             spec_or_key if isinstance(spec_or_key, str) else spec_or_key.key()
@@ -411,6 +415,11 @@ class ResultStore:
                     # meta.json survived but the artifact did not: without
                     # retiring the husk, put_trace would no-op forever.
                     self._corrupt_miss(key, "trace.json.gz missing")
+                return None
+            if self.load_meta(key) is None:
+                # Same husk problem: a trace without a readable meta.json
+                # would be served here and skipped by every listing.
+                self._corrupt_miss(key, "meta.json missing or unparsable")
                 return None
             try:
                 trace = Trace.load(path)

@@ -137,8 +137,7 @@ def meta_vs_static(
 
     The full grid is submitted to the engine in one batch: ``n_jobs``
     shards it across worker processes (or ``backend`` selects any
-    registered execution backend, e.g. ``"cluster"`` to drain the grid
-    through externally started ``repro worker`` daemons), and stored
+    registered execution backend by name or instance), and stored
     replays are reused.
     """
     if machines is None:

@@ -4,9 +4,10 @@ Zero-dependency observability for the whole stack — see
 :mod:`repro.telemetry.core` for the span recorder and event-log schema,
 :mod:`repro.telemetry.metrics` for the registry that holds every count,
 :mod:`repro.telemetry.sinks` for the JSONL / Chrome trace-event
-writers, and :mod:`repro.telemetry.profile` for run profiles and the
-``repro profile`` / ``repro report --timings`` / ``repro top``
-renderers.
+writers, :mod:`repro.telemetry.export` for the Prometheus / JSON / HTTP
+exporters, and :mod:`repro.telemetry.profile` for run profiles (the
+failure record of every run that raised included) and the
+``repro profile`` / ``repro report --timings`` renderers.
 
 The hard invariant, enforced by tests and CI: telemetry on or off,
 every ``RunSpec`` key, result series, and store artifact byte is
@@ -39,17 +40,6 @@ from .export import (
     render_prometheus,
     write_metrics_files,
 )
-from .flight import (
-    FlightRecorder,
-    crash_dir,
-    find_crash_dumps,
-    flight_dump,
-    flight_record,
-    flight_recorder,
-    load_crash_dump,
-    render_blackbox,
-    reset_flight,
-)
 from .metrics import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
@@ -62,12 +52,10 @@ from .metrics import (
 )
 from .profile import (
     aggregate_timings,
-    cluster_status_doc,
-    evaluate_health,
+    failure_records,
     find_run_profiles,
     load_run_profile,
     profile_tree,
-    render_cluster_status,
     render_profile,
     render_timings,
     run_profile_path,
@@ -78,7 +66,6 @@ from .sinks import chrome_trace, read_jsonl, write_chrome_trace
 
 __all__ = [
     "DEFAULT_BUCKETS",
-    "FlightRecorder",
     "MetricsRegistry",
     "MetricsServer",
     "TELEMETRY_ENV",
@@ -90,18 +77,11 @@ __all__ = [
     "aggregate_timings",
     "annotate",
     "chrome_trace",
-    "cluster_status_doc",
     "counter_deltas",
-    "crash_dir",
     "deactivate",
-    "evaluate_health",
-    "find_crash_dumps",
+    "failure_records",
     "find_run_profiles",
-    "flight_dump",
-    "flight_record",
-    "flight_recorder",
     "flush_active",
-    "load_crash_dump",
     "load_metrics_snapshots",
     "load_run_profile",
     "metric_gauge",
@@ -113,12 +93,9 @@ __all__ = [
     "profile_tree",
     "read_jsonl",
     "recording",
-    "render_blackbox",
-    "render_cluster_status",
     "render_profile",
     "render_prometheus",
     "render_timings",
-    "reset_flight",
     "reset_metrics",
     "run_profile_path",
     "run_scope",

@@ -232,7 +232,7 @@ class TelemetryRecorder:
         Returns the number of event lines written (0 when unbound).  The
         first flush prepends the session ``meta`` line.  Crash-safe in
         the sense that everything flushed so far survives the process:
-        workers flush after every job.
+        a pool worker's exec log is flushed after every run.
         """
         if self._jsonl_path is None:
             return 0
@@ -349,8 +349,8 @@ def session(store_root: str | os.PathLike | None = None,
             meta: dict | None = None):
     """Activate a recorder and persist its event log next to the store.
 
-    The outermost telemetry scope of a process: ``run_specs`` sweeps and
-    ``repro worker`` daemons open one around their whole lifetime.  When
+    The outermost telemetry scope of a process: ``run_specs`` sweeps
+    open one around their whole lifetime.  When
     the mode is ``off``, or a session is already active (nested sweeps
     share the outer log), this is a transparent no-op yielding the
     current recorder (possibly ``None``).

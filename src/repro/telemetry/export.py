@@ -7,13 +7,12 @@ Three transports over the same :meth:`MetricsRegistry.snapshot` doc:
   and CI to assert the output is valid by round-trip;
 * **HTTP** — :class:`MetricsServer`, a stdlib
   :class:`~http.server.ThreadingHTTPServer` on a daemon thread serving
-  ``/metrics`` (text), ``/metrics.json``, and ``/healthz`` (JSON;
-  status 503 when unhealthy).  Wired to ``repro worker --metrics-port``
-  and the sweep broker;
+  ``/metrics`` (text), ``/metrics.json``, and ``/healthz`` (a fixed
+  ``{"status": "ok"}``).  Wired to ``repro sweep --metrics-port``;
 * **file snapshots** — :func:`write_metrics_files` atomically publishes
   ``<store>/telemetry/metrics/<host>-<pid>.prom`` (+ ``.json``) so a
-  shared-filesystem cluster is scrapeable with Prometheus ``file_sd`` /
-  node-exporter textfile collection without any open ports.
+  finished sweep stays scrapeable with node-exporter textfile
+  collection without any open ports.
 
 All output lives under ``<store>/telemetry/``, which the
 content-addressed object store never scans — metrics on or off, every
@@ -28,7 +27,6 @@ import os
 import socket
 import threading
 from pathlib import Path
-from typing import Callable
 
 from .metrics import MetricsRegistry, _fmt_value, metrics_registry
 from .sinks import write_json_atomic, write_text_atomic
@@ -194,7 +192,6 @@ class _MetricsHandler(http.server.BaseHTTPRequestHandler):
     def do_GET(self):  # noqa: N802 - http.server API
         server = self.server  # a MetricsServer's inner ThreadingHTTPServer
         registry: MetricsRegistry = server.registry  # type: ignore[attr-defined]
-        health: Callable[[], dict] | None = server.health  # type: ignore
         path = self.path.split("?", 1)[0]
         if path == "/metrics":
             body = render_prometheus(registry.snapshot()).encode("utf-8")
@@ -203,15 +200,7 @@ class _MetricsHandler(http.server.BaseHTTPRequestHandler):
             body = json.dumps(registry.snapshot(), sort_keys=True).encode()
             self._reply(200, "application/json", body)
         elif path == "/healthz":
-            doc = {"status": "ok"}
-            if health is not None:
-                try:
-                    doc = health()
-                except Exception as exc:
-                    doc = {"status": "unhealthy", "error": str(exc)}
-            code = 200 if doc.get("status") == "ok" else 503
-            body = json.dumps(doc, sort_keys=True).encode()
-            self._reply(code, "application/json", body)
+            self._reply(200, "application/json", b'{"status": "ok"}')
         else:
             self._reply(404, "text/plain; charset=utf-8", b"not found\n")
 
@@ -229,11 +218,9 @@ class _MetricsHandler(http.server.BaseHTTPRequestHandler):
 class MetricsServer:
     """``/metrics`` + ``/metrics.json`` + ``/healthz`` on a daemon thread.
 
-    ``health`` is an optional zero-argument callable returning a JSON
-    doc with a ``status`` key; anything but ``"ok"`` serves 503 so a
-    load balancer or orchestrator can eject the process.  ``port=0``
-    binds an ephemeral port, published as ``.port`` after
-    :meth:`start`.
+    ``/healthz`` answers 200 ``{"status": "ok"}`` for as long as the
+    server runs.  ``port=0`` binds an ephemeral port, published as
+    ``.port`` after :meth:`start`.
     """
 
     def __init__(
@@ -241,12 +228,10 @@ class MetricsServer:
         port: int = 0,
         host: str = "127.0.0.1",
         registry: MetricsRegistry | None = None,
-        health: Callable[[], dict] | None = None,
     ):
         self.host = host
         self.port = port
         self.registry = registry if registry is not None else metrics_registry()
-        self.health = health
         self._server: http.server.ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
 
@@ -256,7 +241,6 @@ class MetricsServer:
         )
         server.daemon_threads = True
         server.registry = self.registry  # type: ignore[attr-defined]
-        server.health = self.health  # type: ignore[attr-defined]
         self._server = server
         self.port = server.server_address[1]
         self._thread = threading.Thread(
@@ -285,7 +269,7 @@ class MetricsServer:
 
 
 # ---------------------------------------------------------------------------
-# file snapshots: scrape a shared-fs cluster with zero open ports
+# file snapshots: scrape a finished sweep with zero open ports
 # ---------------------------------------------------------------------------
 
 def metrics_dir(store_root: str | os.PathLike) -> Path:

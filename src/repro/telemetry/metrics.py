@@ -5,9 +5,9 @@ unbounded at service timescales.  This module is the complementary
 *metrics plane* every long-lived service is actually run on — a
 process-local, thread-safe registry of *aggregates* that is always on:
 
-* **counters** — monotonic tallies (jobs completed, leases expired);
-* **gauges** — instantaneous levels (queue depth, worker uptime);
-* **histograms** — fixed-bucket log-scale distributions (job latency).
+* **counters** — monotonic tallies (runs completed, store publishes);
+* **gauges** — instantaneous levels (current plan layer, uptime);
+* **histograms** — fixed-bucket log-scale distributions (run latency).
 
 Cost model: one dict update under one lock per sample, no per-event
 allocation beyond the first observation of a series, and **no event
@@ -16,8 +16,8 @@ is what makes it safe to leave on unconditionally, unlike the span
 layer.
 
 The registry is the only place a count lives.  Instrumentation pushes
-into it at the seams (worker job outcomes, queue transitions, DAG layer
-progress, store reads); the pair kernels, which fire ~10^5 events per
+into it at the seams (run outcomes, DAG layer progress, store
+publishes and reads); the pair kernels, which fire ~10^5 events per
 sweep, charge their tallies through a pre-keyed
 :meth:`MetricsRegistry.counter_group`.  Scoping — "how much of this
 happened inside that run / that kernel phase" — is a delta of two
@@ -265,7 +265,7 @@ class MetricsRegistry:
         A collector receives the registry and sets gauges from state no
         counter holds (process vitals).  A raising collector is skipped
         (logged at debug), never fatal — the metrics plane must not take
-        the worker down with it.
+        the run down with it.
         """
         self._collectors[name] = fn
 

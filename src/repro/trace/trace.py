@@ -176,8 +176,8 @@ class Trace:
         Paths ending in ``.gz`` are gzip-compressed with a pinned header
         timestamp, so equal traces produce byte-identical files no
         matter when or where they were generated (the guarantee "a
-        cluster sweep's store is bit-identical to a serial one" rests on
-        this).
+        process-pool sweep's store is bit-identical to a serial one"
+        rests on this).
         """
         path = Path(path)
         payload = json.dumps(self.to_json(), separators=(",", ":"))

@@ -21,7 +21,6 @@ KNOBS = {
     "REPRO_PAIR_INDEX",
     "REPRO_PAIR_REUSE",
     "REPRO_TELEMETRY",
-    "REPRO_WORKER_FAIL_KEYS",
 }
 
 

@@ -1,13 +1,10 @@
-"""Tests for the always-on metrics plane and the crash flight recorder.
+"""Tests for the always-on metrics plane.
 
 Covers the registry contract (labels, histograms, collectors, thread
 safety under concurrent increments), the Prometheus text exposition
 (render -> parse round-trip, label escaping), the HTTP endpoints and
-atomic file snapshots, the flight recorder's bounded ring and crash
-dumps (including a real SIGKILLed worker via ``--die-after-claims``),
-the ``repro health`` threshold checks and exit codes, the clamped
-cluster-status ages, and the ``repro top --json`` / ``repro report
---timings`` surfaces.
+atomic file snapshots, and the ``repro report --timings`` counter
+block.
 """
 
 from __future__ import annotations
@@ -15,35 +12,24 @@ from __future__ import annotations
 import json
 import sys
 import threading
-import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.engine import JobQueue, ResultStore, cli, trace_spec
 from repro.telemetry import (
-    FlightRecorder,
     MetricsRegistry,
     MetricsServer,
-    cluster_status_doc,
     counter_deltas,
-    evaluate_health,
-    find_crash_dumps,
-    load_crash_dump,
     load_metrics_snapshots,
     metrics_registry,
     parse_prometheus,
-    render_blackbox,
-    render_cluster_status,
     render_prometheus,
     render_timings,
     write_metrics_files,
 )
 from repro.telemetry.metrics import BUILTIN_COUNTERS
 from repro.telemetry.profile import aggregate_timings
-
-from test_backends import _spawn_worker
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +226,7 @@ def _get(url: str):
 def test_metrics_server_endpoints():
     reg = MetricsRegistry()
     reg.inc("repro_http_total", 2)
-    health_doc = {"status": "ok", "worker_id": "w-test"}
-    with MetricsServer(registry=reg, health=lambda: health_doc) as server:
+    with MetricsServer(registry=reg) as server:
         base = f"http://127.0.0.1:{server.port}"
         status, text = _get(f"{base}/metrics")
         assert status == 200
@@ -254,21 +239,10 @@ def test_metrics_server_endpoints():
         assert status == 200
         assert json.loads(body)["schema"] == 1
         status, body = _get(f"{base}/healthz")
-        assert status == 200 and json.loads(body)["worker_id"] == "w-test"
+        assert status == 200 and json.loads(body) == {"status": "ok"}
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(f"{base}/nope")
         assert err.value.code == 404
-
-
-def test_metrics_server_unhealthy_is_503():
-    with MetricsServer(
-        registry=MetricsRegistry(),
-        health=lambda: {"status": "unhealthy", "reason": "stalled"},
-    ) as server:
-        with pytest.raises(urllib.error.HTTPError) as err:
-            _get(f"http://127.0.0.1:{server.port}/healthz")
-        assert err.value.code == 503
-        assert json.loads(err.value.read().decode())["reason"] == "stalled"
 
 
 def test_write_and_load_metrics_snapshots(tmp_path):
@@ -285,192 +259,6 @@ def test_write_and_load_metrics_snapshots(tmp_path):
     # Re-writing replaces (stable per-process names), never accumulates.
     write_metrics_files(tmp_path, registry=reg)
     assert len(load_metrics_snapshots(tmp_path)) == 1
-
-
-# ---------------------------------------------------------------------------
-# flight recorder
-# ---------------------------------------------------------------------------
-
-def test_flight_ring_is_bounded():
-    rec = FlightRecorder(capacity=4)
-    for i in range(10):
-        rec.record("job", "start", seq=i)
-    events = rec.events()
-    assert len(events) == 4
-    assert [e["seq"] for e in events] == [6, 7, 8, 9]
-
-
-def test_flight_capacity_zero_disables(monkeypatch):
-    rec = FlightRecorder(capacity=0)
-    rec.record("job", "start")
-    assert rec.events() == []
-
-
-def test_flight_dump_and_render(tmp_path):
-    rec = FlightRecorder(capacity=8)
-    rec.record("claim", "abcdef123456", worker="w-1")
-    rec.record("job", "start", key="abcdef123456")
-    path = rec.dump(
-        tmp_path, "unit-test", error="boom",
-        extra={"worker_id": "w-1", "job": "abcdef123456"},
-    )
-    assert path.parent == tmp_path / "telemetry" / "crash"
-    [found] = find_crash_dumps(tmp_path)
-    assert found == path
-    doc = load_crash_dump(path)
-    assert doc["reason"] == "unit-test" and doc["error"] == "boom"
-    assert len(doc["events"]) == 2
-    assert doc["metrics"]["schema"] == 1  # metrics ride along in the dump
-    text = render_blackbox(doc)
-    assert "unit-test" in text and "abcdef123456"[:12] in text
-    assert "w-1" in text
-
-
-def test_worker_die_after_claims_leaves_crash_dump(tmp_path):
-    """The acceptance path: a SIGKILLed worker leaves a renderable dump."""
-    store = ResultStore(tmp_path / "store")
-    queue = JobQueue.for_store(store)
-    spec = trace_spec("tp2d", "small")
-    queue.enqueue(spec)
-    proc = _spawn_worker(store.root, "--die-after-claims", "1")
-    try:
-        proc.wait(timeout=60)
-    finally:
-        if proc.poll() is None:  # pragma: no cover - hung worker
-            proc.kill()
-            proc.wait()
-    assert proc.returncode == -9  # SIGKILLed itself while holding the lease
-    dumps = find_crash_dumps(store.root)
-    assert dumps, "fault-injection SIGKILL must dump the flight recorder"
-    doc = load_crash_dump(dumps[-1])
-    assert doc["reason"] == "fault-injection-sigkill"
-    assert doc["job"] == spec.key()
-    kinds = {(e["kind"], e["name"]) for e in doc["events"]}
-    assert ("claim", spec.key()[:12]) in kinds
-    render_blackbox(doc)  # renders without raising
-    # The lease the dead worker held is still on disk: `repro health`
-    # must flag it (and the dump) and exit nonzero.
-    assert queue.leases(), "SIGKILL must leave the lease behind"
-    time.sleep(0.3)  # let the orphaned lease's heartbeat go stale
-    verdict = evaluate_health(store, queue, lease_timeout=0.1)
-    assert verdict["status"] == "unhealthy"
-    failed = {c["name"] for c in verdict["checks"] if not c["ok"]}
-    assert "crash_dumps" in failed
-    assert "stale_leases" in failed or "stale_workers" in failed
-    # blackbox CLI renders it; health CLI exits nonzero.
-    assert cli.main(["blackbox", "--cache-dir", str(store.root)]) == 0
-    assert cli.main(
-        ["health", "--cache-dir", str(store.root), "--lease-timeout", "0.1"]
-    ) == 1
-    # After triage, --clear makes health's crash check green again.
-    assert cli.main(
-        ["blackbox", "--cache-dir", str(store.root), "--clear"]
-    ) == 0
-    assert not find_crash_dumps(store.root)
-
-
-# ---------------------------------------------------------------------------
-# cluster status / health
-# ---------------------------------------------------------------------------
-
-class _FakeStore:
-    def __init__(self, root):
-        self.root = root
-
-
-def _queue_with_worker(tmp_path, heartbeat_at: float) -> JobQueue:
-    queue = JobQueue(tmp_path / "queue")
-    queue.register_worker("w-test", now=heartbeat_at)
-    return queue
-
-
-def test_cluster_status_clamps_negative_beat_age(tmp_path):
-    """Cross-host clock skew must render as 'just now', not negative."""
-    now = time.time()
-    queue = _queue_with_worker(tmp_path, heartbeat_at=now + 120.0)
-    store = _FakeStore(tmp_path)
-    doc = cluster_status_doc(store, queue, now=now)
-    [row] = doc["workers"]
-    assert row["beat_age_s"] == 0.0
-    rendered = render_cluster_status(store, queue, now=now)
-    assert "0.0s" in rendered and "-120.0s" not in rendered
-
-
-def test_cluster_status_clamps_negative_lease_ages(tmp_path):
-    now = time.time()
-    queue = JobQueue(tmp_path / "queue")
-    queue.claim("k" * 64, "w-skew", 0, now=now + 60.0)
-    doc = cluster_status_doc(_FakeStore(tmp_path), queue, now=now)
-    [lease] = doc["leases"]
-    assert lease["age_s"] == 0.0 and lease["beat_age_s"] == 0.0
-
-
-def test_evaluate_health_ok_on_quiet_cluster(tmp_path):
-    queue = _queue_with_worker(tmp_path, heartbeat_at=time.time())
-    verdict = evaluate_health(_FakeStore(tmp_path), queue)
-    assert verdict["status"] == "ok"
-    assert all(c["ok"] for c in verdict["checks"])
-
-
-def test_evaluate_health_flags_stale_worker_and_stall(tmp_path):
-    queue = _queue_with_worker(tmp_path, heartbeat_at=time.time() - 3600.0)
-    queue.enqueue(trace_spec("tp2d", "small"))
-    verdict = evaluate_health(_FakeStore(tmp_path), queue)
-    assert verdict["status"] == "unhealthy"
-    failed = {c["name"] for c in verdict["checks"] if not c["ok"]}
-    assert failed == {"stale_workers", "queue_stall"}
-
-
-def test_evaluate_health_flags_retry_spike(tmp_path):
-    queue = JobQueue(tmp_path / "queue")
-    queue.register_worker("w-live")
-    for attempt in range(3):
-        queue.fail("a" * 64, "w-live", attempt, "traceback")
-    verdict = evaluate_health(
-        _FakeStore(tmp_path), queue, max_failures=3
-    )
-    failed = {c["name"] for c in verdict["checks"] if not c["ok"]}
-    assert "retry_spikes" in failed
-    # A looser threshold passes.
-    assert evaluate_health(
-        _FakeStore(tmp_path), queue, max_failures=10
-    )["status"] == "ok"
-
-
-def test_top_json_snapshot(tmp_path, capsys):
-    queue = _queue_with_worker(tmp_path / "store", heartbeat_at=time.time())
-    queue.enqueue(trace_spec("tp2d", "small"))
-    assert cli.main([
-        "top", "--json", "--cache-dir", str(tmp_path / "store"),
-        "--queue-dir", str(queue.root),
-    ]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["tickets_open"] == 1
-    assert doc["workers"][0]["worker_id"] == "w-test"
-    assert doc["workers"][0]["state"] == "alive"
-    with pytest.raises(SystemExit):
-        cli.main([
-            "top", "--json", "--watch", "1",
-            "--cache-dir", str(tmp_path / "store"),
-        ])
-
-
-def test_worker_rates_join_status_by_host_pid(tmp_path):
-    reg = MetricsRegistry()
-    reg.started_at -= 30.0  # 30s of uptime
-    reg.inc("repro_worker_jobs_total", 10, outcome="completed")
-    write_metrics_files(tmp_path, registry=reg)
-    [snap] = load_metrics_snapshots(tmp_path)
-    queue = JobQueue(tmp_path / "queue")
-    queue.register_worker("w-rate")
-    # The registry entry carries this process's host/pid — the same
-    # identity the snapshot stamps, so the join lands.
-    doc = cluster_status_doc(_FakeStore(tmp_path), queue)
-    [row] = doc["workers"]
-    assert row["jobs_per_min"] == pytest.approx(
-        10.0 / (snap["written_at"] - snap["started_at"]) * 60.0
-    )
-    assert "j/min" in render_cluster_status(_FakeStore(tmp_path), queue)
 
 
 # ---------------------------------------------------------------------------

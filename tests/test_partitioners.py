@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from repro.engine import create, registry
 from repro.geometry import NO_OWNER, Box
 from repro.hierarchy import GridHierarchy, PatchLevel
 from repro.partition import (
@@ -17,6 +19,8 @@ from repro.partition import (
     column_workloads,
     proc_loads,
 )
+
+from tests.strategies import nested_hierarchies_2d
 
 ALL_PARTITIONERS = [
     DomainSfcPartitioner(),
@@ -82,6 +86,41 @@ def test_on_real_traces(small_traces, part):
             res = part.partition(snap.hierarchy, 4, previous=prev)
             res.validate(snap.hierarchy)
             prev = res
+
+
+#: Registered partitioners that decompose the base domain in atomic
+#: units of 2 cells, so an odd base side is a documented error.
+DOMAIN_SFC_FAMILY = ("domain-sfc-hilbert", "domain-sfc-morton", "sticky-sfc")
+
+
+class TestRandomHierarchies:
+    """Universal invariants of every registered partitioner on random
+    properly nested hierarchies."""
+
+    @pytest.mark.parametrize("nprocs", [1, 3, 8])
+    @pytest.mark.parametrize("name", tuple(registry("partitioner")))
+    @settings(max_examples=25, deadline=None)
+    @given(hierarchy=nested_hierarchies_2d())
+    def test_invariants(self, name, nprocs, hierarchy):
+        hierarchy.validate()
+        res = create("partitioner", name).partition(hierarchy, nprocs)
+        res.validate(hierarchy)
+        assert res.nprocs == nprocs
+        for owner_map in res.maps:
+            if owner_map.nboxes:
+                assert 0 <= owner_map.ranks.min()
+                assert owner_map.ranks.max() < nprocs
+        loads = proc_loads(res, hierarchy)
+        assert loads.sum() == pytest.approx(hierarchy.workload)
+        again = create("partitioner", name).partition(hierarchy, nprocs)
+        assert again.maps == res.maps
+
+    @pytest.mark.parametrize("name", DOMAIN_SFC_FAMILY)
+    @settings(max_examples=10, deadline=None)
+    @given(hierarchy=nested_hierarchies_2d(even=False))
+    def test_odd_base_shape_is_rejected(self, name, hierarchy):
+        with pytest.raises(ValueError, match="unit_size 2 does not divide base shape"):
+            create("partitioner", name).partition(hierarchy, 3)
 
 
 class TestPartitionResult:

@@ -285,7 +285,7 @@ class TestEngineSurface:
         import repro.engine as engine
         import repro.engine.components as components
 
-        assert ENGINE_API_VERSION == "4.0"
+        assert ENGINE_API_VERSION == "5.0"
         assert not [n for n in engine.__all__ if n.startswith("make_")]
         assert not [n for n in vars(components) if n.startswith("make_")]
 

@@ -1,4 +1,5 @@
-"""Telemetry: spans, sinks, run profiles, and the no-hash-impact invariant.
+"""Telemetry: spans, sinks, run profiles, failure records, and the
+no-hash-impact invariant.
 
 The load-bearing guarantees under test:
 
@@ -7,9 +8,12 @@ The load-bearing guarantees under test:
   the same sweep with telemetry off.
 * **Determinism** — an injectable fake clock makes two identical
   recordings byte-identical, line for line.
-* **Well-formed trees** — event logs written by a cluster sweep that
-  survived a SIGKILLed worker still parse, with every closed span
-  enclosed by its parent.
+* **Well-formed trees** — the event logs a process-pool sweep leaves
+  (the sweep's and each pool worker's) parse, with every closed span
+  enclosed by its parent and one ``run`` span per executed spec.
+* **One failure record** — a run that raises leaves its profile with
+  the error and traceback on every backend, telemetry on or off, and a
+  later success retires it.
 * **Chrome schema** — the trace-event projection is loadable JSON with
   the fields chrome://tracing requires.
 """
@@ -18,22 +22,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
-import threading
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.engine import (
-    ClusterBackend,
-    JobQueue,
     ResultStore,
-    Worker,
     cli,
+    executor,
     run_spec,
     run_specs,
     sim_spec,
@@ -50,8 +47,8 @@ from repro.telemetry import (
     profile_tree,
     read_jsonl,
     recording,
-    render_cluster_status,
     render_profile,
+    run_profile_path,
     session,
     span,
     telemetry_active,
@@ -311,56 +308,10 @@ class TestProfiles:
                          "--cache-dir", str(store.root)]) == 1
         assert "no run profiles" in capsys.readouterr().err
 
-    def test_failed_run_leaves_no_profile(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(TELEMETRY_ENV, "json")
-        store = ResultStore(tmp_path / "store")
-        spec = sim_spec("tp2d", "small", nprocs=NPROCS,
-                        partitioner="nature+fable")
-        from repro.engine.backends.worker import FAIL_KEYS_ENV
-
-        monkeypatch.setenv(FAIL_KEYS_ENV, spec.key())
-        worker = Worker(store)
-        queue = worker.queue
-        queue.enqueue(spec, max_attempts=1)
-        # Drive one claim/fail cycle by hand.
-        ticket = worker._claim_next()
-        assert ticket is not None
-        worker._process(ticket)
-        assert worker.jobs_failed == 1
-        assert find_run_profiles(store.root) == []
-
 
 # ---------------------------------------------------------------------------
-# cluster end-to-end: profiles, top, crash-surviving span trees
+# process-pool event logs
 # ---------------------------------------------------------------------------
-
-def _worker_env(extra: dict | None = None) -> dict:
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
-    env.update(extra or {})
-    return env
-
-
-def _spawn_worker(
-    store_root, *extra: str, env_extra: dict | None = None
-) -> subprocess.Popen:
-    command = [
-        sys.executable, "-m", "repro", "worker",
-        "--cache-dir", str(store_root),
-        "--poll-interval", "0.05",
-        "--heartbeat-interval", "0.2",
-        "--idle-timeout", "60",
-        "--quiet",
-    ]
-    return subprocess.Popen(
-        command + list(extra),
-        env=_worker_env(env_extra),
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-
 
 def _assert_well_formed(events: list[dict]) -> None:
     """Schema + tree invariants of one JSONL event log."""
@@ -383,100 +334,162 @@ def _assert_well_formed(events: list[dict]) -> None:
                         >= e["ts"] + e["dur"] - 1e-9)
 
 
-class TestClusterTelemetry:
-    def test_cluster_sweep_profiles_and_top(
-        self, tmp_path, monkeypatch, capsys
+class TestProcessEventLogs:
+    def test_pool_workers_log_one_run_span_per_spec(
+        self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv(TELEMETRY_ENV, "json")
-        specs = _sweep()
-        store = ResultStore(tmp_path / "clu")
-        queue = JobQueue.for_store(store)
-        worker = Worker(store, queue, poll_interval=0.02,
-                        heartbeat_interval=0.1)
-        thread = threading.Thread(target=worker.run, daemon=True)
-        thread.start()
-        backend = ClusterBackend(lease_timeout=10.0, poll_interval=0.05,
-                                 stall_timeout=60.0)
-        try:
-            results = run_specs(specs, store=store, backend=backend)
-        finally:
-            worker.stop()
-            thread.join(timeout=10.0)
-        assert [r.key for r in results] == [s.key() for s in specs]
-
-        # Every executed job left a run profile `repro profile` can render.
-        profiled = {p.stem for p in find_run_profiles(store.root)}
-        assert {s.key() for s in specs} <= profiled
-        assert cli.main(["profile", specs[0].key()[:12],
-                         "--cache-dir", str(store.root)]) == 0
-        assert "worker.job" not in capsys.readouterr().out  # run subtree only
-
-        # `repro top` renders the queue/worker state of the same store.
-        queue.register_worker("w-test")
-        try:
-            assert cli.main(["top", "--cache-dir", str(store.root)]) == 0
-            out = capsys.readouterr().out
-            assert "w-test" in out and "alive" in out
-            assert "0 open tickets" in out
-        finally:
-            queue.unregister_worker("w-test")
-
-    def test_span_trees_survive_worker_crash_and_requeue(self, tmp_path):
         specs = _sweep(apps=("tp2d", "bl2d"))
-        store = ResultStore(tmp_path / "clu")
-        queue = JobQueue.for_store(store)
-        telemetry = {"REPRO_TELEMETRY": "json"}
-        # A kamikaze worker SIGKILLs itself after its first claim while
-        # holding the lease; a healthy worker finishes the sweep.
-        kamikaze = _spawn_worker(store.root, "--die-after-claims", "1",
-                                 env_extra=telemetry)
-        healthy = _spawn_worker(store.root, env_extra=telemetry)
-        try:
-            deadline = time.time() + 60.0
-            while not queue.alive_workers(30.0):
-                assert time.time() < deadline, "workers never registered"
-                time.sleep(0.05)
-            backend = ClusterBackend(lease_timeout=1.5, poll_interval=0.1,
-                                     stall_timeout=180.0, max_attempts=3)
-            results = run_specs(specs, store=store, backend=backend)
-        finally:
-            kamikaze.wait(timeout=30.0)
-            healthy.terminate()
-            healthy.wait(timeout=30.0)
-        assert kamikaze.returncode == -9
-        assert [r.key for r in results] == [s.key() for s in specs]
+        store = ResultStore(tmp_path / "proc")
+        run_specs(specs, store=store, backend="process", n_jobs=2)
 
-        # Every event log the cluster left behind — including anything
-        # the crashed worker managed to flush — parses and nests.
-        logs = list((Path(store.root) / "telemetry").glob("*.jsonl"))
-        assert logs, "cluster sweep wrote no event logs"
-        all_spans: list[dict] = []
+        logs = sorted((Path(store.root) / "telemetry").glob("*.jsonl"))
+        assert any(log.name.startswith("exec-") for log in logs)
+        runs: list[str] = []
         for log in logs:
             events = read_jsonl(log)
             _assert_well_formed(events)
-            all_spans += [e for e in events if e.get("type") == "span"]
-        jobs = [e for e in all_spans if e["name"] == "worker.job"]
-        done = [e for e in jobs if e["attrs"].get("outcome") == "completed"]
-        # The healthy worker completed every job exactly once (the
-        # kamikaze died before executing its claim).
+            runs += [e["attrs"]["key"] for e in events
+                     if e.get("type") == "span" and e["name"] == "run"]
+        # Every executed spec, its trace inputs included, exactly once.
         expected = {s.key()[:12] for s in specs} | {
             dep.key()[:12] for s in specs for dep in s.inputs()
         }
-        assert len(done) == len(expected)
-        assert {e["attrs"]["key"] for e in done} == expected
+        assert sorted(runs) == sorted(expected)
 
-    def test_top_watch_snapshot_renderer(self, tmp_path):
-        # render_cluster_status is what --watch redraws; exercise the
-        # lease/waiting/failure sections without a live cluster.
+
+# ---------------------------------------------------------------------------
+# failure records
+# ---------------------------------------------------------------------------
+
+def _poisoned(partitioner: str = "nature+fable"):
+    """A spec whose partitioner rejects its parameters at execute time."""
+    return sim_spec("tp2d", "small", nprocs=NPROCS, partitioner=partitioner,
+                    params={"warp_factor": 9})
+
+
+def _assert_failure_record(store, spec) -> dict:
+    doc = load_run_profile(store.root, spec.key())
+    assert doc["schema"] == 2
+    assert doc["outcome"] == "failed"
+    assert doc["key"] == spec.key()
+    assert doc["spec"] == spec.to_json()
+    assert doc["error"].startswith("ValueError: unknown parameter")
+    assert "warp_factor" in doc["error"]
+    assert doc["traceback"].startswith("Traceback")
+    assert doc["wall_s"] >= 0.0
+    assert isinstance(doc["counters"], dict)
+    return doc
+
+
+def _fail_once(monkeypatch, exc: BaseException) -> None:
+    """Make the next execution raise ``exc``; later ones run normally."""
+    real = executor._execute_kind
+
+    def flaky(spec, store):
+        monkeypatch.setattr(executor, "_execute_kind", real)
+        raise exc
+
+    monkeypatch.setattr(executor, "_execute_kind", flaky)
+
+
+class TestFailureRecords:
+    @pytest.mark.parametrize("mode", ["off", "json"])
+    def test_serial_failure_leaves_a_record(self, tmp_path, monkeypatch, mode):
+        monkeypatch.setenv(TELEMETRY_ENV, mode)
         store = ResultStore(tmp_path / "store")
-        queue = JobQueue.for_store(store)
+        spec = _poisoned()
+        with pytest.raises(ValueError, match="warp_factor"):
+            run_specs([spec], store=store, backend="serial")
+        doc = _assert_failure_record(store, spec)
+        assert not store.has(spec.key())
+        names = [e["name"] for e in doc["spans"]]
+        if mode == "off":
+            assert names == []
+        else:
+            # The partial span tree: the run root closed with the error.
+            [root] = [e for e in doc["spans"] if e["name"] == "run"]
+            assert root["error"] is True
+
+    def test_process_pool_worker_writes_the_record(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        specs = [_poisoned("nature+fable"), _poisoned("patch-lpt")]
+        with pytest.raises(ValueError, match="warp_factor"):
+            run_specs(specs, store=store, backend="process", n_jobs=2)
+        for spec in specs:
+            _assert_failure_record(store, spec)
+
+    def test_cli_flags_and_renders_the_record(self, tmp_path, capsys):
+        store_dir = str(tmp_path / "store")
+        code = cli.main([
+            "run", "--app", "tp2d", "--scale", "small", "--nprocs",
+            str(NPROCS), "--param", "warp_factor=9", "--cache-dir", store_dir,
+        ])
+        assert code == 2
+        capsys.readouterr()
+        key = _poisoned().key()
+
+        assert cli.main(["cache", "ls", "--cache-dir", store_dir]) == 0
+        out = capsys.readouterr().out
+        failed = [line for line in out.splitlines()
+                  if line.startswith("FAILED")]
+        assert failed == [
+            f"FAILED {key[:12]} {_poisoned().label()}: "
+            f"{load_run_profile(store_dir, key)['error']}"
+        ]
+        assert cli.main(["cache", "ls", "--json",
+                         "--cache-dir", store_dir]) == 0
+        listed = json.loads(capsys.readouterr().out)
+        assert [doc["kind"] for doc in listed] == ["trace"]
+
+        assert cli.main(["profile", key[:12], "--cache-dir", store_dir]) == 0
+        out = capsys.readouterr().out
+        assert "FAILED: ValueError: unknown parameter" in out
+        traceback_tail = load_run_profile(store_dir, key)["traceback"]
+        assert all(
+            line in out for line in traceback_tail.rstrip().splitlines()[-3:]
+        )
+        assert out.index("FAILED") < out.index("span")
+
+    @pytest.mark.parametrize("mode", ["off", "json"])
+    def test_later_success_retires_the_record(
+        self, tmp_path, monkeypatch, mode
+    ):
+        monkeypatch.setenv(TELEMETRY_ENV, mode)
+        store = ResultStore(tmp_path / "store")
         spec = _sweep()[0]
-        queue.enqueue(spec, max_attempts=3)
-        queue.register_worker("w-1")
-        assert queue.claim(spec.key(), "w-1", attempt=0)
-        queue.fail(spec.key(), "w-1", 0, "trace")
-        out = render_cluster_status(store, queue, lease_timeout=30.0)
-        assert "1 open tickets" in out
-        assert "w-1" in out
-        assert spec.key()[:12] in out
-        assert "failures (1 records)" in out
+        _fail_once(monkeypatch, RuntimeError("disk on fire"))
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            run_spec(spec, store=store)
+        path = run_profile_path(store.root, spec.key())
+        failed = json.loads(path.read_text(encoding="utf-8"))
+        assert failed["error"] == "RuntimeError: disk on fire"
+
+        run_spec(spec, store=store)
+        assert store.has(spec.key())
+        if mode == "off":
+            assert not path.exists()
+        else:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            assert doc["outcome"] == "completed"
+            assert "error" not in doc and "traceback" not in doc
+
+    def test_keyboard_interrupt_writes_nothing(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "store")
+        _fail_once(monkeypatch, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            run_spec(_sweep()[0], store=store)
+        assert find_run_profiles(store.root) == []
+
+    def test_report_timings_counts_failed_runs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv(TELEMETRY_ENV, "json")
+        store = ResultStore(tmp_path / "store")
+        run_spec(_sweep()[0], store=store)
+        with pytest.raises(ValueError):
+            run_spec(_poisoned("patch-lpt"), store=store)
+        assert cli.main(["report", "--timings",
+                         "--cache-dir", str(store.root)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("2 profiled runs (1 failed)")
