@@ -65,6 +65,11 @@ _META = "meta.json"
 _SERIES = "series.npz"
 _TRACE = "trace.json.gz"
 
+#: Renames a publish tries before it reports an I/O error: each lost
+#: race (an overwriter retiring the entry that beat ours, a husk in the
+#: way) costs one.
+_PUBLISH_ATTEMPTS = 8
+
 #: Reads refresh an entry's mtime (the ``cache gc`` recency signal) at
 #: most this often per entry per process — warm sweeps were paying a
 #: stat+utime on *every* load of the same hot artifact.
@@ -168,6 +173,21 @@ class ResultStore:
         return (self.entry_dir(key) / _META).is_file()
 
     # -- publishing --------------------------------------------------------
+    def _retire(self, key: str, final: Path) -> None:
+        """Move ``final`` aside into ``tmp/`` and delete it there.
+
+        The move is atomic, so a reader sees the whole entry or none of
+        it (one mid-load keeps the moved-aside files alive via its open
+        handles); nothing is ever deleted in place.
+        """
+        retired = self._tmp / f"{key}.{os.getpid()}.old"
+        shutil.rmtree(retired, ignore_errors=True)
+        try:
+            os.replace(final, retired)
+        except FileNotFoundError:
+            return  # a concurrent writer retired it first
+        shutil.rmtree(retired, ignore_errors=True)
+
     def _publish(self, key: str, stage: Path, overwrite: bool = False) -> None:
         # The entry's bytes are about to change (or appear): any cached
         # read of it is stale by definition.
@@ -175,38 +195,28 @@ class ResultStore:
         final = self.entry_dir(key)
         final.parent.mkdir(parents=True, exist_ok=True)
         if overwrite and final.exists():
-            # Retire the old entry out of the way first so the rename
-            # below lands on a free path (a reader mid-load keeps the
-            # moved-aside files alive via its open handles).
-            retired = self._tmp / f"{key}.{os.getpid()}.old"
-            shutil.rmtree(retired, ignore_errors=True)
+            # Clear the path so the rename below lands on it.
+            self._retire(key, final)
+        for attempt in range(_PUBLISH_ATTEMPTS):
             try:
-                os.replace(final, retired)
-            except FileNotFoundError:
-                pass  # a concurrent overwriter retired it first
-            shutil.rmtree(retired, ignore_errors=True)
-        try:
-            os.replace(stage, final)
-        except OSError:
-            if (final / _META).is_file():
-                # A concurrent writer published the same key first; their
-                # artifact is byte-equivalent by construction.
-                shutil.rmtree(stage, ignore_errors=True)
+                os.replace(stage, final)
                 return
-            if final.exists():
-                # A meta-less husk (hard-killed writer, partial delete)
-                # blocks the rename; retire it and publish over it.
-                shutil.rmtree(final, ignore_errors=True)
-                try:
-                    os.replace(stage, final)
+            except OSError:
+                if (final / _META).is_file():
+                    # A concurrent writer published the same key first;
+                    # their artifact is byte-equivalent by construction.
+                    shutil.rmtree(stage, ignore_errors=True)
                     return
-                except OSError:
-                    if (final / _META).is_file():
-                        shutil.rmtree(stage, ignore_errors=True)
-                        return
-            # Not the lost-a-race case: surface real I/O failures
-            # (disk full, permissions, clobbered tmp dir).
-            raise
+                if final.exists():
+                    # A meta-less husk (hard-killed writer, partial
+                    # delete) blocks the rename: retire it and retry.
+                    self._retire(key, final)
+                # Otherwise the entry that won the race was retired by
+                # an overwriter before we looked: retry the rename.  A
+                # failure that outlasts the retries is a real I/O error
+                # (disk full, permissions, clobbered tmp dir).
+                if attempt == _PUBLISH_ATTEMPTS - 1:
+                    raise
 
     def _stage(self, key: str) -> Path:
         self._tmp.mkdir(parents=True, exist_ok=True)

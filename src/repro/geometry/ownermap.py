@@ -568,6 +568,40 @@ def overlay_corners(
     return np.concatenate(out_c), np.concatenate(out_r)
 
 
+def _merge_abutting(
+    corners: np.ndarray, ranks: np.ndarray, axis: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Join same-rank boxes that abut along ``axis`` over an equal
+    cross-section; ``None`` when no two rows join.
+
+    Rows are lexsorted by rank, by their extents on the other axes and
+    by ``lo`` along ``axis``, so every joinable chain is a run of
+    consecutive rows where one box's ``hi`` equals the next box's ``lo``.
+    Each run becomes one row: its first box stretched to its last box's
+    ``hi``.  Disjoint rows make the runs maximal along ``axis``.
+    """
+    n = corners.shape[0]
+    ndim = corners.shape[1] // 2
+    others = [e for e in range(ndim) if e != axis] + [
+        ndim + e for e in range(ndim) if e != axis
+    ]
+    # np.lexsort sorts by its last key first.
+    keys = [corners[:, axis]] + [corners[:, k] for k in reversed(others)]
+    order = np.lexsort(keys + [ranks])
+    c = corners[order]
+    r = ranks[order]
+    joins = (r[1:] == r[:-1]) & (c[1:, axis] == c[:-1, ndim + axis])
+    for k in others:
+        joins &= c[1:, k] == c[:-1, k]
+    if not joins.any():
+        return None
+    starts = np.flatnonzero(np.concatenate(([True], ~joins)))
+    last = np.append(starts[1:], n) - 1
+    out = c[starts]
+    out[:, ndim + axis] = c[last, ndim + axis]
+    return out, r[starts]
+
+
 def prefix_corners(shape: Sequence[int], count: int) -> np.ndarray:
     """The first ``count`` cells of a row-major grid as <= ndim boxes.
 
@@ -780,26 +814,6 @@ class OwnerMap:
             self._pair_index = PairIndex(self.shape, self.corners)
         return self._pair_index
 
-    def seed_pair_index_from(self, prev: "OwnerMap") -> None:
-        """Carry ``prev``'s index to this map via a delta update.
-
-        The simulator calls this on consecutive steps' maps: with the
-        paper's incremental regrids most boxes survive, so the new index
-        is a cheap renumber-and-merge instead of a full rebuild.  A
-        no-op when either side has nothing to offer (no cached index,
-        shape mismatch, reuse off).
-        """
-        if (
-            self._pair_index is not None
-            or self.nboxes < 2
-            or self.shape != prev.shape
-            or pair_reuse_mode() != "auto"
-            or pair_index_mode() == "bruteforce"
-            or prev._pair_index is None
-        ):
-            return
-        self._pair_index = prev._pair_index.updated_to(self.corners)
-
     def validate_disjoint(self) -> None:
         """Raise ``ValueError`` if any two owned boxes overlap."""
         if self.nboxes < 2:
@@ -812,6 +826,31 @@ class OwnerMap:
             )
 
     # -- transforms --------------------------------------------------------
+    def coalesced(self) -> "OwnerMap":
+        """The same map in fewer boxes: same-rank neighbours merged.
+
+        Merges boxes that abut along one axis over an equal
+        cross-section, one axis at a time, until every axis is settled
+        (a pass along it merges nothing).  The result is ``==`` to this
+        map; ``self`` comes back when nothing merged.  Every pair
+        kernel's cost grows with the box count, and partitioners emit
+        far more boxes than their regions need.
+        """
+        corners, ranks = self.corners, self.ranks
+        settled: set[int] = set()
+        axis = 0
+        while len(settled) < self.ndim and corners.shape[0] > 1:
+            joined = _merge_abutting(corners, ranks, axis)
+            if joined is None:
+                settled.add(axis)
+            else:
+                corners, ranks = joined
+                settled = {axis}
+            axis = (axis + 1) % self.ndim
+        if corners is self.corners:
+            return self
+        return OwnerMap(self.shape, corners, ranks)
+
     def refine(self, ratio: int) -> "OwnerMap":
         """Map to the index space refined by ``ratio``."""
         if ratio < 1:

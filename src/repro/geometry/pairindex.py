@@ -42,22 +42,18 @@ surviving vs. the brute-force product) to the metrics registry's
 ``repro_pair_*_total`` counters, which the benchmark tables, run
 profiles and ``/metrics`` all read.
 
-**Persistent indexes** (:class:`PairIndex`) exploit the temporal
-coherence the paper's whole premise rests on: consecutive regrid steps
-share most of their boxes, so the bucket structure of one step's
-distribution is almost the next step's too.  A :class:`PairIndex` is
-built *once* per corner array (grid buckets over the level's fixed
-domain, or a sorted sweep when those buckets would explode),
-answers every kernel query against that array within a simulator step,
-and is *delta-updated* to the next step's array from the box
-add/remove diff — falling back to a full rebuild when churn exceeds
-:data:`_DELTA_CHURN_FRACTION` of the boxes.  Candidates from a
-persistent index are a superset of the two-sided candidates and are
-canonicalised through the same :func:`_canonical` packing, so every
-downstream kernel stays **bit-identical** on every path.  The reuse
-layer is switched by ``REPRO_PAIR_REUSE`` (``auto`` | ``off``; default
-``auto``) or :func:`pair_reuse_forced`; ``off`` restores the exact
-per-query index builds of the PR-6 path.
+**Persistent indexes** (:class:`PairIndex`) serve every kernel query
+against one corner array from a single build.  A :class:`PairIndex` is
+built *once* per owner map (grid buckets over the level's fixed domain,
+or a sorted sweep when those buckets would explode) and answers every
+kernel query against that map within a simulator step; the next step's
+maps build their own.  Candidates from a persistent index are a superset
+of the two-sided candidates and are canonicalised through the same
+:func:`_canonical` packing, so every downstream kernel stays
+**bit-identical** on every path.  The reuse layer is switched by
+``REPRO_PAIR_REUSE`` (``auto`` | ``off``; default ``auto``) or
+:func:`pair_reuse_forced`; ``off`` builds a throwaway index per query,
+the reference the reuse layer is diffed against.
 """
 
 from __future__ import annotations
@@ -100,11 +96,6 @@ _GRID_INCIDENCE_FACTOR = 32
 #: Row budget of the sweep's chunked prefix enumeration (mirrors
 #: ``ownermap._PAIR_CHUNK_CELLS``).
 _SWEEP_CHUNK_PAIRS = 16_000_000
-
-#: A delta update is abandoned for a full rebuild when
-#: ``removed + added`` exceeds this fraction of the new box count —
-#: past that point re-bucketing everything is cheaper than merging.
-_DELTA_CHURN_FRACTION = 0.5
 
 #: In-process override installed by :func:`pair_index_forced`.
 _FORCED_MODE: str | None = None
@@ -484,28 +475,13 @@ def _sweep_join(
 # persistent indexes
 # ---------------------------------------------------------------------------
 
-def _row_keys(corners: np.ndarray) -> np.ndarray:
-    """One opaque sortable key per corner row (for the add/remove diff).
-
-    Box rows within an owner map are unique (patches are disjoint), so
-    the raw row bytes identify a box across steps.
-    """
-    c = np.ascontiguousarray(corners, dtype=np.int64)
-    if c.shape[0] == 0:
-        return np.empty(0, dtype=np.dtype((np.void, 8)))
-    return c.view(np.dtype((np.void, c.dtype.itemsize * c.shape[1]))).ravel()
-
-
 class PairIndex:
     """A persistent one-sided candidate index over one corner array.
 
     Built once per box distribution (grid buckets anchored to the
     level's fixed ``shape`` domain, or the sorted-sweep fallback when
     bucket incidences explode), then probed by every kernel query that
-    touches the array within a step, and carried to the *next* step via
-    :meth:`updated_to` — a delta update from the box add/remove diff
-    that reuses the surviving incidences instead of re-bucketing
-    everything.
+    touches the array within a step.
 
     A probe returns a candidate **superset** in raw order; callers run
     it through :func:`_canonical`, so results are bit-identical to the
@@ -521,7 +497,6 @@ class PairIndex:
         "_cell",
         "_dims",
         "_strides",
-        "_keys",
         "_rows",
         "_ukeys",
         "_ustart",
@@ -537,7 +512,7 @@ class PairIndex:
         self._ext = corners
         self._n = int(corners.shape[0])
         self._cell = self._dims = self._strides = None
-        self._keys = self._rows = None
+        self._rows = None
         self._ukeys = self._ustart = self._ucount = None
         self._axis = None
         self._order = self._lo_s = self._hi_s = None
@@ -574,14 +549,17 @@ class PairIndex:
         cell = np.maximum(1, np.median(hi - lo, axis=0).astype(np.int64))
         shape_arr = np.asarray(self.shape, dtype=np.int64)
         while True:
-            # Anchored to the level's fixed domain (base 0) so any
-            # future in-domain box fits the same grid — delta updates
-            # never force a rebuild for bounds reasons.
+            # Anchored to the level's fixed domain (base 0), so a query
+            # from any map over the same domain lands on the same grid.
             dims = shape_arr // cell + 1
             if int(np.prod([int(d) for d in dims])) < 2**62:
                 break
             cell = cell * 2
-        lo_cell, spans = self._incidence_cells(lo, hi, cell, dims)
+        # Closed incidence (``hi // cell``) covers a superset of both the
+        # open and closed query semantics, so one stored index serves
+        # intersection *and* face-contact probes.
+        lo_cell = np.clip(lo // cell, 0, dims - 1)
+        spans = np.clip(hi // cell, 0, dims - 1) - lo_cell + 1
         if int(np.prod(spans, axis=1, dtype=np.int64).sum()) > (
             _GRID_INCIDENCE_FACTOR * self._n + 1024
         ):
@@ -590,30 +568,12 @@ class PairIndex:
         for d in range(ndim - 2, -1, -1):
             strides[d] = strides[d + 1] * dims[d + 1]
         keys, rows = _cell_keys(lo_cell, spans, strides)
+        order = np.argsort(keys, kind="stable")
         self._kind = "grid"
         self._cell, self._dims, self._strides = cell, dims, strides
-        self._set_incidences(keys, rows.astype(np.int64))
-        return True
-
-    @staticmethod
-    def _incidence_cells(
-        lo: np.ndarray, hi: np.ndarray, cell: np.ndarray, dims: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Clipped (lo_cell, spans) of the *closed* cell ranges.
-
-        Closed incidence (``hi // cell``) covers a superset of both the
-        open and closed query semantics, so one stored index serves
-        intersection *and* face-contact probes.
-        """
-        lo_cell = np.clip(lo // cell, 0, dims - 1)
-        hi_cell = np.clip(hi // cell, 0, dims - 1)
-        return lo_cell, hi_cell - lo_cell + 1
-
-    def _set_incidences(self, keys: np.ndarray, rows: np.ndarray) -> None:
-        order = np.argsort(keys, kind="stable")
-        self._keys = keys[order]
         self._rows = rows[order]
-        self._ukeys, self._ustart, self._ucount = _sorted_groups(self._keys)
+        self._ukeys, self._ustart, self._ucount = _sorted_groups(keys[order])
+        return True
 
     def _build_sweep(self) -> None:
         corners = self._ext
@@ -624,16 +584,10 @@ class PairIndex:
         med = np.maximum(1, np.median(hi - lo, axis=0))
         self._kind = "sweep"
         self._axis = int(np.argmax(spread / med))
-        self._resort_sweep()
-
-    def _resort_sweep(self) -> None:
-        ndim = self._ext.shape[1] // 2
-        lo = self._ext[:, self._axis]
-        hi = self._ext[:, ndim + self._axis]
-        order = np.argsort(lo, kind="stable")
+        order = np.argsort(lo[:, self._axis], kind="stable")
         self._order = order.astype(np.int64)
-        self._lo_s = lo[order]
-        self._hi_s = hi[order]
+        self._lo_s = lo[order, self._axis]
+        self._hi_s = hi[order, self._axis]
 
     # -- probing ----------------------------------------------------------
 
@@ -707,73 +661,6 @@ class PairIndex:
         a_hi = q[:, ndim + self._axis]
         return _sweep_join(a_lo, a_hi, self._lo_s, self._hi_s, self._order, closed)
 
-    # -- delta updates ----------------------------------------------------
-
-    def updated_to(self, new_corners: np.ndarray) -> "PairIndex":
-        """A fresh :class:`PairIndex` over ``new_corners``, reusing work.
-
-        Diffs the two box sets by row identity; when churn stays under
-        :data:`_DELTA_CHURN_FRACTION`, surviving grid incidences are
-        renumbered and merged with the added boxes' incidences (grid
-        kind) or the sweep order is simply re-sorted (sweep kind) — far
-        cheaper than re-bucketing.  Above the threshold, builds from
-        scratch.  ``self`` is left untouched and stays valid.
-        """
-        n_new = int(new_corners.shape[0])
-        if self._kind == "empty" or n_new == 0:
-            return PairIndex(self.shape, new_corners)
-        common, old_idx, new_idx = np.intersect1d(
-            _row_keys(self._ext), _row_keys(new_corners), return_indices=True
-        )
-        removed = self._n - common.size
-        added = n_new - common.size
-        if removed + added > _DELTA_CHURN_FRACTION * max(1, n_new):
-            return PairIndex(self.shape, new_corners)
-        new = object.__new__(PairIndex)
-        new.shape = self.shape
-        new._ext = new_corners
-        new._n = n_new
-        new._kind = self._kind
-        new._cell = new._dims = new._strides = None
-        new._keys = new._rows = None
-        new._ukeys = new._ustart = new._ucount = None
-        new._axis = None
-        new._order = new._lo_s = new._hi_s = None
-        if self._kind == "sweep":
-            new._kind = "sweep"
-            new._axis = self._axis
-            new._resort_sweep()
-            _record(delta_updates=1)
-            return new
-        # Grid kind: renumber surviving incidences, bucket only the
-        # added boxes on the same domain-anchored grid.
-        remap = np.full(self._n, -1, dtype=np.int64)
-        remap[old_idx] = new_idx
-        mapped = remap[self._rows]
-        keep = mapped >= 0
-        kept_keys = self._keys[keep]
-        kept_rows = mapped[keep]
-        added_rows = np.setdiff1d(
-            np.arange(n_new, dtype=np.int64), new_idx, assume_unique=True
-        )
-        ndim = self._dims.size
-        lo = new_corners[added_rows, :ndim]
-        hi = new_corners[added_rows, ndim:]
-        lo_cell, spans = self._incidence_cells(lo, hi, self._cell, self._dims)
-        add_keys, add_local = _cell_keys(lo_cell, spans, self._strides)
-        total = kept_keys.size + add_keys.size
-        if total > _GRID_INCIDENCE_FACTOR * n_new + 1024:
-            # Added boxes degenerate enough to blow the incidence budget
-            # — rebuild from scratch (which may pick the sweep kind).
-            return PairIndex(self.shape, new_corners)
-        new._cell, new._dims, new._strides = self._cell, self._dims, self._strides
-        new._set_incidences(
-            np.concatenate((kept_keys, add_keys)),
-            np.concatenate((kept_rows, added_rows[add_local])),
-        )
-        _record(delta_updates=1)
-        return new
-
 
 # ---------------------------------------------------------------------------
 # registry exposure: `repro describe --kind pair-index`
@@ -815,8 +702,7 @@ def _register_reuse_modes() -> None:
     docs = {
         "auto": (
             "persistent per-level PairIndex shared by all kernel queries in "
-            "a step and delta-updated between steps (the default; falls back "
-            f"to a full rebuild above {_DELTA_CHURN_FRACTION:.0%} box churn)"
+            "a step (the default)"
         ),
         "off": (
             "rebuild indexes per query — the exact PR-6 hot path, kept as "

@@ -8,6 +8,14 @@ communication, migration) is vectorized box calculus over those corner
 arrays, so simulator cost scales with patch counts rather than with the
 volume of the finest index space.
 
+Every partitioner's output passes through :class:`PartitionResult`,
+which coalesces each map (:meth:`OwnerMap.coalesced
+<repro.geometry.OwnerMap.coalesced>`): same-rank boxes that abut over an
+equal cross-section merge into one.  Partitioners cut their regions into
+many more boxes than the regions need (unit-cell runs, overlay
+fragments), and every metric kernel's cost grows with the box count;
+the merged maps own exactly the same cells.
+
 Dense per-level owner rasters — the original representation — remain
 available through :meth:`PartitionResult.rasters`; they serve the tests'
 dense oracle and visualization, never the hot path.
@@ -41,7 +49,7 @@ class PartitionResult:
     maps :
         One :class:`~repro.geometry.OwnerMap` per level; its shape equals
         the level's index space and its boxes cover exactly the refined
-        cells, with ranks in ``[0, nprocs)``.
+        cells, with ranks in ``[0, nprocs)``.  Stored coalesced.
     nprocs :
         Number of processors.
     partition_seconds :
@@ -82,7 +90,7 @@ class PartitionResult:
                     raise TypeError(
                         f"maps must contain OwnerMap instances, got {type(m)!r}"
                     )
-        self.maps = maps
+        self.maps = tuple(m.coalesced() for m in maps)
         self.nprocs = int(nprocs)
         self.partition_seconds = float(partition_seconds)
         self._rasters = rasters

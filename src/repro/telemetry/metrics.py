@@ -88,7 +88,6 @@ PAIR_COUNTER_FIELDS = (
     "exact_pairs",
     "index_builds",
     "index_reuses",
-    "delta_updates",
 )
 
 #: Store read-cache tallies, exported as

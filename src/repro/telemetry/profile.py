@@ -317,13 +317,10 @@ def _counters_summary(counters: dict) -> list[str]:
         )
     builds = count("repro_pair_index_builds_total")
     reuses = count("repro_pair_index_reuses_total")
-    deltas = count("repro_pair_delta_updates_total")
-    if builds or reuses or deltas:
-        served = builds + reuses
-        reuse_frac = reuses / served if served else 0.0
+    if builds or reuses:
         lines.append(
-            f"  index reuse: {builds} builds, {deltas} delta updates, "
-            f"{reuses} reuses ({reuse_frac:.0%} of queries served warm)"
+            f"  index reuse: {builds} builds, {reuses} reuses "
+            f"({reuses / (builds + reuses):.0%} of queries served warm)"
         )
     hits = count("repro_store_read_cache_hits_total")
     misses = count("repro_store_read_cache_misses_total")

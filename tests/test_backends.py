@@ -9,9 +9,13 @@ key leave one sound entry.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import multiprocessing
+import os
+import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,6 +270,44 @@ class TestStoreHardening:
                 assert store.get_trace(key) is None
                 paper_trace("tp2d", "small", store=store)
         assert _store_file_hashes(store) == before
+        assert store.verify() == []
+
+    @pytest.mark.parametrize("rival_retired", [False, True])
+    def test_publish_that_loses_a_race_leaves_one_sound_entry(
+        self, tmp_path, monkeypatch, rival_retired
+    ):
+        """Our rename loses to a rival's publish; an overwriter may then
+        retire the rival's entry before we look.  Either way the publish
+        ends with one sound entry instead of raising."""
+        reference, key = self._stored_sim(tmp_path)
+        store = ResultStore(tmp_path / "racer")
+        final = store.entry_dir(key)
+        rival = tmp_path / "rival-stage"
+        shutil.copytree(reference.entry_dir(key), rival)
+        real_replace = os.replace
+        raced = []
+
+        def racing_replace(src, dst):
+            if Path(dst) == final and not raced:
+                raced.append(src)
+                real_replace(rival, final)
+                if rival_retired:
+                    real_replace(final, tmp_path / "retired")
+                raise OSError(errno.ENOTEMPTY, "Directory not empty", str(dst))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr("repro.engine.store.os.replace", racing_replace)
+        store.put_result(reference.get_result(key), overwrite=True)
+        monkeypatch.undo()
+        assert raced
+        assert [k for k, _ in store.iter_results()] == [key]
+        expected = {
+            entry: digest
+            for entry, digest in _store_file_hashes(reference).items()
+            if entry[0] == key
+        }
+        assert _store_file_hashes(store) == expected
+        assert list((store.root / "tmp").iterdir()) == []
         assert store.verify() == []
 
     @pytest.mark.parametrize("overwrite", [False, True])

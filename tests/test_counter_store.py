@@ -34,12 +34,11 @@ from repro.telemetry.metrics import BUILTIN_COUNTERS
 GOLDEN = {
     "repro_pair_queries_total": 156,
     "repro_pair_grid_queries_total": 120,
-    "repro_pair_pair_product_total": 45443,
-    "repro_pair_candidate_pairs_total": 8732,
-    "repro_pair_exact_pairs_total": 1912,
-    "repro_pair_index_builds_total": 24,
+    "repro_pair_pair_product_total": 6572,
+    "repro_pair_candidate_pairs_total": 3801,
+    "repro_pair_exact_pairs_total": 1172,
+    "repro_pair_index_builds_total": 36,
     "repro_pair_index_reuses_total": 120,
-    "repro_pair_delta_updates_total": 12,
 }
 
 
@@ -113,8 +112,8 @@ def test_golden_sweep_counters_agree_across_surfaces(tmp_path, monkeypatch):
     timings = aggregate_timings(store.root)
     assert timings["counters"] == GOLDEN
     text = render_timings(timings)
-    assert "pair kernels: 156 queries, 45,443 brute-force pair product" in text
-    assert "index reuse: 24 builds, 12 delta updates, 120 reuses" in text
+    assert "pair kernels: 156 queries, 6,572 brute-force pair product" in text
+    assert "index reuse: 36 builds, 120 reuses" in text
 
     exposition = parse_prometheus(render_prometheus(metrics_registry().snapshot()))
     scraped = {

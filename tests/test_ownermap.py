@@ -7,12 +7,15 @@ inputs (random owner rasters, random disjoint box assignments, and
 random properly-nested hierarchies built from the shared ``boxes_nd``
 strategies) and assert exact agreement, plus the representation laws
 the refactor ships under: ``from_raster(rasterize(m)) == m`` and
-semantic (decomposition-independent) equality.  Whole simulator steps
+semantic (decomposition-independent) equality.  Coalesced maps are
+checked against the unmerged maps they came from.  Whole simulator steps
 of every registered partitioner are replayed under every pair-index
 mode against the ``bruteforce`` oracle and the dense one.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -139,6 +142,132 @@ class TestRoundTrip:
             [(Box((0, 0), (2, 4)), 2)], Box((0, 0), (4, 4))
         )
         assert a != c
+
+
+@st.composite
+def cut_owner_maps(draw, ndim: int, side: int = 12):
+    """``(whole, cut)``: a random owner map and the same map with its
+    boxes cut at random points and its rows shuffled."""
+    boxes = draw(disjoint_boxlists(max_boxes=6, max_coord=side, ndim=ndim))
+    ranks = draw(st.lists(st.integers(0, 2), min_size=len(boxes),
+                          max_size=len(boxes)))
+    domain = Box((0,) * ndim, (side,) * ndim)
+    whole = OwnerMap.from_assignments(zip(boxes, ranks), domain)
+    pieces: list[tuple[Box, int]] = []
+    for box, rank in whole.boxes():
+        parts = [box]
+        for _ in range(draw(st.integers(0, 4))):
+            axis = draw(st.integers(0, ndim - 1))
+            at = draw(st.integers(0, side))
+            parts = [
+                half
+                for p in parts
+                for half in (
+                    p.split(axis, at) if p.lo[axis] < at < p.hi[axis] else (p,)
+                )
+            ]
+        pieces.extend((p, rank) for p in parts)
+    pieces = draw(st.permutations(pieces))
+    return whole, OwnerMap.from_assignments(pieces, domain)
+
+
+def joinable_rows(m: OwnerMap) -> list[tuple[int, int, int]]:
+    """Brute force: ``(i, j, axis)`` of same-rank rows where box ``i``
+    ends where box ``j`` starts along ``axis`` over an equal
+    cross-section."""
+    nd = m.ndim
+    lo, hi = m.corners[:, :nd], m.corners[:, nd:]
+    out = []
+    for i in range(m.nboxes):
+        for j in range(m.nboxes):
+            if i == j or m.ranks[i] != m.ranks[j]:
+                continue
+            for d in range(nd):
+                same_section = all(
+                    lo[i, e] == lo[j, e] and hi[i, e] == hi[j, e]
+                    for e in range(nd)
+                    if e != d
+                )
+                if hi[i, d] == lo[j, d] and same_section:
+                    out.append((i, j, d))
+    return out
+
+
+def unit_cells(cells, ranks, shape) -> OwnerMap:
+    """An owner map of one unit box per cell."""
+    ndim = len(shape)
+    corners = np.asarray([tuple(c) + tuple(x + 1 for x in c) for c in cells])
+    return OwnerMap(shape, corners.reshape(-1, 2 * ndim), ranks)
+
+
+class TestCoalesced:
+    """The merged map is the unmerged map in fewer boxes."""
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_merged_equals_unmerged(self, ndim, data):
+        whole, cut = data.draw(cut_owner_maps(ndim))
+        merged = cut.coalesced()
+        assert merged == cut and merged == whole
+        np.testing.assert_array_equal(merged.rasterize(), cut.rasterize())
+        merged.validate_disjoint()
+        assert merged.nboxes <= cut.nboxes
+        if merged.nboxes == cut.nboxes:
+            assert merged is cut
+        assert merged.coalesced() is merged
+        assert joinable_rows(merged) == []
+        assert ghost_exchange_cells(merged) == ghost_exchange_cells(cut)
+        assert ghost_message_pairs(merged) == ghost_message_pairs(cut)
+
+    def test_two_halves_of_unit_cells_give_two_boxes(self):
+        cells = [(x, y) for x in range(4) for y in range(4)]
+        ranks = [0 if y < 2 else 1 for _, y in cells]
+        m = unit_cells(cells, ranks, (4, 4))
+        merged = m.coalesced()
+        assert merged.nboxes == 2
+        rows = sorted(
+            (int(r), tuple(c))
+            for c, r in zip(merged.corners.tolist(), merged.ranks)
+        )
+        assert rows == [(0, (0, 0, 4, 2)), (1, (0, 2, 4, 4))]
+        assert merged == m
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_l_shape_gives_two_boxes(self, depth):
+        """An L of one rank, in 2-D or extruded ``depth`` cells into 3-D."""
+        cells = [(x, 0) for x in range(4)] + [(3, y) for y in range(1, 4)]
+        shape = (4, 4)
+        if depth:
+            cells = [c + (z,) for c in cells for z in range(depth)]
+            shape += (depth,)
+        m = unit_cells(cells, [5] * len(cells), shape)
+        merged = m.coalesced()
+        assert merged.nboxes == 2
+        assert merged == m and merged.ncells == len(cells)
+
+    def test_empty_and_single_box_maps_come_back_unchanged(self):
+        empty = OwnerMap.empty((4, 4))
+        single = unit_cells([(1, 2)], [0], (4, 4))
+        assert empty.coalesced() is empty
+        assert single.coalesced() is single
+
+    def test_ranks_never_merge_across(self):
+        cells = [(x, y) for x in range(4) for y in range(4)]
+        m = unit_cells(cells, [(x + y) % 2 for x, y in cells], (4, 4))
+        assert m.coalesced() is m
+
+    @pytest.mark.parametrize("source", ["maps", "owners"])
+    def test_partition_results_hold_merged_maps(self, source):
+        raster = np.full((6, 6), NO_OWNER, dtype=np.int32)
+        raster[:4, :3] = 1
+        raster[:4, 3:] = 2
+        owned = raster >= 0
+        units = unit_cells(np.argwhere(owned), raster[owned], (6, 6))
+        inputs = {"maps": (units,), "owners": (raster,)}[source]
+        (held,) = PartitionResult(**{source: inputs}, nprocs=3).maps
+        assert held.nboxes == 2 and held == units
+        assert held.coalesced() is held
 
 
 @pytest.mark.parametrize("ndim,side", [(2, 8), (3, 5)])
@@ -422,9 +551,9 @@ class TestHierarchyMetricsAgree:
 
         Each step's :class:`StepMetrics` must be identical under the
         default pair-index mode, the forced ``grid`` and ``sweep``
-        indexes (probing the delta-updated per-map indexes the replay
-        seeds step to step) and the ``bruteforce`` oracle; its cell
-        counts must equal the dense oracle's on ``result.rasters()``.
+        indexes (probing each map's persistent index) and the
+        ``bruteforce`` oracle; its cell counts must equal the dense
+        oracle's on ``result.rasters()``.
         """
         side = data.draw(st.sampled_from([4, 8]))
         hierarchies = [
@@ -436,9 +565,6 @@ class TestHierarchyMetricsAgree:
         for step, hierarchy in enumerate(hierarchies):
             result = part.partition(hierarchy, 3, previous)
             result.validate(hierarchy)
-            if previous is not None:
-                for prev_map, cur_map in zip(previous.maps, result.maps):
-                    cur_map.seed_pair_index_from(prev_map)
             args = (hierarchy, result, previous, prev_h, step)
             got = sim.measure_step(*args)
             with pair_index_forced("bruteforce"):
@@ -450,6 +576,35 @@ class TestHierarchyMetricsAgree:
                 got.comm_cells, got.interlevel_cells, got.migration_cells
             ) == dense.step_cells(hierarchy, result, previous)
             previous, prev_h = result, hierarchy
+
+    @pytest.mark.parametrize("name", registry("partitioner").names())
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_replay_matches_unmerged_maps(self, name, ndim, data):
+        """Coalescing changes no step metric: replaying the same
+        regrids on the partitioners' unmerged maps (``previous`` too)
+        gives identical :class:`StepMetrics`."""
+        side = data.draw(st.sampled_from([4, 8]))
+        hierarchies = [
+            data.draw(nested_hierarchies(ndim, side)) for _ in range(3)
+        ]
+
+        def replay() -> list:
+            part = create("partitioner", name)
+            sim = TraceSimulator()
+            steps, previous, prev_h = [], None, None
+            for step, hierarchy in enumerate(hierarchies):
+                result = part.partition(hierarchy, 3, previous)
+                steps.append(
+                    sim.measure_step(hierarchy, result, previous, prev_h, step)
+                )
+                previous, prev_h = result, hierarchy
+            return steps
+
+        merged = replay()
+        with mock.patch.object(OwnerMap, "coalesced", lambda self: self):
+            unmerged = replay()
+        assert merged == unmerged
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())

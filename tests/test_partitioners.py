@@ -107,6 +107,7 @@ class TestRandomHierarchies:
         res.validate(hierarchy)
         assert res.nprocs == nprocs
         for owner_map in res.maps:
+            assert owner_map.coalesced() is owner_map  # merged to a fixed point
             if owner_map.nboxes:
                 assert 0 <= owner_map.ranks.min()
                 assert owner_map.ranks.max() < nprocs
