@@ -8,7 +8,8 @@ Hashes every artifact file of every entry (sha256, keyed by entry key
 and file name) and exits 1 unless each STORE holds exactly the
 reference's entries with identical bytes.  The store hashes are the
 behaviour contract: a sweep must publish the same bytes under every
-pair-index mode, reuse mode, telemetry mode and backend.
+telemetry mode and backend, and before and after a change that claims
+to leave outputs alone.
 """
 
 from __future__ import annotations

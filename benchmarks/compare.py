@@ -10,7 +10,7 @@ benchmark case with the wall-clock and peak-memory delta versus the
 baseline record.  Two gates apply:
 
 * **counters: exact.**  The deterministic ``counters`` of a record
-  (candidate pairs, index builds, queries, ...) must equal its
+  (candidate pairs, grid queries, queries, ...) must equal its
   baseline's; any difference exits 1.
 * **wall clock: soft.**  Regressions beyond the tolerance are flagged
   with ``!!`` and counted, but the exit status stays 0 unless

@@ -1,32 +1,46 @@
-"""Quadratic vs grid-bucket-indexed cost of the pair-kernel metric set.
+"""Quadratic vs grid-bucket cost of the pair-kernel metric set.
 
 Times — and measures the peak allocation of — one full per-step metric
 evaluation (ghost exchange, message pairs, inter-level transfer,
-migration) under both candidate-generation paths:
+migration) on each candidate path, selected through the brute-force
+cutoff seam (the ``grid`` row of ``tests/test_oracles.py``):
 
-* **indexed**: grid-bucket pair pruning (``REPRO_PAIR_INDEX=grid``, the
-  production path) — candidates near-linear in the box count;
-* **bruteforce**: the historical O(boxes^2) broadcast sweeps, kept as
-  the cross-check path.
+* **indexed**: grid-bucket pair pruning for every multi-row query —
+  candidates near-linear in the box count;
+* **bruteforce**: the O(boxes^2) broadcast for every query, the grid's
+  oracle.
 
 Three workloads are exercised: the paper's 2-D scale, the 3-D ``deep``
 scale (512^3 finest index space) and the 3-D ``ultra`` scale (64^3
-base, 5 levels — a 1024^3 finest index space) that the index unlocks;
-at ``REPRO_BENCH_SCALE=small`` all three shrink to the CI-sized
-variant.  At ``ultra`` the brute-force path is *not run* — its
-candidate product (printed from the kernel counters) is the
-infeasibility record.  The printed table, including candidate vs exact
-vs brute-force pair counts, is this change's reproduction record.
+base, 5 levels — a 1024^3 finest index space); at
+``REPRO_BENCH_SCALE=small`` all three shrink to the CI-sized variant.
+The 3-D workloads run on the partitioners' *uncoalesced* maps: those
+are the operands the partitioner-internal pair queries still see, while
+the coalesced maps the simulator measures hold ~15x fewer boxes.  At
+``ultra`` the brute-force path is *not run* — its candidate product
+(printed from the kernel counters) is the infeasibility record.  The
+printed table, including candidate vs exact vs brute-force pair counts,
+is the reproduction record.
+
+:func:`test_replay_grid_matches_bruteforce` replays whole partitioner
+runs on both paths and asserts identical step metrics; at ``paper``
+scale it covers the real queries whose mixed box scales make the grid
+coarsen its cell.
 """
 
 from __future__ import annotations
 
 import time
 import tracemalloc
+from unittest import mock
 
+import pytest
+
+from repro.engine.components import create
 from repro.experiments import paper_trace
-from repro.geometry import pair_index_forced, pair_reuse_forced
+from repro.geometry import OwnerMap
 from repro.simulator import (
+    TraceSimulator,
     ghost_exchange_cells,
     ghost_message_pairs,
     interlevel_transfer_cells,
@@ -36,6 +50,18 @@ from repro.telemetry import counter_deltas
 
 from conftest import BENCH_NPROCS, bench_scale, pair_counters, record_bench
 from test_bench_owner_sparse import _distributions
+from tests.test_oracles import ORACLES
+
+#: Every multi-row pair query on the grid (``fast``) or every query on
+#: brute force (``reference``).
+GRID = ORACLES["grid"]
+
+
+def _uncoalesced_distributions(app: str, scale: str):
+    """:func:`_distributions` on the maps the partitioners built, before
+    :class:`PartitionResult` coalesces them."""
+    with mock.patch.object(OwnerMap, "coalesced", lambda self: self):
+        return _distributions(app, scale)
 
 
 def _metric_set(hierarchy, prev, cur) -> tuple:
@@ -54,11 +80,11 @@ def _metric_set(hierarchy, prev, cur) -> tuple:
     return ghost, pairs, inter, migration_cells(prev, cur)
 
 
-def _measure(mode: str, hierarchy, prev, cur):
-    """(result, seconds, peak bytes, counter deltas) under one mode."""
+def _measure(path, hierarchy, prev, cur):
+    """(result, seconds, peak bytes, counter deltas) on one path."""
     tracemalloc.start()
     t0 = time.perf_counter()
-    with pair_index_forced(mode), counter_deltas() as moved:
+    with path(), counter_deltas() as moved:
         result = _metric_set(hierarchy, prev, cur)
     seconds = time.perf_counter() - t0
     _, peak = tracemalloc.get_traced_memory()
@@ -66,10 +92,10 @@ def _measure(mode: str, hierarchy, prev, cur):
     return result, seconds, peak, pair_counters(moved)
 
 
-def _compare(app: str, scale: str, run_brute: bool = True) -> dict:
-    hierarchy, prev, cur = _distributions(app, scale)
+def _compare(app: str, scale: str, distributions, run_brute: bool = True) -> dict:
+    hierarchy, prev, cur = distributions
     indexed_out, indexed_s, indexed_peak, counters = _measure(
-        "grid", hierarchy, prev, cur
+        GRID.fast, hierarchy, prev, cur
     )
     row = {
         "workload": f"{app}:{scale}",
@@ -102,7 +128,7 @@ def _compare(app: str, scale: str, run_brute: bool = True) -> dict:
         )
         return row
     brute_out, brute_s, brute_peak, _ = _measure(
-        "bruteforce", hierarchy, prev, cur
+        GRID.reference, hierarchy, prev, cur
     )
     assert indexed_out == brute_out, "indexed/bruteforce metric mismatch"
     row["brute_s"] = brute_s
@@ -122,68 +148,18 @@ def _compare(app: str, scale: str, run_brute: bool = True) -> dict:
     return row
 
 
-def _measure_reuse(mode: str, app: str, scale: str):
-    """One cold metric-set evaluation under a pair-reuse mode.
-
-    Distributions are rebuilt per call so each mode starts from maps
-    with no cached persistent index — reuse-on timings include the
-    cold index builds they amortise.
-    """
-    hierarchy, prev, cur = _distributions(app, scale)
-    tracemalloc.start()
-    t0 = time.perf_counter()
-    with (
-        pair_index_forced("grid"),
-        pair_reuse_forced(mode),
-        counter_deltas() as moved,
-    ):
-        result = _metric_set(hierarchy, prev, cur)
-    seconds = time.perf_counter() - t0
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return result, seconds, peak, pair_counters(moved)
-
-
-def _compare_reuse(app: str, scale: str) -> dict:
-    """Reuse-on vs reuse-off (the per-query PR-6 path) on one workload."""
-    on_out, on_s, on_peak, on_counters = _measure_reuse("auto", app, scale)
-    off_out, off_s, off_peak, off_counters = _measure_reuse("off", app, scale)
-    assert on_out == off_out, "reuse layer changed a metric"
-    assert on_counters["index_reuses"] > 0, "persistent indexes never probed"
-    assert off_counters["index_reuses"] == 0, "reuse=off still reused"
-    row = {
-        "workload": f"{app}:{scale}",
-        "reuse_on_s": on_s,
-        "reuse_off_s": off_s,
-        "index_builds": on_counters["index_builds"],
-        "index_reuses": on_counters["index_reuses"],
-        "speedup": off_s / max(on_s, 1e-9),
-    }
-    print(
-        f"\n  {row['workload']:<12} reuse on {on_s * 1e3:8.1f} ms "
-        f"({row['index_builds']} builds amortised over "
-        f"{row['index_reuses']} probes) | "
-        f"off {off_s * 1e3:8.1f} ms | speedup x{row['speedup']:.2f}"
-    )
-    record_bench(
-        "pair_kernels", f"reuse-on:{row['workload']}", on_s,
-        peak_mb=on_peak / 1e6, counters=on_counters,
-    )
-    record_bench(
-        "pair_kernels", f"reuse-off:{row['workload']}", off_s,
-        peak_mb=off_peak / 1e6, counters=off_counters,
-        speedup=row["speedup"],
-    )
-    return row
-
-
 def test_pair_kernels_2d(benchmark):
-    """2-D paper scale: the index must agree and not slow things down."""
+    """2-D paper scale: the grid must agree with brute force.
+
+    Most 2-D queries are small enough for the brute-force branch, which
+    is why the production path sends them there: forcing the grid on
+    all of them measures its setup cost, not a win.
+    """
     scale = bench_scale()
-    row = _compare("tp2d", scale)
-    hierarchy, prev, cur = _distributions("tp2d", scale)
-    with pair_index_forced("grid"):
-        benchmark(_metric_set, hierarchy, prev, cur)
+    distributions = _distributions("tp2d", scale)
+    row = _compare("tp2d", scale, distributions)
+    with GRID.fast():
+        benchmark(_metric_set, *distributions)
     # Identical results asserted inside _compare; the 2-D workloads are
     # small enough that either path is fast — no ordering assertion.
     assert row["candidate_pairs"] <= row["pair_product"]
@@ -193,14 +169,15 @@ def test_pair_kernels_3d_deep(benchmark):
     """3-D deep: the indexed metric set must be >= 3x faster.
 
     At ``REPRO_BENCH_SCALE=paper`` this runs the true ``deep`` scale
-    (512^3 finest index space); the CI-sized ``small`` fallback only
-    asserts agreement (tiny inputs can't show the asymptotic win).
+    (512^3 finest index space) on ~24k uncoalesced boxes; the CI-sized
+    ``small`` fallback only asserts agreement (tiny inputs can't show
+    the asymptotic win).
     """
     scale = "deep" if bench_scale() == "paper" else "small"
-    row = _compare("tp3d", scale)
-    hierarchy, prev, cur = _distributions("tp3d", scale)
-    with pair_index_forced("grid"):
-        benchmark(_metric_set, hierarchy, prev, cur)
+    distributions = _uncoalesced_distributions("tp3d", scale)
+    row = _compare("tp3d", scale, distributions)
+    with GRID.fast():
+        benchmark(_metric_set, *distributions)
     if scale == "deep":
         assert row["brute_s"] >= 3.0 * row["indexed_s"], (
             f"expected >= 3x speedup at deep scale, got "
@@ -208,54 +185,51 @@ def test_pair_kernels_3d_deep(benchmark):
         )
 
 
-def test_pair_kernels_reuse_deep(benchmark):
-    """3-D deep: the persistent-index metric set must be >= 1.5x faster.
-
-    Reuse-off is the PR-6 per-query baseline (every kernel call builds
-    its own throwaway bucket structure); reuse-on answers all of a
-    step's queries from one persistent index per owner map.  At
-    ``REPRO_BENCH_SCALE=paper`` this runs the true ``deep`` scale; the
-    CI-sized ``small`` fallback only asserts agreement.
-    """
-    scale = "deep" if bench_scale() == "paper" else "small"
-    row = _compare_reuse("tp3d", scale)
-    hierarchy, prev, cur = _distributions("tp3d", scale)
-    with pair_index_forced("grid"), pair_reuse_forced("auto"):
-        benchmark(_metric_set, hierarchy, prev, cur)
-    if scale == "deep":
-        assert row["reuse_off_s"] >= 1.5 * row["reuse_on_s"], (
-            f"expected >= 1.5x end-to-end reuse speedup at deep scale, "
-            f"got x{row['speedup']:.2f}"
-        )
-
-
 def test_pair_kernels_3d_ultra(benchmark):
     """3-D ultra (1024^3 finest space): indexed only — brute infeasible.
 
+    Runs on the partitioners' uncoalesced maps (~60k boxes at ``ultra``).
     The brute-force candidate product is printed from the kernel
     counters as the infeasibility record; the quadratic path is not
     executed at this scale.
     """
     scale = "ultra" if bench_scale() == "paper" else "small"
-    row = _compare("tp3d", scale, run_brute=(scale == "small"))
-    hierarchy, prev, cur = _distributions("tp3d", scale)
-    with pair_index_forced("grid"):
-        benchmark(_metric_set, hierarchy, prev, cur)
+    distributions = _uncoalesced_distributions("tp3d", scale)
+    row = _compare("tp3d", scale, distributions, run_brute=(scale == "small"))
+    with GRID.fast():
+        benchmark(_metric_set, *distributions)
     if scale == "ultra":
         # The pruning gap is the record: candidates must be orders of
         # magnitude below the quadratic product.
         assert row["candidate_pairs"] * 100 <= row["pair_product"]
 
 
+@pytest.mark.parametrize("partitioner", ["nature+fable", "sticky-sfc"])
+@pytest.mark.parametrize("app", ["bl2d", "bl3d"])
+def test_replay_grid_matches_bruteforce(app, partitioner):
+    """Whole replays give identical step metrics on both paths.
+
+    Partitioning and measuring with every multi-row pair query on the
+    grid, and with every query on brute force, must produce equal
+    :class:`StepMetrics` at every regrid step.
+    """
+    trace = paper_trace(app, bench_scale())
+    steps = []
+    for path in (GRID.fast, GRID.reference):
+        with path():
+            steps.append(TraceSimulator().run(
+                trace, create("partitioner", partitioner), BENCH_NPROCS
+            ).steps)
+    assert len(steps[0]) == len(trace)
+    assert steps[0] == steps[1]
+
+
 def test_full_replay_indexed_ultra(benchmark):
     """Full indexed replay of one ultra-scale partitioner run."""
-    from repro.engine.components import create
-    from repro.simulator import TraceSimulator
-
     scale = "ultra" if bench_scale() == "paper" else "small"
     trace = paper_trace("tp3d", scale)
     sim = TraceSimulator()
-    with pair_index_forced("grid"):
+    with GRID.fast():
         result = benchmark.pedantic(
             sim.run,
             args=(trace, create("partitioner", "nature+fable"), BENCH_NPROCS),

@@ -85,7 +85,7 @@ from .store import (
 #: ``warehouse-format``).
 #: 1.4: the store read plane — memory-mapped series loads, the
 #: per-process read cache (``read_cache_stats``/``clear_read_cache``)
-#: — and the pair-kernel reuse layer (``REPRO_PAIR_REUSE``).
+#: — and the pair-kernel reuse layer (removed in 6.0).
 #: 2.0: the deprecated PR-2 ``make_*`` construction shims are gone
 #: (use ``create`` / ``resolve_machine``); ``read_cache_stats`` is a view of
 #: the metrics registry that ``clear_read_cache`` no longer zeroes; an
@@ -118,7 +118,18 @@ from .store import (
 #: ``--log-level``; the ``workers=`` parameter of ``run_specs`` and
 #: ``resolve_backend``; ``MetricsServer(health=)``; and the
 #: ``REPRO_WORKER_FAIL_KEYS`` knob.
-ENGINE_API_VERSION = "5.0"
+#: 6.0: one pair-candidate path — brute force for small pair products,
+#: the grid above them — with nothing left to switch.  Removed: the
+#: persistent pair index (its class and ``OwnerMap.pair_index``), the
+#: sweep candidate mode, the per-box subtraction fallback, both pair
+#: environment knobs with their mode getters, forcing context managers
+#: and ``PAIR_INDEX_MODES``/``PAIR_REUSE_MODES``, the ``pair-index`` and
+#: ``pair-reuse`` registry kinds (``registry("pair-index")`` raises),
+#: the ``a_index``/``b_index``/``index``/``top_index`` kernel
+#: parameters, the combined overlap-and-matched volume kernel, and the
+#: ``sweep_queries``/``index_builds``/``index_reuses`` pair counters.
+#: The README's migration note names each removed function.
+ENGINE_API_VERSION = "6.0"
 
 __all__ = [
     # versions

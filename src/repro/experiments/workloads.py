@@ -12,11 +12,12 @@ All experiments run off the same deterministic traces (seeded kernels, see
   factor-2 refinement (a 512^3 finest index space, ~134M fine cells).
   A single dense owner raster of the finest level alone would be half a
   gigabyte; the sparse simulator replays it in ordinary memory;
-* ``"ultra"`` — the pair-index stress workload: 64^3 base, 5 levels (a
-  1024^3 finest index space, ~1.07B fine cells).  Only tractable on the
-  indexed pair kernels — the quadratic candidate products of its
-  fragmented distributions are out of reach for the brute-force
-  broadcast under CI memory/time limits;
+* ``"ultra"`` — the pair-kernel stress workload: 64^3 base, 5 levels (a
+  1024^3 finest index space, ~1.07B fine cells).  The partitioners'
+  own queries see uncoalesced distributions of ~60k boxes, whose
+  quadratic pair products (billions of pairs) are out of reach for the
+  brute-force broadcast under CI memory/time limits; the grid-bucket
+  candidates keep them near-linear;
 * ``"small"`` — a fast variant for unit tests and CI benchmarks.
 
 Traces are cached twice: in memory per process, and on disk in the
@@ -139,12 +140,12 @@ def _deep_scale(ndim: int = 3) -> TraceGenConfig:
 @register(
     "scale",
     "ultra",
-    description="3-D pair-index stress: 64^3 base, 5 levels (1024^3 finest space)",
+    description="3-D pair-kernel stress: 64^3 base, 5 levels (1024^3 finest space)",
 )
 def _ultra_scale(ndim: int = 3) -> TraceGenConfig:
     if ndim != 3:
         raise ValueError(
-            f"the 'ultra' scale is the 3-D pair-index stress workload; "
+            f"the 'ultra' scale is the 3-D pair-kernel stress workload; "
             f"ndim={ndim} has no ultra config"
         )
     return TraceGenConfig(

@@ -16,23 +16,13 @@ from .ownermap import (
     first_cells_in_scan_order,
     intersect_corners,
     matched_volume,
-    overlap_and_matched_volume,
     overlap_volume,
     overlay_corners,
     pair_intersections,
     prefix_corners,
     subtract_corners,
 )
-from .pairindex import (
-    PAIR_INDEX_MODES,
-    PAIR_REUSE_MODES,
-    PairIndex,
-    candidate_pairs,
-    pair_index_forced,
-    pair_index_mode,
-    pair_reuse_forced,
-    pair_reuse_mode,
-)
+from .pairindex import candidate_pairs
 from .raster import (
     NO_OWNER,
     add_box_overlap,
@@ -60,20 +50,12 @@ __all__ = [
     "first_cells_in_scan_order",
     "intersect_corners",
     "matched_volume",
-    "overlap_and_matched_volume",
     "overlap_volume",
     "overlay_corners",
     "pair_intersections",
     "prefix_corners",
     "subtract_corners",
-    "PAIR_INDEX_MODES",
-    "PAIR_REUSE_MODES",
-    "PairIndex",
     "candidate_pairs",
-    "pair_index_forced",
-    "pair_index_mode",
-    "pair_reuse_forced",
-    "pair_reuse_mode",
     "NO_OWNER",
     "add_box_overlap",
     "block_sum",

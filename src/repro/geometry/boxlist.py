@@ -32,10 +32,9 @@ def intersection_volume(a: Sequence[Box], b: Sequence[Box]) -> int:
     """Total cell count of pairwise intersections ``sum_ij |a_i ∩ b_j|``.
 
     For internally-disjoint ``a`` and ``b`` this is exactly
-    ``|union(a) ∩ union(b)|``.  Delegates to the pair-index-accelerated
-    :func:`~repro.geometry.ownermap.overlap_volume`, so the candidate
-    product is pruned to near-linear at scale (``REPRO_PAIR_INDEX``
-    selects the path; brute force remains the oracle).
+    ``|union(a) ∩ union(b)|``.  Delegates to
+    :func:`~repro.geometry.ownermap.overlap_volume`, whose grid-bucket
+    candidates prune large pair products to near-linear.
     """
     from .ownermap import overlap_volume
 

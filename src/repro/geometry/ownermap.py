@@ -23,12 +23,12 @@ regardless of how the region is cut into boxes — so
 ``from_raster(rasterize(m)) == m`` always holds.
 
 The pair kernels themselves (:func:`pair_intersections`,
-:func:`overlap_volume`, :func:`face_contacts`) dispatch through the
-grid-bucket pair-pruning index (:mod:`repro.geometry.pairindex`): at
-scale the O(n_a * n_b) candidate product is pruned to near-linear before
-the exact arithmetic runs, with output ordering guaranteed bit-identical
-to the historical broadcast (which survives as the ``bruteforce``
-oracle, selected via ``REPRO_PAIR_INDEX``).
+:func:`overlap_volume`, :func:`face_contacts`) ask
+:func:`~repro.geometry.pairindex.candidate_pairs` for their candidates:
+small queries run a chunked brute-force broadcast, large ones a
+grid-bucket join that prunes the O(n_a * n_b) product to near-linear
+before the exact arithmetic runs.  Output ordering is bit-identical on
+both paths, and the broadcast is the grid's test oracle.
 """
 
 from __future__ import annotations
@@ -38,14 +38,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .box import Box
-from .pairindex import (
-    PairIndex,
-    _record_brute,
-    _record_exact,
-    candidate_pairs,
-    pair_index_mode,
-    pair_reuse_mode,
-)
+from .pairindex import _record_brute, _record_exact, candidate_pairs
 from .raster import NO_OWNER, boxes_from_labels, paint_box
 
 __all__ = [
@@ -57,7 +50,6 @@ __all__ = [
     "face_contacts",
     "matched_volume",
     "overlap_volume",
-    "overlap_and_matched_volume",
     "overlay_corners",
     "subtract_corners",
     "prefix_corners",
@@ -116,11 +108,7 @@ def _axis_widths(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
 
 
 def pair_intersections(
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
-    a_index: PairIndex | None = None,
-    b_index: PairIndex | None = None,
+    a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All non-empty pairwise intersections of two corner arrays.
 
@@ -128,13 +116,12 @@ def pair_intersections(
     source row index into ``a`` and ``b`` for each (so callers can carry
     ranks or other per-box payloads through the intersection).
 
-    Pairs are emitted in ``ai``-major, ``bj``-minor order on every
-    candidate path (persistent index, per-query index, or brute force),
-    so downstream consumers are bit-identical across ``REPRO_PAIR_INDEX``
-    and ``REPRO_PAIR_REUSE`` modes.
+    Pairs are emitted in ``ai``-major, ``bj``-minor order on both
+    candidate paths (grid or brute force), so downstream consumers see
+    the same rows whichever path served the query.
     """
     ndim = a.shape[1] // 2
-    cand = candidate_pairs(a, b, a_index=a_index, b_index=b_index)
+    cand = candidate_pairs(a, b)
     if cand is not None:
         ai, bj = cand
         lo = np.maximum(a[ai, :ndim], b[bj, :ndim])
@@ -177,16 +164,10 @@ def pair_intersections(
     )
 
 
-def overlap_volume(
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
-    a_index: PairIndex | None = None,
-    b_index: PairIndex | None = None,
-) -> int:
+def overlap_volume(a: np.ndarray, b: np.ndarray) -> int:
     """``sum_ij |a_i ∩ b_j|`` over two corner arrays (rank-agnostic)."""
     ndim = a.shape[1] // 2
-    cand = candidate_pairs(a, b, a_index=a_index, b_index=b_index)
+    cand = candidate_pairs(a, b)
     if cand is not None:
         ai, bj = cand
         lo = np.maximum(a[ai, :ndim], b[bj, :ndim])
@@ -214,53 +195,20 @@ def intersect_corners(corners: np.ndarray, clip: np.ndarray) -> np.ndarray:
     return np.concatenate((lo[keep], hi[keep]), axis=1)
 
 
-def _index_usable(
-    a: np.ndarray,
-    b: np.ndarray,
-    a_index: PairIndex | None,
-    b_index: PairIndex | None,
-) -> bool:
-    """Whether a persistent index actually covers one operand here."""
-    if pair_reuse_mode() != "auto":
-        return False
-    if b_index is not None and b_index.indexes(b):
-        return True
-    return a_index is not None and a_index.indexes(a)
-
-
 def matched_volume(
     a: np.ndarray,
     a_ranks: np.ndarray,
     b: np.ndarray,
     b_ranks: np.ndarray,
-    *,
-    a_index: PairIndex | None = None,
-    b_index: PairIndex | None = None,
 ) -> int:
     """``sum |a_i ∩ b_j|`` over pairs with *equal* ranks.
 
-    Without a persistent index the operands are grouped by rank before
-    the pair sweep, so the broadcast never touches cross-rank pairs —
-    the common case (P rank groups of similar size) costs ~1/P of the
-    full pair product.  With one, a single index probe replaces the ~P
-    per-group index builds: candidates are filtered by rank equality
-    before the exact arithmetic, and the integer sum is identical either
-    way.
+    The operands are grouped by rank before the pair sweep, so the
+    broadcast never touches cross-rank pairs — the common case (P rank
+    groups of similar size) costs ~1/P of the full pair product.
     """
     if a.shape[0] == 0 or b.shape[0] == 0:
         return 0
-    if _index_usable(a, b, a_index, b_index):
-        cand = candidate_pairs(a, b, a_index=a_index, b_index=b_index)
-        if cand is not None:
-            ndim = a.shape[1] // 2
-            ai, bj = cand
-            same = a_ranks[ai] == b_ranks[bj]
-            ai, bj = ai[same], bj[same]
-            lo = np.maximum(a[ai, :ndim], b[bj, :ndim])
-            hi = np.minimum(a[ai, ndim:], b[bj, ndim:])
-            vol = np.prod(np.clip(hi - lo, 0, None), axis=1, dtype=np.int64)
-            _record_exact(int((vol > 0).sum()))
-            return int(vol.sum())
     total = 0
     common = np.intersect1d(np.unique(a_ranks), np.unique(b_ranks))
     for rank in common:
@@ -268,46 +216,8 @@ def matched_volume(
     return total
 
 
-def overlap_and_matched_volume(
-    a: np.ndarray,
-    a_ranks: np.ndarray,
-    b: np.ndarray,
-    b_ranks: np.ndarray,
-    *,
-    a_index: PairIndex | None = None,
-    b_index: PairIndex | None = None,
-) -> tuple[int, int]:
-    """``(overlap_volume, matched_volume)`` from one candidate pass.
-
-    The inter-level transfer metric needs both sums over the same two
-    corner arrays; with a persistent index this answers them from a
-    single probe instead of ``1 + nranks`` separate queries.  Falls back
-    to the two historical kernels (bit-identical sums) when no index
-    covers an operand or brute force is forced.
-    """
-    if a.shape[0] and b.shape[0] and _index_usable(a, b, a_index, b_index):
-        cand = candidate_pairs(a, b, a_index=a_index, b_index=b_index)
-        if cand is not None:
-            ndim = a.shape[1] // 2
-            ai, bj = cand
-            lo = np.maximum(a[ai, :ndim], b[bj, :ndim])
-            hi = np.minimum(a[ai, ndim:], b[bj, ndim:])
-            vol = np.prod(np.clip(hi - lo, 0, None), axis=1, dtype=np.int64)
-            _record_exact(int((vol > 0).sum()))
-            both = int(vol.sum())
-            same = int(vol[a_ranks[ai] == b_ranks[bj]].sum())
-            return both, same
-    return (
-        overlap_volume(a, b, a_index=a_index, b_index=b_index),
-        matched_volume(a, a_ranks, b, b_ranks, a_index=a_index, b_index=b_index),
-    )
-
-
 def face_contacts(
-    corners: np.ndarray,
-    ranks: np.ndarray,
-    *,
-    index: PairIndex | None = None,
+    corners: np.ndarray, ranks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Abutting-face areas between boxes owned by *different* ranks.
 
@@ -329,7 +239,7 @@ def face_contacts(
     # closed-interval candidate set: abutting pairs cohabit a bucket too.
     # One candidate pass serves all ndim axis filters; per-axis emission
     # order (ai-major, bj-minor) matches the brute-force sweeps below.
-    cand = candidate_pairs(corners, corners, closed=True, b_index=index)
+    cand = candidate_pairs(corners, corners, closed=True)
     if cand is not None:
         ai, bj = cand
         rank_differs = ranks[ai] != ranks[bj]
@@ -398,12 +308,12 @@ def _subtract_groups(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched ``rows[g] \\ holes[offsets[g]:offsets[g+1]]`` for all groups.
 
-    The per-step overlay/subtract kernels historically looped over every
-    touched base box with Python :class:`Box` objects; this runs the same
-    dimension-sweep decomposition for *all* groups at once, one vectorized
-    pass per hole position.  Bit-identical by construction: fragments are
-    emitted in exactly the sequential sweep's order (below/above per axis,
-    parent-major), so callers see the same corner rows in the same order.
+    Runs the dimension-sweep decomposition of :meth:`Box.subtract` for
+    *all* groups at once, one vectorized pass per hole position.
+    Fragments come out in exactly the order a sequential
+    :meth:`Box.subtract` sweep over each group's holes would emit them
+    (below/above per axis, parent-major), so callers see the same corner
+    rows in the same order; the tests hold it to that sweep.
 
     Returns ``(fragment_rows, group_ids)`` with groups in ascending order.
     """
@@ -483,7 +393,6 @@ def subtract_corners(base: np.ndarray, holes: np.ndarray) -> np.ndarray:
     (one vectorized candidate pass), so sparse overlap stays cheap even
     for large operands.
     """
-    ndim = base.shape[1] // 2
     if base.shape[0] == 0 or holes.shape[0] == 0:
         return base.copy()
     _, bi, hj = pair_intersections(base, holes)
@@ -494,29 +403,12 @@ def subtract_corners(base: np.ndarray, holes: np.ndarray) -> np.ndarray:
     order = np.argsort(bi, kind="stable")
     bi, hj = bi[order], hj[order]
     starts = np.flatnonzero(np.diff(bi, prepend=-1))
-    if pair_reuse_mode() == "auto":
-        frags, _ = _subtract_groups(
-            base[bi[starts]], holes[hj], np.append(starts, bi.size)
-        )
-        if frags.shape[0]:
-            out.append(frags)
-        return (
-            np.concatenate(out) if out else np.empty((0, 2 * ndim), np.int64)
-        )
-    for s, e in zip(starts, np.append(starts[1:], bi.size)):
-        row = base[bi[s]]
-        frags = [Box(tuple(row[:ndim]), tuple(row[ndim:]))]
-        for hole_row in holes[hj[s:e]]:
-            hole = Box(tuple(hole_row[:ndim]), tuple(hole_row[ndim:]))
-            nxt: list[Box] = []
-            for frag in frags:
-                nxt.extend(frag.subtract(hole))
-            frags = nxt
-            if not frags:
-                break
-        if frags:
-            out.append(box_corners(frags, ndim))
-    return np.concatenate(out) if out else np.empty((0, 2 * ndim), np.int64)
+    frags, _ = _subtract_groups(
+        base[bi[starts]], holes[hj], np.append(starts, bi.size)
+    )
+    if frags.shape[0]:
+        out.append(frags)
+    return np.concatenate(out)
 
 
 def overlay_corners(
@@ -524,22 +416,19 @@ def overlay_corners(
     top_ranks: np.ndarray,
     bottom: np.ndarray,
     bottom_ranks: np.ndarray,
-    *,
-    top_index: PairIndex | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compose two disjoint-box layers; ``top`` wins where both cover.
 
     Returns corner rows and ranks of the union region: every ``top`` box
     verbatim plus the fragments of ``bottom`` boxes outside ``top``.
     """
-    ndim = top.shape[1] // 2
     if bottom.shape[0] == 0:
         return top.copy(), top_ranks.copy()
     if top.shape[0] == 0:
         return bottom.copy(), bottom_ranks.copy()
     out_c: list[np.ndarray] = [top]
     out_r: list[np.ndarray] = [top_ranks]
-    _, bi, tj = pair_intersections(bottom, top, b_index=top_index)
+    _, bi, tj = pair_intersections(bottom, top)
     covered = np.unique(bi) if bi.size else np.empty(0, dtype=np.int64)
     clear = np.setdiff1d(np.arange(bottom.shape[0]), covered)
     out_c.append(bottom[clear])
@@ -548,23 +437,13 @@ def overlay_corners(
         order = np.argsort(bi, kind="stable")
         bi, tj = bi[order], tj[order]
         starts = np.flatnonzero(np.diff(bi, prepend=-1))
-        if pair_reuse_mode() == "auto":
-            # Batched path: one vectorized sweep fragments every covered
-            # bottom box at once (bit-identical to the per-box loop).
-            frags, fgid = _subtract_groups(
-                bottom[bi[starts]], top[tj], np.append(starts, bi.size)
-            )
-            if frags.shape[0]:
-                out_c.append(frags)
-                out_r.append(bottom_ranks[bi[starts]][fgid])
-            return np.concatenate(out_c), np.concatenate(out_r)
-        for s, e in zip(starts, np.append(starts[1:], bi.size)):
-            frags = subtract_corners(bottom[bi[s]][None, :], top[tj[s:e]])
-            if frags.shape[0]:
-                out_c.append(frags)
-                out_r.append(
-                    np.full(frags.shape[0], bottom_ranks[bi[s]], np.int32)
-                )
+        # One vectorized sweep fragments every covered bottom box at once.
+        frags, fgid = _subtract_groups(
+            bottom[bi[starts]], top[tj], np.append(starts, bi.size)
+        )
+        if frags.shape[0]:
+            out_c.append(frags)
+            out_r.append(bottom_ranks[bi[starts]][fgid])
     return np.concatenate(out_c), np.concatenate(out_r)
 
 
@@ -683,7 +562,7 @@ class OwnerMap:
         Owning rank per box (coerced to int32, must be ``>= 0``).
     """
 
-    __slots__ = ("shape", "corners", "ranks", "_pair_index")
+    __slots__ = ("shape", "corners", "ranks")
 
     def __init__(
         self,
@@ -718,7 +597,6 @@ class OwnerMap:
                 raise ValueError("owner ranks must be >= 0")
         self.corners = corners
         self.ranks = ranks
-        self._pair_index: PairIndex | None = None
 
     # -- construction ------------------------------------------------------
     @staticmethod
@@ -792,27 +670,6 @@ class OwnerMap:
         if self.nboxes:
             np.add.at(counts, self.ranks, corner_volumes(self.corners))
         return counts
-
-    def pair_index(self) -> PairIndex | None:
-        """The persistent candidate index over this map's boxes (lazy).
-
-        Built on first request and cached for the life of the map, so
-        every kernel query within a ``measure_step`` shares one index
-        per level instead of rebuilding per query.  Returns ``None``
-        when the reuse layer is off (``REPRO_PAIR_REUSE=off``), brute
-        force is forced, or the map is too small to benefit — callers
-        just thread the result through; ``None`` falls back to the
-        per-query candidate path.
-        """
-        if (
-            self.nboxes < 2
-            or pair_reuse_mode() != "auto"
-            or pair_index_mode() == "bruteforce"
-        ):
-            return None
-        if self._pair_index is None or not self._pair_index.indexes(self.corners):
-            self._pair_index = PairIndex(self.shape, self.corners)
-        return self._pair_index
 
     def validate_disjoint(self) -> None:
         """Raise ``ValueError`` if any two owned boxes overlap."""

@@ -36,10 +36,9 @@ constraint (see DESIGN.md, substitution table):
   would yield the same result as beta_L = beta_C = 0.4" (section 4.3).
 
 All penalty kernels (``beta_m``'s patch-set intersections, ``beta_C``'s
-region surfaces via :func:`~repro.geometry.face_contacts`) run through
-the grid-bucket pair index, so evaluating the dynamic state stays
-near-linear in the patch count at every scale (``REPRO_PAIR_INDEX``
-selects the path).
+region surfaces via :func:`~repro.geometry.face_contacts`) prune large
+pair queries with grid-bucket candidates, so evaluating the dynamic
+state stays near-linear in the patch count at every scale.
 """
 
 from __future__ import annotations

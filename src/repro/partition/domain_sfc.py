@@ -15,9 +15,10 @@ the patch boxes (per-patch block-overlap volumes — no fine-level rasters
 are ever materialized, so paper-scale 3-D hierarchies stay cheap);
 chains-on-chains splits the 1-D sequence and the per-level owner maps are
 the unit blocks refined to each level and clipped against its patches.
-The unit-vs-patch clipping runs through the pair-index-accelerated
-:func:`~repro.geometry.pair_intersections`, keeping the overlap query
-near-linear in blocks + patches at ``deep``/``ultra`` scale.
+The unit-vs-patch clipping runs through
+:func:`~repro.geometry.pair_intersections`, whose grid-bucket candidates
+keep the overlap query near-linear in blocks + patches at
+``deep``/``ultra`` scale.
 """
 
 from __future__ import annotations

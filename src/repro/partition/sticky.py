@@ -30,10 +30,10 @@ beneath), and the diffusion pass picks the first ``take`` movable cells
 in row-major scan order by binary-searching a scan-prefix region — the
 exact sparse counterpart of ``np.flatnonzero(movable)[:take]`` on a
 raster, bit-identical without materializing one.  The overlap queries
-behind both steps run through the grid-bucket pair index
-(:mod:`repro.geometry.pairindex`); all pair-index modes emit pairs in
-the same canonical order, so the remapper's output is bit-identical
-across ``REPRO_PAIR_INDEX`` settings.
+behind both steps prune large queries with grid-bucket candidates
+(:mod:`repro.geometry.pairindex`), which emit pairs in the brute-force
+broadcast's canonical order, so the remapper's output does not depend
+on which path served a query.
 """
 
 from __future__ import annotations

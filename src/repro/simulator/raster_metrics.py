@@ -6,13 +6,12 @@ consecutive distributions and per-rank loads — is computed on sparse
 :class:`~repro.geometry.OwnerMap` corner arrays: face-adjacency sweeps
 between owner boxes for the ghost metrics, broadcasted corner
 intersections for inter-level transfer and migration.  Cost scales with
-patch counts, not with the volume of the finest index space — and the
-pair sweeps themselves run through the grid-bucket pair index
-(:mod:`repro.geometry.pairindex`), so the candidate product is pruned to
-near-linear in the box count: ``deep`` and ``ultra`` 3-D runs are
-tractable end to end.  ``REPRO_PAIR_INDEX=bruteforce`` restores the
-historical quadratic sweeps, bit-identical on every input: that mode is
-the runtime oracle the tests replay every partitioner against.
+patch counts, not with the volume of the finest index space.  Large pair
+queries run on the grid-bucket candidate join of
+:mod:`repro.geometry.pairindex`, which prunes the candidate product to
+near-linear in the box count, so ``deep`` and ``ultra`` 3-D runs are
+tractable end to end; small ones run the brute-force broadcast, the
+grid's oracle in the tests.
 
 Every function takes owner maps only; a dense owner raster (int32,
 :data:`~repro.geometry.NO_OWNER` outside the refined region) converts
@@ -33,7 +32,7 @@ from ..geometry import (
     OwnerMap,
     face_contacts,
     matched_volume,
-    overlap_and_matched_volume,
+    overlap_volume,
     overlay_corners,
 )
 
@@ -55,12 +54,9 @@ def ghost_face_stats(owners: OwnerMap) -> tuple[int, int]:
     """``(cut faces, distinct unordered rank pairs)`` of one level map.
 
     One pair sweep serves both ghost metrics; the simulator uses this to
-    avoid running the O(boxes^2) face scan twice per level.  The sweep
-    probes the level's persistent pair index when the reuse layer is on.
+    avoid running the face scan twice per level.
     """
-    ra, rb, area = face_contacts(
-        owners.corners, owners.ranks, index=owners.pair_index()
-    )
+    ra, rb, area = face_contacts(owners.corners, owners.ranks)
     if area.size == 0:
         return 0, 0
     lo = np.minimum(ra, rb).astype(np.int64)
@@ -96,9 +92,7 @@ def per_rank_comm_cells(
     owners: OwnerMap, nprocs: int, ghost_width: int = 1
 ) -> np.ndarray:
     """Ghost cells sent+received per rank per local step (one level)."""
-    ra, rb, area = face_contacts(
-        owners.corners, owners.ranks, index=owners.pair_index()
-    )
+    ra, rb, area = face_contacts(owners.corners, owners.ranks)
     counts = np.zeros(nprocs, dtype=np.int64)
     np.add.at(counts, ra, area)
     np.add.at(counts, rb, area)
@@ -122,16 +116,10 @@ def interlevel_transfer_cells(
             f"fine shape {fine.shape} does not equal coarse "
             f"{coarse.shape} x {ratio}"
         )
-    # One probe of the fine level's persistent index answers both sums
-    # (falls back to the two historical kernels without one).
-    both, same = overlap_and_matched_volume(
-        coarse.corners * ratio,
-        coarse.ranks,
-        fine.corners,
-        fine.ranks,
-        b_index=fine.pair_index(),
+    scaled = coarse.corners * ratio
+    return overlap_volume(scaled, fine.corners) - matched_volume(
+        scaled, coarse.ranks, fine.corners, fine.ranks
     )
-    return both - same
 
 
 def migration_cells(prev: "PartitionResult", cur: "PartitionResult") -> int:
@@ -187,11 +175,7 @@ def migration_cells(prev: "PartitionResult", cur: "PartitionResult") -> int:
                 raise ValueError(
                     f"level {l} raster shapes differ: {pl.shape} vs {b.shape}"
                 )
-            src_c, src_r = overlay_corners(
-                pl.corners, pl.ranks, src_c, src_r, top_index=pl.pair_index()
-            )
-        total += b.ncells - matched_volume(
-            src_c, src_r, b.corners, b.ranks, b_index=b.pair_index()
-        )
+            src_c, src_r = overlay_corners(pl.corners, pl.ranks, src_c, src_r)
+        total += b.ncells - matched_volume(src_c, src_r, b.corners, b.ranks)
     return total
 

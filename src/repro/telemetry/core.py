@@ -79,7 +79,7 @@ TELEMETRY_MODES = ("off", "json", "chrome")
 
 
 def telemetry_mode() -> str:
-    """The configured sink mode (env read per call, like the pair index)."""
+    """The configured sink mode (the env variable is read per call)."""
     mode = os.environ.get(TELEMETRY_ENV) or "off"
     if mode not in TELEMETRY_MODES:
         raise ValueError(

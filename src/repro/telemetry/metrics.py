@@ -75,19 +75,16 @@ DEFAULT_BUCKETS = tuple(0.001 * 2.0**i for i in range(17))
 
 #: Pair-kernel tallies, exported as ``repro_pair_<field>_total``.
 #: ``pair_product`` is what a pure brute-force run would examine,
-#: ``candidate_pairs`` what the index emitted to the exact arithmetic,
+#: ``candidate_pairs`` what the grid emitted to the exact arithmetic,
 #: ``exact_pairs`` what survived it.
 PAIR_COUNTER_FIELDS = (
     "queries",
     "grid_queries",
-    "sweep_queries",
     "brute_queries",
     "pair_product",
     "bruteforce_pairs",
     "candidate_pairs",
     "exact_pairs",
-    "index_builds",
-    "index_reuses",
 )
 
 #: Store read-cache tallies, exported as

@@ -315,13 +315,6 @@ def _counters_summary(counters: dict) -> list[str]:
             f"(x{product / examined:.1f} pruning), "
             f"{count('repro_pair_exact_pairs_total'):,} exact pairs survived"
         )
-    builds = count("repro_pair_index_builds_total")
-    reuses = count("repro_pair_index_reuses_total")
-    if builds or reuses:
-        lines.append(
-            f"  index reuse: {builds} builds, {reuses} reuses "
-            f"({reuses / (builds + reuses):.0%} of queries served warm)"
-        )
     hits = count("repro_store_read_cache_hits_total")
     misses = count("repro_store_read_cache_misses_total")
     if hits + misses:

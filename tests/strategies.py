@@ -94,3 +94,33 @@ def nested_hierarchies_2d(
         return GridHierarchy(domain, levels)
 
     return build()
+
+
+@st.composite
+def nested_hierarchies(draw, ndim: int = 2, side: int | None = None):
+    """Random properly-nested factor-2 hierarchies (``side`` drawn from
+    4 or 8 unless given)."""
+    side = side or draw(st.sampled_from([4, 8]))
+    domain = Box((0,) * ndim, (side,) * ndim)
+    levels = [PatchLevel(0, [domain], ratio=1)]
+    parent = BoxList([domain])
+    depth = draw(st.integers(min_value=1, max_value=2))
+    for l in range(1, depth + 1):
+        refined_parent = parent.refine(2)
+        raw = draw(
+            disjoint_boxlists(
+                max_boxes=4, max_coord=side * 2**l, ndim=ndim
+            )
+        )
+        clipped: list[Box] = []
+        for b in raw:
+            for p in refined_parent:
+                piece = b.intersect(p)
+                if piece is not None:
+                    clipped.append(piece)
+        patches = BoxList(clipped).disjointified().coalesced()
+        if patches.ncells == 0:
+            break
+        levels.append(PatchLevel(l, patches, ratio=2))
+        parent = patches
+    return GridHierarchy(domain, levels)

@@ -23,20 +23,20 @@ def _write(directory: Path, wall_s: float, counters: dict) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     doc = {
         "schema": 1,
-        "suite": "pair_reuse",
+        "suite": "pair_kernels",
         "scale": "small",
         "records": [
-            {"case": "replay-on:tp2d:small", "wall_s": wall_s,
+            {"case": "indexed:tp2d:small", "wall_s": wall_s,
              "peak_mb": None, "counters": counters},
-            {"case": "replay-off:tp2d:small", "wall_s": wall_s,
+            {"case": "bruteforce:tp2d:small", "wall_s": wall_s,
              "peak_mb": None, "counters": {}},
         ],
     }
-    (directory / "BENCH_pair_reuse.json").write_text(json.dumps(doc))
+    (directory / "BENCH_pair_kernels.json").write_text(json.dumps(doc))
     return directory
 
 
-COUNTERS = {"queries": 96, "candidate_pairs": 8549, "index_reuses": 60}
+COUNTERS = {"queries": 96, "candidate_pairs": 8549, "grid_queries": 60}
 
 
 def test_equal_counters_pass_and_wall_stays_soft(compare, tmp_path, capsys):

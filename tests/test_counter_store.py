@@ -17,6 +17,7 @@ import json
 
 from repro.engine import ResultStore, run_spec, run_specs, sim_spec
 from repro.engine.store import clear_read_cache, read_cache_stats
+from repro.geometry import pairindex
 from repro.telemetry import (
     TELEMETRY_ENV,
     aggregate_timings,
@@ -30,15 +31,14 @@ from repro.telemetry import (
 from repro.telemetry.metrics import BUILTIN_COUNTERS
 
 #: Pair-kernel counters of the golden sweep: tp2d at ``small`` under
-#: nature+fable and patch-lpt on 4 ranks, grid-indexed candidates.
+#: nature+fable and patch-lpt on 4 ranks, every multi-row query on the
+#: grid (the brute-force cutoff patched to -1).
 GOLDEN = {
-    "repro_pair_queries_total": 156,
-    "repro_pair_grid_queries_total": 120,
-    "repro_pair_pair_product_total": 6572,
-    "repro_pair_candidate_pairs_total": 3801,
-    "repro_pair_exact_pairs_total": 1172,
-    "repro_pair_index_builds_total": 36,
-    "repro_pair_index_reuses_total": 120,
+    "repro_pair_queries_total": 320,
+    "repro_pair_grid_queries_total": 150,
+    "repro_pair_pair_product_total": 4890,
+    "repro_pair_candidate_pairs_total": 2999,
+    "repro_pair_exact_pairs_total": 1274,
 }
 
 
@@ -86,8 +86,7 @@ def test_read_cache_stats_is_a_registry_view(tmp_path):
 
 def test_golden_sweep_counters_agree_across_surfaces(tmp_path, monkeypatch):
     monkeypatch.setenv(TELEMETRY_ENV, "json")
-    monkeypatch.setenv("REPRO_PAIR_INDEX", "grid")
-    monkeypatch.delenv("REPRO_PAIR_REUSE", raising=False)
+    monkeypatch.setattr(pairindex, "_BRUTE_CUTOFF", -1)
     store = ResultStore(tmp_path / "store")
     reset_metrics()
     run_specs(
@@ -112,8 +111,7 @@ def test_golden_sweep_counters_agree_across_surfaces(tmp_path, monkeypatch):
     timings = aggregate_timings(store.root)
     assert timings["counters"] == GOLDEN
     text = render_timings(timings)
-    assert "pair kernels: 156 queries, 6,572 brute-force pair product" in text
-    assert "index reuse: 36 builds, 120 reuses" in text
+    assert "pair kernels: 320 queries, 4,890 brute-force pair product" in text
 
     exposition = parse_prometheus(render_prometheus(metrics_registry().snapshot()))
     scraped = {

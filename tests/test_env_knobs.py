@@ -16,12 +16,7 @@ import repro
 
 KNOB = re.compile(r"REPRO_[A-Z_]+")
 
-KNOBS = {
-    "REPRO_CACHE_DIR",
-    "REPRO_PAIR_INDEX",
-    "REPRO_PAIR_REUSE",
-    "REPRO_TELEMETRY",
-}
+KNOBS = {"REPRO_CACHE_DIR", "REPRO_TELEMETRY"}
 
 
 def _knobs_in_source() -> dict[str, set[str]]:

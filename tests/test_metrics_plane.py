@@ -161,8 +161,6 @@ def test_global_registry_exports_pair_and_store_cache_counters():
     names = {c["name"] for c in snap["counters"]}
     # The pair kernels' and the store read cache's counters are always
     # visible, even at zero.
-    assert "repro_pair_index_builds_total" in names
-    assert "repro_pair_index_reuses_total" in names
     assert "repro_store_read_cache_hits_total" in names
     assert "repro_store_read_cache_misses_total" in names
     assert set(BUILTIN_COUNTERS) <= names
@@ -276,14 +274,10 @@ def test_timings_print_one_counter_block(tmp_path):
             "counters": {
                 "repro_store_read_cache_hits_total": hits,
                 "repro_store_read_cache_misses_total": 5,
-                "repro_pair_index_builds_total": 1,
-                "repro_pair_index_reuses_total": 3,
             },
         }), encoding="utf-8")
     doc = aggregate_timings(tmp_path)
     assert doc["counters"]["repro_store_read_cache_hits_total"] == 30
     text = render_timings(doc)
     assert "store read cache: 30 hits / 10 misses (75% hit rate)" in text
-    assert "index reuse: 2 builds" in text and "6 reuses" in text
-    assert "(75% of queries served warm)" in text
-    assert text.count("index reuse:") == 1
+    assert text.count("store read cache:") == 1

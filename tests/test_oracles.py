@@ -1,0 +1,471 @@
+"""One oracle per fast path, tested differentially against it.
+
+Each row of :data:`ORACLES` names a fast path, the oracle it must agree
+with, and two context managers: one that runs the fast path and one
+that swaps in the oracle.  Every test here takes its row from the table.
+
+* **grid candidates** against the **brute-force branch**: the pair
+  kernels pick their path by pair product, so patching the module's
+  ``_BRUTE_CUTOFF`` to ``-1`` puts every multi-row query on the grid and
+  patching it to ``10**18`` puts every query on brute force.
+* **batched subtraction** (``ownermap._subtract_groups``) against a
+  **sequential** :meth:`Box.subtract` **sweep** over each group's holes.
+* **coalesced owner maps** against the **uncoalesced maps** the
+  partitioners built (``OwnerMap.coalesced`` patched to identity).
+* **LRU read-cache hit** against a **cold read** of the store
+  (a read cache holding no entries).
+
+Fast and oracle must agree bit for bit: same rows in the same order,
+same dtypes, identical simulator step metrics.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass
+from typing import Callable, ContextManager
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine import ResultStore, create, registry
+from repro.engine import store as store_module
+from repro.engine.store import clear_read_cache, read_cache_stats
+from repro.geometry import (
+    Box,
+    OwnerMap,
+    box_corners,
+    face_contacts,
+    matched_volume,
+    overlap_volume,
+    overlay_corners,
+    pair_intersections,
+    subtract_corners,
+)
+from repro.geometry import ownermap, pairindex
+from repro.simulator import TraceSimulator
+from repro.telemetry import counter_deltas, reset_metrics
+
+from tests import dense_oracle as dense
+from tests.strategies import disjoint_boxlists, nested_hierarchies
+from tests.test_store_cache import _make_result
+
+
+def grid_everywhere() -> ContextManager:
+    """Every multi-row pair query takes the grid."""
+    return mock.patch.object(pairindex, "_BRUTE_CUTOFF", -1)
+
+
+def brute_force_everywhere() -> ContextManager:
+    """Every pair query takes the brute-force branch."""
+    return mock.patch.object(pairindex, "_BRUTE_CUTOFF", 10**18)
+
+
+def sequential_subtract_groups(
+    rows: np.ndarray, holes: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_subtract_groups`` one group and one hole at a time with
+    :meth:`Box.subtract`: ``rows[g] \\ holes[offsets[g]:offsets[g+1]]``."""
+    ndim = rows.shape[1] // 2
+    frags_out: list[Box] = []
+    gids: list[int] = []
+    for g, row in enumerate(rows):
+        frags = [Box(tuple(row[:ndim]), tuple(row[ndim:]))]
+        for hole_row in holes[offsets[g]:offsets[g + 1]]:
+            hole = Box(tuple(hole_row[:ndim]), tuple(hole_row[ndim:]))
+            frags = [piece for frag in frags for piece in frag.subtract(hole)]
+        frags_out.extend(frags)
+        gids.extend([g] * len(frags))
+    return box_corners(frags_out, ndim), np.asarray(gids, dtype=np.int64)
+
+
+def sequential_subtraction() -> ContextManager:
+    return mock.patch.object(
+        ownermap, "_subtract_groups", sequential_subtract_groups
+    )
+
+
+def uncoalesced_maps() -> ContextManager:
+    return mock.patch.object(OwnerMap, "coalesced", lambda self: self)
+
+
+@contextmanager
+def cold_reads():
+    """Every store read misses: the read cache keeps no entry."""
+    clear_read_cache()
+    with mock.patch.object(store_module, "READ_CACHE_ENTRIES", 0):
+        yield
+
+
+@dataclass(frozen=True)
+class Oracle:
+    """A fast path, its oracle, and how to select each."""
+
+    fast_path: str
+    oracle: str
+    fast: Callable[[], ContextManager]
+    reference: Callable[[], ContextManager]
+
+
+ORACLES = {
+    "grid": Oracle(
+        "grid candidates", "brute-force branch",
+        grid_everywhere, brute_force_everywhere,
+    ),
+    "subtract": Oracle(
+        "batched _subtract_groups", "sequential Box.subtract sweep",
+        nullcontext, sequential_subtraction,
+    ),
+    "coalesce": Oracle(
+        "coalesced owner maps", "uncoalesced maps",
+        nullcontext, uncoalesced_maps,
+    ),
+    "read-cache": Oracle(
+        "LRU read-cache hit", "cold read", nullcontext, cold_reads,
+    ),
+}
+
+GRID = ORACLES["grid"]
+
+
+# ---------------------------------------------------------------------------
+# whole simulator replays: every geometry fast path against its oracle
+
+
+def _replay(name: str, hierarchies) -> list:
+    """Partition and measure the regrids, each step checked against the
+    dense-raster oracle on ``result.rasters()``."""
+    part = create("partitioner", name)
+    sim = TraceSimulator()
+    steps, previous, prev_h = [], None, None
+    for step, hierarchy in enumerate(hierarchies):
+        result = part.partition(hierarchy, 3, previous)
+        result.validate(hierarchy)
+        got = sim.measure_step(hierarchy, result, previous, prev_h, step)
+        assert (
+            got.comm_cells, got.interlevel_cells, got.migration_cells
+        ) == dense.step_cells(hierarchy, result, previous)
+        steps.append(got)
+        previous, prev_h = result, hierarchy
+    return steps
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+@pytest.mark.parametrize("name", registry("partitioner").names())
+@pytest.mark.parametrize("row", ["grid", "subtract", "coalesce"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_replay_matches_oracle(row, name, ndim, data):
+    """Every registered partitioner, replayed over random regrids.
+
+    Partitioning and measuring on the fast path and on its oracle give
+    identical :class:`StepMetrics` (``previous`` too comes from the same
+    path), and both match the dense oracle's cell counts.
+    """
+    side = data.draw(st.sampled_from([4, 8]))
+    hierarchies = [
+        data.draw(nested_hierarchies(ndim, side)) for _ in range(3)
+    ]
+    oracle = ORACLES[row]
+    with oracle.fast():
+        fast = _replay(name, hierarchies)
+    with oracle.reference():
+        reference = _replay(name, hierarchies)
+    assert fast == reference, f"{oracle.fast_path} != {oracle.oracle}"
+
+
+# ---------------------------------------------------------------------------
+# grid candidates vs the brute-force branch, kernel by kernel
+
+
+def corner_arrays(ndim: int, max_boxes: int = 20, max_coord: int = 64,
+                  max_extent: int = 16):
+    """Random (possibly overlapping, possibly empty) corner arrays."""
+
+    def build(seed: int, n: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        lo = rng.integers(0, max_coord, size=(n, ndim))
+        ext = rng.integers(1, max_extent + 1, size=(n, ndim))
+        return np.concatenate((lo, lo + ext), axis=1).astype(np.int64)
+
+    return st.builds(
+        build, st.integers(0, 2**31 - 1), st.integers(0, max_boxes)
+    )
+
+
+def _assert_pair_results_identical(a: np.ndarray, b: np.ndarray) -> None:
+    """The grid must be *bit-identical* to brute force: same corner
+    rows, same (ai, bj) source indices, same emission order."""
+    with GRID.reference():
+        ref = pair_intersections(a, b)
+        ref_vol = overlap_volume(a, b)
+    with GRID.fast():
+        got = pair_intersections(a, b)
+        got_vol = overlap_volume(a, b)
+    assert got_vol == ref_vol
+    for r, g in zip(ref, got):
+        assert r.shape == g.shape
+        np.testing.assert_array_equal(r, g)
+
+
+def _assert_face_results_identical(
+    corners: np.ndarray, ranks: np.ndarray
+) -> None:
+    with GRID.reference():
+        ref = face_contacts(corners, ranks)
+    with GRID.fast():
+        got = face_contacts(corners, ranks)
+    for r, g in zip(ref, got):
+        assert r.shape == g.shape
+        np.testing.assert_array_equal(r, g)
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+class TestGridCandidates:
+    """The grid is a pure pruning layer: it must reproduce the
+    brute-force kernels bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_pair_intersections_identical(self, ndim, data):
+        a = data.draw(corner_arrays(ndim))
+        b = data.draw(corner_arrays(ndim))
+        _assert_pair_results_identical(a, b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_face_contacts_identical(self, ndim, data):
+        corners = data.draw(corner_arrays(ndim))
+        seed = data.draw(st.integers(0, 2**31 - 1))
+        ranks = np.random.default_rng(seed).integers(
+            0, 4, size=corners.shape[0]
+        ).astype(np.int32)
+        _assert_face_results_identical(corners, ranks)
+
+    def test_all_boxes_in_one_cell(self, ndim):
+        # Adversarial: every box identical (maximal bucket collisions).
+        row = [0] * ndim + [2] * ndim
+        a = np.tile(np.asarray([row], dtype=np.int64), (40, 1))
+        _assert_pair_results_identical(a, a)
+        ranks = np.arange(40, dtype=np.int32)
+        _assert_face_results_identical(a, ranks)
+
+    def test_long_skinny_boxes(self, ndim):
+        # Adversarial: extreme aspect ratios, one family long in axis 0
+        # crossing an orthogonal family long in every other axis — the
+        # median cell is half a long side, so every pair is a candidate.
+        n = 30
+        a = np.zeros((n, 2 * ndim), dtype=np.int64)
+        b = np.zeros((n, 2 * ndim), dtype=np.int64)
+        for i in range(n):
+            a[i, 0], a[i, ndim] = 0, 600  # long in axis 0
+            b[i, 0], b[i, ndim] = i * 3, i * 3 + 1
+            for d in range(1, ndim):
+                a[i, d], a[i, ndim + d] = i * 3, i * 3 + 1
+                b[i, d], b[i, ndim + d] = 0, 600  # long elsewhere
+        _assert_pair_results_identical(a, b)
+        both = np.concatenate((a, b))
+        ranks = np.arange(2 * n, dtype=np.int32)
+        _assert_face_results_identical(both, ranks)
+
+    def test_single_box_and_empty(self, ndim):
+        one = np.asarray(
+            [[0] * ndim + [3] * ndim], dtype=np.int64
+        )
+        empty = np.empty((0, 2 * ndim), dtype=np.int64)
+        _assert_pair_results_identical(one, one)
+        _assert_pair_results_identical(one, empty)
+        _assert_pair_results_identical(empty, one)
+        _assert_pair_results_identical(empty, empty)
+        _assert_face_results_identical(one, np.zeros(1, dtype=np.int32))
+        _assert_face_results_identical(empty, np.empty(0, dtype=np.int32))
+
+    def test_abutting_boxes_share_closed_bucket(self, ndim):
+        # Face contacts need *touching* pairs; a tiling of unit-offset
+        # slabs is all faces, no overlap.
+        n = 24
+        rows = []
+        for i in range(n):
+            lo = [i * 4] + [0] * (ndim - 1)
+            hi = [(i + 1) * 4] + [8] * (ndim - 1)
+            rows.append(lo + hi)
+        corners = np.asarray(rows, dtype=np.int64)
+        ranks = (np.arange(n) % 3).astype(np.int32)
+        _assert_face_results_identical(corners, ranks)
+
+    def test_domain_box_among_unit_boxes(self, ndim):
+        # Mixed scales: one box covering the whole domain among unit
+        # boxes spans 32k-65k median (unit) cells, far over the incidence
+        # budget.  The grid coarsens its cell until the incidences fit —
+        # it must terminate and stay exact.
+        side = 2 ** (16 // ndim)
+        lo = np.random.default_rng(ndim).integers(0, side, size=(300, ndim))
+        domain = [[0] * ndim + [side] * ndim]
+        corners = np.concatenate(
+            (domain, np.concatenate((lo, lo + 1), axis=1))
+        ).astype(np.int64)
+        ranks = (np.arange(corners.shape[0]) % 4).astype(np.int32)
+        _assert_pair_results_identical(corners, corners)
+        _assert_face_results_identical(corners, ranks)
+        with GRID.fast(), counter_deltas() as c:
+            pair_intersections(corners, corners)
+            face_contacts(corners, ranks)
+        assert c["repro_pair_grid_queries_total"] == 2
+
+    def test_counters_record_pruning(self, ndim):
+        rng = np.random.default_rng(7)
+        lo = rng.integers(0, 4000, size=(600, ndim))
+        a = np.concatenate((lo, lo + 4), axis=1).astype(np.int64)
+        with GRID.fast(), counter_deltas() as c:
+            pair_intersections(a, a)
+        candidates = c["repro_pair_candidate_pairs_total"]
+        assert c["repro_pair_queries_total"] == 1
+        assert c["repro_pair_pair_product_total"] == 600 * 600
+        assert c["repro_pair_bruteforce_pairs_total"] == 0
+        assert 0 < candidates < c["repro_pair_pair_product_total"]
+        assert c["repro_pair_exact_pairs_total"] <= candidates
+
+
+def mixed_scale_corners() -> tuple[np.ndarray, np.ndarray]:
+    """64 full-height 16x16x512 columns tiling a 128x128x512 domain, and
+    600 boxes of 4x4x(12 or 24) at seeded positions inside them.
+
+    The shape of a deep 3-D migration overlay: each column spans ~700
+    cells of the median box extent, which overflows the grid's incidence
+    budget at its first cell size.  Every small box lies in exactly one
+    column, so the exact answer has 600 pairs.
+    """
+    x, y = np.meshgrid(np.arange(0, 128, 16), np.arange(0, 128, 16))
+    x, y = x.ravel(), y.ravel()
+    zeros = np.zeros_like(x)
+    columns = np.stack((x, y, zeros, x + 16, y + 16, zeros + 512), axis=1)
+    rng = np.random.default_rng(11)
+    xy = rng.integers(0, 32, size=(600, 2)) * 4
+    z = rng.integers(0, 512 - 24, size=600)
+    dz = rng.choice([12, 24], size=600)
+    small = np.column_stack((xy, z, xy + 4, z + dz))
+    return columns.astype(np.int64), small.astype(np.int64)
+
+
+class TestMixedScaleGrid:
+    """Large boxes among many small ones stay on the grid path: the cell
+    coarsens until the incidences fit, bit-identical to brute force."""
+
+    def test_kernels_match_bruteforce(self):
+        columns, small = mixed_scale_corners()
+        column_ranks = (np.arange(columns.shape[0]) % 4).astype(np.int32)
+        small_ranks = np.random.default_rng(5).integers(
+            0, 4, size=small.shape[0]
+        ).astype(np.int32)
+        both = np.concatenate((columns, small))
+        both_ranks = np.concatenate((column_ranks, small_ranks))
+
+        def kernels():
+            return (
+                pair_intersections(columns, small),
+                overlap_volume(columns, small),
+                matched_volume(columns, column_ranks, small, small_ranks),
+                face_contacts(both, both_ranks),
+            )
+
+        with GRID.reference():
+            ref = kernels()
+        for path in (nullcontext, GRID.fast):
+            with path():
+                got = kernels()
+            assert got[1:3] == ref[1:3], path
+            for r, g in zip(ref[0] + ref[3], got[0] + got[3]):
+                assert r.dtype == g.dtype
+                np.testing.assert_array_equal(r, g)
+
+    def test_overflowing_query_prunes_to_exact(self):
+        columns, small = mixed_scale_corners()
+        with counter_deltas() as c:
+            corners, _, _ = pair_intersections(columns, small)
+        assert corners.shape[0] == 600
+        assert c["repro_pair_grid_queries_total"] == 1
+        assert c["repro_pair_candidate_pairs_total"] == 600
+
+    def test_zero_extent_boxes_terminate(self):
+        # An open query gives a zero-extent box no cell along its flat
+        # axes.  99 needles flat in x and y span only z, once each, so z
+        # gets the highest span sum while the slab still overflows the
+        # budget: coarsening must skip axes its cell already covers, or
+        # it would double z forever.
+        z = np.arange(99)
+        needles = np.column_stack((0 * z, 0 * z, z, 0 * z, 0 * z, z + 1))
+        corners = np.concatenate(
+            ([[0, 0, 0, 4096, 4096, 1]], needles)
+        ).astype(np.int64)
+        _assert_pair_results_identical(corners, corners)
+
+
+# ---------------------------------------------------------------------------
+# batched subtraction vs the sequential Box.subtract sweep
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batched_subtract_matches_sequential_sweep(ndim, data):
+    """Batched overlay/subtract is bit-identical to the per-box sweep.
+
+    Not just the same region: the batched engine must emit the *same
+    fragment rows in the same order*, because partitioners consume the
+    overlay output structurally.
+    """
+    top_boxes = data.draw(disjoint_boxlists(max_boxes=6, ndim=ndim))
+    bottom_boxes = data.draw(disjoint_boxlists(max_boxes=6, ndim=ndim))
+    top = box_corners(top_boxes, ndim)
+    bottom = box_corners(bottom_boxes, ndim)
+    top_ranks = np.arange(top.shape[0], dtype=np.int32) % 3
+    bottom_ranks = np.arange(bottom.shape[0], dtype=np.int32) % 3
+    row = ORACLES["subtract"]
+    with row.fast():
+        c_fast, r_fast = overlay_corners(top, top_ranks, bottom, bottom_ranks)
+        s_fast = subtract_corners(bottom, top)
+    with row.reference():
+        c_ref, r_ref = overlay_corners(top, top_ranks, bottom, bottom_ranks)
+        s_ref = subtract_corners(bottom, top)
+    np.testing.assert_array_equal(c_fast, c_ref)
+    np.testing.assert_array_equal(r_fast, r_ref)
+    assert r_fast.dtype == r_ref.dtype
+    np.testing.assert_array_equal(s_fast, s_ref)
+
+
+# ---------------------------------------------------------------------------
+# LRU read-cache hit vs a cold read
+
+
+@pytest.fixture
+def fresh_read_cache():
+    """An empty read cache and zeroed counters, emptied again after."""
+    clear_read_cache()
+    reset_metrics()
+    yield
+    clear_read_cache()
+
+
+def test_warm_read_hits_cache_across_store_instances(tmp_path, fresh_read_cache):
+    result = _make_result()
+    ResultStore(tmp_path).put_result(result)
+    row = ORACLES["read-cache"]
+    with row.fast():
+        first = ResultStore(tmp_path).get_result(result.key)
+        second = ResultStore(tmp_path).get_result(result.key)
+    stats = read_cache_stats()
+    assert stats["misses"] == 1 and stats["hits"] == 1, stats
+    with row.reference():
+        cold = ResultStore(tmp_path).get_result(result.key)
+    assert read_cache_stats()["hits"] == 1  # the oracle never hits
+    assert first is not None and second is not None and cold is not None
+    for name, want in result.arrays.items():
+        np.testing.assert_array_equal(np.asarray(first.arrays[name]), want)
+        np.testing.assert_array_equal(np.asarray(second.arrays[name]), want)
+        np.testing.assert_array_equal(np.asarray(cold.arrays[name]), want)
+        assert first.arrays[name].dtype == want.dtype
+        assert second.arrays[name].dtype == want.dtype
+        assert cold.arrays[name].dtype == want.dtype

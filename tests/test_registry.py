@@ -285,9 +285,15 @@ class TestEngineSurface:
         import repro.engine as engine
         import repro.engine.components as components
 
-        assert ENGINE_API_VERSION == "5.0"
+        assert ENGINE_API_VERSION == "6.0"
         assert not [n for n in engine.__all__ if n.startswith("make_")]
         assert not [n for n in vars(components) if n.startswith("make_")]
+
+    def test_pair_mode_kinds_are_gone(self):
+        # One pair-candidate path: nothing is left to select by name.
+        for kind in ("pair-index", "pair-reuse"):
+            with pytest.raises(ValueError, match="unknown component kind"):
+                registry(kind)
 
     def test_engine_all_is_clean(self):
         import repro.engine as engine
