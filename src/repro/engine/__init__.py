@@ -116,7 +116,7 @@ from .store import (
 #: ``render_cluster_status`` and ``evaluate_health``; ``repro worker``,
 #: ``top``, ``health`` and ``blackbox``; ``--workers`` and
 #: ``--log-level``; the ``workers=`` parameter of ``run_specs`` and
-#: ``resolve_backend``; ``MetricsServer(health=)``; and the
+#: ``resolve_backend``; the metrics server's ``health=`` hook; and the
 #: ``REPRO_WORKER_FAIL_KEYS`` knob.
 #: 6.0: one pair-candidate path — brute force for small pair products,
 #: the grid above them — with nothing left to switch.  Removed: the
@@ -128,8 +128,22 @@ from .store import (
 #: the ``a_index``/``b_index``/``index``/``top_index`` kernel
 #: parameters, the combined overlap-and-matched volume kernel, and the
 #: ``sweep_queries``/``index_builds``/``index_reuses`` pair counters.
+#: 7.0: counters are the only kind of metric, and nothing exports them.
+#: Removed: the Prometheus text / JSON / HTTP exporter module with its
+#: per-process snapshot files under ``<store>/telemetry/``, so a sweep
+#: with telemetry off leaves no telemetry directory; the sweep's metrics
+#: port option; gauges and histograms (``MetricsRegistry.set`` and
+#: ``observe``, their module-level helpers, the default bucket bounds
+#: and the run-latency histogram); pull-time collectors and the process
+#: uptime / peak-RSS series they fed; the snapshot fields only scrapers
+#: read (``schema``, ``host``, ``pid`` and the two timestamps) with
+#: ``MetricsRegistry(clock=)``; the store-publish, plan-layer and
+#: plan-job counters, which nothing read; and the unused span helpers
+#: ``annotate``, ``TelemetryRecorder.annotate_current``,
+#: ``flush_active`` and ``telemetry_enabled``.  ``snapshot()`` returns
+#: ``{"counters": [...]}``, sorted.
 #: The README's migration note names each removed function.
-ENGINE_API_VERSION = "6.0"
+ENGINE_API_VERSION = "7.0"
 
 __all__ = [
     # versions

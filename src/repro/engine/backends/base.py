@@ -21,7 +21,7 @@ import abc
 from typing import Callable, Sequence
 
 from ...registry import create, registry
-from ...telemetry import metric_gauge, metric_inc, span
+from ...telemetry import span
 from ..graph import MissingInputError, Plan
 from ..spec import RunSpec
 from ..store import ResultStore
@@ -98,22 +98,16 @@ class ExecutionBackend(abc.ABC):
     ) -> None:
         """Execute every pending node, layer by layer."""
         say = progress or (lambda line: None)
-        metric_gauge("repro_plan_layers", len(plan.layers))
         for depth, layer in enumerate(plan.layers):
             verify_layer_inputs(layer, plan, store)
             specs = plan.layer_specs(depth)
             if len(plan.layers) > 1:
                 say(f"layer {depth}: {len(specs)} jobs")
-            metric_gauge("repro_plan_layer_current", depth)
             with span("plan.layer", cat="engine", depth=depth,
                       jobs=len(specs), backend=self.name):
                 self.run_layer(
                     depth, specs, store, force=force, say=say, verbose=verbose
                 )
-            metric_inc("repro_plan_layers_done_total", backend=self.name)
-            metric_inc(
-                "repro_plan_jobs_done_total", len(specs), backend=self.name
-            )
 
     @abc.abstractmethod
     def run_layer(

@@ -301,29 +301,15 @@ def _cmd_sweep(args) -> int:
     # One dependency-aware resolution pass for the summary numbers (the
     # executor rebuilds its own against the live store).
     counts = build_plan(specs, store, force=args.force).counts()
-    server = None
-    if args.metrics_port is not None:
-        from ..telemetry import MetricsServer
-
-        server = MetricsServer(port=args.metrics_port).start()
-        if not args.quiet:
-            print(
-                f"sweep metrics on "
-                f"http://{server.host}:{server.port}/metrics"
-            )
-    try:
-        results = run_specs(
-            specs,
-            n_jobs=args.n_jobs,
-            store=store,
-            force=args.force,
-            progress=None if args.quiet else print,
-            backend=_resolve_cli_backend(args),
-            verbose=args.verbose,
-        )
-    finally:
-        if server is not None:
-            server.stop()
+    results = run_specs(
+        specs,
+        n_jobs=args.n_jobs,
+        store=store,
+        force=args.force,
+        progress=None if args.quiet else print,
+        backend=_resolve_cli_backend(args),
+        verbose=args.verbose,
+    )
     _print_sweep_table(results)
     implicit = counts["implicit_compute"]
     print(
@@ -699,11 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--verbose", action="store_true",
                        help="per-layer progress lines "
                        "(jobs queued/leased/done)")
-    sweep.add_argument("--metrics-port", type=int, default=None,
-                       metavar="PORT",
-                       help="serve /metrics, /metrics.json and /healthz "
-                       "on this port for the duration of the sweep "
-                       "(0: ephemeral)")
     sweep.set_defaults(func=_cmd_sweep)
 
     plan = sub.add_parser(

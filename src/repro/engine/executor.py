@@ -27,15 +27,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..simulator import TraceSimulator
-from ..telemetry import (
-    deactivate,
-    metric_inc,
-    metric_observe,
-    run_scope,
-    session,
-    span,
-    write_metrics_files,
-)
+from ..telemetry import deactivate, metric_inc, run_scope, session, span
 from .graph import build_plan
 from .components import create, is_schedule, resolve_machine
 from .spec import RunResult, RunSpec
@@ -168,9 +160,6 @@ def execute(spec: RunSpec, store: ResultStore | None = None) -> RunResult:
     same key retires.
     """
     store = store or default_store()
-    import time as _time
-
-    started = _time.perf_counter()
     try:
         with run_scope(spec, store):
             result = _execute_kind(spec, store)
@@ -178,9 +167,6 @@ def execute(spec: RunSpec, store: ResultStore | None = None) -> RunResult:
         metric_inc("repro_runs_total", kind=spec.kind, outcome="failed")
         raise
     metric_inc("repro_runs_total", kind=spec.kind, outcome="completed")
-    metric_observe(
-        "repro_run_seconds", _time.perf_counter() - started, kind=spec.kind
-    )
     return result
 
 
@@ -392,11 +378,4 @@ def run_specs(
                 if result is None:  # pragma: no cover - store corruption guard
                     result = run_spec(node.spec, store)
                 by_key[node.key] = result
-    # Leave a metrics file snapshot next to the run's other telemetry:
-    # the driving process is scrapeable from the store even after it
-    # exits.  Best-effort by design.
-    try:
-        write_metrics_files(store.root)
-    except OSError:  # pragma: no cover - full disk / yanked store
-        pass
     return [by_key[spec.key()] for spec in specs]

@@ -247,7 +247,6 @@ class ResultStore:
                 with open(stage / _SERIES, "wb") as fh:
                     np.savez(fh, **result.arrays)
             self._publish(result.key, stage, overwrite=overwrite)
-        metric_inc("repro_store_publishes_total", kind=result.spec.kind)
 
     def put_trace(self, spec: RunSpec, trace: Trace, meta: dict) -> None:
         """Publish a generated trace artifact under its spec key."""

@@ -31,7 +31,7 @@ to ``-1`` (the grid serves every multi-row query) or to ``10**18``
 charge their pruning effectiveness (candidate pairs generated vs. exact
 pairs surviving vs. the brute-force product) to the metrics registry's
 ``repro_pair_*_total`` counters, which the benchmark tables, run
-profiles and ``/metrics`` all read.
+profiles and ``repro report --timings`` all read.
 """
 
 from __future__ import annotations

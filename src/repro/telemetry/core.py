@@ -5,8 +5,8 @@ determine the invocation intervals" because "these timing calls will
 impose insignificant overhead".  This module generalises that stance to
 the whole stack: hierarchical **spans** (context-managed wall-clock
 intervals carrying attributes) recorded against an injectable monotonic
-clock, with a hard zero-cost guarantee when disabled.  Counts and
-levels do not live here: they belong to the always-on metrics registry
+clock, with a hard zero-cost guarantee when disabled.  Counts do not
+live here: they are counters in the always-on metrics registry
 (:mod:`repro.telemetry.metrics`), and a span that wants them records
 the registry delta over its extent as attributes.
 
@@ -59,9 +59,7 @@ __all__ = [
     "TelemetryRecorder",
     "activate",
     "active_recorder",
-    "annotate",
     "deactivate",
-    "flush_active",
     "recording",
     "session",
     "span",
@@ -86,11 +84,6 @@ def telemetry_mode() -> str:
             f"{TELEMETRY_ENV} must be one of {TELEMETRY_MODES}, got {mode!r}"
         )
     return mode
-
-
-def telemetry_enabled() -> bool:
-    """True when the environment asks for telemetry output."""
-    return telemetry_mode() != "off"
 
 
 class _NullSpan:
@@ -214,12 +207,6 @@ class TelemetryRecorder:
         with self._lock:
             self.events.append(event)
 
-    def annotate_current(self, **attrs) -> None:
-        """Attach attributes to the innermost open span (no-op if none)."""
-        stack = self._stack()
-        if stack:
-            stack[-1].attrs.update(attrs)
-
     # -- persistence --------------------------------------------------------
 
     def bind_jsonl(self, path: str | os.PathLike) -> None:
@@ -311,21 +298,6 @@ def span(name: str, cat: str = "", **attrs):
     if rec is None:
         return _NULL_SPAN
     return rec.span(name, cat=cat, **attrs)
-
-
-def annotate(**attrs) -> None:
-    """Attach attributes to the innermost open span (no-op when off)."""
-    rec = _ACTIVE
-    if rec is not None:
-        rec.annotate_current(**attrs)
-
-
-def flush_active() -> int:
-    """Flush the active recorder's JSONL sink (0 when off/unbound)."""
-    rec = _ACTIVE
-    if rec is None:
-        return 0
-    return rec.flush()
 
 
 @contextmanager

@@ -43,7 +43,7 @@ from .core import (
     telemetry_mode,
 )
 from .metrics import counter_deltas
-from .sinks import read_jsonl, write_json_atomic  # noqa: F401  (re-export)
+from .sinks import write_json_atomic
 
 __all__ = [
     "aggregate_timings",

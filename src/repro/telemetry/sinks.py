@@ -21,7 +21,6 @@ __all__ = [
     "read_jsonl",
     "write_chrome_trace",
     "write_json_atomic",
-    "write_text_atomic",
 ]
 
 
@@ -62,12 +61,9 @@ def write_chrome_trace(path: str | os.PathLike, events,
 
 
 def write_json_atomic(path: str | os.PathLike, doc: dict) -> Path:
-    """Atomic JSON write (sorted keys); returns the path."""
-    return write_text_atomic(path, json.dumps(doc, sort_keys=True))
-
-
-def write_text_atomic(path: str | os.PathLike, text: str) -> Path:
-    """Stage-then-rename text write (same discipline as the store)."""
+    """Stage-then-rename JSON write (sorted keys, same discipline as the
+    store); returns the path."""
+    text = json.dumps(doc, sort_keys=True)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")

@@ -1,14 +1,14 @@
 """One counter store: every count lives in the metrics registry.
 
 The pair kernels, the store read cache, run profiles, kernel spans,
-``repro report --timings`` and the Prometheus exposition all read the
-same registry series.  The guarantees under test:
+``repro report --timings`` and the registry snapshot perfbench reads
+all see the same registry series.  The guarantees under test:
 
-* a ``_total`` series never decreases inside a live process (Prometheus
-  would read a drop as a counter reset);
+* a ``_total`` series never decreases inside a live process (a scoped
+  delta would go negative);
 * a fixed tiny sweep produces pinned counter names and values, and the
   run-profile counter blocks, :func:`aggregate_timings` and the
-  Prometheus exposition agree on them.
+  registry snapshot agree on them.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from repro.telemetry import (
     aggregate_timings,
     find_run_profiles,
     metrics_registry,
-    parse_prometheus,
-    render_prometheus,
     render_timings,
     reset_metrics,
 )
@@ -84,6 +82,24 @@ def test_read_cache_stats_is_a_registry_view(tmp_path):
     assert read_cache_stats() == stats
 
 
+def test_a_sweep_moves_only_counters_something_reads(tmp_path):
+    reset_metrics()
+    run_specs(
+        [sim_spec("tp2d", "small", nprocs=4, partitioner="nature+fable")],
+        store=ResultStore(tmp_path),
+    )
+    series = {
+        (c["name"], tuple(sorted(c["labels"]))): c["value"]
+        for c in metrics_registry().snapshot()["counters"]
+    }
+    # Run profiles and perfbench read the built-ins by name, perfbench
+    # reads repro_runs_total by outcome; nothing else is counted.
+    assert set(series) == {(name, ()) for name in BUILTIN_COUNTERS} | {
+        ("repro_runs_total", ("kind", "outcome"))
+    }
+    assert series[("repro_pair_queries_total", ())] > 0
+
+
 def test_golden_sweep_counters_agree_across_surfaces(tmp_path, monkeypatch):
     monkeypatch.setenv(TELEMETRY_ENV, "json")
     monkeypatch.setattr(pairindex, "_BRUTE_CUTOFF", -1)
@@ -113,12 +129,13 @@ def test_golden_sweep_counters_agree_across_surfaces(tmp_path, monkeypatch):
     text = render_timings(timings)
     assert "pair kernels: 320 queries, 4,890 brute-force pair product" in text
 
-    exposition = parse_prometheus(render_prometheus(metrics_registry().snapshot()))
-    scraped = {
-        s["name"]: s["value"] for s in exposition["samples"] if not s["labels"]
+    snapshot = {
+        c["name"]: c["value"]
+        for c in metrics_registry().snapshot()["counters"]
+        if not c["labels"]
     }
     for name, value in GOLDEN.items():
-        assert scraped[name] == value, name
+        assert snapshot[name] == value, name
     for name in BUILTIN_COUNTERS:
         if name.startswith("repro_pair_") and name not in GOLDEN:
-            assert scraped[name] == 0, name
+            assert snapshot[name] == 0, name

@@ -44,6 +44,7 @@ from repro.telemetry import (
     deactivate,
     find_run_profiles,
     load_run_profile,
+    metrics_registry,
     profile_tree,
     read_jsonl,
     recording,
@@ -54,6 +55,7 @@ from repro.telemetry import (
     telemetry_active,
     telemetry_mode,
 )
+from repro.telemetry.sinks import write_json_atomic
 
 NPROCS = 4
 
@@ -131,6 +133,13 @@ class TestRecorder:
         (event,) = rec.events
         assert event["error"] is True
 
+    def test_annotate_attaches_attrs_before_close(self):
+        rec = TelemetryRecorder(clock=FakeClock())
+        with rec.span("phase", cat="t", step=1) as sp:
+            sp.annotate(cells=64, step=2)
+        (event,) = rec.events
+        assert event["attrs"] == {"step": 2, "cells": 64}
+
     def test_module_level_span_is_free_when_off(self, monkeypatch):
         monkeypatch.delenv(TELEMETRY_ENV, raising=False)
         assert telemetry_mode() == "off"
@@ -193,6 +202,26 @@ class TestSinks:
         by_name = {e["name"]: e for e in doc["traceEvents"]}
         assert by_name["outer"]["args"] == {"depth": 2}
         assert by_name["inner"]["args"] == {"step": 3}
+
+    def test_write_json_atomic_replaces_or_leaves_the_old_file(
+        self, tmp_path
+    ):
+        path = tmp_path / "deep" / "doc.json"
+        write_json_atomic(path, {"b": 1, "a": [2]})
+        assert path.read_text(encoding="utf-8") == '{"a": [2], "b": 1}'
+        write_json_atomic(path, {"c": 3})
+        assert json.loads(path.read_text(encoding="utf-8")) == {"c": 3}
+        with pytest.raises(TypeError):
+            write_json_atomic(path, {"bad": object()})
+        # The failed write left the previous document and no staging file.
+        assert json.loads(path.read_text(encoding="utf-8")) == {"c": 3}
+        assert sorted(p.name for p in path.parent.iterdir()) == ["doc.json"]
+
+    def test_read_jsonl_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"type": "meta"}\n\n  \n{"type": "span"}\n',
+                        encoding="utf-8")
+        assert read_jsonl(path) == [{"type": "meta"}, {"type": "span"}]
 
     def test_session_writes_jsonl_and_chrome_trace(self, tmp_path):
         with session(tmp_path, name="unit test!", mode="chrome",
@@ -317,21 +346,21 @@ def _assert_well_formed(events: list[dict]) -> None:
     """Schema + tree invariants of one JSONL event log."""
     assert events, "empty event log"
     assert events[0]["type"] == "meta"
-    spans = [e for e in events[1:] if e["type"] == "span"]
+    spans = events[1:]
+    stray = {e["type"] for e in spans} - {"span"}
+    assert not stray, f"stray event types {stray}"
     ids = [e["id"] for e in spans]
     assert len(ids) == len(set(ids)), "duplicate span ids"
     by_id = {e["id"]: e for e in spans}
-    for e in events[1:]:
-        assert e["type"] in ("span", "counter", "gauge")
+    for e in spans:
         assert e["ts"] >= 0.0
-        if e["type"] == "span":
-            assert e["dur"] >= 0.0
-            parent = by_id.get(e["parent"])
-            if parent is not None:
-                # A closed parent encloses its closed children.
-                assert parent["ts"] <= e["ts"] + 1e-9
-                assert (parent["ts"] + parent["dur"]
-                        >= e["ts"] + e["dur"] - 1e-9)
+        assert e["dur"] >= 0.0
+        parent = by_id.get(e["parent"])
+        if parent is not None:
+            # A closed parent encloses its closed children.
+            assert parent["ts"] <= e["ts"] + 1e-9
+            assert (parent["ts"] + parent["dur"]
+                    >= e["ts"] + e["dur"] - 1e-9)
 
 
 class TestProcessEventLogs:
@@ -410,6 +439,40 @@ class TestFailureRecords:
             # The partial span tree: the run root closed with the error.
             [root] = [e for e in doc["spans"] if e["name"] == "run"]
             assert root["error"] is True
+
+    def test_runs_total_counts_each_outcome(self, tmp_path):
+        registry = metrics_registry()
+
+        def runs(outcome: str) -> float:
+            return registry.counter_value(
+                "repro_runs_total", kind="sim", outcome=outcome
+            )
+
+        before = runs("completed"), runs("failed")
+        store = ResultStore(tmp_path / "store")
+        run_spec(_sweep()[0], store=store)
+        with pytest.raises(ValueError):
+            run_spec(_poisoned(), store=store)
+        assert (runs("completed"), runs("failed")) == (
+            before[0] + 1, before[1] + 1
+        )
+
+    def test_telemetry_off_writes_only_the_record(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv(TELEMETRY_ENV, raising=False)
+        store = ResultStore(tmp_path / "store")
+        spec = _poisoned()
+        with pytest.raises(ValueError):
+            run_specs([_sweep()[0], spec], store=store)
+        written = sorted(
+            str(p.relative_to(store.root))
+            for p in (store.root / "telemetry").rglob("*") if p.is_file()
+        )
+        assert written == [
+            str(run_profile_path(store.root, spec.key())
+                .relative_to(store.root))
+        ]
 
     def test_process_pool_worker_writes_the_record(self, tmp_path):
         store = ResultStore(tmp_path / "store")
