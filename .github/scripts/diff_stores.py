@@ -8,8 +8,8 @@ Hashes every artifact file of every entry (sha256, keyed by entry key
 and file name) and exits 1 unless each STORE holds exactly the
 reference's entries with identical bytes.  The store hashes are the
 behaviour contract: a sweep must publish the same bytes under every
-telemetry mode and backend, and before and after a change that claims
-to leave outputs alone.
+telemetry mode and ``--n-jobs`` value, and before and after a change
+that claims to leave outputs alone.
 """
 
 from __future__ import annotations

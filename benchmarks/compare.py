@@ -11,7 +11,9 @@ baseline record.  Two gates apply:
 
 * **counters: exact.**  The deterministic ``counters`` of a record
   (candidate pairs, grid queries, queries, ...) must equal its
-  baseline's; any difference exits 1.
+  baseline's; any difference exits 1.  So does a case recorded twice in
+  one suite, in either directory: records are matched by case, and a
+  second copy would hide the first.
 * **wall clock: soft.**  Regressions beyond the tolerance are flagged
   with ``!!`` and counted, but the exit status stays 0 unless
   ``--strict`` is given — wall-clock on shared CI runners is too noisy
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 
@@ -47,6 +50,12 @@ def load_suites(directory: Path) -> dict[str, dict]:
 
 def index_records(doc: dict) -> dict[str, dict]:
     return {r["case"]: r for r in doc.get("records", [])}
+
+
+def repeated_cases(doc: dict) -> list[str]:
+    """The cases a document records more than once, in first-seen order."""
+    counts = Counter(r["case"] for r in doc.get("records", []))
+    return [case for case, n in counts.items() if n > 1]
 
 
 def counter_diff(new: dict, old: dict) -> dict[str, tuple]:
@@ -82,6 +91,17 @@ def main(argv: list[str] | None = None) -> int:
 
     fresh = load_suites(args.out)
     base = load_suites(args.baselines)
+    repeated = [
+        (where, suite, case)
+        for where, suites in ((args.out, fresh), (args.baselines, base))
+        for suite, doc in sorted(suites.items())
+        for case in repeated_cases(doc)
+    ]
+    for where, suite, case in repeated:
+        print(f"{where}: suite {suite} records case {case} more than once")
+    if repeated:
+        print("exact gate: every case must be recorded once per suite")
+        return 1
     if not fresh:
         print(f"no BENCH_*.json documents under {args.out}")
         return 0

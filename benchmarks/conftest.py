@@ -1,9 +1,9 @@
 """Shared benchmark configuration.
 
 The benchmark suite regenerates every figure of the paper's evaluation
-(DESIGN.md experiment index) and times the library's computational
-kernels.  Figure benchmarks print the series they produce, so the
-pytest output doubles as the reproduction record.
+(the entry points of ``repro.experiments.figures``) and times the
+library's computational kernels.  Figure benchmarks print the series
+they produce, so the pytest output doubles as the reproduction record.
 
 Scale is controlled by the ``REPRO_BENCH_SCALE`` environment variable:
 ``small`` (default — minutes-level CI budget) or ``paper`` (the full
@@ -55,9 +55,13 @@ def record_bench(suite: str, case: str, wall_s: float,
     """Accumulate one machine-readable benchmark record.
 
     ``suite`` names the output file (``BENCH_<suite>.json``); ``case``
-    identifies the measurement within it.  Extra keyword fields ride
-    along verbatim (speedups, sizes, ...).
+    identifies the measurement within it, so recording a case twice in
+    one suite raises ``ValueError``.  Extra keyword fields ride along
+    verbatim (speedups, sizes, ...).
     """
+    records = _BENCH_RECORDS.setdefault(suite, [])
+    if any(r["case"] == case for r in records):
+        raise ValueError(f"suite {suite!r} already holds case {case!r}")
     record = {
         "case": case,
         "wall_s": float(wall_s),
@@ -65,7 +69,7 @@ def record_bench(suite: str, case: str, wall_s: float,
         "counters": {k: int(v) for k, v in (counters or {}).items()},
     }
     record.update(extra)
-    _BENCH_RECORDS.setdefault(suite, []).append(record)
+    records.append(record)
     return record
 
 

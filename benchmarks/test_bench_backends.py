@@ -1,11 +1,11 @@
-"""Backend benchmarks: dispatch overhead of serial/process.
+"""Run-path benchmarks: dispatch overhead of ``n_jobs=1`` vs. a pool.
 
-Both backends publish identical artifacts, so the interesting number is
+Both paths publish identical artifacts, so the interesting number is
 the *orchestration overhead* each one adds around the same simulator
-work: the serial loop is the floor, and the process pool pays worker
-spawn once per plan.  A warm-store re-run through each backend is also
-timed — resume cost is pure plan-resolution and must be
-backend-independent.
+work: the in-process loop (``n_jobs=1``) is the floor, and the process
+pool (``n_jobs=2``) pays worker spawn once per plan.  A warm-store
+re-run through each path is also timed — resume cost is pure
+plan-resolution and must not depend on ``n_jobs``.
 
 Scale via ``REPRO_BENCH_SCALE`` as for the other benches.
 """
@@ -22,6 +22,8 @@ from conftest import BENCH_NPROCS, record_bench
 
 PARTITIONERS = ("nature+fable", "patch-lpt")
 APPS = ("tp2d", "bl2d")
+#: Case label -> ``n_jobs``.
+PATHS = {"in-process": 1, "pool": 2}
 
 
 def _sweep(scale):
@@ -34,32 +36,26 @@ def _sweep(scale):
 
 def test_backend_overhead(tmp_path, scale):
     specs = _sweep(scale)
-    backends = {
-        "serial": lambda: "serial",
-        "process": lambda: "process",
-    }
     cold: dict[str, float] = {}
     warm: dict[str, float] = {}
     results: dict[str, list] = {}
-    for name, make in backends.items():
+    for name, n_jobs in PATHS.items():
         store = ResultStore(tmp_path / name)
         t0 = time.perf_counter()
-        results[name] = run_specs(
-            specs, store=store, backend=make(), n_jobs=2
-        )
+        results[name] = run_specs(specs, store=store, n_jobs=n_jobs)
         cold[name] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        run_specs(specs, store=store, backend=make(), n_jobs=2)
+        run_specs(specs, store=store, n_jobs=n_jobs)
         warm[name] = time.perf_counter() - t0
 
     print()
     print(
-        f"backend overhead on {len(specs)} replays "
+        f"run-path overhead on {len(specs)} replays "
         f"(scale={scale}, P={BENCH_NPROCS})"
     )
-    for name in backends:
+    for name in PATHS:
         print(
-            f"  {name:<8} cold {cold[name]:8.3f} s   "
+            f"  {name:<10} cold {cold[name]:8.3f} s   "
             f"warm resume {warm[name]:8.3f} s"
         )
         record_bench("backends", f"cold:{name}:{scale}", cold[name],
@@ -67,9 +63,9 @@ def test_backend_overhead(tmp_path, scale):
         record_bench("backends", f"warm:{name}:{scale}", warm[name],
                      jobs=len(specs))
 
-    # Identical results across backends, and warm resumes never compute.
-    for ser, other in zip(results["serial"], results["process"]):
-        assert ser.key == other.key
-        for column in ser.arrays:
-            assert np.array_equal(ser.arrays[column], other.arrays[column])
-    assert warm["serial"] < cold["serial"]
+    # Identical results on both paths, and warm resumes never compute.
+    for local, pooled in zip(results["in-process"], results["pool"]):
+        assert local.key == pooled.key
+        for column in local.arrays:
+            assert np.array_equal(local.arrays[column], pooled.arrays[column])
+    assert warm["in-process"] < cold["in-process"]

@@ -32,9 +32,9 @@ def main() -> None:
         for name in APP_NAMES_3D
         for part in PARTITIONERS
     ]
-    # Equivalent to n_jobs=2; backend="serial" runs the same sweep
-    # in-process and publishes identical bytes.
-    results = run_specs(specs, backend="process", n_jobs=2, progress=print)
+    # Two worker processes; n_jobs=1 runs the same sweep in this
+    # process and publishes identical bytes.
+    results = run_specs(specs, n_jobs=2, progress=print)
 
     print(f"\nreplay on {NPROCS} ranks:")
     header = (

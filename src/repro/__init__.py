@@ -2,11 +2,11 @@
 for SAMR Partitioning Trade-off Optimization: Part II" (SAND2003-8725 /
 ICPP 2004).
 
-Subpackage map (see DESIGN.md for the full system inventory):
+Subpackage map (the README's *Architecture* section has the full tree):
 
 ==================  =====================================================
 ``repro.registry``   unified component registry (apps, partitioners,
-                     schedules, machines, scales; plugin entry points)
+                     schedules, machines, scales)
 ``repro.geometry``   integer box calculus, patch sets, rasterization
 ``repro.sfc``        Morton / Hilbert space-filling curves
 ``repro.hierarchy``  SAMR grid hierarchies (levels, nesting, workload)

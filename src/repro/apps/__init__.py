@@ -19,8 +19,7 @@ codes actually run — one 3-D analogue per 2-D family (tp/bl/sc/rm).
 
 Every kernel registers itself with the unified component registry
 (``@register("app", name)`` in its own module), so :data:`APPLICATIONS`
-is a *live* view: kernels added by third-party plugins (the
-``repro.components`` entry-point group) or at runtime appear here — and
+is a *live* view: kernels registered at runtime appear here — and
 everywhere names are resolved — without touching engine internals.
 """
 

@@ -8,7 +8,7 @@ IPARS/VTF binaries, so each kernel is rebuilt as a *shadow-grid* PDE
 solver: the equation is solved on a uniform grid, and at each regrid step
 an error indicator is thresholded level by level, clustered with
 Berger--Rigoutsos, and stacked into a properly-nested factor-2 hierarchy —
-exactly the information the original traces record (DESIGN.md, section 2).
+exactly the information the original traces record (section 5.1.1).
 
 The experimental parameters mirror the paper: 5 levels of factor-2
 refinement in space and time, regridding every 4 steps, 100 time-steps,

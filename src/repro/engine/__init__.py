@@ -14,13 +14,11 @@ declarative job:
 * :mod:`repro.engine.store` — the content-addressed artifact store
   (``REPRO_CACHE_DIR``, default ``~/.cache/repro``) with LRU eviction
   (:meth:`ResultStore.gc`);
-* :mod:`repro.engine.executor` — the DAG executor front-end: resolves
-  plans and hands them to an execution backend, then loads results back
-  from the store;
-* :mod:`repro.engine.backends` — the pluggable execution backends
-  (registry kind ``"backend"``): ``serial`` (in-process) and
-  ``process`` (trace-aware shards over a local pool); a run that raises
-  on either leaves a failure record next to the store;
+* :mod:`repro.engine.executor` — the DAG executor: resolves plans,
+  runs each layer in this process (``n_jobs=1``) or as trace-aware
+  shards over one local process pool (``n_jobs > 1``), then loads
+  results back from the store; a run that raises on either path leaves
+  a failure record next to the store;
 * :mod:`repro.engine.components` — the built-in components, registered
   with the unified :mod:`repro.registry` (``create`` / ``registry`` /
   ``describe`` are re-exported here);
@@ -28,11 +26,13 @@ declarative job:
   (``run`` / ``sweep`` / ``plan`` / ``graph`` / ``report`` /
   ``profile`` / ``describe`` / ``cache``).
 
-This package is the engine's **versioned public API**: everything in
-``__all__`` follows the deprecation policy (one release of
-``DeprecationWarning`` before removal), and
-:data:`ENGINE_API_VERSION` bumps its major component on breaking
-changes.  :data:`ENGINE_SCHEMA_VERSION` (part of every content hash) is
+This package is the engine's **versioned public API**, and
+:data:`ENGINE_API_VERSION` states its removal policy: a name in
+``__all__`` (or a CLI flag, or a parameter) is removed in a release
+that bumps the major component, with a note below and in the README
+naming each removed surface, and without moving any store key.  Since
+3.0 no removal has had a release of ``DeprecationWarning`` first.
+:data:`ENGINE_SCHEMA_VERSION` (part of every content hash) is
 orthogonal: it only moves when stored-result *semantics* change, so an
 API redesign that keeps hashes stable keeps every warm store warm.
 
@@ -42,19 +42,12 @@ inside functions.
 """
 
 from .executor import execute, plan_specs, run_spec, run_specs, shard_specs
-from .backends import (
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    resolve_backend,
-)
 from .graph import MissingInputError, Plan, SpecNode, build_plan, toposort_layers
 from .components import (
     STATIC_SUITE,
     create,
     describe,
     is_schedule,
-    load_plugins,
     register,
     registry,
     resolve_machine,
@@ -115,8 +108,8 @@ from .store import (
 #: ``render_blackbox``, ...); ``cluster_status_doc``,
 #: ``render_cluster_status`` and ``evaluate_health``; ``repro worker``,
 #: ``top``, ``health`` and ``blackbox``; ``--workers`` and
-#: ``--log-level``; the ``workers=`` parameter of ``run_specs`` and
-#: ``resolve_backend``; the metrics server's ``health=`` hook; and the
+#: ``--log-level``; the ``workers=`` parameter of ``run_specs`` and of
+#: the backend resolver; the metrics server's ``health=`` hook; and the
 #: ``REPRO_WORKER_FAIL_KEYS`` knob.
 #: 6.0: one pair-candidate path — brute force for small pair products,
 #: the grid above them — with nothing left to switch.  Removed: the
@@ -142,8 +135,21 @@ from .store import (
 #: ``annotate``, ``TelemetryRecorder.annotate_current``,
 #: ``flush_active`` and ``telemetry_enabled``.  ``snapshot()`` returns
 #: ``{"counters": [...]}``, sorted.
+#: 8.0: one way to run a plan — ``n_jobs`` alone picks this process or
+#: one local pool — and a fixed table of five component kinds.
+#: Removed: the execution-backend package with its base class, its two
+#: implementations, its resolver, its name listing, its registry kind
+#: (``registry("backend")`` raises), its status-line helper and its
+#: placement reports; the engine's live backend-name tuple; the
+#: ``verbose`` parameter of ``run_specs`` with its backend and per-layer
+#: queued/leased lines; entry-point plugin discovery with its group
+#: constant, its kind-declaration hook and its live kind listing
+#: (``COMPONENT_KINDS`` is the table); ``repro run|sweep|plan
+#: --backend``, ``repro sweep --verbose``, ``repro plan --n-jobs``; and
+#: the ``backend=`` parameter of ``meta_vs_static``.  ``run_specs``
+#: keeps ``backend=None | "serial"`` for the benchmark harness only.
 #: The README's migration note names each removed function.
-ENGINE_API_VERSION = "7.0"
+ENGINE_API_VERSION = "8.0"
 
 __all__ = [
     # versions
@@ -173,17 +179,11 @@ __all__ = [
     "run_specs",
     "plan_specs",
     "shard_specs",
-    # execution backends
-    "ExecutionBackend",
-    "SerialBackend",
-    "ProcessBackend",
-    "resolve_backend",
     # component registry
     "create",
     "describe",
     "register",
     "registry",
-    "load_plugins",
     "resolve_machine",
     "is_schedule",
     "validate_partitioner",
@@ -192,7 +192,6 @@ __all__ = [
     "PARTITIONER_NAMES",
     "SCHEDULE_NAMES",
     "MACHINE_NAMES",
-    "BACKEND_NAMES",
 ]
 
 
@@ -200,7 +199,6 @@ _NAME_TUPLE_KINDS = {
     "PARTITIONER_NAMES": "partitioner",
     "SCHEDULE_NAMES": "schedule",
     "MACHINE_NAMES": "machine",
-    "BACKEND_NAMES": "backend",
 }
 
 

@@ -5,16 +5,15 @@ Subcommands
 ``repro run``
     Execute (or fetch) a single job and print its summary or series.
 ``repro sweep``
-    Fan a grid of jobs — apps x partitioners x machines — through an
-    execution backend (``--backend serial|process``).  Dependency
-    resolution schedules missing workload traces first; already-stored
-    results are skipped, so re-running a killed sweep resumes where it
-    left off.
+    Fan a grid of jobs — apps x partitioners x machines — through the
+    engine, in this process (``--n-jobs 1``, the default) or over a pool
+    of worker processes (``--n-jobs N``).  Dependency resolution
+    schedules missing workload traces first; already-stored results are
+    skipped, so re-running a killed sweep resumes where it left off.
 ``repro plan``
     Resolve the same grid into its dependency-aware execution plan
     *without running it*: what the store already holds vs. what would be
-    computed, layer by layer (``--backend`` adds the backend's placement
-    report).
+    computed, layer by layer.
 ``repro graph``
     Print the spec dependency graph (``--dot`` for Graphviz).
 ``repro report``
@@ -42,6 +41,10 @@ The store location is ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``);
 (or ``$REPRO_TELEMETRY``) turns on span tracing for any run/sweep
 invocation; event logs land under ``<store>/telemetry/`` and never touch
 content hashes.
+
+A reader that closes the pipe early (``repro cache ls | head -3``) ends
+the command quietly with exit code 141, as a shell reports a tool that
+``SIGPIPE`` killed.
 """
 
 from __future__ import annotations
@@ -53,10 +56,9 @@ import sys
 import time
 from typing import Sequence
 
+from ..registry import COMPONENT_KINDS, registry
 from ..registry import describe as describe_components
-from ..registry import registry
 from ..telemetry import TELEMETRY_ENV, TELEMETRY_MODES
-from .backends import resolve_backend
 from .executor import run_spec, run_specs
 from .graph import Plan, build_plan
 from .components import STATIC_SUITE
@@ -233,19 +235,6 @@ def _print_sweep_table(results) -> None:
             )
 
 
-def _resolve_cli_backend(args):
-    """Build the backend an invocation selected, or None for the default."""
-    backend = getattr(args, "backend", None)
-    if backend is None:
-        return None
-    if backend not in registry("backend"):
-        raise SystemExit(
-            f"unknown backend {backend!r}; choose from "
-            f"{tuple(registry('backend'))}"
-        )
-    return resolve_backend(backend, n_jobs=getattr(args, "n_jobs", 1))
-
-
 def _cmd_run(args) -> int:
     store = _store_from(args)
     if args.kind == "sim":
@@ -266,13 +255,7 @@ def _cmd_run(args) -> int:
     else:
         spec = trace_spec(args.app, args.scale, seed=args.seed)
     cached = store.has(spec.key())
-    backend = _resolve_cli_backend(args)
-    if backend is not None:
-        result = run_specs(
-            [spec], store=store, force=args.force, backend=backend
-        )[0]
-    else:
-        result = run_spec(spec, store=store, force=args.force)
+    result = run_spec(spec, store=store, force=args.force)
     if args.json:
         print(json.dumps({"key": result.key, "meta": result.meta}, indent=1,
                          sort_keys=True))
@@ -307,8 +290,6 @@ def _cmd_sweep(args) -> int:
         store=store,
         force=args.force,
         progress=None if args.quiet else print,
-        backend=_resolve_cli_backend(args),
-        verbose=args.verbose,
     )
     _print_sweep_table(results)
     implicit = counts["implicit_compute"]
@@ -359,11 +340,6 @@ def _cmd_plan(args) -> int:
     store = _store_from(args)
     plan = build_plan(_sweep_specs(args), store)
     _print_plan(plan)
-    backend = _resolve_cli_backend(args)
-    if backend is not None:
-        print("\nplacement:")
-        for line in backend.placement(plan, store):
-            print(f"  {line}")
     print(f"\nstore: {store.root}")
     return 0
 
@@ -472,16 +448,15 @@ def _cmd_report(args) -> int:
 
 def _cmd_describe(args) -> int:
     # The built-in scales register when the workload layer imports; pull
-    # it in so `describe` sees them (and any entry-point plugins) even
-    # though this command never builds a spec.
+    # it in so `describe` sees them even though this command never
+    # builds a spec.
     from ..experiments import workloads  # noqa: F401
-    from ..registry import component_kinds
 
-    kinds = [args.kind] if args.kind else list(component_kinds())
-    if args.kind and args.kind not in component_kinds():
+    kinds = [args.kind] if args.kind else list(COMPONENT_KINDS)
+    if args.kind and args.kind not in COMPONENT_KINDS:
         raise SystemExit(
             f"unknown component kind {args.kind!r}; choose from "
-            f"{component_kinds()}"
+            f"{COMPONENT_KINDS}"
         )
     doc = {kind: describe_components(kind) for kind in kinds}
     if args.json:
@@ -645,16 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kind", default="sim",
                        choices=["sim", "penalties", "trace"])
 
-    def backend_opts(p):
-        p.add_argument(
-            "--backend", default=None,
-            help="execution backend: serial, process, or a registered "
-            "plugin (default: serial, or process when --n-jobs > 1)",
-        )
-
     run = sub.add_parser("run", help="run (or fetch) one job")
     common(run)
-    backend_opts(run)
     run.add_argument("--app", required=True)
     run.add_argument("--kind", default="sim",
                      choices=["sim", "penalties", "trace"])
@@ -676,15 +643,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(sweep)
     grid(sweep)
-    backend_opts(sweep)
     sweep.add_argument("--n-jobs", type=int, default=1,
-                       help="worker processes (1 = serial, no pool)")
+                       help="worker processes (1 = this process, no pool)")
     sweep.add_argument("--force", action="store_true")
     sweep.add_argument("--quiet", action="store_true",
                        help="suppress progress lines")
-    sweep.add_argument("--verbose", action="store_true",
-                       help="per-layer progress lines "
-                       "(jobs queued/leased/done)")
     sweep.set_defaults(func=_cmd_sweep)
 
     plan = sub.add_parser(
@@ -693,9 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(plan)
     grid(plan)
-    backend_opts(plan)
-    plan.add_argument("--n-jobs", type=int, default=1,
-                      help="worker count assumed by the placement report")
     plan.set_defaults(func=_cmd_plan)
 
     graph = sub.add_parser(
@@ -774,7 +734,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "telemetry", None):
         os.environ[TELEMETRY_ENV] = args.telemetry
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except ValueError as exc:
         # Spec/registry validation (bad seed, schedule params, ...) is a
         # usage error, not a crash.
@@ -784,3 +746,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("interrupted (finished shards remain in the store)",
               file=sys.stderr)
         return 130
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at the null device so the
+        # interpreter's exit flush of the unwritten rest stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141

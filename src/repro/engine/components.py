@@ -7,8 +7,8 @@ helpers the engine resolves those names through.  The experiment layer
 reuses the same registries (``static_partitioner_suite`` /
 ``machine_scenarios`` delegate here) so the CLI, the figures and the
 ablations all agree on what ``"nature+fable"`` or ``"net-starved"``
-means — and a component registered by a third party (decorator or
-``repro.components`` entry point) is immediately sweepable by name.
+means — and a component registered at runtime (the ``@register``
+decorator) is immediately sweepable by name.
 
 The canonical surface is the registry itself::
 
@@ -33,7 +33,7 @@ from ..partition import (
     Partitioner,
     StickyRepartitioner,
 )
-from ..registry import create, describe, load_plugins, register, registry
+from ..registry import create, describe, register, registry
 from ..simulator import MachineModel
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "describe",
     "register",
     "registry",
-    "load_plugins",
     "resolve_machine",
     "is_schedule",
     "validate_partitioner",

@@ -5,35 +5,38 @@ specs into a dependency-aware :class:`~repro.engine.graph.Plan`
 (deduplicated, implicit trace inputs expanded, everything the store
 already holds pruned — which is what makes a killed sweep *resumable*
 and lets a sim sweep over a warm store execute zero trace jobs), then
-hands the plan to an **execution backend**
-(:mod:`repro.engine.backends`) that walks its topological layers:
-traces first, dependents fanned out in parallel once their inputs are
-published.
+walks its topological layers: traces first, dependents fanned out once
+their inputs are published.
 
-``backend="serial"`` runs everything in-process, and ``"process"``
-shards each layer trace-aware across a local pool (specs sharing
-``(app, scale, seed)`` stay together so each worker loads every trace
-at most once).  Whoever computes, results travel only through the
-content-addressed store — the parent loads every artifact back from
-disk, so all backends return bit-identical results.  A run that
-raises, on any backend, leaves a failure record under
-``<store>/telemetry/runs/`` (see :func:`execute`).
+``n_jobs`` alone picks how a layer runs.  ``n_jobs=1`` runs every job
+in this process; ``n_jobs > 1`` deals each layer into trace-aware
+shards over one local process pool (specs sharing ``(app, scale,
+seed)`` stay together so each worker loads every trace at most once).
+Whoever computes, results travel only through the content-addressed
+store — the parent loads every artifact back from disk, so both paths
+return bit-identical results.  A run that raises, in this process or in
+a pool worker, leaves a failure record under ``<store>/telemetry/runs/``
+(see :func:`execute`).
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..simulator import TraceSimulator
 from ..telemetry import deactivate, metric_inc, run_scope, session, span
-from .graph import build_plan
+from .graph import MissingInputError, Plan, build_plan
 from .components import create, is_schedule, resolve_machine
 from .spec import RunResult, RunSpec
 from .store import ResultStore, default_store
 
 __all__ = ["execute", "run_spec", "run_specs", "plan_specs", "shard_specs"]
+
+#: A progress callback: receives one human-readable line per event.
+Progress = Callable[[str], None]
 
 #: StepMetrics columns stored as integer series.
 _INT_COLUMNS = (
@@ -150,8 +153,8 @@ def execute(spec: RunSpec, store: ResultStore | None = None) -> RunResult:
     repeated executions only pay for the simulator/model work.
 
     Every execution runs inside a telemetry
-    :func:`~repro.telemetry.run_scope`, no matter which backend
-    performed it.  With telemetry enabled this opens the per-run ``run``
+    :func:`~repro.telemetry.run_scope`, in this process and in a pool
+    worker alike.  With telemetry enabled this opens the per-run ``run``
     span, records the metrics-registry counter deltas of the run, and
     publishes a run profile for ``repro profile <key>`` under
     ``<store>/telemetry/``.  With telemetry on or off, a run that raises
@@ -287,16 +290,91 @@ def _run_shard(root: str, spec_docs: list[dict], overwrite: bool) -> list[str]:
     return keys
 
 
+def _verify_layer_inputs(
+    layer: Sequence[str], plan: Plan, store: ResultStore
+) -> None:
+    """Fail fast if a layer's inputs never materialized in the store."""
+    for key in layer:
+        node = plan.node(key)
+        for input_key in node.inputs:
+            if store.has(input_key):
+                continue
+            input_node = plan.nodes.get(input_key)
+            input_label = (
+                input_node.spec.label() if input_node else input_key[:12]
+            )
+            raise MissingInputError(
+                f"{node.spec.label()} requires input {input_label} "
+                f"({input_key[:12]}) which is not in the store"
+            )
+
+
+def _run_in_process(
+    specs: Sequence[RunSpec], store: ResultStore, force: bool, say: Progress
+) -> None:
+    for spec in specs:
+        store.put_result(
+            execute(spec, store), overwrite=force and spec.kind != "trace"
+        )
+        say(f"computed {spec.label()}")
+
+
+def _run_on_pool(
+    pool: ProcessPoolExecutor,
+    n_jobs: int,
+    specs: Sequence[RunSpec],
+    store: ResultStore,
+    force: bool,
+    say: Progress,
+) -> None:
+    futures = {
+        pool.submit(
+            _run_shard, str(store.root), [s.to_json() for s in shard], force
+        ): i
+        for i, shard in enumerate(shard_specs(specs, n_jobs))
+    }
+    for future in as_completed(futures):
+        finished = future.result()  # propagate worker failures
+        say(f"shard {futures[future]} finished ({len(finished)} specs)")
+
+
+def _run_plan(
+    plan: Plan, store: ResultStore, n_jobs: int, force: bool, say: Progress
+) -> None:
+    """Publish every pending node, layer by layer."""
+    # One pool for the whole plan — but none at all when a single
+    # pending job (or n_jobs=1) makes the spawn overhead pure waste.
+    pool = (
+        ProcessPoolExecutor(max_workers=n_jobs)
+        if n_jobs > 1 and len(plan.pending()) > 1
+        else None
+    )
+    try:
+        for depth, layer in enumerate(plan.layers):
+            _verify_layer_inputs(layer, plan, store)
+            specs = plan.layer_specs(depth)
+            if len(plan.layers) > 1:
+                say(f"layer {depth}: {len(specs)} jobs")
+            with span("plan.layer", cat="engine", depth=depth,
+                      jobs=len(specs)):
+                if pool is None or len(specs) == 1:
+                    _run_in_process(specs, store, force, say)
+                else:
+                    _run_on_pool(pool, n_jobs, specs, store, force, say)
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+
 def run_specs(
     specs: Iterable[RunSpec],
     n_jobs: int = 1,
     store: ResultStore | None = None,
     force: bool = False,
-    progress: Callable[[str], None] | None = None,
-    backend: "str | object | None" = None,
-    verbose: bool = False,
+    progress: Progress | None = None,
+    backend: str | None = None,
 ) -> list[RunResult]:
-    """Run a batch of specs as a dependency graph over a backend.
+    """Run a batch of specs as a dependency graph.
 
     Parameters
     ----------
@@ -306,10 +384,10 @@ def run_specs(
         jobs) are scheduled automatically when the store lacks them —
         traces first, dependents fanned out once they are published.
     n_jobs :
-        Worker processes for the default local backends: ``1`` selects
-        ``serial`` (everything in-process, no pool), ``>1`` selects
-        ``process`` with that many workers.  Ignored when ``backend``
-        names anything else.
+        ``1`` runs every job in this process, with no pool.  ``> 1``
+        shards each layer across one pool of that many worker
+        processes; a plan with one pending job, and a layer with one
+        job, still run in this process.
     store :
         Result store (default: ``REPRO_CACHE_DIR`` / ``~/.cache/repro``).
     force :
@@ -318,35 +396,29 @@ def run_specs(
     progress :
         Optional callback receiving one human-readable line per event.
     backend :
-        Execution backend: a registered name (``"serial"``,
-        ``"process"``, or a plugin's), an
-        :class:`~repro.engine.backends.ExecutionBackend` instance, or
-        ``None`` for the historical ``n_jobs`` behavior.  Every backend
-        publishes to — and this function reads back from — the store,
-        so results are bit-identical across backends.
-    verbose :
-        Emit per-layer progress lines (jobs queued/leased/done) through
-        ``progress`` in addition to the coarse events.
+        ``None``, or ``"serial"`` to force ``n_jobs=1``; anything else
+        raises ``ValueError``.  It stays only because the benchmark
+        harness passes ``"serial"``, and goes once it stops.
 
     Returns
     -------
     list[RunResult]
-        One result per submitted spec, in submission order.
+        One result per submitted spec, in submission order.  Both paths
+        publish to — and this function reads back from — the store, so
+        results are bit-identical for every ``n_jobs``.
     """
     specs = list(specs)
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
+    if backend == "serial":
+        n_jobs = 1
+    elif backend is not None:
+        raise ValueError(f"backend must be None or 'serial', got {backend!r}")
     store = store or default_store()
-    # Lazy: backends import this module (execute/shard helpers), so the
-    # front-end resolves them at call time.
-    from .backends import resolve_backend
-
-    engine_backend = resolve_backend(backend, n_jobs=n_jobs)
     # The sweep-wide telemetry session (a no-op when REPRO_TELEMETRY is
     # off, or transparent when an outer session is already live).
     with session(store.root, name="sweep",
-                 meta={"backend": engine_backend.name,
-                       "submitted": len(specs)}):
+                 meta={"n_jobs": n_jobs, "submitted": len(specs)}):
         plan = build_plan(specs, store, force=force)
         if force:
             _forget_traces(
@@ -364,13 +436,9 @@ def run_specs(
             f"{len(specs)} submitted: {counts['submitted']} unique, "
             f"{counts['stored']} in store, {counts['compute']} to compute{extra}"
         )
-        if verbose:
-            say(f"backend: {engine_backend.name}")
-        with span("run_specs", cat="engine", backend=engine_backend.name,
+        with span("run_specs", cat="engine", n_jobs=n_jobs,
                   submitted=len(specs), compute=counts["compute"]):
-            engine_backend.run_plan(
-                plan, store, force=force, progress=progress, verbose=verbose
-            )
+            _run_plan(plan, store, n_jobs, force, say)
         by_key: dict[str, RunResult] = {}
         with span("collect_results", cat="engine", n=len(plan.submitted())):
             for node in plan.submitted():

@@ -79,11 +79,12 @@ _TOUCH_TIMES: dict[tuple[str, str], float] = {}
 # Per-process read cache, keyed (store root, content hash, artifact
 # kind).  Module-global on purpose: ``default_store()`` builds a fresh
 # ``ResultStore`` instance per call, so an instance-level cache would
-# never be hit.  Workers of the process backend each get their own copy
-# (the cache is inherited per-process, never shared).  Records
-# carry the stat signature of the backing files; a hit is only served
-# while the signature still matches, so on-disk corruption, overwrite
-# and retirement are observed exactly as a cold read would see them.
+# never be hit.  Pool workers (``run_specs`` with ``n_jobs > 1``) each
+# get their own copy (the cache is inherited per-process, never
+# shared).  Records carry the stat signature of the backing files; a
+# hit is only served while the signature still matches, so on-disk
+# corruption, overwrite and retirement are observed exactly as a cold
+# read would see them.
 _READ_CACHE: OrderedDict[tuple[str, str, str], dict] = OrderedDict()
 
 #: Entry budget of the read cache.

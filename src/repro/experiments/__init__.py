@@ -1,4 +1,4 @@
-"""Experiment harness: one entry point per paper table/figure (DESIGN.md)."""
+"""Experiment harness: one entry point per paper table/figure."""
 
 from .ablations import (
     ablation_denominator,

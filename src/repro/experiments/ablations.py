@@ -1,4 +1,4 @@
-"""Ablation experiments for the design choices DESIGN.md calls out.
+"""Ablation experiments: modelling choices measured against alternatives.
 
 * :func:`ablation_denominator` — section 4.4 argues for ``|H_t|`` as the
   ``beta_m`` denominator over ``|H_{t-1}|``; we measure which variant
@@ -122,7 +122,6 @@ def meta_vs_static(
     machines: dict[str, MachineModel] | None = None,
     n_jobs: int = 1,
     store=None,
-    backend=None,
 ) -> dict[str, dict[str, dict[str, float]]]:
     """Modeled execution time: every static P vs. dynamic PAC schedules.
 
@@ -136,9 +135,7 @@ def meta_vs_static(
     large worst-case regret on some machine.
 
     The full grid is submitted to the engine in one batch: ``n_jobs``
-    shards it across worker processes (or ``backend`` selects any
-    registered execution backend by name or instance), and stored
-    replays are reused.
+    shards it across worker processes, and stored replays are reused.
     """
     if machines is None:
         machines = machine_scenarios()
@@ -151,9 +148,7 @@ def meta_vs_static(
         for machine in machines.values()
         for label in schedules
     ]
-    results = iter(
-        run_specs(specs, n_jobs=n_jobs, store=store, backend=backend)
-    )
+    results = iter(run_specs(specs, n_jobs=n_jobs, store=store))
     out: dict[str, dict[str, dict[str, float]]] = {}
     for name in APP_NAMES:
         per_machine: dict[str, dict[str, float]] = {}

@@ -1,6 +1,6 @@
 """Regeneration of every figure of the paper's evaluation.
 
-One entry point per paper artifact (DESIGN.md experiment index):
+One entry point per paper artifact:
 
 * :func:`figure1` — BL2D dynamic behaviour under a static partitioner
   (load imbalance % and communication amount vs. time);

@@ -57,8 +57,8 @@ def app_names(ndim: int | None = None) -> tuple[str, ...]:
     """Registered workload names (live; optionally one dimensionality).
 
     2-D keeps the paper's canonical Figures 4-7 order first, with any
-    further registered 2-D kernels (plugins, runtime registrations)
-    appended sorted; other dimensionalities are sorted throughout.
+    further registered 2-D kernels (runtime registrations) appended
+    sorted; other dimensionalities are sorted throughout.
     """
     if ndim is None:
         dims = sorted(

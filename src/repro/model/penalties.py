@@ -23,7 +23,7 @@ denominators are provided for the ablation experiment.
 **Dimension I inputs** ``beta_C`` and ``beta_L`` are reconstructions of
 Part I (LACSI 2003), which is not part of the provided text; Part II
 constrains them as follows and the reconstructions below honour every
-constraint (see DESIGN.md, substitution table):
+constraint:
 
 * both are ab-initio functions of the unpartitioned hierarchy in [0, 1];
 * ``beta_C`` is a *worst-case* communication estimate — "generally a bit

@@ -1,4 +1,4 @@
-"""The unified component registry: one naming layer for every plugin.
+"""The unified component registry: one naming layer for every component.
 
 The paper's premise is selecting and configuring components *by name*
 from a dynamic state — partitioners above all, but the same goes for
@@ -6,19 +6,16 @@ application kernels, machine scenarios, dynamic schedules and workload
 scales.  This module is the single place where a name becomes a
 configured object:
 
-* a :class:`Registry` per component kind (``app``, ``partitioner``,
-  ``schedule``, ``machine``, ``scale``) mapping names to factories;
+* a fixed table of five component kinds (``app``, ``partitioner``,
+  ``schedule``, ``machine``, ``scale``), each a :class:`Registry`
+  mapping names to factories;
 * decorator registration — ``@register("partitioner", "my-sfc")`` on a
   factory or class is all a new component needs; engine internals are
   never touched;
 * introspection — :meth:`Registry.describe` exposes descriptions and
   parameter schemas (names, defaults, annotations) derived from factory
   signatures, which the CLI uses for help text and the registry uses to
-  validate ``create()`` parameters up front;
-* optional entry-point discovery — distributions can expose a callable
-  under the ``repro.components`` entry-point group; it runs (once, on
-  the first unresolved name or an explicit :func:`load_plugins`) and
-  registers third-party components.
+  validate ``create()`` parameters up front.
 
 A registry is a live :class:`~collections.abc.Mapping` from names to
 factories, so existing ``name in REGISTRY`` / ``REGISTRY[name]`` idioms
@@ -31,14 +28,12 @@ This module imports nothing from the rest of :mod:`repro`, so any layer
 from __future__ import annotations
 
 import inspect
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 __all__ = [
     "COMPONENT_KINDS",
-    "PLUGIN_GROUP",
     "ParamSpec",
     "RegistryEntry",
     "Registry",
@@ -46,13 +41,7 @@ __all__ = [
     "register",
     "create",
     "describe",
-    "component_kinds",
-    "declare_kind",
-    "load_plugins",
 ]
-
-#: Entry-point group scanned by :func:`load_plugins`.
-PLUGIN_GROUP = "repro.components"
 
 _REQUIRED = inspect.Parameter.empty
 
@@ -154,13 +143,9 @@ class Registry(Mapping):
 
     # -- Mapping interface -------------------------------------------------
     def __len__(self) -> int:
-        load_plugins()
         return len(self._entries)
 
     def __iter__(self) -> Iterator[str]:
-        # Enumeration surfaces must see plugin components too, not just
-        # direct name lookups (which discover on a miss).
-        load_plugins()
         return iter(self._entries)
 
     def __getitem__(self, name: str) -> Callable:
@@ -220,21 +205,11 @@ class Registry(Mapping):
 
     # -- lookup ------------------------------------------------------------
     def entry(self, name: str) -> RegistryEntry:
-        """The :class:`RegistryEntry` for ``name`` (KeyError on a miss).
-
-        A miss triggers one entry-point discovery pass before failing,
-        so components from installed plugins resolve on first use.
-        """
-        try:
-            return self._entries[name]
-        except KeyError:
-            if load_plugins() and name in self._entries:
-                return self._entries[name]
-            raise KeyError(name) from None
+        """The :class:`RegistryEntry` for ``name`` (KeyError on a miss)."""
+        return self._entries[name]
 
     def names(self, tag: str | None = None) -> tuple[str, ...]:
         """Registered names, optionally restricted to one tag."""
-        load_plugins()
         if tag is None:
             return tuple(self._entries)
         return tuple(
@@ -274,7 +249,6 @@ class Registry(Mapping):
         ``repro describe`` and argument validation).
         """
         if name is None:
-            load_plugins()
             return {n: self.describe(n) for n in self._entries}
         try:
             entry = self.entry(name)
@@ -295,46 +269,28 @@ class Registry(Mapping):
 
 # -- the global kind table -------------------------------------------------
 
-_REGISTRIES: dict[str, Registry] = {}
+_REGISTRIES: dict[str, Registry] = {
+    kind: Registry(kind, label)
+    for kind, label in (
+        ("app", "application"),
+        ("partitioner", "partitioner"),
+        ("schedule", "schedule"),
+        ("machine", "machine scenario"),
+        ("scale", "workload scale"),
+    )
+}
 
-
-def declare_kind(kind: str, label: str | None = None) -> Registry:
-    """Create (or fetch) the registry for a component kind."""
-    if kind not in _REGISTRIES:
-        _REGISTRIES[kind] = Registry(kind, label)
-    return _REGISTRIES[kind]
-
-
-for _kind, _label in (
-    ("app", "application"),
-    ("partitioner", "partitioner"),
-    ("schedule", "schedule"),
-    ("machine", "machine scenario"),
-    ("scale", "workload scale"),
-    ("backend", "execution backend"),
-):
-    declare_kind(_kind, _label)
-
-#: The built-in component kinds (plugins may declare more).
+#: The component kinds, in display order.
 COMPONENT_KINDS: tuple[str, ...] = tuple(_REGISTRIES)
-
-
-def component_kinds() -> tuple[str, ...]:
-    """Every declared kind, live (built-ins plus plugin-declared ones)."""
-    load_plugins()
-    return tuple(_REGISTRIES)
 
 
 def registry(kind: str) -> Registry:
     """The live registry of one component kind."""
-    if kind not in _REGISTRIES:
-        load_plugins()  # a plugin may declare the kind
     try:
         return _REGISTRIES[kind]
     except KeyError:
         raise ValueError(
-            f"unknown component kind {kind!r}; choose from "
-            f"{tuple(_REGISTRIES)}"
+            f"unknown component kind {kind!r}; choose from {COMPONENT_KINDS}"
         ) from None
 
 
@@ -351,45 +307,5 @@ def create(kind: str, name: str, **params):
 def describe(kind: str | None = None, name: str | None = None) -> dict:
     """Introspection over one kind (or every kind when omitted)."""
     if kind is None:
-        load_plugins()
         return {k: r.describe() for k, r in _REGISTRIES.items()}
     return registry(kind).describe(name)
-
-
-# -- entry-point discovery -------------------------------------------------
-
-_loaded_groups: set[str] = set()
-
-
-def load_plugins(group: str = PLUGIN_GROUP, *, reload: bool = False) -> int:
-    """Run every ``repro.components`` entry point (once per group).
-
-    Each entry point should resolve to a zero-argument callable that
-    performs its registrations; hooks should be idempotent (pass
-    ``replace=True`` when re-registering) so ``reload=True`` is safe.
-    Returns the number of plugins loaded this call; broken plugins are
-    skipped with a warning rather than taking the engine down.
-    """
-    if group in _loaded_groups and not reload:
-        return 0
-    _loaded_groups.add(group)
-    from importlib import metadata
-
-    count = 0
-    try:
-        entry_points = list(metadata.entry_points(group=group))
-    except Exception:  # pragma: no cover - importlib metadata quirks
-        return 0
-    for entry_point in entry_points:
-        try:
-            hook = entry_point.load()
-            if callable(hook):
-                hook()
-            count += 1
-        except Exception as exc:
-            warnings.warn(
-                f"failed to load repro plugin {entry_point.name!r}: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return count

@@ -199,7 +199,7 @@ def counter_deltas(registry: MetricsRegistry | None = None):
     benchmark case each take the delta of two registry snapshots around
     their block.  Every counter the registry holds gets an entry (0 when
     it did not move), summed over labels.  The deltas are exact because
-    every backend runs one spec per process at a time.
+    each process, this one or a pool worker, runs one spec at a time.
     """
     registry = metrics_registry() if registry is None else registry
     before = registry.counter_totals()

@@ -5,11 +5,11 @@ Two consumers of the raw spans live here:
 * :func:`run_scope` — the single integration point the executor wraps
   around every spec execution.  It opens the ``run`` root span, takes
   the metrics-registry counter deltas over the run (so pruning ratios
-  are per-run accurate under any backend), and writes a **run
-  profile** (``<store>/telemetry/runs/<k..>/<key>.json``: outcome,
-  wall time, counter deltas keyed by registry name, the span subtree)
-  that ``repro profile <key>`` renders.  A completed run leaves one
-  when telemetry is on.  A run that raises leaves one always — the
+  are per-run accurate in this process and in pool workers alike), and
+  writes a **run profile** (``<store>/telemetry/runs/<k..>/<key>.json``:
+  outcome, wall time, counter deltas keyed by registry name, the span
+  subtree) that ``repro profile <key>`` renders.  A completed run
+  leaves one when telemetry is on.  A run that raises leaves one always — the
   **failure record**, which adds the spec, the error and its traceback
   — and a later success of the same key replaces or deletes it.
   Because it falls back to a per-process ``exec-<host>-<pid>.jsonl``

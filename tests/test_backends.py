@@ -1,39 +1,43 @@
-"""Tests for the execution-backend subsystem and store hardening.
+"""Tests for the one run path of ``run_specs`` and for store hardening.
 
-Covers the backend registry/resolution contract, serial/process result
-parity (bit-identical stores), the placement reports, and the store's
-failure paths: corrupt or truncated entries degrade to cache misses
-and self-repair instead of crashing, and concurrent publishes of one
-key leave one sound entry.
+Covers how ``n_jobs`` picks this process or one pool (and when no pool
+starts), bit-identical stores from ``n_jobs=1`` and ``n_jobs=2``, the
+retirement of the execution-backend layer and of entry-point plugin
+discovery, the benchmark harness's ``backend="serial"`` seam, and the
+store's failure paths: corrupt or truncated entries degrade to cache
+misses and self-repair instead of crashing, and concurrent publishes of
+one key leave one sound entry.
 """
 
 from __future__ import annotations
 
 import errno
 import hashlib
+import importlib.util
 import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.engine
+import repro.registry
 from repro.engine import (
-    ProcessBackend,
     ResultStore,
-    SerialBackend,
-    resolve_backend,
+    executor,
     run_spec,
     run_specs,
     sim_spec,
     trace_spec,
 )
 from repro.engine import cli
-from repro.engine.backends import backend_names
 from repro.experiments import clear_trace_cache, paper_trace
-from repro.registry import create, registry
+from repro.registry import registry
 
 NPROCS = 4
 
@@ -46,6 +50,16 @@ def _sweep(apps=("tp2d",), partitioners=("nature+fable", "patch-lpt")):
     ]
 
 
+def _child_env() -> dict:
+    """This interpreter's environment, with ``repro`` importable."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def _store_file_hashes(store: ResultStore) -> dict:
     """sha256 of every artifact file, keyed by (entry key, file name)."""
     out = {}
@@ -55,43 +69,6 @@ def _store_file_hashes(store: ResultStore) -> dict:
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             out[(key, path.name)] = digest
     return out
-
-
-class TestBackendRegistry:
-    def test_builtins_registered(self):
-        names = tuple(registry("backend"))
-        assert names == ("serial", "process")
-        assert backend_names() == names
-
-    def test_default_resolution_tracks_n_jobs(self):
-        assert isinstance(resolve_backend(None, n_jobs=1), SerialBackend)
-        backend = resolve_backend(None, n_jobs=3)
-        assert isinstance(backend, ProcessBackend)
-        assert backend.n_jobs == 3
-
-    def test_names_and_instances_resolve(self):
-        assert isinstance(resolve_backend("serial"), SerialBackend)
-        process = resolve_backend("process", n_jobs=2)
-        assert isinstance(process, ProcessBackend)
-        assert process.n_jobs == 2
-        instance = ProcessBackend(n_jobs=5)
-        assert resolve_backend(instance) is instance
-
-    def test_unknown_backend_and_bad_type(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            resolve_backend("slurm-maybe-later")
-        with pytest.raises(TypeError, match="backend must be"):
-            resolve_backend(42)
-
-    def test_registry_create_validates_params(self):
-        backend = create("backend", "process", n_jobs=3)
-        assert backend.n_jobs == 3
-        with pytest.raises(ValueError, match="unknown parameter"):
-            create("backend", "process", warp_factor=9)
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            ProcessBackend(n_jobs=0)
 
 
 class TestLocalBackends:
@@ -107,29 +84,141 @@ class TestLocalBackends:
 
     def test_process_backend_bit_identical_to_serial(self, tmp_path):
         specs = _sweep(apps=("tp2d", "bl2d"))
-        run_specs(specs, store=ResultStore(tmp_path / "ser"),
-                  backend="serial")
-        run_specs(specs, store=ResultStore(tmp_path / "proc"),
-                  backend="process", n_jobs=2)
+        run_specs(specs, store=ResultStore(tmp_path / "ser"))
+        run_specs(specs, store=ResultStore(tmp_path / "proc"), n_jobs=2)
         ser = _store_file_hashes(ResultStore(tmp_path / "ser"))
         proc = _store_file_hashes(ResultStore(tmp_path / "proc"))
         assert ser == proc
 
-    def test_verbose_progress_lines(self, tmp_path):
-        lines: list[str] = []
-        run_specs(_sweep(), store=ResultStore(tmp_path / "v"),
-                  verbose=True, progress=lines.append)
-        assert any(line.startswith("backend: serial") for line in lines)
-        status = [line for line in lines if "queued" in line]
-        assert status  # per-layer queued/leased/done lines
-        assert any("done" in line for line in status)
+    @pytest.mark.parametrize("backend", ["process", object()],
+                             ids=["process", "object"])
+    def test_backend_seam_accepts_only_serial(self, tmp_path, backend):
+        with pytest.raises(ValueError, match="backend must be None or"):
+            run_specs([], store=ResultStore(tmp_path / "s"), backend=backend)
 
-    def test_process_verbose_progress_lines(self, tmp_path):
+    def test_n_jobs_below_one_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="n_jobs must be >= 1"):
+            run_specs(_sweep(), store=ResultStore(tmp_path / "z"), n_jobs=0)
+
+    def test_one_pending_job_starts_no_pool(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "one")
+        spec = sim_spec("tp2d", "small", nprocs=NPROCS)
+        run_specs([trace_spec("tp2d", "small")], store=store)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started for one pending job")
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", no_pool)
         lines: list[str] = []
-        run_specs(_sweep(apps=("tp2d", "bl2d")),
-                  store=ResultStore(tmp_path / "pv"), backend="process",
-                  n_jobs=2, verbose=True, progress=lines.append)
-        assert any("leased" in line and "done" in line for line in lines)
+        (result,) = run_specs([spec], store=store, n_jobs=2,
+                              progress=lines.append)
+        assert result.key == spec.key()
+        assert lines[-1] == f"computed {spec.label()}"
+
+    def test_one_spec_layers_run_in_this_process(self, tmp_path, monkeypatch):
+        pool_events: list[str] = []
+
+        class NoSubmitPool:
+            def __init__(self, max_workers):
+                pool_events.append(f"start {max_workers}")
+
+            def submit(self, *args, **kwargs):
+                raise AssertionError("a one-spec layer went to the pool")
+
+            def shutdown(self):
+                pool_events.append("shutdown")
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", NoSubmitPool)
+        spec = sim_spec("tp2d", "small", nprocs=NPROCS)
+        lines: list[str] = []
+        run_specs([spec], store=ResultStore(tmp_path / "cold"), n_jobs=2,
+                  progress=lines.append)
+        # Two pending jobs open the plan's one pool, and it is shut down.
+        assert pool_events == ["start 2", "shutdown"]
+        assert lines[1:] == [
+            "layer 0: 1 jobs",
+            f"computed {trace_spec('tp2d', 'small').label()}",
+            "layer 1: 1 jobs",
+            f"computed {spec.label()}",
+        ]
+
+    def test_forced_pool_run_republishes_the_same_bytes(self, tmp_path):
+        specs = _sweep()
+
+        def meta_inodes(store):
+            return [(store.entry_dir(s.key()) / "meta.json").stat().st_ino
+                    for s in specs]
+
+        hashes = []
+        for n_jobs in (1, 2):
+            store = ResultStore(tmp_path / f"force-{n_jobs}")
+            run_specs(specs, store=store, n_jobs=n_jobs)
+            before = meta_inodes(store)
+            lines: list[str] = []
+            run_specs(specs, store=store, n_jobs=n_jobs, force=True,
+                      progress=lines.append)
+            shards = [line for line in lines if line.startswith("shard ")]
+            assert bool(shards) == (n_jobs > 1)
+            # Every forced spec was published anew ...
+            assert all(a != b for a, b in zip(before, meta_inodes(store)))
+            hashes.append(_store_file_hashes(store))
+        # ... with the same bytes on both paths.
+        assert hashes[0] == hashes[1]
+
+
+class TestRetirement:
+    """The execution-backend layer and entry-point discovery are gone."""
+
+    def test_backend_kind_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown component kind"):
+            registry("backend")
+
+    def test_removed_names_are_gone(self):
+        for name in ("ExecutionBackend", "SerialBackend", "ProcessBackend",
+                     "resolve_backend", "load_plugins", "BACKEND_NAMES"):
+            assert not hasattr(repro.engine, name), name
+            assert name not in repro.engine.__all__, name
+        assert importlib.util.find_spec("repro.engine.backends") is None
+        for name in ("load_plugins", "declare_kind", "PLUGIN_GROUP",
+                     "component_kinds"):
+            assert not hasattr(repro.registry, name), name
+        assert repro.registry.COMPONENT_KINDS == (
+            "app", "partitioner", "schedule", "machine", "scale"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--backend", "serial"],
+        ["run", "--app", "tp2d", "--backend", "serial"],
+        ["plan", "--backend", "process"],
+        ["plan", "--n-jobs", "2"],
+        ["sweep", "--verbose"],
+    ], ids=" ".join)
+    def test_retired_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_no_entry_point_scan(self):
+        probe = (
+            "import contextlib, io, importlib.metadata as md\n"
+            "calls = []\n"
+            "real = md.entry_points\n"
+            "def spy(*args, **kwargs):\n"
+            "    calls.append(kwargs.get('group'))\n"
+            "    return real(*args, **kwargs)\n"
+            "md.entry_points = spy\n"
+            "import repro.engine.cli, repro.experiments\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert repro.engine.cli.main(['describe']) == 0\n"
+            "print(calls)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            timeout=120, env=_child_env(),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 def _race_publish(root: str, result, overwrite: bool, barrier) -> None:
@@ -341,48 +430,27 @@ class TestStoreHardening:
 
 
 class TestBackendCLI:
-    def test_sweep_backend_serial_verbose(self, tmp_path, capsys):
-        code = cli.main([
-            "sweep", "--scale", "small", "--apps", "tp2d",
-            "--partitioners", "nature+fable", "--nprocs", str(NPROCS),
-            "--backend", "serial", "--verbose",
-            "--cache-dir", str(tmp_path / "store"),
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "backend: serial" in out
-        assert "done" in out
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(SystemExit, match="unknown backend"):
-            cli.main([
-                "sweep", "--scale", "small", "--apps", "tp2d",
-                "--backend", "quantum",
-                "--cache-dir", str(tmp_path / "store"),
-            ])
-
-    def test_plan_placement_report(self, tmp_path, capsys):
-        code = cli.main([
-            "plan", "--scale", "small", "--apps", "tp2d",
-            "--partitioners", "suite", "--backend", "serial",
-            "--cache-dir", str(tmp_path / "store"),
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "placement:" in out
-        assert "run in this process" in out
-
-    def test_plan_placement_process_shards(self, tmp_path, capsys):
-        code = cli.main([
-            "plan", "--scale", "small", "--apps", "tp2d,bl2d",
-            "--partitioners", "suite", "--backend", "process",
-            "--n-jobs", "3",
-            "--cache-dir", str(tmp_path / "store"),
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "pool of 3 local worker processes" in out
-        assert "shards" in out
+    @pytest.mark.parametrize("buffered", [True, False],
+                             ids=["buffered", "unbuffered"])
+    def test_closed_pipe_exits_141_quietly(self, buffered):
+        # Buffered, the short output first meets the closed pipe when
+        # stdout is flushed; unbuffered, on the first print.
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the command writes
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "describe"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=120, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 141, done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_cache_verify_cli(self, tmp_path, capsys):
         store_dir = tmp_path / "store"

@@ -55,3 +55,18 @@ def test_one_altered_counter_fails_without_strict(compare, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "'candidate_pairs': (8549, 8550)" in out
     assert "1 counter mismatch(es)" in out
+
+
+@pytest.mark.parametrize("repeated_in", ["fresh", "base"])
+def test_a_repeated_case_fails(compare, tmp_path, capsys, repeated_in):
+    dirs = {
+        name: _write(tmp_path / name, 1.0, COUNTERS) for name in ("base", "fresh")
+    }
+    path = dirs[repeated_in] / "BENCH_pair_kernels.json"
+    doc = json.loads(path.read_text())
+    doc["records"].append(dict(doc["records"][0]))
+    path.write_text(json.dumps(doc))
+    argv = ["--out", str(dirs["fresh"]), "--baselines", str(dirs["base"])]
+    assert compare.main(argv) == 1
+    out = capsys.readouterr().out
+    assert "records case indexed:tp2d:small more than once" in out

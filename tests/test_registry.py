@@ -2,9 +2,8 @@
 
 Covers the redesigned public surface: decorator registration, live
 mapping views, parameter-schema introspection and validation,
-duplicate/unknown names, entry-point plugin discovery, and the
-hash-stability guarantee the redesign ships under (existing store keys
-must not move).
+duplicate/unknown names, and the hash-stability guarantee the redesign
+ships under (existing store keys must not move).
 """
 
 from __future__ import annotations
@@ -177,18 +176,6 @@ class TestAppRegistration:
             workload_ndim(scratch_name)
         assert scratch_name not in app_names()  # skipped, not misclassified
 
-    def test_custom_group_does_not_suppress_default_discovery(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(registry_module, "_loaded_groups", set())
-        monkeypatch.setattr(
-            "importlib.metadata.entry_points", lambda group=None: []
-        )
-        registry_module.load_plugins("my.custom.group")
-        # The default group is still pending: the next implicit call scans it.
-        assert "my.custom.group" in registry_module._loaded_groups
-        assert registry_module.PLUGIN_GROUP not in registry_module._loaded_groups
-
     def test_custom_scale_gets_consistent_shadow_shape(self, scratch_name):
         from repro.apps import TraceGenConfig
         from repro.experiments.workloads import SHADOW_FACTOR, shadow_shape
@@ -208,68 +195,6 @@ class TestAppRegistration:
         assert shadow_shape("paper", 3) == (64, 64, 64)
         assert shadow_shape("small", 3) == (32, 32, 32)
 
-    def test_entry_point_discovery_resolves_misses(
-        self, scratch_name, monkeypatch
-    ):
-        class FakeEntryPoint:
-            name = "test-plugin"
-
-            @staticmethod
-            def load():
-                def _register():
-                    registry("machine").register(
-                        scratch_name, MachineModel, replace=True
-                    )
-
-                return _register
-
-        monkeypatch.setattr(
-            "importlib.metadata.entry_points",
-            lambda group=None: [FakeEntryPoint()] if group else [],
-        )
-        monkeypatch.setattr(registry_module, "_loaded_groups", set())
-        # The miss triggers one discovery pass, then the name resolves.
-        machine = create("machine", scratch_name)
-        assert isinstance(machine, MachineModel)
-
-    def test_enumeration_discovers_plugins(self, scratch_name, monkeypatch):
-        class FakeEntryPoint:
-            name = "test-enum-plugin"
-
-            @staticmethod
-            def load():
-                def _register():
-                    registry("partitioner").register(
-                        scratch_name, PatchBasedPartitioner, replace=True
-                    )
-
-                return _register
-
-        monkeypatch.setattr(
-            "importlib.metadata.entry_points",
-            lambda group=None: [FakeEntryPoint()] if group else [],
-        )
-        monkeypatch.setattr(registry_module, "_loaded_groups", set())
-        # Iteration / describe must surface the plugin without a miss.
-        assert scratch_name in tuple(registry("partitioner"))
-        assert scratch_name in describe("partitioner")
-
-    def test_broken_plugin_is_skipped_with_warning(self, monkeypatch):
-        class BrokenEntryPoint:
-            name = "broken-plugin"
-
-            @staticmethod
-            def load():
-                raise RuntimeError("boom")
-
-        monkeypatch.setattr(
-            "importlib.metadata.entry_points",
-            lambda group=None: [BrokenEntryPoint()],
-        )
-        monkeypatch.setattr(registry_module, "_loaded_groups", set())
-        with pytest.warns(RuntimeWarning, match="broken-plugin"):
-            registry_module.load_plugins(reload=True)
-
 
 class TestEngineSurface:
     def test_resolve_machine_accepts_instances_and_names(self):
@@ -285,7 +210,7 @@ class TestEngineSurface:
         import repro.engine as engine
         import repro.engine.components as components
 
-        assert ENGINE_API_VERSION == "7.0"
+        assert ENGINE_API_VERSION == "8.0"
         assert not [n for n in engine.__all__ if n.startswith("make_")]
         assert not [n for n in vars(components) if n.startswith("make_")]
 

@@ -12,8 +12,8 @@ The load-bearing guarantees under test:
   (the sweep's and each pool worker's) parse, with every closed span
   enclosed by its parent and one ``run`` span per executed spec.
 * **One failure record** — a run that raises leaves its profile with
-  the error and traceback on every backend, telemetry on or off, and a
-  later success retires it.
+  the error and traceback, in this process or in a pool worker,
+  telemetry on or off, and a later success retires it.
 * **Chrome schema** — the trace-event projection is loadable JSON with
   the fields chrome://tracing requires.
 """
@@ -370,7 +370,7 @@ class TestProcessEventLogs:
         monkeypatch.setenv(TELEMETRY_ENV, "json")
         specs = _sweep(apps=("tp2d", "bl2d"))
         store = ResultStore(tmp_path / "proc")
-        run_specs(specs, store=store, backend="process", n_jobs=2)
+        run_specs(specs, store=store, n_jobs=2)
 
         logs = sorted((Path(store.root) / "telemetry").glob("*.jsonl"))
         assert any(log.name.startswith("exec-") for log in logs)
@@ -429,7 +429,7 @@ class TestFailureRecords:
         store = ResultStore(tmp_path / "store")
         spec = _poisoned()
         with pytest.raises(ValueError, match="warp_factor"):
-            run_specs([spec], store=store, backend="serial")
+            run_specs([spec], store=store)
         doc = _assert_failure_record(store, spec)
         assert not store.has(spec.key())
         names = [e["name"] for e in doc["spans"]]
@@ -478,7 +478,7 @@ class TestFailureRecords:
         store = ResultStore(tmp_path / "store")
         specs = [_poisoned("nature+fable"), _poisoned("patch-lpt")]
         with pytest.raises(ValueError, match="warp_factor"):
-            run_specs(specs, store=store, backend="process", n_jobs=2)
+            run_specs(specs, store=store, n_jobs=2)
         for spec in specs:
             _assert_failure_record(store, spec)
 
