@@ -28,7 +28,7 @@ from ..clustering import (
     cluster_flags,
     gradient_indicator,
 )
-from ..geometry import Box, BoxList, bounding_box, rasterize_mask
+from ..geometry import Box, BoxList, bounding_box, box_corners, rasterize_mask
 from ..hierarchy import GridHierarchy, PatchLevel
 from ..telemetry import span
 from ..trace import Trace, TraceStep
@@ -194,28 +194,62 @@ def _flag_window(
     shape: tuple[int, ...],
     win_lo: tuple[int, ...],
     win_hi: tuple[int, ...],
+    width: int,
 ) -> np.ndarray:
-    """Resampled boolean flags restricted to a level-space window.
+    """Resampled, buffered boolean flags restricted to a level-space window.
 
     ``flagged`` is the thresholded shadow-resolution boolean; the window
     ``[win_lo, win_hi)`` lives in the level's index space ``shape`` and
     must be aligned to each upsampled axis's resample factor.  Cropping
     the source first commutes exactly with :func:`_resample` (per-axis
     repeat / block-``any`` are local), so this equals the window slice of
-    the full-level resample without materializing it.
+    the full-level resample without materializing it.  The flags are then
+    dilated by ``width`` level cells (:func:`buffer_flags`).
+
+    When every axis upsamples by one factor ``f`` that divides ``width``,
+    the crop is dilated by ``v = width // f`` *before* it is repeated:
+    the level cells ``i - width`` to ``i + width`` repeat the shadow
+    cells ``i // f - v`` to ``i // f + v``, and the crop's edges are
+    ``f``-aligned, so this is bit-identical to dilating the repeated
+    array, on ``f**ndim`` times fewer cells.  A downsampled axis (level
+    1) or any other factor keeps resample-then-dilate.
     """
     crop = flagged
+    factors: set[int] = set()
     for axis in range(flagged.ndim):
         src, dst = flagged.shape[axis], shape[axis]
         if dst >= src:
             f = dst // src
+            factors.add(f)
             sl = slice(win_lo[axis] // f, win_hi[axis] // f)
         else:
             g = src // dst
+            factors.add(0)  # downsampled: dilate at level resolution
             sl = slice(win_lo[axis] * g, win_hi[axis] * g)
         crop = crop[(slice(None),) * axis + (sl,)]
     win_shape = tuple(h - l for l, h in zip(win_lo, win_hi))
-    return _resample(crop, win_shape, reduce="any")
+    if not width:
+        return _resample(crop, win_shape, reduce="any")
+    # Binary max dilation: reflect == clip at true domain edges; at
+    # artificial window edges every cell that can survive the parent
+    # mask is >= width away, so its stencil is in-window.
+    if len(factors) == 1 and (f := factors.pop()) and width % f == 0:
+        return _resample(buffer_flags(crop, width // f), win_shape, "any")
+    return buffer_flags(_resample(crop, win_shape, reduce="any"), width)
+
+
+def _clip_to_parents(
+    clusters: list[Box], parents: BoxList, ndim: int
+) -> list[Box]:
+    """Every non-empty ``cluster & parent`` piece, cluster-major and
+    parent-minor, in one broadcast over the two corner arrays."""
+    c = box_corners(clusters, ndim)[:, None, :]
+    p = box_corners(parents, ndim)[None, :, :]
+    lo = np.maximum(c[..., :ndim], p[..., :ndim])
+    hi = np.minimum(c[..., ndim:], p[..., ndim:])
+    ci, pj = np.nonzero((hi > lo).all(axis=2))
+    pieces = np.concatenate((lo[ci, pj], hi[ci, pj]), axis=1).tolist()
+    return [Box(tuple(row[:ndim]), tuple(row[ndim:])) for row in pieces]
 
 
 def build_hierarchy(
@@ -277,12 +311,7 @@ def build_hierarchy(
         # with the comparison, so this is bit-identical to resampling the
         # float indicator first — without ever materializing a
         # full-level-resolution float array.
-        flags = _flag_window(indicator > tau, shape, wlo, whi)
-        if width:
-            # Binary max dilation: reflect == clip at true domain edges;
-            # at artificial window edges every cell that can survive the
-            # parent mask is >= width away, so its stencil is in-window.
-            flags = buffer_flags(flags, width)
+        flags = _flag_window(indicator > tau, shape, wlo, whi, width)
         wbox = Box(wlo, whi)
         shifted_parents: list[Box] = []
         neg = tuple(-x for x in wlo)
@@ -301,13 +330,11 @@ def build_hierarchy(
         clusters = [b.shift(wlo) for b in cluster_flags(flags, config.cluster)]
         # Clip against parent patches: guarantees exact nesting even when
         # clustering swallowed unflagged filler cells outside the parent.
-        clipped: list[Box] = []
-        for box in clusters:
-            for parent in parent_refined:
-                piece = box.intersect(parent)
-                if piece is not None:
-                    clipped.append(piece)
-        patches = BoxList(clipped).disjointified().coalesced()
+        # The clusters are pairwise disjoint and so are the parents, so
+        # the pieces are too: they go straight to the coalesce.
+        patches = BoxList(
+            _clip_to_parents(clusters, parent_refined, config.ndim)
+        ).coalesced()
         if patches.ncells == 0:
             break
         levels.append(PatchLevel(l, patches, ratio=config.refine_ratio))

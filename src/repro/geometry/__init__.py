@@ -1,13 +1,7 @@
 """Integer box calculus, patch sets, owner maps and rasterization."""
 
 from .box import Box, bounding_box
-from .boxlist import (
-    BoxList,
-    coalesce_boxes,
-    intersection_volume,
-    subtract_boxes,
-    union_ncells,
-)
+from .boxlist import BoxList, coalesce_boxes, intersection_volume
 from .ownermap import (
     OwnerMap,
     box_corners,
@@ -41,8 +35,6 @@ __all__ = [
     "bounding_box",
     "coalesce_boxes",
     "intersection_volume",
-    "subtract_boxes",
-    "union_ncells",
     "OwnerMap",
     "box_corners",
     "corner_volumes",

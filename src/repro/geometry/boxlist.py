@@ -1,9 +1,9 @@
 """Operations on collections of boxes (patch sets).
 
 A Berger--Colella refinement level is a set of *pairwise-disjoint* boxes.
-:class:`BoxList` wraps such a set and provides the union-area, subtraction
-and intersection-sum operations that the partitioners, the execution
-simulator and the paper's penalties are built from.
+:class:`BoxList` wraps such a set: the trace generator builds each level
+as one (clipped clusters, coalesced), and the hierarchy, the partitioners
+and the paper's penalties read it.
 
 The key numerical routine is :func:`intersection_volume`, the
 ``sum_i sum_j |A_i ∩ B_j|`` appearing (per level) in the data-migration
@@ -22,8 +22,6 @@ from .box import Box, bounding_box
 __all__ = [
     "BoxList",
     "intersection_volume",
-    "union_ncells",
-    "subtract_boxes",
     "coalesce_boxes",
 ]
 
@@ -51,76 +49,72 @@ def intersection_volume(a: Sequence[Box], b: Sequence[Box]) -> int:
     return overlap_volume(corners_a, corners_b)
 
 
-def union_ncells(boxes: Sequence[Box]) -> int:
-    """Number of cells in the union of possibly-overlapping boxes.
-
-    Inclusion-exclusion via recursive subtraction: each box contributes the
-    part of it not covered by earlier boxes.  For disjoint inputs this is
-    simply the sum of ``ncells``.
-    """
-    total = 0
-    seen: list[Box] = []
-    for box in boxes:
-        if box.empty:
-            continue
-        fragments = [box]
-        for prior in seen:
-            nxt: list[Box] = []
-            for frag in fragments:
-                nxt.extend(frag.subtract(prior))
-            fragments = nxt
-            if not fragments:
-                break
-        total += sum(f.ncells for f in fragments)
-        seen.append(box)
-    return total
-
-
-def subtract_boxes(base: Sequence[Box], holes: Sequence[Box]) -> list[Box]:
-    """Set difference ``union(base) \\ union(holes)`` as disjoint boxes.
-
-    ``base`` must be internally disjoint; the result is then disjoint too.
-    """
-    fragments = [b for b in base if not b.empty]
-    for hole in holes:
-        if hole.empty:
-            continue
-        nxt: list[Box] = []
-        for frag in fragments:
-            nxt.extend(frag.subtract(hole))
-        fragments = nxt
-        if not fragments:
-            break
-    return fragments
-
-
 def coalesce_boxes(boxes: Sequence[Box]) -> list[Box]:
     """Greedily merge abutting boxes whose union is a box.
 
-    Reduces patch counts after subtraction; result covers exactly the same
-    cells (inputs must be disjoint).
+    Reduces patch counts after clipping; the result covers exactly the
+    same cells.  Inputs must be pairwise disjoint.
+
+    The scan is greedy and order-dependent: each pass walks the boxes in
+    order, and each box not yet absorbed grows by absorbing, in index
+    order, every later unabsorbed box it can coalesce with at the moment
+    the scan reaches it; passes repeat until one merges nothing.  Two
+    disjoint boxes coalesce exactly when they share the extents of every
+    axis but one and abut along it, so a pass finds each merge partner
+    through a dict keyed on that axis, the other axes' extents and the
+    abutting face, instead of testing every later box.
     """
     work = [b for b in boxes if not b.empty]
     merged = True
     while merged:
-        merged = False
-        out: list[Box] = []
-        used = [False] * len(work)
-        for i, bi in enumerate(work):
-            if used[i]:
-                continue
-            acc = bi
-            for j in range(i + 1, len(work)):
-                if used[j]:
-                    continue
-                bj = work[j]
-                if acc.can_coalesce(bj):
-                    acc = acc.merge_bounding(bj)
-                    used[j] = True
-                    merged = True
-            out.append(acc)
-        work = out
+        work, merged = _coalesce_pass(work)
     return work
+
+
+def _coalesce_pass(work: list[Box]) -> tuple[list[Box], bool]:
+    """One greedy pass of :func:`coalesce_boxes`: the boxes it leaves,
+    and whether it merged any."""
+    n = len(work)
+    if n < 2:
+        return work, False
+    ndim = work[0].ndim
+    # (axis, other extents, face) -> index of the box whose lower /
+    # upper face it is; disjoint boxes never share a key.
+    lower: dict[tuple, int] = {}
+    upper: dict[tuple, int] = {}
+    for j, box in enumerate(work):
+        lo, hi = box.lo, box.hi
+        for d in range(ndim):
+            rest = lo[:d] + lo[d + 1:] + hi[:d] + hi[d + 1:]
+            lower[d, rest, lo[d]] = j
+            upper[d, rest, hi[d]] = j
+    used = [False] * n
+    out: list[Box] = []
+    for i, box in enumerate(work):
+        if used[i]:
+            continue
+        lo, hi = box.lo, box.hi
+        scan = i  # the scan resumes after the last box absorbed
+        while True:
+            # The next absorbed box is the first unused one after the
+            # scan position that abuts the accumulator face to face.
+            nxt = n
+            for d in range(ndim):
+                rest = lo[:d] + lo[d + 1:] + hi[:d] + hi[d + 1:]
+                above = lower.get((d, rest, hi[d]))
+                below = upper.get((d, rest, lo[d]))
+                for j in (above, below):
+                    if j is not None and scan < j < nxt and not used[j]:
+                        nxt = j
+            if nxt == n:
+                break
+            used[nxt] = True
+            other = work[nxt]
+            lo = tuple(map(min, lo, other.lo))
+            hi = tuple(map(max, hi, other.hi))
+            scan = nxt
+        out.append(box if scan == i else Box(lo, hi))
+    return out, len(out) < n
 
 
 class BoxList:
@@ -194,20 +188,6 @@ class BoxList:
         """``sum_ij |a_i ∩ b_j|`` against another box collection."""
         other_boxes = other.boxes if isinstance(other, BoxList) else tuple(other)
         return intersection_volume(self._boxes, other_boxes)
-
-    def intersect_box(self, box: Box) -> "BoxList":
-        """Clip every member to ``box``."""
-        out = []
-        for b in self._boxes:
-            c = b.intersect(box)
-            if c is not None:
-                out.append(c)
-        return BoxList(out)
-
-    def subtract(self, holes: "BoxList | Sequence[Box]") -> "BoxList":
-        """Remove ``holes`` from the union, returning disjoint fragments."""
-        hole_boxes = holes.boxes if isinstance(holes, BoxList) else tuple(holes)
-        return BoxList(subtract_boxes(self._boxes, hole_boxes))
 
     def coalesced(self) -> "BoxList":
         """Greedy merge of abutting boxes (same cells, fewer boxes)."""

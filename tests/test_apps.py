@@ -242,15 +242,26 @@ class TestBuildHierarchy:
         with pytest.raises(ValueError):
             build_hierarchy(np.zeros(16), TraceGenConfig())
 
+    @pytest.mark.parametrize("buffer_width", [0, 1, 2, 3])
     @pytest.mark.parametrize("ndim,factor", [(2, 1), (2, 2), (2, 4), (3, 2)])
-    def test_windowed_equals_full_domain_reference(self, ndim, factor):
+    def test_windowed_equals_full_domain_reference(
+        self, ndim, factor, buffer_width
+    ):
         # build_hierarchy windows all per-level arrays to the refined
-        # parent's buffered bounding box; this must be *exactly* the
-        # hierarchy the straightforward full-domain arrays produce.
+        # parent's buffered bounding box, dilates flags before upsampling
+        # where the upsample factor divides the buffer width (odd widths
+        # at factor 1 never qualify), then clips and coalesces without
+        # per-box sweeps.  This must be *exactly* the hierarchy that
+        # full-domain arrays, resample-then-dilate and the greedy
+        # per-box scans produce, patches in order.  The indicator has a
+        # few localized bumps, so the dilated flags stay local and most
+        # levels hold several patches.
         from repro.clustering import buffer_flags, cluster_flags
         from repro.apps.base import _resample
         from repro.geometry import Box, BoxList, rasterize_mask
         from repro.hierarchy import GridHierarchy, PatchLevel
+
+        from tests.test_oracles import greedy_coalesce
 
         def reference(indicator, config):
             domain = Box((0,) * config.ndim, config.base_shape)
@@ -282,7 +293,9 @@ class TestBuildHierarchy:
                     for parent in refined
                     if (piece := box.intersect(parent)) is not None
                 ]
-                patches = BoxList(clipped).disjointified().coalesced()
+                patches = BoxList(
+                    greedy_coalesce(BoxList(clipped).disjointified())
+                )
                 if patches.ncells == 0:
                     break
                 levels.append(
@@ -291,18 +304,27 @@ class TestBuildHierarchy:
                 parents = patches
             return GridHierarchy(domain, levels)
 
+        def bumps(rng, shape, n=4, sigma=0.08):
+            axes = [np.arange(s) / s for s in shape]
+            grids = np.meshgrid(*axes, indexing="ij")
+            field = np.zeros(shape)
+            for center in rng.random((n, len(shape))):
+                r2 = sum((g - c) ** 2 for g, c in zip(grids, center))
+                field += np.exp(-r2 / sigma**2)
+            return gradient_indicator(field)
+
         rng = np.random.default_rng(ndim * 10 + factor)
         base = (16,) * ndim if ndim == 2 else (8,) * ndim
-        cfg = TraceGenConfig(base_shape=base, max_levels=4)
+        cfg = TraceGenConfig(
+            base_shape=base, max_levels=4, buffer_width=buffer_width
+        )
         for trial in range(4):
-            ind = rng.random(tuple(factor * s for s in base)) ** 3
+            ind = bumps(rng, tuple(factor * s for s in base))
             got = build_hierarchy(ind, cfg)
             ref = reference(ind, cfg)
             assert got.nlevels == ref.nlevels
             for a, b in zip(got, ref):
-                assert sorted(
-                    (x.lo, x.hi) for x in a.patches
-                ) == sorted((x.lo, x.hi) for x in b.patches)
+                assert a.patches.boxes == b.patches.boxes
 
 
 class TestGenerateTrace:

@@ -7,6 +7,12 @@ series the way ``perfbench/checks.py::arrays_digest`` hashes results
 the partitioners or the simulator that moves any step count, cell
 count, workload or traffic figure changes a digest here.  The float
 series stay out: their low bits can depend on the numpy build.
+
+Every registered app's ``small`` trace is pinned too, hashed over each
+snapshot's step and level boxes in stored order (the snapshot times
+stay out), so a change to the apps, the clustering or the per-level
+geometry of ``build_hierarchy`` that moves or reorders a patch changes
+a digest here.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ import hashlib
 import numpy as np
 
 from repro.engine import ResultStore, registry, run_specs, sim_spec
+from repro.experiments import paper_trace
+from repro.geometry import box_corners
 
 INTEGER_SERIES = (
     "step",
@@ -82,3 +90,37 @@ def test_integer_series_digests_are_pinned(tmp_path):
     results = run_specs(specs, store=ResultStore(tmp_path))
     got = {run: series_digest(r.arrays) for run, r in zip(runs, results)}
     assert got == PINNED
+
+
+#: registered app -> digest of its ``small`` trace's level boxes.
+TRACE_PINNED = {
+    "bl2d": "f44d8208e2515979482fc431a84fe74835b67fa85e9e103fde367bc73584ccf0",
+    "bl3d": "80fab9349c35ace380c0eb94990144c1909dd6ca03099aa84d4bb0de016bc125",
+    "rm2d": "5c2abd13700c9b7d0905e0baa0b89fd656a7103d811b17de33f7c11f5134576a",
+    "rm3d": "fb24d20f7085e81e31e6d2352f2137386b61527a7b08cbfcbf53a2d1cd96f0ac",
+    "sc2d": "001f2d044e08278692113ea2699cc24118dfe8c638a91b952551ba244a228385",
+    "sc3d": "5e8ee4b5a915c3a87118a0422a2e7cd04015a5286b2603f73d6a0f7710a07229",
+    "tp2d": "65e8ecb5f098d9f31f08e145b5cf6ee6a17c97792d36a21bf5c22f4acff79da3",
+    "tp3d": "324bbc92a7c7f02bf01fbc24fe5ae5b5bb1bf11c78b5eeff197711256d8d12d4",
+}
+
+
+def trace_digest(trace) -> str:
+    digest = hashlib.sha256()
+    for snap in trace:
+        digest.update(f"step {snap.step};".encode())
+        for level in snap.hierarchy:
+            corners = box_corners(level.patches)
+            digest.update(
+                f"level {level.index} {level.ratio} {corners.shape};".encode()
+            )
+            digest.update(corners.tobytes())
+    return digest.hexdigest()
+
+
+def test_small_trace_digests_are_pinned(tmp_path):
+    apps = registry("app").names()
+    assert set(apps) == set(TRACE_PINNED), "pin a digest for every app"
+    store = ResultStore(tmp_path)
+    got = {app: trace_digest(paper_trace(app, "small", store=store)) for app in apps}
+    assert got == TRACE_PINNED

@@ -5,14 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.geometry import (
-    Box,
-    BoxList,
-    coalesce_boxes,
-    intersection_volume,
-    subtract_boxes,
-    union_ncells,
-)
+from repro.geometry import Box, BoxList, coalesce_boxes, intersection_volume
 
 from tests.strategies import disjoint_boxlists
 
@@ -56,20 +49,7 @@ class TestIntersectionVolume:
         assert intersection_volume(lst.boxes, lst.boxes) == lst.ncells
 
 
-class TestUnionSubtract:
-    def test_union_with_overlaps(self):
-        boxes = [Box((0, 0), (4, 4)), Box((2, 2), (6, 6))]
-        assert union_ncells(boxes) == 16 + 16 - 4
-
-    def test_union_disjoint(self):
-        assert union_ncells([Box((0, 0), (2, 2)), Box((3, 3), (5, 5))]) == 8
-
-    def test_subtract_boxes(self):
-        base = [Box((0, 0), (4, 4))]
-        holes = [Box((0, 0), (2, 2)), Box((2, 2), (4, 4))]
-        frags = subtract_boxes(base, holes)
-        assert sum(f.ncells for f in frags) == 8
-
+class TestCoalesce:
     def test_coalesce_merges_strips(self):
         strips = [Box((0, i), (4, i + 1)) for i in range(4)]
         merged = coalesce_boxes(strips)
@@ -105,16 +85,6 @@ class TestBoxList:
         lst = BoxList([Box((0, 0), (2, 2)), Box((4, 4), (6, 6))])
         assert lst.contains_point((5, 5))
         assert not lst.contains_point((3, 3))
-
-    def test_intersect_box_clips(self):
-        lst = BoxList([Box((0, 0), (4, 4)), Box((6, 6), (8, 8))])
-        clipped = lst.intersect_box(Box((2, 2), (7, 7)))
-        assert clipped.ncells == 4 + 1
-
-    def test_subtract(self):
-        lst = BoxList([Box((0, 0), (4, 4))])
-        out = lst.subtract([Box((1, 1), (3, 3))])
-        assert out.ncells == 12
 
     def test_refine_coarsen(self):
         lst = BoxList([Box((1, 1), (3, 3))])

@@ -14,6 +14,10 @@ that swaps in the oracle.  Every test here takes its row from the table.
   partitioners built (``OwnerMap.coalesced`` patched to identity).
 * **LRU read-cache hit** against a **cold read** of the store
   (a read cache holding no entries).
+* **indexed coalesce** (``coalesce_boxes``, which finds merge partners
+  through a face-keyed dict) against the **greedy** ``can_coalesce``
+  **scan** it emulates (``boxlist.coalesce_boxes`` patched to
+  :func:`greedy_coalesce`).
 
 Fast and oracle must agree bit for bit: same rows in the same order,
 same dtypes, identical simulator step metrics.
@@ -21,9 +25,10 @@ same dtypes, identical simulator step metrics.
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Callable, ContextManager
+from typing import Callable, ContextManager, Sequence
 from unittest import mock
 
 import numpy as np
@@ -36,6 +41,7 @@ from repro.engine import store as store_module
 from repro.engine.store import clear_read_cache, read_cache_stats
 from repro.geometry import (
     Box,
+    BoxList,
     OwnerMap,
     box_corners,
     face_contacts,
@@ -45,7 +51,7 @@ from repro.geometry import (
     pair_intersections,
     subtract_corners,
 )
-from repro.geometry import ownermap, pairindex
+from repro.geometry import boxlist, ownermap, pairindex
 from repro.simulator import TraceSimulator
 from repro.telemetry import counter_deltas, reset_metrics
 
@@ -92,6 +98,42 @@ def uncoalesced_maps() -> ContextManager:
     return mock.patch.object(OwnerMap, "coalesced", lambda self: self)
 
 
+def greedy_coalesce(
+    boxes: Sequence[Box], passes: list[int] | None = None
+) -> list[Box]:
+    """The greedy scan :func:`~repro.geometry.coalesce_boxes` emulates:
+    each pass tests every later unused box against the growing
+    accumulator with :meth:`Box.can_coalesce`, until a pass merges
+    nothing.  ``passes``, when given, collects each pass's box count."""
+    work = [b for b in boxes if not b.empty]
+    merged = True
+    while merged:
+        merged = False
+        out: list[Box] = []
+        used = [False] * len(work)
+        for i, bi in enumerate(work):
+            if used[i]:
+                continue
+            acc = bi
+            for j in range(i + 1, len(work)):
+                if used[j]:
+                    continue
+                bj = work[j]
+                if acc.can_coalesce(bj):
+                    acc = acc.merge_bounding(bj)
+                    used[j] = True
+                    merged = True
+            out.append(acc)
+        work = out
+        if passes is not None:
+            passes.append(len(work))
+    return work
+
+
+def greedy_coalescing() -> ContextManager:
+    return mock.patch.object(boxlist, "coalesce_boxes", greedy_coalesce)
+
+
 @contextmanager
 def cold_reads():
     """Every store read misses: the read cache keeps no entry."""
@@ -125,6 +167,10 @@ ORACLES = {
     ),
     "read-cache": Oracle(
         "LRU read-cache hit", "cold read", nullcontext, cold_reads,
+    ),
+    "indexed-coalesce": Oracle(
+        "indexed coalesce", "greedy can_coalesce scan",
+        nullcontext, greedy_coalescing,
     ),
 }
 
@@ -434,6 +480,74 @@ def test_batched_subtract_matches_sequential_sweep(ndim, data):
     np.testing.assert_array_equal(r_fast, r_ref)
     assert r_fast.dtype == r_ref.dtype
     np.testing.assert_array_equal(s_fast, s_ref)
+
+
+# ---------------------------------------------------------------------------
+# indexed coalesce vs the greedy can_coalesce scan
+
+
+def _assert_coalesce_identical(boxes: Sequence[Box]) -> None:
+    """Same boxes in the same order: the order of a level's patches
+    feeds every content hash downstream of the trace."""
+    row = ORACLES["indexed-coalesce"]
+    with row.fast():
+        fast = BoxList(boxes).coalesced()
+    with row.reference():
+        reference = BoxList(boxes).coalesced()
+    assert fast.boxes == reference.boxes
+    assert fast.boxes == tuple(greedy_coalesce(boxes))
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_indexed_coalesce_matches_greedy_scan(ndim, data):
+    _assert_coalesce_identical(
+        data.draw(disjoint_boxlists(max_boxes=8, ndim=ndim)).boxes
+    )
+
+
+@st.composite
+def shuffled_tilings(draw, ndim: int, side: int = 12, max_cuts: int = 24):
+    """One box cut by random guillotine cuts, the pieces shuffled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    pieces = [Box((0,) * ndim, (side,) * ndim)]
+    for _ in range(draw(st.integers(0, max_cuts))):
+        box = pieces.pop(int(rng.integers(len(pieces))))
+        axis = int(rng.integers(ndim))
+        if box.shape[axis] < 2:
+            pieces.append(box)
+            continue
+        cut = int(rng.integers(box.lo[axis] + 1, box.hi[axis]))
+        below = Box(box.lo, box.hi[:axis] + (cut,) + box.hi[axis + 1:])
+        above = Box(box.lo[:axis] + (cut,) + box.lo[axis + 1:], box.hi)
+        pieces += [below, above]
+    return draw(st.permutations(pieces))
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_indexed_coalesce_matches_greedy_scan_on_tilings(ndim, data):
+    _assert_coalesce_identical(data.draw(shuffled_tilings(ndim)))
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (4, 5, 6)])
+def test_indexed_coalesce_on_shuffled_unit_cells(shape):
+    """Every cell of a box, shuffled: dozens of merges over several
+    passes.  The greedy scan need not end in one box (in 3-D, 120 cells
+    stop at 30 boxes that pairwise do not coalesce)."""
+    cells = [
+        Box(idx, tuple(i + 1 for i in idx))
+        for idx in itertools.product(*(range(s) for s in shape))
+    ]
+    order = np.random.default_rng(len(shape)).permutation(len(cells))
+    cells = [cells[k] for k in order]
+    passes: list[int] = []
+    merged = greedy_coalesce(cells, passes)
+    assert len(merged) <= len(cells) // 4
+    assert len(passes) >= 5
+    _assert_coalesce_identical(cells)
 
 
 # ---------------------------------------------------------------------------
