@@ -108,17 +108,6 @@ class TraceGenConfig:
         r = self.refine_ratio**level
         return tuple(s * r for s in self.base_shape)
 
-    def small(self) -> "TraceGenConfig":
-        """A cheap variant for unit tests (shallow, short, coarse).
-
-        Dimension-preserving: 2-D shrinks to ``16**2`` base cells, higher
-        dimensions to ``8**ndim``.
-        """
-        side = 16 if self.ndim == 2 else 8
-        return replace(
-            self, base_shape=(side,) * self.ndim, max_levels=3, nsteps=12
-        )
-
 
 class ShadowApplication(abc.ABC):
     """A PDE kernel solved on a uniform shadow grid.

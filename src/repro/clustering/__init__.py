@@ -1,20 +1,11 @@
 """Flag-based regridding: error indicators and Berger--Rigoutsos clustering."""
 
 from .berger_rigoutsos import ClusterParams, cluster_flags
-from .flagging import (
-    buffer_flags,
-    downsample_mask,
-    flags_from_indicator,
-    gradient_indicator,
-    restrict_flags_to_mask,
-)
+from .flagging import buffer_flags, gradient_indicator
 
 __all__ = [
     "ClusterParams",
     "cluster_flags",
     "buffer_flags",
-    "downsample_mask",
-    "flags_from_indicator",
     "gradient_indicator",
-    "restrict_flags_to_mask",
 ]

@@ -3,8 +3,7 @@
 The GrACE/Cactus-style kernels behind the paper's traces flag cells whose
 local truncation-error estimate exceeds a tolerance.  We use the standard
 scaled-gradient indicator (the workhorse of production SAMR codes such as
-AMReX and SAMRAI) plus helpers for buffering flags and enforcing proper
-nesting between consecutive levels.
+AMReX and SAMRAI) plus flag buffering.
 """
 
 from __future__ import annotations
@@ -15,10 +14,7 @@ from scipy import ndimage
 
 __all__ = [
     "gradient_indicator",
-    "flags_from_indicator",
     "buffer_flags",
-    "restrict_flags_to_mask",
-    "downsample_mask",
 ]
 
 
@@ -50,13 +46,6 @@ def gradient_indicator(field: np.ndarray) -> np.ndarray:
     return indicator
 
 
-def flags_from_indicator(indicator: np.ndarray, threshold: float) -> np.ndarray:
-    """Boolean flags: cells whose indicator exceeds ``threshold``."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must be in [0, 1]")
-    return indicator > threshold
-
-
 def buffer_flags(flags: np.ndarray, width: int) -> np.ndarray:
     """Dilate flags by ``width`` cells (Chebyshev ball).
 
@@ -71,28 +60,3 @@ def buffer_flags(flags: np.ndarray, width: int) -> np.ndarray:
     return (
         ndimage.maximum_filter(flags.astype(np.uint8), size=2 * width + 1) > 0
     )
-
-
-def restrict_flags_to_mask(flags: np.ndarray, parent_mask: np.ndarray) -> np.ndarray:
-    """Zero out flags outside the allowed parent region (proper nesting)."""
-    if flags.shape != parent_mask.shape:
-        raise ValueError(
-            f"shape mismatch: flags {flags.shape} vs mask {parent_mask.shape}"
-        )
-    return flags & parent_mask
-
-
-def downsample_mask(mask: np.ndarray, ratio: int) -> np.ndarray:
-    """Coarsen a boolean raster by ``ratio``: True if any fine cell is True."""
-    if ratio < 1:
-        raise ValueError("ratio must be >= 1")
-    if ratio == 1:
-        return mask.astype(bool)
-    if any(s % ratio for s in mask.shape):
-        raise ValueError(f"shape {mask.shape} not divisible by ratio {ratio}")
-    view_shape: list[int] = []
-    for s in mask.shape:
-        view_shape.extend((s // ratio, ratio))
-    reshaped = mask.reshape(view_shape)
-    axes = tuple(range(1, 2 * mask.ndim, 2))
-    return reshaped.any(axis=axes)

@@ -148,8 +148,23 @@ from .store import (
 #: --backend``, ``repro sweep --verbose``, ``repro plan --n-jobs``; and
 #: the ``backend=`` parameter of ``meta_vs_static``.  ``run_specs``
 #: keeps ``backend=None | "serial"`` for the benchmark harness only.
+#: 9.0: one way to list a kind's names, and usage errors that exit 2.
+#: Removed: the live name tuples ``PARTITIONER_NAMES``,
+#: ``SCHEDULE_NAMES`` and ``MACHINE_NAMES`` (from this package and from
+#: ``repro.engine.components``) with both module ``__getattr__`` hooks
+#: (use ``tuple(registry(kind))``); the registry's ``tags=`` parameter
+#: of ``register``, ``RegistryEntry.tags``, ``Registry.names`` (iterate
+#: the registry; ``STATIC_SUITE`` names the static suite) and the
+#: ``"tags"`` key of ``describe()``; and ``RunSpec.input_keys`` (use
+#: ``spec.key()`` over ``RunSpec.inputs()``).  ``Registry.create`` now
+#: rejects a parameter value whose type does not match the parameter's
+#: default with ``ValueError``, so ``repro run --param unit_size=abc``
+#: exits 2 and leaves a failure record, and the CLI's unknown app,
+#: partitioner, machine and component kind, a ``--param`` without
+#: ``=`` and ``cache gc`` without a budget exit 2 with one ``error:``
+#: line instead of 1.
 #: The README's migration note names each removed function.
-ENGINE_API_VERSION = "8.0"
+ENGINE_API_VERSION = "9.0"
 
 __all__ = [
     # versions
@@ -188,22 +203,4 @@ __all__ = [
     "is_schedule",
     "validate_partitioner",
     "STATIC_SUITE",
-    # live name tuples (module __getattr__)
-    "PARTITIONER_NAMES",
-    "SCHEDULE_NAMES",
-    "MACHINE_NAMES",
 ]
-
-
-_NAME_TUPLE_KINDS = {
-    "PARTITIONER_NAMES": "partitioner",
-    "SCHEDULE_NAMES": "schedule",
-    "MACHINE_NAMES": "machine",
-}
-
-
-def __getattr__(name: str):
-    # Live views: stay current as components register at runtime.
-    if name in _NAME_TUPLE_KINDS:
-        return tuple(registry(_NAME_TUPLE_KINDS[name]))
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -42,6 +42,10 @@ The store location is ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``);
 invocation; event logs land under ``<store>/telemetry/`` and never touch
 content hashes.
 
+A usage error — an unknown app, partitioner, machine or component kind,
+a ``--param`` that is not ``name=value`` or whose value does not fit its
+parameter's type, ``cache gc`` without a budget — prints one ``error:``
+line and exits 2; a job that raises one leaves its failure record first.
 A reader that closes the pipe early (``repro cache ls | head -3``) ends
 the command quietly with exit code 141, as a shell reports a tool that
 ``SIGPIPE`` killed.
@@ -92,7 +96,7 @@ def _resolve_apps(value: str) -> list[str]:
     known = registry("app")
     for app in apps:
         if app not in known:
-            raise SystemExit(
+            raise ValueError(
                 f"unknown app {app!r}; choose from {tuple(known)} "
                 f"or the aliases 2d/3d/all"
             )
@@ -111,7 +115,7 @@ def _resolve_partitioners(value: str) -> list[str]:
     names = _split(value)
     for name in names:
         if name not in partitioners and name not in schedules:
-            raise SystemExit(
+            raise ValueError(
                 f"unknown partitioner {name!r}; choose from "
                 f"{tuple(partitioners) + tuple(schedules)} or suite/all"
             )
@@ -122,7 +126,7 @@ def _parse_params(pairs: list[str]) -> dict:
     params = {}
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"--param expects name=value, got {pair!r}")
+            raise ValueError(f"--param expects name=value, got {pair!r}")
         name, raw = pair.split("=", 1)
         try:
             params[name] = json.loads(raw)
@@ -171,7 +175,7 @@ def _sweep_specs(args) -> list[RunSpec]:
     for app in _resolve_apps(args.apps):
         for machine in _split(args.machines):
             if machine not in machines:
-                raise SystemExit(
+                raise ValueError(
                     f"unknown machine {machine!r}; choose from "
                     f"{tuple(machines)}"
                 )
@@ -454,7 +458,7 @@ def _cmd_describe(args) -> int:
 
     kinds = [args.kind] if args.kind else list(COMPONENT_KINDS)
     if args.kind and args.kind not in COMPONENT_KINDS:
-        raise SystemExit(
+        raise ValueError(
             f"unknown component kind {args.kind!r}; choose from "
             f"{COMPONENT_KINDS}"
         )
@@ -518,7 +522,7 @@ def _cmd_cache(args) -> int:
         return 1 if kept else 0
     if args.cache_cmd == "gc":
         if args.max_bytes is None and args.older_than is None:
-            raise SystemExit("cache gc needs --max-bytes and/or --older-than")
+            raise ValueError("cache gc needs --max-bytes and/or --older-than")
         removed, freed = store.gc(
             max_bytes=args.max_bytes, older_than_seconds=args.older_than
         )

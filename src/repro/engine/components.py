@@ -37,10 +37,7 @@ from ..registry import create, describe, register, registry
 from ..simulator import MachineModel
 
 __all__ = [
-    "PARTITIONER_NAMES",
     "STATIC_SUITE",
-    "SCHEDULE_NAMES",
-    "MACHINE_NAMES",
     "create",
     "describe",
     "register",
@@ -58,7 +55,6 @@ __all__ = [
     "partitioner",
     "nature+fable",
     description="the paper's hybrid Hue/Core bi-level partitioner",
-    tags=("static", "suite"),
     schema_from=NatureFableParams,
 )
 def _nature_fable(**params) -> Partitioner:
@@ -69,7 +65,6 @@ def _nature_fable(**params) -> Partitioner:
     "partitioner",
     "nature+fable-balance",
     description="Nature+Fable steered to its load-balance-focused setup",
-    tags=("static", "suite"),
     schema_from=NatureFableParams,
 )
 def _nature_fable_balance(**params) -> Partitioner:
@@ -80,7 +75,6 @@ def _nature_fable_balance(**params) -> Partitioner:
     "partitioner",
     "domain-sfc-hilbert",
     description="strictly domain-based decomposition along a Hilbert curve",
-    tags=("static", "suite"),
     schema_from=DomainSfcPartitioner,
     schema_exclude=("curve",),
 )
@@ -92,7 +86,6 @@ def _domain_sfc_hilbert(**params) -> Partitioner:
     "partitioner",
     "domain-sfc-morton",
     description="strictly domain-based decomposition along a Morton curve",
-    tags=("static",),
     schema_from=DomainSfcPartitioner,
     schema_exclude=("curve",),
 )
@@ -105,7 +98,6 @@ register(
     "patch-lpt",
     PatchBasedPartitioner,
     description="per-level patch distribution (LPT / round-robin)",
-    tags=("static", "suite"),
 )
 
 
@@ -113,7 +105,6 @@ register(
     "partitioner",
     "sticky-sfc",
     description="migration-minimizing sticky wrapper around domain-SFC",
-    tags=("static", "suite"),
     schema_from=DomainSfcPartitioner,
 )
 def _sticky_sfc(**params) -> Partitioner:
@@ -136,7 +127,6 @@ STATIC_SUITE: tuple[str, ...] = (
     "schedule",
     "armada-octant",
     description="ArMADA discrete octant-table baseline",
-    tags=("dynamic",),
 )
 def _armada_octant(machine: MachineModel, nprocs: int) -> ArmadaClassifier:
     return ArmadaClassifier()
@@ -146,7 +136,6 @@ def _armada_octant(machine: MachineModel, nprocs: int) -> ArmadaClassifier:
     "schedule",
     "meta-partitioner",
     description="continuous meta-partitioner (dynamic PAC selection)",
-    tags=("dynamic",),
 )
 def _meta_partitioner(machine: MachineModel, nprocs: int) -> MetaScheduler:
     return MetaScheduler(sampler=StateSampler(machine=machine, nprocs=nprocs))
@@ -178,17 +167,6 @@ register(
 )
 def _fast_network() -> MachineModel:
     return MachineModel().faster_network(40)
-
-
-def __getattr__(name: str):
-    # Live name tuples (PEP 562): stay current as components register.
-    if name == "PARTITIONER_NAMES":
-        return tuple(registry("partitioner"))
-    if name == "SCHEDULE_NAMES":
-        return tuple(registry("schedule"))
-    if name == "MACHINE_NAMES":
-        return tuple(registry("machine"))
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- resolution helpers ----------------------------------------------------

@@ -196,10 +196,6 @@ class RunSpec:
             return ()
         return (trace_spec(self.app, self.scale, seed=self.seed),)
 
-    def input_keys(self) -> tuple[str, ...]:
-        """Content hashes of :meth:`inputs` (store keys of prerequisites)."""
-        return tuple(spec.key() for spec in self.inputs())
-
     # -- hashing -----------------------------------------------------------
     def _machine_payload(self) -> dict:
         from .components import resolve_machine

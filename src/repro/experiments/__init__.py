@@ -2,7 +2,6 @@
 
 from .ablations import (
     ablation_denominator,
-    ablation_surface,
     machine_scenarios,
     meta_vs_static,
     regret_summary,
@@ -27,13 +26,10 @@ from .report import (
     ascii_chart,
     render_figure1,
     render_figure_app,
-    render_regret,
 )
 from .workloads import (
-    ALL_APP_NAMES,
     APP_NAMES,
     APP_NAMES_3D,
-    all_paper_traces,
     clear_trace_cache,
     paper_config,
     paper_trace,
@@ -43,7 +39,6 @@ from .workloads import (
 
 __all__ = [
     "ablation_denominator",
-    "ablation_surface",
     "machine_scenarios",
     "meta_vs_static",
     "regret_summary",
@@ -62,11 +57,8 @@ __all__ = [
     "ascii_chart",
     "render_figure1",
     "render_figure_app",
-    "render_regret",
-    "ALL_APP_NAMES",
     "APP_NAMES",
     "APP_NAMES_3D",
-    "all_paper_traces",
     "clear_trace_cache",
     "paper_config",
     "paper_trace",

@@ -9,8 +9,6 @@
   dynamic behavior lead to potentially large decreases in execution
   times"): modeled execution time of every static partitioner vs. the
   continuous meta-partitioner and the octant baseline.
-* :func:`ablation_surface` — the patch-hull vs. region-surface choice
-  inside the ``beta_C`` reconstruction.
 
 Every simulator replay and penalty sweep is submitted through
 :mod:`repro.engine`, so ablations share stored results with the figures
@@ -22,8 +20,6 @@ grid — can shard its 84 replays across worker processes via ``n_jobs``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..engine import (
     STATIC_SUITE,
     create,
@@ -33,15 +29,13 @@ from ..engine import (
     run_specs,
     sim_spec,
 )
-from ..model import communication_penalty
 from ..simulator import MachineModel
 from .analysis import pearson
 from .figures import DEFAULT_NPROCS
-from .workloads import APP_NAMES, paper_trace
+from .workloads import APP_NAMES
 
 __all__ = [
     "ablation_denominator",
-    "ablation_surface",
     "machine_scenarios",
     "meta_vs_static",
     "regret_summary",
@@ -70,32 +64,6 @@ def ablation_denominator(
                 store=store,
             )
             row[denom] = pearson(model.arrays["beta_m"][1:], actual)
-        out[name] = row
-    return out
-
-
-def ablation_surface(
-    nprocs: int = DEFAULT_NPROCS, scale: str = "paper", store=None
-) -> dict[str, dict[str, float]]:
-    """``beta_C`` surface convention: mean value and envelope behaviour."""
-    out: dict[str, dict[str, float]] = {}
-    for name in APP_NAMES:
-        actual = run_spec(
-            sim_spec(name, scale, nprocs=nprocs), store=store
-        ).arrays["relative_comm"]
-        trace = paper_trace(name, scale, store=store)
-        row: dict[str, float] = {"mean_actual": float(actual.mean())}
-        for surface in ("patch", "region"):
-            series = np.array(
-                [
-                    communication_penalty(
-                        s.hierarchy, nprocs=nprocs, surface=surface
-                    )
-                    for s in trace
-                ]
-            )
-            row[f"mean_{surface}"] = float(series.mean())
-            row[f"envelope_{surface}"] = float((series >= actual).mean())
         out[name] = row
     return out
 

@@ -14,7 +14,6 @@ __all__ = [
     "ascii_chart",
     "render_figure_app",
     "render_figure1",
-    "render_regret",
 ]
 
 
@@ -130,13 +129,3 @@ def render_figure1(fig: dict) -> str:
             comm,
         ]
     )
-
-
-def render_regret(worst: dict[str, float]) -> str:
-    """Render the worst-case-regret summary as a sorted bar list."""
-    lines = ["worst-case regret across (application, machine) pairs:"]
-    peak = max(worst.values()) if worst else 1.0
-    for label, regret in sorted(worst.items(), key=lambda kv: kv[1]):
-        bar = "#" * max(1, int(40 * regret / max(peak, 1e-12)))
-        lines.append(f"  {label:<22} {regret:+7.3f} {bar}")
-    return "\n".join(lines)

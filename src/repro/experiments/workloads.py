@@ -30,7 +30,6 @@ once per machine.  :func:`clear_trace_cache` empties both layers.
 from __future__ import annotations
 
 from functools import lru_cache
-from pathlib import Path
 
 from ..apps import APPLICATIONS, TraceGenConfig, generate_trace, make_application
 from ..registry import register, registry
@@ -39,11 +38,9 @@ from ..trace import Trace
 __all__ = [
     "APP_NAMES",
     "APP_NAMES_3D",
-    "ALL_APP_NAMES",
     "app_names",
     "paper_config",
     "paper_trace",
-    "all_paper_traces",
     "clear_trace_cache",
     "shadow_shape",
     "workload_ndim",
@@ -85,9 +82,6 @@ def app_names(ndim: int | None = None) -> tuple[str, ...]:
 
 APP_NAMES_3D: tuple[str, ...] = app_names(3)
 """The 3-D workloads (snapshot of the kernel registry at import)."""
-
-ALL_APP_NAMES: tuple[str, ...] = APP_NAMES + APP_NAMES_3D
-"""Every registered workload (snapshot; ``app_names()`` is live)."""
 
 
 # -- workload scales (registered components, extensible like the rest) -----
@@ -306,21 +300,3 @@ def clear_trace_cache(store=None, *, memory_only: bool = False) -> int:
 
         store = default_store()
     return store.clear(kind="trace")
-
-
-def all_paper_traces(scale: str = "paper", ndim: int = 2) -> dict[str, Trace]:
-    """All traces of one dimensionality, keyed by name."""
-    names = APP_NAMES if ndim == 2 else APP_NAMES_3D
-    return {name: paper_trace(name, scale) for name in names}
-
-
-def save_traces(directory: str | Path, scale: str = "paper") -> list[Path]:
-    """Persist all traces as gzipped JSON under ``directory``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    out = []
-    for name in ALL_APP_NAMES:
-        path = directory / f"{name}_{scale}.json.gz"
-        paper_trace(name, scale).save(path)
-        out.append(path)
-    return out

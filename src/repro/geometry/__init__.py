@@ -8,7 +8,6 @@ from .ownermap import (
     corner_volumes,
     face_contacts,
     first_cells_in_scan_order,
-    intersect_corners,
     matched_volume,
     overlap_volume,
     overlay_corners,
@@ -25,8 +24,6 @@ from .raster import (
     boxes_from_mask,
     paint_box,
     rasterize_mask,
-    rasterize_owners,
-    upsample,
 )
 
 __all__ = [
@@ -40,7 +37,6 @@ __all__ = [
     "corner_volumes",
     "face_contacts",
     "first_cells_in_scan_order",
-    "intersect_corners",
     "matched_volume",
     "overlap_volume",
     "overlay_corners",
@@ -55,6 +51,4 @@ __all__ = [
     "boxes_from_mask",
     "paint_box",
     "rasterize_mask",
-    "rasterize_owners",
-    "upsample",
 ]

@@ -23,9 +23,8 @@ Conventions
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 __all__ = ["Box", "bounding_box"]
 
@@ -294,50 +293,6 @@ class Box:
         hi_lo = list(self.lo)
         hi_lo[dim] = cut
         return Box(self.lo, tuple(lo_hi)), Box(tuple(hi_lo), self.hi)
-
-    def chop(self, dim: int, max_extent: int) -> list["Box"]:
-        """Chop into pieces of at most ``max_extent`` cells along ``dim``."""
-        if max_extent < 1:
-            raise ValueError("max_extent must be >= 1")
-        pieces: list[Box] = []
-        lo, hi = self.lo[dim], self.hi[dim]
-        if lo == hi:
-            return [self]
-        for start in range(lo, hi, max_extent):
-            end = min(start + max_extent, hi)
-            plo = list(self.lo)
-            phi = list(self.hi)
-            plo[dim] = start
-            phi[dim] = end
-            pieces.append(Box(tuple(plo), tuple(phi)))
-        return pieces
-
-    def tile(self, tile_shape: Sequence[int]) -> list["Box"]:
-        """Tile into sub-boxes of at most ``tile_shape`` cells per dim.
-
-        Tiles are aligned to the box's own lower corner, ordered
-        lexicographically.  The boundary tiles may be smaller.
-        """
-        if len(tile_shape) != self.ndim:
-            raise ValueError("tile_shape length must match ndim")
-        if any(t < 1 for t in tile_shape):
-            raise ValueError("tile extents must be >= 1")
-        if self.empty:
-            return []
-        ranges = [
-            range(self.lo[d], self.hi[d], tile_shape[d]) for d in range(self.ndim)
-        ]
-        tiles: list[Box] = []
-        for corner in itertools.product(*ranges):
-            hi = tuple(
-                min(corner[d] + tile_shape[d], self.hi[d]) for d in range(self.ndim)
-            )
-            tiles.append(Box(corner, hi))
-        return tiles
-
-    def cells(self) -> Iterator[tuple[int, ...]]:
-        """Iterate over all integer cells (row-major).  For small boxes only."""
-        return itertools.product(*(range(l, h) for l, h in zip(self.lo, self.hi)))
 
     # ------------------------------------------------------------------
     # Dunder conveniences

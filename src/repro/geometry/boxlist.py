@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .box import Box, bounding_box
+from .box import Box
 
 __all__ = [
     "BoxList",
@@ -167,10 +167,6 @@ class BoxList:
     def surface_cells(self) -> int:
         """Sum of per-box hull faces (upper bound on exposed surface)."""
         return sum(b.surface_cells for b in self._boxes)
-
-    def bounding_box(self) -> Box | None:
-        """Smallest single box covering every member."""
-        return bounding_box(self._boxes)
 
     def validate_disjoint(self) -> None:
         """Raise ``ValueError`` if any two member boxes overlap."""

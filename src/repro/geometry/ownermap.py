@@ -46,7 +46,6 @@ __all__ = [
     "box_corners",
     "corner_volumes",
     "pair_intersections",
-    "intersect_corners",
     "face_contacts",
     "matched_volume",
     "overlap_volume",
@@ -184,15 +183,6 @@ def overlap_volume(a: np.ndarray, b: np.ndarray) -> int:
             vol *= np.maximum(_axis_widths(a[sl], b, d), 0)
         total += int(vol.sum())
     return total
-
-
-def intersect_corners(corners: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Clip one corner array against a single corner row; drop empties."""
-    ndim = corners.shape[1] // 2
-    lo = np.maximum(corners[:, :ndim], clip[:ndim])
-    hi = np.minimum(corners[:, ndim:], clip[ndim:])
-    keep = (hi > lo).all(axis=1)
-    return np.concatenate((lo[keep], hi[keep]), axis=1)
 
 
 def matched_volume(

@@ -1,21 +1,20 @@
-"""Rasterization of boxes onto dense numpy grids.
+"""Rasterization of boxes onto dense numpy grids, and its inverse.
 
-The execution simulator computes load, ghost communication and migration on
-*owner rasters*: dense integer arrays over a level's index space in which
-each refined cell carries the rank that owns it (and ``NO_OWNER`` outside
-the refined region).  Rasters keep every per-cell metric a vectorized numpy
-reduction, per the HPC guides — no Python-level loops over cells anywhere
-in the hot path.
+Dense rasters serve where a kernel works cell by cell on a level's index
+space: the apps flag cells and cluster the flags into patches, the
+hierarchy marks the refined base cells Nature+Fable separates into Hues
+and Cores, and the partitioners lift dense unit-owner rasters into owner
+maps.  The simulator's load, ghost communication and migration run on
+sparse owner maps (:mod:`repro.geometry.ownermap`), never on rasters.
 
-All helpers are dimension-general: :func:`upsample` and :func:`block_sum`
-are the N-D replacements for the per-axis ``np.repeat`` /
-``reshape(...).sum(axis=(1, 3))`` idioms, and :func:`boxes_from_mask`
-decomposes masks of any rank.
+All helpers are dimension-general: :func:`block_sum` is the N-D
+replacement for the per-axis ``reshape(...).sum(axis=(1, 3))`` idiom,
+and :func:`boxes_from_mask` decomposes masks of any rank.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -24,12 +23,10 @@ from .box import Box
 __all__ = [
     "NO_OWNER",
     "rasterize_mask",
-    "rasterize_owners",
     "paint_box",
     "boxes_from_mask",
     "boxes_from_labels",
     "add_box_overlap",
-    "upsample",
     "block_sum",
 ]
 
@@ -44,35 +41,12 @@ def _check_domain(domain: Box) -> None:
         raise ValueError("raster domains must be anchored at the origin")
 
 
-def upsample(array: np.ndarray, ratio: int) -> np.ndarray:
-    """Repeat every cell ``ratio`` times along every axis.
-
-    ``out[i0*r + a0, i1*r + a1, ...] == array[i0, i1, ...]`` — the raster
-    form of refining an index space by ``ratio``.  Implemented as a single
-    broadcast + reshape (one copy) rather than ``ndim`` chained
-    ``np.repeat`` calls.
-    """
-    if ratio < 1:
-        raise ValueError("ratio must be >= 1")
-    if ratio == 1:
-        return array
-    shape = array.shape
-    view_shape: list[int] = []
-    expand_shape: list[int] = []
-    for s in shape:
-        view_shape.extend((s, 1))
-        expand_shape.extend((s, ratio))
-    expanded = np.broadcast_to(array.reshape(view_shape), expand_shape)
-    return expanded.reshape(tuple(s * ratio for s in shape))
-
-
 def block_sum(array: np.ndarray, factor: int, dtype=None) -> np.ndarray:
     """Sum ``factor``-sized blocks along every axis (N-D block reduction).
 
-    The inverse-resolution counterpart of :func:`upsample`: the result has
-    shape ``array.shape // factor`` and each cell holds the sum of its
-    ``factor**ndim`` source block.  Every extent must be divisible by
-    ``factor``.
+    The result has shape ``array.shape // factor`` and each cell holds the
+    sum of its ``factor**ndim`` source block.  Every extent must be
+    divisible by ``factor``.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
@@ -116,24 +90,6 @@ def rasterize_mask(boxes: Iterable[Box], domain: Box) -> np.ndarray:
     for b in boxes:
         paint_box(mask, b, True)  # type: ignore[arg-type]
     return mask
-
-
-def rasterize_owners(
-    assignments: Sequence[tuple[Box, int]], domain: Box
-) -> np.ndarray:
-    """Dense int32 owner raster from ``(box, rank)`` assignments.
-
-    Later assignments overwrite earlier ones (assignments from a valid
-    partition are disjoint, so order never matters there).  Cells not
-    covered by any box hold :data:`NO_OWNER`.
-    """
-    _check_domain(domain)
-    owners = np.full(domain.shape, NO_OWNER, dtype=np.int32)
-    for box, rank in assignments:
-        if rank < 0:
-            raise ValueError(f"owner ranks must be >= 0, got {rank}")
-        paint_box(owners, box, rank)
-    return owners
 
 
 def _runs_of(row: np.ndarray) -> list[Box]:

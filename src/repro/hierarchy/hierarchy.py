@@ -12,7 +12,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..geometry import Box, BoxList, paint_box, rasterize_mask
+from ..geometry import Box, BoxList, paint_box
 from .level import PatchLevel
 
 __all__ = ["GridHierarchy"]
@@ -121,18 +121,6 @@ class GridHierarchy:
         return ratio
 
     # -- masks --------------------------------------------------------------
-    def level_mask(self, level_index: int) -> np.ndarray:
-        """Boolean raster of the refined region of a level (its index space).
-
-        Dense view — it scales with the level's index-space *volume*, so
-        the partitioners, penalties and simulator metrics all work from
-        the patch boxes directly (sparse box calculus) and this raster is
-        only used for visualization and cross-checks at small scales.
-        """
-        return rasterize_mask(
-            self.levels[level_index].patches, self.level_domain(level_index)
-        )
-
     def refined_mask_on_base(self) -> np.ndarray:
         """Boolean raster on the *base* grid of cells refined by level >= 1.
 
@@ -194,10 +182,6 @@ class GridHierarchy:
     def base_only(domain: Box, ratio: int = 2) -> "GridHierarchy":
         """A hierarchy with just the base grid covering ``domain``."""
         return GridHierarchy(domain, [PatchLevel(0, [domain], ratio=1)])
-
-    def with_levels(self, levels: Sequence[PatchLevel]) -> "GridHierarchy":
-        """A new hierarchy over the same domain with different levels."""
-        return GridHierarchy(self.domain, levels)
 
     # -- serialization ------------------------------------------------------
     def to_json(self) -> dict:

@@ -2,7 +2,6 @@
 
 from .armada import ArmadaClassifier, ArmadaFeatures, armada_octant_table
 from .selector import MetaPartitioner, MetaPolicy, MetaScheduler
-from .timer import InvocationTimer
 
 __all__ = [
     "ArmadaClassifier",
@@ -11,5 +10,4 @@ __all__ = [
     "MetaPartitioner",
     "MetaPolicy",
     "MetaScheduler",
-    "InvocationTimer",
 ]

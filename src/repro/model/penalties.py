@@ -35,22 +35,17 @@ constraint:
 * dimension I compares them scale-invariantly: "beta_L = beta_C = 0.1
   would yield the same result as beta_L = beta_C = 0.4" (section 4.3).
 
-All penalty kernels (``beta_m``'s patch-set intersections, ``beta_C``'s
-region surfaces via :func:`~repro.geometry.face_contacts`) prune large
-pair queries with grid-bucket candidates, so evaluating the dynamic
-state stays near-linear in the patch count at every scale.
+``beta_m``'s patch-set intersections prune large pair queries with
+grid-bucket candidates, and ``beta_C`` and ``beta_L`` are sums over
+patches, so evaluating the dynamic state stays near-linear in the patch
+count at every scale.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import (
-    add_box_overlap,
-    box_corners,
-    face_contacts,
-    intersection_volume,
-)
+from ..geometry import add_box_overlap, intersection_volume
 from ..hierarchy import GridHierarchy
 
 __all__ = [
@@ -109,7 +104,6 @@ def communication_penalty(
     hierarchy: GridHierarchy,
     nprocs: int = 16,
     ghost_width: int = 1,
-    surface: str = "patch",
     fragmentation: float = 6.0,
 ) -> float:
     """``beta_C``: worst-case relative communication of the hierarchy.
@@ -120,7 +114,9 @@ def communication_penalty(
     grid hierarchy) and system parameters", contribution 1):
 
     * every *patch boundary* face may cross ranks (patch-to-patch copies
-      are potential communication) — the surface term;
+      are potential communication) — the surface term, which counts each
+      patch's hull faces, so a face two abutting patches share counts
+      from both sides;
     * a ``P``-way decomposition of a level with ``A_l`` cells must cut it
       somewhere; the isoperimetric bound for compact parts gives an
       internal cut surface of about ``fragmentation * sqrt(P * A_l)``
@@ -139,9 +135,6 @@ def communication_penalty(
     ----------
     nprocs :
         Processor count of the system state being classified.
-    surface :
-        ``"patch"`` counts every patch-hull face; ``"region"`` counts only
-        the exposed surface of the level's union (ablation knob).
     fragmentation :
         Prefactor of the isoperimetric cut term (0 disables it).
     """
@@ -154,40 +147,13 @@ def communication_penalty(
     potential = 0.0
     for level in hierarchy:
         w = level.time_refinement_weight()
-        if surface == "patch":
-            area = level.patches.surface_cells
-        elif surface == "region":
-            area = _region_surface(hierarchy, level.index)
-        else:
-            raise ValueError("surface must be 'patch' or 'region'")
+        area = level.patches.surface_cells
         cut = fragmentation * np.sqrt(nprocs * level.ncells)
         potential += (area + cut) * ghost_width * w
     workload = hierarchy.workload
     if workload == 0:
         return 0.0
     return float(min(1.0, potential / workload))
-
-
-def _region_surface(hierarchy: GridHierarchy, level_index: int) -> int:
-    """Exposed boundary faces of a level's refined-region union.
-
-    Box calculus on the (disjoint) patch set: the sum of per-patch hull
-    faces minus twice the abutting contact area between patches — no
-    level raster is ever materialized.  Domain-boundary faces count as
-    exposed, exactly as in the original mask reduction.
-    """
-    patches = hierarchy.levels[level_index].patches.boxes
-    total = sum(b.surface_cells for b in patches)
-    if len(patches) > 1:
-        # Abutting contact areas between the (disjoint) patches: give
-        # every box a distinct "rank" so the face-contact kernel reports
-        # each geometric contact exactly once, vectorized.
-        corners = box_corners(patches, hierarchy.ndim)
-        _, _, area = face_contacts(
-            corners, np.arange(len(patches), dtype=np.int32)
-        )
-        total -= 2 * int(area.sum())
-    return total
 
 
 def load_imbalance_penalty(hierarchy: GridHierarchy) -> float:

@@ -68,10 +68,6 @@ class ClassificationPoint:
             + 4 * (self.dim3 >= threshold)
         )
 
-    def distance(self, other: "ClassificationPoint") -> float:
-        """Euclidean distance in the classification space."""
-        return float(np.linalg.norm(self.as_array() - other.as_array()))
-
 
 class StateTrajectory:
     """The locus of classification points as a simulation evolves.

@@ -12,7 +12,7 @@ The P component of the paper's PAC-triple.  Families (section 2.2):
   (the "diffusion-like" option of trade-off 3).
 """
 
-from .base import PartitionResult, Partitioner, level_weights, proc_loads
+from .base import PartitionResult, Partitioner, proc_loads
 from .chains import exact_chains, greedy_chains, segments_to_ranks
 from .domain_sfc import DomainSfcPartitioner, column_workloads
 from .hybrid import NatureFableParams, NaturePlusFable
@@ -22,7 +22,6 @@ from .sticky import StickyRepartitioner
 __all__ = [
     "PartitionResult",
     "Partitioner",
-    "level_weights",
     "proc_loads",
     "exact_chains",
     "greedy_chains",

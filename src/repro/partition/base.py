@@ -16,9 +16,9 @@ many more boxes than the regions need (unit-cell runs, overlay
 fragments), and every metric kernel's cost grows with the box count;
 the merged maps own exactly the same cells.
 
-Dense per-level owner rasters — the original representation — remain
-available through :meth:`PartitionResult.rasters`; they serve the tests'
-dense oracle and visualization, never the hot path.
+A dense owner raster of one level — the original representation — is
+one :meth:`OwnerMap.rasterize <repro.geometry.OwnerMap.rasterize>` away;
+the tests' dense oracle uses it, the hot path never does.
 
 The P of the paper's PAC-triple is a :class:`Partitioner` instance; its
 parameters are what the meta-partitioner tunes at run time.
@@ -33,12 +33,7 @@ import numpy as np
 from ..geometry import OwnerMap, intersection_volume
 from ..hierarchy import GridHierarchy
 
-__all__ = ["PartitionResult", "Partitioner", "level_weights", "proc_loads"]
-
-
-def level_weights(hierarchy: GridHierarchy) -> list[int]:
-    """Per-cell workload weight of each level: local steps per coarse step."""
-    return [level.time_refinement_weight() for level in hierarchy]
+__all__ = ["PartitionResult", "Partitioner", "proc_loads"]
 
 
 class PartitionResult:
@@ -55,63 +50,32 @@ class PartitionResult:
     partition_seconds :
         Modeled cost of computing this distribution (consumed by the
         dimension-II speed-vs-quality trade-off).
-    owners :
-        .. deprecated:: 0.5
-            Legacy constructor input: dense int32 per-level owner rasters
-            (``NO_OWNER`` outside the refined region).  Converted to owner
-            maps on construction; pass ``maps`` instead.
     """
 
-    __slots__ = ("maps", "nprocs", "partition_seconds", "_rasters")
+    __slots__ = ("maps", "nprocs", "partition_seconds")
 
     def __init__(
         self,
-        maps: tuple[OwnerMap, ...] | None = None,
+        maps: tuple[OwnerMap, ...],
         nprocs: int = 1,
         partition_seconds: float = 0.0,
-        *,
-        owners: tuple[np.ndarray, ...] | None = None,
     ) -> None:
         if nprocs < 1:
             raise ValueError("nprocs must be >= 1")
-        if (maps is None) == (owners is None):
-            raise ValueError("pass exactly one of maps= or owners=")
-        rasters: tuple[np.ndarray, ...] | None = None
-        if owners is not None:
-            rasters = tuple(owners)
-            for raster in rasters:
-                if raster.dtype != np.int32:
-                    raise ValueError("owner rasters must be int32")
-            maps = tuple(OwnerMap.from_raster(r) for r in rasters)
-        else:
-            maps = tuple(maps)  # type: ignore[arg-type]
-            for m in maps:
-                if not isinstance(m, OwnerMap):
-                    raise TypeError(
-                        f"maps must contain OwnerMap instances, got {type(m)!r}"
-                    )
+        maps = tuple(maps)
+        for m in maps:
+            if not isinstance(m, OwnerMap):
+                raise TypeError(
+                    f"maps must contain OwnerMap instances, got {type(m)!r}"
+                )
         self.maps = tuple(m.coalesced() for m in maps)
         self.nprocs = int(nprocs)
         self.partition_seconds = float(partition_seconds)
-        self._rasters = rasters
 
     @property
     def nlevels(self) -> int:
         """Number of level maps."""
         return len(self.maps)
-
-    # -- dense views -------------------------------------------------------
-    def rasters(self) -> tuple[np.ndarray, ...]:
-        """Dense int32 owner rasters of every level (computed lazily).
-
-        The raster view is the dense-oracle representation: it can be
-        orders of magnitude larger than the owner maps (it scales with the
-        index-space volume), so the simulator never touches it.  Results
-        constructed from legacy rasters return the original arrays.
-        """
-        if self._rasters is None:
-            self._rasters = tuple(m.rasterize() for m in self.maps)
-        return self._rasters
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cells = sum(m.ncells for m in self.maps)

@@ -28,6 +28,7 @@ This module imports nothing from the rest of :mod:`repro`, so any layer
 from __future__ import annotations
 
 import inspect
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
@@ -59,6 +60,27 @@ class ParamSpec:
         """Whether the parameter has no default."""
         return self.default is _REQUIRED
 
+    def accepts(self, value: Any) -> bool:
+        """Whether ``value`` has the type of the parameter's default.
+
+        A bool default takes a bool, an int default a non-bool integer, a
+        float default a non-bool real and a str default a str.  Without a
+        default, or with a default of any other type (``None`` included),
+        every value passes.
+        """
+        default = self.default
+        if isinstance(default, bool):
+            return isinstance(value, bool)
+        if isinstance(value, bool):
+            return not isinstance(default, (int, float, str))
+        if isinstance(default, int):
+            return isinstance(value, numbers.Integral)
+        if isinstance(default, float):
+            return isinstance(value, numbers.Real)
+        if isinstance(default, str):
+            return isinstance(value, str)
+        return True
+
     def to_json(self) -> dict:
         """JSON-able form for CLI help and ``describe --json``."""
         doc: dict[str, Any] = {"name": self.name, "required": self.required}
@@ -82,7 +104,6 @@ class RegistryEntry:
     name: str
     factory: Callable
     description: str = ""
-    tags: tuple[str, ...] = ()
     params: tuple[ParamSpec, ...] | None = None
 
 
@@ -158,7 +179,6 @@ class Registry(Mapping):
         factory: Callable | None = None,
         *,
         description: str = "",
-        tags: tuple[str, ...] = (),
         schema_from: Callable | None = None,
         schema_exclude: tuple[str, ...] = (),
         replace: bool = False,
@@ -190,7 +210,6 @@ class Registry(Mapping):
                 description=description or (inspect.getdoc(obj) or "").split(
                     "\n"
                 )[0],
-                tags=tuple(tags),
                 params=_param_schema(schema_from or obj, schema_exclude),
             )
             return obj
@@ -208,14 +227,6 @@ class Registry(Mapping):
         """The :class:`RegistryEntry` for ``name`` (KeyError on a miss)."""
         return self._entries[name]
 
-    def names(self, tag: str | None = None) -> tuple[str, ...]:
-        """Registered names, optionally restricted to one tag."""
-        if tag is None:
-            return tuple(self._entries)
-        return tuple(
-            name for name, e in self._entries.items() if tag in e.tags
-        )
-
     def _unknown(self, name: str) -> ValueError:
         return ValueError(
             f"unknown {self.label} {name!r}; choose from {tuple(self._entries)}"
@@ -225,8 +236,10 @@ class Registry(Mapping):
         """Instantiate the component ``name`` with validated parameters.
 
         Unknown names and unknown parameter names raise ``ValueError``
-        listing the valid choices (parameter validation is skipped when
-        the factory's signature is open-ended).
+        listing the valid choices, and so does a value whose type does not
+        match its parameter's default (:meth:`ParamSpec.accepts`).
+        Parameter validation is skipped when the factory's signature is
+        open-ended.
         """
         try:
             entry = self.entry(name)
@@ -240,12 +253,19 @@ class Registry(Mapping):
                     f"unknown parameter(s) {unknown} for {self.label} "
                     f"{name!r}; valid parameters: {sorted(valid)}"
                 )
+            for spec in entry.params:
+                if spec.name in params and not spec.accepts(params[spec.name]):
+                    raise ValueError(
+                        f"parameter {spec.name!r} of {self.label} {name!r} "
+                        f"takes {type(spec.default).__name__}, like its "
+                        f"default {spec.default!r}; got {params[spec.name]!r}"
+                    )
         return entry.factory(**params)
 
     def describe(self, name: str | None = None) -> dict:
         """Introspection document for one entry, or all of them.
 
-        Per entry: description, tags and the parameter schema (used by
+        Per entry: description and the parameter schema (used by
         ``repro describe`` and argument validation).
         """
         if name is None:
@@ -258,7 +278,6 @@ class Registry(Mapping):
             "kind": entry.kind,
             "name": entry.name,
             "description": entry.description,
-            "tags": list(entry.tags),
             "params": (
                 None
                 if entry.params is None

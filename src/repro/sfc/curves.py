@@ -13,10 +13,10 @@ Two curves are provided:
 * **Hilbert** — the fully-ordered curve; every consecutive pair of cells is
   face-adjacent, giving the best locality.
 
-Both work in any dimension.  The 2-D entry points (``morton_key``,
-``hilbert_key`` and their inverses) are kept as fast paths with their
-original signatures and bit-exact results; the ``*_nd`` functions accept a
-sequence of per-axis coordinate arrays.  2-D Hilbert uses the classic
+Both work in any dimension.  The 2-D entry points (``morton_key`` and
+``hilbert_key``) are kept as fast paths with their original signatures
+and bit-exact results; the ``*_nd`` functions accept a sequence of
+per-axis coordinate arrays.  2-D Hilbert uses the classic
 rot/flip iteration (Lam & Shapiro formulation); higher dimensions use the
 vectorized Skilling transpose algorithm ("Programming the Hilbert curve",
 AIP Conf. Proc. 707, 2004).  Everything is vectorized so partitioners can
@@ -31,15 +31,10 @@ import numpy as np
 
 __all__ = [
     "morton_key",
-    "morton_inverse",
     "morton_key_nd",
-    "morton_inverse_nd",
     "hilbert_key",
-    "hilbert_inverse",
     "hilbert_key_nd",
-    "hilbert_inverse_nd",
     "max_order",
-    "sfc_order",
     "sfc_order_nd",
 ]
 
@@ -90,17 +85,6 @@ def _part1by1(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _compact1by1(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_part1by1`."""
-    v = v & np.uint64(0x5555555555555555)
-    v = (v | (v >> np.uint64(1))) & np.uint64(0x3333333333333333)
-    v = (v | (v >> np.uint64(2))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    v = (v | (v >> np.uint64(4))) & np.uint64(0x00FF00FF00FF00FF)
-    v = (v | (v >> np.uint64(8))) & np.uint64(0x0000FFFF0000FFFF)
-    v = (v | (v >> np.uint64(16))) & np.uint64(0x00000000FFFFFFFF)
-    return v
-
-
 def _part1by2(v: np.ndarray) -> np.ndarray:
     """Spread the low 21 bits of v with two zeros between each bit."""
     v = v & np.uint64(0x1FFFFF)
@@ -109,17 +93,6 @@ def _part1by2(v: np.ndarray) -> np.ndarray:
     v = (v | (v << np.uint64(8))) & np.uint64(0x100F00F00F00F00F)
     v = (v | (v << np.uint64(4))) & np.uint64(0x10C30C30C30C30C3)
     v = (v | (v << np.uint64(2))) & np.uint64(0x1249249249249249)
-    return v
-
-
-def _compact1by2(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_part1by2`."""
-    v = v & np.uint64(0x1249249249249249)
-    v = (v | (v >> np.uint64(2))) & np.uint64(0x10C30C30C30C30C3)
-    v = (v | (v >> np.uint64(4))) & np.uint64(0x100F00F00F00F00F)
-    v = (v | (v >> np.uint64(8))) & np.uint64(0x001F0000FF0000FF)
-    v = (v | (v >> np.uint64(16))) & np.uint64(0x001F00000000FFFF)
-    v = (v | (v >> np.uint64(32))) & np.uint64(0x00000000001FFFFF)
     return v
 
 
@@ -135,21 +108,6 @@ def _spread_bits(v: np.ndarray, ndim: int, order: int) -> np.ndarray:
     one = np.uint64(1)
     for b in range(order):
         out |= ((v >> np.uint64(b)) & one) << np.uint64(b * ndim)
-    return out
-
-
-def _compact_bits(v: np.ndarray, ndim: int, order: int) -> np.ndarray:
-    """Inverse of :func:`_spread_bits`."""
-    if ndim == 1:
-        return v
-    if ndim == 2:
-        return _compact1by1(v)
-    if ndim == 3:
-        return _compact1by2(v)
-    out = np.zeros_like(v)
-    one = np.uint64(1)
-    for b in range(order):
-        out |= ((v >> np.uint64(b * ndim)) & one) << np.uint64(b)
     return out
 
 
@@ -171,14 +129,6 @@ def morton_key(x: np.ndarray, y: np.ndarray, order: int = 16) -> np.ndarray:
     xs = _part1by1(_as_uint(np.asarray(x), order))
     ys = _part1by1(_as_uint(np.asarray(y), order))
     return (xs | (ys << np.uint64(1))).astype(np.uint64)
-
-
-def morton_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Invert :func:`morton_key`: keys -> ``(x, y)`` coordinate arrays."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    x = _compact1by1(keys)
-    y = _compact1by1(keys >> np.uint64(1))
-    return x.astype(np.int64), y.astype(np.int64)
 
 
 def morton_key_nd(
@@ -205,18 +155,6 @@ def morton_key_nd(
     for d, arr in enumerate(arrays):
         key |= _spread_bits(arr, ndim, order) << np.uint64(d)
     return key
-
-
-def morton_inverse_nd(
-    keys: np.ndarray, ndim: int, order: int | None = None
-) -> tuple[np.ndarray, ...]:
-    """Invert :func:`morton_key_nd`: keys -> per-axis coordinate arrays."""
-    order = _resolve_order(order, ndim)
-    keys = np.asarray(keys, dtype=np.uint64)
-    return tuple(
-        _compact_bits(keys >> np.uint64(d), ndim, order).astype(np.int64)
-        for d in range(ndim)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -253,30 +191,6 @@ def hilbert_key(x: np.ndarray, y: np.ndarray, order: int = 16) -> np.ndarray:
     return key
 
 
-def hilbert_inverse(keys: np.ndarray, order: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Invert :func:`hilbert_key`: keys -> ``(x, y)`` coordinate arrays."""
-    _check_order(order, 2)
-    d = np.asarray(keys, dtype=np.uint64).astype(np.int64).copy()
-    x = np.zeros(d.shape, dtype=np.int64)
-    y = np.zeros(d.shape, dtype=np.int64)
-    s = 1
-    while s < (1 << order):
-        rx = 1 & (d // 2)
-        ry = 1 & (d ^ rx)
-        # Rotate.
-        swap = ry == 0
-        flip = swap & (rx == 1)
-        x_f = np.where(flip, s - 1 - x, x)
-        y_f = np.where(flip, s - 1 - y, y)
-        x_new = np.where(swap, y_f, x_f)
-        y_new = np.where(swap, x_f, y_f)
-        x = x_new + s * rx
-        y = y_new + s * ry
-        d //= 4
-        s *= 2
-    return x, y
-
-
 def _axes_to_transpose(axes: list[np.ndarray], order: int) -> list[np.ndarray]:
     """Skilling AxesToTranspose, vectorized over coordinate arrays."""
     X = [a.copy() for a in axes]
@@ -307,32 +221,6 @@ def _axes_to_transpose(axes: list[np.ndarray], order: int) -> list[np.ndarray]:
         q >>= 1
     for i in range(ndim):
         X[i] = X[i] ^ t
-    return X
-
-
-def _transpose_to_axes(X: list[np.ndarray], order: int) -> list[np.ndarray]:
-    """Skilling TransposeToAxes, vectorized over coordinate arrays."""
-    X = [a.copy() for a in X]
-    ndim = len(X)
-    # Gray decode by H ^ (H >> 1).
-    t = X[ndim - 1] >> 1
-    for i in range(ndim - 1, 0, -1):
-        X[i] = X[i] ^ X[i - 1]
-    X[0] = X[0] ^ t
-    q = 2
-    top = 1 << order
-    while q != top:
-        p = np.int64(q - 1)
-        for i in range(ndim - 1, -1, -1):
-            hasbit = (X[i] & q) != 0
-            t2 = (X[0] ^ X[i]) & p
-            x0_inv = X[0] ^ p
-            x0_exch = X[0] ^ t2
-            xi_exch = X[i] ^ t2
-            if i > 0:
-                X[i] = np.where(hasbit, X[i], xi_exch)
-            X[0] = np.where(hasbit, x0_inv, x0_exch)
-        q <<= 1
     return X
 
 
@@ -378,24 +266,6 @@ def hilbert_key_nd(
     return key
 
 
-def hilbert_inverse_nd(
-    keys: np.ndarray, ndim: int, order: int | None = None
-) -> tuple[np.ndarray, ...]:
-    """Invert :func:`hilbert_key_nd`: keys -> per-axis coordinate arrays."""
-    order = _resolve_order(order, ndim)
-    if ndim == 2:
-        return hilbert_inverse(keys, order)
-    keys = np.asarray(keys, dtype=np.uint64)
-    if ndim == 1:
-        return (keys.astype(np.int64),)
-    X = [
-        _compact_bits(keys >> np.uint64(ndim - 1 - i), ndim, order).astype(np.int64)
-        for i in range(ndim)
-    ]
-    axes = _transpose_to_axes(X, order)
-    return tuple(a.astype(np.int64) for a in axes)
-
-
 # ---------------------------------------------------------------------------
 # Ordering helpers
 # ---------------------------------------------------------------------------
@@ -423,10 +293,3 @@ def sfc_order_nd(
     else:
         raise ValueError(f"unknown curve {curve!r} (use 'hilbert' or 'morton')")
     return np.argsort(keys, kind="stable")
-
-
-def sfc_order(
-    x: np.ndarray, y: np.ndarray, curve: str = "hilbert", order: int = 16
-) -> np.ndarray:
-    """2-D convenience wrapper around :func:`sfc_order_nd`."""
-    return sfc_order_nd((x, y), curve=curve, order=order)

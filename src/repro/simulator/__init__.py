@@ -7,7 +7,6 @@ from .raster_metrics import (
     ghost_message_pairs,
     interlevel_transfer_cells,
     migration_cells,
-    per_rank_comm_cells,
 )
 from .simulator import SimulationResult, StepMetrics, TraceSimulator
 
@@ -18,7 +17,6 @@ __all__ = [
     "ghost_message_pairs",
     "interlevel_transfer_cells",
     "migration_cells",
-    "per_rank_comm_cells",
     "SimulationResult",
     "StepMetrics",
     "TraceSimulator",

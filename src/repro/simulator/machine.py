@@ -88,15 +88,3 @@ class MachineModel:
             latency_seconds=self.latency_seconds / factor,
             sync_seconds=self.sync_seconds,
         )
-
-    def faster_cpu(self, factor: float) -> "MachineModel":
-        """A variant with ``factor``-times the per-cell compute speed."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return MachineModel(
-            seconds_per_cell_step=self.seconds_per_cell_step / factor,
-            bytes_per_cell=self.bytes_per_cell,
-            bandwidth_bytes_per_s=self.bandwidth_bytes_per_s,
-            latency_seconds=self.latency_seconds,
-            sync_seconds=self.sync_seconds,
-        )

@@ -46,7 +46,6 @@ __all__ = [
     "ghost_message_pairs",
     "interlevel_transfer_cells",
     "migration_cells",
-    "per_rank_comm_cells",
 ]
 
 
@@ -86,17 +85,6 @@ def ghost_message_pairs(owners: OwnerMap) -> int:
     """
     _, pairs = ghost_face_stats(owners)
     return 2 * pairs
-
-
-def per_rank_comm_cells(
-    owners: OwnerMap, nprocs: int, ghost_width: int = 1
-) -> np.ndarray:
-    """Ghost cells sent+received per rank per local step (one level)."""
-    ra, rb, area = face_contacts(owners.corners, owners.ranks)
-    counts = np.zeros(nprocs, dtype=np.int64)
-    np.add.at(counts, ra, area)
-    np.add.at(counts, rb, area)
-    return counts * ghost_width
 
 
 def interlevel_transfer_cells(

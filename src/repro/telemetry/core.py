@@ -21,8 +21,7 @@ Design constraints, in order:
    single global-``None`` check; with no active recorder it returns a
    shared do-nothing singleton.
 3. **Deterministic under test.**  ``TelemetryRecorder(clock=...)``
-   accepts any zero-argument float callable, mirroring
-   :class:`repro.meta.timer.InvocationTimer`.
+   accepts any zero-argument float callable.
 
 Activation is process-global (one recorder at a time) because spans
 must nest across module boundaries without threading a handle through

@@ -135,10 +135,6 @@ class Trace:
         """The snapshot hierarchies in order."""
         return [s.hierarchy for s in self.steps]
 
-    def consecutive_pairs(self) -> Iterator[tuple[TraceStep, TraceStep]]:
-        """Iterate over ``(H_{t-1}, H_t)`` snapshot pairs."""
-        return zip(self.steps, self.steps[1:])
-
     def stats(self) -> TraceStats:
         """Aggregate size/depth/patch statistics over the trace."""
         cells = [s.hierarchy.ncells for s in self.steps]

@@ -6,23 +6,73 @@ over dense owner rasters (int32, ``NO_OWNER`` outside the refined
 region): slow and volume-bound, but simple enough to check by eye.  The
 property tests and the owner-map benchmark compare the sparse path
 against them; nothing in ``src/`` imports this module.
+
+:func:`rasterize_owners` paints ``(box, rank)`` assignments the dense
+way, the oracle of :meth:`OwnerMap.rasterize
+<repro.geometry.OwnerMap.rasterize>`; :func:`rasters` is a distribution's
+per-level rasters, and :func:`upsample` refines a raster.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from repro.geometry import NO_OWNER, upsample
+from repro.geometry import NO_OWNER, Box, paint_box
 
 __all__ = [
     "ghost_exchange_cells",
     "ghost_message_pairs",
     "interlevel_transfer_cells",
     "migration_cells",
-    "per_rank_comm_cells",
     "proc_loads",
+    "rasterize_owners",
+    "rasters",
     "step_cells",
+    "upsample",
 ]
+
+
+def upsample(array: np.ndarray, ratio: int) -> np.ndarray:
+    """Repeat every cell ``ratio`` times along every axis.
+
+    ``out[i0*r + a0, i1*r + a1, ...] == array[i0, i1, ...]``: the raster
+    form of refining an index space by ``ratio``, as one broadcast and
+    reshape instead of ``ndim`` chained ``np.repeat`` calls.
+    """
+    if ratio < 1:
+        raise ValueError("ratio must be >= 1")
+    if ratio == 1:
+        return array
+    view_shape: list[int] = []
+    expand_shape: list[int] = []
+    for s in array.shape:
+        view_shape.extend((s, 1))
+        expand_shape.extend((s, ratio))
+    expanded = np.broadcast_to(array.reshape(view_shape), expand_shape)
+    return expanded.reshape(tuple(s * ratio for s in array.shape))
+
+
+def rasterize_owners(
+    assignments: Sequence[tuple[Box, int]], domain: Box
+) -> np.ndarray:
+    """Dense int32 owner raster from ``(box, rank)`` assignments.
+
+    Later assignments overwrite earlier ones.  Cells no box covers hold
+    ``NO_OWNER``; ``domain`` is anchored at the origin.
+    """
+    owners = np.full(domain.shape, NO_OWNER, dtype=np.int32)
+    for box, rank in assignments:
+        if rank < 0:
+            raise ValueError(f"owner ranks must be >= 0, got {rank}")
+        paint_box(owners, box, rank)
+    return owners
+
+
+def rasters(result) -> tuple[np.ndarray, ...]:
+    """Dense int32 owner rasters of every level of a distribution."""
+    return tuple(m.rasterize() for m in result.maps)
 
 
 def _faces(raster: np.ndarray):
@@ -51,18 +101,6 @@ def ghost_message_pairs(raster: np.ndarray) -> int:
     if not packed:
         return 0
     return 2 * int(np.unique(np.concatenate(packed)).size)
-
-
-def per_rank_comm_cells(
-    raster: np.ndarray, nprocs: int, ghost_width: int = 1
-) -> np.ndarray:
-    """Cut faces each rank takes part in, times ``ghost_width``."""
-    counts = np.zeros(nprocs, dtype=np.int64)
-    for a, b, cut in _faces(raster):
-        if cut.any():
-            counts += np.bincount(a[cut], minlength=nprocs)
-            counts += np.bincount(b[cut], minlength=nprocs)
-    return counts * ghost_width
 
 
 def interlevel_transfer_cells(
@@ -98,10 +136,10 @@ def migration_cells(
     return total
 
 
-def proc_loads(rasters, hierarchy, nprocs: int) -> np.ndarray:
+def proc_loads(level_rasters, hierarchy, nprocs: int) -> np.ndarray:
     """Per-rank owned cells, weighted by each level's time refinement."""
     loads = np.zeros(nprocs, dtype=np.float64)
-    for level, raster in zip(hierarchy, rasters):
+    for level, raster in zip(hierarchy, level_rasters):
         owned = raster[raster != NO_OWNER]
         if owned.size:
             loads += np.bincount(owned, minlength=nprocs) * float(
@@ -116,20 +154,20 @@ def step_cells(hierarchy, result, previous, ghost_width: int = 1):
     The dense counterpart of the three cell counts
     :meth:`TraceSimulator.measure_step` reports.
     """
-    rasters = result.rasters()
+    cur = rasters(result)
     comm = sum(
-        ghost_exchange_cells(rasters[level.index], ghost_width)
+        ghost_exchange_cells(cur[level.index], ghost_width)
         * level.time_refinement_weight()
         for level in hierarchy
     )
     interlevel = sum(
         interlevel_transfer_cells(
-            rasters[level.index - 1], rasters[level.index], level.ratio
+            cur[level.index - 1], cur[level.index], level.ratio
         )
         * level.time_refinement_weight()
         for level in hierarchy.levels[1:]
     )
     migrated = (
-        0 if previous is None else migration_cells(previous.rasters(), rasters)
+        0 if previous is None else migration_cells(rasters(previous), cur)
     )
     return comm, interlevel, migrated

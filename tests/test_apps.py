@@ -69,10 +69,6 @@ class TestTraceGenConfig:
         with pytest.raises(ValueError):
             TraceGenConfig(**kwargs)
 
-    def test_small_variant(self):
-        small = TraceGenConfig().small()
-        assert small.max_levels <= 3
-
 
 @pytest.mark.parametrize("name", ALL_APPS)
 class TestKernelBasics:

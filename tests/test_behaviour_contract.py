@@ -81,7 +81,7 @@ def series_digest(arrays) -> str:
 
 
 def test_integer_series_digests_are_pinned(tmp_path):
-    names = registry("partitioner").names() + registry("schedule").names()
+    names = tuple(registry("partitioner")) + tuple(registry("schedule"))
     runs = [(app, name) for app in ("tp2d", "bl3d") for name in names]
     assert set(runs) == set(PINNED), "pin a digest for every run"
     specs = [
@@ -119,7 +119,7 @@ def trace_digest(trace) -> str:
 
 
 def test_small_trace_digests_are_pinned(tmp_path):
-    apps = registry("app").names()
+    apps = tuple(registry("app"))
     assert set(apps) == set(TRACE_PINNED), "pin a digest for every app"
     store = ResultStore(tmp_path)
     got = {app: trace_digest(paper_trace(app, "small", store=store)) for app in apps}

@@ -12,10 +12,7 @@ from repro.clustering import (
     ClusterParams,
     buffer_flags,
     cluster_flags,
-    downsample_mask,
-    flags_from_indicator,
     gradient_indicator,
-    restrict_flags_to_mask,
 )
 from repro.geometry import Box, rasterize_mask
 
@@ -146,17 +143,8 @@ class TestIndicator:
         ind = gradient_indicator(rng.random((16, 16)))
         assert 0 <= ind.min() and ind.max() == 1.0
 
-    def test_flags_from_indicator(self):
-        ind = np.linspace(0, 1, 16).reshape(4, 4)
-        flags = flags_from_indicator(ind, 0.5)
-        assert flags.sum() == (ind > 0.5).sum()
 
-    def test_flags_threshold_validation(self):
-        with pytest.raises(ValueError):
-            flags_from_indicator(np.zeros((2, 2)), 1.5)
-
-
-class TestBufferRestrictDownsample:
+class TestBufferFlags:
     def test_buffer_grows(self):
         flags = np.zeros((16, 16), dtype=bool)
         flags[8, 8] = True
@@ -171,31 +159,3 @@ class TestBufferRestrictDownsample:
     def test_buffer_negative_rejected(self):
         with pytest.raises(ValueError):
             buffer_flags(np.zeros((4, 4), dtype=bool), -1)
-
-    def test_restrict(self):
-        flags = np.ones((4, 4), dtype=bool)
-        mask = np.zeros((4, 4), dtype=bool)
-        mask[:2] = True
-        out = restrict_flags_to_mask(flags, mask)
-        assert out.sum() == 8
-
-    def test_restrict_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            restrict_flags_to_mask(
-                np.ones((4, 4), dtype=bool), np.ones((2, 2), dtype=bool)
-            )
-
-    def test_downsample_any(self):
-        mask = np.zeros((8, 8), dtype=bool)
-        mask[0, 0] = True
-        down = downsample_mask(mask, 4)
-        assert down.shape == (2, 2)
-        assert down[0, 0] and down.sum() == 1
-
-    def test_downsample_identity(self):
-        mask = np.eye(4, dtype=bool)
-        assert (downsample_mask(mask, 1) == mask).all()
-
-    def test_downsample_indivisible(self):
-        with pytest.raises(ValueError):
-            downsample_mask(np.zeros((5, 5), dtype=bool), 2)

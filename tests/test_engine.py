@@ -268,7 +268,7 @@ class TestStore:
         listed = dict(store.iter_results())
         # The two runs plus their shared trace, one per object directory.
         assert set(listed) == {r.key for r in results} | {
-            results[0].spec.input_keys()[0]
+            results[0].spec.inputs()[0].key()
         }
         assert set(listed) == {
             path.name for path in (store.root / "objects").glob("*/*")
@@ -647,8 +647,79 @@ class TestCli:
 
     def test_unknown_app_fails_cleanly(self, tmp_path):
         out = _cli(["sweep", "--apps", "warp9", "--scale", "small"], tmp_path)
-        assert out.returncode != 0
-        assert "unknown app" in out.stderr
+        assert out.returncode == 2
+        [line] = out.stderr.splitlines()
+        assert line.startswith("error: unknown app 'warp9'")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--scale", "small", "--apps", "warp9"],
+             "unknown app 'warp9'"),
+            (["graph", "--scale", "small", "--partitioners", "bogus"],
+             "unknown partitioner 'bogus'"),
+            (["plan", "--scale", "small", "--machines", "bogus"],
+             "unknown machine 'bogus'"),
+            (["describe", "--kind", "bogus"],
+             "unknown component kind 'bogus'"),
+            (["run", "--app", "tp2d", "--scale", "small", "--param",
+              "unit_size"], "--param expects name=value"),
+            (["cache", "gc"], "cache gc needs --max-bytes"),
+        ],
+        ids=["app", "partitioner", "machine", "kind", "param", "gc"],
+    )
+    def test_usage_error_exits_2_with_one_error_line(
+        self, argv, message, tmp_path, monkeypatch, capsys
+    ):
+        from repro.engine.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "partitioner, name, raw, value",
+        [
+            ("domain-sfc-hilbert", "unit_size", "abc", "abc"),
+            ("domain-sfc-hilbert", "unit_size", "null", None),
+            ("domain-sfc-hilbert", "exact", "maybe", "maybe"),
+            ("nature+fable", "q", "abc", "abc"),
+        ],
+    )
+    def test_mistyped_param_exits_2_and_leaves_a_failure_record(
+        self, partitioner, name, raw, value, tmp_path, capsys
+    ):
+        from repro.engine.cli import main
+        from repro.telemetry import load_run_profile
+
+        store_dir = str(tmp_path / "store")
+        assert main(["run", "--app", "tp2d", "--scale", "small", "--nprocs",
+                     str(NPROCS), "--partitioner", partitioner,
+                     "--param", f"{name}={raw}",
+                     "--cache-dir", store_dir]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: parameter {name!r} of partitioner")
+        spec = sim_spec("tp2d", "small", nprocs=NPROCS,
+                        partitioner=partitioner, params={name: value})
+        doc = load_run_profile(store_dir, spec.key())
+        assert doc["outcome"] == "failed"
+        assert doc["error"] == f"ValueError: {line.removeprefix('error: ')}"
+
+    def test_well_typed_param_runs(self, tmp_path):
+        from repro.engine.cli import main
+
+        store = ResultStore(tmp_path / "store")
+        assert main(["run", "--app", "tp2d", "--scale", "small", "--nprocs",
+                     str(NPROCS), "--partitioner", "domain-sfc-hilbert",
+                     "--param", "unit_size=4",
+                     "--cache-dir", str(store.root)]) == 0
+        spec = sim_spec("tp2d", "small", nprocs=NPROCS,
+                        partitioner="domain-sfc-hilbert",
+                        params={"unit_size": 4})
+        assert store.has(spec.key())
 
     def test_spec_validation_error_is_not_a_traceback(self, tmp_path):
         out = _cli(

@@ -205,37 +205,6 @@ class TestGrowShiftSplit:
         with pytest.raises(ValueError):
             Box((0, 0), (4, 4)).split(2, 1)
 
-    def test_chop(self):
-        pieces = Box((0, 0), (10, 2)).chop(0, 4)
-        assert [p.shape[0] for p in pieces] == [4, 4, 2]
-        assert sum(p.ncells for p in pieces) == 20
-
-    def test_tile_exact(self):
-        tiles = Box((0, 0), (4, 4)).tile((2, 2))
-        assert len(tiles) == 4
-        assert sum(t.ncells for t in tiles) == 16
-
-    def test_tile_ragged(self):
-        tiles = Box((0, 0), (5, 3)).tile((2, 2))
-        assert sum(t.ncells for t in tiles) == 15
-
-    @given(
-        boxes_2d(max_coord=12),
-        st.tuples(st.integers(1, 5), st.integers(1, 5)),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_tile_partition_property(self, b, shape):
-        tiles = b.tile(shape)
-        assert sum(t.ncells for t in tiles) == b.ncells
-        for i, t in enumerate(tiles):
-            assert b.contains_box(t)
-            for u in tiles[i + 1 :]:
-                assert not t.intersects(u)
-
-    def test_cells_iteration(self):
-        cells = list(Box((0, 0), (2, 2)).cells())
-        assert cells == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
 
 class TestMergeCoalesce:
     def test_merge_bounding(self):

@@ -97,10 +97,6 @@ class TestBoxList:
         dj.validate_disjoint()
         assert dj.ncells == 28
 
-    def test_bounding_box(self):
-        lst = BoxList([Box((1, 1), (2, 2)), Box((5, 0), (6, 3))])
-        assert lst.bounding_box() == Box((1, 0), (6, 3))
-
     def test_json_roundtrip(self):
         lst = BoxList([Box((0, 0), (2, 2)), Box((4, 4), (6, 6))])
         assert BoxList.from_json(lst.to_json()) == lst

@@ -13,10 +13,9 @@ from repro.geometry import (
     boxes_from_mask,
     paint_box,
     rasterize_mask,
-    rasterize_owners,
-    upsample,
 )
 
+from tests.dense_oracle import rasterize_owners, upsample
 from tests.strategies import disjoint_boxlists
 
 

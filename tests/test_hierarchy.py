@@ -117,11 +117,6 @@ class TestGridHierarchy:
         assert flat_hierarchy.ncells == 256
         flat_hierarchy.validate()
 
-    def test_level_mask(self, simple_hierarchy):
-        mask1 = simple_hierarchy.level_mask(1)
-        assert mask1.shape == (32, 32)
-        assert mask1.sum() == 128
-
     def test_refined_mask_on_base(self, simple_hierarchy):
         mask = simple_hierarchy.refined_mask_on_base()
         assert mask.shape == (16, 16)
@@ -129,11 +124,6 @@ class TestGridHierarchy:
 
     def test_refined_mask_flat(self, flat_hierarchy):
         assert not flat_hierarchy.refined_mask_on_base().any()
-
-    def test_with_levels(self, simple_hierarchy):
-        flat = simple_hierarchy.with_levels([simple_hierarchy.levels[0]])
-        assert flat.nlevels == 1
-        assert flat.domain == simple_hierarchy.domain
 
     def test_json_roundtrip(self, simple_hierarchy):
         back = GridHierarchy.from_json(simple_hierarchy.to_json())

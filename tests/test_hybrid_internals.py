@@ -9,6 +9,8 @@ from repro.hierarchy import GridHierarchy, PatchLevel
 from repro.partition import NatureFableParams, NaturePlusFable
 from repro.partition.hybrid import _assign_sequence
 
+from tests.dense_oracle import rasters
+
 
 def two_core_hierarchy() -> GridHierarchy:
     """Two well-separated refined islands -> two Cores plus a Hue."""
@@ -73,7 +75,7 @@ class TestHueCore:
         res.validate(h)
         # Owners of the two refined islands must not overlap (separate
         # meta-partitions on contiguous rank ranges).
-        fine = res.rasters()[1]
+        fine = rasters(res)[1]
         left = set(np.unique(fine[2:14, 2:14]).tolist()) - {NO_OWNER}
         right = set(np.unique(fine[40:60, 40:60]).tolist()) - {NO_OWNER}
         assert left and right
@@ -82,7 +84,7 @@ class TestHueCore:
     def test_hue_cells_owned(self):
         h = two_core_hierarchy()
         res = NaturePlusFable().partition(h, 8)
-        base = res.rasters()[0]
+        base = rasters(res)[0]
         refined = h.refined_mask_on_base()
         hue_owners = base[~refined]
         assert (hue_owners != NO_OWNER).all()
@@ -90,7 +92,7 @@ class TestHueCore:
     def test_heavier_core_gets_more_ranks(self):
         h = two_core_hierarchy()  # right island is much bigger
         res = NaturePlusFable().partition(h, 8)
-        fine = res.rasters()[1]
+        fine = rasters(res)[1]
         left = set(np.unique(fine[2:14, 2:14]).tolist()) - {NO_OWNER}
         right = set(np.unique(fine[40:60, 40:60]).tolist()) - {NO_OWNER}
         assert len(right) >= len(left)
@@ -98,13 +100,13 @@ class TestHueCore:
     def test_flat_hierarchy_all_hue(self, flat_hierarchy):
         res = NaturePlusFable().partition(flat_hierarchy, 4)
         res.validate(flat_hierarchy)
-        loads = np.bincount(res.rasters()[0].ravel(), minlength=4)
+        loads = np.bincount(rasters(res)[0].ravel(), minlength=4)
         assert (loads > 0).all()  # hue blocking spreads the base grid
 
     def test_single_rank_everything_on_zero(self):
         h = two_core_hierarchy()
         res = NaturePlusFable().partition(h, 1)
-        for raster in res.rasters():
+        for raster in rasters(res):
             owned = raster[raster != NO_OWNER]
             assert (owned == 0).all()
 
@@ -127,8 +129,8 @@ class TestBilevels:
         res = NaturePlusFable(NatureFableParams(bilevel_size=2)).partition(h, 4)
         res.validate(h)
         # Levels 2 and 3 form a bi-level: level-3 owners refine level-2's.
-        coarse = res.rasters()[2]
-        fine = res.rasters()[3]
+        coarse = rasters(res)[2]
+        fine = rasters(res)[3]
         up = np.repeat(np.repeat(coarse, 2, 0), 2, 1)
         owned = (fine != NO_OWNER) & (up != NO_OWNER)
         np.testing.assert_array_equal(fine[owned], up[owned])

@@ -36,7 +36,7 @@ class TestEndToEnd:
         trace = small_traces["sc2d"]
         sampler = StateSampler(nprocs=4)
         series = sampler.penalty_series(trace).beta_m
-        for i, (prev, cur) in enumerate(trace.consecutive_pairs()):
+        for i, (prev, cur) in enumerate(zip(trace.steps, trace.steps[1:])):
             hp, hc = prev.hierarchy, cur.hierarchy
             overlap = 0
             for l in range(min(hp.nlevels, hc.nlevels)):

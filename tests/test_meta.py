@@ -1,4 +1,4 @@
-"""Tests for the meta-partitioner, the ArMADA baseline and the timer."""
+"""Tests for the meta-partitioner and the ArMADA baseline."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.meta import (
     ArmadaClassifier,
-    InvocationTimer,
     MetaPartitioner,
     MetaPolicy,
     MetaScheduler,
@@ -20,48 +19,6 @@ from repro.partition import (
     StickyRepartitioner,
 )
 from repro.simulator import TraceSimulator
-
-
-class TestInvocationTimer:
-    def test_intervals_recorded(self):
-        clock_values = iter([0.0, 1.0, 3.5])
-        timer = InvocationTimer(clock=lambda: next(clock_values))
-        assert timer.tick() is None
-        assert timer.tick() == pytest.approx(1.0)
-        assert timer.tick() == pytest.approx(2.5)
-        assert timer.intervals == (1.0, 2.5)
-
-    def test_mean_interval_window(self):
-        clock_values = iter([0.0, 1.0, 2.0, 10.0])
-        timer = InvocationTimer(clock=lambda: next(clock_values))
-        for _ in range(4):
-            timer.tick()
-        assert timer.mean_interval() == pytest.approx((1 + 1 + 8) / 3)
-        assert timer.mean_interval(window=1) == pytest.approx(8.0)
-
-    def test_mean_before_any_interval(self):
-        timer = InvocationTimer(clock=lambda: 0.0)
-        assert timer.mean_interval() is None
-
-    def test_backwards_clock_rejected(self):
-        clock_values = iter([1.0, 0.5])
-        timer = InvocationTimer(clock=lambda: next(clock_values))
-        timer.tick()
-        with pytest.raises(ValueError, match="backwards"):
-            timer.tick()
-
-    def test_reset(self):
-        clock_values = iter([0.0, 1.0, 5.0])
-        timer = InvocationTimer(clock=lambda: next(clock_values))
-        timer.tick()
-        timer.tick()
-        timer.reset()
-        assert timer.intervals == ()
-        assert timer.tick() is None
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            InvocationTimer(clock=lambda: 0.0).mean_interval(window=0)
 
 
 class TestMetaPolicy:

@@ -101,11 +101,6 @@ class TestClassificationPoint:
         with pytest.raises(ValueError):
             p.octant(threshold=1.0)
 
-    def test_distance(self):
-        a = ClassificationPoint(0.0, 0.0, 0.0)
-        b = ClassificationPoint(1.0, 0.0, 0.0)
-        assert a.distance(b) == pytest.approx(1.0)
-
     def test_as_array(self):
         p = ClassificationPoint(0.2, 0.4, 0.6)
         np.testing.assert_allclose(p.as_array(), [0.2, 0.4, 0.6])

@@ -183,7 +183,7 @@ GRID = ORACLES["grid"]
 
 def _replay(name: str, hierarchies) -> list:
     """Partition and measure the regrids, each step checked against the
-    dense-raster oracle on ``result.rasters()``."""
+    dense-raster oracle on the rasterized owner maps."""
     part = create("partitioner", name)
     sim = TraceSimulator()
     steps, previous, prev_h = [], None, None
@@ -200,7 +200,7 @@ def _replay(name: str, hierarchies) -> list:
 
 
 @pytest.mark.parametrize("ndim", [2, 3])
-@pytest.mark.parametrize("name", registry("partitioner").names())
+@pytest.mark.parametrize("name", tuple(registry("partitioner")))
 @pytest.mark.parametrize("row", ["grid", "subtract", "coalesce"])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())

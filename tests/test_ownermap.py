@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import Box, NO_OWNER, OwnerMap, rasterize_owners
+from repro.geometry import Box, NO_OWNER, OwnerMap
 from repro.partition import (
     DomainSfcPartitioner,
     PartitionResult,
@@ -32,7 +32,6 @@ from repro.simulator import (
     ghost_message_pairs,
     interlevel_transfer_cells,
     migration_cells,
-    per_rank_comm_cells,
 )
 
 from tests import dense_oracle as dense
@@ -78,7 +77,7 @@ class TestRoundTrip:
         ]
         m = OwnerMap.from_assignments(assignments, domain)
         np.testing.assert_array_equal(
-            m.rasterize(), rasterize_owners(assignments, domain)
+            m.rasterize(), dense.rasterize_owners(assignments, domain)
         )
 
     def test_equality_is_semantic_not_structural(self):
@@ -210,15 +209,13 @@ class TestCoalesced:
         m = unit_cells(cells, [(x + y) % 2 for x, y in cells], (4, 4))
         assert m.coalesced() is m
 
-    @pytest.mark.parametrize("source", ["maps", "owners"])
-    def test_partition_results_hold_merged_maps(self, source):
+    def test_partition_results_hold_merged_maps(self):
         raster = np.full((6, 6), NO_OWNER, dtype=np.int32)
         raster[:4, :3] = 1
         raster[:4, 3:] = 2
         owned = raster >= 0
         units = unit_cells(np.argwhere(owned), raster[owned], (6, 6))
-        inputs = {"maps": (units,), "owners": (raster,)}[source]
-        (held,) = PartitionResult(**{source: inputs}, nprocs=3).maps
+        (held,) = PartitionResult((units,), nprocs=3).maps
         assert held.nboxes == 2 and held == units
         assert held.coalesced() is held
 
@@ -232,9 +229,6 @@ class TestMetricsAgree:
         m = OwnerMap.from_raster(raster)
         assert ghost_exchange_cells(m, 2) == dense.ghost_exchange_cells(raster, 2)
         assert ghost_message_pairs(m) == dense.ghost_message_pairs(raster)
-        np.testing.assert_array_equal(
-            per_rank_comm_cells(m, 4), dense.per_rank_comm_cells(raster, 4)
-        )
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -256,8 +250,12 @@ class TestMetricsAgree:
             data.draw(owner_rasters(ndim, side)),
             data.draw(owner_rasters(ndim, side * 2)),
         )
-        prev = PartitionResult(owners=prev_rasters, nprocs=4)
-        cur = PartitionResult(owners=cur_rasters, nprocs=4)
+        prev = PartitionResult(
+            tuple(map(OwnerMap.from_raster, prev_rasters)), nprocs=4
+        )
+        cur = PartitionResult(
+            tuple(map(OwnerMap.from_raster, cur_rasters)), nprocs=4
+        )
         assert migration_cells(prev, cur) == dense.migration_cells(
             prev_rasters, cur_rasters
         )
@@ -275,5 +273,5 @@ class TestHierarchyMetricsAgree:
             res = part.partition(hierarchy, 4)
             np.testing.assert_array_equal(
                 proc_loads(res, hierarchy),
-                dense.proc_loads(res.rasters(), hierarchy, 4),
+                dense.proc_loads(dense.rasters(res), hierarchy, 4),
             )

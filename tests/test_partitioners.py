@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.engine import create, registry
-from repro.geometry import NO_OWNER, Box
+from repro.geometry import NO_OWNER, Box, OwnerMap
 from repro.hierarchy import GridHierarchy, PatchLevel
 from repro.partition import (
     DomainSfcPartitioner,
@@ -20,6 +20,7 @@ from repro.partition import (
     proc_loads,
 )
 
+from tests.dense_oracle import rasters
 from tests.strategies import nested_hierarchies_2d
 
 ALL_PARTITIONERS = [
@@ -48,7 +49,7 @@ class TestUniversalInvariants:
 
     def test_all_ranks_within_range(self, simple_hierarchy, part, nprocs):
         res = part.partition(simple_hierarchy, nprocs)
-        for raster in res.rasters():
+        for raster in rasters(res):
             owned = raster[raster != NO_OWNER]
             if owned.size:
                 assert owned.min() >= 0 and owned.max() < nprocs
@@ -73,7 +74,7 @@ class TestUniversalInvariants:
 def test_deterministic(simple_hierarchy, part):
     a = part.partition(simple_hierarchy, 4)
     b = part.partition(simple_hierarchy, 4)
-    for ra, rb in zip(a.rasters(), b.rasters()):
+    for ra, rb in zip(rasters(a), rasters(b)):
         np.testing.assert_array_equal(ra, rb)
 
 
@@ -124,49 +125,30 @@ class TestRandomHierarchies:
             create("partitioner", name).partition(hierarchy, 3)
 
 
+def one_level_result(raster: np.ndarray, nprocs: int) -> PartitionResult:
+    return PartitionResult((OwnerMap.from_raster(raster),), nprocs=nprocs)
+
+
 class TestPartitionResult:
-    def test_legacy_raster_construction_round_trips(self):
-        raster = np.array([[0, 0, 1], [2, 2, 1]], dtype=np.int32)
-        res = PartitionResult(owners=(raster,), nprocs=3)
-        np.testing.assert_array_equal(res.maps[0].rasterize(), raster)
-        np.testing.assert_array_equal(res.rasters()[0], raster)
-
-    def test_maps_and_owners_are_exclusive(self):
-        raster = np.zeros((2, 2), dtype=np.int32)
-        from repro.geometry import OwnerMap
-
-        with pytest.raises(ValueError, match="exactly one"):
-            PartitionResult(
-                maps=(OwnerMap.from_raster(raster),), owners=(raster,), nprocs=1
-            )
-        with pytest.raises(ValueError, match="exactly one"):
-            PartitionResult(nprocs=1)
-
-    def test_rejects_wrong_dtype(self):
-        with pytest.raises(ValueError, match="int32"):
-            PartitionResult(
-                owners=(np.zeros((4, 4), dtype=np.int64),), nprocs=2
-            )
-
     def test_rejects_bad_nprocs(self):
         with pytest.raises(ValueError):
-            PartitionResult(owners=(), nprocs=0)
+            PartitionResult((), nprocs=0)
 
     def test_validate_detects_unowned(self, flat_hierarchy):
         raster = np.full((16, 16), NO_OWNER, dtype=np.int32)
-        res = PartitionResult(owners=(raster,), nprocs=2)
+        res = one_level_result(raster, nprocs=2)
         with pytest.raises(ValueError, match="unowned"):
             res.validate(flat_hierarchy)
 
     def test_validate_detects_level_count(self, simple_hierarchy):
         raster = np.zeros((16, 16), dtype=np.int32)
-        res = PartitionResult(owners=(raster,), nprocs=2)
+        res = one_level_result(raster, nprocs=2)
         with pytest.raises(ValueError, match="rasters for"):
             res.validate(simple_hierarchy)
 
     def test_validate_detects_out_of_range_rank(self, flat_hierarchy):
         raster = np.full((16, 16), 5, dtype=np.int32)
-        res = PartitionResult(owners=(raster,), nprocs=2)
+        res = one_level_result(raster, nprocs=2)
         with pytest.raises(ValueError, match="outside"):
             res.validate(flat_hierarchy)
 
@@ -187,11 +169,11 @@ class TestDomainSfc:
         """Domain-based: all levels above a base column share the owner."""
         part = DomainSfcPartitioner(unit_size=1)
         res = part.partition(simple_hierarchy, 4)
-        base = res.rasters()[0]
+        base = rasters(res)[0]
         for l in range(1, simple_hierarchy.nlevels):
             ratio = simple_hierarchy.cumulative_ratio(l)
             up = np.repeat(np.repeat(base, ratio, 0), ratio, 1)
-            raster = res.rasters()[l]
+            raster = rasters(res)[l]
             owned = raster != NO_OWNER
             np.testing.assert_array_equal(raster[owned], up[owned])
 
@@ -229,10 +211,8 @@ class TestPatchBased:
                 PatchLevel(1, [Box((0, 0), (32, 32))], ratio=2),
             ],
         )
-        res = PatchBasedPartitioner().partition(h, 4)
-        counts = np.bincount(
-            res.rasters()[1][res.rasters()[1] != NO_OWNER], minlength=4
-        )
+        fine = rasters(PatchBasedPartitioner().partition(h, 4))[1]
+        counts = np.bincount(fine[fine != NO_OWNER], minlength=4)
         assert (counts > 0).all()  # every rank got a share of the big patch
 
     def test_invalid_strategy(self):
@@ -273,8 +253,8 @@ class TestNaturePlusFable:
         """Within a bi-level, fine owners refine the coarse decomposition."""
         part = NaturePlusFable(NatureFableParams(bilevel_size=2))
         res = part.partition(simple_hierarchy, 4)
-        coarse = res.rasters()[0]
-        fine = res.rasters()[1]
+        coarse = rasters(res)[0]
+        fine = rasters(res)[1]
         up = np.repeat(np.repeat(coarse, 2, 0), 2, 1)
         owned = fine != NO_OWNER
         # Where both the level-0 cell is in a core and the level-1 cell is
@@ -321,7 +301,7 @@ class TestSticky:
         sticky = StickyRepartitioner(inner)
         a = sticky.partition(simple_hierarchy, 4)
         b = inner.partition(simple_hierarchy, 4)
-        for ra, rb in zip(a.rasters(), b.rasters()):
+        for ra, rb in zip(rasters(a), rasters(b)):
             np.testing.assert_array_equal(ra, rb)
 
     def test_identical_hierarchy_zero_migration(self, simple_hierarchy):

@@ -173,11 +173,6 @@ class TestCommunicationPenalty:
             fragmented, nprocs=4, fragmentation=0.0
         ) > communication_penalty(compact, nprocs=4, fragmentation=0.0)
 
-    def test_surface_conventions(self, simple_hierarchy):
-        patch = communication_penalty(simple_hierarchy, surface="patch")
-        region = communication_penalty(simple_hierarchy, surface="region")
-        assert patch >= region - 1e-12  # hull counts at least the union surface
-
     def test_hand_worked_two_level_hull(self, simple_hierarchy):
         # Hull faces times the time weight per level: 64*1 + 48*2 + 32*4 =
         # 288, over the workload 256*1 + 128*2 + 64*4 = 768.
@@ -189,9 +184,6 @@ class TestCommunicationPenalty:
         [
             # Base hull 64*1 plus two 8x8 patch hulls 2 * 32 * 2 = 128.
             ({"fragmentation": 0}, 192 / 512),
-            # The union is one 16x8 region: 48 faces, i.e. the two hulls'
-            # 64 faces minus the 8-face contact counted from both sides.
-            ({"surface": "region", "fragmentation": 0}, (64 + 48 * 2) / 512),
             # Cut term sqrt(P * A_l) per level, times its time weight:
             # sqrt(4 * 256) * 1 = 32 and sqrt(4 * 128) * 2 (~0.525888).
             (
@@ -216,23 +208,14 @@ class TestCommunicationPenalty:
         )
         assert v == pytest.approx(expected, abs=EXACT)
 
-    @pytest.mark.parametrize(
-        "surface, expected",
-        [
-            # Three 8x8 hulls of 32 faces each, time weight 2.
-            ("patch", (64 + 2 * 96) / 640),
-            # The L-shaped union has 64 exposed faces: two 8-face edge
-            # contacts are removed from both sides, the corner touch of
-            # the outer two patches removes nothing.
-            ("region", (64 + 2 * 64) / 640),
-        ],
-    )
-    def test_hand_worked_l_shape(self, surface, expected):
+    def test_hand_worked_l_shape(self):
+        # Three 8x8 hulls of 32 faces each, time weight 2: the two 8-face
+        # edge contacts count from both sides, as every hull face does.
         h = hierarchy_from_level1([
             Box((0, 0), (8, 8)), Box((8, 0), (16, 8)), Box((0, 8), (8, 16)),
         ])
-        v = communication_penalty(h, surface=surface, fragmentation=0)
-        assert v == pytest.approx(expected, abs=EXACT)  # 0.4 and 0.3
+        v = communication_penalty(h, fragmentation=0)
+        assert v == pytest.approx((64 + 2 * 96) / 640, abs=EXACT)  # 0.4
 
     def test_hand_worked_ratio_four(self):
         # One level-1 patch of 16x16 fine cells at ratio 4 (time weight
@@ -251,10 +234,6 @@ class TestCommunicationPenalty:
         # 512 + 128 * 2 = 768.
         v = communication_penalty(hierarchy_3d(), fragmentation=0)
         assert v == pytest.approx((384 + 2 * 160) / 768, abs=EXACT)  # 11/12
-
-    def test_invalid_surface(self, simple_hierarchy):
-        with pytest.raises(ValueError):
-            communication_penalty(simple_hierarchy, surface="volume")
 
     def test_invalid_params(self, simple_hierarchy):
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from repro.simulator import (
     ghost_message_pairs,
     interlevel_transfer_cells,
     migration_cells,
-    per_rank_comm_cells,
 )
 
 
@@ -29,6 +28,10 @@ def owners(array) -> np.ndarray:
 
 def owner_map(array) -> OwnerMap:
     return OwnerMap.from_raster(owners(array))
+
+
+def partition_result(arrays, nprocs=4) -> PartitionResult:
+    return PartitionResult(tuple(map(owner_map, arrays)), nprocs=nprocs)
 
 
 def random_owners(rng, shape, nprocs=5, hole_fraction=0.3) -> np.ndarray:
@@ -82,18 +85,6 @@ class TestMessagePairs:
         assert ghost_message_pairs(owner_map(np.ones((3, 3)))) == 0
 
 
-class TestPerRankComm:
-    def test_symmetric_split(self):
-        raster = owners([[0, 0, 1, 1]] * 4).T
-        counts = per_rank_comm_cells(owner_map(raster), nprocs=2)
-        assert counts.tolist() == [4, 4]
-
-    def test_middle_rank_communicates_twice(self):
-        raster = owners([[0] * 4, [1] * 4, [2] * 4])
-        counts = per_rank_comm_cells(owner_map(raster), nprocs=3)
-        assert counts[1] == counts[0] + counts[2]
-
-
 class TestInterlevel:
     def test_aligned_zero(self):
         coarse = owners([[0, 1], [0, 1]])
@@ -138,7 +129,6 @@ class TestBruteForce3D:
         raster = random_owners(rng, (6, 5, 4))
         faces = 0
         pairs: set[tuple[int, int]] = set()
-        per_rank = np.zeros(5, dtype=np.int64)
         nx, ny, nz = raster.shape
         for i, j, k in itertools.product(range(nx), range(ny), range(nz)):
             a = raster[i, j, k]
@@ -153,13 +143,8 @@ class TestBruteForce3D:
                     continue
                 faces += 1
                 pairs.add((min(a, b), max(a, b)))
-                per_rank[a] += 1
-                per_rank[b] += 1
         assert ghost_exchange_cells(owner_map(raster), ghost_width=1) == 2 * faces
         assert ghost_message_pairs(owner_map(raster)) == 2 * len(pairs)
-        np.testing.assert_array_equal(
-            per_rank_comm_cells(owner_map(raster), nprocs=5), per_rank
-        )
 
     def test_interlevel_transfer(self):
         rng = np.random.default_rng(12)
@@ -178,62 +163,52 @@ class TestBruteForce3D:
     def test_migration(self):
         rng = np.random.default_rng(13)
         shape0, shape1 = (3, 3, 3), (6, 6, 6)
-        prev = PartitionResult(
-            owners=(
+        prev_rasters, cur_rasters = (
+            (
                 rng.integers(0, 4, size=shape0).astype(np.int32),
                 random_owners(rng, shape1, nprocs=4),
-            ),
-            nprocs=4,
-        )
-        cur = PartitionResult(
-            owners=(
-                rng.integers(0, 4, size=shape0).astype(np.int32),
-                random_owners(rng, shape1, nprocs=4),
-            ),
-            nprocs=4,
+            )
+            for _ in range(2)
         )
         expected = 0
         for i, j, k in itertools.product(range(3), repeat=3):
-            if cur.rasters()[0][i, j, k] != prev.rasters()[0][i, j, k]:
+            if cur_rasters[0][i, j, k] != prev_rasters[0][i, j, k]:
                 expected += 1
         for i, j, k in itertools.product(range(6), repeat=3):
-            b = cur.rasters()[1][i, j, k]
+            b = cur_rasters[1][i, j, k]
             if b == NO_OWNER:
                 continue
-            src = prev.rasters()[1][i, j, k]
+            src = prev_rasters[1][i, j, k]
             if src == NO_OWNER:
-                src = prev.rasters()[0][i // 2, j // 2, k // 2]
+                src = prev_rasters[0][i // 2, j // 2, k // 2]
             if src != b:
                 expected += 1
-        assert migration_cells(prev, cur) == expected
+        assert migration_cells(
+            partition_result(prev_rasters), partition_result(cur_rasters)
+        ) == expected
 
 
 class TestMigration:
-    def make_result(self, rasters, nprocs=4):
-        return PartitionResult(
-            owners=tuple(owners(r) for r in rasters), nprocs=nprocs
-        )
-
     def test_identical_zero(self):
         base = np.zeros((4, 4))
-        a = self.make_result([base])
+        a = partition_result([base])
         assert migration_cells(a, a) == 0
 
     def test_owner_change_counted(self):
-        a = self.make_result([np.zeros((4, 4))])
-        b = self.make_result([np.ones((4, 4))])
+        a = partition_result([np.zeros((4, 4))])
+        b = partition_result([np.ones((4, 4))])
         assert migration_cells(a, b) == 16
 
     def test_new_fine_cells_fetch_from_parent(self):
         # Level 1 appears at t: all 4x4 fine cells interpolate from the
         # level-0 owner (0); new owner 1 => all 16 migrate.
-        prev = self.make_result([np.zeros((2, 2))])
-        cur = self.make_result([np.zeros((2, 2)), np.ones((4, 4))])
+        prev = partition_result([np.zeros((2, 2))])
+        cur = partition_result([np.zeros((2, 2)), np.ones((4, 4))])
         assert migration_cells(prev, cur) == 16
 
     def test_new_fine_cells_local_parent_no_migration(self):
-        prev = self.make_result([np.zeros((2, 2))])
-        cur = self.make_result([np.zeros((2, 2)), np.zeros((4, 4))])
+        prev = partition_result([np.zeros((2, 2))])
+        cur = partition_result([np.zeros((2, 2)), np.zeros((4, 4))])
         assert migration_cells(prev, cur) == 0
 
     def test_persisting_fine_cell_prefers_own_old_owner(self):
@@ -242,28 +217,28 @@ class TestMigration:
         fine_prev = np.full((4, 4), NO_OWNER)
         fine_prev[:2, :2] = 1
         fine_cur = fine_prev.copy()
-        prev = self.make_result([np.zeros((2, 2)), fine_prev])
-        cur = self.make_result([np.zeros((2, 2)), fine_cur])
+        prev = partition_result([np.zeros((2, 2)), fine_prev])
+        cur = partition_result([np.zeros((2, 2)), fine_cur])
         assert migration_cells(prev, cur) == 0
 
     def test_deleted_levels_ignored(self):
-        prev = self.make_result([np.zeros((2, 2)), np.zeros((4, 4))])
-        cur = self.make_result([np.zeros((2, 2))])
+        prev = partition_result([np.zeros((2, 2)), np.zeros((4, 4))])
+        cur = partition_result([np.zeros((2, 2))])
         assert migration_cells(prev, cur) == 0
 
     def test_shape_mismatch_rejected(self):
-        a = self.make_result([np.zeros((2, 2))])
-        b = self.make_result([np.zeros((4, 4))])
+        a = partition_result([np.zeros((2, 2))])
+        b = partition_result([np.zeros((4, 4))])
         with pytest.raises(ValueError):
             migration_cells(a, b)
 
     def test_grandparent_fallback(self):
         # Level 2 is new and level 1 did not exist at t-1: data comes from
         # level 0 owners.
-        prev = self.make_result([np.zeros((2, 2))])
+        prev = partition_result([np.zeros((2, 2))])
         lvl1 = np.full((4, 4), np.int32(1))
         lvl2 = np.full((8, 8), np.int32(2))
-        cur = self.make_result([np.zeros((2, 2)), lvl1, lvl2])
+        cur = partition_result([np.zeros((2, 2)), lvl1, lvl2])
         # lvl1: 16 cells sourced from rank 0, owned by 1 -> 16.
         # lvl2: 64 cells sourced via lvl1's *source* (rank 0) ... but lvl1
         # exists at t? No: sources always come from the PREVIOUS

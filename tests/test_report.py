@@ -11,7 +11,6 @@ from repro.experiments import (
     figure_app,
     render_figure1,
     render_figure_app,
-    render_regret,
 )
 
 
@@ -64,9 +63,3 @@ class TestRenderers:
         text = render_figure1(fig)
         assert "Figure 1" in text
         assert "load imbalance" in text
-
-    def test_render_regret(self):
-        text = render_regret({"static-a": 2.0, "meta": 0.1})
-        lines = text.splitlines()
-        assert "meta" in lines[1]  # sorted ascending
-        assert "#" in lines[1] and "#" in lines[2]

@@ -8,17 +8,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sfc import (
-    hilbert_inverse,
-    hilbert_inverse_nd,
     hilbert_key,
     hilbert_key_nd,
     max_order,
-    morton_inverse,
-    morton_inverse_nd,
     morton_key,
     morton_key_nd,
-    sfc_order,
     sfc_order_nd,
+)
+
+from tests.sfc_oracle import (
+    hilbert_inverse,
+    hilbert_inverse_nd,
+    morton_inverse,
+    morton_inverse_nd,
 )
 
 
@@ -193,16 +195,6 @@ class TestSfcOrderNd:
             order = sfc_order_nd(coords_3d, curve=curve, order=5)
             assert sorted(order.tolist()) == list(range(80))
 
-    def test_2d_wrapper_equivalence(self):
-        rng = np.random.default_rng(6)
-        x = rng.integers(0, 64, size=100)
-        y = rng.integers(0, 64, size=100)
-        for curve in ("hilbert", "morton"):
-            np.testing.assert_array_equal(
-                sfc_order(x, y, curve=curve, order=6),
-                sfc_order_nd([x, y], curve=curve, order=6),
-            )
-
 
 class TestSfcOrder:
     def test_orders_all_elements(self):
@@ -210,12 +202,12 @@ class TestSfcOrder:
         x = rng.integers(0, 64, size=100)
         y = rng.integers(0, 64, size=100)
         for curve in ("hilbert", "morton"):
-            order = sfc_order(x, y, curve=curve, order=6)
+            order = sfc_order_nd((x, y), curve=curve, order=6)
             assert sorted(order.tolist()) == list(range(100))
 
     def test_unknown_curve(self):
         with pytest.raises(ValueError, match="unknown curve"):
-            sfc_order(np.array([0]), np.array([0]), curve="peano")
+            sfc_order_nd((np.array([0]), np.array([0])), curve="peano")
 
     def test_hilbert_locality_beats_morton(self):
         """Mean jump distance along the curve: Hilbert <= Morton."""
@@ -224,7 +216,7 @@ class TestSfcOrder:
         x, y = ix.ravel(), iy.ravel()
 
         def mean_jump(curve):
-            order = sfc_order(x, y, curve=curve, order=5)
+            order = sfc_order_nd((x, y), curve=curve, order=5)
             xs, ys = x[order], y[order]
             return (np.abs(np.diff(xs)) + np.abs(np.diff(ys))).mean()
 

@@ -30,11 +30,6 @@ class TestMachineModel:
         )
         assert f.transfer_seconds(1e6) < m.transfer_seconds(1e6)
 
-    def test_faster_cpu(self):
-        m = MachineModel()
-        f = m.faster_cpu(4)
-        assert f.compute_seconds(1e6) == pytest.approx(m.compute_seconds(1e6) / 4)
-
     @pytest.mark.parametrize("field", [
         "seconds_per_cell_step", "bytes_per_cell", "bandwidth_bytes_per_s",
         "latency_seconds", "sync_seconds",
@@ -46,8 +41,6 @@ class TestMachineModel:
     def test_factor_validation(self):
         with pytest.raises(ValueError):
             MachineModel().faster_network(0)
-        with pytest.raises(ValueError):
-            MachineModel().faster_cpu(-1)
 
 
 class TestTraceSimulator:

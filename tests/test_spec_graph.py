@@ -81,7 +81,6 @@ class TestBuildPlan:
         sim = sim_spec("bl2d", "small", nprocs=NPROCS)
         (trace,) = sim.inputs()
         assert trace == trace_spec("bl2d", "small")
-        assert sim.input_keys() == (trace.key(),)
         assert trace.inputs() == ()
 
     def test_diamond_shares_one_trace_node(self, tmp_path):

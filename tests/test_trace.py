@@ -45,12 +45,6 @@ class TestTrace:
         with pytest.raises(ValueError, match="strictly increasing"):
             Trace("demo", steps)
 
-    def test_consecutive_pairs(self, simple_hierarchy, shifted_hierarchy):
-        tr = self.make_trace(simple_hierarchy, shifted_hierarchy)
-        pairs = list(tr.consecutive_pairs())
-        assert len(pairs) == 1
-        assert pairs[0][0].step == 0 and pairs[0][1].step == 4
-
     def test_stats(self, simple_hierarchy, shifted_hierarchy):
         tr = self.make_trace(simple_hierarchy, shifted_hierarchy)
         stats = tr.stats()
