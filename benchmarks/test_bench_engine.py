@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from repro.engine import ResultStore, plan_specs, run_specs, sim_spec
+from repro.engine import ResultStore, build_plan, run_specs, sim_spec
 from repro.experiments import APP_NAMES
 
 from conftest import BENCH_NPROCS, record_bench
@@ -83,5 +83,4 @@ def test_sharded_sweep_speedup_and_warm_reuse(tmp_path, scale):
             assert np.array_equal(ser.arrays[name], par.arrays[name])
             assert np.array_equal(ser.arrays[name], wrm.arrays[name])
     assert t_warm < t_serial  # store hits must beat simulation
-    _, missing = plan_specs(specs, warm_store)
-    assert missing == []
+    assert build_plan(specs, warm_store).pending() == []

@@ -41,7 +41,7 @@ module scope, so engine modules only import the experiment layer lazily
 inside functions.
 """
 
-from .executor import execute, plan_specs, run_spec, run_specs, shard_specs
+from .executor import execute, run_spec, run_specs, shard_specs
 from .graph import MissingInputError, Plan, SpecNode, build_plan, toposort_layers
 from .components import (
     STATIC_SUITE,
@@ -163,8 +163,14 @@ from .store import (
 #: partitioner, machine and component kind, a ``--param`` without
 #: ``=`` and ``cache gc`` without a budget exit 2 with one ``error:``
 #: line instead of 1.
+#: 10.0: one planner and one in-process trace memo.  Removed:
+#: ``plan_specs`` (use ``build_plan(specs, store)``: its submitted nodes
+#: are the unique specs in submission order, and ``pending()`` lists
+#: the unstored ones).  The store's read cache is the only in-process
+#: trace memo: ``ResultStore.put_trace`` seeds it with the trace it
+#: publishes, and ``clear_trace_cache(memory_only=True)`` empties it.
 #: The README's migration note names each removed function.
-ENGINE_API_VERSION = "9.0"
+ENGINE_API_VERSION = "10.0"
 
 __all__ = [
     # versions
@@ -192,7 +198,6 @@ __all__ = [
     "execute",
     "run_spec",
     "run_specs",
-    "plan_specs",
     "shard_specs",
     # component registry
     "create",

@@ -21,6 +21,7 @@ a pool worker, leaves a failure record under ``<store>/telemetry/runs/``
 
 from __future__ import annotations
 
+import dataclasses
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable, Iterable, Sequence
 
@@ -33,7 +34,7 @@ from .components import create, is_schedule, resolve_machine
 from .spec import RunResult, RunSpec
 from .store import ResultStore, default_store
 
-__all__ = ["execute", "run_spec", "run_specs", "plan_specs", "shard_specs"]
+__all__ = ["execute", "run_spec", "run_specs", "shard_specs"]
 
 #: A progress callback: receives one human-readable line per event.
 Progress = Callable[[str], None]
@@ -115,33 +116,18 @@ def _execute_penalties(spec: RunSpec, store: ResultStore) -> RunResult:
         migration_denominator=spec.migration_denominator,
         nprocs=spec.nprocs,
     )
-    samples = sampler.sample_trace(trace)
+    series = sampler.penalty_series(trace)
+    # One column per series field, in field order; ``steps`` is stored
+    # as ``step``, like the sim columns.
     arrays = {
-        "step": np.array([s.step for s in samples], dtype=np.int64),
-        "beta_l": np.array([s.beta_l for s in samples]),
-        "beta_c": np.array([s.beta_c for s in samples]),
-        "beta_m": np.array([s.beta_m for s in samples]),
-        "dim1": np.array([s.point.dim1 for s in samples]),
-        "dim2": np.array([s.point.dim2 for s in samples]),
-        "dim3": np.array([s.point.dim3 for s in samples]),
-        "requested_fraction": np.array(
-            [s.tradeoff2.requested_fraction for s in samples]
-        ),
-        "requested_seconds": np.array(
-            [s.tradeoff2.requested_seconds for s in samples]
-        ),
-        "offered_seconds": np.array(
-            [s.tradeoff2.offered_seconds for s in samples]
-        ),
-        "normalized_grid_size": np.array(
-            [s.tradeoff2.normalized_grid_size for s in samples]
-        ),
+        ("step" if f.name == "steps" else f.name): getattr(series, f.name)
+        for f in dataclasses.fields(series)
     }
     meta = {
         "trace": trace.name,
         "nprocs": spec.nprocs,
         "migration_denominator": spec.migration_denominator,
-        "nsamples": len(samples),
+        "nsamples": len(series.steps),
     }
     return RunResult(spec=spec, key=spec.key(), meta=meta, arrays=arrays)
 
@@ -189,18 +175,13 @@ def _forget_traces(specs: Sequence[RunSpec], store: ResultStore) -> None:
     """Force-path helper: retire stored trace artifacts for regeneration.
 
     A ``trace`` entry is republished by the trace cache itself, so
-    forcing one means deleting the artifact and the in-process memo;
-    overwriting it with the executor's array-less result would clobber
-    ``trace.json.gz``.
+    forcing one means deleting the artifact, which also evicts it from
+    the store's read cache; overwriting it with the executor's
+    array-less result would clobber ``trace.json.gz``.
     """
-    trace_specs = [s for s in specs if s.kind == "trace"]
-    if not trace_specs:
-        return
-    from ..experiments.workloads import clear_trace_cache
-
-    clear_trace_cache(store=store, memory_only=True)
-    for spec in trace_specs:
-        store.remove(spec.key())
+    for spec in specs:
+        if spec.kind == "trace":
+            store.remove(spec.key())
 
 
 def run_spec(
@@ -228,21 +209,6 @@ def run_spec(
     stored = store.get_result(spec)
     # Return the store's view so every caller sees identical bytes.
     return stored if stored is not None else result
-
-
-def plan_specs(
-    specs: Sequence[RunSpec], store: ResultStore
-) -> tuple[list[RunSpec], list[RunSpec]]:
-    """Split submitted work into (unique specs, specs missing from store)."""
-    unique: list[RunSpec] = []
-    seen: set[str] = set()
-    for spec in specs:
-        key = spec.key()
-        if key not in seen:
-            seen.add(key)
-            unique.append(spec)
-    missing = [s for s in unique if not store.has(s.key())]
-    return unique, missing
 
 
 def shard_specs(specs: Sequence[RunSpec], n_shards: int) -> list[list[RunSpec]]:

@@ -84,7 +84,9 @@ _TOUCH_TIMES: dict[tuple[str, str], float] = {}
 # shared).  Records carry the stat signature of the backing files; a
 # hit is only served while the signature still matches, so on-disk
 # corruption, overwrite and retirement are observed exactly as a cold
-# read would see them.
+# read would see them.  It is the one in-process trace memo: the traces
+# this process loaded or published are served from here while they fit
+# the budget.
 _READ_CACHE: OrderedDict[tuple[str, str, str], dict] = OrderedDict()
 
 #: Entry budget of the read cache.
@@ -250,7 +252,11 @@ class ResultStore:
             self._publish(result.key, stage, overwrite=overwrite)
 
     def put_trace(self, spec: RunSpec, trace: Trace, meta: dict) -> None:
-        """Publish a generated trace artifact under its spec key."""
+        """Publish a generated trace artifact under its spec key.
+
+        The read cache then holds ``trace`` itself, so a process that
+        generates a trace and replays it never reloads it from disk.
+        """
         key = spec.key()
         if self.has(key):
             return
@@ -265,6 +271,10 @@ class ResultStore:
             )
             trace.save(stage / _TRACE)
             self._publish(key, stage)
+            _cache_put(
+                (str(self.root), key, "trace"),
+                {"sig": self._trace_sig(key), "trace": trace},
+            )
 
     # -- retrieval ---------------------------------------------------------
     def load_meta(self, key: str) -> dict | None:

@@ -152,7 +152,7 @@ def regret_summary(
             best_static = min(
                 v
                 for k, v in row.items()
-                if k not in ("armada-octant", "meta-partitioner", "meta_regret")
+                if k not in _DYNAMIC and k != "meta_regret"
             )
             for label, seconds in row.items():
                 if label == "meta_regret":

@@ -14,25 +14,16 @@ One entry point per paper artifact:
 All functions return plain dicts of numpy arrays/floats so benchmarks and
 notebooks can consume or print them directly (no plotting dependency).
 
-Execution goes through :mod:`repro.engine`: each figure submits its
-simulator replay and model-sampling jobs to the content-addressed result
-store, so regenerating a figure reuses work done by other figures,
-ablations, benchmarks or CLI sweeps — and a warm store renders the whole
-evaluation without re-simulating anything.  Passing an explicit ``trace``
-bypasses the engine (ad-hoc traces have no canonical content hash) and
-computes inline exactly as before.
+Every figure is a store read: each submits its simulator replay and
+model-sampling jobs to the content-addressed result store through
+:mod:`repro.engine`, so regenerating a figure reuses work done by other
+figures, ablations, benchmarks or CLI sweeps — and a warm store renders
+the whole evaluation without re-simulating anything.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..engine import penalties_spec, run_spec, sim_spec
-from ..metrics import load_imbalance_percent
-from ..model import StateSampler
-from ..partition import NaturePlusFable, Partitioner, proc_loads
-from ..simulator import TraceSimulator
-from ..trace import Trace
 from .analysis import (
     amplitude_ratio,
     best_lag,
@@ -56,13 +47,7 @@ FIGURE_APPS = {4: "rm2d", 5: "bl2d", 6: "sc2d", 7: "tp2d"}
 DEFAULT_NPROCS = 16
 
 
-def _static_partitioner() -> Partitioner:
-    """The paper's partitioning setup: Nature+Fable with static defaults."""
-    return NaturePlusFable()
-
-
 def figure1(
-    trace: Trace | None = None,
     nprocs: int = DEFAULT_NPROCS,
     scale: str = "paper",
     store=None,
@@ -72,8 +57,6 @@ def figure1(
     Returns the per-step series the figure plots: load imbalance (in
     percent) and communication amount, against the time step.
     """
-    if trace is not None:
-        return _figure1_inline(trace, nprocs)
     result = run_spec(sim_spec("bl2d", scale, nprocs=nprocs), store=store)
     arrays = result.arrays
     return {
@@ -87,49 +70,33 @@ def figure1(
     }
 
 
-def _figure1_inline(trace: Trace, nprocs: int) -> dict:
-    """In-process Figure 1 for an ad-hoc (non-canonical) trace."""
-    sim = TraceSimulator()
-    partitioner = _static_partitioner()
-    steps: list[int] = []
-    imbalance: list[float] = []
-    comm: list[float] = []
-    previous = None
-    for snap in trace:
-        result = partitioner.partition(snap.hierarchy, nprocs, previous)
-        loads = proc_loads(result, snap.hierarchy)
-        steps.append(snap.step)
-        imbalance.append(load_imbalance_percent(loads))
-        metrics = sim.measure_step(
-            snap.hierarchy, result, previous, None, step=snap.step
-        )
-        comm.append(metrics.relative_comm)
-        previous = result
-    return {
-        "trace": trace.name,
-        "nprocs": nprocs,
-        "step": np.array(steps),
-        "load_imbalance_percent": np.array(imbalance),
-        "relative_comm": np.array(comm),
-    }
-
-
-def _figure_app_dict(
+def figure_app(
     name: str,
-    nprocs: int,
-    steps: np.ndarray,
-    beta_c: np.ndarray,
-    beta_m: np.ndarray,
-    actual_comm: np.ndarray,
-    actual_mig: np.ndarray,
+    nprocs: int = DEFAULT_NPROCS,
+    scale: str = "paper",
+    store=None,
 ) -> dict:
+    """Figures 4-7: model penalties vs. measured behaviour for one app.
+
+    Left panel data: the actual relative communication and the penalty
+    ``beta_C``.  Right panel data: the actual relative data migration and
+    the penalty ``beta_m``.  Both pairs are superimposed without scaling
+    (section 5.1.4); trend statistics quantify the visual comparison.
+    """
+    if name not in APP_NAMES:
+        raise ValueError(f"unknown application {name!r}")
+    sim = run_spec(sim_spec(name, scale, nprocs=nprocs), store=store)
+    model = run_spec(penalties_spec(name, scale, nprocs=nprocs), store=store)
+    beta_c, beta_m = model.arrays["beta_c"], model.arrays["beta_m"]
+    actual_comm = sim.arrays["relative_comm"]
+    actual_mig = sim.arrays["relative_migration"]
     # Step 0 has no predecessor: drop it from migration statistics.
     mig_model = beta_m[1:]
     mig_actual = actual_mig[1:]
     return {
-        "trace": name,
+        "trace": sim.meta["trace"],
         "nprocs": nprocs,
-        "step": steps,
+        "step": model.arrays["step"],
         "actual_relative_comm": actual_comm,
         "beta_c": beta_c,
         "actual_relative_migration": actual_mig,
@@ -144,48 +111,6 @@ def _figure_app_dict(
         "migration_period_model": dominant_period(mig_model),
         "migration_period_actual": dominant_period(mig_actual),
     }
-
-
-def figure_app(
-    name: str,
-    trace: Trace | None = None,
-    nprocs: int = DEFAULT_NPROCS,
-    scale: str = "paper",
-    store=None,
-) -> dict:
-    """Figures 4-7: model penalties vs. measured behaviour for one app.
-
-    Left panel data: the actual relative communication and the penalty
-    ``beta_C``.  Right panel data: the actual relative data migration and
-    the penalty ``beta_m``.  Both pairs are superimposed without scaling
-    (section 5.1.4); trend statistics quantify the visual comparison.
-    """
-    if name not in APP_NAMES:
-        raise ValueError(f"unknown application {name!r}")
-    if trace is not None:
-        sim = TraceSimulator()
-        result = sim.run(trace, _static_partitioner(), nprocs)
-        model = StateSampler(nprocs=nprocs).penalty_series(trace)
-        return _figure_app_dict(
-            trace.name,
-            nprocs,
-            model.steps,
-            model.beta_c,
-            model.beta_m,
-            result.series("relative_comm"),
-            result.series("relative_migration"),
-        )
-    sim = run_spec(sim_spec(name, scale, nprocs=nprocs), store=store)
-    model = run_spec(penalties_spec(name, scale, nprocs=nprocs), store=store)
-    return _figure_app_dict(
-        sim.meta["trace"],
-        nprocs,
-        model.arrays["step"],
-        model.arrays["beta_c"],
-        model.arrays["beta_m"],
-        sim.arrays["relative_comm"],
-        sim.arrays["relative_migration"],
-    )
 
 
 def shape_report(
@@ -219,32 +144,11 @@ def shape_report(
 
 def dimension2_series(
     name: str = "bl2d",
-    trace: Trace | None = None,
     nprocs: int = DEFAULT_NPROCS,
     scale: str = "paper",
     store=None,
 ) -> dict:
     """The dimension-II trajectory: requested vs offered time (section 4.3)."""
-    if trace is not None:
-        sampler = StateSampler(nprocs=nprocs)
-        samples = sampler.sample_trace(trace)
-        return {
-            "trace": trace.name,
-            "step": np.array([s.step for s in samples]),
-            "requested_fraction": np.array(
-                [s.tradeoff2.requested_fraction for s in samples]
-            ),
-            "requested_seconds": np.array(
-                [s.tradeoff2.requested_seconds for s in samples]
-            ),
-            "offered_seconds": np.array(
-                [s.tradeoff2.offered_seconds for s in samples]
-            ),
-            "normalized_grid_size": np.array(
-                [s.tradeoff2.normalized_grid_size for s in samples]
-            ),
-            "dim2": np.array([s.point.dim2 for s in samples]),
-        }
     model = run_spec(penalties_spec(name, scale, nprocs=nprocs), store=store)
     return {
         "trace": model.meta["trace"],

@@ -20,16 +20,16 @@ All experiments run off the same deterministic traces (seeded kernels, see
   candidates keep them near-linear;
 * ``"small"`` — a fast variant for unit tests and CI benchmarks.
 
-Traces are cached twice: in memory per process, and on disk in the
-engine's content-addressed store (``REPRO_CACHE_DIR``, default
-``~/.cache/repro``), keyed by the full generation config — so figures,
-ablations, benchmarks and CLI sweeps regenerate a given trace exactly
-once per machine.  :func:`clear_trace_cache` empties both layers.
+Traces live in the engine's content-addressed store
+(``REPRO_CACHE_DIR``, default ``~/.cache/repro``), keyed by the full
+generation config — so figures, ablations, benchmarks and CLI sweeps
+regenerate a given trace exactly once per machine.  The store's
+per-process read cache is the in-process memo: it holds the traces this
+process loaded or published, within its entry budget.
+:func:`clear_trace_cache` empties it, and the store's trace entries too.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from ..apps import APPLICATIONS, TraceGenConfig, generate_trace, make_application
 from ..registry import register, registry
@@ -248,23 +248,6 @@ def _generate(name: str, scale: str, seed: int | None) -> Trace:
     return generate_trace(app, paper_config(scale, ndim))
 
 
-@lru_cache(maxsize=None)
-def _cached_trace(name: str, scale: str, seed: int | None, root: str) -> Trace:
-    # Lazy engine import: repro.engine reaches back into this module at
-    # call time, so neither side may import the other at module scope.
-    from ..engine.executor import trace_meta
-    from ..engine.spec import trace_spec
-    from ..engine.store import ResultStore
-
-    store = ResultStore(root)
-    spec = trace_spec(name, scale, seed=seed)
-    trace = store.get_trace(spec)
-    if trace is None:
-        trace = _generate(name, scale, seed)
-        store.put_trace(spec, trace, trace_meta(trace))
-    return trace
-
-
 def paper_trace(
     name: str,
     scale: str = "paper",
@@ -273,30 +256,41 @@ def paper_trace(
 ) -> Trace:
     """The deterministic trace of one application at one scale.
 
-    Memoized in-process and content-addressed on disk; ``store`` selects
-    a specific :class:`~repro.engine.store.ResultStore` (default:
+    Content-addressed on disk and memoized by the store's read cache;
+    ``store`` selects a specific
+    :class:`~repro.engine.store.ResultStore` (default:
     ``REPRO_CACHE_DIR`` / ``~/.cache/repro``).
     """
     _check_scale(scale)
     workload_ndim(name)  # raises for unknown apps before touching the store
-    if store is None:
-        from ..engine.store import default_store
+    # Lazy engine import: repro.engine reaches back into this module at
+    # call time, so neither side may import the other at module scope.
+    from ..engine.executor import trace_meta
+    from ..engine.spec import trace_spec
+    from ..engine.store import default_store
 
+    if store is None:
         store = default_store()
-    return _cached_trace(name, scale, seed, str(store.root))
+    spec = trace_spec(name, scale, seed=seed)
+    trace = store.get_trace(spec)
+    if trace is None:
+        trace = _generate(name, scale, seed)
+        store.put_trace(spec, trace, trace_meta(trace))
+    return trace
 
 
 def clear_trace_cache(store=None, *, memory_only: bool = False) -> int:
     """Drop cached traces; returns the number of disk entries removed.
 
-    Clears the in-process memo always, and the on-disk trace entries of
-    ``store`` (default store when omitted) unless ``memory_only`` is set.
+    Clears the store's per-process read cache always, and the on-disk
+    trace entries of ``store`` (default store when omitted) unless
+    ``memory_only`` is set.
     """
-    _cached_trace.cache_clear()
+    from ..engine.store import clear_read_cache, default_store
+
+    clear_read_cache()
     if memory_only:
         return 0
     if store is None:
-        from ..engine.store import default_store
-
         store = default_store()
     return store.clear(kind="trace")

@@ -19,7 +19,6 @@ from .pairindex import candidate_pairs
 from .raster import (
     NO_OWNER,
     add_box_overlap,
-    block_sum,
     boxes_from_labels,
     boxes_from_mask,
     paint_box,
@@ -46,7 +45,6 @@ __all__ = [
     "candidate_pairs",
     "NO_OWNER",
     "add_box_overlap",
-    "block_sum",
     "boxes_from_labels",
     "boxes_from_mask",
     "paint_box",

@@ -7,9 +7,9 @@ and Cores, and the partitioners lift dense unit-owner rasters into owner
 maps.  The simulator's load, ghost communication and migration run on
 sparse owner maps (:mod:`repro.geometry.ownermap`), never on rasters.
 
-All helpers are dimension-general: :func:`block_sum` is the N-D
-replacement for the per-axis ``reshape(...).sum(axis=(1, 3))`` idiom,
-and :func:`boxes_from_mask` decomposes masks of any rank.
+All helpers are dimension-general: :func:`add_box_overlap` sums box
+volumes per block of any rank without a raster, and
+:func:`boxes_from_mask` decomposes masks of any rank.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "boxes_from_mask",
     "boxes_from_labels",
     "add_box_overlap",
-    "block_sum",
 ]
 
 NO_OWNER: int = -1
@@ -39,26 +38,6 @@ def _check_domain(domain: Box) -> None:
         raise ValueError("cannot rasterize onto an empty domain")
     if any(l != 0 for l in domain.lo):
         raise ValueError("raster domains must be anchored at the origin")
-
-
-def block_sum(array: np.ndarray, factor: int, dtype=None) -> np.ndarray:
-    """Sum ``factor``-sized blocks along every axis (N-D block reduction).
-
-    The result has shape ``array.shape // factor`` and each cell holds the
-    sum of its ``factor**ndim`` source block.  Every extent must be
-    divisible by ``factor``.
-    """
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    if factor == 1:
-        return array.astype(dtype) if dtype is not None else array
-    if any(s % factor for s in array.shape):
-        raise ValueError(f"shape {array.shape} not divisible by factor {factor}")
-    view_shape: list[int] = []
-    for s in array.shape:
-        view_shape.extend((s // factor, factor))
-    axes = tuple(range(1, 2 * array.ndim, 2))
-    return array.reshape(view_shape).sum(axis=axes, dtype=dtype)
 
 
 def paint_box(array: np.ndarray, box: Box, value: int) -> None:
@@ -213,10 +192,11 @@ def add_box_overlap(
     ``[c*factor, (c+1)*factor)`` in the box's index space.  For every
     block, ``weight * |box ∩ block|`` is added in place.  Summed over a
     disjoint patch set this equals ``block_sum(rasterize_mask(...),
-    factor) * weight`` — without ever materializing the fine raster, which
-    is what keeps column/atomic-unit workloads computable at paper-scale
-    3-D resolutions.  All quantities are integer-valued, so float
-    accumulation is exact and order-independent.
+    factor) * weight`` (``block_sum`` is the dense oracle in
+    ``tests/dense_oracle.py``) — without ever materializing the fine
+    raster, which is what keeps column/atomic-unit workloads computable
+    at paper-scale 3-D resolutions.  All quantities are integer-valued,
+    so float accumulation is exact and order-independent.
     """
     if box.ndim != array.ndim:
         raise ValueError("box/array dimension mismatch")

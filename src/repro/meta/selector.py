@@ -26,7 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..hierarchy import GridHierarchy
-from ..model import ClassificationPoint, StateSampler
+from ..model import (
+    ClassificationPoint,
+    GridSizeTracker,
+    StateSample,
+    StateSampler,
+)
 from ..partition import (
     DomainSfcPartitioner,
     NatureFableParams,
@@ -49,8 +54,9 @@ class MetaPolicy:
     dim1 ranges the four paper traces produce: network-starved and
     balanced clusters land below ~0.90 (communication worth optimizing),
     compute-bound machines above ~0.96 (balance is everything), with the
-    hybrid serving the band between; the meta-vs-static benchmark sweeps
-    the calibration.
+    hybrid serving the band between.  The thresholds are fixed by hand:
+    nothing sweeps or fits them yet.  Fitting them by blocked evaluation,
+    one application held out per fold, is open work in ROADMAP.md.
     """
 
     dim1_low: float = 0.90
@@ -137,7 +143,8 @@ class MetaScheduler:
     Realizes the fully dynamic PAC of Figure 2: at each regrid the sampler
     classifies the application/system state ab initio and the meta-
     partitioner re-selects and re-configures P.  Holds the running state
-    (previous hierarchy, grid-size tracker) across invocations.
+    (previous hierarchy, grid-size tracker, last sample) across
+    invocations; replay a new trace with a new scheduler.
     """
 
     def __init__(
@@ -148,58 +155,18 @@ class MetaScheduler:
         self.sampler = sampler or StateSampler()
         self.meta = meta or MetaPartitioner()
         self._prev_hierarchy: GridHierarchy | None = None
-        self._tracker_max = 0
-        self._last_penalties: tuple[float, float, float] = (0.0, 0.0, 0.0)
+        self._tracker = GridSizeTracker()
+        self._last: StateSample | None = None
         self.history: list[ClassificationPoint] = []
-
-    def reset(self) -> None:
-        """Forget replay state (call between traces)."""
-        self._prev_hierarchy = None
-        self._tracker_max = 0
-        self._last_penalties = (0.0, 0.0, 0.0)
-        self.history = []
 
     def classify(self, hierarchy: GridHierarchy) -> ClassificationPoint:
         """Classify one snapshot, updating the running state."""
-        from ..model.penalties import (
-            communication_penalty,
-            dimension1,
-            load_imbalance_penalty,
-            migration_penalty,
-        )
-
-        beta_l = load_imbalance_penalty(hierarchy)
-        beta_c = communication_penalty(
-            hierarchy,
-            nprocs=self.sampler.nprocs,
-            ghost_width=self.sampler.ghost_width,
-        )
-        beta_m = (
-            migration_penalty(
-                self._prev_hierarchy,
-                hierarchy,
-                denominator=self.sampler.migration_denominator,
-            )
-            if self._prev_hierarchy is not None
-            else 0.0
-        )
-        self._tracker_max = max(self._tracker_max, hierarchy.ncells)
-        norm_size = (
-            hierarchy.ncells / self._tracker_max if self._tracker_max else 0.0
-        )
-        interval = self.sampler.invocation_interval(hierarchy.workload)
-        t2 = self.sampler.tradeoff2.evaluate(
-            (beta_l, beta_c, beta_m), hierarchy.ncells, norm_size, interval
-        )
-        point = ClassificationPoint(
-            dim1=dimension1(beta_l, self.sampler.effective_beta_c(beta_c)),
-            dim2=t2.dimension2,
-            dim3=beta_m,
+        self._last = self.sampler.sample(
+            hierarchy, self._prev_hierarchy, self._tracker, len(self.history)
         )
         self._prev_hierarchy = hierarchy
-        self._last_penalties = (beta_l, beta_c, beta_m)
-        self.history.append(point)
-        return point
+        self.history.append(self._last.point)
+        return self._last.point
 
     def migration_dominates(self, hierarchy: GridHierarchy) -> bool:
         """Is the predicted migration cost significant next to the
@@ -211,10 +178,13 @@ class MetaScheduler:
         only pays off when the former is a non-trivial fraction of the
         latter.
         """
-        beta_l, beta_c, beta_m = self._last_penalties
-        migration_points = beta_m * hierarchy.ncells
+        if self._last is None:
+            return False
+        migration_points = self._last.beta_m * hierarchy.ncells
         comm_points = (
-            beta_c * hierarchy.workload * self.sampler.steps_per_snapshot
+            self._last.beta_c
+            * hierarchy.workload
+            * self.sampler.steps_per_snapshot
         )
         threshold = self.meta.policy.sticky_cost_ratio
         return migration_points > threshold * max(comm_points, 1.0)

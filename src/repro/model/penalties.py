@@ -176,7 +176,8 @@ def load_imbalance_penalty(hierarchy: GridHierarchy) -> float:
         ratio = hierarchy.cumulative_ratio(level.index)
         w = float(level.time_refinement_weight())
         # Per-patch block overlaps are integer-valued, so the float
-        # accumulation is exact — identical to the dense mask block_sum.
+        # accumulation is exact — identical to the dense mask block_sum
+        # of tests/dense_oracle.py.
         for patch in level.patches:
             add_box_overlap(work, patch, ratio, w)
     peak = work.max()

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..hierarchy import GridHierarchy
 from ..simulator.machine import MachineModel
 from ..trace import Trace
 from .penalties import (
@@ -44,7 +45,7 @@ class StateSample:
 
 @dataclass(frozen=True)
 class PenaltySeries:
-    """Penalty and coordinate series over a whole trace."""
+    """Penalty, coordinate and trade-off-2 series over a whole trace."""
 
     steps: np.ndarray
     beta_l: np.ndarray
@@ -53,6 +54,10 @@ class PenaltySeries:
     dim1: np.ndarray
     dim2: np.ndarray
     dim3: np.ndarray
+    requested_fraction: np.ndarray
+    requested_seconds: np.ndarray
+    offered_seconds: np.ndarray
+    normalized_grid_size: np.ndarray
 
 
 class StateSampler:
@@ -118,45 +123,59 @@ class StateSampler:
         """
         return min(1.0, beta_c * self.machine.comm_compute_ratio())
 
+    def sample(
+        self,
+        hierarchy: GridHierarchy,
+        previous: GridHierarchy | None,
+        tracker: GridSizeTracker,
+        step: int,
+    ) -> StateSample:
+        """Evaluate one snapshot against the one before it.
+
+        ``previous`` is the hierarchy of the preceding regrid (``None``
+        at the first, whose ``beta_m`` is 0); ``tracker`` carries the
+        largest grid seen so far across the snapshots of one replay.
+        """
+        beta_l = load_imbalance_penalty(hierarchy)
+        beta_c = communication_penalty(
+            hierarchy, nprocs=self.nprocs, ghost_width=self.ghost_width
+        )
+        beta_m = (
+            migration_penalty(
+                previous, hierarchy, denominator=self.migration_denominator
+            )
+            if previous is not None
+            else 0.0
+        )
+        norm_size = tracker.observe(hierarchy.ncells)
+        interval = self.invocation_interval(hierarchy.workload)
+        t2 = self.tradeoff2.evaluate(
+            (beta_l, beta_c, beta_m), hierarchy.ncells, norm_size, interval
+        )
+        point = ClassificationPoint(
+            dim1=dimension1(beta_l, self.effective_beta_c(beta_c)),
+            dim2=t2.dimension2,
+            dim3=beta_m,
+        )
+        return StateSample(
+            step=step,
+            beta_l=beta_l,
+            beta_c=beta_c,
+            beta_m=beta_m,
+            tradeoff2=t2,
+            point=point,
+        )
+
     def sample_trace(self, trace: Trace) -> list[StateSample]:
         """Evaluate every snapshot; ``beta_m`` of the first step is 0."""
         tracker = GridSizeTracker()
         samples: list[StateSample] = []
-        prev_hierarchy = None
+        previous = None
         for snap in trace:
-            h = snap.hierarchy
-            beta_l = load_imbalance_penalty(h)
-            beta_c = communication_penalty(
-                h, nprocs=self.nprocs, ghost_width=self.ghost_width
-            )
-            beta_m = (
-                migration_penalty(
-                    prev_hierarchy, h, denominator=self.migration_denominator
-                )
-                if prev_hierarchy is not None
-                else 0.0
-            )
-            norm_size = tracker.observe(h.ncells)
-            interval = self.invocation_interval(h.workload)
-            t2 = self.tradeoff2.evaluate(
-                (beta_l, beta_c, beta_m), h.ncells, norm_size, interval
-            )
-            point = ClassificationPoint(
-                dim1=dimension1(beta_l, self.effective_beta_c(beta_c)),
-                dim2=t2.dimension2,
-                dim3=beta_m,
-            )
             samples.append(
-                StateSample(
-                    step=snap.step,
-                    beta_l=beta_l,
-                    beta_c=beta_c,
-                    beta_m=beta_m,
-                    tradeoff2=t2,
-                    point=point,
-                )
+                self.sample(snap.hierarchy, previous, tracker, snap.step)
             )
-            prev_hierarchy = h
+            previous = snap.hierarchy
         return samples
 
     def trajectory(self, trace: Trace) -> StateTrajectory:
@@ -164,7 +183,8 @@ class StateSampler:
         return StateTrajectory([s.point for s in self.sample_trace(trace)])
 
     def penalty_series(self, trace: Trace) -> PenaltySeries:
-        """Array view of the sampled model outputs (for plotting/benches)."""
+        """Array view of the sampled model outputs: the columns a
+        ``penalties`` store entry holds."""
         samples = self.sample_trace(trace)
         return PenaltySeries(
             steps=np.array([s.step for s in samples], dtype=np.int64),
@@ -174,4 +194,16 @@ class StateSampler:
             dim1=np.array([s.point.dim1 for s in samples]),
             dim2=np.array([s.point.dim2 for s in samples]),
             dim3=np.array([s.point.dim3 for s in samples]),
+            requested_fraction=np.array(
+                [s.tradeoff2.requested_fraction for s in samples]
+            ),
+            requested_seconds=np.array(
+                [s.tradeoff2.requested_seconds for s in samples]
+            ),
+            offered_seconds=np.array(
+                [s.tradeoff2.offered_seconds for s in samples]
+            ),
+            normalized_grid_size=np.array(
+                [s.tradeoff2.normalized_grid_size for s in samples]
+            ),
         )

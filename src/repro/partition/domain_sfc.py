@@ -50,7 +50,8 @@ def column_workloads(
     a rank inherits by owning that piece of the domain.  Works for any
     spatial dimensionality of the hierarchy.  Computed patch by patch via
     block-overlap volumes (all integer-valued, so the float accumulation
-    is exact and identical to the dense ``block_sum`` of the level masks).
+    is exact and identical to the dense ``block_sum`` of the level masks
+    in ``tests/dense_oracle.py``).
     """
     base_shape = hierarchy.domain.shape
     if any(s % unit_size for s in base_shape):

@@ -31,10 +31,10 @@ assignment; ``q > 1`` trades locality for balance via LPT over chunks) and
 Representation: only base-grid arrays are ever materialized.  Bi-level
 block weights are accumulated patch by patch (exact integer-valued
 block-overlap volumes, identical to the dense ``block_sum`` of the level
-masks) into a unit grid *windowed to the Core's bounding box*, unit
-assignment enumerates only the non-empty units sparsely (no
-``np.indices`` raster over the unit grid — the last volume-proportional
-allocation), and the per-level output is a sparse
+masks in ``tests/dense_oracle.py``) into a unit grid *windowed to the
+Core's bounding box*, unit assignment enumerates only the non-empty
+units sparsely (no ``np.indices`` raster over the unit grid — the last
+volume-proportional allocation), and the per-level output is a sparse
 :class:`~repro.geometry.OwnerMap` — the unit blocks clipped against the
 level's patches inside the Core — so deep 3-D hierarchies never allocate
 a fine-level raster.
@@ -252,7 +252,8 @@ class NaturePlusFable(Partitioner):
         """Workload of the refinement column above each base cell.
 
         Accumulated patch by patch (integer-valued overlap volumes — exact
-        in float64, identical to the dense mask ``block_sum``).
+        in float64, identical to the dense mask ``block_sum`` of
+        ``tests/dense_oracle.py``).
         """
         work = np.zeros(hierarchy.domain.shape, dtype=np.float64)
         for level in hierarchy:

@@ -10,7 +10,10 @@ against them; nothing in ``src/`` imports this module.
 :func:`rasterize_owners` paints ``(box, rank)`` assignments the dense
 way, the oracle of :meth:`OwnerMap.rasterize
 <repro.geometry.OwnerMap.rasterize>`; :func:`rasters` is a distribution's
-per-level rasters, and :func:`upsample` refines a raster.
+per-level rasters, :func:`upsample` refines a raster and
+:func:`block_sum` coarsens one, the oracle of the rasterless
+:func:`~repro.geometry.add_box_overlap` behind the column and unit
+workloads and ``beta_L``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 from repro.geometry import NO_OWNER, Box, paint_box
 
 __all__ = [
+    "block_sum",
     "ghost_exchange_cells",
     "ghost_message_pairs",
     "interlevel_transfer_cells",
@@ -32,6 +36,26 @@ __all__ = [
     "step_cells",
     "upsample",
 ]
+
+
+def block_sum(array: np.ndarray, factor: int, dtype=None) -> np.ndarray:
+    """Sum ``factor``-sized blocks along every axis (N-D block reduction).
+
+    The result has shape ``array.shape // factor`` and each cell holds the
+    sum of its ``factor**ndim`` source block.  Every extent must be
+    divisible by ``factor``.
+    """
+    if factor < 1:
+        raise ValueError("factor must be >= 1")
+    if factor == 1:
+        return array.astype(dtype) if dtype is not None else array
+    if any(s % factor for s in array.shape):
+        raise ValueError(f"shape {array.shape} not divisible by factor {factor}")
+    view_shape: list[int] = []
+    for s in array.shape:
+        view_shape.extend((s // factor, factor))
+    axes = tuple(range(1, 2 * array.ndim, 2))
+    return array.reshape(view_shape).sum(axis=axes, dtype=dtype)
 
 
 def upsample(array: np.ndarray, ratio: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.metrics import BUILTIN_COUNTERS
 
-#: Pair-kernel counters of the golden sweep: tp2d at ``small`` under
+#: Counters of the golden sweep's runs: tp2d at ``small`` under
 #: nature+fable and patch-lpt on 4 ranks, every multi-row query on the
 #: grid (the brute-force cutoff patched to -1).
 GOLDEN = {
@@ -37,6 +37,9 @@ GOLDEN = {
     "repro_pair_pair_product_total": 4890,
     "repro_pair_candidate_pairs_total": 2999,
     "repro_pair_exact_pairs_total": 1274,
+    # The two replays read the trace the trace run published from the
+    # store's read cache.
+    "repro_store_read_cache_hits_total": 2,
 }
 
 

@@ -26,10 +26,10 @@ from repro.engine import (
     ResultStore,
     RunResult,
     RunSpec,
+    build_plan,
     clear_read_cache,
     default_store,
     penalties_spec,
-    plan_specs,
     run_spec,
     run_specs,
     shard_specs,
@@ -38,7 +38,6 @@ from repro.engine import (
 )
 from repro.engine import executor as executor_module
 from repro.experiments import clear_trace_cache, paper_trace
-from repro.experiments.workloads import _cached_trace
 
 NPROCS = 4
 
@@ -363,9 +362,16 @@ class TestExecutor:
         store = ResultStore(tmp_path / "store")
         specs = self._sweep()
         run_spec(specs[0], store=store)
-        unique, missing = plan_specs(specs + specs[:1], store)
-        assert unique == specs
-        assert missing == specs[1:]
+        plan = build_plan(specs + specs[:1], store)
+        assert [node.spec for node in plan.submitted()] == specs
+        unstored = [node for node in plan.nodes.values() if not node.stored]
+        assert {node.key for node in plan.pending()} == {
+            node.key for node in unstored
+        }
+        assert [node.spec for node in unstored if node.submitted] == specs[1:]
+        assert [node.spec for node in unstored if not node.submitted] == [
+            trace_spec("tp2d", "small")
+        ]
 
     def test_shard_specs_keeps_workloads_together(self):
         specs = self._sweep()
@@ -476,7 +482,7 @@ class TestTraceCache:
 @pytest.fixture(autouse=True)
 def _fresh_trace_memo():
     """Each test sees a cold in-process memo (stores are per-test tmp dirs)."""
-    _cached_trace.cache_clear()
+    clear_trace_cache(memory_only=True)
     yield
 
 

@@ -122,7 +122,7 @@ class TestWorkloads:
     def test_paper_trace_cached(self):
         a = paper_trace("bl2d", "small")
         b = paper_trace("bl2d", "small")
-        assert a is b  # lru_cache
+        assert a is b  # the store's read cache
 
     def test_paper_trace_unknown(self):
         with pytest.raises(ValueError):

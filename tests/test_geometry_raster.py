@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from repro.geometry import (
     NO_OWNER,
     Box,
-    block_sum,
     boxes_from_mask,
     paint_box,
     rasterize_mask,
 )
 
-from tests.dense_oracle import rasterize_owners, upsample
+from tests.dense_oracle import block_sum, rasterize_owners, upsample
 from tests.strategies import disjoint_boxlists
 
 

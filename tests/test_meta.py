@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import create, registry
+from repro.experiments import paper_trace
+from repro.experiments.workloads import app_names
 from repro.meta import (
     ArmadaClassifier,
     MetaPartitioner,
@@ -90,22 +93,17 @@ class TestMetaScheduler:
         assert len(sched.history) == len(small_traces["sc2d"])
         assert sched.history[0].dim3 == 0.0  # no predecessor
 
-    def test_matches_batch_sampler(self, small_traces):
-        """Incremental classification equals the batch StateSampler."""
-        sampler = StateSampler(nprocs=4)
-        batch = sampler.sample_trace(small_traces["bl2d"])
-        sched = MetaScheduler(sampler=StateSampler(nprocs=4))
-        for snap, expected in zip(small_traces["bl2d"], batch):
-            point = sched.classify(snap.hierarchy)
-            assert point.dim1 == pytest.approx(expected.point.dim1)
-            assert point.dim2 == pytest.approx(expected.point.dim2)
-            assert point.dim3 == pytest.approx(expected.point.dim3)
-
-    def test_reset(self, small_traces):
-        sched = MetaScheduler(sampler=StateSampler(nprocs=4))
-        sched.classify(small_traces["bl2d"][0].hierarchy)
-        sched.reset()
-        assert sched.history == []
+    @pytest.mark.parametrize("machine", tuple(registry("machine")))
+    def test_matches_batch_sampler(self, machine):
+        """Incremental classification equals the batch StateSampler
+        exactly, on every registered workload's ``small`` trace."""
+        model = create("machine", machine)
+        for app in app_names():
+            trace = paper_trace(app, "small")
+            batch = StateSampler(machine=model).sample_trace(trace)
+            sched = MetaScheduler(sampler=StateSampler(machine=model))
+            points = [sched.classify(snap.hierarchy) for snap in trace]
+            assert points == [sample.point for sample in batch], app
 
     def test_full_scheduled_run(self, small_traces):
         sim = TraceSimulator()

@@ -18,6 +18,10 @@ that swaps in the oracle.  Every test here takes its row from the table.
   through a face-keyed dict) against the **greedy** ``can_coalesce``
   **scan** it emulates (``boxlist.coalesce_boxes`` patched to
   :func:`greedy_coalesce`).
+* **rasterless block overlaps** (``add_box_overlap``, behind the column
+  and atomic-unit workloads and ``beta_L``) against the **dense block
+  sum** of the rasterized patch mask (:func:`dense_box_overlap`, patched
+  in wherever ``add_box_overlap`` is called).
 
 Fast and oracle must agree bit for bit: same rows in the same order,
 same dtypes, identical simulator step metrics.
@@ -26,7 +30,7 @@ same dtypes, identical simulator step metrics.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, ContextManager, Sequence
 from unittest import mock
@@ -51,7 +55,9 @@ from repro.geometry import (
     pair_intersections,
     subtract_corners,
 )
-from repro.geometry import boxlist, ownermap, pairindex
+from repro.geometry import boxlist, ownermap, pairindex, raster, rasterize_mask
+from repro.model import penalties
+from repro.partition import domain_sfc, hybrid
 from repro.simulator import TraceSimulator
 from repro.telemetry import counter_deltas, reset_metrics
 
@@ -134,6 +140,26 @@ def greedy_coalescing() -> ContextManager:
     return mock.patch.object(boxlist, "coalesce_boxes", greedy_coalesce)
 
 
+def dense_box_overlap(
+    array: np.ndarray, box: Box, factor: int, weight: float = 1.0
+) -> None:
+    """``add_box_overlap`` the dense way: rasterize ``box`` over the fine
+    index space the coarse array covers, block-sum the mask, weight it."""
+    domain = Box((0,) * array.ndim, tuple(s * factor for s in array.shape))
+    array += dense.block_sum(rasterize_mask([box], domain), factor) * weight
+
+
+@contextmanager
+def dense_box_overlaps():
+    """Every block-overlap accumulation goes through the dense raster."""
+    with ExitStack() as stack:
+        for module in (raster, penalties, domain_sfc, hybrid):
+            stack.enter_context(
+                mock.patch.object(module, "add_box_overlap", dense_box_overlap)
+            )
+        yield
+
+
 @contextmanager
 def cold_reads():
     """Every store read misses: the read cache keeps no entry."""
@@ -172,6 +198,10 @@ ORACLES = {
         "indexed coalesce", "greedy can_coalesce scan",
         nullcontext, greedy_coalescing,
     ),
+    "box-overlap": Oracle(
+        "rasterless block overlaps", "dense block sum of the mask",
+        nullcontext, dense_box_overlaps,
+    ),
 }
 
 GRID = ORACLES["grid"]
@@ -201,7 +231,7 @@ def _replay(name: str, hierarchies) -> list:
 
 @pytest.mark.parametrize("ndim", [2, 3])
 @pytest.mark.parametrize("name", tuple(registry("partitioner")))
-@pytest.mark.parametrize("row", ["grid", "subtract", "coalesce"])
+@pytest.mark.parametrize("row", ["grid", "subtract", "coalesce", "box-overlap"])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_replay_matches_oracle(row, name, ndim, data):
@@ -548,6 +578,35 @@ def test_indexed_coalesce_on_shuffled_unit_cells(shape):
     assert len(merged) <= len(cells) // 4
     assert len(passes) >= 5
     _assert_coalesce_identical(cells)
+
+
+# ---------------------------------------------------------------------------
+# rasterless block overlaps vs the dense block sum of the mask
+
+
+@pytest.mark.parametrize("factor", [1, 2, 3, 4])
+@pytest.mark.parametrize("ndim", [2, 3])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_box_overlap_matches_dense_block_sum(ndim, factor, data):
+    """A disjoint patch set's accumulated block overlaps equal the block
+    sums of its dense mask times the weight, exactly: float accumulation
+    of integer-valued volumes is exact.  The coarse array may be smaller
+    than the patches reach, so clipping is covered too."""
+    boxes = data.draw(disjoint_boxlists(max_boxes=6, ndim=ndim)).boxes
+    shape = tuple(
+        data.draw(st.integers(1, 24 // factor + 1)) for _ in range(ndim)
+    )
+    weight = data.draw(st.sampled_from([0.5, 2.0, 3.0, 8.0]))
+    domain = Box((0,) * ndim, tuple(s * factor for s in shape))
+    want = dense.block_sum(rasterize_mask(boxes, domain), factor) * weight
+    row = ORACLES["box-overlap"]
+    for path in (row.fast, row.reference):
+        coarse = np.zeros(shape)
+        with path():
+            for box in boxes:
+                raster.add_box_overlap(coarse, box, factor, weight)
+        np.testing.assert_array_equal(coarse, want)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,8 @@ REMOVED_NAMES = {
     "SCHEDULE_NAMES": ("repro.engine", "repro.engine.components"),
     "MACHINE_NAMES": ("repro.engine", "repro.engine.components"),
     "__getattr__": ("repro.engine", "repro.engine.components"),
+    "plan_specs": ("repro.engine", "repro.engine.executor"),
+    "block_sum": ("repro.geometry", "repro.geometry.raster"),
 }
 
 #: ``(module, class, attribute)``: retired methods.
@@ -70,6 +72,7 @@ REMOVED_METHODS = [
     ("repro.trace", "Trace", "consecutive_pairs"),
     ("repro.partition", "PartitionResult", "rasters"),
     ("repro.registry", "Registry", "names"),
+    ("repro.meta", "MetaScheduler", "reset"),
 ]
 
 #: ``(module, callable, parameter)``: second paths with one value in use.
@@ -77,6 +80,9 @@ REMOVED_PARAMETERS = [
     ("repro.model", "communication_penalty", "surface"),
     ("repro.partition", "PartitionResult", "owners"),
     ("repro.registry", "Registry.register", "tags"),
+    ("repro.experiments", "figure1", "trace"),
+    ("repro.experiments", "figure_app", "trace"),
+    ("repro.experiments", "dimension2_series", "trace"),
 ]
 
 

@@ -27,7 +27,7 @@ from repro.engine import (
 )
 from repro.engine import cli
 from repro.engine import executor as executor_module
-from repro.experiments.workloads import _cached_trace, paper_trace
+from repro.experiments.workloads import clear_trace_cache, paper_trace
 
 NPROCS = 4
 
@@ -35,7 +35,7 @@ NPROCS = 4
 @pytest.fixture(autouse=True)
 def _fresh_trace_memo():
     """Each test sees a cold in-process memo (stores are per-test tmp dirs)."""
-    _cached_trace.cache_clear()
+    clear_trace_cache(memory_only=True)
     yield
 
 
@@ -147,7 +147,7 @@ class TestDagExecutor:
             [trace_spec("bl2d", "small"), trace_spec("tp2d", "small")],
             store=store,
         )
-        _cached_trace.cache_clear()  # drop the in-process memo too
+        clear_trace_cache(memory_only=True)  # drop the in-process memo too
         computed = _count_executes(monkeypatch)
         results = run_specs(self._sweep(), store=store)
         assert len(results) == 4
@@ -168,7 +168,7 @@ class TestDagExecutor:
         # "Killed" run that only finished the trace layer plus one sim.
         run_specs(specs[:1], store=store)
         run_specs([trace_spec("tp2d", "small")], store=store)
-        _cached_trace.cache_clear()
+        clear_trace_cache(memory_only=True)
         computed = _count_executes(monkeypatch)
         results = run_specs(specs, store=store)
         assert len(results) == len(specs)
@@ -225,7 +225,7 @@ class TestDagExecutor:
         run_specs([sim], store=store)
         trace_key = trace_spec("tp2d", "small").key()
         assert store.remove(trace_key)
-        _cached_trace.cache_clear()
+        clear_trace_cache(memory_only=True)
         plan = build_plan([sim], store)
         assert plan.counts()["implicit_compute"] == 0
         assert plan.layers == ()

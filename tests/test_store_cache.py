@@ -14,7 +14,9 @@ test here:
 * every hit re-validates the entry's stat signature, so on-disk
   overwrites and corruption are observed exactly like cold reads;
 * eviction respects the configured capacity, and mtime recency touches
-  are throttled to once per entry per interval.
+  are throttled to once per entry per interval;
+* a published trace seeds the cache, so the process that generated it
+  replays it without decoding it from disk.
 """
 
 from __future__ import annotations
@@ -123,11 +125,21 @@ def test_trace_reads_share_one_decoded_object(tmp_path, small_traces):
     spec = trace_spec("tp2d", "small")
     store = ResultStore(tmp_path)
     store.put_trace(spec, trace, {"nsteps": len(trace)})
+    clear_read_cache()  # forget the published trace: decode it from disk
     t1 = ResultStore(tmp_path).get_trace(spec.key())
     t2 = ResultStore(tmp_path).get_trace(spec.key())
     stats = read_cache_stats()
     assert t1 is not None and t2 is t1, "trace hit should share the object"
     assert stats["misses"] == 1 and stats["hits"] == 1, stats
+
+
+def test_published_trace_is_served_from_memory(tmp_path, small_traces):
+    trace = small_traces["tp2d"]
+    spec = trace_spec("tp2d", "small")
+    ResultStore(tmp_path).put_trace(spec, trace, {"nsteps": len(trace)})
+    assert ResultStore(tmp_path).get_trace(spec.key()) is trace
+    stats = read_cache_stats()
+    assert stats["misses"] == 0 and stats["hits"] == 1, stats
 
 
 def test_touch_is_throttled(tmp_path):
