@@ -18,6 +18,7 @@ granularity 2 (section 5.1.1).
 from __future__ import annotations
 
 import abc
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -143,6 +144,72 @@ class ShadowApplication(abc.ABC):
         """Current physical time."""
 
 
+#: Points per gather in :func:`_periodic_interp`: bounds its temporaries.
+_INTERP_CHUNK = 1 << 14
+
+
+def _periodic_interp(array: np.ndarray, coords: list[np.ndarray]) -> np.ndarray:
+    """Periodic multilinear interpolation of ``array`` at index coordinates.
+
+    ``coords`` holds one array per axis, all of one shape, which is the
+    result's.  Bit for bit this is scipy's ``map_coordinates(array,
+    coords, order=1, mode="grid-wrap")``, whose arithmetic it repeats:
+    a coordinate ``c`` on an axis of ``n`` cells is wrapped as
+    ``c + n*(trunc(-c/n) + 1)`` below 0 and ``c - n*trunc(c/n)`` above
+    ``n - 1`` (to 0 when ``n == 1``), which leaves ``floor(c)`` in
+    ``[0, n]``; the corners ``floor(c)`` and ``floor(c) + 1`` are read
+    from a copy of ``array`` extended periodically by two cells per axis,
+    with weights ``w0 = 1 - x`` and ``1 - w0``, ``x = c - floor(c)``; and
+    the ``2**ndim`` corner terms ``((v * w_0) * w_1) * ...`` are added to
+    ``0.0`` in C order.  Points go through flat-index gathers in chunks
+    of :data:`_INTERP_CHUNK`, so temporaries stay small on large grids.
+    """
+    shape = np.shape(array)
+    padded = np.asarray(array, dtype=np.float64)[
+        np.ix_(*(np.arange(n + 2) % n for n in shape))
+    ]
+    values = padded.ravel()
+    strides = np.cumprod((1,) + padded.shape[:0:-1])[::-1]
+    flat = [np.asarray(c, dtype=np.float64).ravel() for c in coords]
+    out = np.empty(flat[0].size)
+    for lo in range(0, out.size, _INTERP_CHUNK):
+        hi = min(lo + _INTERP_CHUNK, out.size)
+        # Flat corner indices and per-axis weights, corners in C order.
+        indices: list = [0]
+        weights = []
+        for n, stride, c in zip(shape, strides, flat):
+            c = c[lo:hi]
+            if n == 1:
+                c = np.zeros(hi - lo)
+            else:
+                below = c < 0
+                above = c > n - 1
+                if below.any() or above.any():
+                    c = c.copy()
+                    cb = c[below]
+                    c[below] = cb + n * (np.trunc(-cb / n) + 1)
+                    ca = c[above]
+                    c[above] = ca - n * np.trunc(ca / n)
+            start = np.floor(c)
+            w0 = 1.0 - (c - start)
+            weights.append((w0, 1.0 - w0))
+            first = start.astype(np.intp) * stride
+            indices = [i + s for i in indices for s in (first, first + stride)]
+        acc = np.zeros(hi - lo)
+        term = np.empty(hi - lo)
+        for index, corner in zip(
+            indices, itertools.product((0, 1), repeat=len(shape))
+        ):
+            # Every index is in range; "clip" spares take's buffered
+            # bounds check, which "raise" would do with out=.
+            np.take(values, index, out=term, mode="clip")
+            for (w0, w1), side in zip(weights, corner):
+                term *= w1 if side else w0
+            acc += term
+        out[lo:hi] = acc
+    return out.reshape(np.shape(coords[0]))
+
+
 def _resample(array: np.ndarray, target: tuple[int, ...], reduce: str) -> np.ndarray:
     """Resample a shadow-grid array onto a level's index space.
 
@@ -219,9 +286,10 @@ def _flag_window(
     win_shape = tuple(h - l for l, h in zip(win_lo, win_hi))
     if not width:
         return _resample(crop, win_shape, reduce="any")
-    # Binary max dilation: reflect == clip at true domain edges; at
-    # artificial window edges every cell that can survive the parent
-    # mask is >= width away, so its stencil is in-window.
+    # buffer_flags clips its window at the array's edges: at true domain
+    # edges that is the dilation's own clipping; at artificial window
+    # edges every cell that can survive the parent mask is >= width
+    # away, so its whole window is in the crop.
     if len(factors) == 1 and (f := factors.pop()) and width % f == 0:
         return _resample(buffer_flags(crop, width // f), win_shape, "any")
     return buffer_flags(_resample(crop, win_shape, reduce="any"), width)

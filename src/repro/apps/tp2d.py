@@ -10,7 +10,8 @@ We solve the linear advection equation
     du/dt + v(x, t) . grad(u) = 0
 
 with a semi-Lagrangian scheme (unconditionally stable backward
-characteristic tracing with bilinear interpolation).  The velocity field is
+characteristic tracing with periodic bilinear interpolation, done by
+:func:`repro.apps.base._periodic_interp`).  The velocity field is
 a time-meandering vortex: a solid-body rotation whose centre slowly drifts
 along a seeded pseudo-random path.  The advected feature is a pair of
 compact Gaussian pulses; their wandering orbits produce the irregular
@@ -20,10 +21,9 @@ refinement dynamics the paper reports for TP2D.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from ..registry import register
-from .base import ShadowApplication
+from .base import ShadowApplication, _periodic_interp
 
 __all__ = ["Transport2D"]
 
@@ -93,9 +93,7 @@ class Transport2D(ShadowApplication):
         i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
         dep_i = i - vx * self._dt * nx
         dep_j = j - vy * self._dt * ny
-        self._u = ndimage.map_coordinates(
-            self._u, [dep_i, dep_j], order=1, mode="grid-wrap"
-        )
+        self._u = _periodic_interp(self._u, [dep_i, dep_j])
         self._time += self._dt
 
     # -- internals -----------------------------------------------------------

@@ -8,7 +8,8 @@ through the whole meta-partitioning stack: the linear advection equation
     du/dt + v(x, t) . grad(u) = 0
 
 is solved with the same semi-Lagrangian scheme (unconditionally stable
-backward characteristic tracing, trilinear interpolation).  The velocity
+backward characteristic tracing, periodic trilinear interpolation by
+:func:`repro.apps.base._periodic_interp`).  The velocity
 field is a meandering columnar vortex: solid-body rotation about a
 vertical axis whose centre drifts along a seeded pseudo-random path,
 plus a gentle time-varying vertical shear that corkscrews the features
@@ -20,10 +21,9 @@ refinement dynamics.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from ..registry import register
-from .base import ShadowApplication
+from .base import ShadowApplication, _periodic_interp
 
 __all__ = ["Transport3D"]
 
@@ -111,9 +111,7 @@ class Transport3D(ShadowApplication):
         dep_i = self._I - vx * self._dt * nx
         dep_j = self._J - vy * self._dt * ny
         dep_k = self._K - vz * self._dt * nz
-        self._u = ndimage.map_coordinates(
-            self._u, [dep_i, dep_j, dep_k], order=1, mode="grid-wrap"
-        )
+        self._u = _periodic_interp(self._u, [dep_i, dep_j, dep_k])
         self._time += self._dt
 
     # -- internals -----------------------------------------------------------

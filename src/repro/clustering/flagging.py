@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from scipy import ndimage
-
 __all__ = [
     "gradient_indicator",
     "buffer_flags",
@@ -47,16 +45,33 @@ def gradient_indicator(field: np.ndarray) -> np.ndarray:
 
 
 def buffer_flags(flags: np.ndarray, width: int) -> np.ndarray:
-    """Dilate flags by ``width`` cells (Chebyshev ball).
+    """Dilate flags by ``width`` cells (Chebyshev ball), clipped at the edges.
 
     SAMR codes buffer flagged regions so features do not escape the
-    refined patches between regrids.  Implemented with a separable
-    maximum filter: O(n) independent of ``width``.
+    refined patches between regrids.  The dilation is separable: along
+    each axis a cell is set when the window of ``2 * width + 1`` cells
+    centred on it, clipped to the array, holds a flag.  Each window's
+    flag count is a difference of running counts over the axis padded
+    with unflagged cells, O(n) per axis whatever ``width`` is.  The
+    counts are kept in the narrowest unsigned type that holds ``2 *
+    width + 1``: a difference is exact modulo its range, so it is zero
+    exactly when the window is empty.  Clipping equals scipy's
+    ``maximum_filter`` in its default ``reflect`` mode, because every
+    reflected cell already lies inside the clipped window.
     """
     if width < 0:
         raise ValueError("buffer width must be >= 0")
-    if width == 0 or not flags.any():
-        return flags.astype(bool)
-    return (
-        ndimage.maximum_filter(flags.astype(np.uint8), size=2 * width + 1) > 0
-    )
+    out = flags.astype(bool)
+    if width == 0 or not out.any():
+        return out
+    span = 2 * width + 1
+    dtype = np.min_scalar_type(span)
+    for axis in range(out.ndim):
+        n = out.shape[axis]
+        pre = (slice(None),) * axis
+        shape = out.shape[:axis] + (n + span,) + out.shape[axis + 1:]
+        padded = np.zeros(shape, dtype=bool)
+        padded[pre + (slice(width + 1, width + 1 + n),)] = out
+        counts = np.cumsum(padded, axis=axis, dtype=dtype)
+        out = counts[pre + (slice(span, None),)] != counts[pre + (slice(0, n),)]
+    return out

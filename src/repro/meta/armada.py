@@ -131,12 +131,6 @@ class ArmadaClassifier:
         self._prev_hierarchy: GridHierarchy | None = None
         self.history: list[int] = []
 
-    def reset(self) -> None:
-        """Forget replay state."""
-        self._octant = 0
-        self._prev_hierarchy = None
-        self.history = []
-
     def _flip(self, current: bool, feature: float, threshold: float, above: bool) -> bool:
         """Hysteresis bit update: flip only past threshold*(1 +/- margin)."""
         m = self.hysteresis

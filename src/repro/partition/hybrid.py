@@ -8,8 +8,10 @@ partitions all four traces with ("static 'default' values", section
 1. **Hue/Core separation** (strictly domain-based): the base grid is split
    into homogeneous unrefined regions (*Hues*, level-0 cells only) and
    complex refined regions (*Cores*, a base-grid portion plus all overlaid
-   refined grids).  Cores are the connected components of the refined
-   footprint.
+   refined grids).  Cores are the face-connected components of the
+   refined footprint on the base grid, labelled by a union-find over
+   its runs of cells and numbered in the C order of their first cell
+   (:func:`_label_cores`); that order fixes the rank groups of step 2.
 2. **Meta-partitioning**: each Core (and the Hue remainder) becomes a
    meta-partition mapped to a contiguous group of processors sized
    proportionally to its workload.
@@ -46,7 +48,6 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from ..geometry import (
     Box,
@@ -171,6 +172,53 @@ def _merge_unit_runs(
     return corners.astype(np.int64), r[starts]
 
 
+def _label_cores(
+    refined: np.ndarray, work: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Cores of ``refined`` and their workloads: ``(labels, core_work)``.
+
+    A Core is a face-connected component of ``refined``.  ``labels``
+    numbers the Cores ``1..k`` in the C order of their first cell (0 off
+    the mask), which is ``scipy.ndimage.label``'s numbering, and
+    ``core_work[c]`` sums ``work`` over Core ``c + 1``: ``work`` is
+    integer-valued, so the sums are exact in any order.  Cells join into
+    runs along the last axis; a union-find over the runs then hooks, for
+    every pair of runs that touch across another axis, the larger root
+    onto the smaller and jumps pointers until each touching pair shares
+    a root.  A root is then its Core's first run, so numbering the roots
+    in order numbers the Cores.
+    """
+    if not refined.any():
+        return np.zeros(refined.shape, dtype=np.intp), np.zeros(0)
+    row = (slice(None),) * (refined.ndim - 1)
+    starts = refined.copy()
+    starts[row + (slice(1, None),)] &= ~refined[row + (slice(None, -1),)]
+    run = np.cumsum(starts).reshape(refined.shape) - 1
+    parent = np.arange(int(run.flat[-1]) + 1)
+    below, above = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for axis in range(refined.ndim - 1):
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        touch = refined[lo] & refined[hi]
+        below.append(run[lo][touch])
+        above.append(run[hi][touch])
+    u, v = np.concatenate(below), np.concatenate(above)
+    while True:
+        pu, pv = parent[u], parent[v]
+        split = pu != pv
+        if not split.any():
+            break
+        u, v, pu, pv = u[split], v[split], pu[split], pv[split]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        grand = parent[parent]
+        while (grand != parent).any():
+            parent, grand = grand, grand[grand]
+    number = np.cumsum(parent == np.arange(parent.size))
+    labels = np.where(refined, number[parent][run], 0)
+    k = int(number[-1])
+    return labels, np.bincount(labels.ravel(), work.ravel(), k + 1)[1:]
+
+
 class NaturePlusFable(Partitioner):
     """The hybrid Hue/Core bi-level partitioner (see module docstring)."""
 
@@ -213,13 +261,11 @@ class NaturePlusFable(Partitioner):
         ]
         # --- 1. Hue/Core separation -----------------------------------
         refined = hierarchy.refined_mask_on_base()
-        labels, ncores = ndimage.label(refined)
         hue_mask = ~refined
         # Workloads: column workload of each base cell.
         col_work = self._column_work(hierarchy)
-        core_work = ndimage.sum_labels(
-            col_work, labels, index=np.arange(1, ncores + 1)
-        ) if ncores else np.zeros(0)
+        labels, core_work = _label_cores(refined, col_work)
+        ncores = core_work.size
         hue_work = float(col_work[hue_mask].sum())
         # --- 2. Meta-partitioning: contiguous rank groups --------------
         regions = [("hue", hue_mask, hue_work)] if hue_mask.any() else []

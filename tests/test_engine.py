@@ -507,6 +507,26 @@ class TestCli:
         assert table(cold.stdout) == table(warm.stdout)
         assert len(table(cold.stdout)) == 2
 
+    def test_commands_run_without_scipy(self, tmp_path):
+        """scipy is a test-only dependency: with it unimportable, trace
+        generation, a Nature+Fable sim and a figure still exit 0."""
+        blocked = (
+            "import sys; sys.modules['scipy'] = None; "
+            "from repro.engine.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        for args in (
+            ["run", "--scale", "small", "--app", "tp2d", "--kind", "trace"],
+            ["run", "--scale", "small", "--app", "tp3d", "--kind", "trace"],
+            ["run", "--scale", "small", "--app", "tp2d",
+             "--partitioner", "nature+fable", "--nprocs", str(NPROCS)],
+            ["report", "--figures", "1", "--scale", "small", "--quiet"],
+        ):
+            done = subprocess.run(
+                [sys.executable, "-c", blocked, *args],
+                capture_output=True, text=True, env=_cli_env(tmp_path),
+            )
+            assert done.returncode == 0, (args, done.stderr)
+
     def test_run_and_cache_roundtrip(self, tmp_path):
         run = _cli(
             ["run", "--app", "bl2d", "--scale", "small", "--nprocs",

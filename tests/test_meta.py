@@ -142,12 +142,6 @@ class TestArmada:
         assert all(0 <= o < 8 for o in octants)
         assert clf.history == octants
 
-    def test_classifier_reset(self, small_traces):
-        clf = ArmadaClassifier()
-        clf.classify(small_traces["sc2d"][0].hierarchy)
-        clf.reset()
-        assert clf.history == []
-
     def test_hysteresis_dampens_flips(self, small_traces):
         """Higher hysteresis never produces more octant transitions."""
         def transitions(h):

@@ -175,7 +175,7 @@ def test_timings_print_one_counter_block(tmp_path):
 # ---------------------------------------------------------------------------
 
 #: Modules ``import repro.engine.cli`` must leave unloaded.
-OFF_IMPORT_PATH = ("http.server",)
+OFF_IMPORT_PATH = ("http.server", "scipy")
 
 #: Public names the counter-only registry retired.
 RETIRED_NAMES = (

@@ -22,14 +22,23 @@ that swaps in the oracle.  Every test here takes its row from the table.
   and atomic-unit workloads and ``beta_L``) against the **dense block
   sum** of the rasterized patch mask (:func:`dense_box_overlap`, patched
   in wherever ``add_box_overlap`` is called).
+* **periodic interpolation** (``apps.base._periodic_interp``, the
+  semi-Lagrangian step of tp2d and tp3d) against scipy's
+  **``map_coordinates(order=1, mode="grid-wrap")``**.
+* **flag dilation** (``buffer_flags``' running-count window) against
+  scipy's **``maximum_filter``** of the flags.
+* **Core labels** (``hybrid._label_cores``, Nature+Fable's Hue/Core
+  split) against scipy's **``ndimage.label``** and **``sum_labels``**.
 
 Fast and oracle must agree bit for bit: same rows in the same order,
-same dtypes, identical simulator step metrics.
+same dtypes, identical simulator step metrics, identical trace bytes.
+scipy is a test-only dependency: the package never imports it.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, ContextManager, Sequence
@@ -37,12 +46,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
+from repro.apps import base as app_base
+from repro.apps import generate_trace, make_application, tp2d, tp3d
+from repro.clustering import buffer_flags
 from repro.engine import ResultStore, create, registry
 from repro.engine import store as store_module
 from repro.engine.store import clear_read_cache, read_cache_stats
+from repro.experiments.workloads import paper_config, shadow_shape, workload_ndim
 from repro.geometry import (
     Box,
     BoxList,
@@ -160,6 +174,53 @@ def dense_box_overlaps():
         yield
 
 
+def scipy_interp(array: np.ndarray, coords: list[np.ndarray]) -> np.ndarray:
+    """The scipy call ``_periodic_interp`` replaces."""
+    return ndimage.map_coordinates(array, coords, order=1, mode="grid-wrap")
+
+
+@contextmanager
+def scipy_interpolation():
+    """tp2d and tp3d advance through ``map_coordinates``."""
+    with ExitStack() as stack:
+        for module in (tp2d, tp3d):
+            stack.enter_context(
+                mock.patch.object(module, "_periodic_interp", scipy_interp)
+            )
+        yield
+
+
+def scipy_buffer_flags(flags: np.ndarray, width: int) -> np.ndarray:
+    """The ``maximum_filter`` dilation ``buffer_flags`` replaces."""
+    if width < 0:
+        raise ValueError("buffer width must be >= 0")
+    if width == 0 or not flags.any():
+        return flags.astype(bool)
+    return (
+        ndimage.maximum_filter(flags.astype(np.uint8), size=2 * width + 1) > 0
+    )
+
+
+def scipy_dilation() -> ContextManager:
+    return mock.patch.object(app_base, "buffer_flags", scipy_buffer_flags)
+
+
+def scipy_label_cores(
+    refined: np.ndarray, work: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``ndimage.label`` and ``sum_labels`` calls ``_label_cores``
+    replaces."""
+    labels, ncores = ndimage.label(refined)
+    core_work = ndimage.sum_labels(
+        work, labels, index=np.arange(1, ncores + 1)
+    ) if ncores else np.zeros(0)
+    return labels, core_work
+
+
+def scipy_labels() -> ContextManager:
+    return mock.patch.object(hybrid, "_label_cores", scipy_label_cores)
+
+
 @contextmanager
 def cold_reads():
     """Every store read misses: the read cache keeps no entry."""
@@ -202,6 +263,18 @@ ORACLES = {
         "rasterless block overlaps", "dense block sum of the mask",
         nullcontext, dense_box_overlaps,
     ),
+    "interp": Oracle(
+        "periodic interpolation", "map_coordinates(mode='grid-wrap')",
+        nullcontext, scipy_interpolation,
+    ),
+    "dilation": Oracle(
+        "running-count flag dilation", "maximum_filter",
+        nullcontext, scipy_dilation,
+    ),
+    "core-labels": Oracle(
+        "run union-find Core labels", "ndimage.label and sum_labels",
+        nullcontext, scipy_labels,
+    ),
 }
 
 GRID = ORACLES["grid"]
@@ -231,15 +304,23 @@ def _replay(name: str, hierarchies) -> list:
 
 @pytest.mark.parametrize("ndim", [2, 3])
 @pytest.mark.parametrize("name", tuple(registry("partitioner")))
-@pytest.mark.parametrize("row", ["grid", "subtract", "coalesce", "box-overlap"])
-@settings(max_examples=10, deadline=None)
+@pytest.mark.parametrize(
+    "row", ["grid", "subtract", "coalesce", "box-overlap", "core-labels"]
+)
+@settings(
+    max_examples=10,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
 @given(data=st.data())
 def test_replay_matches_oracle(row, name, ndim, data):
     """Every registered partitioner, replayed over random regrids.
 
     Partitioning and measuring on the fast path and on its oracle give
     identical :class:`StepMetrics` (``previous`` too comes from the same
-    path), and both match the dense oracle's cell counts.
+    path), and both match the dense oracle's cell counts.  Hypothesis
+    does not shrink a failure here: shrinking whole replays takes many
+    minutes, and the failing example is reported as drawn.
     """
     side = data.draw(st.sampled_from([4, 8]))
     hierarchies = [
@@ -607,6 +688,127 @@ def test_box_overlap_matches_dense_block_sum(ndim, factor, data):
             for box in boxes:
                 raster.add_box_overlap(coarse, box, factor, weight)
         np.testing.assert_array_equal(coarse, want)
+
+
+# ---------------------------------------------------------------------------
+# the numpy kernels of trace generation and Nature+Fable vs scipy
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: tells ``-0.0`` from ``0.0``."""
+    return (
+        got.dtype == want.dtype
+        and got.shape == want.shape
+        and got.tobytes() == want.tobytes()
+    )
+
+
+@st.composite
+def periodic_samples(draw):
+    """A 1-3-D field with 1-8 cells per axis and points to sample it at.
+
+    Each axis's coordinates are uniform draws from ``[-3n, 4n]``, draws
+    from ``[0, 1)`` with bits below ``2**-53`` (where ``1 - (1 - x)`` is
+    not ``x``, unlike any draw the wider interval rounds to), and the
+    edge values of the wrap (``-n``, ``-2n``, ``n``, ``2n``, ``n - 1``,
+    ``n - 0.5``, ``-0.0`` and the doubles next to 0 and ``n - 1``), each
+    axis shuffled on its own.  A fifth of the field's cells are ``-0.0``.
+    """
+    ndim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, 8)) for _ in range(ndim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    npoints = draw(st.integers(1, 24))
+    field = np.where(rng.random(shape) < 0.2, -0.0, rng.normal(size=shape))
+    coords = []
+    for n in shape:
+        edges = [
+            -n, -2 * n, n, 2 * n, n - 1, n - 0.5, -0.0,
+            np.nextafter(0.0, -1.0), np.nextafter(n - 1.0, n),
+        ]
+        uniform = rng.uniform(-3 * n, 4 * n, size=npoints)
+        fine = rng.random(npoints) * rng.random(npoints)
+        coords.append(rng.permutation(np.concatenate((uniform, fine, edges))))
+    return field, coords
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample=periodic_samples())
+def test_periodic_interp_matches_map_coordinates(sample):
+    field, coords = sample
+    assert _same_bits(
+        app_base._periodic_interp(field, coords), scipy_interp(field, coords)
+    )
+
+
+def test_periodic_interp_chunks_large_grids():
+    """Points beyond one chunk, in a field that is not C-contiguous."""
+    rng = np.random.default_rng(4)
+    field = rng.normal(size=(24, 40, 48)).transpose(2, 0, 1)
+    coords = [rng.uniform(-2 * n, 3 * n, size=(70, 500)) for n in field.shape]
+    assert 70 * 500 > app_base._INTERP_CHUNK
+    assert _same_bits(
+        app_base._periodic_interp(field, coords), scipy_interp(field, coords)
+    )
+
+
+@st.composite
+def flag_rasters(draw, max_extent: int = 12):
+    """A 1-3-D boolean raster of sparse to dense flags."""
+    ndim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, max_extent)) for _ in range(ndim))
+    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.4, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    return rng.random(shape) < density
+
+
+@settings(max_examples=300, deadline=None)
+@given(flags=flag_rasters(), width=st.integers(1, 5))
+def test_buffer_flags_matches_maximum_filter(flags, width):
+    """Widths beyond an extent too: the window clips at both edges."""
+    assert _same_bits(buffer_flags(flags, width), scipy_buffer_flags(flags, width))
+
+
+def test_buffer_flags_wide_windows():
+    """Windows of more than 255 cells count in 16 bits: a window holding
+    exactly 256 flags must not read as empty."""
+    flags = np.zeros((3, 900), dtype=bool)
+    flags[0, 300:556] = True
+    flags[1] = np.random.default_rng(5).random(900) < 0.5
+    for width in (127, 128, 300, 800):
+        assert _same_bits(
+            buffer_flags(flags, width), scipy_buffer_flags(flags, width)
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(refined=flag_rasters(max_extent=10), seed=st.integers(0, 2**31 - 1))
+def test_core_labels_match_ndimage(refined, seed):
+    """Same labels, numbered alike, and the same Core sums, bit for bit."""
+    work = np.random.default_rng(seed).integers(0, 64, size=refined.shape)
+    work = work.astype(np.float64)
+    labels, core_work = hybrid._label_cores(refined, work)
+    want_labels, want_work = scipy_label_cores(refined, work)
+    np.testing.assert_array_equal(labels, want_labels)
+    assert _same_bits(core_work, want_work)
+
+
+def _small_trace(app: str) -> tuple[str, bytes]:
+    """The ``small`` trace's bytes and the kernel's final field."""
+    ndim = workload_ndim(app)
+    kernel = make_application(app, shape=shadow_shape("small", ndim))
+    trace = generate_trace(kernel, paper_config("small", ndim))
+    return json.dumps(trace.to_json()), kernel.indicator_field().tobytes()
+
+
+@pytest.mark.parametrize("app", ["tp2d", "tp3d"])
+@pytest.mark.parametrize("row", ["interp", "dilation"])
+def test_small_trace_matches_oracle(row, app):
+    oracle = ORACLES[row]
+    with oracle.fast():
+        fast = _small_trace(app)
+    with oracle.reference():
+        reference = _small_trace(app)
+    assert fast == reference, f"{oracle.fast_path} != {oracle.oracle}"
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,7 @@ REMOVED_METHODS = [
     ("repro.partition", "PartitionResult", "rasters"),
     ("repro.registry", "Registry", "names"),
     ("repro.meta", "MetaScheduler", "reset"),
+    ("repro.meta", "ArmadaClassifier", "reset"),
 ]
 
 #: ``(module, callable, parameter)``: second paths with one value in use.
