@@ -170,7 +170,22 @@ from .store import (
 #: trace memo: ``ResultStore.put_trace`` seeds it with the trace it
 #: publishes, and ``clear_trace_cache(memory_only=True)`` empties it.
 #: The README's migration note names each removed function.
-ENGINE_API_VERSION = "10.0"
+#: 11.0: one record per run.  Every path that computes — ``run_spec``
+#: on a miss or under ``force``, a layer in this process, a pool shard
+#: and the read-back fallback of ``run_specs`` — computes, publishes
+#: and records a spec inside one run scope, and its run profile is the
+#: only span log; ``chrome`` mode adds the run's Chrome trace at
+#: ``<store>/telemetry/traces/<key>.trace.json``.  ``execute`` only
+#: computes: it neither publishes a result nor records the run.
+#: Removed: ``repro.telemetry.session`` with the sweep-wide event log
+#: and its Chrome trace, the per-process event logs of pool workers and
+#: bare runs, ``repro.telemetry.recording``, the event-log reader, the
+#: recorder's event-log sink, its flush, its ``subtree`` query and its
+#: ``meta`` parameter and attribute, ``chrome_trace`` of a recorder
+#: (pass its ``events``), and the ``run_specs``, ``plan.layer`` and
+#: ``collect_results`` spans.  The README's migration note names each
+#: removed function.
+ENGINE_API_VERSION = "11.0"
 
 __all__ = [
     # versions

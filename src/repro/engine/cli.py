@@ -39,8 +39,9 @@ Subcommands
 The store location is ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``);
 ``--cache-dir`` overrides it per invocation.  ``--telemetry json|chrome``
 (or ``$REPRO_TELEMETRY``) turns on span tracing for any run/sweep
-invocation; event logs land under ``<store>/telemetry/`` and never touch
-content hashes.
+invocation: each executed spec leaves one run profile (and, with
+``chrome``, one Chrome trace) under ``<store>/telemetry/``, never
+touching content hashes.
 
 A usage error — an unknown app, partitioner, machine or component kind,
 a ``--param`` that is not ``name=value`` or whose value does not fit its
@@ -609,8 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--telemetry", default=None, choices=list(TELEMETRY_MODES),
             help="span tracing for this invocation (sets $REPRO_TELEMETRY; "
-            "json = event log, chrome = event log + Chrome trace; "
-            "default: off)",
+            "json = run profiles, chrome = run profiles + per-run Chrome "
+            "traces; default: off)",
         )
 
     def grid(p):

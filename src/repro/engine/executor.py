@@ -14,9 +14,16 @@ shards over one local process pool (specs sharing ``(app, scale,
 seed)`` stay together so each worker loads every trace at most once).
 Whoever computes, results travel only through the content-addressed
 store — the parent loads every artifact back from disk, so both paths
-return bit-identical results.  A run that raises, in this process or in
-a pool worker, leaves a failure record under ``<store>/telemetry/runs/``
-(see :func:`execute`).
+return bit-identical results.
+
+A *run* is one unit on every path — :func:`run_spec` on a miss or under
+``force``, a layer in this process, a pool shard, the read-back
+fallback of :func:`run_specs`: inside one telemetry
+:func:`~repro.telemetry.run_scope` it computes the spec, publishes it
+and is recorded once.  With telemetry on, its run profile (and, in
+``chrome`` mode, its Chrome trace) under ``<store>/telemetry/`` holds
+every span of the run, the store publish included; a run that raises
+leaves a failure record there in every mode.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..simulator import TraceSimulator
-from ..telemetry import deactivate, metric_inc, run_scope, session, span
+from ..telemetry import metric_inc, run_scope
 from .graph import MissingInputError, Plan, build_plan
 from .components import create, is_schedule, resolve_machine
 from .spec import RunResult, RunSpec
@@ -136,52 +143,47 @@ def execute(spec: RunSpec, store: ResultStore | None = None) -> RunResult:
     """Compute one spec from scratch (no result-store lookup).
 
     The workload trace itself still goes through the trace cache, so
-    repeated executions only pay for the simulator/model work.
-
-    Every execution runs inside a telemetry
-    :func:`~repro.telemetry.run_scope`, in this process and in a pool
-    worker alike.  With telemetry enabled this opens the per-run ``run``
-    span, records the metrics-registry counter deltas of the run, and
-    publishes a run profile for ``repro profile <key>`` under
-    ``<store>/telemetry/``.  With telemetry on or off, a run that raises
-    publishes a failure record there (spec, error, traceback, counter
-    deltas), which ``repro cache ls`` flags and a later success of the
-    same key retires.
+    repeated executions only pay for the simulator/model work, and a
+    ``trace`` spec is published by the cache as it is generated.  This
+    only computes: a run — publish, run profile, failure record and the
+    ``repro_runs_total`` count — is what :func:`run_spec` and
+    :func:`run_specs` wrap around it.
     """
     store = store or default_store()
-    try:
-        with run_scope(spec, store):
-            result = _execute_kind(spec, store)
-    except BaseException:
-        metric_inc("repro_runs_total", kind=spec.kind, outcome="failed")
-        raise
-    metric_inc("repro_runs_total", kind=spec.kind, outcome="completed")
-    return result
-
-
-def _execute_kind(spec: RunSpec, store: ResultStore) -> RunResult:
     if spec.kind == "sim":
         return _execute_sim(spec, store)
     if spec.kind == "penalties":
         return _execute_penalties(spec, store)
-    # kind == "trace": generating via the cache also publishes the artifact.
     trace = _trace_for(spec, store)
     return RunResult(
         spec=spec, key=spec.key(), meta=trace_meta(trace), arrays={}
     )
 
 
-def _forget_traces(specs: Sequence[RunSpec], store: ResultStore) -> None:
-    """Force-path helper: retire stored trace artifacts for regeneration.
+def _run(spec: RunSpec, store: ResultStore, force: bool = False) -> RunResult:
+    """One run: compute ``spec`` and publish it inside one run scope.
 
-    A ``trace`` entry is republished by the trace cache itself, so
-    forcing one means deleting the artifact, which also evicts it from
-    the store's read cache; overwriting it with the executor's
-    array-less result would clobber ``trace.json.gz``.
+    Every path that computes calls this, so each execution is recorded
+    once (its run profile holds the ``store.put_result`` span) and
+    counted once in ``repro_runs_total``.  ``force`` replaces what the
+    store holds: a ``trace`` entry is removed first, since the trace
+    cache republishes it (overwriting it with the array-less result
+    would clobber ``trace.json.gz``); any other result replaces its
+    entry by an atomic overwrite.  Without ``force`` a key another
+    process published first is left alone.
     """
-    for spec in specs:
-        if spec.kind == "trace":
-            store.remove(spec.key())
+    try:
+        with run_scope(spec, store):
+            if force and spec.kind == "trace":
+                store.remove(spec.key())
+            result = execute(spec, store)
+            if spec.kind != "trace":
+                store.put_result(result, overwrite=force)
+    except BaseException:
+        metric_inc("repro_runs_total", kind=spec.kind, outcome="failed")
+        raise
+    metric_inc("repro_runs_total", kind=spec.kind, outcome="completed")
+    return result
 
 
 def run_spec(
@@ -194,21 +196,14 @@ def run_spec(
     ``force`` recomputes and replaces whatever the store holds.
     """
     store = store or default_store()
-    key = spec.key()
     if not force:
         cached = store.get_result(spec)
         if cached is not None:
             return cached
-    else:
-        _forget_traces([spec], store)
-    result = execute(spec, store)
-    # ``has`` despite a failed load means the entry is corrupt (a hard
-    # kill mid-publish): replace it rather than no-op against the husk.
-    overwrite = spec.kind != "trace" and (force or store.has(key))
-    store.put_result(result, overwrite=overwrite)
-    stored = store.get_result(spec)
-    # Return the store's view so every caller sees identical bytes.
-    return stored if stored is not None else result
+    result = _run(spec, store, force)
+    # Return the store's view so every caller sees identical bytes; it
+    # is read after the run scope, so the run profile's counters hold.
+    return store.get_result(spec) or result
 
 
 def shard_specs(specs: Sequence[RunSpec], n_shards: int) -> list[list[RunSpec]]:
@@ -238,20 +233,13 @@ def shard_specs(specs: Sequence[RunSpec], n_shards: int) -> list[list[RunSpec]]:
     return [s for s in shards if s]
 
 
-def _run_shard(root: str, spec_docs: list[dict], overwrite: bool) -> list[str]:
-    """Worker entry point: compute one shard, publish into the store."""
-    # A forked worker inherits the parent's live session recorder, whose
-    # log only the parent flushes.  Drop it unflushed, so each run logs
-    # into this process's own exec log instead.
-    deactivate()
+def _run_shard(root: str, spec_docs: list[dict], force: bool) -> list[str]:
+    """Worker entry point: run one shard into the store."""
     store = ResultStore(root)
     keys: list[str] = []
     for doc in spec_docs:
         spec = RunSpec.from_json(doc)
-        store.put_result(
-            execute(spec, store),
-            overwrite=overwrite and spec.kind != "trace",
-        )
+        _run(spec, store, force)
         keys.append(spec.key())
     return keys
 
@@ -279,9 +267,7 @@ def _run_in_process(
     specs: Sequence[RunSpec], store: ResultStore, force: bool, say: Progress
 ) -> None:
     for spec in specs:
-        store.put_result(
-            execute(spec, store), overwrite=force and spec.kind != "trace"
-        )
+        _run(spec, store, force)
         say(f"computed {spec.label()}")
 
 
@@ -321,12 +307,10 @@ def _run_plan(
             specs = plan.layer_specs(depth)
             if len(plan.layers) > 1:
                 say(f"layer {depth}: {len(specs)} jobs")
-            with span("plan.layer", cat="engine", depth=depth,
-                      jobs=len(specs)):
-                if pool is None or len(specs) == 1:
-                    _run_in_process(specs, store, force, say)
-                else:
-                    _run_on_pool(pool, n_jobs, specs, store, force, say)
+            if pool is None or len(specs) == 1:
+                _run_in_process(specs, store, force, say)
+            else:
+                _run_on_pool(pool, n_jobs, specs, store, force, say)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -381,35 +365,27 @@ def run_specs(
     elif backend is not None:
         raise ValueError(f"backend must be None or 'serial', got {backend!r}")
     store = store or default_store()
-    # The sweep-wide telemetry session (a no-op when REPRO_TELEMETRY is
-    # off, or transparent when an outer session is already live).
-    with session(store.root, name="sweep",
-                 meta={"n_jobs": n_jobs, "submitted": len(specs)}):
-        plan = build_plan(specs, store, force=force)
-        if force:
-            _forget_traces(
-                [node.spec for node in plan.submitted() if node.pending], store
-            )
-        say = progress or (lambda line: None)
-        counts = plan.counts()
-        implicit = counts["implicit_compute"]
-        extra = (
-            f" (+{implicit} trace input{'s' if implicit != 1 else ''})"
-            if implicit
-            else ""
-        )
-        say(
-            f"{len(specs)} submitted: {counts['submitted']} unique, "
-            f"{counts['stored']} in store, {counts['compute']} to compute{extra}"
-        )
-        with span("run_specs", cat="engine", n_jobs=n_jobs,
-                  submitted=len(specs), compute=counts["compute"]):
-            _run_plan(plan, store, n_jobs, force, say)
-        by_key: dict[str, RunResult] = {}
-        with span("collect_results", cat="engine", n=len(plan.submitted())):
-            for node in plan.submitted():
-                result = store.get_result(node.key)
-                if result is None:  # pragma: no cover - store corruption guard
-                    result = run_spec(node.spec, store)
-                by_key[node.key] = result
+    plan = build_plan(specs, store, force=force)
+    say = progress or (lambda line: None)
+    counts = plan.counts()
+    implicit = counts["implicit_compute"]
+    extra = (
+        f" (+{implicit} trace input{'s' if implicit != 1 else ''})"
+        if implicit
+        else ""
+    )
+    say(
+        f"{len(specs)} submitted: {counts['submitted']} unique, "
+        f"{counts['stored']} in store, {counts['compute']} to compute{extra}"
+    )
+    _run_plan(plan, store, n_jobs, force, say)
+    by_key: dict[str, RunResult] = {}
+    for node in plan.submitted():
+        result = store.get_result(node.key)
+        if result is None:
+            # The read retired a corrupt entry, or a concurrent gc
+            # evicted it: run it again and read the store's view.
+            computed = _run(node.spec, store)
+            result = store.get_result(node.key) or computed
+        by_key[node.key] = result
     return [by_key[spec.key()] for spec in specs]

@@ -333,9 +333,9 @@ class ResultStore:
         """Load a stored :class:`RunResult`, or ``None`` on a miss.
 
         Truncated or partially-deleted entries — a worker hard-killed
-        mid-publish, a half-finished manual delete — are retired with a
-        warning and reported as a miss, so a sweep recomputes instead of
-        crashing mid-flight.
+        mid-publish, a half-finished manual delete, an unparsable
+        ``meta.json`` — are retired with a warning and reported as a
+        miss, so a sweep recomputes instead of crashing mid-flight.
         """
         key = (
             spec_or_key if isinstance(spec_or_key, str) else spec_or_key.key()
@@ -357,8 +357,14 @@ class ResultStore:
                         arrays=dict(record["arrays"]),
                     )
                 _READ_CACHE.pop(ckey, None)
-            doc = self.load_meta(key)
-            if doc is None:
+            try:
+                doc = json.loads(
+                    (self.entry_dir(key) / _META).read_text(encoding="utf-8")
+                )
+            except FileNotFoundError:
+                return None
+            except ValueError:
+                self._corrupt_miss(key, "unparsable meta.json")
                 return None
             spec_doc, meta = doc.get("spec"), doc.get("meta")
             if not isinstance(spec_doc, dict) or not isinstance(meta, dict):

@@ -1,12 +1,13 @@
 """Unified telemetry: spans, the counter registry, and profiling surfaces.
 
 Zero-dependency observability for the whole stack — see
-:mod:`repro.telemetry.core` for the span recorder and event-log schema,
+:mod:`repro.telemetry.core` for the span recorder and span schema,
 :mod:`repro.telemetry.metrics` for the registry that holds every count
-(counters only), :mod:`repro.telemetry.sinks` for the JSONL / Chrome
-trace-event writers, and :mod:`repro.telemetry.profile` for run
-profiles (the failure record of every run that raised included) and
-the ``repro profile`` / ``repro report --timings`` renderers.
+(counters only), :mod:`repro.telemetry.sinks` for the atomic JSON and
+Chrome trace-event writers, and :mod:`repro.telemetry.profile` for run
+profiles — the one span artifact, one per executed spec, the failure
+record of every run that raised included — and the ``repro profile`` /
+``repro report --timings`` renderers.
 
 The hard invariant, enforced by tests and CI: telemetry on or off,
 every ``RunSpec`` key, result series, and store artifact byte is
@@ -23,8 +24,6 @@ from .core import (
     activate,
     active_recorder,
     deactivate,
-    recording,
-    session,
     span,
     telemetry_active,
     telemetry_mode,
@@ -48,7 +47,7 @@ from .profile import (
     run_scope,
     telemetry_root,
 )
-from .sinks import chrome_trace, read_jsonl, write_chrome_trace
+from .sinks import chrome_trace, write_chrome_trace
 
 __all__ = [
     "MetricsRegistry",
@@ -68,14 +67,11 @@ __all__ = [
     "metric_inc",
     "metrics_registry",
     "profile_tree",
-    "read_jsonl",
-    "recording",
     "render_profile",
     "render_timings",
     "reset_metrics",
     "run_profile_path",
     "run_scope",
-    "session",
     "span",
     "telemetry_active",
     "telemetry_mode",

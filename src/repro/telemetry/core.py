@@ -13,10 +13,11 @@ the registry delta over its extent as attributes.
 Design constraints, in order:
 
 1. **No hash impact.**  Telemetry must never change a ``RunSpec`` key,
-   a published series, or any store artifact byte.  Event logs are
-   written under ``<store>/telemetry/`` which the content-addressed
-   store never scans (``ResultStore.iter_results`` walks ``objects/``
-   only), and no telemetry value flows into result payloads.
+   a published series, or any store artifact byte.  Run profiles and
+   Chrome traces are written under ``<store>/telemetry/``, which the
+   content-addressed store never scans (``ResultStore.iter_results``
+   walks ``objects/`` only), and no telemetry value flows into result
+   payloads.
 2. **Free when off.**  The module-level :func:`span` fast path is a
    single global-``None`` check; with no active recorder it returns a
    shared do-nothing singleton.
@@ -26,29 +27,23 @@ Design constraints, in order:
 Activation is process-global (one recorder at a time) because spans
 must nest across module boundaries without threading a handle through
 every signature.  Worker threads get their own span stacks (and their
-own ``tid`` ordinals in the event log) via thread-local storage.
+own ``tid`` ordinals) via thread-local storage.  The engine activates
+one fresh recorder per run (:func:`repro.telemetry.run_scope`), so a
+recorder's events are exactly one run's spans.
 
-Event-log schema (one JSON object per line, ``sort_keys=True``):
-
-``{"type": "meta", ...}``
-    First line of every log: free-form session metadata.
+Span event schema (one dict per closed span, in close order):
 ``{"type": "span", "name", "cat", "id", "parent", "tid", "ts", "dur",
-"attrs", ["error"]}``
-    Appended when a span *closes*; ``ts``/``dur`` are seconds relative
-    to the recorder epoch; ``parent`` is the enclosing span id (0 for
-    top-level); ``error`` marks spans exited by an exception.
+"attrs", ["error"]}`` — ``ts``/``dur`` are seconds relative to the
+recorder epoch; ``parent`` is the enclosing span id (0 for top-level);
+``error`` marks spans exited by an exception.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import secrets
 import threading
 import time
-from contextlib import contextmanager
 from itertools import count
-from pathlib import Path
 from typing import Callable
 
 __all__ = [
@@ -59,8 +54,6 @@ __all__ = [
     "activate",
     "active_recorder",
     "deactivate",
-    "recording",
-    "session",
     "span",
     "telemetry_active",
     "telemetry_mode",
@@ -69,8 +62,8 @@ __all__ = [
 #: Environment variable selecting the telemetry sink mode.
 TELEMETRY_ENV = "REPRO_TELEMETRY"
 
-#: Recognized ``REPRO_TELEMETRY`` values.  ``json`` emits the JSONL
-#: event log only; ``chrome`` additionally converts each session into a
+#: Recognized ``REPRO_TELEMETRY`` values.  ``json`` leaves one run
+#: profile per executed spec; ``chrome`` additionally leaves each run's
 #: Chrome trace-event file (chrome://tracing / Perfetto loadable).
 TELEMETRY_MODES = ("off", "json", "chrome")
 
@@ -132,25 +125,21 @@ class Span:
 
 
 class TelemetryRecorder:
-    """An in-memory event log with hierarchical spans.
+    """An in-memory list of closed spans, with hierarchical parenting.
 
     ``clock`` is any zero-argument callable returning monotonic seconds
     (defaults to :func:`time.monotonic`); all timestamps are relative to
     the clock value at construction, so a fake clock yields fully
-    deterministic event logs.
+    deterministic events.
     """
 
-    def __init__(self, clock: Callable[[], float] | None = None,
-                 meta: dict | None = None):
+    def __init__(self, clock: Callable[[], float] | None = None):
         self._clock = clock if clock is not None else time.monotonic
         self._epoch = self._clock()
         self._ids = count(1)
         self._local = threading.local()
         self._lock = threading.Lock()
         self._tids: dict[int, int] = {}
-        self._jsonl_path: Path | None = None
-        self._flushed = 0
-        self.meta = dict(meta or {})
         self.events: list[dict] = []
 
     # -- clock / identity ---------------------------------------------------
@@ -173,7 +162,7 @@ class TelemetryRecorder:
     # -- spans --------------------------------------------------------------
 
     def span(self, name: str, cat: str = "", **attrs) -> Span:
-        """A new span; opens on ``__enter__``, logs on ``__exit__``."""
+        """A new span; opens on ``__enter__``, records on ``__exit__``."""
         return Span(self, next(self._ids), name, cat, attrs)
 
     def _push(self, span: Span) -> None:
@@ -205,58 +194,6 @@ class TelemetryRecorder:
             event["error"] = True
         with self._lock:
             self.events.append(event)
-
-    # -- persistence --------------------------------------------------------
-
-    def bind_jsonl(self, path: str | os.PathLike) -> None:
-        """Set the JSONL sink; :meth:`flush` appends unwritten events."""
-        self._jsonl_path = Path(path)
-
-    def flush(self) -> int:
-        """Append events recorded since the last flush to the JSONL sink.
-
-        Returns the number of event lines written (0 when unbound).  The
-        first flush prepends the session ``meta`` line.  Crash-safe in
-        the sense that everything flushed so far survives the process:
-        a pool worker's exec log is flushed after every run.
-        """
-        if self._jsonl_path is None:
-            return 0
-        with self._lock:
-            fresh = self.events[self._flushed:]
-            first = self._flushed == 0
-            self._flushed = len(self.events)
-        if not fresh and not first:
-            return 0
-        self._jsonl_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self._jsonl_path, "a", encoding="utf-8") as fh:
-            if first:
-                fh.write(json.dumps({"type": "meta", **self.meta},
-                                    sort_keys=True) + "\n")
-            for event in fresh:
-                fh.write(json.dumps(event, sort_keys=True) + "\n")
-        return len(fresh)
-
-    # -- queries ------------------------------------------------------------
-
-    def subtree(self, root_id: int) -> list[dict]:
-        """All spans at or under the span ``root_id``, in log order."""
-        with self._lock:
-            events = list(self.events)
-        parent_of = {e["id"]: e["parent"] for e in events}
-
-        def under(span_id: int) -> bool:
-            seen: set[int] = set()
-            while span_id and span_id not in seen:
-                if span_id == root_id:
-                    return True
-                seen.add(span_id)
-                span_id = parent_of.get(span_id, 0)
-            return False
-
-        return [
-            e for e in events if e["id"] == root_id or under(e["parent"])
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -297,67 +234,3 @@ def span(name: str, cat: str = "", **attrs):
     if rec is None:
         return _NULL_SPAN
     return rec.span(name, cat=cat, **attrs)
-
-
-@contextmanager
-def recording(clock: Callable[[], float] | None = None,
-              meta: dict | None = None):
-    """Activate a fresh in-memory recorder for a block (test harness)."""
-    rec = TelemetryRecorder(clock=clock, meta=meta)
-    activate(rec)
-    try:
-        yield rec
-    finally:
-        if _ACTIVE is rec:
-            deactivate()
-
-
-@contextmanager
-def session(store_root: str | os.PathLike | None = None,
-            name: str = "session",
-            mode: str | None = None,
-            clock: Callable[[], float] | None = None,
-            meta: dict | None = None):
-    """Activate a recorder and persist its event log next to the store.
-
-    The outermost telemetry scope of a process: ``run_specs`` sweeps
-    open one around their whole lifetime.  When
-    the mode is ``off``, or a session is already active (nested sweeps
-    share the outer log), this is a transparent no-op yielding the
-    current recorder (possibly ``None``).
-
-    With a ``store_root``, events land in
-    ``<store_root>/telemetry/<name>-<stamp>-<pid>-<nonce>.jsonl`` — a
-    sibling of ``objects/`` that the content-addressed store never
-    scans, preserving the no-hash-impact invariant.  ``chrome`` mode
-    additionally writes ``...trace.json`` on exit.
-    """
-    resolved = telemetry_mode() if mode is None else mode
-    if resolved not in TELEMETRY_MODES:
-        raise ValueError(
-            f"telemetry mode must be one of {TELEMETRY_MODES}, got {resolved!r}"
-        )
-    if resolved == "off" or _ACTIVE is not None:
-        yield _ACTIVE
-        return
-    safe = "".join(c if c.isalnum() or c in "-_." else "-" for c in name)
-    doc_meta = {"session": safe, "pid": os.getpid(), **(meta or {})}
-    rec = TelemetryRecorder(clock=clock, meta=doc_meta)
-    base: Path | None = None
-    if store_root is not None:
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        base = (Path(store_root) / "telemetry"
-                / f"{safe}-{stamp}-{os.getpid()}-{secrets.token_hex(3)}")
-        rec.bind_jsonl(base.with_suffix(".jsonl"))
-    activate(rec)
-    try:
-        yield rec
-    finally:
-        if _ACTIVE is rec:
-            deactivate()
-        if base is not None:
-            rec.flush()
-            if resolved == "chrome":
-                from .sinks import write_chrome_trace
-
-                write_chrome_trace(base.with_suffix(".trace.json"), rec)

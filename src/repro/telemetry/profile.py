@@ -1,21 +1,22 @@
-"""Profiling surfaces over the telemetry event logs.
+"""Run profiles: the one span artifact, and its renderers.
 
 Two consumers of the raw spans live here:
 
 * :func:`run_scope` — the single integration point the executor wraps
-  around every spec execution.  It opens the ``run`` root span, takes
-  the metrics-registry counter deltas over the run (so pruning ratios
-  are per-run accurate in this process and in pool workers alike), and
-  writes a **run profile** (``<store>/telemetry/runs/<k..>/<key>.json``:
-  outcome, wall time, counter deltas keyed by registry name, the span
-  subtree) that ``repro profile <key>`` renders.  A completed run
-  leaves one when telemetry is on.  A run that raises leaves one always — the
-  **failure record**, which adds the spec, the error and its traceback
-  — and a later success of the same key replaces or deletes it.
-  Because it falls back to a per-process ``exec-<host>-<pid>.jsonl``
-  event log when telemetry is on but no session is live, profiles
-  appear identically whether the run happened in-process or in a pool
-  worker.
+  around every spec execution (computation and publish).  With
+  telemetry on it activates a fresh recorder for exactly the run's
+  extent and opens the ``run`` root span; in every mode it takes the
+  metrics-registry counter deltas over the run (so pruning ratios are
+  per-run accurate in this process and in pool workers alike).  A
+  completed run leaves a **run profile**
+  (``<store>/telemetry/runs/<k..>/<key>.json``: outcome, wall time,
+  counter deltas keyed by registry name, every span of the run) that
+  ``repro profile <key>`` renders; ``chrome`` mode also leaves the
+  run's Chrome trace (``<store>/telemetry/traces/<key>.trace.json``).
+  A run that raises leaves its profile always — the **failure record**,
+  which adds the spec, the error and its traceback — and a later
+  success of the same key replaces or deletes it.  The profile is the
+  same whether the run happened in this process or in a pool worker.
 * :func:`aggregate_timings` / :func:`render_timings` — ``repro report
   --timings``: fold every run profile of a store into one table of span
   totals and one counter block across the sweep.
@@ -28,22 +29,15 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 import time
 import traceback
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
 
-from .core import (
-    TelemetryRecorder,
-    activate,
-    active_recorder,
-    deactivate,
-    telemetry_mode,
-)
+from .core import TelemetryRecorder, activate, deactivate, telemetry_mode
 from .metrics import counter_deltas
-from .sinks import write_json_atomic
+from .sinks import write_chrome_trace, write_json_atomic
 
 __all__ = [
     "aggregate_timings",
@@ -79,47 +73,24 @@ def run_profile_path(store_root: str | os.PathLike, key: str) -> Path:
     return telemetry_root(store_root) / "runs" / key[:2] / f"{key}.json"
 
 
-#: Event-log recorders of sessionless runs, one per process and store.
-#: The pid in the path keeps a forked pool worker off its parent's log.
-_EXEC_RECORDERS: dict[Path, TelemetryRecorder] = {}
-
-
-def _exec_recorder(store_root) -> TelemetryRecorder:
-    host, pid = socket.gethostname(), os.getpid()
-    path = telemetry_root(store_root) / f"exec-{host}-{pid}.jsonl"
-    rec = _EXEC_RECORDERS.get(path)
-    if rec is None:
-        rec = TelemetryRecorder(
-            meta={"session": "exec", "pid": pid, "host": host}
-        )
-        rec.bind_jsonl(path)
-        _EXEC_RECORDERS[path] = rec
-    return rec
-
-
 @contextmanager
 def run_scope(spec, store):
     """Instrument one spec execution (see module docstring).
 
-    With telemetry off and no recorder active, a completed run costs
-    one registry delta and one stat (is there a failure record to
-    retire?); only a failure writes anything.
+    With telemetry off, a completed run costs one registry delta and
+    one stat (is there a failure record to retire?); only a failure
+    writes anything.  With it on, runs do not nest: the recorder is
+    process-global, so :func:`activate` refuses a second one.
     """
-    rec = active_recorder()
-    exec_rec = None
-    if rec is None and telemetry_mode() != "off":
-        # Telemetry requested but no session: a bare execute() — e.g. a
-        # process-pool shard worker.  Log into this process's exec log.
-        exec_rec = rec = activate(_exec_recorder(store.root))
+    mode = telemetry_mode()
+    rec = None if mode == "off" else activate(TelemetryRecorder())
     key = spec.key()
     path = run_profile_path(store.root, key)
-    root = None
     started = time.perf_counter()
 
-    def profile(outcome: str, moved: dict) -> dict:
-        events = [] if root is None else rec.subtree(root.id)
-        root_durs = [e["dur"] for e in events if e["id"] == root.id]
-        return {
+    def record(outcome: str, moved: dict, **extra) -> None:
+        events = [] if rec is None else rec.events
+        write_json_atomic(path, {
             "schema": RUN_PROFILE_SCHEMA,
             "outcome": outcome,
             "key": key,
@@ -127,53 +98,46 @@ def run_scope(spec, store):
             "label": spec.label(),
             "app": spec.app,
             "scale": spec.scale,
-            "wall_s": (root_durs[0] if root_durs
+            # The root span closes last: its duration is the run's.
+            "wall_s": (events[-1]["dur"] if events
                        else time.perf_counter() - started),
             "counters": {name: n for name, n in moved.items() if n},
             "spans": events,
-        }
+            **extra,
+        })
+        if mode == "chrome":
+            write_chrome_trace(
+                telemetry_root(store.root) / "traces" / f"{key}.trace.json",
+                events,
+                meta={"key": key, "kind": spec.kind, "label": spec.label()},
+            )
 
     try:
         with counter_deltas() as moved:
             if rec is None:
                 yield
             else:
-                root = rec.span("run", cat="engine", kind=spec.kind,
-                                label=spec.label(), key=key[:12])
-                with root:
+                with rec.span("run", cat="engine", kind=spec.kind,
+                              label=spec.label(), key=key[:12]):
                     yield
     except Exception as exc:
-        doc = profile("failed", moved)
-        doc["spec"] = spec.to_json()
-        doc["error"] = f"{type(exc).__name__}: {exc}"
-        doc["traceback"] = traceback.format_exc()
         try:
-            write_json_atomic(path, doc)
+            record(
+                "failed", moved, spec=spec.to_json(),
+                error=f"{type(exc).__name__}: {exc}",
+                traceback=traceback.format_exc(),
+            )
         except OSError:
             pass  # a full or read-only store must not mask the run's error
         raise
     else:
         if rec is not None:
-            write_json_atomic(path, profile("completed", moved))
+            record("completed", moved)
         elif path.is_file() and _load(path).get("outcome") == "failed":
             path.unlink(missing_ok=True)
     finally:
-        if exec_rec is not None:
-            if active_recorder() is exec_rec:
-                deactivate()
-            exec_rec.flush()
-            if root is not None and telemetry_mode() == "chrome":
-                # Sessionless executions (bare `repro run`, pool shards)
-                # still get a loadable trace, one file per run.
-                from .sinks import write_chrome_trace
-
-                write_chrome_trace(
-                    telemetry_root(store.root)
-                    / f"exec-{socket.gethostname()}-{os.getpid()}"
-                      f"-{key[:12]}.trace.json",
-                    exec_rec.subtree(root.id),
-                    meta=exec_rec.meta,
-                )
+        if rec is not None:
+            deactivate()
 
 
 def _load(path: Path) -> dict:

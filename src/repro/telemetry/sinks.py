@@ -1,12 +1,12 @@
-"""Telemetry sinks: JSONL event logs and Chrome trace-event files.
+"""Telemetry sinks: atomic JSON documents and Chrome trace-event files.
 
-The JSONL log is the source of truth (one JSON object per line, schema
-in :mod:`repro.telemetry.core`); the Chrome trace is a lossy projection
-of the same events into the `trace-event format
+A run profile (:mod:`repro.telemetry.profile`) is the source of truth
+for a run's spans (schema in :mod:`repro.telemetry.core`); the Chrome
+trace is a lossy projection of the same events into the `trace-event
+format
 <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_
-so a session can be dropped straight into ``chrome://tracing`` or
-Perfetto.  Spans become complete events (``ph: "X"``, microsecond
-``ts``/``dur``).
+so a run can be dropped straight into ``chrome://tracing`` or Perfetto.
+Spans become complete events (``ph: "X"``, microsecond ``ts``/``dur``).
 """
 
 from __future__ import annotations
@@ -18,17 +18,13 @@ from pathlib import Path
 
 __all__ = [
     "chrome_trace",
-    "read_jsonl",
     "write_chrome_trace",
     "write_json_atomic",
 ]
 
 
 def chrome_trace(events, meta: dict | None = None, pid: int | None = None) -> dict:
-    """Project an event list (or recorder) into a trace-event document."""
-    if hasattr(events, "events"):  # a TelemetryRecorder
-        meta = dict(events.meta) if meta is None else meta
-        events = events.events
+    """Project a span-event list into a trace-event document."""
     pid = os.getpid() if pid is None else pid
     trace_events = []
     for event in events:
@@ -78,14 +74,3 @@ def write_json_atomic(path: str | os.PathLike, doc: dict) -> Path:
             pass
         raise
     return path
-
-
-def read_jsonl(path: str | os.PathLike) -> list[dict]:
-    """Parse a JSONL event log (skips blank lines)."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out

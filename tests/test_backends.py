@@ -143,24 +143,25 @@ class TestLocalBackends:
         ]
 
     def test_forced_pool_run_republishes_the_same_bytes(self, tmp_path):
-        specs = _sweep()
-
-        def meta_inodes(store):
-            return [(store.entry_dir(s.key()) / "meta.json").stat().st_ino
-                    for s in specs]
-
+        # Two traces make a trace layer the pool runs: each forced trace
+        # is removed and regenerated inside its own run.
+        specs = _sweep() + [
+            trace_spec("tp2d", "small"), trace_spec("bl2d", "small")
+        ]
         hashes = []
         for n_jobs in (1, 2):
             store = ResultStore(tmp_path / f"force-{n_jobs}")
             run_specs(specs, store=store, n_jobs=n_jobs)
-            before = meta_inodes(store)
+            markers = [store.entry_dir(s.key()) / "stale" for s in specs]
+            for marker in markers:
+                marker.touch()
             lines: list[str] = []
             run_specs(specs, store=store, n_jobs=n_jobs, force=True,
                       progress=lines.append)
             shards = [line for line in lines if line.startswith("shard ")]
             assert bool(shards) == (n_jobs > 1)
-            # Every forced spec was published anew ...
-            assert all(a != b for a, b in zip(before, meta_inodes(store)))
+            # Every forced spec was published anew, as a whole entry ...
+            assert not [m for m in markers if m.exists()]
             hashes.append(_store_file_hashes(store))
         # ... with the same bytes on both paths.
         assert hashes[0] == hashes[1]
@@ -330,6 +331,24 @@ class TestStoreHardening:
         (problem,) = store.verify()
         assert problem["key"] == key
         assert "unparsable meta.json" in problem["problem"]
+
+    def test_unparsable_meta_is_a_corrupt_miss(self, tmp_path):
+        store, key = self._stored_sim(tmp_path)
+        (store.entry_dir(key) / "meta.json").write_text("{nope", "utf-8")
+        with pytest.warns(RuntimeWarning, match="unparsable meta.json"):
+            assert store.get_result(key) is None
+        assert not store.has(key)  # husk retired: the plan sees a miss
+
+    def test_sweep_repairs_unparsable_meta(self, tmp_path):
+        store, key = self._stored_sim(tmp_path)
+        before = _store_file_hashes(store)
+        (store.entry_dir(key) / "meta.json").write_text("{nope", "utf-8")
+        with pytest.warns(RuntimeWarning, match="unparsable meta.json"):
+            [result] = run_specs(
+                [sim_spec("tp2d", "small", nprocs=NPROCS)], store=store
+            )
+        assert result.key == key
+        assert _store_file_hashes(store) == before
 
 
     @pytest.mark.parametrize("cut", list(_CUTS))

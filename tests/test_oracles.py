@@ -667,7 +667,11 @@ def test_indexed_coalesce_on_shuffled_unit_cells(shape):
 
 @pytest.mark.parametrize("factor", [1, 2, 3, 4])
 @pytest.mark.parametrize("ndim", [2, 3])
-@settings(max_examples=50, deadline=None)
+@settings(
+    max_examples=50,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
 @given(data=st.data())
 def test_box_overlap_matches_dense_block_sum(ndim, factor, data):
     """A disjoint patch set's accumulated block overlaps equal the block

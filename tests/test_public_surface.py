@@ -55,6 +55,13 @@ REMOVED_NAMES = {
     "__getattr__": ("repro.engine", "repro.engine.components"),
     "plan_specs": ("repro.engine", "repro.engine.executor"),
     "block_sum": ("repro.geometry", "repro.geometry.raster"),
+    "session": ("repro.telemetry", "repro.telemetry.core"),
+    "recording": ("repro.telemetry", "repro.telemetry.core"),
+    "read_jsonl": ("repro.telemetry", "repro.telemetry.sinks"),
+    "_EXEC_RECORDERS": ("repro.telemetry.profile",),
+    "_exec_recorder": ("repro.telemetry.profile",),
+    "_forget_traces": ("repro.engine.executor",),
+    "_execute_kind": ("repro.engine.executor",),
 }
 
 #: ``(module, class, attribute)``: retired methods.
@@ -74,6 +81,9 @@ REMOVED_METHODS = [
     ("repro.registry", "Registry", "names"),
     ("repro.meta", "MetaScheduler", "reset"),
     ("repro.meta", "ArmadaClassifier", "reset"),
+    ("repro.telemetry", "TelemetryRecorder", "bind_jsonl"),
+    ("repro.telemetry", "TelemetryRecorder", "flush"),
+    ("repro.telemetry", "TelemetryRecorder", "subtree"),
 ]
 
 #: ``(module, callable, parameter)``: second paths with one value in use.
@@ -84,6 +94,7 @@ REMOVED_PARAMETERS = [
     ("repro.experiments", "figure1", "trace"),
     ("repro.experiments", "figure_app", "trace"),
     ("repro.experiments", "dimension2_series", "trace"),
+    ("repro.telemetry", "TelemetryRecorder", "meta"),
 ]
 
 
@@ -136,6 +147,7 @@ def test_removed_methods_are_gone():
     assert still == []
     entry = _resolve("repro.registry", "RegistryEntry")
     assert "tags" not in {field.name for field in dataclasses.fields(entry)}
+    assert not hasattr(_resolve("repro.telemetry", "TelemetryRecorder")(), "meta")
 
 
 def test_removed_parameters_are_gone():

@@ -7,10 +7,11 @@ The load-bearing guarantees under test:
   produces bit-identical spec keys, series, and store artifact bytes to
   the same sweep with telemetry off.
 * **Determinism** — an injectable fake clock makes two identical
-  recordings byte-identical, line for line.
-* **Well-formed trees** — the event logs a process-pool sweep leaves
-  (the sweep's and each pool worker's) parse, with every closed span
-  enclosed by its parent and one ``run`` span per executed spec.
+  recordings byte-identical, event for event.
+* **One record per run** — in this process and in pool workers alike,
+  each executed spec leaves exactly one run profile (plus, in
+  ``chrome`` mode, one Chrome trace) and nothing else; its span tree is
+  well formed, rooted at one ``run`` span, and holds the run's publish.
 * **One failure record** — a run that raises leaves its profile with
   the error and traceback, in this process or in a pool worker,
   telemetry on or off, and a later success retires it.
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +31,7 @@ from repro.engine import (
     ResultStore,
     cli,
     executor,
+    penalties_spec,
     run_spec,
     run_specs,
     sim_spec,
@@ -46,11 +47,8 @@ from repro.telemetry import (
     load_run_profile,
     metrics_registry,
     profile_tree,
-    read_jsonl,
-    recording,
     render_profile,
     run_profile_path,
-    session,
     span,
     telemetry_active,
     telemetry_mode,
@@ -98,7 +96,7 @@ def _store_file_hashes(store: ResultStore) -> dict:
 class TestRecorder:
     def test_fake_clock_is_fully_deterministic(self):
         def scenario() -> list[str]:
-            rec = TelemetryRecorder(clock=FakeClock(), meta={"run": 1})
+            rec = TelemetryRecorder(clock=FakeClock())
             with rec.span("outer", cat="t", depth=0):
                 with rec.span("inner", cat="t", level=0.5):
                     pass
@@ -162,14 +160,6 @@ class TestRecorder:
             deactivate()
         assert active_recorder() is None
 
-    def test_recording_harness_scopes_the_global(self):
-        with recording(clock=FakeClock()) as rec:
-            assert telemetry_active()
-            with span("scoped", cat="t"):
-                pass
-            assert rec.events[0]["name"] == "scoped"
-        assert not telemetry_active()
-
 
 # ---------------------------------------------------------------------------
 # sinks
@@ -177,14 +167,15 @@ class TestRecorder:
 
 class TestSinks:
     def _recorded(self) -> TelemetryRecorder:
-        rec = TelemetryRecorder(clock=FakeClock(), meta={"session": "t"})
+        rec = TelemetryRecorder(clock=FakeClock())
         with rec.span("outer", cat="engine", depth=2):
             with rec.span("inner", cat="kernel", step=3):
                 pass
         return rec
 
     def test_chrome_trace_schema(self):
-        doc = chrome_trace(self._recorded(), pid=1234)
+        doc = chrome_trace(self._recorded().events, meta={"session": "t"},
+                           pid=1234)
         # Loadable JSON with the trace-event required fields.
         doc = json.loads(json.dumps(doc))
         assert set(doc) == {"traceEvents", "displayTimeUnit", "otherData"}
@@ -216,42 +207,6 @@ class TestSinks:
         # The failed write left the previous document and no staging file.
         assert json.loads(path.read_text(encoding="utf-8")) == {"c": 3}
         assert sorted(p.name for p in path.parent.iterdir()) == ["doc.json"]
-
-    def test_read_jsonl_skips_blank_lines(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        path.write_text('{"type": "meta"}\n\n  \n{"type": "span"}\n',
-                        encoding="utf-8")
-        assert read_jsonl(path) == [{"type": "meta"}, {"type": "span"}]
-
-    def test_session_writes_jsonl_and_chrome_trace(self, tmp_path):
-        with session(tmp_path, name="unit test!", mode="chrome",
-                     clock=FakeClock(), meta={"suite": "sinks"}) as rec:
-            assert active_recorder() is rec
-            with span("work", cat="t"):
-                pass
-        logs = list((tmp_path / "telemetry").glob("*.jsonl"))
-        traces = list((tmp_path / "telemetry").glob("*.trace.json"))
-        assert len(logs) == 1 and len(traces) == 1
-        # The unsafe characters of the session name were sanitized away.
-        assert "!" not in logs[0].name and " " not in logs[0].name
-        events = read_jsonl(logs[0])
-        assert events[0]["type"] == "meta"
-        assert events[0]["suite"] == "sinks"
-        assert [e["name"] for e in events[1:]] == ["work"]
-        trace_doc = json.loads(traces[0].read_text(encoding="utf-8"))
-        assert [e["name"] for e in trace_doc["traceEvents"]] == ["work"]
-
-    def test_session_off_is_transparent(self, tmp_path):
-        with session(tmp_path, name="noop", mode="off") as rec:
-            assert rec is None
-            assert not telemetry_active()
-        assert not (tmp_path / "telemetry").exists()
-
-    def test_nested_sessions_share_the_outer_recorder(self, tmp_path):
-        with session(tmp_path, name="outer", mode="json") as outer:
-            with session(tmp_path, name="inner", mode="json") as inner:
-                assert inner is outer
-        assert len(list((tmp_path / "telemetry").glob("*.jsonl"))) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -339,20 +294,18 @@ class TestProfiles:
 
 
 # ---------------------------------------------------------------------------
-# process-pool event logs
+# one record per run, in this process and in pool workers
 # ---------------------------------------------------------------------------
 
 def _assert_well_formed(events: list[dict]) -> None:
-    """Schema + tree invariants of one JSONL event log."""
-    assert events, "empty event log"
-    assert events[0]["type"] == "meta"
-    spans = events[1:]
-    stray = {e["type"] for e in spans} - {"span"}
+    """Schema + tree invariants of one run profile's spans."""
+    assert events, "empty span list"
+    stray = {e["type"] for e in events} - {"span"}
     assert not stray, f"stray event types {stray}"
-    ids = [e["id"] for e in spans]
+    ids = [e["id"] for e in events]
     assert len(ids) == len(set(ids)), "duplicate span ids"
-    by_id = {e["id"]: e for e in spans}
-    for e in spans:
+    by_id = {e["id"]: e for e in events}
+    for e in events:
         assert e["ts"] >= 0.0
         assert e["dur"] >= 0.0
         parent = by_id.get(e["parent"])
@@ -361,30 +314,97 @@ def _assert_well_formed(events: list[dict]) -> None:
             assert parent["ts"] <= e["ts"] + 1e-9
             assert (parent["ts"] + parent["dur"]
                     >= e["ts"] + e["dur"] - 1e-9)
+    # Every span descends from the one ``run`` root.
+    roots = [e for e in events if e["parent"] not in by_id]
+    assert [e["name"] for e in roots] == ["run"]
 
 
-class TestProcessEventLogs:
-    def test_pool_workers_log_one_run_span_per_spec(
-        self, tmp_path, monkeypatch
+def _recorded_sweep(tmp_path, monkeypatch, mode: str, n_jobs: int):
+    """Run tp2d and bl2d sims plus one penalties spec under ``mode``.
+
+    Returns the store and the keys of every executed spec: the submitted
+    ones and their trace inputs.
+    """
+    monkeypatch.setenv(TELEMETRY_ENV, mode)
+    specs = _sweep(apps=("tp2d", "bl2d")) + [
+        penalties_spec("tp2d", "small", nprocs=NPROCS)
+    ]
+    store = ResultStore(tmp_path / "store")
+    run_specs(specs, store=store, n_jobs=n_jobs)
+    executed = {s.key() for s in specs} | {
+        dep.key() for s in specs for dep in s.inputs()
+    }
+    return store, executed
+
+
+class TestRunRecords:
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_one_run_profile_per_executed_spec(
+        self, tmp_path, monkeypatch, n_jobs
     ):
-        monkeypatch.setenv(TELEMETRY_ENV, "json")
-        specs = _sweep(apps=("tp2d", "bl2d"))
-        store = ResultStore(tmp_path / "proc")
-        run_specs(specs, store=store, n_jobs=2)
-
-        logs = sorted((Path(store.root) / "telemetry").glob("*.jsonl"))
-        assert any(log.name.startswith("exec-") for log in logs)
+        store, executed = _recorded_sweep(tmp_path, monkeypatch, "json",
+                                          n_jobs)
+        assert not telemetry_active()  # each run deactivated its recorder
         runs: list[str] = []
-        for log in logs:
-            events = read_jsonl(log)
-            _assert_well_formed(events)
-            runs += [e["attrs"]["key"] for e in events
-                     if e.get("type") == "span" and e["name"] == "run"]
+        for path in find_run_profiles(store.root):
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            assert doc["outcome"] == "completed"
+            _assert_well_formed(doc["spans"])
+            runs += [e["attrs"]["key"] for e in doc["spans"]
+                     if e["name"] == "run"]
         # Every executed spec, its trace inputs included, exactly once.
-        expected = {s.key()[:12] for s in specs} | {
-            dep.key()[:12] for s in specs for dep in s.inputs()
-        }
-        assert sorted(runs) == sorted(expected)
+        assert sorted(runs) == sorted(key[:12] for key in executed)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("mode", ["json", "chrome"])
+    def test_telemetry_holds_only_the_run_records(
+        self, tmp_path, monkeypatch, mode, n_jobs
+    ):
+        store, executed = _recorded_sweep(tmp_path, monkeypatch, mode,
+                                          n_jobs)
+        root = store.root / "telemetry"
+        written = sorted(
+            str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()
+        )
+        expected = [
+            str(run_profile_path(store.root, key).relative_to(root))
+            for key in executed
+        ]
+        if mode == "chrome":
+            expected += [f"traces/{key}.trace.json" for key in executed]
+        assert written == sorted(expected)
+        if mode == "chrome":
+            for key in executed:
+                doc = json.loads(
+                    (root / "traces" / f"{key}.trace.json").read_text(
+                        encoding="utf-8"
+                    )
+                )
+                events = doc["traceEvents"]
+                assert events and all(e["ph"] == "X" for e in events)
+                profile = load_run_profile(store.root, key)
+                assert len(events) == len(profile["spans"])
+                assert doc["otherData"]["key"] == key
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_each_result_profile_holds_its_publish(
+        self, tmp_path, monkeypatch, n_jobs
+    ):
+        store, executed = _recorded_sweep(tmp_path, monkeypatch, "json",
+                                          n_jobs)
+        published = {}
+        for key in executed:
+            doc = load_run_profile(store.root, key)
+            published[doc["kind"]] = published.get(doc["kind"], 0) + 1
+            puts = [e for e in doc["spans"] if e["name"] == "store.put_result"]
+            if doc["kind"] == "trace":
+                assert puts == []
+                continue
+            [put] = puts
+            assert put["attrs"]["key"] == key[:12]
+            [root] = [e for e in doc["spans"] if e["name"] == "run"]
+            assert put["parent"] == root["id"]
+        assert published == {"trace": 2, "sim": 4, "penalties": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +433,13 @@ def _assert_failure_record(store, spec) -> dict:
 
 def _fail_once(monkeypatch, exc: BaseException) -> None:
     """Make the next execution raise ``exc``; later ones run normally."""
-    real = executor._execute_kind
+    real = executor.execute
 
-    def flaky(spec, store):
-        monkeypatch.setattr(executor, "_execute_kind", real)
+    def flaky(spec, store=None):
+        monkeypatch.setattr(executor, "execute", real)
         raise exc
 
-    monkeypatch.setattr(executor, "_execute_kind", flaky)
+    monkeypatch.setattr(executor, "execute", flaky)
 
 
 class TestFailureRecords:
@@ -430,6 +450,7 @@ class TestFailureRecords:
         spec = _poisoned()
         with pytest.raises(ValueError, match="warp_factor"):
             run_specs([spec], store=store)
+        assert not telemetry_active()
         doc = _assert_failure_record(store, spec)
         assert not store.has(spec.key())
         names = [e["name"] for e in doc["spans"]]
