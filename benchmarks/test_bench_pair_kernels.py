@@ -10,6 +10,11 @@ cutoff seam (the ``grid`` row of ``tests/test_oracles.py``):
 * **bruteforce**: the O(boxes^2) broadcast for every query, the grid's
   oracle.
 
+The rank-matched volumes of the inter-level and migration metrics
+(``matched_volume``) take neither path: their same-rank sweep ignores
+``_BRUTE_CUTOFF``, so it serves both rows alike and is charged to both
+as brute-force queries.
+
 Three workloads are exercised: the paper's 2-D scale, the 3-D ``deep``
 scale (512^3 finest index space) and the 3-D ``ultra`` scale (64^3
 base, 5 levels — a 1024^3 finest index space); at

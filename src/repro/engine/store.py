@@ -278,12 +278,14 @@ class ResultStore:
 
     # -- retrieval ---------------------------------------------------------
     def load_meta(self, key: str) -> dict | None:
-        """The ``meta.json`` document of an entry, or ``None``."""
+        """The ``meta.json`` document of an entry, or ``None`` when it is
+        missing, unparsable or not a JSON object."""
         path = self.entry_dir(key) / _META
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except (FileNotFoundError, json.JSONDecodeError):
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except (FileNotFoundError, ValueError):
             return None
+        return doc if isinstance(doc, dict) else None
 
     def _touch(self, key: str) -> bool:
         """Refresh an entry's mtime (recency signal for LRU eviction).
@@ -364,6 +366,8 @@ class ResultStore:
             except FileNotFoundError:
                 return None
             except ValueError:
+                doc = None
+            if not isinstance(doc, dict):
                 self._corrupt_miss(key, "unparsable meta.json")
                 return None
             spec_doc, meta = doc.get("spec"), doc.get("meta")

@@ -126,10 +126,11 @@ class BoxList:
     constructors.
     """
 
-    __slots__ = ("_boxes",)
+    __slots__ = ("_boxes", "_ncells")
 
     def __init__(self, boxes: Iterable[Box] = ()) -> None:
         self._boxes: tuple[Box, ...] = tuple(b for b in boxes if not b.empty)
+        self._ncells: int | None = None
 
     # -- container protocol -------------------------------------------------
     def __iter__(self) -> Iterator[Box]:
@@ -160,8 +161,11 @@ class BoxList:
 
     @property
     def ncells(self) -> int:
-        """Total cells (sum over disjoint boxes)."""
-        return sum(b.ncells for b in self._boxes)
+        """Total cells (sum over disjoint boxes), summed on first read:
+        the list is immutable."""
+        if self._ncells is None:
+            self._ncells = sum(b.ncells for b in self._boxes)
+        return self._ncells
 
     @property
     def surface_cells(self) -> int:

@@ -29,16 +29,28 @@ small queries run a chunked brute-force broadcast, large ones a
 grid-bucket join that prunes the O(n_a * n_b) product to near-linear
 before the exact arithmetic runs.  Output ordering is bit-identical on
 both paths, and the broadcast is the grid's test oracle.
+:func:`matched_volume`, behind the migration and inter-level metrics,
+runs its own broadcast instead: every same-rank pair in one sweep over
+rank-padded corner blocks, whatever the brute-force cutoff, with one
+query per rank as its fallback and oracle.  The overlay engine behind
+:func:`overlay_corners` and :func:`subtract_corners` cuts each hole
+round's pieces in one gather through a fixed table of source columns.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .box import Box
-from .pairindex import _record_brute, _record_exact, candidate_pairs
+from .pairindex import (
+    _record_brute,
+    _record_brute_query,
+    _record_exact,
+    candidate_pairs,
+)
 from .raster import NO_OWNER, boxes_from_labels, paint_box
 
 __all__ = [
@@ -60,6 +72,11 @@ __all__ = [
 #: pair kernels bounded in memory no matter how fragmented a distribution
 #: gets.
 _PAIR_CHUNK_CELLS = 16_000_000
+
+#: Padded-cell budget of :func:`matched_volume`'s one-broadcast sweep
+#: (ranks x deepest rank group of ``a`` x deepest of ``b``; 2 MB per
+#: int64 temporary).  Larger blocks fall back to one query per rank.
+_RANK_PAD_CELLS = 1 << 18
 
 
 def box_corners(boxes: Iterable[Box], ndim: int | None = None) -> np.ndarray:
@@ -185,6 +202,24 @@ def overlap_volume(a: np.ndarray, b: np.ndarray) -> int:
     return total
 
 
+def _rank_blocks(
+    corners: np.ndarray, labels: np.ndarray, nranks: int, depth: int
+) -> np.ndarray:
+    """``(2*ndim, nranks, depth)`` corner block: corner row ``i`` goes to
+    rank ``labels[i]``, after the earlier rows of that rank; every other
+    slot holds the empty box ``lo = 1``, ``hi = 0``."""
+    ndim = corners.shape[1] // 2
+    block = np.empty((2 * ndim, nranks, depth), dtype=np.int64)
+    block[:ndim] = 1
+    block[ndim:] = 0
+    order = np.argsort(labels, kind="stable")
+    sorted_labels = labels[order]
+    starts = np.searchsorted(sorted_labels, np.arange(nranks))
+    slots = np.arange(labels.size) - starts[sorted_labels]
+    block[:, sorted_labels, slots] = corners[order].T
+    return block
+
+
 def matched_volume(
     a: np.ndarray,
     a_ranks: np.ndarray,
@@ -193,17 +228,49 @@ def matched_volume(
 ) -> int:
     """``sum |a_i ∩ b_j|`` over pairs with *equal* ranks.
 
-    The operands are grouped by rank before the pair sweep, so the
-    broadcast never touches cross-rank pairs — the common case (P rank
-    groups of similar size) costs ~1/P of the full pair product.
+    Both operands are scattered into rank-padded corner blocks, one row
+    per rank label, as deep as that operand's largest rank group, and
+    the pad slots hold empty boxes.  One broadcast per axis then sums
+    every same-rank intersection at once: cross-rank pairs are never
+    formed, and the whole sweep is one pair query whose product is
+    ``sum_r n_a,r * n_b,r``, charged as one brute-force query.  A block
+    beyond ``_RANK_PAD_CELLS`` padded cells (many ranks, or one rank
+    holding most of either operand) runs one :func:`overlap_volume`
+    query per shared rank instead; that loop is the block's oracle.
+    Either way the sum is exact.
     """
-    if a.shape[0] == 0 or b.shape[0] == 0:
+    n_a = a.shape[0]
+    if n_a == 0 or b.shape[0] == 0:
         return 0
-    total = 0
-    common = np.intersect1d(np.unique(a_ranks), np.unique(b_ranks))
-    for rank in common:
-        total += overlap_volume(a[a_ranks == rank], b[b_ranks == rank])
-    return total
+    ranks, labels = np.unique(
+        np.concatenate((a_ranks, b_ranks)), return_inverse=True
+    )
+    labels_a, labels_b = labels[:n_a], labels[n_a:]
+    count_a = np.bincount(labels_a, minlength=ranks.size)
+    count_b = np.bincount(labels_b, minlength=ranks.size)
+    depth_a, depth_b = int(count_a.max()), int(count_b.max())
+    if ranks.size * depth_a * depth_b > _RANK_PAD_CELLS:
+        total = 0
+        for r in np.flatnonzero((count_a > 0) & (count_b > 0)):
+            total += overlap_volume(a[labels_a == r], b[labels_b == r])
+        return total
+    pairs = int(count_a @ count_b)
+    if pairs == 0:  # no shared rank: the loop would query nothing
+        return 0
+    _record_brute_query(pairs)
+    ndim = a.shape[1] // 2
+    block_a = _rank_blocks(a, labels_a, ranks.size, depth_a)[:, :, :, None]
+    block_b = _rank_blocks(b, labels_b, ranks.size, depth_b)[:, :, None, :]
+    vol = None
+    for d in range(ndim):
+        width = np.minimum(block_a[ndim + d], block_b[ndim + d])
+        width -= np.maximum(block_a[d], block_b[d])
+        np.maximum(width, 0, out=width)
+        if vol is None:
+            vol = width
+        else:
+            vol *= width
+    return int(vol.sum())
 
 
 def face_contacts(
@@ -299,81 +366,86 @@ def _subtract_groups(
     """Batched ``rows[g] \\ holes[offsets[g]:offsets[g+1]]`` for all groups.
 
     Runs the dimension-sweep decomposition of :meth:`Box.subtract` for
-    *all* groups at once, one vectorized pass per hole position.
-    Fragments come out in exactly the order a sequential
-    :meth:`Box.subtract` sweep over each group's holes would emit them
-    (below/above per axis, parent-major), so callers see the same corner
-    rows in the same order; the tests hold it to that sweep.
+    *all* groups at once, one vectorized pass per hole position: a
+    validity mask over every fragment's ``2*ndim + 1`` slots, one
+    ``np.nonzero``, and two gathers (the valid pieces' corners through
+    :func:`_slot_sources`, their group ids).  Fragments come out in
+    exactly the order a sequential :meth:`Box.subtract` sweep over each
+    group's holes would emit them (below/above per axis,
+    parent-major), so callers see the same corner rows in the same
+    order; the tests hold it to that sweep.
 
     Returns ``(fragment_rows, group_ids)`` with groups in ascending order.
     """
     g, width = rows.shape
     ndim = width // 2
     counts = np.diff(offsets)
-    frag_lo = rows[:, :ndim].copy()
-    frag_hi = rows[:, ndim:].copy()
+    sources = _slot_sources(ndim)
+    frags = rows.copy()
     gid = np.arange(g, dtype=np.int64)
-    done_lo: list[np.ndarray] = []
-    done_hi: list[np.ndarray] = []
+    done: list[np.ndarray] = []
     done_gid: list[np.ndarray] = []
     k = 0
     while gid.size:
         alive = counts[gid] > k
         if not alive.all():
             fin = ~alive
-            done_lo.append(frag_lo[fin])
-            done_hi.append(frag_hi[fin])
+            done.append(frags[fin])
             done_gid.append(gid[fin])
-            frag_lo, frag_hi, gid = frag_lo[alive], frag_hi[alive], gid[alive]
+            frags, gid = frags[alive], gid[alive]
             if gid.size == 0:
                 break
         h = holes[offsets[gid] + k]
-        h_lo, h_hi = h[:, :ndim], h[:, ndim:]
-        inter_lo = np.maximum(frag_lo, h_lo)
-        inter_hi = np.minimum(frag_hi, h_hi)
+        inter_lo = np.maximum(frags[:, :ndim], h[:, :ndim])
+        inter_hi = np.minimum(frags[:, ndim:], h[:, ndim:])
         hit = (inter_lo < inter_hi).all(axis=1)
-        m = frag_lo.shape[0]
-        nslots = 2 * ndim + 1
         # Slot 0 carries a missed fragment through unchanged; slots
         # 2d+1 / 2d+2 are the below / above pieces of the axis-d sweep.
-        # C-order flattening (fragment-major, slot-minor) reproduces the
-        # sequential emission order exactly.
-        piece_lo = np.empty((m, nslots, ndim), dtype=np.int64)
-        piece_hi = np.empty((m, nslots, ndim), dtype=np.int64)
-        valid = np.zeros((m, nslots), dtype=bool)
-        piece_lo[:, 0], piece_hi[:, 0] = frag_lo, frag_hi
+        # np.nonzero walks the mask fragment-major, slot-minor, which is
+        # the sequential emission order.
+        valid = np.empty((gid.size, 2 * ndim + 1), dtype=bool)
         valid[:, 0] = ~hit
-        cur_lo = frag_lo.copy()
-        cur_hi = frag_hi.copy()
-        for d in range(ndim):
-            below = hit & (cur_lo[:, d] < inter_lo[:, d])
-            s = 2 * d + 1
-            piece_lo[:, s], piece_hi[:, s] = cur_lo, cur_hi
-            piece_hi[below, s, d] = inter_lo[below, d]
-            valid[:, s] = below
-            above = hit & (inter_hi[:, d] < cur_hi[:, d])
-            s = 2 * d + 2
-            piece_lo[:, s], piece_hi[:, s] = cur_lo, cur_hi
-            piece_lo[above, s, d] = inter_hi[above, d]
-            valid[:, s] = above
-            cur_lo[hit, d] = inter_lo[hit, d]
-            cur_hi[hit, d] = inter_hi[hit, d]
-        per_frag = valid.sum(axis=1)
-        flat = valid.ravel()
-        frag_lo = piece_lo.reshape(-1, ndim)[flat]
-        frag_hi = piece_hi.reshape(-1, ndim)[flat]
-        gid = np.repeat(gid, per_frag)
+        np.less(frags[:, :ndim], inter_lo, out=valid[:, 1::2])
+        np.less(inter_hi, frags[:, ndim:], out=valid[:, 2::2])
+        valid[:, 1:] &= hit[:, None]
+        fi, si = np.nonzero(valid)
+        src = np.concatenate((frags, inter_lo, inter_hi), axis=1)
+        frags = src[fi[:, None], sources[si]]
+        gid = gid[fi]
         k += 1
     if not done_gid:
         return (
             np.empty((0, width), dtype=np.int64),
             np.empty(0, dtype=np.int64),
         )
-    lo = np.concatenate(done_lo)
-    hi = np.concatenate(done_hi)
+    out = np.concatenate(done)
     gids = np.concatenate(done_gid)
     order = np.argsort(gids, kind="stable")
-    return np.concatenate([lo, hi], axis=1)[order], gids[order]
+    return out[order], gids[order]
+
+
+@lru_cache(maxsize=None)
+def _slot_sources(ndim: int) -> np.ndarray:
+    """``(2*ndim + 1, 2*ndim)`` source columns of every subtraction slot.
+
+    A fragment's source row is ``[frag lo, frag hi, inter lo, inter hi]``
+    (``inter`` its intersection with the hole).  Slot 0 is the fragment.
+    The axis-``d`` pieces (slot ``2d+1`` below the hole, ``2d+2``
+    above it) take the intersection's extent on every axis before
+    ``d``, the fragment's on every axis after it, and along ``d`` the
+    gap between the fragment's and the hole's faces.
+    """
+    axes = np.arange(ndim)
+    frag_lo, frag_hi = axes, axes + ndim
+    inter_lo, inter_hi = axes + 2 * ndim, axes + 3 * ndim
+    slots = [np.concatenate((frag_lo, frag_hi))]
+    for d in range(ndim):
+        lo = np.where(axes < d, inter_lo, frag_lo)
+        hi = np.where(axes < d, inter_hi, frag_hi)
+        below_hi, above_lo = hi.copy(), lo.copy()
+        below_hi[d], above_lo[d] = inter_lo[d], inter_hi[d]
+        slots += [np.concatenate((lo, below_hi)), np.concatenate((above_lo, hi))]
+    return np.stack(slots)
 
 
 def subtract_corners(base: np.ndarray, holes: np.ndarray) -> np.ndarray:

@@ -68,6 +68,17 @@ def _record_brute(n_pairs: int) -> None:
     _record(brute_queries=1, bruteforce_pairs=int(n_pairs))
 
 
+def _record_brute_query(n_pairs: int) -> None:
+    """Called by a kernel whose own broadcast sweeps ``n_pairs`` pairs
+    without asking :func:`candidate_pairs`: one brute-force query."""
+    _record(
+        queries=1,
+        pair_product=int(n_pairs),
+        brute_queries=1,
+        bruteforce_pairs=int(n_pairs),
+    )
+
+
 def candidate_pairs(
     a: np.ndarray, b: np.ndarray, closed: bool = False
 ) -> tuple[np.ndarray, np.ndarray] | None:

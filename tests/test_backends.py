@@ -339,6 +339,31 @@ class TestStoreHardening:
             assert store.get_result(key) is None
         assert not store.has(key)  # husk retired: the plan sees a miss
 
+    @pytest.mark.parametrize("document", ["[]", "3", '"x"', "null"])
+    def test_meta_that_is_not_an_object_is_retired(self, tmp_path, document):
+        """A ``meta.json`` that parses to something other than an object
+        is warned about and retired by every read path, like an
+        unparsable one."""
+        for reader in ("get_result", "iter_results", "verify", "get_trace"):
+            store, key = self._stored_sim(tmp_path / reader)
+            if reader == "get_trace":
+                key = trace_spec("tp2d", "small").key()
+                clear_trace_cache(store=store, memory_only=True)
+            (store.entry_dir(key) / "meta.json").write_text(document, "utf-8")
+            if reader == "verify":
+                (problem,) = store.verify(remove=True)
+                assert problem["key"] == key
+                assert problem["problem"] == "unparsable meta.json"
+            else:
+                with pytest.warns(RuntimeWarning, match="unparsable"):
+                    if reader == "get_result":
+                        assert store.get_result(key) is None
+                    elif reader == "get_trace":
+                        assert store.get_trace(key) is None
+                    else:
+                        assert key not in dict(store.iter_results())
+            assert not store.has(key), reader
+
     def test_sweep_repairs_unparsable_meta(self, tmp_path):
         store, key = self._stored_sim(tmp_path)
         before = _store_file_hashes(store)

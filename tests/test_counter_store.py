@@ -30,13 +30,17 @@ from repro.telemetry.metrics import BUILTIN_COUNTERS
 
 #: Counters of the golden sweep's runs: tp2d at ``small`` under
 #: nature+fable and patch-lpt on 4 ranks, every multi-row query on the
-#: grid (the brute-force cutoff patched to -1).
+#: grid (the brute-force cutoff patched to -1) except the rank-matched
+#: sweeps of ``matched_volume``, which ignore the cutoff and count as
+#: brute-force queries.
 GOLDEN = {
-    "repro_pair_queries_total": 320,
-    "repro_pair_grid_queries_total": 150,
+    "repro_pair_queries_total": 180,
+    "repro_pair_grid_queries_total": 90,
+    "repro_pair_brute_queries_total": 54,
     "repro_pair_pair_product_total": 4890,
-    "repro_pair_candidate_pairs_total": 2999,
-    "repro_pair_exact_pairs_total": 1274,
+    "repro_pair_bruteforce_pairs_total": 942,
+    "repro_pair_candidate_pairs_total": 2580,
+    "repro_pair_exact_pairs_total": 984,
     # The two replays read the trace the trace run published from the
     # store's read cache.
     "repro_store_read_cache_hits_total": 2,
@@ -130,7 +134,7 @@ def test_golden_sweep_counters_agree_across_surfaces(tmp_path, monkeypatch):
     timings = aggregate_timings(store.root)
     assert timings["counters"] == GOLDEN
     text = render_timings(timings)
-    assert "pair kernels: 320 queries, 4,890 brute-force pair product" in text
+    assert "pair kernels: 180 queries, 4,890 brute-force pair product" in text
 
     snapshot = {
         c["name"]: c["value"]

@@ -10,6 +10,10 @@ that swaps in the oracle.  Every test here takes its row from the table.
   patching it to ``10**18`` puts every query on brute force.
 * **batched subtraction** (``ownermap._subtract_groups``) against a
   **sequential** :meth:`Box.subtract` **sweep** over each group's holes.
+* **rank-padded sweep** (``matched_volume``'s one broadcast over
+  rank-padded corner blocks) against the **per-rank loop** of
+  ``overlap_volume`` queries it replaces (``ownermap._RANK_PAD_CELLS``
+  patched to ``-1``, so no block fits the budget).
 * **coalesced owner maps** against the **uncoalesced maps** the
   partitioners built (``OwnerMap.coalesced`` patched to identity).
 * **LRU read-cache hit** against a **cold read** of the store
@@ -112,6 +116,11 @@ def sequential_subtraction() -> ContextManager:
     return mock.patch.object(
         ownermap, "_subtract_groups", sequential_subtract_groups
     )
+
+
+def per_rank_queries() -> ContextManager:
+    """``matched_volume`` issues one ``overlap_volume`` query per rank."""
+    return mock.patch.object(ownermap, "_RANK_PAD_CELLS", -1)
 
 
 def uncoalesced_maps() -> ContextManager:
@@ -248,6 +257,10 @@ ORACLES = {
         "batched _subtract_groups", "sequential Box.subtract sweep",
         nullcontext, sequential_subtraction,
     ),
+    "rank-pad": Oracle(
+        "rank-padded matched_volume sweep", "per-rank overlap_volume loop",
+        nullcontext, per_rank_queries,
+    ),
     "coalesce": Oracle(
         "coalesced owner maps", "uncoalesced maps",
         nullcontext, uncoalesced_maps,
@@ -305,7 +318,8 @@ def _replay(name: str, hierarchies) -> list:
 @pytest.mark.parametrize("ndim", [2, 3])
 @pytest.mark.parametrize("name", tuple(registry("partitioner")))
 @pytest.mark.parametrize(
-    "row", ["grid", "subtract", "coalesce", "box-overlap", "core-labels"]
+    "row",
+    ["grid", "subtract", "rank-pad", "coalesce", "box-overlap", "core-labels"],
 )
 @settings(
     max_examples=10,
@@ -591,6 +605,101 @@ def test_batched_subtract_matches_sequential_sweep(ndim, data):
     np.testing.assert_array_equal(r_fast, r_ref)
     assert r_fast.dtype == r_ref.dtype
     np.testing.assert_array_equal(s_fast, s_ref)
+
+
+# ---------------------------------------------------------------------------
+# the rank-padded matched_volume sweep vs the per-rank loop
+
+
+@st.composite
+def ranked_corners(draw, ndim: int, labels: Sequence[int]):
+    """Random corner rows, zero-extent and negative ones among them,
+    each owned by a rank drawn from ``labels`` (int32)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n = draw(st.integers(0, 24))
+    lo = rng.integers(-16, 48, size=(n, ndim))
+    ext = rng.integers(0, 17, size=(n, ndim))
+    corners = np.concatenate((lo, lo + ext), axis=1).astype(np.int64)
+    return corners, rng.choice(np.asarray(labels, dtype=np.int32), size=n)
+
+
+def naive_matched_volume(a, a_ranks, b, b_ranks) -> int:
+    """``sum |a_i ∩ b_j|`` over equal-rank pairs, one pair at a time."""
+    ndim = a.shape[1] // 2
+    total = 0
+    for i, j in itertools.product(range(a.shape[0]), range(b.shape[0])):
+        if a_ranks[i] == b_ranks[j]:
+            width = np.minimum(a[i, ndim:], b[j, ndim:]) - np.maximum(
+                a[i, :ndim], b[j, :ndim]
+            )
+            total += int(np.prod(np.clip(width, 0, None)))
+    return total
+
+
+def _group_sizes(a_ranks: np.ndarray, b_ranks: np.ndarray):
+    """``(labels, n_a per label, n_b per label)`` over both operands."""
+    labels = np.union1d(a_ranks, b_ranks)
+    return (
+        labels,
+        np.array([(a_ranks == r).sum() for r in labels], dtype=np.int64),
+        np.array([(b_ranks == r).sum() for r in labels], dtype=np.int64),
+    )
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rank_padded_sweep_matches_per_rank_loop(ndim, data):
+    """Any int32 labels (negative, sparse, present in one operand only),
+    empty operands and zero-extent rows: the padded sweep sums what the
+    per-rank loop sums and charges the same pair product, with the
+    budget far above the block, exactly at it and one cell below."""
+    pool = data.draw(
+        st.lists(
+            st.integers(-(2**31), 2**31 - 1), min_size=1, max_size=6,
+            unique=True,
+        )
+    )
+    k = data.draw(st.integers(0, len(pool) - 1))
+    a, a_ranks = data.draw(ranked_corners(ndim, pool[: len(pool) - k]))
+    b, b_ranks = data.draw(ranked_corners(ndim, pool[k:]))
+    labels, n_a, n_b = _group_sizes(a_ranks, b_ranks)
+    pairs = int(n_a @ n_b)
+    shared = int(((n_a > 0) & (n_b > 0)).sum())
+    padded = labels.size * int(n_a.max(initial=0)) * int(n_b.max(initial=0))
+    want = naive_matched_volume(a, a_ranks, b, b_ranks)
+    row = ORACLES["rank-pad"]
+    with row.reference(), counter_deltas() as c:
+        assert matched_volume(a, a_ranks, b, b_ranks) == want
+    assert c["repro_pair_queries_total"] == shared
+    assert c["repro_pair_pair_product_total"] == pairs
+    for budget in (10**18, padded, padded - 1):
+        with (
+            mock.patch.object(ownermap, "_RANK_PAD_CELLS", budget),
+            counter_deltas() as c,
+        ):
+            assert matched_volume(a, a_ranks, b, b_ranks) == want
+        assert c["repro_pair_pair_product_total"] == pairs
+        queries = shared if budget < padded else min(shared, 1)
+        assert c["repro_pair_queries_total"] == queries, budget
+
+
+@pytest.mark.parametrize("name", ["nature+fable", "sticky-sfc"])
+def test_rank_paths_charge_the_same_pair_product(small_traces, name):
+    """A whole replay adds the same amount to the pair-product counter
+    on both paths, while the padded sweep issues fewer queries."""
+    moved = []
+    for path in (ORACLES["rank-pad"].fast, ORACLES["rank-pad"].reference):
+        with path(), counter_deltas() as c:
+            TraceSimulator().run(
+                small_traces["bl2d"], create("partitioner", name), 8
+            )
+        moved.append(
+            (c["repro_pair_pair_product_total"], c["repro_pair_queries_total"])
+        )
+    (fast_product, fast_queries), (ref_product, ref_queries) = moved
+    assert fast_product == ref_product > 0
+    assert fast_queries < ref_queries
 
 
 # ---------------------------------------------------------------------------
