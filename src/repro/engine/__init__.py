@@ -18,10 +18,14 @@ declarative job:
   runs each layer in this process (``n_jobs=1``) or as trace-aware
   shards over one local process pool (``n_jobs > 1``), then loads
   results back from the store; a run that raises on either path leaves
-  a failure record next to the store;
+  a failure record next to the store.  It also owns the trace job:
+  :func:`paper_trace` generates a workload trace into the store, and
+  :func:`clear_trace_cache` drops the cached ones;
 * :mod:`repro.engine.components` — the built-in components, registered
   with the unified :mod:`repro.registry` (``create`` / ``registry`` /
-  ``describe`` are re-exported here);
+  ``describe`` are re-exported here), the workload scales among them
+  with the trace job's helpers :func:`paper_config`,
+  :func:`shadow_shape` and :func:`workload_ndim`;
 * :mod:`repro.engine.cli` — the ``python -m repro`` command line
   (``run`` / ``sweep`` / ``plan`` / ``graph`` / ``report`` /
   ``profile`` / ``describe`` / ``cache``).
@@ -35,23 +39,29 @@ naming each removed surface, and without moving any store key.  Since
 :data:`ENGINE_SCHEMA_VERSION` (part of every content hash) is
 orthogonal: it only moves when stored-result *semantics* change, so an
 API redesign that keeps hashes stable keeps every warm store warm.
-
-Import discipline: :mod:`repro.experiments` imports this package at
-module scope, so engine modules only import the experiment layer lazily
-inside functions.
 """
 
-from .executor import execute, run_spec, run_specs, shard_specs
+from .executor import (
+    clear_trace_cache,
+    execute,
+    paper_trace,
+    run_spec,
+    run_specs,
+    shard_specs,
+)
 from .graph import MissingInputError, Plan, SpecNode, build_plan, toposort_layers
 from .components import (
     STATIC_SUITE,
     create,
     describe,
     is_schedule,
+    paper_config,
     register,
     registry,
     resolve_machine,
+    shadow_shape,
     validate_partitioner,
+    workload_ndim,
 )
 from .spec import (
     ENGINE_SCHEMA_VERSION,
@@ -185,7 +195,16 @@ from .store import (
 #: (pass its ``events``), and the ``run_specs``, ``plan.layer`` and
 #: ``collect_results`` spans.  The README's migration note names each
 #: removed function.
-ENGINE_API_VERSION = "11.0"
+#: 11.1: the engine owns the trace job.  Added: ``paper_trace``,
+#: ``clear_trace_cache``, ``paper_config``, ``shadow_shape`` and
+#: ``workload_ndim``, which :mod:`repro.experiments` still exports; the
+#: built-in scales register when :mod:`repro.engine.components`
+#: imports.  ``run_spec`` is ``run_specs`` of one spec, so a missing
+#: trace input is computed as its own run.  ``ResultStore``'s readers
+#: share one rule for a sound ``meta.json``: a document whose ``key``
+#: names another entry, or that lacks one, is a corrupt entry that every
+#: read path retires and ``verify`` reports.
+ENGINE_API_VERSION = "11.1"
 
 __all__ = [
     # versions
@@ -214,6 +233,12 @@ __all__ = [
     "run_spec",
     "run_specs",
     "shard_specs",
+    # the trace job
+    "paper_trace",
+    "clear_trace_cache",
+    "paper_config",
+    "shadow_shape",
+    "workload_ndim",
     # component registry
     "create",
     "describe",

@@ -310,7 +310,7 @@ def _cmd_sweep(args) -> int:
 
 def _print_plan(plan: Plan) -> None:
     counts = plan.counts()
-    stored = [node for node in plan.nodes.values() if node.stored]
+    stored = plan.stored()
     print(
         f"plan: {counts['submitted']} submitted, {counts['stored']} stored, "
         f"{counts['compute']} to compute"
@@ -452,11 +452,6 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_describe(args) -> int:
-    # The built-in scales register when the workload layer imports; pull
-    # it in so `describe` sees them even though this command never
-    # builds a spec.
-    from ..experiments import workloads  # noqa: F401
-
     kinds = [args.kind] if args.kind else list(COMPONENT_KINDS)
     if args.kind and args.kind not in COMPONENT_KINDS:
         raise ValueError(

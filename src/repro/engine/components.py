@@ -1,10 +1,13 @@
 """Built-in engine components and the name-resolution helpers.
 
 Specs reference components *by name* so they stay plain hashable data;
-this module registers every built-in partitioner, dynamic schedule and
-machine scenario with the unified :mod:`repro.registry` and owns the
-helpers the engine resolves those names through.  The experiment layer
-reuses the same registries (``static_partitioner_suite`` /
+this module registers every built-in partitioner, dynamic schedule,
+machine scenario and workload scale with the unified
+:mod:`repro.registry` and owns the helpers the engine resolves those
+names through, the trace job's included: a scale's generation config
+(:func:`paper_config`), its shadow grid (:func:`shadow_shape`) and an
+application's dimensionality (:func:`workload_ndim`).  The experiment
+layer reuses the same registries (``static_partitioner_suite`` /
 ``machine_scenarios`` delegate here) so the CLI, the figures and the
 ablations all agree on what ``"nature+fable"`` or ``"net-starved"``
 means — and a component registered at runtime (the ``@register``
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from ..apps import APPLICATIONS, TraceGenConfig
 from ..meta import ArmadaClassifier, MetaScheduler
 from ..model import StateSampler
 from ..partition import (
@@ -44,8 +48,11 @@ __all__ = [
     "registry",
     "resolve_machine",
     "is_schedule",
+    "paper_config",
+    "shadow_shape",
     "validate_partitioner",
     "validate_scale",
+    "workload_ndim",
 ]
 
 
@@ -169,6 +176,100 @@ def _fast_network() -> MachineModel:
     return MachineModel().faster_network(40)
 
 
+# -- workload scales of the trace job --------------------------------------
+#
+# ``paper`` is the paper's setup (section 5.1.1), in 2-D and 3-D;
+# ``deep`` (a 512^3 finest index space) and ``ultra`` (1024^3) are the
+# 3-D scaling-study and pair-kernel stress workloads, in reach because
+# distributions are sparse owner maps; ``small`` is the fast variant for
+# unit tests and CI benchmarks.
+
+@register(
+    "scale",
+    "paper",
+    description="the paper's setup: 5 levels / 100 steps (3-D: 16^3, 5 levels)",
+)
+def _paper_scale(ndim: int = 2) -> TraceGenConfig:
+    if ndim == 2:
+        return TraceGenConfig(
+            base_shape=(64, 64),
+            max_levels=5,
+            nsteps=100,
+            regrid_interval=4,
+        )
+    if ndim == 3:
+        # Paper-faithful depth (5 levels of factor-2 refinement): sparse
+        # owner maps keep its distributions in memory.
+        return TraceGenConfig(
+            base_shape=(16, 16, 16),
+            max_levels=5,
+            nsteps=40,
+            regrid_interval=4,
+        )
+    raise ValueError(f"no canonical workload config for ndim={ndim}")
+
+
+@register(
+    "scale",
+    "deep",
+    description="3-D scaling study: 32^3 base, 5 levels (512^3 finest space)",
+)
+def _deep_scale(ndim: int = 3) -> TraceGenConfig:
+    if ndim != 3:
+        raise ValueError(
+            f"the 'deep' scale is the 3-D scaling-study workload; "
+            f"ndim={ndim} has no deep config"
+        )
+    return TraceGenConfig(
+        base_shape=(32, 32, 32),
+        max_levels=5,
+        nsteps=40,
+        regrid_interval=4,
+    )
+
+
+@register(
+    "scale",
+    "ultra",
+    description="3-D pair-kernel stress: 64^3 base, 5 levels (1024^3 finest space)",
+)
+def _ultra_scale(ndim: int = 3) -> TraceGenConfig:
+    if ndim != 3:
+        raise ValueError(
+            f"the 'ultra' scale is the 3-D pair-kernel stress workload; "
+            f"ndim={ndim} has no ultra config"
+        )
+    return TraceGenConfig(
+        base_shape=(64, 64, 64),
+        max_levels=5,
+        nsteps=20,
+        regrid_interval=4,
+    )
+
+
+@register(
+    "scale",
+    "small",
+    description="fast variant for unit tests and CI benchmarks",
+)
+def _small_scale(ndim: int = 2) -> TraceGenConfig:
+    if ndim == 2:
+        return TraceGenConfig(
+            base_shape=(16, 16),
+            max_levels=3,
+            nsteps=20,
+            regrid_interval=4,
+        )
+    if ndim == 3:
+        return TraceGenConfig(
+            base_shape=(8, 8, 8),
+            max_levels=3,
+            nsteps=12,
+            regrid_interval=4,
+        )
+    raise ValueError(f"no canonical workload config for ndim={ndim}")
+
+
 # -- resolution helpers ----------------------------------------------------
 
 def is_schedule(name: str) -> bool:
@@ -188,11 +289,62 @@ def validate_partitioner(name: str) -> None:
 
 def validate_scale(scale: str) -> None:
     """Raise ``ValueError`` for unregistered workload scales."""
-    # Lazy: the built-in scales register when the workload layer imports,
-    # and the workload layer owns the single validator.
-    from ..experiments.workloads import _check_scale
+    scales = registry("scale")
+    if scale not in scales:
+        raise ValueError(
+            f"unknown workload scale {scale!r}; choose from {tuple(scales)}"
+        )
 
-    _check_scale(scale)
+
+def paper_config(scale: str = "paper", ndim: int = 2) -> TraceGenConfig:
+    """Trace-generation parameters at the requested scale and dimension."""
+    return registry("scale").create(scale, ndim=ndim)
+
+
+#: Shadow-grid cells per base-grid cell along each axis (default).
+SHADOW_FACTOR = 4
+
+#: Per-scale shadow-factor overrides.  ``ultra``'s 64^3 base grid at the
+#: default factor would mean 256^3 shadow arrays — the trace generator's
+#: kernels keep ~7 such float64 fields alive (~940 MB), blowing the 2 GB
+#: CI budget on state that only *drives* refinement flags.  Factor 2
+#: (128^3, ~117 MB) preserves plenty of feature resolution.  Existing
+#: scales are untouched, so their content hashes are stable (the shadow
+#: shape is embedded explicitly in every trace spec payload).
+_SHADOW_FACTOR_OVERRIDES = {"ultra": 2}
+
+
+def shadow_shape(scale: str, ndim: int) -> tuple[int, ...]:
+    """Shadow-grid resolution of the canonical workloads.
+
+    Derived from the scale's base grid (``SHADOW_FACTOR`` x per axis,
+    minus per-scale overrides) so scales registered through the
+    component registry get a consistent kernel resolution instead of
+    silently falling back to the built-in small one.  For the built-in
+    scales this reproduces the historical values exactly (2-D: 256^2
+    paper / 64^2 small; 3-D: 64^3 / 32^3), keeping every content hash
+    stable.
+    """
+    config = paper_config(scale, ndim)
+    factor = _SHADOW_FACTOR_OVERRIDES.get(scale, SHADOW_FACTOR)
+    return tuple(factor * extent for extent in config.base_shape)
+
+
+def workload_ndim(name: str) -> int:
+    """Spatial dimensionality of a registered workload (from its kernel)."""
+    try:
+        factory = APPLICATIONS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown application {name!r}; choose from {tuple(sorted(APPLICATIONS))}"
+        ) from None
+    ndim = getattr(factory, "ndim", None)
+    if ndim is None:
+        raise ValueError(
+            f"application {name!r}: the registered factory must expose an "
+            f"'ndim' attribute (ShadowApplication subclasses do)"
+        )
+    return int(ndim)
 
 
 def resolve_machine(

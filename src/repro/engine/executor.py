@@ -16,14 +16,20 @@ Whoever computes, results travel only through the content-addressed
 store — the parent loads every artifact back from disk, so both paths
 return bit-identical results.
 
-A *run* is one unit on every path — :func:`run_spec` on a miss or under
-``force``, a layer in this process, a pool shard, the read-back
-fallback of :func:`run_specs`: inside one telemetry
-:func:`~repro.telemetry.run_scope` it computes the spec, publishes it
-and is recorded once.  With telemetry on, its run profile (and, in
-``chrome`` mode, its Chrome trace) under ``<store>/telemetry/`` holds
-every span of the run, the store publish included; a run that raises
-leaves a failure record there in every mode.
+A *run* is one unit on every path — a layer in this process, a pool
+shard, the read-back fallback of :func:`run_specs`: inside one
+telemetry :func:`~repro.telemetry.run_scope` it computes the spec,
+publishes it and is recorded once.  With telemetry on, its run profile
+(and, in ``chrome`` mode, its Chrome trace) under
+``<store>/telemetry/`` holds every span of the run, the store publish
+included; a run that raises leaves a failure record there in every
+mode.  :func:`run_spec` is :func:`run_specs` of one spec, so a missing
+trace input is its own run there too.
+
+The trace job lives here as well: :func:`paper_trace` serves a
+workload trace from the store and generates and publishes it on a
+miss; the store's per-process read cache is its in-process memo, which
+:func:`clear_trace_cache` empties.
 """
 
 from __future__ import annotations
@@ -34,14 +40,30 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ..apps import generate_trace, make_application
+from ..model import StateSampler
 from ..simulator import TraceSimulator
 from ..telemetry import metric_inc, run_scope
+from ..trace import Trace
 from .graph import MissingInputError, Plan, build_plan
-from .components import create, is_schedule, resolve_machine
-from .spec import RunResult, RunSpec
-from .store import ResultStore, default_store
+from .components import (
+    create,
+    is_schedule,
+    paper_config,
+    resolve_machine,
+    shadow_shape,
+)
+from .spec import RunResult, RunSpec, trace_spec
+from .store import ResultStore, clear_read_cache, default_store
 
-__all__ = ["execute", "run_spec", "run_specs", "shard_specs"]
+__all__ = [
+    "clear_trace_cache",
+    "execute",
+    "paper_trace",
+    "run_spec",
+    "run_specs",
+    "shard_specs",
+]
 
 #: A progress callback: receives one human-readable line per event.
 Progress = Callable[[str], None]
@@ -69,21 +91,58 @@ _FLOAT_COLUMNS = (
 )
 
 
-def _trace_for(spec: RunSpec, store: ResultStore):
-    # Lazy: repro.experiments imports the engine at module scope; the
-    # engine may only reach back at call time.
-    from ..experiments.workloads import paper_trace
-
-    return paper_trace(spec.app, spec.scale, seed=spec.seed, store=store)
-
-
 def trace_meta(trace) -> dict:
     """The summary document stored alongside a trace artifact."""
     return {"trace": trace.name, "stats": trace.stats().to_json()}
 
 
-def _execute_sim(spec: RunSpec, store: ResultStore) -> RunResult:
-    trace = _trace_for(spec, store)
+def _generate(spec: RunSpec) -> Trace:
+    """Generate the workload trace a ``trace`` spec describes."""
+    kwargs = {"shape": shadow_shape(spec.scale, spec.ndim)}
+    if spec.seed is not None:
+        kwargs["seed"] = spec.seed
+    app = make_application(spec.app, **kwargs)
+    return generate_trace(app, paper_config(spec.scale, spec.ndim))
+
+
+def paper_trace(
+    name: str,
+    scale: str = "paper",
+    seed: int | None = None,
+    store: ResultStore | None = None,
+) -> Trace:
+    """The deterministic trace of one application at one scale.
+
+    Read from ``store`` (default: ``REPRO_CACHE_DIR`` /
+    ``~/.cache/repro``), memoized by its read cache, and generated and
+    published there on a miss, so every caller regenerates a given trace
+    at most once per store.
+    """
+    spec = trace_spec(name, scale, seed=seed)
+    store = store or default_store()
+    trace = store.get_trace(spec)
+    if trace is None:
+        trace = _generate(spec)
+        store.put_trace(spec, trace, trace_meta(trace))
+    return trace
+
+
+def clear_trace_cache(
+    store: ResultStore | None = None, *, memory_only: bool = False
+) -> int:
+    """Drop cached traces; returns the number of disk entries removed.
+
+    Clears the store's per-process read cache always, and the on-disk
+    trace entries of ``store`` (default store when omitted) unless
+    ``memory_only`` is set.
+    """
+    clear_read_cache()
+    if memory_only:
+        return 0
+    return (store or default_store()).clear(kind="trace")
+
+
+def _execute_sim(spec: RunSpec, trace: Trace) -> RunResult:
     machine = resolve_machine(spec.machine)
     sim = TraceSimulator(machine=machine, ghost_width=spec.ghost_width)
     if is_schedule(spec.partitioner):
@@ -113,10 +172,7 @@ def _execute_sim(spec: RunSpec, store: ResultStore) -> RunResult:
     return RunResult(spec=spec, key=spec.key(), meta=meta, arrays=arrays)
 
 
-def _execute_penalties(spec: RunSpec, store: ResultStore) -> RunResult:
-    from ..model import StateSampler
-
-    trace = _trace_for(spec, store)
+def _execute_penalties(spec: RunSpec, trace: Trace) -> RunResult:
     sampler = StateSampler(
         machine=resolve_machine(spec.machine),
         ghost_width=spec.ghost_width,
@@ -142,19 +198,18 @@ def _execute_penalties(spec: RunSpec, store: ResultStore) -> RunResult:
 def execute(spec: RunSpec, store: ResultStore | None = None) -> RunResult:
     """Compute one spec from scratch (no result-store lookup).
 
-    The workload trace itself still goes through the trace cache, so
+    The workload trace itself still comes from :func:`paper_trace`, so
     repeated executions only pay for the simulator/model work, and a
-    ``trace`` spec is published by the cache as it is generated.  This
-    only computes: a run — publish, run profile, failure record and the
-    ``repro_runs_total`` count — is what :func:`run_spec` and
-    :func:`run_specs` wrap around it.
+    ``trace`` spec is published as it is generated.  This only computes:
+    a run — publish, run profile, failure record and the
+    ``repro_runs_total`` count — is what :func:`run_specs` wraps around
+    it.
     """
-    store = store or default_store()
+    trace = paper_trace(spec.app, spec.scale, seed=spec.seed, store=store)
     if spec.kind == "sim":
-        return _execute_sim(spec, store)
+        return _execute_sim(spec, trace)
     if spec.kind == "penalties":
-        return _execute_penalties(spec, store)
-    trace = _trace_for(spec, store)
+        return _execute_penalties(spec, trace)
     return RunResult(
         spec=spec, key=spec.key(), meta=trace_meta(trace), arrays={}
     )
@@ -191,19 +246,13 @@ def run_spec(
     store: ResultStore | None = None,
     force: bool = False,
 ) -> RunResult:
-    """Load one spec's result from the store, computing it on a miss.
+    """One spec's result: ``run_specs([spec], store=store, force=force)[0]``.
 
-    ``force`` recomputes and replaces whatever the store holds.
+    Read from the store, or computed on a miss — a missing trace input
+    as its own run first.  ``force`` recomputes and replaces whatever
+    the store holds for ``spec``.
     """
-    store = store or default_store()
-    if not force:
-        cached = store.get_result(spec)
-        if cached is not None:
-            return cached
-    result = _run(spec, store, force)
-    # Return the store's view so every caller sees identical bytes; it
-    # is read after the run scope, so the run profile's counters hold.
-    return store.get_result(spec) or result
+    return run_specs([spec], store=store, force=force)[0]
 
 
 def shard_specs(specs: Sequence[RunSpec], n_shards: int) -> list[list[RunSpec]]:

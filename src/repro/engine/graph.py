@@ -175,17 +175,9 @@ def build_plan(
     while queue:
         spec, submitted = queue.pop(0)
         key = spec.key()
-        known = nodes.get(key)
-        if known is not None:
-            if submitted and not known.submitted:
-                # First seen as an implicit input, now submitted outright.
-                nodes[key] = SpecNode(
-                    spec=known.spec,
-                    key=key,
-                    submitted=True,
-                    stored=known.stored and not force,
-                    inputs=known.inputs,
-                )
+        if key in nodes:
+            # Every submitted spec leaves the queue before any implicit
+            # input, so a node seen again needs no update.
             continue
         inputs = spec.inputs()
         nodes[key] = SpecNode(

@@ -30,6 +30,15 @@ import numpy as np
 
 from ..apps import APPLICATIONS
 from ..simulator import MachineModel
+from .components import (
+    is_schedule,
+    paper_config,
+    resolve_machine,
+    shadow_shape,
+    validate_partitioner,
+    validate_scale,
+    workload_ndim,
+)
 
 __all__ = [
     "ENGINE_SCHEMA_VERSION",
@@ -60,17 +69,6 @@ def _accepts_seed(app: str) -> bool:
     except (TypeError, ValueError):  # pragma: no cover - exotic factories
         return True  # cannot introspect: let the factory decide
     return "seed" in signature.parameters
-
-
-def _app_ndim(app: str) -> int:
-    """Spatial dimensionality a registered kernel factory declares."""
-    ndim = getattr(APPLICATIONS[app], "ndim", None)
-    if ndim is None:
-        raise ValueError(
-            f"application {app!r}: the registered factory must expose an "
-            f"'ndim' attribute (ShadowApplication subclasses do)"
-        )
-    return int(ndim)
 
 
 def _normalize_pairs(value: Mapping | Params | None) -> Params:
@@ -107,7 +105,7 @@ class RunSpec:
     app :
         Registered application kernel name (``repro.apps.APPLICATIONS``).
     scale :
-        Canonical workload scale, ``"paper"`` or ``"small"``.
+        Registered workload scale (``"paper"``, ``"small"``, ...).
     nprocs :
         Simulated processor count (``sim`` / ``penalties``).
     partitioner :
@@ -144,13 +142,7 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.app not in APPLICATIONS:
-            raise ValueError(
-                f"unknown application {self.app!r}; "
-                f"choose from {tuple(sorted(APPLICATIONS))}"
-            )
-        from .components import validate_scale
-
+        ndim = workload_ndim(self.app)
         validate_scale(self.scale)
         if self.nprocs < 1:
             raise ValueError("nprocs must be >= 1")
@@ -163,7 +155,6 @@ class RunSpec:
         object.__setattr__(self, "params", _normalize_pairs(self.params))
         if not isinstance(self.machine, str):
             object.__setattr__(self, "machine", _normalize_pairs(self.machine))
-        ndim = _app_ndim(self.app)
         if self.ndim not in (0, ndim):
             raise ValueError(
                 f"ndim={self.ndim} contradicts {self.app!r} (ndim={ndim})"
@@ -174,8 +165,6 @@ class RunSpec:
                 f"{self.app!r} has no seed parameter; omit the seed override"
             )
         if self.kind == "sim":
-            from .components import is_schedule, validate_partitioner
-
             validate_partitioner(self.partitioner)
             if self.params and is_schedule(self.partitioner):
                 raise ValueError(
@@ -198,15 +187,9 @@ class RunSpec:
 
     # -- hashing -----------------------------------------------------------
     def _machine_payload(self) -> dict:
-        from .components import resolve_machine
-
         return asdict(resolve_machine(self.machine))
 
     def _trace_payload(self) -> dict:
-        # Lazy: repro.experiments imports the engine at module scope; the
-        # engine may only reach back at call time.
-        from ..experiments.workloads import paper_config, shadow_shape
-
         config = paper_config(self.scale, self.ndim)
         payload = asdict(config)
         payload["cluster"] = asdict(config.cluster)

@@ -64,6 +64,8 @@ DEFAULT_CACHE_DIR = Path.home() / ".cache" / "repro"
 _META = "meta.json"
 _SERIES = "series.npz"
 _TRACE = "trace.json.gz"
+#: The problem of an entry directory without ``meta.json``.
+_NO_META = "missing meta.json"
 
 #: Renames a publish tries before it reports an I/O error: each lost
 #: race (an overwriter retiring the entry that beat ours, a husk in the
@@ -277,15 +279,41 @@ class ResultStore:
             )
 
     # -- retrieval ---------------------------------------------------------
-    def load_meta(self, key: str) -> dict | None:
-        """The ``meta.json`` document of an entry, or ``None`` when it is
-        missing, unparsable or not a JSON object."""
-        path = self.entry_dir(key) / _META
+    def _read_meta(self, key: str) -> tuple[dict, RunSpec] | str:
+        """``(document, spec)`` of an entry's sound ``meta.json``, or
+        the problem with it.
+
+        The one rule every reader applies: the file parses to a JSON
+        object whose ``key`` names this entry, whose ``spec`` and
+        ``meta`` are objects, and whose spec parses.  An absent file is
+        :data:`_NO_META`: a husk the read paths skip, not a published
+        entry.
+        """
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (FileNotFoundError, ValueError):
-            return None
-        return doc if isinstance(doc, dict) else None
+            doc = json.loads(
+                (self.entry_dir(key) / _META).read_text(encoding="utf-8")
+            )
+        except FileNotFoundError:
+            return _NO_META
+        except ValueError:
+            doc = None
+        if not isinstance(doc, dict):
+            return "unparsable meta.json"
+        if doc.get("key") != key:
+            return f"meta.json key mismatch ({str(doc.get('key'))[:12]})"
+        if not isinstance(doc.get("spec"), dict) or not isinstance(
+            doc.get("meta"), dict
+        ):
+            return "meta.json lacks spec/meta"
+        try:
+            return doc, RunSpec.from_json(doc["spec"])
+        except Exception as exc:
+            return f"spec does not parse: {exc}"
+
+    def load_meta(self, key: str) -> dict | None:
+        """The ``meta.json`` document of a sound entry, else ``None``."""
+        found = self._read_meta(key)
+        return None if isinstance(found, str) else found[0]
 
     def _touch(self, key: str) -> bool:
         """Refresh an entry's mtime (recency signal for LRU eviction).
@@ -335,9 +363,10 @@ class ResultStore:
         """Load a stored :class:`RunResult`, or ``None`` on a miss.
 
         Truncated or partially-deleted entries — a worker hard-killed
-        mid-publish, a half-finished manual delete, an unparsable
-        ``meta.json`` — are retired with a warning and reported as a
-        miss, so a sweep recomputes instead of crashing mid-flight.
+        mid-publish, a half-finished manual delete, a ``meta.json`` that
+        is not sound (:meth:`_read_meta`) — are retired with a warning
+        and reported as a miss, so a sweep recomputes instead of
+        crashing mid-flight.
         """
         key = (
             spec_or_key if isinstance(spec_or_key, str) else spec_or_key.key()
@@ -359,26 +388,13 @@ class ResultStore:
                         arrays=dict(record["arrays"]),
                     )
                 _READ_CACHE.pop(ckey, None)
-            try:
-                doc = json.loads(
-                    (self.entry_dir(key) / _META).read_text(encoding="utf-8")
-                )
-            except FileNotFoundError:
+            found = self._read_meta(key)
+            if isinstance(found, str):
+                if found != _NO_META:
+                    self._corrupt_miss(key, found)
                 return None
-            except ValueError:
-                doc = None
-            if not isinstance(doc, dict):
-                self._corrupt_miss(key, "unparsable meta.json")
-                return None
-            spec_doc, meta = doc.get("spec"), doc.get("meta")
-            if not isinstance(spec_doc, dict) or not isinstance(meta, dict):
-                self._corrupt_miss(key, "meta.json lacks spec/meta")
-                return None
-            try:
-                spec = RunSpec.from_json(spec_doc)
-            except Exception as exc:
-                self._corrupt_miss(key, f"spec does not parse: {exc}")
-                return None
+            doc, spec = found
+            meta = doc["meta"]
             series = self.entry_dir(key) / _SERIES
             if series.is_file():
                 try:
@@ -440,16 +456,17 @@ class ResultStore:
                     return record["trace"]
                 _READ_CACHE.pop(ckey, None)
             path = self.entry_dir(key) / _TRACE
-            if not path.is_file():
-                if self.has(key):
-                    # meta.json survived but the artifact did not: without
-                    # retiring the husk, put_trace would no-op forever.
-                    self._corrupt_miss(key, "trace.json.gz missing")
+            found = self._read_meta(key)
+            if isinstance(found, str):
+                # A trace without a sound meta.json would be served here
+                # and skipped by every listing: retire it.
+                if found != _NO_META or path.is_file():
+                    self._corrupt_miss(key, found)
                 return None
-            if self.load_meta(key) is None:
-                # Same husk problem: a trace without a readable meta.json
-                # would be served here and skipped by every listing.
-                self._corrupt_miss(key, "meta.json missing or unparsable")
+            if not path.is_file():
+                # meta.json survived but the artifact did not: without
+                # retiring the husk, put_trace would no-op forever.
+                self._corrupt_miss(key, "trace.json.gz missing")
                 return None
             try:
                 trace = Trace.load(path)
@@ -481,12 +498,11 @@ class ResultStore:
         ``repro cache ls``, :meth:`clear` and :meth:`gc` all scan
         through it.
 
-        Corrupt entries (unparsable ``meta.json``, meta lacking its
-        spec, a spec that no longer parses) are warn-skipped and
-        retired exactly like :meth:`get_result` does, so one
-        hard-killed writer cannot wedge every listing.  The yielded
-        document is the stored ``meta.json`` plus ``nbytes`` and
-        ``mtime`` bookkeeping fields.
+        Corrupt entries (a ``meta.json`` that breaks the rule of
+        :meth:`_read_meta`) are warn-skipped and retired exactly like
+        :meth:`get_result` does, so one hard-killed writer cannot wedge
+        every listing.  The yielded document is the stored ``meta.json``
+        plus ``nbytes`` and ``mtime`` bookkeeping fields.
         """
         if not self._objects.is_dir():
             return
@@ -504,20 +520,12 @@ class ResultStore:
                         stacklevel=2,
                     )
                     continue
-                doc = self.load_meta(key)
-                if doc is None:
-                    if (entry / _META).is_file():
-                        self._corrupt_miss(key, "unparsable meta.json")
+                found = self._read_meta(key)
+                if isinstance(found, str):
+                    if found != _NO_META:
+                        self._corrupt_miss(key, found)
                     continue
-                spec_doc, meta = doc.get("spec"), doc.get("meta")
-                if not isinstance(spec_doc, dict) or not isinstance(meta, dict):
-                    self._corrupt_miss(key, "meta.json lacks spec/meta")
-                    continue
-                try:
-                    RunSpec.from_json(spec_doc)
-                except Exception as exc:
-                    self._corrupt_miss(key, f"spec does not parse: {exc}")
-                    continue
+                doc, _ = found
                 if kind is not None and doc.get("kind") != kind:
                     continue
                 doc["nbytes"] = sum(
@@ -588,23 +596,10 @@ class ResultStore:
     def _verify_entry(self, key: str) -> str | None:
         """The problem with one published entry, or ``None`` if sound."""
         entry = self.entry_dir(key)
-        doc = self.load_meta(key)
-        if doc is None:
-            return (
-                "unparsable meta.json"
-                if (entry / _META).is_file()
-                else "missing meta.json"
-            )
-        if doc.get("key") != key:
-            return f"meta.json key mismatch ({str(doc.get('key'))[:12]})"
-        if not isinstance(doc.get("spec"), dict) or not isinstance(
-            doc.get("meta"), dict
-        ):
-            return "meta.json lacks spec/meta"
-        try:
-            RunSpec.from_json(doc["spec"])
-        except Exception as exc:
-            return f"spec does not parse: {exc}"
+        found = self._read_meta(key)
+        if isinstance(found, str):
+            return found
+        doc, _ = found
         if doc.get("kind") == "trace":
             path = entry / _TRACE
             if not path.is_file():

@@ -14,6 +14,7 @@ from __future__ import annotations
 import errno
 import hashlib
 import importlib.util
+import json
 import multiprocessing
 import os
 import shutil
@@ -362,6 +363,39 @@ class TestStoreHardening:
                         assert store.get_trace(key) is None
                     else:
                         assert key not in dict(store.iter_results())
+            assert not store.has(key), reader
+
+    @pytest.mark.parametrize("document", ["empty", "foreign-key"])
+    def test_meta_that_breaks_the_rule_is_retired(self, tmp_path, document):
+        """One rule for a sound ``meta.json``: an object without ``key``
+        or naming another entry is retired by every read path, and
+        ``verify`` reports it with the warning's problem text."""
+        for reader in ("get_result", "iter_results", "verify", "get_trace"):
+            store, key = self._stored_sim(tmp_path / reader)
+            other = trace_spec("tp2d", "small").key()
+            if reader == "get_trace":
+                key, other = other, key
+            clear_trace_cache(store=store, memory_only=True)
+            meta = store.entry_dir(key) / "meta.json"
+            if document == "empty":
+                doc, problem = {}, "meta.json key mismatch (None)"
+            else:
+                doc = {**json.loads(meta.read_text("utf-8")), "key": other}
+                problem = f"meta.json key mismatch ({other[:12]})"
+            meta.write_text(json.dumps(doc), "utf-8")
+            if reader == "verify":
+                (found,) = store.verify(remove=True)
+                assert (found["key"], found["problem"]) == (key, problem)
+            else:
+                with pytest.warns(RuntimeWarning) as caught:
+                    if reader == "get_result":
+                        assert store.get_result(key) is None
+                    elif reader == "get_trace":
+                        assert store.get_trace(key) is None
+                    else:
+                        assert key not in dict(store.iter_results())
+                (warning,) = caught
+                assert f"({problem})" in str(warning.message)
             assert not store.has(key), reader
 
     def test_sweep_repairs_unparsable_meta(self, tmp_path):

@@ -451,7 +451,7 @@ class TestTraceCache:
         clear_trace_cache(store=store, memory_only=True)
         # Break generation: a reload must come from the disk artifact.
         monkeypatch.setattr(
-            "repro.experiments.workloads._generate",
+            "repro.engine.executor._generate",
             lambda *a: pytest.fail("trace regenerated despite disk cache"),
         )
         reloaded = paper_trace("bl2d", "small", store=store)
@@ -477,6 +477,31 @@ class TestTraceCache:
             trace_spec("bl2d", "small").key()
             != trace_spec("bl2d", "small", seed=7).key()
         )
+
+
+class TestLayering:
+    def test_specs_plan_and_run_without_the_experiment_layer(self, tmp_path):
+        """The engine owns the trace job: building, hashing and running
+        specs, their trace input included, imports no experiment module."""
+        script = (
+            "import sys\n"
+            "from repro.engine import (\n"
+            "    ResultStore, penalties_spec, run_specs, sim_spec)\n"
+            "specs = [sim_spec('tp2d', 'small', nprocs=4),\n"
+            "         penalties_spec('tp2d', 'small', nprocs=4)]\n"
+            "keys = [spec.key() for spec in specs]\n"
+            "store = ResultStore(sys.argv[1])\n"
+            "assert [r.key for r in run_specs(specs, store=store)] == keys\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('repro.experiments')))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "store")],
+            capture_output=True, text=True, env=_cli_env(tmp_path),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+        assert len(list(ResultStore(tmp_path / "store").iter_results())) == 3
 
 
 @pytest.fixture(autouse=True)

@@ -62,6 +62,10 @@ REMOVED_NAMES = {
     "_exec_recorder": ("repro.telemetry.profile",),
     "_forget_traces": ("repro.engine.executor",),
     "_execute_kind": ("repro.engine.executor",),
+    "_trace_for": ("repro.engine.executor",),
+    "_app_ndim": ("repro.engine.spec",),
+    "_check_scale": ("repro.experiments.workloads",),
+    "_generate": ("repro.experiments.workloads",),
 }
 
 #: ``(module, class, attribute)``: retired methods.

@@ -205,7 +205,7 @@ class TestAppRegistration:
 
     def test_custom_scale_gets_consistent_shadow_shape(self, scratch_name):
         from repro.apps import TraceGenConfig
-        from repro.experiments.workloads import SHADOW_FACTOR, shadow_shape
+        from repro.engine.components import SHADOW_FACTOR, shadow_shape
 
         @registry_module.register("scale", scratch_name)
         def _large_scale(ndim: int = 2) -> TraceGenConfig:
@@ -237,7 +237,7 @@ class TestEngineSurface:
         import repro.engine as engine
         import repro.engine.components as components
 
-        assert ENGINE_API_VERSION == "11.0"
+        assert ENGINE_API_VERSION == "11.1"
         assert not [n for n in engine.__all__ if n.startswith("make_")]
         assert not [n for n in vars(components) if n.startswith("make_")]
 

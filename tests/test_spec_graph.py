@@ -315,8 +315,8 @@ class TestPlanCli:
         assert "--param atomic_unit" in out.stdout
 
     def test_describe_sees_scales_in_fresh_process(self, tmp_path):
-        # The built-in scales register via the workload layer, which the
-        # describe command must pull in itself.
+        # The built-in scales register when repro.engine.components
+        # imports, which the CLI does at module scope.
         out = self._cli(["describe", "--kind", "scale"], tmp_path)
         assert out.returncode == 0, out.stderr
         assert "scale (4 registered)" in out.stdout

@@ -35,6 +35,7 @@ from repro.engine import (
     run_spec,
     run_specs,
     sim_spec,
+    trace_spec,
 )
 from repro.telemetry import (
     TELEMETRY_ENV,
@@ -406,6 +407,24 @@ class TestRunRecords:
             assert put["parent"] == root["id"]
         assert published == {"trace": 2, "sim": 4, "penalties": 1}
 
+    def test_repro_run_leaves_one_profile_per_entry(
+        self, tmp_path, monkeypatch
+    ):
+        """A cold ``repro run`` computes the missing trace as its own run:
+        the trace and the sim each leave one profile, holding its spans."""
+        monkeypatch.setenv(TELEMETRY_ENV, "json")
+        store = ResultStore(tmp_path / "store")
+        assert cli.main(["run", "--app", "tp2d", "--scale", "small",
+                         "--cache-dir", str(store.root)]) == 0
+        entries = {key for key, _ in store.iter_results()}
+        profiles = {path.stem for path in find_run_profiles(store.root)}
+        assert len(entries) == 2
+        assert profiles == entries
+        for key in entries:
+            doc = load_run_profile(store.root, key)
+            names = {e["name"] for e in doc["spans"]}
+            assert ("trace.generate" in names) == (doc["kind"] == "trace")
+
 
 # ---------------------------------------------------------------------------
 # failure records
@@ -542,6 +561,8 @@ class TestFailureRecords:
         monkeypatch.setenv(TELEMETRY_ENV, mode)
         store = ResultStore(tmp_path / "store")
         spec = _sweep()[0]
+        # Warm the trace, whose own run would otherwise take the failure.
+        run_spec(trace_spec(spec.app, spec.scale), store=store)
         _fail_once(monkeypatch, RuntimeError("disk on fire"))
         with pytest.raises(RuntimeError, match="disk on fire"):
             run_spec(spec, store=store)
@@ -576,4 +597,5 @@ class TestFailureRecords:
         assert cli.main(["report", "--timings",
                          "--cache-dir", str(store.root)]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("2 profiled runs (1 failed)")
+        # The trace's run, the sim's and the failed sim's.
+        assert out.startswith("3 profiled runs (1 failed)")
