@@ -19,8 +19,8 @@ declarative job:
   shards over one local process pool (``n_jobs > 1``), then loads
   results back from the store; a run that raises on either path leaves
   a failure record next to the store.  It also owns the trace job:
-  :func:`paper_trace` generates a workload trace into the store, and
-  :func:`clear_trace_cache` drops the cached ones;
+  :func:`paper_trace` serves a workload trace, running its spec on a
+  miss, and :func:`clear_trace_cache` drops the cached ones;
 * :mod:`repro.engine.components` — the built-in components, registered
   with the unified :mod:`repro.registry` (``create`` / ``registry`` /
   ``describe`` are re-exported here), the workload scales among them
@@ -204,7 +204,12 @@ from .store import (
 #: share one rule for a sound ``meta.json``: a document whose ``key``
 #: names another entry, or that lacks one, is a corrupt entry that every
 #: read path retires and ``verify`` reports.
-ENGINE_API_VERSION = "11.1"
+#: 12.0: one store entry rule, and ``_run`` the only publisher.
+#: Removed: ``ResultStore.load_meta`` (nothing called it).  Narrowed:
+#: ``execute`` publishes nothing, and a ``sim`` or ``penalties`` spec
+#: needs its trace in the store (``MissingInputError`` otherwise).
+#: ``get_trace`` of a non-trace entry is a plain miss.
+ENGINE_API_VERSION = "12.0"
 
 __all__ = [
     # versions

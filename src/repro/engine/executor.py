@@ -16,19 +16,20 @@ Whoever computes, results travel only through the content-addressed
 store — the parent loads every artifact back from disk, so both paths
 return bit-identical results.
 
-A *run* is one unit on every path — a layer in this process, a pool
-shard, the read-back fallback of :func:`run_specs`: inside one
-telemetry :func:`~repro.telemetry.run_scope` it computes the spec,
-publishes it and is recorded once.  With telemetry on, its run profile
-(and, in ``chrome`` mode, its Chrome trace) under
-``<store>/telemetry/`` holds every span of the run, the store publish
-included; a run that raises leaves a failure record there in every
-mode.  :func:`run_spec` is :func:`run_specs` of one spec, so a missing
-trace input is its own run there too.
+A *run* is one unit on every path, and ``_run`` is the only place the
+engine publishes: inside one telemetry :func:`~repro.telemetry.run_scope`
+it computes the spec, publishes its entry and is recorded once.  With
+telemetry on, its run profile (and, in ``chrome`` mode, its Chrome
+trace) under ``<store>/telemetry/`` holds every span of the run, the
+store publish included; a run that raises leaves a failure record there
+in every mode.  :func:`execute` publishes nothing and never generates
+an input, so every trace is computed as its own run: in a plan layer,
+in the re-plan of keys that read back empty or lost their trace, or by
+:func:`paper_trace`.
 
 The trace job lives here as well: :func:`paper_trace` serves a
-workload trace from the store and generates and publishes it on a
-miss; the store's per-process read cache is its in-process memo, which
+workload trace from the store and runs its trace spec on a miss; the
+store's read cache is its in-process memo, which
 :func:`clear_trace_cache` empties.
 """
 
@@ -91,11 +92,6 @@ _FLOAT_COLUMNS = (
 )
 
 
-def trace_meta(trace) -> dict:
-    """The summary document stored alongside a trace artifact."""
-    return {"trace": trace.name, "stats": trace.stats().to_json()}
-
-
 def _generate(spec: RunSpec) -> Trace:
     """Generate the workload trace a ``trace`` spec describes."""
     kwargs = {"shape": shadow_shape(spec.scale, spec.ndim)}
@@ -114,16 +110,16 @@ def paper_trace(
     """The deterministic trace of one application at one scale.
 
     Read from ``store`` (default: ``REPRO_CACHE_DIR`` /
-    ``~/.cache/repro``), memoized by its read cache, and generated and
-    published there on a miss, so every caller regenerates a given trace
-    at most once per store.
+    ``~/.cache/repro``) and memoized by its read cache.  On a miss the
+    trace spec runs as its own run, which generates, publishes and
+    records it, so every caller regenerates a given trace at most once
+    per store.
     """
     spec = trace_spec(name, scale, seed=seed)
     store = store or default_store()
     trace = store.get_trace(spec)
     if trace is None:
-        trace = _generate(spec)
-        store.put_trace(spec, trace, trace_meta(trace))
+        trace = _run(spec, store)[1]
     return trace
 
 
@@ -195,50 +191,69 @@ def _execute_penalties(spec: RunSpec, trace: Trace) -> RunResult:
     return RunResult(spec=spec, key=spec.key(), meta=meta, arrays=arrays)
 
 
-def execute(spec: RunSpec, store: ResultStore | None = None) -> RunResult:
-    """Compute one spec from scratch (no result-store lookup).
-
-    The workload trace itself still comes from :func:`paper_trace`, so
-    repeated executions only pay for the simulator/model work, and a
-    ``trace`` spec is published as it is generated.  This only computes:
-    a run — publish, run profile, failure record and the
-    ``repro_runs_total`` count — is what :func:`run_specs` wraps around
-    it.
-    """
-    trace = paper_trace(spec.app, spec.scale, seed=spec.seed, store=store)
-    if spec.kind == "sim":
-        return _execute_sim(spec, trace)
-    if spec.kind == "penalties":
-        return _execute_penalties(spec, trace)
-    return RunResult(
-        spec=spec, key=spec.key(), meta=trace_meta(trace), arrays={}
+def _missing_input(spec: RunSpec, source: RunSpec) -> str:
+    """Why ``spec`` cannot run: the store lacks its input ``source``."""
+    return (
+        f"{spec.label()} requires input {source.label()} "
+        f"({source.key()[:12]}) which is not in the store"
     )
 
 
-def _run(spec: RunSpec, store: ResultStore, force: bool = False) -> RunResult:
+def _compute(
+    spec: RunSpec, store: ResultStore
+) -> tuple[RunResult, Trace | None]:
+    """Compute one spec: its result, plus the trace a ``trace`` spec
+    generates (``None`` for the other kinds)."""
+    if spec.kind == "trace":
+        trace = _generate(spec)
+        meta = {"trace": trace.name, "stats": trace.stats().to_json()}
+        return RunResult(spec=spec, key=spec.key(), meta=meta, arrays={}), trace
+    (source,) = spec.inputs()
+    trace = store.get_trace(source)
+    if trace is None:
+        raise MissingInputError(_missing_input(spec, source))
+    if spec.kind == "sim":
+        return _execute_sim(spec, trace), None
+    return _execute_penalties(spec, trace), None
+
+
+def execute(spec: RunSpec, store: ResultStore | None = None) -> RunResult:
+    """Compute one spec from scratch (no result-store lookup).
+
+    A ``trace`` spec generates its trace; a ``sim`` or ``penalties``
+    spec replays the trace ``store`` holds and raises
+    :class:`MissingInputError` when it holds none.  Nothing is
+    published: a run — publish, run profile, failure record and the
+    ``repro_runs_total`` count — is what :func:`run_specs` wraps around
+    a computation.
+    """
+    return _compute(spec, store or default_store())[0]
+
+
+def _run(
+    spec: RunSpec, store: ResultStore, force: bool = False
+) -> tuple[RunResult, Trace | None]:
     """One run: compute ``spec`` and publish it inside one run scope.
 
-    Every path that computes calls this, so each execution is recorded
-    once (its run profile holds the ``store.put_result`` span) and
-    counted once in ``repro_runs_total``.  ``force`` replaces what the
-    store holds: a ``trace`` entry is removed first, since the trace
-    cache republishes it (overwriting it with the array-less result
-    would clobber ``trace.json.gz``); any other result replaces its
-    entry by an atomic overwrite.  Without ``force`` a key another
-    process published first is left alone.
+    The engine's only publisher: every path that computes calls this,
+    so each execution is recorded once (its run profile holds the
+    store publish span) and counted once in ``repro_runs_total``.
+    ``force`` replaces what the store holds by an atomic overwrite, for
+    every kind; without it a key another process published first is
+    left alone.  Returns what :func:`_compute` returned.
     """
     try:
         with run_scope(spec, store):
-            if force and spec.kind == "trace":
-                store.remove(spec.key())
-            result = execute(spec, store)
-            if spec.kind != "trace":
+            result, trace = _compute(spec, store)
+            if trace is None:
                 store.put_result(result, overwrite=force)
+            else:
+                store.put_trace(spec, trace, result.meta, overwrite=force)
     except BaseException:
         metric_inc("repro_runs_total", kind=spec.kind, outcome="failed")
         raise
     metric_inc("repro_runs_total", kind=spec.kind, outcome="completed")
-    return result
+    return result, trace
 
 
 def run_spec(
@@ -283,14 +298,9 @@ def shard_specs(specs: Sequence[RunSpec], n_shards: int) -> list[list[RunSpec]]:
 
 
 def _run_shard(root: str, spec_docs: list[dict], force: bool) -> list[str]:
-    """Worker entry point: run one shard into the store."""
-    store = ResultStore(root)
-    keys: list[str] = []
-    for doc in spec_docs:
-        spec = RunSpec.from_json(doc)
-        _run(spec, store, force)
-        keys.append(spec.key())
-    return keys
+    """Worker entry point: run one shard; returns its lost keys."""
+    specs = [RunSpec.from_json(doc) for doc in spec_docs]
+    return _run_in_process(specs, ResultStore(root), force, lambda line: None)
 
 
 def _verify_layer_inputs(
@@ -300,24 +310,27 @@ def _verify_layer_inputs(
     for key in layer:
         node = plan.node(key)
         for input_key in node.inputs:
-            if store.has(input_key):
-                continue
-            input_node = plan.nodes.get(input_key)
-            input_label = (
-                input_node.spec.label() if input_node else input_key[:12]
-            )
-            raise MissingInputError(
-                f"{node.spec.label()} requires input {input_label} "
-                f"({input_key[:12]}) which is not in the store"
-            )
+            if not store.has(input_key):
+                raise MissingInputError(
+                    _missing_input(node.spec, plan.node(input_key).spec)
+                )
 
 
 def _run_in_process(
     specs: Sequence[RunSpec], store: ResultStore, force: bool, say: Progress
-) -> None:
+) -> list[str]:
+    """Run ``specs`` here; returns the keys whose run lost its input
+    since the layer began (a read retired it as corrupt, or a gc
+    evicted it), which :func:`run_specs` plans again."""
+    lost: list[str] = []
     for spec in specs:
-        _run(spec, store, force)
-        say(f"computed {spec.label()}")
+        try:
+            _run(spec, store, force)
+        except MissingInputError:
+            lost.append(spec.key())
+        else:
+            say(f"computed {spec.label()}")
+    return lost
 
 
 def _run_on_pool(
@@ -327,22 +340,24 @@ def _run_on_pool(
     store: ResultStore,
     force: bool,
     say: Progress,
-) -> None:
+) -> list[str]:
     futures = {
         pool.submit(
             _run_shard, str(store.root), [s.to_json() for s in shard], force
-        ): i
+        ): (i, len(shard))
         for i, shard in enumerate(shard_specs(specs, n_jobs))
     }
+    lost: list[str] = []
     for future in as_completed(futures):
-        finished = future.result()  # propagate worker failures
-        say(f"shard {futures[future]} finished ({len(finished)} specs)")
+        lost += future.result()  # propagate worker failures
+        say("shard {} finished ({} specs)".format(*futures[future]))
+    return lost
 
 
 def _run_plan(
     plan: Plan, store: ResultStore, n_jobs: int, force: bool, say: Progress
-) -> None:
-    """Publish every pending node, layer by layer."""
+) -> list[str]:
+    """Publish every pending node, layer by layer; returns the lost keys."""
     # One pool for the whole plan — but none at all when a single
     # pending job (or n_jobs=1) makes the spawn overhead pure waste.
     pool = (
@@ -350,6 +365,7 @@ def _run_plan(
         if n_jobs > 1 and len(plan.pending()) > 1
         else None
     )
+    lost: list[str] = []
     try:
         for depth, layer in enumerate(plan.layers):
             _verify_layer_inputs(layer, plan, store)
@@ -357,12 +373,13 @@ def _run_plan(
             if len(plan.layers) > 1:
                 say(f"layer {depth}: {len(specs)} jobs")
             if pool is None or len(specs) == 1:
-                _run_in_process(specs, store, force, say)
+                lost += _run_in_process(specs, store, force, say)
             else:
-                _run_on_pool(pool, n_jobs, specs, store, force, say)
+                lost += _run_on_pool(pool, n_jobs, specs, store, force, say)
     finally:
         if pool is not None:
             pool.shutdown()
+    return lost
 
 
 def run_specs(
@@ -427,14 +444,19 @@ def run_specs(
         f"{len(specs)} submitted: {counts['submitted']} unique, "
         f"{counts['stored']} in store, {counts['compute']} to compute{extra}"
     )
-    _run_plan(plan, store, n_jobs, force, say)
-    by_key: dict[str, RunResult] = {}
-    for node in plan.submitted():
-        result = store.get_result(node.key)
-        if result is None:
-            # The read retired a corrupt entry, or a concurrent gc
-            # evicted it: run it again and read the store's view.
-            computed = _run(node.spec, store)
-            result = store.get_result(node.key) or computed
-        by_key[node.key] = result
-    return [by_key[spec.key()] for spec in specs]
+    lost = _run_plan(plan, store, n_jobs, force, say)
+    results = {node.key: store.get_result(node.key) for node in plan.submitted()}
+    again = [node.spec for node in plan.submitted()
+             if results[node.key] is None or node.key in lost]
+    if again:
+        # A run lost the trace it read, a read retired a corrupt entry,
+        # or a concurrent gc evicted one: plan those keys once more, so
+        # a trace they need is its own run first.
+        lost = _run_plan(build_plan(again, store, force), store, n_jobs, force, say)
+        for spec in again:
+            got = None if spec.key() in lost else store.get_result(spec)
+            if got is None:
+                raise RuntimeError(f"{spec.label()} ({spec.key()[:12]}) "
+                                   "is not in the store after a rerun")
+            results[spec.key()] = got
+    return [results[spec.key()] for spec in specs]

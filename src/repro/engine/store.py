@@ -9,15 +9,23 @@ Layout (under ``$REPRO_CACHE_DIR``, default ``~/.cache/repro``)::
 
 Every entry is keyed by the spec's content hash, so any two computations
 that describe the same work — across figures, benchmarks, CLI calls and
-worker processes — share one artifact.  Writes are atomic: an entry is
+worker processes — share one artifact.
+
+One rule holds for every kind: an entry is a sound ``meta.json`` (see
+:meth:`ResultStore._read_meta`) plus the one artifact its kind names,
+``trace.json.gz`` for a ``trace`` and ``series.npz`` for a ``sim`` or
+``penalties`` result.  One staged writer publishes it: the entry is
 staged in ``tmp/`` and published with a single directory rename, so a
-killed sweep never leaves a half-written entry, and concurrent writers of
-the same key are benign (first rename wins, the loser is discarded).
+killed sweep never leaves a half-written entry, and concurrent writers
+of the same key are benign (first rename wins, the loser is discarded).
+One loader behind the per-process read cache serves it, one decoder per
+artifact turns its bytes into arrays or a trace for the readers and
+:meth:`ResultStore.verify` alike, and one walk of ``objects/`` finds the
+entries for :meth:`ResultStore.iter_results` and ``verify``.
 """
 
 from __future__ import annotations
 
-import gzip
 import json
 import os
 import shutil
@@ -27,7 +35,7 @@ import zipfile
 import zlib
 from collections import OrderedDict
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -49,11 +57,9 @@ __all__ = [
 _CORRUPTION_ERRORS = (
     OSError,  # includes gzip.BadGzipFile and plain I/O failures
     EOFError,
-    ValueError,
+    ValueError,  # includes json.JSONDecodeError and UnicodeDecodeError
     KeyError,
     TypeError,
-    json.JSONDecodeError,
-    UnicodeDecodeError,
     zipfile.BadZipFile,
     zlib.error,
 )
@@ -64,8 +70,33 @@ DEFAULT_CACHE_DIR = Path.home() / ".cache" / "repro"
 _META = "meta.json"
 _SERIES = "series.npz"
 _TRACE = "trace.json.gz"
+#: The one artifact each kind of entry holds beside its ``meta.json``.
+_ARTIFACT = {"trace": _TRACE, "sim": _SERIES, "penalties": _SERIES}
 #: The problem of an entry directory without ``meta.json``.
 _NO_META = "missing meta.json"
+
+
+def _load_series(path: Path) -> dict[str, np.ndarray]:
+    """Decode a ``series.npz`` into read-only in-memory arrays.
+
+    ``np.load`` reads every member into process memory, so results are
+    stable snapshots that a later in-place overwrite of the entry never
+    changes.  Cached records share these arrays with every later hit:
+    they are frozen so a caller's in-place edit can't poison reads other
+    callers see.  ``np.load`` hands a member that is not an ``.npy``
+    array back as raw bytes, which makes the artifact corrupt.
+    """
+    with open(path, "rb") as fh, np.load(fh) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    for name, arr in arrays.items():
+        if not isinstance(arr, np.ndarray):
+            raise ValueError(f"member {name!r} is not an array")
+        arr.setflags(write=False)
+    return arrays
+
+
+#: The one decoder of each artifact, run by the readers and by verify.
+_DECODERS = {_SERIES: _load_series, _TRACE: Trace.load}
 
 #: Renames a publish tries before it reports an I/O error: each lost
 #: race (an overwriter retiring the entry that beat ours, a husk in the
@@ -78,17 +109,17 @@ _PUBLISH_ATTEMPTS = 8
 _TOUCH_INTERVAL = 3600.0
 _TOUCH_TIMES: dict[tuple[str, str], float] = {}
 
-# Per-process read cache, keyed (store root, content hash, artifact
-# kind).  Module-global on purpose: ``default_store()`` builds a fresh
-# ``ResultStore`` instance per call, so an instance-level cache would
-# never be hit.  Pool workers (``run_specs`` with ``n_jobs > 1``) each
-# get their own copy (the cache is inherited per-process, never
-# shared).  Records carry the stat signature of the backing files; a
-# hit is only served while the signature still matches, so on-disk
-# corruption, overwrite and retirement are observed exactly as a cold
-# read would see them.  It is the one in-process trace memo: the traces
-# this process loaded or published are served from here while they fit
-# the budget.
+# Per-process read cache, keyed (store root, content hash, artifact the
+# reader asked for).  Module-global on purpose: ``default_store()``
+# builds a fresh ``ResultStore`` instance per call, so an instance-level
+# cache would never be hit.  Pool workers (``run_specs`` with
+# ``n_jobs > 1``) each get their own copy (the cache is inherited
+# per-process, never shared).  Records carry the stat signature of the
+# backing files; a hit is only served while the signature still
+# matches, so on-disk corruption, overwrite and retirement are observed
+# exactly as a cold read would see them.  It is the one in-process trace
+# memo: the traces this process loaded or published are served from
+# here while they fit the budget.
 _READ_CACHE: OrderedDict[tuple[str, str, str], dict] = OrderedDict()
 
 #: Entry budget of the read cache.
@@ -118,13 +149,6 @@ def clear_read_cache() -> None:
     _TOUCH_TIMES.clear()
 
 
-def _cache_get(ckey: tuple[str, str, str]) -> dict | None:
-    record = _READ_CACHE.get(ckey)
-    if record is not None:
-        _READ_CACHE.move_to_end(ckey)
-    return record
-
-
 def _cache_put(ckey: tuple[str, str, str], record: dict) -> None:
     _READ_CACHE[ckey] = record
     _READ_CACHE.move_to_end(ckey)
@@ -135,8 +159,8 @@ def _cache_put(ckey: tuple[str, str, str], record: dict) -> None:
 
 def _evict_read_cache(root: str, key: str) -> None:
     """Forget one entry (called whenever its on-disk files change)."""
-    for kind in ("result", "trace"):
-        _READ_CACHE.pop((root, key, kind), None)
+    for artifact in (_SERIES, _TRACE):
+        _READ_CACHE.pop((root, key, artifact), None)
     _TOUCH_TIMES.pop((root, key), None)
 
 
@@ -176,6 +200,14 @@ class ResultStore:
     def has(self, key: str) -> bool:
         """Whether a published entry exists for ``key``."""
         return (self.entry_dir(key) / _META).is_file()
+
+    def _walk(self) -> Iterator[Path]:
+        """Every entry directory under ``objects/``, in key order."""
+        if not self._objects.is_dir():
+            return
+        for shard in sorted(self._objects.iterdir()):
+            if shard.is_dir():
+                yield from sorted(shard.iterdir())
 
     # -- publishing --------------------------------------------------------
     def _retire(self, key: str, final: Path) -> None:
@@ -231,51 +263,61 @@ class ResultStore:
         stage.mkdir()
         return stage
 
-    def put_result(self, result: RunResult, overwrite: bool = False) -> None:
-        """Publish a computed result (no-op if the key already exists,
-        unless ``overwrite`` replaces the stored entry)."""
-        if self.has(result.key) and not overwrite:
-            return
-        with span("store.put_result", cat="store", key=result.key[:12],
-                  kind=result.spec.kind):
-            stage = self._stage(result.key)
-            meta = {
-                "key": result.key,
-                "kind": result.spec.kind,
-                "spec": result.spec.to_json(),
-                "meta": result.meta,
-            }
-            (stage / _META).write_text(
-                json.dumps(meta, sort_keys=True, indent=1), encoding="utf-8"
-            )
-            if result.arrays:
-                with open(stage / _SERIES, "wb") as fh:
-                    np.savez(fh, **result.arrays)
-            self._publish(result.key, stage, overwrite=overwrite)
+    def _put(
+        self,
+        name: str,
+        key: str,
+        spec: RunSpec,
+        meta: dict,
+        artifact: str,
+        save: Callable[[Path], None],
+        overwrite: bool,
+    ) -> bool:
+        """The one staged writer: publish ``meta.json`` plus ``artifact``,
+        the one the spec's kind names, inside the span ``name``.
 
-    def put_trace(self, spec: RunSpec, trace: Trace, meta: dict) -> None:
-        """Publish a generated trace artifact under its spec key.
+        ``save`` writes the artifact into the staged entry, which
+        :meth:`_publish` renames into place.  A key the store already
+        holds is left alone unless ``overwrite`` replaces it atomically.
+        Returns whether this call published.
+        """
+        if self.has(key) and not overwrite:
+            return False
+        with span(name, cat="store", key=key[:12], kind=spec.kind):
+            stage = self._stage(key)
+            doc = {"key": key, "kind": spec.kind, "spec": spec.to_json(),
+                   "meta": meta}
+            (stage / _META).write_text(
+                json.dumps(doc, sort_keys=True, indent=1), encoding="utf-8"
+            )
+            save(stage / artifact)
+            self._publish(key, stage, overwrite=overwrite)
+        return True
+
+    def put_result(self, result: RunResult, overwrite: bool = False) -> None:
+        """Publish a computed ``sim`` or ``penalties`` result (no-op if
+        the key already exists, unless ``overwrite`` replaces the stored
+        entry)."""
+        self._put("store.put_result", result.key, result.spec, result.meta,
+                  _SERIES, lambda path: np.savez(path, **result.arrays),
+                  overwrite)
+
+    def put_trace(
+        self, spec: RunSpec, trace: Trace, meta: dict, overwrite: bool = False
+    ) -> None:
+        """Publish a generated trace artifact under its spec key (no-op
+        if the key already exists, unless ``overwrite`` replaces it).
 
         The read cache then holds ``trace`` itself, so a process that
         generates a trace and replays it never reloads it from disk.
         """
         key = spec.key()
-        if self.has(key):
-            return
-        with span("store.put_trace", cat="store", key=key[:12]):
-            stage = self._stage(key)
-            doc = {
-                "key": key, "kind": "trace", "spec": spec.to_json(),
-                "meta": meta,
-            }
-            (stage / _META).write_text(
-                json.dumps(doc, sort_keys=True, indent=1), encoding="utf-8"
-            )
-            trace.save(stage / _TRACE)
-            self._publish(key, stage)
+        if self._put("store.put_trace", key, spec, meta, _TRACE, trace.save,
+                     overwrite):
             _cache_put(
-                (str(self.root), key, "trace"),
-                {"sig": self._trace_sig(key), "trace": trace},
+                (str(self.root), key, _TRACE),
+                {"sig": self._sig(key, _TRACE), "spec": spec, "meta": meta,
+                 "value": trace},
             )
 
     # -- retrieval ---------------------------------------------------------
@@ -287,12 +329,11 @@ class ResultStore:
         object whose ``key`` names this entry, whose ``spec`` and
         ``meta`` are objects, and whose spec parses.  An absent file is
         :data:`_NO_META`: a husk the read paths skip, not a published
-        entry.
+        entry.  A malformed ``key`` raises ``ValueError``.
         """
+        path = self.entry_dir(key) / _META
         try:
-            doc = json.loads(
-                (self.entry_dir(key) / _META).read_text(encoding="utf-8")
-            )
+            doc = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return _NO_META
         except ValueError:
@@ -310,10 +351,16 @@ class ResultStore:
         except Exception as exc:
             return f"spec does not parse: {exc}"
 
-    def load_meta(self, key: str) -> dict | None:
-        """The ``meta.json`` document of a sound entry, else ``None``."""
-        found = self._read_meta(key)
-        return None if isinstance(found, str) else found[0]
+    def _decode(self, key: str, artifact: str) -> object:
+        """An entry's decoded ``artifact``, or the problem with it (a
+        ``str``, which no decoder returns)."""
+        path = self.entry_dir(key) / artifact
+        if not path.is_file():
+            return f"{artifact} missing"
+        try:
+            return _DECODERS[artifact](path)
+        except _CORRUPTION_ERRORS as exc:
+            return f"{artifact} unreadable: {exc}"
 
     def _touch(self, key: str) -> bool:
         """Refresh an entry's mtime (recency signal for LRU eviction).
@@ -338,146 +385,106 @@ class ResultStore:
         _TOUCH_TIMES[tkey] = now
         return True
 
-    def _result_sig(self, key: str):
-        """Stat signature of a result entry's backing files."""
+    def _sig(self, key: str, artifact: str):
+        """Stat signature of an entry's ``meta.json`` and ``artifact``."""
         entry = self.entry_dir(key)
-        return (_stat_sig(entry / _META), _stat_sig(entry / _SERIES))
+        return (_stat_sig(entry / _META), _stat_sig(entry / artifact))
 
-    def _trace_sig(self, key: str):
-        """Stat signature of a trace entry's backing files."""
-        entry = self.entry_dir(key)
-        return (_stat_sig(entry / _META), _stat_sig(entry / _TRACE))
-
-    def _corrupt_miss(self, key: str, problem: str) -> None:
+    def _corrupt_miss(self, key: str, problem: str, stacklevel: int = 3) -> None:
         """Warn about — and retire — a corrupt entry so the next publish
-        repairs it; callers then treat the key as a plain cache miss."""
+        repairs it; callers then treat the key as a plain cache miss.
+        ``stacklevel`` 4 points a warning raised in :meth:`_load` at the
+        reader's caller."""
         warnings.warn(
             f"store entry {key[:12]} is corrupt ({problem}); "
             f"treating it as a cache miss",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
         self.remove(key)
+
+    def _load(self, key: str, artifact: str, sp) -> dict | None:
+        """The one cached load: the read-cache record of ``key`` as the
+        reader of ``artifact`` sees it, or ``None`` on a miss.
+
+        A record holds the entry's ``spec``, its ``meta`` and, as
+        ``value``, the decoded artifact.  A corrupt entry — a
+        ``meta.json`` that breaks the rule of :meth:`_read_meta`, or an
+        artifact its kind names that is missing or does not decode — is
+        retired with a warning and reported as a miss, so a sweep
+        recomputes instead of crashing mid-flight.  An entry whose kind
+        holds another artifact is a plain miss for a trace reader,
+        while a trace entry's result is its ``meta.json`` alone.
+        """
+        ckey = (str(self.root), key, artifact)
+        record = _READ_CACHE.get(ckey)
+        if record is not None:
+            if record["sig"] == self._sig(key, artifact):
+                _READ_CACHE.move_to_end(ckey)
+                metric_inc("repro_store_read_cache_hits_total")
+                if self._touch(key):
+                    record["sig"] = self._sig(key, artifact)
+                sp.annotate(hit=True, cached=True)
+                return record
+            _READ_CACHE.pop(ckey, None)
+        found = self._read_meta(key)
+        if isinstance(found, str):
+            if found != _NO_META:
+                self._corrupt_miss(key, found, stacklevel=4)
+            return None
+        doc, spec = found
+        if _ARTIFACT[spec.kind] == artifact:
+            value = self._decode(key, artifact)
+            if isinstance(value, str):
+                self._corrupt_miss(key, value, stacklevel=4)
+                return None
+        elif artifact == _TRACE:  # a result entry holds no trace
+            return None
+        else:  # a trace's result is its meta.json alone
+            value = {}
+        self._touch(key)
+        metric_inc("repro_store_read_cache_misses_total")
+        record = {"sig": self._sig(key, artifact), "spec": spec,
+                  "meta": doc["meta"], "value": value}
+        _cache_put(ckey, record)
+        sp.annotate(hit=True)
+        return record
 
     def get_result(self, spec_or_key: RunSpec | str) -> RunResult | None:
         """Load a stored :class:`RunResult`, or ``None`` on a miss.
 
-        Truncated or partially-deleted entries — a worker hard-killed
-        mid-publish, a half-finished manual delete, a ``meta.json`` that
-        is not sound (:meth:`_read_meta`) — are retired with a warning
-        and reported as a miss, so a sweep recomputes instead of
-        crashing mid-flight.
+        A ``sim`` or ``penalties`` result carries its series; a trace
+        entry's result is its summary with no arrays.  Corrupt entries
+        are retired with a warning and reported as a miss (see
+        :meth:`_load`).
         """
         key = (
             spec_or_key if isinstance(spec_or_key, str) else spec_or_key.key()
         )
         with span("store.get_result", cat="store", key=key[:12]) as sp:
-            root = str(self.root)
-            ckey = (root, key, "result")
-            record = _cache_get(ckey)
-            if record is not None:
-                if record["sig"] == self._result_sig(key):
-                    metric_inc("repro_store_read_cache_hits_total")
-                    if self._touch(key):
-                        record["sig"] = self._result_sig(key)
-                    sp.annotate(hit=True, cached=True)
-                    return RunResult(
-                        spec=record["spec"],
-                        key=key,
-                        meta=dict(record["meta"]),
-                        arrays=dict(record["arrays"]),
-                    )
-                _READ_CACHE.pop(ckey, None)
-            found = self._read_meta(key)
-            if isinstance(found, str):
-                if found != _NO_META:
-                    self._corrupt_miss(key, found)
+            record = self._load(key, _SERIES, sp)
+            if record is None:
                 return None
-            doc, spec = found
-            meta = doc["meta"]
-            series = self.entry_dir(key) / _SERIES
-            if series.is_file():
-                try:
-                    # np.load reads every member into process memory:
-                    # results are stable snapshots that a later in-place
-                    # overwrite of the entry never changes.
-                    with np.load(series) as npz:
-                        arrays = {name: npz[name] for name in npz.files}
-                except _CORRUPTION_ERRORS as exc:
-                    self._corrupt_miss(key, f"series.npz unreadable: {exc}")
-                    return None
-            elif doc.get("kind") in ("sim", "penalties"):
-                self._corrupt_miss(key, "series.npz missing")
-                return None
-            else:
-                arrays = {}
-            # Cached records share these arrays with every later hit:
-            # freeze them so a caller's in-place edit can't poison reads
-            # other callers see.
-            for arr in arrays.values():
-                arr.setflags(write=False)
-            self._touch(key)
-            metric_inc("repro_store_read_cache_misses_total")
-            _cache_put(
-                ckey,
-                {
-                    "sig": self._result_sig(key),
-                    "spec": spec,
-                    "meta": meta,
-                    "arrays": arrays,
-                },
-            )
-            sp.annotate(hit=True)
             return RunResult(
-                spec=spec, key=key, meta=dict(meta), arrays=dict(arrays)
+                spec=record["spec"],
+                key=key,
+                meta=dict(record["meta"]),
+                arrays=dict(record["value"]),
             )
 
     def get_trace(self, spec_or_key: RunSpec | str) -> Trace | None:
         """Load a stored trace artifact, or ``None`` on a miss.
 
-        Like :meth:`get_result`, a truncated or partially-deleted trace
-        entry — its ``trace.json.gz`` or its ``meta.json`` — is retired
-        with a warning and treated as a miss (the trace cache then
-        regenerates and republishes it).
+        An entry of another kind is a plain miss; a corrupt trace entry
+        is retired with a warning and reported as a miss (see
+        :meth:`_load`), so the trace job regenerates and republishes it.
         """
         key = (
             spec_or_key if isinstance(spec_or_key, str) else spec_or_key.key()
         )
         with span("store.get_trace", cat="store", key=key[:12]) as sp:
-            root = str(self.root)
-            ckey = (root, key, "trace")
-            record = _cache_get(ckey)
-            if record is not None:
-                if record["sig"] == self._trace_sig(key):
-                    metric_inc("repro_store_read_cache_hits_total")
-                    if self._touch(key):
-                        record["sig"] = self._trace_sig(key)
-                    sp.annotate(hit=True, cached=True)
-                    return record["trace"]
-                _READ_CACHE.pop(ckey, None)
-            path = self.entry_dir(key) / _TRACE
-            found = self._read_meta(key)
-            if isinstance(found, str):
-                # A trace without a sound meta.json would be served here
-                # and skipped by every listing: retire it.
-                if found != _NO_META or path.is_file():
-                    self._corrupt_miss(key, found)
-                return None
-            if not path.is_file():
-                # meta.json survived but the artifact did not: without
-                # retiring the husk, put_trace would no-op forever.
-                self._corrupt_miss(key, "trace.json.gz missing")
-                return None
-            try:
-                trace = Trace.load(path)
-            except _CORRUPTION_ERRORS as exc:
-                self._corrupt_miss(key, f"trace.json.gz unreadable: {exc}")
-                return None
-            self._touch(key)
-            metric_inc("repro_store_read_cache_misses_total")
-            _cache_put(ckey, {"sig": self._trace_sig(key), "trace": trace})
-            sp.annotate(hit=True)
-            return trace
+            record = self._load(key, _TRACE, sp)
+            return None if record is None else record["value"]
 
     def remove(self, key: str) -> bool:
         """Delete one entry; returns whether anything was removed."""
@@ -492,11 +499,10 @@ class ResultStore:
         """Stream ``(key, meta document)`` for every published entry.
 
         The streaming complement of :meth:`get_result`: nothing but the
-        small ``meta.json`` is read — no series array is ever loaded —
-        so iterating a million-run store costs a directory walk plus
-        one small JSON parse per entry.  It is the store's one walker:
-        ``repro cache ls``, :meth:`clear` and :meth:`gc` all scan
-        through it.
+        small ``meta.json`` is read — no artifact is ever loaded — so
+        iterating a million-run store costs a directory walk plus one
+        small JSON parse per entry.  ``repro cache ls``, :meth:`clear`
+        and :meth:`gc` all scan through it.
 
         Corrupt entries (a ``meta.json`` that breaks the rule of
         :meth:`_read_meta`) are warn-skipped and retired exactly like
@@ -504,44 +510,34 @@ class ResultStore:
         every listing.  The yielded document is the stored ``meta.json``
         plus ``nbytes`` and ``mtime`` bookkeeping fields.
         """
-        if not self._objects.is_dir():
-            return
-        for shard in sorted(self._objects.iterdir()):
-            if not shard.is_dir():
-                continue
-            for entry in sorted(shard.iterdir()):
-                key = entry.name
-                try:
-                    self.entry_dir(key)
-                except ValueError:
-                    warnings.warn(
-                        f"skipping malformed store entry name {key!r}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    continue
+        for entry in self._walk():
+            key = entry.name
+            try:
                 found = self._read_meta(key)
-                if isinstance(found, str):
-                    if found != _NO_META:
-                        self._corrupt_miss(key, found)
-                    continue
-                doc, _ = found
-                if kind is not None and doc.get("kind") != kind:
-                    continue
-                doc["nbytes"] = sum(
-                    f.stat().st_size for f in entry.iterdir() if f.is_file()
+            except ValueError:
+                warnings.warn(
+                    f"skipping malformed store entry name {key!r}",
+                    RuntimeWarning,
+                    stacklevel=2,
                 )
-                doc["mtime"] = (entry / _META).stat().st_mtime
-                yield key, doc
+                continue
+            if isinstance(found, str):
+                if found != _NO_META:
+                    self._corrupt_miss(key, found)
+                continue
+            doc, _ = found
+            if kind is not None and doc.get("kind") != kind:
+                continue
+            doc["nbytes"] = sum(
+                f.stat().st_size for f in entry.iterdir() if f.is_file()
+            )
+            doc["mtime"] = (entry / _META).stat().st_mtime
+            yield key, doc
 
     # -- maintenance -------------------------------------------------------
     def clear(self, kind: str | None = None) -> int:
         """Remove entries (all, or one ``kind``); returns the count removed."""
-        removed = 0
-        for key, _ in list(self.iter_results(kind=kind)):
-            _evict_read_cache(str(self.root), key)
-            shutil.rmtree(self.entry_dir(key), ignore_errors=True)
-            removed += 1
+        removed = sum(self.remove(key) for key, _ in list(self.iter_results(kind)))
         shutil.rmtree(self._tmp, ignore_errors=True)
         return removed
 
@@ -593,45 +589,18 @@ class ResultStore:
                     total -= doc["nbytes"]
         return removed, freed
 
-    def _verify_entry(self, key: str) -> str | None:
-        """The problem with one published entry, or ``None`` if sound."""
-        entry = self.entry_dir(key)
-        found = self._read_meta(key)
-        if isinstance(found, str):
-            return found
-        doc, _ = found
-        if doc.get("kind") == "trace":
-            path = entry / _TRACE
-            if not path.is_file():
-                return "trace.json.gz missing"
-            try:
-                with gzip.open(path, "rb") as fh:
-                    while fh.read(1 << 20):
-                        pass
-            except _CORRUPTION_ERRORS as exc:
-                return f"trace.json.gz unreadable: {exc}"
-            return None
-        path = entry / _SERIES
-        if not path.is_file():
-            return "series.npz missing"
-        try:
-            with np.load(path) as npz:
-                for name in npz.files:
-                    npz[name]
-        except _CORRUPTION_ERRORS as exc:
-            return f"series.npz unreadable: {exc}"
-        return None
-
     def verify(self, remove: bool = False) -> list[dict]:
         """Scan every entry for corruption; optionally retire the damage.
 
         Hard-killed workers leave three kinds of debris behind: staged
         entries stranded in ``tmp/``, truncated artifacts, and entries a
         partial delete left without their ``meta.json`` or payload.  Each
-        problem is reported as ``{"key", "path", "problem", "removed"}``;
-        with ``remove`` the offending entry (or stray staging directory)
-        is deleted — always safe, since a content-addressed entry is
-        recomputed on the next request.
+        entry is checked by the rule the readers apply, so ``verify``
+        reports exactly the problem text their warning would carry.
+        Each problem is reported as ``{"key", "path", "problem",
+        "removed"}``; with ``remove`` the offending entry (or stray
+        staging directory) is deleted — always safe, since a
+        content-addressed entry is recomputed on the next request.
         """
         problems: list[dict] = []
 
@@ -652,17 +621,16 @@ class ResultStore:
                 }
             )
 
-        if self._objects.is_dir():
-            for shard in sorted(self._objects.iterdir()):
-                if not shard.is_dir():
-                    continue
-                for entry in sorted(shard.iterdir()):
-                    try:
-                        problem = self._verify_entry(entry.name)
-                    except ValueError:
-                        problem = "malformed store key"
-                    if problem is not None:
-                        _report(entry.name, entry, problem)
+        for entry in self._walk():
+            # The readers' meta rule, then their decoder of the artifact.
+            try:
+                found = self._read_meta(entry.name)
+            except ValueError:
+                found = "malformed store key"
+            if not isinstance(found, str):
+                found = self._decode(entry.name, _ARTIFACT[found[1].kind])
+            if isinstance(found, str):
+                _report(entry.name, entry, found)
         if self._tmp.is_dir():
             for stray in sorted(self._tmp.iterdir()):
                 _report(None, stray, "stranded staging entry")

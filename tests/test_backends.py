@@ -12,6 +12,7 @@ one key leave one sound entry.
 from __future__ import annotations
 
 import errno
+import gzip
 import hashlib
 import importlib.util
 import json
@@ -21,6 +22,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +399,77 @@ class TestStoreHardening:
                 (warning,) = caught
                 assert f"({problem})" in str(warning.message)
             assert not store.has(key), reader
+
+    def test_trace_read_of_a_sim_is_a_plain_miss(self, tmp_path):
+        """A sim entry holds no trace: ``get_trace`` of its key misses
+        without a warning and retires nothing."""
+        store, key = self._stored_sim(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert store.get_trace(key) is None
+        assert store.get_result(key) is not None
+        assert store.verify() == []
+
+    def test_malformed_entry_name_is_reported_as_such(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        entry = store.root / "objects" / "zz" / "zzz"
+        entry.mkdir(parents=True)
+        (entry / "meta.json").write_text("{}")
+        with pytest.warns(RuntimeWarning, match="malformed store entry name"):
+            assert list(store.iter_results()) == []
+        (found,) = store.verify()
+        assert (found["key"], found["problem"]) == ("zzz", "malformed store key")
+
+    @pytest.mark.parametrize(
+        "reader", ["get_result", "get_trace", "iter_results"]
+    )
+    def test_corrupt_entry_warning_points_at_the_caller(
+        self, tmp_path, reader
+    ):
+        store, key = self._stored_sim(tmp_path)
+        if reader == "get_trace":
+            key = trace_spec("tp2d", "small").key()
+        (store.entry_dir(key) / "meta.json").write_text("{}")
+        clear_trace_cache(store=store, memory_only=True)
+        with pytest.warns(RuntimeWarning, match="corrupt") as caught:
+            if reader == "iter_results":
+                list(store.iter_results())
+            else:
+                getattr(store, reader)(key)
+        assert [w.filename for w in caught
+                if issubclass(w.category, RuntimeWarning)] == [__file__]
+
+    @pytest.mark.parametrize("damage", ["truncated", "undecodable"])
+    @pytest.mark.parametrize("name", ["series.npz", "trace.json.gz"])
+    def test_verify_and_the_reader_report_one_problem(
+        self, tmp_path, name, damage
+    ):
+        """One decoder per artifact: ``verify`` reports a damaged artifact
+        with the problem text the read path's warning carries."""
+        store, key = self._stored_sim(tmp_path)
+        if name == "trace.json.gz":
+            key = trace_spec("tp2d", "small").key()
+        path = store.entry_dir(key) / name
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:64])
+        elif name == "trace.json.gz":
+            with gzip.open(path, "wb") as fh:  # sound gzip, no JSON inside
+                fh.write(b"not json")
+        else:
+            with zipfile.ZipFile(path, "w") as zf:  # sound zip, no array
+                zf.writestr("time.npy", b"not an array")
+        clear_trace_cache(store=store, memory_only=True)
+        (found,) = store.verify()
+        assert found["key"] == key
+        assert found["problem"].startswith(f"{name} unreadable: ")
+        with pytest.warns(RuntimeWarning) as caught:
+            if name == "trace.json.gz":
+                assert store.get_trace(key) is None
+            else:
+                assert store.get_result(key) is None
+        (warning,) = caught
+        assert f"({found['problem']})" in str(warning.message)
+        assert not store.has(key)
 
     def test_sweep_repairs_unparsable_meta(self, tmp_path):
         store, key = self._stored_sim(tmp_path)

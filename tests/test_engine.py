@@ -343,13 +343,13 @@ class TestExecutor:
         specs = self._sweep()
         run_specs(specs[:2], n_jobs=1, store=store)  # partial sweep, then "killed"
         computed: list[str] = []
-        real_execute = executor_module.execute
+        real_compute = executor_module._compute
 
-        def counting_execute(spec, store=None):
+        def counting_compute(spec, store):
             computed.append(spec.label())
-            return real_execute(spec, store)
+            return real_compute(spec, store)
 
-        monkeypatch.setattr(executor_module, "execute", counting_execute)
+        monkeypatch.setattr(executor_module, "_compute", counting_compute)
         results = run_specs(specs, n_jobs=1, store=store)  # resumed sweep
         assert len(results) == len(specs)
         # The DAG schedules the missing tp2d trace first (its own layer),
@@ -398,12 +398,11 @@ class TestExecutor:
         spec = self._sweep()[0]
         run_spec(spec, store=store)
         computed = []
-        real_execute = executor_module.execute
+        real_compute = executor_module._compute
         monkeypatch.setattr(
             executor_module,
-            "execute",
-            lambda s, st=None: (computed.append(s.label()),
-                                real_execute(s, st))[1],
+            "_compute",
+            lambda s, st: (computed.append(s.label()), real_compute(s, st))[1],
         )
         run_specs([spec], store=store, force=True)
         assert computed == [spec.label()]
@@ -675,7 +674,7 @@ class TestCli:
         def no_compute(spec, store=None):
             raise AssertionError(f"warm report computed {spec.label()}")
 
-        monkeypatch.setattr(executor_module, "execute", no_compute)
+        monkeypatch.setattr(executor_module, "_compute", no_compute)
         assert main(argv) == 0
         assert capsys.readouterr().out == cold
 

@@ -176,7 +176,7 @@ class TestFigures:
         def no_compute(spec, store=None):
             raise AssertionError(f"warm figure computed {spec.label()}")
 
-        monkeypatch.setattr(executor_module, "execute", no_compute)
+        monkeypatch.setattr(executor_module, "_compute", no_compute)
         warm = figures(ResultStore(store.root))
         for name, fig in cold.items():
             assert sorted(warm[name]) == sorted(fig)

@@ -66,6 +66,8 @@ REMOVED_NAMES = {
     "_app_ndim": ("repro.engine.spec",),
     "_check_scale": ("repro.experiments.workloads",),
     "_generate": ("repro.experiments.workloads",),
+    "trace_meta": ("repro.engine.executor",),
+    "_cache_get": ("repro.engine.store",),
 }
 
 #: ``(module, class, attribute)``: retired methods.
@@ -88,6 +90,10 @@ REMOVED_METHODS = [
     ("repro.telemetry", "TelemetryRecorder", "bind_jsonl"),
     ("repro.telemetry", "TelemetryRecorder", "flush"),
     ("repro.telemetry", "TelemetryRecorder", "subtree"),
+    ("repro.engine", "ResultStore", "load_meta"),
+    ("repro.engine", "ResultStore", "_result_sig"),
+    ("repro.engine", "ResultStore", "_trace_sig"),
+    ("repro.engine", "ResultStore", "_verify_entry"),
 ]
 
 #: ``(module, callable, parameter)``: second paths with one value in use.

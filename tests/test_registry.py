@@ -237,7 +237,7 @@ class TestEngineSurface:
         import repro.engine as engine
         import repro.engine.components as components
 
-        assert ENGINE_API_VERSION == "11.1"
+        assert ENGINE_API_VERSION == "12.0"
         assert not [n for n in engine.__all__ if n.startswith("make_")]
         assert not [n for n in vars(components) if n.startswith("make_")]
 

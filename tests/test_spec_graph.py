@@ -41,13 +41,13 @@ def _fresh_trace_memo():
 
 def _count_executes(monkeypatch):
     computed: list[str] = []
-    real_execute = executor_module.execute
+    real_compute = executor_module._compute
 
-    def counting_execute(spec, store=None):
+    def counting_compute(spec, store):
         computed.append(spec.label())
-        return real_execute(spec, store)
+        return real_compute(spec, store)
 
-    monkeypatch.setattr(executor_module, "execute", counting_execute)
+    monkeypatch.setattr(executor_module, "_compute", counting_compute)
     return computed
 
 
@@ -188,10 +188,10 @@ class TestDagExecutor:
 
     def test_missing_input_fails_cleanly(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path / "store")
-        real_execute = executor_module.execute
+        real_compute = executor_module._compute
         executed: list[str] = []
 
-        def broken_execute(spec, store=None):
+        def broken_compute(spec, store):
             executed.append(spec.label())
             if spec.kind == "trace":
                 # Simulate a worker that died before publishing: return a
@@ -201,12 +201,13 @@ class TestDagExecutor:
                     arrays = {}
                     meta = {}
 
-                return _Hollow()
-            return real_execute(spec, store)
+                return _Hollow(), object()
+            return real_compute(spec, store)
 
-        monkeypatch.setattr(executor_module, "execute", broken_execute)
+        monkeypatch.setattr(executor_module, "_compute", broken_compute)
         monkeypatch.setattr(
-            type(store), "put_result", lambda self, result, overwrite=False: None
+            type(store), "put_trace",
+            lambda self, spec, trace, meta, overwrite=False: None,
         )
         with pytest.raises(MissingInputError, match="trace:bl2d:small"):
             run_specs(
@@ -214,6 +215,59 @@ class TestDagExecutor:
             )
         # The dependent sim was never attempted.
         assert executed == ["trace:bl2d:small"]
+
+    def test_force_recomputes_a_sim_whose_trace_reads_back_corrupt(
+        self, tmp_path, monkeypatch
+    ):
+        """The stored sim stays in place while its forced run fails on
+        the corrupt trace, so the run itself, not the read-back, marks
+        it for the second plan."""
+        store = ResultStore(tmp_path / "store")
+        spec = sim_spec("tp2d", "small", nprocs=NPROCS)
+        run_specs([spec], store=store)
+        path = store.entry_dir(trace_spec("tp2d", "small").key())
+        (path / "trace.json.gz").write_bytes(b"junk")
+        computed = _count_executes(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="trace.json.gz unreadable"):
+            (result,) = run_specs([spec], store=store, force=True)
+        assert computed == [spec.label(), "trace:tp2d:small", spec.label()]
+        assert result.key == spec.key()
+        assert store.has(trace_spec("tp2d", "small").key())
+
+    def test_spec_still_missing_after_a_second_run_is_named(
+        self, tmp_path, monkeypatch
+    ):
+        store = ResultStore(tmp_path / "store")
+        spec = trace_spec("tp2d", "small")
+        monkeypatch.setattr(ResultStore, "get_result", lambda self, key: None)
+        with pytest.raises(
+            RuntimeError, match=rf"trace:tp2d:small \({spec.key()[:12]}\)"
+        ):
+            run_specs([spec], store=store)
+
+    def test_paper_trace_serves_its_run_trace_without_a_publish(
+        self, tmp_path, monkeypatch
+    ):
+        """When another writer published the key first, the run's own
+        publish is skipped; the trace it generated is still served."""
+        monkeypatch.setattr(
+            ResultStore, "put_trace",
+            lambda self, spec, trace, meta, overwrite=False: None,
+        )
+        trace = paper_trace("tp2d", "small", store=ResultStore(tmp_path))
+        assert trace is not None and len(trace) > 0
+
+    def test_execute_publishes_nothing_and_generates_no_input(
+        self, tmp_path
+    ):
+        store = ResultStore(tmp_path / "store")
+        with pytest.raises(MissingInputError, match="trace:tp2d:small"):
+            executor_module.execute(
+                sim_spec("tp2d", "small", nprocs=NPROCS), store
+            )
+        trace = executor_module.execute(trace_spec("tp2d", "small"), store)
+        assert trace.meta["stats"]["nsteps"] > 0
+        assert list(store.iter_results()) == []
 
     def test_stored_result_with_evicted_trace_executes_zero_jobs(
         self, tmp_path, monkeypatch, capsys

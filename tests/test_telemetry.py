@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from repro.engine import (
     ResultStore,
     cli,
     executor,
+    paper_trace,
     penalties_spec,
     run_spec,
     run_specs,
@@ -338,6 +340,19 @@ def _recorded_sweep(tmp_path, monkeypatch, mode: str, n_jobs: int):
     return store, executed
 
 
+def _assert_one_profile_per_entry(store, n_entries: int) -> None:
+    """Each of the store's ``n_entries`` entries left one run profile,
+    and only a trace's holds ``trace.generate``."""
+    entries = {key for key, _ in store.iter_results()}
+    profiles = {path.stem for path in find_run_profiles(store.root)}
+    assert len(entries) == n_entries
+    assert profiles == entries
+    for key in entries:
+        doc = load_run_profile(store.root, key)
+        names = {e["name"] for e in doc["spans"]}
+        assert ("trace.generate" in names) == (doc["kind"] == "trace")
+
+
 class TestRunRecords:
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_one_run_profile_per_executed_spec(
@@ -416,14 +431,62 @@ class TestRunRecords:
         store = ResultStore(tmp_path / "store")
         assert cli.main(["run", "--app", "tp2d", "--scale", "small",
                          "--cache-dir", str(store.root)]) == 0
-        entries = {key for key, _ in store.iter_results()}
-        profiles = {path.stem for path in find_run_profiles(store.root)}
-        assert len(entries) == 2
-        assert profiles == entries
-        for key in entries:
-            doc = load_run_profile(store.root, key)
-            names = {e["name"] for e in doc["spans"]}
-            assert ("trace.generate" in names) == (doc["kind"] == "trace")
+        _assert_one_profile_per_entry(store, 2)
+
+    def test_read_back_fallback_leaves_one_profile_per_entry(
+        self, tmp_path, monkeypatch
+    ):
+        """A stored sim whose series reads back corrupt, with its trace
+        gone, is planned again: the trace is its own run, not the sim's."""
+        store = ResultStore(tmp_path / "store")
+        spec = sim_spec("tp2d", "small", nprocs=NPROCS)
+        run_specs([spec], store=store)
+        (store.entry_dir(spec.key()) / "series.npz").write_bytes(b"junk")
+        assert store.remove(trace_spec("tp2d", "small").key())
+        monkeypatch.setenv(TELEMETRY_ENV, "json")
+        with pytest.warns(RuntimeWarning, match="series.npz unreadable"):
+            run_specs([spec], store=store)
+        _assert_one_profile_per_entry(store, 2)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_corrupt_stored_trace_heals_in_one_sweep(
+        self, tmp_path, monkeypatch, n_jobs
+    ):
+        """A stored trace that turns out corrupt is retired by the first
+        sim that reads it; the sims that lost it are planned again in
+        the same call, behind the trace's own run."""
+        sims = [sim_spec("tp2d", "small", nprocs=n) for n in (NPROCS, 8)]
+        expected = run_specs(sims, store=ResultStore(tmp_path / "clean"))
+        store = ResultStore(tmp_path / "store")
+        paper_trace("tp2d", "small", store=store)
+        path = store.entry_dir(trace_spec("tp2d", "small").key())
+        path = path / "trace.json.gz"
+        path.write_bytes(path.read_bytes()[:100])
+        monkeypatch.setenv(TELEMETRY_ENV, "json")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = run_specs(sims, store=store, n_jobs=n_jobs)
+        if n_jobs == 1:  # a pool worker warns in its own process
+            assert any("trace.json.gz unreadable" in str(w.message)
+                       for w in caught)
+        for got, want in zip(results, expected):
+            assert got.key == want.key
+            assert np.array_equal(got.arrays["time"], want.arrays["time"])
+        _assert_one_profile_per_entry(store, 3)
+        for key, _ in store.iter_results():
+            assert load_run_profile(store.root, key)["outcome"] == "completed"
+
+    def test_cold_paper_trace_is_its_own_run(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(TELEMETRY_ENV, "json")
+        store = ResultStore(tmp_path / "store")
+        runs = metrics_registry().counter_value(
+            "repro_runs_total", kind="trace", outcome="completed"
+        )
+        paper_trace("tp2d", "small", store=store)
+        _assert_one_profile_per_entry(store, 1)
+        assert metrics_registry().counter_value(
+            "repro_runs_total", kind="trace", outcome="completed"
+        ) == runs + 1
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +515,13 @@ def _assert_failure_record(store, spec) -> dict:
 
 def _fail_once(monkeypatch, exc: BaseException) -> None:
     """Make the next execution raise ``exc``; later ones run normally."""
-    real = executor.execute
+    real = executor._compute
 
-    def flaky(spec, store=None):
-        monkeypatch.setattr(executor, "execute", real)
+    def flaky(spec, store):
+        monkeypatch.setattr(executor, "_compute", real)
         raise exc
 
-    monkeypatch.setattr(executor, "execute", flaky)
+    monkeypatch.setattr(executor, "_compute", flaky)
 
 
 class TestFailureRecords:
