@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import paper_trace
-from repro.partition import DomainSfcPartitioner, NaturePlusFable, column_workloads
+from repro.partition import DomainSfcPartitioner, NaturePlusFable
 from repro.sfc import hilbert_key_nd, morton_key_nd
 from repro.simulator import TraceSimulator
 
@@ -44,7 +44,7 @@ def test_morton_keys_3d(benchmark):
 
 def test_column_workloads_3d(benchmark, hierarchy_pair):
     _, cur = hierarchy_pair
-    weights = benchmark(column_workloads, cur, 2)
+    weights = benchmark(cur.column_workloads, 2)
     assert weights.sum() == pytest.approx(cur.workload)
 
 

@@ -19,11 +19,15 @@ Three workloads are exercised: the paper's 2-D scale, the 3-D ``deep``
 scale (512^3 finest index space) and the 3-D ``ultra`` scale (64^3
 base, 5 levels — a 1024^3 finest index space); at
 ``REPRO_BENCH_SCALE=small`` all three shrink to the CI-sized variant.
-The 3-D workloads run on the partitioners' *uncoalesced* maps: those
-are the operands the partitioner-internal pair queries still see, while
-the coalesced maps the simulator measures hold ~15x fewer boxes.  At
-``ultra`` the brute-force path is *not run* — its candidate product
-(printed from the kernel counters) is the infeasibility record.  The
+The 3-D workloads run with every merge patched out: the one coalesce
+behind ``cell_boxes`` and ``OwnerMap.coalesced``
+(``ownermap._coalesce_rows``) is the identity, so the maps hold
+Nature+Fable's unit runs clipped to the patches, the grid's stress
+operands.  The maps Nature+Fable hands over (merged by ``cell_boxes``)
+hold 6-10x fewer boxes, and the coalesced maps the simulator measures
+15-30x fewer.  At ``ultra`` the brute-force path is *not run* — its
+candidate product (printed from the kernel counters) is the
+infeasibility record.  The
 printed table, including candidate vs exact vs brute-force pair counts,
 is the reproduction record.
 
@@ -37,13 +41,11 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-from unittest import mock
 
 import pytest
 
 from repro.engine.components import create
 from repro.experiments import paper_trace
-from repro.geometry import OwnerMap
 from repro.simulator import (
     TraceSimulator,
     ghost_exchange_cells,
@@ -63,9 +65,11 @@ GRID = ORACLES["grid"]
 
 
 def _uncoalesced_distributions(app: str, scale: str):
-    """:func:`_distributions` on the maps the partitioners built, before
-    :class:`PartitionResult` coalesces them."""
-    with mock.patch.object(OwnerMap, "coalesced", lambda self: self):
+    """:func:`_distributions` with every merge patched out (the
+    ``coalesce`` row's reference): neither ``cell_boxes`` nor
+    :class:`PartitionResult` coalesces, so the maps hold the
+    partitioners' unit runs clipped to the patches."""
+    with ORACLES["coalesce"].reference():
         return _distributions(app, scale)
 
 
@@ -175,9 +179,9 @@ def test_pair_kernels_3d_deep(benchmark):
     """3-D deep: the indexed metric set must be >= 3x faster.
 
     At ``REPRO_BENCH_SCALE=paper`` this runs the true ``deep`` scale
-    (512^3 finest index space) on ~24k uncoalesced boxes; the CI-sized
-    ``small`` fallback only asserts agreement (tiny inputs can't show
-    the asymptotic win).
+    (512^3 finest index space) on ~26k boxes, every merge patched out;
+    the CI-sized ``small`` fallback only asserts agreement (tiny inputs
+    can't show the asymptotic win).
     """
     scale = "deep" if bench_scale() == "paper" else "small"
     distributions = _uncoalesced_distributions("tp3d", scale)
@@ -194,7 +198,7 @@ def test_pair_kernels_3d_deep(benchmark):
 def test_pair_kernels_3d_ultra(benchmark):
     """3-D ultra (1024^3 finest space): indexed only — brute infeasible.
 
-    Runs on the partitioners' uncoalesced maps (~60k boxes at ``ultra``).
+    Runs with every merge patched out (~66k boxes at ``ultra``).
     The brute-force candidate product is printed from the kernel
     counters as the infeasibility record; the quadratic path is not
     executed at this scale.

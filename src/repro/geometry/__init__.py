@@ -5,6 +5,7 @@ from .boxlist import BoxList, coalesce_boxes, intersection_volume
 from .ownermap import (
     OwnerMap,
     box_corners,
+    cell_boxes,
     corner_volumes,
     face_contacts,
     first_cells_in_scan_order,
@@ -19,8 +20,6 @@ from .pairindex import candidate_pairs
 from .raster import (
     NO_OWNER,
     add_box_overlap,
-    boxes_from_labels,
-    boxes_from_mask,
     paint_box,
     rasterize_mask,
 )
@@ -33,6 +32,7 @@ __all__ = [
     "intersection_volume",
     "OwnerMap",
     "box_corners",
+    "cell_boxes",
     "corner_volumes",
     "face_contacts",
     "first_cells_in_scan_order",
@@ -45,8 +45,6 @@ __all__ = [
     "candidate_pairs",
     "NO_OWNER",
     "add_box_overlap",
-    "boxes_from_labels",
-    "boxes_from_mask",
     "paint_box",
     "rasterize_mask",
 ]

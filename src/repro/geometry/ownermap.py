@@ -51,11 +51,12 @@ from .pairindex import (
     _record_exact,
     candidate_pairs,
 )
-from .raster import NO_OWNER, boxes_from_labels, paint_box
+from .raster import NO_OWNER, paint_box
 
 __all__ = [
     "OwnerMap",
     "box_corners",
+    "cell_boxes",
     "corner_volumes",
     "pair_intersections",
     "face_contacts",
@@ -543,6 +544,72 @@ def _merge_abutting(
     return out, r[starts]
 
 
+def _coalesce_rows(
+    corners: np.ndarray, ranks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge same-rank boxes, one axis at a time, until every axis is
+    settled (a pass along it merges nothing); the input arrays come back
+    when nothing merged.
+
+    The one merge behind :meth:`OwnerMap.coalesced` and
+    :func:`cell_boxes`.
+    """
+    ndim = corners.shape[1] // 2
+    settled: set[int] = set()
+    axis = 0
+    while len(settled) < ndim and corners.shape[0] > 1:
+        joined = _merge_abutting(corners, ranks, axis)
+        if joined is None:
+            settled.add(axis)
+        else:
+            corners, ranks = joined
+            settled = {axis}
+        axis = (axis + 1) % ndim
+    return corners, ranks
+
+
+def cell_boxes(
+    coords: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labelled cells as disjoint boxes of one label each.
+
+    ``coords`` is ``(k, ndim)`` integer cell coordinates (any order, no
+    duplicates) and ``labels`` one integer per cell.  Returns
+    ``(corners, labels)``: ``(nboxes, 2*ndim)`` int64 rows whose union is
+    exactly the given cells, and the label of each row.  Cells first join
+    into maximal same-label runs along the last axis, then the runs merge
+    through :func:`_coalesce_rows`.  The runs come from one row-major
+    sort of the cells themselves: merging one unit box per cell instead
+    would sort twice the keys and hold twice the memory.  This is how the
+    partitioners turn labelled units into owner-map boxes, and how
+    :meth:`OwnerMap.from_raster` lifts a dense raster.
+    """
+    coords = np.asarray(coords, dtype=np.int64)
+    labels = np.asarray(labels)
+    if coords.ndim != 2 or coords.shape[1] < 1:
+        raise ValueError(f"coords must be (k, ndim >= 1), got {coords.shape}")
+    if labels.shape != coords.shape[:1]:
+        raise ValueError(
+            f"{labels.shape} labels do not match {coords.shape[0]} cells"
+        )
+    k, ndim = coords.shape
+    if k == 0:
+        return np.empty((0, 2 * ndim), dtype=np.int64), labels
+    # Row-major: axis 0 is the primary sort key (lexsort's last).
+    order = np.lexsort(coords.T[::-1])
+    c, labels = coords[order], labels[order]
+    start = np.ones(k, dtype=bool)
+    start[1:] = (
+        (labels[1:] != labels[:-1])
+        | (c[1:, :-1] != c[:-1, :-1]).any(axis=1)
+        | (c[1:, -1] != c[:-1, -1] + 1)
+    )
+    starts = np.flatnonzero(start)
+    ends = np.append(starts[1:], k)
+    corners = np.concatenate((c[starts], c[ends - 1] + 1), axis=1)
+    return _coalesce_rows(corners, labels[starts])
+
+
 def prefix_corners(shape: Sequence[int], count: int) -> np.ndarray:
     """The first ``count`` cells of a row-major grid as <= ndim boxes.
 
@@ -696,13 +763,13 @@ class OwnerMap:
 
     @staticmethod
     def from_raster(raster: np.ndarray) -> "OwnerMap":
-        """Decompose a dense owner raster (``NO_OWNER`` background)."""
-        boxes, values = boxes_from_labels(raster, background=NO_OWNER)
-        return OwnerMap(
-            raster.shape,
-            box_corners(boxes, raster.ndim),
-            np.asarray(values, dtype=np.int32),
-        )
+        """Decompose a dense integer owner raster (``NO_OWNER`` background)."""
+        raster = np.asarray(raster)
+        if not np.issubdtype(raster.dtype, np.integer):
+            raise ValueError(f"owner rasters must be integer, got {raster.dtype}")
+        owned = raster != NO_OWNER
+        corners, ranks = cell_boxes(np.argwhere(owned), raster[owned])
+        return OwnerMap(raster.shape, corners, ranks)
 
     # -- queries -----------------------------------------------------------
     @property
@@ -750,22 +817,13 @@ class OwnerMap:
 
         Merges boxes that abut along one axis over an equal
         cross-section, one axis at a time, until every axis is settled
-        (a pass along it merges nothing).  The result is ``==`` to this
-        map; ``self`` comes back when nothing merged.  Every pair
-        kernel's cost grows with the box count, and partitioners emit
-        far more boxes than their regions need.
+        (a pass along it merges nothing): :func:`_coalesce_rows`, the
+        merge :func:`cell_boxes` ends with too.  The result is ``==`` to
+        this map; ``self`` comes back when nothing merged.  Every pair
+        kernel's cost grows with the box count, and clipping and overlays
+        cut a partitioner's regions into more boxes than they need.
         """
-        corners, ranks = self.corners, self.ranks
-        settled: set[int] = set()
-        axis = 0
-        while len(settled) < self.ndim and corners.shape[0] > 1:
-            joined = _merge_abutting(corners, ranks, axis)
-            if joined is None:
-                settled.add(axis)
-            else:
-                corners, ranks = joined
-                settled = {axis}
-            axis = (axis + 1) % self.ndim
+        corners, ranks = _coalesce_rows(self.corners, self.ranks)
         if corners is self.corners:
             return self
         return OwnerMap(self.shape, corners, ranks)

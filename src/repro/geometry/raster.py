@@ -1,15 +1,16 @@
-"""Rasterization of boxes onto dense numpy grids, and its inverse.
+"""Rasterization of boxes onto dense numpy grids.
 
 Dense rasters serve where a kernel works cell by cell on a level's index
-space: the apps flag cells and cluster the flags into patches, the
+space: the apps flag cells and cluster the flags into patches, and the
 hierarchy marks the refined base cells Nature+Fable separates into Hues
-and Cores, and the partitioners lift dense unit-owner rasters into owner
-maps.  The simulator's load, ghost communication and migration run on
-sparse owner maps (:mod:`repro.geometry.ownermap`), never on rasters.
+and Cores.  The way back, from labelled cells to disjoint boxes, is
+:func:`~repro.geometry.ownermap.cell_boxes`, which takes cell
+coordinates rather than a raster.  The simulator's load, ghost
+communication and migration run on sparse owner maps
+(:mod:`repro.geometry.ownermap`), never on rasters.
 
 All helpers are dimension-general: :func:`add_box_overlap` sums box
-volumes per block of any rank without a raster, and
-:func:`boxes_from_mask` decomposes masks of any rank.
+volumes per block of any rank without a raster.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ __all__ = [
     "NO_OWNER",
     "rasterize_mask",
     "paint_box",
-    "boxes_from_mask",
-    "boxes_from_labels",
     "add_box_overlap",
 ]
 
@@ -69,118 +68,6 @@ def rasterize_mask(boxes: Iterable[Box], domain: Box) -> np.ndarray:
     for b in boxes:
         paint_box(mask, b, True)  # type: ignore[arg-type]
     return mask
-
-
-def _runs_of(row: np.ndarray) -> list[Box]:
-    """Maximal 1-D runs of True cells, in ascending order."""
-    idx = np.flatnonzero(row)
-    if idx.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [idx.size - 1]))
-    return [Box((int(idx[s]),), (int(idx[e]) + 1,)) for s, e in zip(starts, ends)]
-
-
-def boxes_from_mask(mask: np.ndarray) -> list[Box]:
-    """Decompose a boolean raster into disjoint boxes (greedy slab merge).
-
-    Works in any dimension: each slab along the first axis is decomposed
-    recursively, and identical sub-boxes of consecutive slabs are merged
-    greedily along the first axis (the N-D generalization of the classic
-    row-run merge).  Exact (the union of the result equals the mask) but
-    not minimal; used to recover patch sets from masks in tests and in the
-    clustering fallback path.
-
-    The output order is deterministic: boxes are emitted as their extent
-    along the first axis closes, sub-boxes in recursive scan order.
-    """
-    mask = np.asarray(mask)
-    if mask.ndim < 1:
-        raise ValueError("boxes_from_mask needs at least a 1-d mask")
-    if mask.dtype != bool:
-        mask = mask.astype(bool)
-    if mask.ndim == 1:
-        return _runs_of(mask)
-    nslabs = mask.shape[0]
-    # Active sub-boxes: sub-box -> start slab, carried while identical.
-    # Insertion order is deterministic, so iteration (and hence output
-    # order) is too.
-    active: dict[Box, int] = {}
-    out: list[Box] = []
-
-    def close(sub: Box, start: int, stop: int) -> None:
-        out.append(Box((start, *sub.lo), (stop, *sub.hi)))
-
-    for r in range(nslabs):
-        current = boxes_from_mask(mask[r])
-        current_set = set(current)
-        for sub in [s for s in active if s not in current_set]:
-            close(sub, active.pop(sub), r)
-        for sub in current:
-            if sub not in active:
-                active[sub] = r
-    for sub, start in active.items():
-        close(sub, start, nslabs)
-    return out
-
-
-def _label_runs_of(row: np.ndarray, background: int) -> list[tuple[Box, int]]:
-    """Maximal 1-D runs of equal non-background values, ascending."""
-    fg = row != background
-    idx = np.flatnonzero(fg)
-    if idx.size == 0:
-        return []
-    vals = row[idx]
-    breaks = np.flatnonzero((np.diff(idx) > 1) | (np.diff(vals) != 0))
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [idx.size - 1]))
-    return [
-        (Box((int(idx[s]),), (int(idx[e]) + 1,)), int(vals[s]))
-        for s, e in zip(starts, ends)
-    ]
-
-
-def boxes_from_labels(
-    array: np.ndarray, background: int = NO_OWNER
-) -> tuple[list[Box], list[int]]:
-    """Decompose an integer label raster into disjoint single-value boxes.
-
-    The labeled generalization of :func:`boxes_from_mask` (same greedy
-    slab merge, same deterministic output order): every returned box
-    covers cells of exactly one value, and their union is exactly the
-    non-``background`` region.  This is how dense owner rasters are lifted
-    into sparse :class:`~repro.geometry.ownermap.OwnerMap` form.
-    """
-    array = np.asarray(array)
-    if array.ndim < 1:
-        raise ValueError("boxes_from_labels needs at least a 1-d array")
-    if not np.issubdtype(array.dtype, np.integer):
-        raise ValueError(f"label rasters must be integer, got {array.dtype}")
-    if array.ndim == 1:
-        pairs = _label_runs_of(array, background)
-        return [b for b, _ in pairs], [v for _, v in pairs]
-    nslabs = array.shape[0]
-    active: dict[tuple[Box, int], int] = {}
-    boxes: list[Box] = []
-    values: list[int] = []
-
-    def close(sub: Box, value: int, start: int, stop: int) -> None:
-        boxes.append(Box((start, *sub.lo), (stop, *sub.hi)))
-        values.append(value)
-
-    for r in range(nslabs):
-        sub_boxes, sub_values = boxes_from_labels(array[r], background)
-        current = list(zip(sub_boxes, sub_values))
-        current_set = set(current)
-        for key in [k for k in active if k not in current_set]:
-            close(*key, active.pop(key), r)
-        for key in current:
-            if key not in active:
-                active[key] = r
-    for key, start in active.items():
-        close(*key, start, nslabs)
-    return boxes, values
 
 
 def add_box_overlap(

@@ -12,7 +12,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..geometry import Box, BoxList, paint_box
+from ..geometry import Box, BoxList, add_box_overlap, paint_box
 from .level import PatchLevel
 
 __all__ = ["GridHierarchy"]
@@ -119,6 +119,35 @@ class GridHierarchy:
         for level in self.levels[1 : level_index + 1]:
             ratio *= level.ratio
         return ratio
+
+    def column_workloads(self, unit_size: int = 1) -> np.ndarray:
+        """Workload of the refinement column above each atomic unit.
+
+        Units are ``unit_size``-sided blocks of base cells, so the result
+        has shape ``base_shape // unit_size``.  A unit weighs ``sum_l w_l *
+        (refined cells of level l above the unit)`` with ``w_l`` the
+        time-refinement weight: the work a rank inherits by owning that
+        piece of the domain.  Domain-based partitioners weigh their units
+        with it, Nature+Fable its Hues and Cores, and ``beta_L`` reads its
+        localization at ``unit_size=1``.  Accumulated patch by patch
+        through :func:`~repro.geometry.add_box_overlap`: the volumes are
+        integer-valued, so the float sums are exact and equal the dense
+        ``block_sum`` of the level masks in ``tests/dense_oracle.py``.
+        """
+        base_shape = self.domain.shape
+        if any(s % unit_size for s in base_shape):
+            raise ValueError(
+                f"unit_size {unit_size} does not divide base shape {base_shape}"
+            )
+        weights = np.zeros(
+            tuple(s // unit_size for s in base_shape), dtype=np.float64
+        )
+        for level in self.levels:
+            block = unit_size * self.cumulative_ratio(level.index)
+            w = float(level.time_refinement_weight())
+            for patch in level.patches:
+                add_box_overlap(weights, patch, block, w)
+        return weights
 
     # -- masks --------------------------------------------------------------
     def refined_mask_on_base(self) -> np.ndarray:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import add_box_overlap, intersection_volume
+from ..geometry import intersection_volume
 from ..hierarchy import GridHierarchy
 
 __all__ = [
@@ -171,15 +171,7 @@ def load_imbalance_penalty(hierarchy: GridHierarchy) -> float:
     * one deep needle of refinement -> max column dwarfs the mean ->
       ``beta_L -> 1``.
     """
-    work = np.zeros(hierarchy.domain.shape, dtype=np.float64)
-    for level in hierarchy:
-        ratio = hierarchy.cumulative_ratio(level.index)
-        w = float(level.time_refinement_weight())
-        # Per-patch block overlaps are integer-valued, so the float
-        # accumulation is exact — identical to the dense mask block_sum
-        # of tests/dense_oracle.py.
-        for patch in level.patches:
-            add_box_overlap(work, patch, ratio, w)
+    work = hierarchy.column_workloads()
     peak = work.max()
     if peak == 0:
         return 0.0

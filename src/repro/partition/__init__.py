@@ -14,7 +14,7 @@ The P component of the paper's PAC-triple.  Families (section 2.2):
 
 from .base import PartitionResult, Partitioner, proc_loads
 from .chains import exact_chains, greedy_chains, segments_to_ranks
-from .domain_sfc import DomainSfcPartitioner, column_workloads
+from .domain_sfc import DomainSfcPartitioner
 from .hybrid import NatureFableParams, NaturePlusFable
 from .patch_based import PatchBasedPartitioner
 from .sticky import StickyRepartitioner
@@ -27,7 +27,6 @@ __all__ = [
     "greedy_chains",
     "segments_to_ranks",
     "DomainSfcPartitioner",
-    "column_workloads",
     "NatureFableParams",
     "NaturePlusFable",
     "PatchBasedPartitioner",

@@ -10,11 +10,14 @@ deep, localized hierarchies ("bad cuts").
 
 Implementation: atomic units are ``unit_size``-sided blocks of base cells
 (squares in 2-D, cubes in 3-D, ...) ordered along a space-filling curve;
-unit weights are the exact column workloads, accumulated *sparsely* from
-the patch boxes (per-patch block-overlap volumes — no fine-level rasters
-are ever materialized, so paper-scale 3-D hierarchies stay cheap);
-chains-on-chains splits the 1-D sequence and the per-level owner maps are
-the unit blocks refined to each level and clipped against its patches.
+unit weights are the exact column workloads
+(:meth:`GridHierarchy.column_workloads
+<repro.hierarchy.GridHierarchy.column_workloads>`, accumulated *sparsely*
+from the patch boxes — no fine-level rasters are ever materialized, so
+paper-scale 3-D hierarchies stay cheap); chains-on-chains splits the 1-D
+sequence, :func:`~repro.geometry.cell_boxes` merges same-rank units
+into boxes, and the per-level owner maps are those boxes refined to each
+level and clipped against its patches.
 The unit-vs-patch clipping runs through
 :func:`~repro.geometry.pair_intersections`, whose grid-bucket candidates
 keep the overlap query near-linear in blocks + patches at
@@ -25,48 +28,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geometry import (
-    OwnerMap,
-    add_box_overlap,
-    box_corners,
-    boxes_from_labels,
-    pair_intersections,
-)
+from ..geometry import OwnerMap, box_corners, cell_boxes, pair_intersections
 from ..hierarchy import GridHierarchy
 from ..sfc import sfc_order_nd
 from .base import PartitionResult, Partitioner
 from .chains import exact_chains, greedy_chains, segments_to_ranks
 
-__all__ = ["DomainSfcPartitioner", "column_workloads"]
-
-
-def column_workloads(
-    hierarchy: GridHierarchy, unit_size: int
-) -> np.ndarray:
-    """Workload of each atomic-unit column, shape ``base_shape // unit``.
-
-    The weight of a unit is ``sum_l w_l * (refined cells of level l above
-    the unit)`` with ``w_l`` the time-refinement weight — exactly the work
-    a rank inherits by owning that piece of the domain.  Works for any
-    spatial dimensionality of the hierarchy.  Computed patch by patch via
-    block-overlap volumes (all integer-valued, so the float accumulation
-    is exact and identical to the dense ``block_sum`` of the level masks
-    in ``tests/dense_oracle.py``).
-    """
-    base_shape = hierarchy.domain.shape
-    if any(s % unit_size for s in base_shape):
-        raise ValueError(
-            f"unit_size {unit_size} does not divide base shape {base_shape}"
-        )
-    unit_shape = tuple(s // unit_size for s in base_shape)
-    weights = np.zeros(unit_shape, dtype=np.float64)
-    for level in hierarchy:
-        ratio = hierarchy.cumulative_ratio(level.index)
-        block = unit_size * ratio  # fine cells per unit per axis
-        w = float(level.time_refinement_weight())
-        for patch in level.patches:
-            add_box_overlap(weights, patch, block, w)
-    return weights
+__all__ = ["DomainSfcPartitioner"]
 
 
 class DomainSfcPartitioner(Partitioner):
@@ -122,7 +90,7 @@ class DomainSfcPartitioner(Partitioner):
         previous: PartitionResult | None = None,
     ) -> PartitionResult:
         """Assign atomic-unit columns to ranks along the curve."""
-        weights = column_workloads(hierarchy, self.unit_size)
+        weights = hierarchy.column_workloads(self.unit_size)
         unit_shape = weights.shape
         coords = [c.ravel() for c in np.indices(unit_shape)]
         order_bits = max(1, int(np.ceil(np.log2(max(unit_shape)))))
@@ -133,11 +101,10 @@ class DomainSfcPartitioner(Partitioner):
         seq_ranks = segments_to_ranks(bounds, seq_weights.size)
         unit_owner = np.empty(weights.size, dtype=np.int32)
         unit_owner[order] = seq_ranks
-        unit_owner = unit_owner.reshape(unit_shape)
         # Sparse expansion: unit blocks -> rank boxes -> clip per level.
-        unit_boxes, unit_ranks = boxes_from_labels(unit_owner)
-        unit_corners = box_corners(unit_boxes, hierarchy.ndim)
-        unit_ranks = np.asarray(unit_ranks, dtype=np.int32)
+        unit_corners, unit_ranks = cell_boxes(
+            np.stack(coords, axis=1), unit_owner
+        )
         maps = []
         for level in hierarchy:
             scale = self.unit_size * hierarchy.cumulative_ratio(level.index)

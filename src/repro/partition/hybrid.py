@@ -30,8 +30,11 @@ small atomic unit, select a large Q, choose fractional blocking"):
 assignment; ``q > 1`` trades locality for balance via LPT over chunks) and
 ``fractional_blocking`` (cell-granularity boundary blocks).
 
-Representation: only base-grid arrays are ever materialized.  Bi-level
-block weights are accumulated patch by patch (exact integer-valued
+Representation: only base-grid arrays are ever materialized.  Hues and
+Cores are weighed by the base cells' column workloads
+(:meth:`GridHierarchy.column_workloads
+<repro.hierarchy.GridHierarchy.column_workloads>`).  Bi-level block
+weights are accumulated patch by patch (exact integer-valued
 block-overlap volumes, identical to the dense ``block_sum`` of the level
 masks in ``tests/dense_oracle.py``) into a unit grid *windowed to the
 Core's bounding box*, unit assignment enumerates only the non-empty
@@ -39,7 +42,9 @@ units sparsely (no ``np.indices`` raster over the unit grid — the last
 volume-proportional allocation), and the per-level output is a sparse
 :class:`~repro.geometry.OwnerMap` — the unit blocks clipped against the
 level's patches inside the Core — so deep 3-D hierarchies never allocate
-a fine-level raster.
+a fine-level raster.  The Hue's assigned cells, each Core's mask and
+each bi-level's assigned units become boxes through
+:func:`~repro.geometry.cell_boxes`.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from ..geometry import (
     OwnerMap,
     add_box_overlap,
     box_corners,
-    boxes_from_mask,
+    cell_boxes,
     pair_intersections,
 )
 from ..hierarchy import GridHierarchy
@@ -141,35 +146,6 @@ def _assign_sequence(
     for c in range(nchunks):
         out[bounds[c] : bounds[c + 1]] = chunk_rank[c]
     return out
-
-
-def _merge_unit_runs(
-    coords: np.ndarray, ranks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge same-rank unit cells into runs along the last axis.
-
-    ``coords`` is ``(k, ndim)`` integer cell coordinates (any order,
-    no duplicates) with a rank per cell; returns ``(corners, ranks)``
-    of maximal row-major runs — the sparse replacement for lifting a
-    dense unit-owner raster through ``boxes_from_labels``.
-    """
-    k, ndim = coords.shape
-    if k == 0:
-        return np.empty((0, 2 * ndim), dtype=np.int64), ranks[:0]
-    # Row-major: axis 0 is the primary sort key (lexsort's last key).
-    order = np.lexsort(tuple(coords[:, d] for d in range(ndim - 1, -1, -1)))
-    c = coords[order]
-    r = ranks[order]
-    breaks = np.ones(k, dtype=bool)
-    breaks[1:] = (
-        (r[1:] != r[:-1])
-        | (c[1:, :-1] != c[:-1, :-1]).any(axis=1)
-        | (c[1:, -1] != c[:-1, -1] + 1)
-    )
-    starts = np.flatnonzero(breaks)
-    ends = np.append(starts[1:], k)
-    corners = np.concatenate((c[starts], c[ends - 1] + 1), axis=1)
-    return corners.astype(np.int64), r[starts]
 
 
 def _label_cores(
@@ -263,7 +239,7 @@ class NaturePlusFable(Partitioner):
         refined = hierarchy.refined_mask_on_base()
         hue_mask = ~refined
         # Workloads: column workload of each base cell.
-        col_work = self._column_work(hierarchy)
+        col_work = hierarchy.column_workloads()
         labels, core_work = _label_cores(refined, col_work)
         ncores = core_work.size
         hue_work = float(col_work[hue_mask].sum())
@@ -294,21 +270,6 @@ class NaturePlusFable(Partitioner):
         )
 
     # ------------------------------------------------------------------
-    def _column_work(self, hierarchy: GridHierarchy) -> np.ndarray:
-        """Workload of the refinement column above each base cell.
-
-        Accumulated patch by patch (integer-valued overlap volumes — exact
-        in float64, identical to the dense mask ``block_sum`` of
-        ``tests/dense_oracle.py``).
-        """
-        work = np.zeros(hierarchy.domain.shape, dtype=np.float64)
-        for level in hierarchy:
-            ratio = hierarchy.cumulative_ratio(level.index)
-            w = float(level.time_refinement_weight())
-            for patch in level.patches:
-                add_box_overlap(work, patch, ratio, w)
-        return work
-
     @staticmethod
     def _allocate_groups(workloads: list[float], nprocs: int) -> list[np.ndarray]:
         """Contiguous rank ranges proportional to workload (>= 1 rank each).
@@ -356,13 +317,13 @@ class NaturePlusFable(Partitioner):
         """Expert blocking of the unrefined base-grid remainder (level 0).
 
         The hue lives at base-grid resolution; its cells are enumerated
-        sparsely and merged into same-rank runs — no owner raster.
+        sparsely and merged into same-rank boxes — no owner raster.
         """
         unit_w = np.where(mask, 1.0, 0.0)
         coords, seq_rank = self._assign_units(unit_w, ranks)
-        corners, run_ranks = _merge_unit_runs(coords, seq_rank)
+        corners, box_ranks = cell_boxes(coords, seq_rank)
         if corners.shape[0]:
-            parts[0].append((corners, run_ranks))
+            parts[0].append((corners, box_ranks))
 
     def _block_core(
         self,
@@ -383,7 +344,8 @@ class NaturePlusFable(Partitioner):
         p = self.params
         ndim = core_mask.ndim
         nlev = hierarchy.nlevels
-        core_corners = box_corners(boxes_from_mask(core_mask), ndim)
+        cells = np.argwhere(core_mask)
+        core_corners, _ = cell_boxes(cells, np.zeros(len(cells), np.int32))
         # Base-grid bounding box of the Core: the unit weight grid only
         # needs to cover it.  At fractional blocking (unit == 1) a
         # full-domain unit grid would be the last volume-proportional
@@ -424,7 +386,7 @@ class NaturePlusFable(Partitioner):
             coords, seq_rank = self._assign_units(
                 unit_w, ranks, origin=win_lo, unit_shape=unit_shape
             )
-            unit_box_corners, unit_ranks = _merge_unit_runs(coords, seq_rank)
+            unit_box_corners, unit_ranks = cell_boxes(coords, seq_rank)
             unit_corners = unit_box_corners * unit
             # Paint every member level of the bi-level from one decomposition.
             for lf in lf_range:

@@ -37,10 +37,10 @@ GOLDEN = {
     "repro_pair_queries_total": 180,
     "repro_pair_grid_queries_total": 90,
     "repro_pair_brute_queries_total": 54,
-    "repro_pair_pair_product_total": 4890,
+    "repro_pair_pair_product_total": 4744,
     "repro_pair_bruteforce_pairs_total": 942,
-    "repro_pair_candidate_pairs_total": 2580,
-    "repro_pair_exact_pairs_total": 984,
+    "repro_pair_candidate_pairs_total": 2434,
+    "repro_pair_exact_pairs_total": 838,
     # The two replays read the trace the trace run published from the
     # store's read cache.
     "repro_store_read_cache_hits_total": 2,
@@ -134,7 +134,7 @@ def test_golden_sweep_counters_agree_across_surfaces(tmp_path, monkeypatch):
     timings = aggregate_timings(store.root)
     assert timings["counters"] == GOLDEN
     text = render_timings(timings)
-    assert "pair kernels: 180 queries, 4,890 brute-force pair product" in text
+    assert "pair kernels: 180 queries, 4,744 brute-force pair product" in text
 
     snapshot = {
         c["name"]: c["value"]

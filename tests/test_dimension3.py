@@ -25,7 +25,6 @@ from repro.partition import (
     NaturePlusFable,
     PatchBasedPartitioner,
     StickyRepartitioner,
-    column_workloads,
 )
 from repro.simulator import TraceSimulator
 from repro.trace import Trace
@@ -88,7 +87,7 @@ class TestPartitioners3D:
 class TestDomainSfc3D:
     def test_column_workloads_shape_and_total(self, trace3d):
         h = trace3d[-1].hierarchy
-        weights = column_workloads(h, unit_size=2)
+        weights = h.column_workloads(unit_size=2)
         assert weights.shape == (4, 4, 4)
         assert weights.sum() == pytest.approx(h.workload)
 

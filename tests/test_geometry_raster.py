@@ -1,15 +1,17 @@
-"""Tests for rasterization (masks, owner maps, mask -> boxes recovery)."""
+"""Tests for rasterization (masks, owner maps) and cells -> boxes recovery."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import (
     NO_OWNER,
     Box,
-    boxes_from_mask,
+    OwnerMap,
+    cell_boxes,
     paint_box,
     rasterize_mask,
 )
@@ -107,11 +109,26 @@ class TestUpsampleBlockSum:
             block_sum(np.zeros((4, 4)), 0)
 
 
+def _boxes(corners: np.ndarray) -> list[Box]:
+    ndim = corners.shape[1] // 2
+    return [Box(tuple(row[:ndim]), tuple(row[ndim:])) for row in corners]
+
+
+def mask_boxes(mask: np.ndarray) -> list[Box]:
+    """:func:`cell_boxes` of a boolean mask's cells, all of one label."""
+    cells = np.argwhere(mask)
+    corners, labels = cell_boxes(cells, np.zeros(len(cells), dtype=np.int32))
+    assert corners.dtype == np.int64 and (labels == 0).all()
+    return _boxes(corners)
+
+
 class TestBoxesFromMask:
+    """:func:`cell_boxes` over the cells of one mask."""
+
     def test_single_block(self):
         mask = np.zeros((8, 8), dtype=bool)
         mask[2:5, 3:6] = True
-        boxes = boxes_from_mask(mask)
+        boxes = mask_boxes(mask)
         assert len(boxes) == 1
         assert boxes[0] == Box((2, 3), (5, 6))
 
@@ -119,38 +136,38 @@ class TestBoxesFromMask:
         mask = np.zeros((8, 8), dtype=bool)
         mask[0:2, 0:2] = True
         mask[5:8, 5:8] = True
-        boxes = boxes_from_mask(mask)
+        boxes = mask_boxes(mask)
         assert sum(b.ncells for b in boxes) == 13
 
     def test_l_shape_exact(self):
         mask = np.zeros((6, 6), dtype=bool)
         mask[0:4, 0:2] = True
         mask[0:2, 2:5] = True
-        boxes = boxes_from_mask(mask)
+        boxes = mask_boxes(mask)
         recon = rasterize_mask(boxes, Box((0, 0), (6, 6)))
         assert (recon == mask).all()
 
     def test_empty_mask(self):
-        assert boxes_from_mask(np.zeros((4, 4), dtype=bool)) == []
+        assert mask_boxes(np.zeros((4, 4), dtype=bool)) == []
 
     def test_1d_runs(self):
         mask = np.array([0, 1, 1, 0, 1, 0, 1, 1], dtype=bool)
-        boxes = boxes_from_mask(mask)
+        boxes = mask_boxes(mask)
         assert boxes == [Box((1,), (3,)), Box((4,), (5,)), Box((6,), (8,))]
 
     def test_3d_block(self):
         mask = np.zeros((6, 6, 6), dtype=bool)
         mask[1:4, 2:5, 0:3] = True
-        boxes = boxes_from_mask(mask)
+        boxes = mask_boxes(mask)
         assert boxes == [Box((1, 2, 0), (4, 5, 3))]
 
     def test_deterministic_order(self):
         """Repeated decompositions of the same mask are identical lists."""
         rng = np.random.default_rng(7)
         mask = rng.random((12, 12)) > 0.55
-        first = boxes_from_mask(mask)
+        first = mask_boxes(mask)
         for _ in range(3):
-            assert boxes_from_mask(mask.copy()) == first
+            assert mask_boxes(mask.copy()) == first
 
     @given(disjoint_boxlists())
     @settings(max_examples=60, deadline=None)
@@ -158,7 +175,7 @@ class TestBoxesFromMask:
         """mask -> boxes -> mask is the identity."""
         domain = Box((0, 0), (24, 24))
         mask = rasterize_mask(lst, domain)
-        boxes = boxes_from_mask(mask)
+        boxes = mask_boxes(mask)
         recon = rasterize_mask(boxes, domain)
         assert (recon == mask).all()
         # Result must be disjoint.
@@ -172,9 +189,95 @@ class TestBoxesFromMask:
         """3-D mask -> boxes -> mask is the identity and disjoint."""
         domain = Box((0, 0, 0), (10, 10, 10))
         mask = rasterize_mask(lst, domain)
-        boxes = boxes_from_mask(mask)
+        boxes = mask_boxes(mask)
         recon = rasterize_mask(boxes, domain)
         assert (recon == mask).all()
         for i, a in enumerate(boxes):
             for b in boxes[i + 1 :]:
                 assert not a.intersects(b)
+
+
+@st.composite
+def label_rasters(draw, max_extent: int = 7):
+    """A 1-3-D integer raster: a few labelled boxes painted over each
+    other on a ``NO_OWNER`` background."""
+    ndim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, max_extent)) for _ in range(ndim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    raster = np.full(shape, NO_OWNER, dtype=np.int32)
+    for _ in range(draw(st.integers(0, 6))):
+        lo = [int(rng.integers(0, s)) for s in shape]
+        hi = [int(rng.integers(l + 1, s + 1)) for l, s in zip(lo, shape)]
+        paint_box(raster, Box(tuple(lo), tuple(hi)), int(rng.integers(0, 3)))
+    return raster
+
+
+def _labelled_boxes(raster: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    owned = raster != NO_OWNER
+    return cell_boxes(np.argwhere(owned), raster[owned])
+
+
+class TestCellBoxesLabelled:
+    """:func:`cell_boxes` over cells of several labels."""
+
+    @given(label_rasters())
+    @settings(max_examples=150, deadline=None)
+    def test_one_label_per_box_disjoint_exact_union(self, raster):
+        corners, labels = _labelled_boxes(raster)
+        assert corners.shape == (labels.size, 2 * raster.ndim)
+        cover = np.zeros(raster.shape, dtype=np.int64)
+        for box, label in zip(_boxes(corners), labels):
+            index = tuple(slice(l, h) for l, h in zip(box.lo, box.hi))
+            assert (raster[index] == label).all()
+            cover[index] += 1
+        assert cover.max(initial=0) <= 1
+        np.testing.assert_array_equal(cover == 1, raster != NO_OWNER)
+
+    @given(label_rasters(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_cell_order_does_not_matter(self, raster, seed):
+        owned = raster != NO_OWNER
+        cells, values = np.argwhere(owned), raster[owned]
+        shuffle = np.random.default_rng(seed).permutation(len(cells))
+        rows = [
+            {tuple(c) + (int(v),) for c, v in zip(*cell_boxes(cells, values))},
+            {
+                tuple(c) + (int(v),)
+                for c, v in zip(*cell_boxes(cells[shuffle], values[shuffle]))
+            },
+        ]
+        assert rows[0] == rows[1]
+
+    def test_labels_split_runs_and_slabs(self):
+        raster = np.array(
+            [[0, 0, 1, 1], [0, 0, 1, 2], [2, NO_OWNER, 2, 2]], dtype=np.int32
+        )
+        corners, labels = _labelled_boxes(raster)
+        # Runs along the last axis first, then same-label runs of equal
+        # extent stack along axis 0.
+        assert {
+            tuple(int(x) for x in c) + (int(v),) for c, v in zip(corners, labels)
+        } == {
+            (0, 0, 2, 2, 0),
+            (0, 2, 1, 4, 1),
+            (1, 2, 2, 3, 1),
+            (1, 3, 2, 4, 2),
+            (2, 0, 3, 1, 2),
+            (2, 2, 3, 4, 2),
+        }
+
+    def test_empty_and_shape_checks(self):
+        corners, labels = cell_boxes(
+            np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int32)
+        )
+        assert corners.shape == (0, 6) and labels.shape == (0,)
+        with pytest.raises(ValueError, match="labels"):
+            cell_boxes(np.zeros((2, 2), dtype=np.int64), np.zeros(3))
+        with pytest.raises(ValueError, match="coords"):
+            cell_boxes(np.zeros(4, dtype=np.int64), np.zeros(4))
+
+    def test_from_raster_rejects_non_integer(self):
+        with pytest.raises(ValueError, match="integer"):
+            OwnerMap.from_raster(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="integer"):
+            OwnerMap.from_raster(np.zeros((3, 3), dtype=bool))

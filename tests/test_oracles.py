@@ -15,17 +15,25 @@ that swaps in the oracle.  Every test here takes its row from the table.
   ``overlap_volume`` queries it replaces (``ownermap._RANK_PAD_CELLS``
   patched to ``-1``, so no block fits the budget).
 * **coalesced owner maps** against the **uncoalesced maps** the
-  partitioners built (``OwnerMap.coalesced`` patched to identity).
+  partitioners built (``ownermap._coalesce_rows``, the one merge of
+  ``OwnerMap.coalesced`` and ``cell_boxes``, patched to identity: no map
+  merges, and ``cell_boxes`` stops at its runs along the last axis).
+* **merged cell boxes** (``cell_boxes``, behind the SFC partitioner's
+  unit blocks, Nature+Fable's Hue, Core and bi-level boxes and
+  ``OwnerMap.from_raster``) against **one box per cell**
+  (:func:`unit_cell_boxes`, patched in every module that calls
+  ``cell_boxes``).
 * **LRU read-cache hit** against a **cold read** of the store
   (a read cache holding no entries).
 * **indexed coalesce** (``coalesce_boxes``, which finds merge partners
   through a face-keyed dict) against the **greedy** ``can_coalesce``
   **scan** it emulates (``boxlist.coalesce_boxes`` patched to
   :func:`greedy_coalesce`).
-* **rasterless block overlaps** (``add_box_overlap``, behind the column
-  and atomic-unit workloads and ``beta_L``) against the **dense block
-  sum** of the rasterized patch mask (:func:`dense_box_overlap`, patched
-  in wherever ``add_box_overlap`` is called).
+* **rasterless block overlaps** (``add_box_overlap``, behind
+  ``GridHierarchy.column_workloads`` and Nature+Fable's bi-level unit
+  weights) against the **dense block sum** of the rasterized patch mask
+  (:func:`dense_box_overlap`, patched in wherever ``add_box_overlap`` is
+  called).
 * **periodic interpolation** (``apps.base._periodic_interp``, the
   semi-Lagrangian step of tp2d and tp3d) against scipy's
   **``map_coordinates(order=1, mode="grid-wrap")``**.
@@ -64,7 +72,6 @@ from repro.experiments.workloads import paper_config, shadow_shape, workload_ndi
 from repro.geometry import (
     Box,
     BoxList,
-    OwnerMap,
     box_corners,
     face_contacts,
     matched_volume,
@@ -74,7 +81,7 @@ from repro.geometry import (
     subtract_corners,
 )
 from repro.geometry import boxlist, ownermap, pairindex, raster, rasterize_mask
-from repro.model import penalties
+from repro.hierarchy import hierarchy as hierarchy_module
 from repro.partition import domain_sfc, hybrid
 from repro.simulator import TraceSimulator
 from repro.telemetry import counter_deltas, reset_metrics
@@ -124,7 +131,28 @@ def per_rank_queries() -> ContextManager:
 
 
 def uncoalesced_maps() -> ContextManager:
-    return mock.patch.object(OwnerMap, "coalesced", lambda self: self)
+    return mock.patch.object(
+        ownermap, "_coalesce_rows", lambda corners, ranks: (corners, ranks)
+    )
+
+
+def unit_cell_boxes(
+    coords: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``cell_boxes`` without a merge: one box per cell."""
+    coords = np.asarray(coords, dtype=np.int64)
+    return np.concatenate((coords, coords + 1), axis=1), np.asarray(labels)
+
+
+@contextmanager
+def unmerged_cells():
+    """Every ``cell_boxes`` call returns one box per cell."""
+    with ExitStack() as stack:
+        for module in (ownermap, domain_sfc, hybrid):
+            stack.enter_context(
+                mock.patch.object(module, "cell_boxes", unit_cell_boxes)
+            )
+        yield
 
 
 def greedy_coalesce(
@@ -176,7 +204,7 @@ def dense_box_overlap(
 def dense_box_overlaps():
     """Every block-overlap accumulation goes through the dense raster."""
     with ExitStack() as stack:
-        for module in (raster, penalties, domain_sfc, hybrid):
+        for module in (raster, hierarchy_module, hybrid):
             stack.enter_context(
                 mock.patch.object(module, "add_box_overlap", dense_box_overlap)
             )
@@ -265,6 +293,10 @@ ORACLES = {
         "coalesced owner maps", "uncoalesced maps",
         nullcontext, uncoalesced_maps,
     ),
+    "cell-boxes": Oracle(
+        "merged cell boxes", "one box per cell",
+        nullcontext, unmerged_cells,
+    ),
     "read-cache": Oracle(
         "LRU read-cache hit", "cold read", nullcontext, cold_reads,
     ),
@@ -319,7 +351,10 @@ def _replay(name: str, hierarchies) -> list:
 @pytest.mark.parametrize("name", tuple(registry("partitioner")))
 @pytest.mark.parametrize(
     "row",
-    ["grid", "subtract", "rank-pad", "coalesce", "box-overlap", "core-labels"],
+    [
+        "grid", "subtract", "rank-pad", "coalesce", "cell-boxes",
+        "box-overlap", "core-labels",
+    ],
 )
 @settings(
     max_examples=10,

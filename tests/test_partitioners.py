@@ -16,7 +16,6 @@ from repro.partition import (
     PartitionResult,
     PatchBasedPartitioner,
     StickyRepartitioner,
-    column_workloads,
     proc_loads,
 )
 
@@ -155,7 +154,7 @@ class TestPartitionResult:
 
 class TestDomainSfc:
     def test_column_workloads(self, simple_hierarchy):
-        w = column_workloads(simple_hierarchy, unit_size=2)
+        w = simple_hierarchy.column_workloads(unit_size=2)
         assert w.shape == (8, 8)
         assert w.sum() == pytest.approx(simple_hierarchy.workload)
         # Columns under the refinement are heavier than unrefined ones.
@@ -163,7 +162,7 @@ class TestDomainSfc:
 
     def test_unit_size_must_divide(self, simple_hierarchy):
         with pytest.raises(ValueError, match="does not divide"):
-            column_workloads(simple_hierarchy, unit_size=3)
+            simple_hierarchy.column_workloads(unit_size=3)
 
     def test_column_alignment_property(self, simple_hierarchy):
         """Domain-based: all levels above a base column share the owner."""

@@ -55,6 +55,12 @@ REMOVED_NAMES = {
     "__getattr__": ("repro.engine", "repro.engine.components"),
     "plan_specs": ("repro.engine", "repro.engine.executor"),
     "block_sum": ("repro.geometry", "repro.geometry.raster"),
+    "boxes_from_mask": ("repro.geometry", "repro.geometry.raster"),
+    "boxes_from_labels": ("repro.geometry", "repro.geometry.raster"),
+    "_runs_of": ("repro.geometry.raster",),
+    "_label_runs_of": ("repro.geometry.raster",),
+    "_merge_unit_runs": ("repro.partition.hybrid",),
+    "column_workloads": ("repro.partition", "repro.partition.domain_sfc"),
     "session": ("repro.telemetry", "repro.telemetry.core"),
     "recording": ("repro.telemetry", "repro.telemetry.core"),
     "read_jsonl": ("repro.telemetry", "repro.telemetry.sinks"),
@@ -94,6 +100,7 @@ REMOVED_METHODS = [
     ("repro.engine", "ResultStore", "_result_sig"),
     ("repro.engine", "ResultStore", "_trace_sig"),
     ("repro.engine", "ResultStore", "_verify_entry"),
+    ("repro.partition", "NaturePlusFable", "_column_work"),
 ]
 
 #: ``(module, callable, parameter)``: second paths with one value in use.
