@@ -2,20 +2,28 @@
 
 Times the N-D SFC key kernels, the 3-D column-workload reduction, the
 partitioners and the simulator's per-step raster metrics on the tp3d
-trace — the same hot paths :mod:`test_bench_kernels` times in 2-D.
+trace — the same hot paths :mod:`test_bench_kernels` times in 2-D.  The
+column-workload reduction, one :func:`~repro.geometry.block_overlaps`
+call over every level's patches, is recorded as
+``BENCH_dimension3.json`` (``column_workloads:<scale>``).
 """
 
 from __future__ import annotations
+
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.experiments import paper_trace
+from repro.geometry import rasterize_mask
 from repro.partition import DomainSfcPartitioner, NaturePlusFable
 from repro.sfc import hilbert_key_nd, morton_key_nd
 from repro.simulator import TraceSimulator
 
-from conftest import BENCH_NPROCS
+from conftest import BENCH_NPROCS, record_bench
+from tests import dense_oracle as dense
 
 
 @pytest.fixture(scope="module")
@@ -42,10 +50,35 @@ def test_morton_keys_3d(benchmark):
     assert keys.shape == coords[0].shape
 
 
-def test_column_workloads_3d(benchmark, hierarchy_pair):
+def _dense_column_workloads(hierarchy, unit_size: int) -> np.ndarray:
+    """The dense oracle: every level's rasterized mask, block-summed to
+    the units and weighted by the level's time-refinement weight."""
+    out = np.zeros(tuple(s // unit_size for s in hierarchy.domain.shape))
+    for level in hierarchy:
+        mask = rasterize_mask(
+            level.patches, hierarchy.level_domain(level.index)
+        )
+        block = unit_size * hierarchy.cumulative_ratio(level.index)
+        out += dense.block_sum(mask, block) * level.time_refinement_weight()
+    return out
+
+
+def test_column_workloads_3d(benchmark, hierarchy_pair, scale):
     _, cur = hierarchy_pair
     weights = benchmark(cur.column_workloads, 2)
     assert weights.sum() == pytest.approx(cur.workload)
+    if scale == "small":
+        assert weights.tobytes() == _dense_column_workloads(cur, 2).tobytes()
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    cur.column_workloads(2)
+    seconds = time.perf_counter() - t0
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    record_bench(
+        "dimension3", f"column_workloads:{scale}", seconds,
+        peak_mb=peak / 1e6, rows=cur.npatches, cells=weights.size,
+    )
 
 
 def test_domain_sfc_partition_3d(benchmark, hierarchy_pair):

@@ -19,7 +19,7 @@ from .ownermap import (
 from .pairindex import candidate_pairs
 from .raster import (
     NO_OWNER,
-    add_box_overlap,
+    block_overlaps,
     paint_box,
     rasterize_mask,
 )
@@ -44,7 +44,7 @@ __all__ = [
     "subtract_corners",
     "candidate_pairs",
     "NO_OWNER",
-    "add_box_overlap",
+    "block_overlaps",
     "paint_box",
     "rasterize_mask",
 ]

@@ -12,7 +12,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..geometry import Box, BoxList, add_box_overlap, paint_box
+from ..geometry import Box, BoxList, block_overlaps, box_corners, paint_box
 from .level import PatchLevel
 
 __all__ = ["GridHierarchy"]
@@ -129,25 +129,30 @@ class GridHierarchy:
         time-refinement weight: the work a rank inherits by owning that
         piece of the domain.  Domain-based partitioners weigh their units
         with it, Nature+Fable its Hues and Cores, and ``beta_L`` reads its
-        localization at ``unit_size=1``.  Accumulated patch by patch
-        through :func:`~repro.geometry.add_box_overlap`: the volumes are
-        integer-valued, so the float sums are exact and equal the dense
-        ``block_sum`` of the level masks in ``tests/dense_oracle.py``.
+        localization at ``unit_size=1``.  One
+        :func:`~repro.geometry.block_overlaps` call sums every level's
+        patches, each level's blocks ``unit_size`` times its cumulative
+        ratio wide: the volumes are integer-valued, so the float sums are
+        exact and equal the dense ``block_sum`` of the level masks in
+        ``tests/dense_oracle.py``.
         """
+        if unit_size < 1:
+            raise ValueError("unit_size must be >= 1")
         base_shape = self.domain.shape
         if any(s % unit_size for s in base_shape):
             raise ValueError(
                 f"unit_size {unit_size} does not divide base shape {base_shape}"
             )
-        weights = np.zeros(
-            tuple(s // unit_size for s in base_shape), dtype=np.float64
+        rows = [box_corners(level.patches, self.ndim) for level in self.levels]
+        counts = [len(r) for r in rows]
+        blocks = [unit_size * self.cumulative_ratio(l.index) for l in self.levels]
+        weights = [float(l.time_refinement_weight()) for l in self.levels]
+        return block_overlaps(
+            tuple(s // unit_size for s in base_shape),
+            np.concatenate(rows),
+            np.repeat(blocks, counts),
+            np.repeat(weights, counts),
         )
-        for level in self.levels:
-            block = unit_size * self.cumulative_ratio(level.index)
-            w = float(level.time_refinement_weight())
-            for patch in level.patches:
-                add_box_overlap(weights, patch, block, w)
-        return weights
 
     # -- masks --------------------------------------------------------------
     def refined_mask_on_base(self) -> np.ndarray:

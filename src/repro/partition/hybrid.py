@@ -34,10 +34,11 @@ Representation: only base-grid arrays are ever materialized.  Hues and
 Cores are weighed by the base cells' column workloads
 (:meth:`GridHierarchy.column_workloads
 <repro.hierarchy.GridHierarchy.column_workloads>`).  Bi-level block
-weights are accumulated patch by patch (exact integer-valued
-block-overlap volumes, identical to the dense ``block_sum`` of the level
-masks in ``tests/dense_oracle.py``) into a unit grid *windowed to the
-Core's bounding box*, unit assignment enumerates only the non-empty
+weights are one :func:`~repro.geometry.block_overlaps` call over the
+member levels' in-Core patch pieces (exact integer-valued block-overlap
+volumes, identical to the dense ``block_sum`` of the level masks in
+``tests/dense_oracle.py``) on a unit grid *windowed to the Core's
+bounding box*, unit assignment enumerates only the non-empty
 units sparsely (no ``np.indices`` raster over the unit grid — the last
 volume-proportional allocation), and the per-level output is a sparse
 :class:`~repro.geometry.OwnerMap` — the unit blocks clipped against the
@@ -55,9 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geometry import (
-    Box,
     OwnerMap,
-    add_box_overlap,
+    block_overlaps,
     box_corners,
     cell_boxes,
     pair_intersections,
@@ -335,8 +335,10 @@ class NaturePlusFable(Partitioner):
         """Bi-level blocking of one Core region, rasterless.
 
         Per bi-level, the atomic-unit weight grid (at the bi-level's
-        coarse resolution divided by the unit side) is accumulated from
-        the member levels' patches clipped to the Core; units are
+        coarse resolution divided by the unit side) is one
+        :func:`~repro.geometry.block_overlaps` call over the member
+        levels' patches clipped to the Core, each level's rows with its
+        own block side and time-refinement weight; units are
         SFC-assigned exactly as the dense path did, and each member
         level's owner map is the unit blocks refined to the level and
         clipped against its in-Core patches.
@@ -360,8 +362,8 @@ class NaturePlusFable(Partitioner):
             unit_shape = tuple(-(-s // unit) for s in coarse_shape)
             win_lo = (core_lo * coarse_ratio) // unit
             win_hi = -(-(core_hi * coarse_ratio) // unit)
-            unit_w = np.zeros(tuple(win_hi - win_lo), dtype=np.float64)
             clipped: dict[int, np.ndarray] = {}
+            rows, blocks, weights = [], [], []
             for lf in lf_range:
                 sub = hierarchy.cumulative_ratio(lf) // coarse_ratio
                 patch_corners = box_corners(
@@ -373,14 +375,15 @@ class NaturePlusFable(Partitioner):
                 clipped[lf] = sect
                 w = float(hierarchy[lf].time_refinement_weight())
                 block = unit * sub
-                shift = np.concatenate((win_lo, win_lo)) * block
-                for row in sect - shift:
-                    add_box_overlap(
-                        unit_w,
-                        Box(tuple(row[:ndim]), tuple(row[ndim:])),
-                        block,
-                        w,
-                    )
+                rows.append(sect - np.concatenate((win_lo, win_lo)) * block)
+                blocks.append(np.full(len(sect), block))
+                weights.append(np.full(len(sect), w))
+            unit_w = block_overlaps(
+                tuple(win_hi - win_lo),
+                np.concatenate(rows),
+                np.concatenate(blocks),
+                np.concatenate(weights),
+            )
             if not (unit_w > 0).any():
                 continue
             coords, seq_rank = self._assign_units(

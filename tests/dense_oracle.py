@@ -12,8 +12,9 @@ way, the oracle of :meth:`OwnerMap.rasterize
 <repro.geometry.OwnerMap.rasterize>`; :func:`rasters` is a distribution's
 per-level rasters, :func:`upsample` refines a raster and
 :func:`block_sum` coarsens one, the oracle of the rasterless
-:func:`~repro.geometry.add_box_overlap` behind the column and unit
-workloads and ``beta_L``.
+:func:`~repro.geometry.block_overlaps` behind the column and unit
+workloads and ``beta_L``: each corner row's rasterized mask, block-summed
+and weighted, summed over the rows.
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ from repro.geometry import (
     NO_OWNER,
     Box,
     OwnerMap,
+    block_overlaps,
+    box_corners,
     cell_boxes,
     paint_box,
     rasterize_mask,
@@ -55,6 +57,48 @@ class TestRasterizeMask:
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
             rasterize_mask([], Box((0, 0), (0, 4)))
+
+
+class TestBlockOverlaps:
+    def test_hand_worked_1d(self):
+        """``[1, 7)`` over blocks of 3 covers 2, 3, 1 and 0 cells."""
+        got = block_overlaps((4,), np.array([[1, 7]]), 3, 2.0)
+        np.testing.assert_array_equal(got, [4.0, 6.0, 2.0, 0.0])
+
+    def test_per_row_factors_and_weights(self):
+        """Each row in its own index space: ``[0, 4)`` at factor 2 and
+        ``[1, 2)`` at factor 1, on a 2-block grid."""
+        corners = np.array([[0, 4], [1, 2]])
+        got = block_overlaps((2,), corners, np.array([2, 1]), [1.0, 8.0])
+        np.testing.assert_array_equal(got, [2.0, 10.0])
+
+    def test_migration_from_add_box_overlap(self):
+        """The README's replacement of a single-box accumulation."""
+        a = np.ones((2, 3))
+        box = Box((1, -1), (5, 4))
+        a += block_overlaps(a.shape, box_corners([box], a.ndim), 2, 0.5)
+        np.testing.assert_array_equal(a, [[2.0, 2.0, 1.0], [3.0, 3.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "corners", [np.empty((0, 4)), np.array([[-3, 0, 0, 2], [4, 9, 6, 12]])]
+    )
+    def test_nothing_inside_gives_positive_zeros(self, corners):
+        got = block_overlaps((2, 3), corners, 2, 3.0)
+        assert got.shape == (2, 3) and got.dtype == np.float64
+        assert got.tobytes() == np.zeros((2, 3)).tobytes()
+
+    @pytest.mark.parametrize("factor", [0, -1, np.array([2, 0])])
+    def test_factor_below_one_rejected(self, factor):
+        corners = np.array([[0, 0, 1, 1], [1, 1, 2, 2]])
+        with pytest.raises(ValueError, match="factor must be >= 1"):
+            block_overlaps((2, 2), corners, factor)
+
+    @pytest.mark.parametrize(
+        "corners", [np.zeros((1, 3), int), np.zeros((1, 6), int), np.zeros(4, int)]
+    )
+    def test_corner_width_must_match_shape(self, corners):
+        with pytest.raises(ValueError, match="width 4"):
+            block_overlaps((2, 2), corners)
 
 
 class TestRasterizeOwners:

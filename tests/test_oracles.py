@@ -29,11 +29,12 @@ that swaps in the oracle.  Every test here takes its row from the table.
   through a face-keyed dict) against the **greedy** ``can_coalesce``
   **scan** it emulates (``boxlist.coalesce_boxes`` patched to
   :func:`greedy_coalesce`).
-* **rasterless block overlaps** (``add_box_overlap``, behind
-  ``GridHierarchy.column_workloads`` and Nature+Fable's bi-level unit
-  weights) against the **dense block sum** of the rasterized patch mask
-  (:func:`dense_box_overlap`, patched in wherever ``add_box_overlap`` is
-  called).
+* **rasterless block overlaps** (``block_overlaps``' one scatter and
+  one prefix sum per axis, behind ``GridHierarchy.column_workloads`` and
+  Nature+Fable's bi-level unit weights) against the **dense block sum**
+  of each row's rasterized mask, weighted and summed over the rows
+  (:func:`dense_block_overlaps`, patched in wherever ``block_overlaps``
+  is called).
 * **periodic interpolation** (``apps.base._periodic_interp``, the
   semi-Lagrangian step of tp2d and tp3d) against scipy's
   **``map_coordinates(order=1, mode="grid-wrap")``**.
@@ -191,22 +192,36 @@ def greedy_coalescing() -> ContextManager:
     return mock.patch.object(boxlist, "coalesce_boxes", greedy_coalesce)
 
 
-def dense_box_overlap(
-    array: np.ndarray, box: Box, factor: int, weight: float = 1.0
-) -> None:
-    """``add_box_overlap`` the dense way: rasterize ``box`` over the fine
-    index space the coarse array covers, block-sum the mask, weight it."""
-    domain = Box((0,) * array.ndim, tuple(s * factor for s in array.shape))
-    array += dense.block_sum(rasterize_mask([box], domain), factor) * weight
+def dense_block_overlaps(
+    shape: Sequence[int],
+    corners: np.ndarray,
+    factor: int | np.ndarray = 1,
+    weight: float | np.ndarray = 1.0,
+) -> np.ndarray:
+    """``block_overlaps`` the dense way: rasterize each row over the fine
+    index space its blocks cover, block-sum the mask, weight it, and sum
+    the rows."""
+    ndim = len(shape)
+    corners = np.asarray(corners, dtype=np.int64)
+    factors = np.broadcast_to(factor, len(corners))
+    weights = np.broadcast_to(weight, len(corners))
+    out = np.zeros(tuple(shape))
+    for row, f, w in zip(corners, factors, weights):
+        domain = Box((0,) * ndim, tuple(s * int(f) for s in shape))
+        box = Box(tuple(row[:ndim]), tuple(row[ndim:]))
+        out += dense.block_sum(rasterize_mask([box], domain), int(f)) * w
+    return out
 
 
 @contextmanager
 def dense_box_overlaps():
-    """Every block-overlap accumulation goes through the dense raster."""
+    """Every block-overlap sum goes through the dense raster."""
     with ExitStack() as stack:
         for module in (raster, hierarchy_module, hybrid):
             stack.enter_context(
-                mock.patch.object(module, "add_box_overlap", dense_box_overlap)
+                mock.patch.object(
+                    module, "block_overlaps", dense_block_overlaps
+                )
             )
         yield
 
@@ -809,33 +824,61 @@ def test_indexed_coalesce_on_shuffled_unit_cells(shape):
 # rasterless block overlaps vs the dense block sum of the mask
 
 
-@pytest.mark.parametrize("factor", [1, 2, 3, 4])
-@pytest.mark.parametrize("ndim", [2, 3])
+@st.composite
+def overlap_calls(draw, ndim: int):
+    """The arguments of one ``block_overlaps`` call.
+
+    Up to 6 rows, possibly empty and overlapping, with a scalar factor
+    and weight or per-row ones (factors 1-4, weights 0.5, 2, 3 and 8).
+    Rows reach below 0 and past ``shape * f``; in a quarter of the calls
+    every row lies wholly outside the grid, so every row clips away.
+    """
+    side = 3 if ndim == 4 else 6
+    shape = tuple(draw(st.integers(1, side)) for _ in range(ndim))
+    n = draw(st.integers(0, 6))
+    factors = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    weights = draw(
+        st.lists(st.sampled_from([0.5, 2.0, 3.0, 8.0]), min_size=n, max_size=n)
+    )
+    outside = draw(st.integers(0, 3)) == 0
+    rows = []
+    for f in factors:
+        lo = [draw(st.integers(-2 * f, (s + 1) * f)) for s in shape]
+        hi = [a + draw(st.integers(0, 3 * f + 2)) for a in lo]
+        if outside:
+            axis = draw(st.integers(0, ndim - 1))
+            gap = draw(st.integers(0, 3))
+            if draw(st.booleans()):
+                shift = shape[axis] * f - lo[axis] + gap
+            else:
+                shift = -hi[axis] - gap
+            lo[axis] += shift
+            hi[axis] += shift
+        rows.append(lo + hi)
+    corners = np.asarray(rows, dtype=np.int64).reshape(n, 2 * ndim)
+    if n and draw(st.booleans()):
+        return shape, corners, factors[0], weights[0]
+    return shape, corners, np.asarray(factors), np.asarray(weights)
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3, 4])
 @settings(
-    max_examples=50,
+    max_examples=100,
     deadline=None,
     phases=(Phase.explicit, Phase.reuse, Phase.generate),
 )
 @given(data=st.data())
-def test_box_overlap_matches_dense_block_sum(ndim, factor, data):
-    """A disjoint patch set's accumulated block overlaps equal the block
-    sums of its dense mask times the weight, exactly: float accumulation
-    of integer-valued volumes is exact.  The coarse array may be smaller
-    than the patches reach, so clipping is covered too."""
-    boxes = data.draw(disjoint_boxlists(max_boxes=6, ndim=ndim)).boxes
-    shape = tuple(
-        data.draw(st.integers(1, 24 // factor + 1)) for _ in range(ndim)
-    )
-    weight = data.draw(st.sampled_from([0.5, 2.0, 3.0, 8.0]))
-    domain = Box((0,) * ndim, tuple(s * factor for s in shape))
-    want = dense.block_sum(rasterize_mask(boxes, domain), factor) * weight
+def test_box_overlap_matches_dense_block_sum(ndim, data):
+    """One call's weighted block overlaps equal the rows' dense block
+    sums, bit for bit: float sums of integer-valued volumes are exact,
+    and a block no row overlaps holds ``+0.0``."""
+    shape, corners, factor, weight = data.draw(overlap_calls(ndim))
+    want = dense_block_overlaps(shape, corners, factor, weight)
     row = ORACLES["box-overlap"]
     for path in (row.fast, row.reference):
-        coarse = np.zeros(shape)
         with path():
-            for box in boxes:
-                raster.add_box_overlap(coarse, box, factor, weight)
-        np.testing.assert_array_equal(coarse, want)
+            got = raster.block_overlaps(shape, corners, factor, weight)
+        assert _same_bits(got, want), (got, want)
 
 
 # ---------------------------------------------------------------------------

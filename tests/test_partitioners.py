@@ -164,6 +164,11 @@ class TestDomainSfc:
         with pytest.raises(ValueError, match="does not divide"):
             simple_hierarchy.column_workloads(unit_size=3)
 
+    @pytest.mark.parametrize("unit_size", [0, -2])
+    def test_unit_size_must_be_positive(self, simple_hierarchy, unit_size):
+        with pytest.raises(ValueError, match="unit_size must be >= 1"):
+            simple_hierarchy.column_workloads(unit_size=unit_size)
+
     def test_column_alignment_property(self, simple_hierarchy):
         """Domain-based: all levels above a base column share the owner."""
         part = DomainSfcPartitioner(unit_size=1)

@@ -74,6 +74,7 @@ REMOVED_NAMES = {
     "_generate": ("repro.experiments.workloads",),
     "trace_meta": ("repro.engine.executor",),
     "_cache_get": ("repro.engine.store",),
+    "add_box_overlap": ("repro.geometry", "repro.geometry.raster"),
 }
 
 #: ``(module, class, attribute)``: retired methods.
