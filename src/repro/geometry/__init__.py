@@ -8,13 +8,14 @@ from .ownermap import (
     cell_boxes,
     corner_volumes,
     face_contacts,
-    first_cells_in_scan_order,
     matched_volume,
     overlap_volume,
     overlay_corners,
+    overlay_pairs,
     pair_intersections,
     prefix_corners,
-    subtract_corners,
+    split_in_scan_order,
+    suffix_corners,
 )
 from .pairindex import candidate_pairs
 from .raster import (
@@ -35,13 +36,14 @@ __all__ = [
     "cell_boxes",
     "corner_volumes",
     "face_contacts",
-    "first_cells_in_scan_order",
     "matched_volume",
     "overlap_volume",
     "overlay_corners",
+    "overlay_pairs",
     "pair_intersections",
     "prefix_corners",
-    "subtract_corners",
+    "split_in_scan_order",
+    "suffix_corners",
     "candidate_pairs",
     "NO_OWNER",
     "block_overlaps",

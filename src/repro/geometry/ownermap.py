@@ -32,9 +32,15 @@ both paths, and the broadcast is the grid's test oracle.
 :func:`matched_volume`, behind the migration and inter-level metrics,
 runs its own broadcast instead: every same-rank pair in one sweep over
 rank-padded corner blocks, whatever the brute-force cutoff, with one
-query per rank as its fallback and oracle.  The overlay engine behind
-:func:`overlay_corners` and :func:`subtract_corners` cuts each hole
-round's pieces in one gather through a fixed table of source columns.
+query per rank as its fallback and oracle.  The overlay engine cuts each
+hole round's pieces in one gather through a fixed table of source
+columns: :func:`overlay_corners` asks one pair query which boxes
+overlap, and :func:`overlay_pairs` serves a caller that already holds
+those pairs.  :func:`split_in_scan_order` cuts a region at its ``k``-th
+cell in row-major order, the sparse ``np.flatnonzero(mask)[:k]``: one
+walk over the axes finds that cell, and the region is clipped against
+the at most ``ndim`` boxes of the grid's scan prefix
+(:func:`prefix_corners`) and suffix (:func:`suffix_corners`) there.
 """
 
 from __future__ import annotations
@@ -63,9 +69,10 @@ __all__ = [
     "matched_volume",
     "overlap_volume",
     "overlay_corners",
-    "subtract_corners",
+    "overlay_pairs",
     "prefix_corners",
-    "first_cells_in_scan_order",
+    "suffix_corners",
+    "split_in_scan_order",
 ]
 
 #: Row budget of one broadcasted (chunk, nboxes) pair sweep (~128 MB per
@@ -449,31 +456,6 @@ def _slot_sources(ndim: int) -> np.ndarray:
     return np.stack(slots)
 
 
-def subtract_corners(base: np.ndarray, holes: np.ndarray) -> np.ndarray:
-    """Corner rows of ``union(base) \\ union(holes)`` (``base`` disjoint).
-
-    The hole sweep touches only holes that actually intersect a base row
-    (one vectorized candidate pass), so sparse overlap stays cheap even
-    for large operands.
-    """
-    if base.shape[0] == 0 or holes.shape[0] == 0:
-        return base.copy()
-    _, bi, hj = pair_intersections(base, holes)
-    if bi.size == 0:
-        return base.copy()
-    untouched = np.setdiff1d(np.arange(base.shape[0]), np.unique(bi))
-    out: list[np.ndarray] = [base[untouched]]
-    order = np.argsort(bi, kind="stable")
-    bi, hj = bi[order], hj[order]
-    starts = np.flatnonzero(np.diff(bi, prepend=-1))
-    frags, _ = _subtract_groups(
-        base[bi[starts]], holes[hj], np.append(starts, bi.size)
-    )
-    if frags.shape[0]:
-        out.append(frags)
-    return np.concatenate(out)
-
-
 def overlay_corners(
     top: np.ndarray,
     top_ranks: np.ndarray,
@@ -484,18 +466,36 @@ def overlay_corners(
 
     Returns corner rows and ranks of the union region: every ``top`` box
     verbatim plus the fragments of ``bottom`` boxes outside ``top``.
+    One pair query finds which boxes overlap, and :func:`overlay_pairs`
+    cuts the covered ``bottom`` boxes.
     """
     if bottom.shape[0] == 0:
         return top.copy(), top_ranks.copy()
     if top.shape[0] == 0:
         return bottom.copy(), bottom_ranks.copy()
-    out_c: list[np.ndarray] = [top]
-    out_r: list[np.ndarray] = [top_ranks]
     _, bi, tj = pair_intersections(bottom, top)
-    covered = np.unique(bi) if bi.size else np.empty(0, dtype=np.int64)
-    clear = np.setdiff1d(np.arange(bottom.shape[0]), covered)
-    out_c.append(bottom[clear])
-    out_r.append(bottom_ranks[clear])
+    return overlay_pairs(top, top_ranks, bottom, bottom_ranks, bi, tj)
+
+
+def overlay_pairs(
+    top: np.ndarray,
+    top_ranks: np.ndarray,
+    bottom: np.ndarray,
+    bottom_ranks: np.ndarray,
+    bi: np.ndarray,
+    tj: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`overlay_corners` for a caller that already holds the pairs.
+
+    ``(bi, tj)`` must list every overlapping ``(bottom row, top row)``
+    pair, in any order.  Returns the ``top`` rows, then the ``bottom``
+    rows no pair names, then the fragments of the covered ``bottom``
+    rows, all cut in one :func:`_subtract_groups` sweep.
+    """
+    covered = np.zeros(bottom.shape[0], dtype=bool)
+    covered[bi] = True
+    out_c: list[np.ndarray] = [top, bottom[~covered]]
+    out_r: list[np.ndarray] = [top_ranks, bottom_ranks[~covered]]
     if bi.size:
         order = np.argsort(bi, kind="stable")
         bi, tj = bi[order], tj[order]
@@ -580,7 +580,10 @@ def cell_boxes(
     into maximal same-label runs along the last axis, then the runs merge
     through :func:`_coalesce_rows`.  The runs come from one row-major
     sort of the cells themselves: merging one unit box per cell instead
-    would sort twice the keys and hold twice the memory.  This is how the
+    would sort twice the keys and hold twice the memory.  The sort key is
+    each cell's flat row-major index within the cells' bounding box, and
+    a stable sort of it runs in linear time on cells that already arrive
+    in row-major order, as every caller's do.  This is how the
     partitioners turn labelled units into owner-map boxes, and how
     :meth:`OwnerMap.from_raster` lifts a dense raster.
     """
@@ -595,8 +598,12 @@ def cell_boxes(
     k, ndim = coords.shape
     if k == 0:
         return np.empty((0, 2 * ndim), dtype=np.int64), labels
-    # Row-major: axis 0 is the primary sort key (lexsort's last).
-    order = np.lexsort(coords.T[::-1])
+    key = np.zeros(k, dtype=np.int64)
+    for col in coords.T:
+        lo = col.min()
+        key *= col.max() - lo + 1
+        key += col - lo
+    order = np.argsort(key, kind="stable")
     c, labels = coords[order], labels[order]
     start = np.ones(k, dtype=bool)
     start[1:] = (
@@ -610,12 +617,23 @@ def cell_boxes(
     return _coalesce_rows(corners, labels[starts])
 
 
+def _scan_digits(shape: tuple[int, ...], count: int) -> list[int] | None:
+    """Mixed-radix digits of ``count`` over a row-major grid: the
+    coordinates of the cell with flat index ``count``, or ``None`` when
+    ``count`` is the grid's cell count."""
+    digits = []
+    for s in reversed(shape):
+        digits.append(count % s)
+        count //= s
+    return None if count else digits[::-1]
+
+
 def prefix_corners(shape: Sequence[int], count: int) -> np.ndarray:
     """The first ``count`` cells of a row-major grid as <= ndim boxes.
 
     The region ``{cells with flat C-order index < count}`` decomposes into
     at most one box per dimension (full slabs, then partial rows of the
-    boundary cell's mixed-radix digits).
+    boundary cell's mixed-radix digits), in scan order.
     """
     shape = tuple(int(s) for s in shape)
     ndim = len(shape)
@@ -623,56 +641,117 @@ def prefix_corners(shape: Sequence[int], count: int) -> np.ndarray:
     count = max(0, min(int(count), total))
     if count == 0:
         return np.empty((0, 2 * ndim), dtype=np.int64)
-    if count == total:
-        row = [0] * ndim + list(shape)
-        return np.asarray([row], dtype=np.int64)
-    digits = []
-    rem = count
-    for s in reversed(shape):
-        digits.append(rem % s)
-        rem //= s
-    digits.reverse()  # mixed-radix representation of `count`
+    digits = _scan_digits(shape, count)
+    if digits is None:
+        return np.asarray([[0] * ndim + list(shape)], dtype=np.int64)
     rows: list[list[int]] = []
     for d in range(ndim):
         if digits[d] == 0:
             continue
-        lo = [digits[e] for e in range(d)] + [0] * (ndim - d)
-        hi = [digits[e] + 1 for e in range(d)]
-        hi.append(digits[d])
-        hi.extend(shape[d + 1 :])
+        lo = digits[:d] + [0] * (ndim - d)
+        hi = [x + 1 for x in digits[:d]] + [digits[d]] + list(shape[d + 1 :])
         rows.append(lo + hi)
     return np.asarray(rows, dtype=np.int64)
 
 
-def first_cells_in_scan_order(
-    corners: np.ndarray, shape: Sequence[int], k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``k`` cells (row-major) of a region, as corner rows.
+def suffix_corners(shape: Sequence[int], count: int) -> np.ndarray:
+    """Every cell of a row-major grid after the first ``count``, as
+    <= ndim boxes: the complement of :func:`prefix_corners`.
 
-    ``corners`` must be internally disjoint.  Binary-searches the flat
-    scan index whose prefix contains exactly ``k`` region cells, then
-    clips the region against that prefix — the sparse equivalent of
-    ``np.flatnonzero(mask)[:k]`` on a raster, without the raster.
-
-    Returns ``(chosen, source)``: the covering corner rows plus, for
-    each, the row index of the input box it was cut from (so callers can
-    carry per-box payloads such as destination ranks).
+    The region ``{cells with flat C-order index >= count}`` is the rest
+    of the boundary cell's row, then the later partial slabs of each
+    outer axis, innermost first, so the rows too come in scan order.
     """
-    if k <= 0 or corners.shape[0] == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return np.empty((0, corners.shape[1]), dtype=np.int64), empty
-    total = int(corner_volumes(corners).sum())
-    if k >= total:
-        return corners.copy(), np.arange(corners.shape[0], dtype=np.int64)
-    lo_t, hi_t = 0, int(np.prod(tuple(shape), dtype=np.int64))
-    while lo_t < hi_t:  # smallest t with |region ∩ prefix(t)| >= k
-        mid = (lo_t + hi_t) // 2
-        if overlap_volume(corners, prefix_corners(shape, mid)) >= k:
-            hi_t = mid
-        else:
-            lo_t = mid + 1
-    chosen, src, _ = pair_intersections(corners, prefix_corners(shape, lo_t))
-    return chosen, src
+    shape = tuple(int(s) for s in shape)
+    ndim = len(shape)
+    total = int(np.prod(shape, dtype=np.int64))
+    count = max(0, min(int(count), total))
+    if count == 0:
+        return np.asarray([[0] * ndim + list(shape)], dtype=np.int64)
+    digits = _scan_digits(shape, count)
+    if digits is None:
+        return np.empty((0, 2 * ndim), dtype=np.int64)
+    rows: list[list[int]] = []
+    for d in reversed(range(ndim)):
+        # The boundary cell itself starts the innermost row.
+        first = digits[d] + (d < ndim - 1)
+        if first == shape[d]:
+            continue
+        lo = digits[:d] + [first] + [0] * (ndim - d - 1)
+        hi = [x + 1 for x in digits[:d]] + list(shape[d:])
+        rows.append(lo + hi)
+    return np.asarray(rows, dtype=np.int64)
+
+
+def _scan_index(corners: np.ndarray, shape: Sequence[int], k: int) -> int:
+    """Smallest ``t`` whose scan prefix ``prefix_corners(shape, t)``
+    holds ``k`` cells of the region ``corners`` (disjoint rows,
+    ``1 <= k <= `` the region's cell count).
+
+    One walk over the axes finds the region's ``k``-th cell in row-major
+    order.  Along axis ``d`` the rows still in play all cover the slabs
+    the walk chose on the earlier axes, so each adds its cross-section
+    over the later axes to every slab it spans: one scatter of those
+    cross-sections at the rows' ``lo`` and ``hi`` and one prefix sum give
+    the region's cells per slab, and a second prefix sum names the slab
+    that holds the ``k``-th cell.  The walk keeps that slab's rows and
+    the rank of the cell among the slab's cells, and moves to the next
+    axis.  ``t`` is the cell's flat index plus one.
+    """
+    ndim = len(shape)
+    lo, hi = corners[:, :ndim], corners[:, ndim:]
+    t = 0
+    for d, extent in enumerate(shape):
+        cross = np.prod(hi[:, d + 1 :] - lo[:, d + 1 :], axis=1, dtype=np.int64)
+        edges = np.zeros(extent + 1, dtype=np.int64)
+        np.add.at(edges, lo[:, d], cross)
+        np.add.at(edges, hi[:, d], -cross)
+        before = np.cumsum(np.cumsum(edges[:-1]))
+        slab = int(np.searchsorted(before, k))
+        if slab:
+            k -= int(before[slab - 1])
+        t = t * extent + slab
+        spans = (lo[:, d] <= slab) & (slab < hi[:, d])
+        lo, hi = lo[spans], hi[spans]
+    return t + 1
+
+
+def _clip(corners: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Non-empty intersections of every corner row with a few disjoint
+    ``rows``, corner-major, plus the corner row each came from."""
+    ndim = corners.shape[1] // 2
+    lo = np.maximum(corners[:, None, :ndim], rows[None, :, :ndim])
+    hi = np.minimum(corners[:, None, ndim:], rows[None, :, ndim:])
+    ci, ri = np.nonzero((hi > lo).all(axis=2))
+    return np.concatenate((lo[ci, ri], hi[ci, ri]), axis=1), ci
+
+
+def split_in_scan_order(
+    corners: np.ndarray, shape: Sequence[int], k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split a region at its ``k``-th cell in row-major scan order.
+
+    ``corners`` must be internally disjoint rows inside ``[0, shape)``.
+    Returns ``(chosen, chosen_src, rest, rest_src)``: the region's first
+    ``k`` cells and its remaining cells as corner rows, each row with the
+    index of the input row it was cut from (so callers can carry per-box
+    payloads such as destination ranks).  The sparse equivalent of
+    ``np.flatnonzero(mask)[:k]`` and ``[k:]`` on a raster: one walk over
+    the axes (:func:`_scan_index`) finds the scan index that ends the
+    ``k``-th cell, and the region is clipped against the at most
+    ``ndim`` rows of :func:`prefix_corners` and of
+    :func:`suffix_corners` there.
+    """
+    everything = np.arange(corners.shape[0], dtype=np.int64)
+    none = (np.empty((0, corners.shape[1]), dtype=np.int64), everything[:0])
+    if k <= 0:
+        return none + (corners.copy(), everything)
+    if k >= int(corner_volumes(corners).sum()):
+        return (corners.copy(), everything) + none
+    t = _scan_index(corners, shape, k)
+    return _clip(corners, prefix_corners(shape, t)) + _clip(
+        corners, suffix_corners(shape, t)
+    )
 
 
 class OwnerMap:

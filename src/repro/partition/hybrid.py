@@ -320,8 +320,8 @@ class NaturePlusFable(Partitioner):
         sparsely and merged into same-rank boxes — no owner raster.
         """
         unit_w = np.where(mask, 1.0, 0.0)
-        coords, seq_rank = self._assign_units(unit_w, ranks)
-        corners, box_ranks = cell_boxes(coords, seq_rank)
+        coords, unit_rank = self._assign_units(unit_w, ranks)
+        corners, box_ranks = cell_boxes(coords, unit_rank)
         if corners.shape[0]:
             parts[0].append((corners, box_ranks))
 
@@ -384,12 +384,12 @@ class NaturePlusFable(Partitioner):
                 np.concatenate(blocks),
                 np.concatenate(weights),
             )
-            if not (unit_w > 0).any():
-                continue
-            coords, seq_rank = self._assign_units(
+            coords, unit_rank = self._assign_units(
                 unit_w, ranks, origin=win_lo, unit_shape=unit_shape
             )
-            unit_box_corners, unit_ranks = cell_boxes(coords, seq_rank)
+            if not coords.shape[0]:
+                continue
+            unit_box_corners, unit_ranks = cell_boxes(coords, unit_rank)
             unit_corners = unit_box_corners * unit
             # Paint every member level of the bi-level from one decomposition.
             for lf in lf_range:
@@ -414,9 +414,11 @@ class NaturePlusFable(Partitioner):
         SFC ordering) and ``unit_shape`` the full grid's extents (fixing
         the curve's order bits), so a windowed call assigns exactly what
         a full-grid call would.  Only units with positive weight are
-        enumerated — ``(k, ndim)`` coordinates in SFC order plus a rank
-        per unit; no dense owner raster exists at any point.  Every cell
-        the bi-level must own lies in a unit with positive weight (the
+        enumerated — ``(k, ndim)`` coordinates in row-major order plus a
+        rank per unit, assigned along the SFC order and scattered back,
+        so :func:`~repro.geometry.cell_boxes` sorts them in linear time;
+        no dense owner raster exists at any point.  Every cell the
+        bi-level must own lies in a unit with positive weight (the
         weights are integer counts times positive level weights).
         """
         p = self.params
@@ -432,6 +434,6 @@ class NaturePlusFable(Partitioner):
             curve=p.curve,
             order=order_bits,
         )
-        seq_w = unit_w[nonzero][order]
-        seq_rank = _assign_sequence(seq_w, ranks, p.q)
-        return coords[order], seq_rank
+        unit_rank = np.empty(order.size, dtype=np.int32)
+        unit_rank[order] = _assign_sequence(unit_w[nonzero][order], ranks, p.q)
+        return coords, unit_rank

@@ -24,16 +24,24 @@ infinite budget and zero tolerance it converges to the inner partitioner's
 fresh answer.  The meta-partitioner moves along exactly this dial when
 dimension III says migration is (or is not) worth optimizing.
 
-All three steps are box calculus on sparse owner maps: persistence is an
-overlay (previous owners clipped to the new owned region, fresh owners
-beneath), and the diffusion pass picks the first ``take`` movable cells
-in row-major scan order by binary-searching a scan-prefix region — the
-exact sparse counterpart of ``np.flatnonzero(movable)[:take]`` on a
-raster, bit-identical without materializing one.  The overlap queries
-behind both steps prune large queries with grid-bucket candidates
-(:mod:`repro.geometry.pairindex`), which emit pairs in the brute-force
-broadcast's canonical order, so the remapper's output does not depend
-on which path served a query.
+All three steps work on one cut per level: the previous owner map cut
+along the fresh one by a single pair query, each piece carrying its
+current owner (the previous one until a move hands it over), its fresh
+owner and the fresh row that holds it.  Only the pieces whose two owners
+differ are kept; every other cell already has its fresh owner, and no
+move can touch it.  The loads are the fresh map's per-rank counts
+corrected by the pieces, so a move is a mask over the pieces (those
+the most-loaded rank holds).  When it moves them all, they leave the
+cut; otherwise :func:`~repro.geometry.split_in_scan_order` splits them
+at their ``take``-th cell in row-major scan order, the exact sparse
+counterpart of ``np.flatnonzero(movable)[:take]`` on a raster, and the
+first part leaves.  The output overlays the remaining pieces, under
+their current owners, on the fresh map through
+:func:`~repro.geometry.overlay_pairs`, which reuses the pairs the cut
+already holds.  The pair query behind the cut prunes large operands
+with grid-bucket candidates (:mod:`repro.geometry.pairindex`), which
+emit pairs in the brute-force broadcast's canonical order, so the
+remapper's output does not depend on which path served the query.
 """
 
 from __future__ import annotations
@@ -43,15 +51,78 @@ import numpy as np
 from ..geometry import (
     OwnerMap,
     corner_volumes,
-    first_cells_in_scan_order,
-    overlay_corners,
+    overlay_pairs,
     pair_intersections,
-    subtract_corners,
+    split_in_scan_order,
 )
 from ..hierarchy import GridHierarchy
 from .base import PartitionResult, Partitioner
 
 __all__ = ["StickyRepartitioner"]
+
+
+class _Cut:
+    """One level's previous owner map cut along its fresh one.
+
+    Holds the pieces of ``previous ∩ fresh`` whose current owner
+    (``cur``) differs from their fresh owner (``fresh``), with the fresh
+    row (``row``) holding each piece and its cell count (``volumes``).
+    """
+
+    def __init__(self, previous: OwnerMap, fresh: OwnerMap) -> None:
+        pieces, pi, fj = pair_intersections(previous.corners, fresh.corners)
+        cur, dest = previous.ranks[pi], fresh.ranks[fj]
+        differ = cur != dest
+        self.fresh_map = fresh
+        self.corners = pieces[differ]
+        self.cur, self.fresh, self.row = cur[differ], dest[differ], fj[differ]
+        self.volumes = corner_volumes(self.corners)
+
+    def rank_counts(self, nprocs: int) -> np.ndarray:
+        """Cells per rank of the working distribution (int64): the fresh
+        map's counts, with each piece moved from its fresh owner to its
+        current one."""
+        counts = self.fresh_map.rank_cell_counts(nprocs)
+        np.add.at(counts, self.cur, self.volumes)
+        np.subtract.at(counts, self.fresh, self.volumes)
+        return counts
+
+    def move(
+        self, movable: np.ndarray, take: int, volume: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Hand the first ``take`` of the ``volume`` cells of the
+        ``movable`` pieces, in row-major scan order, to their fresh
+        owners; those cells leave the cut.  Returns the fresh owner and
+        the cell count of every piece handed over."""
+        dest, cells = self.fresh[movable], self.volumes[movable]
+        stay = np.flatnonzero(~movable)
+        corners = self.corners[stay]
+        if take < volume:
+            idx = np.flatnonzero(movable)
+            chosen, chosen_src, rest, rest_src = split_in_scan_order(
+                self.corners[idx], self.fresh_map.shape, take
+            )
+            dest, cells = dest[chosen_src], corner_volumes(chosen)
+            stay = np.concatenate((stay, idx[rest_src]))
+            corners = np.concatenate((corners, rest))
+        self.corners = corners
+        self.cur, self.fresh, self.row = (
+            self.cur[stay], self.fresh[stay], self.row[stay]
+        )
+        self.volumes = corner_volumes(corners)
+        return dest, cells
+
+    def owner_map(self) -> OwnerMap:
+        """The fresh map with every piece under its current owner."""
+        n = self.corners.shape[0]
+        if n == 0:
+            return self.fresh_map
+        fresh = self.fresh_map
+        corners, ranks = overlay_pairs(
+            self.corners, self.cur, fresh.corners, fresh.ranks,
+            self.row, np.arange(n),
+        )
+        return OwnerMap(fresh.shape, corners, ranks)
 
 
 class StickyRepartitioner(Partitioner):
@@ -110,28 +181,21 @@ class StickyRepartitioner(Partitioner):
                 nprocs=nprocs,
                 partition_seconds=self.cost_seconds(hierarchy, nprocs),
             )
-        levels: list[list[np.ndarray]] = []
+        # Persisting cells (owned at t-1 and t) keep the previous owner;
+        # the remainder keeps the fresh one.
+        cuts: list[_Cut | None] = []
         prev_cells = 0
-        for l in range(hierarchy.nlevels):
-            target = fresh.maps[l]
-            corners, ranks = target.corners, target.ranks
-            if l < previous.nlevels:
-                prev_m = previous.maps[l]
-                if prev_m.shape == target.shape:
-                    # Persisting cells (owned at t-1 and t) keep the
-                    # previous owner; the remainder keeps the fresh one.
-                    kept, pi, _ = pair_intersections(
-                        prev_m.corners, target.corners
-                    )
-                    corners, ranks = overlay_corners(
-                        kept, prev_m.ranks[pi], target.corners, target.ranks
-                    )
-                    prev_cells += prev_m.ncells
-            levels.append([corners, ranks])
-        self._diffuse(levels, fresh, hierarchy, prev_cells, nprocs)
+        for l, target in enumerate(fresh.maps):
+            prev_m = previous.maps[l] if l < previous.nlevels else None
+            if prev_m is None or prev_m.shape != target.shape:
+                cuts.append(None)
+                continue
+            cuts.append(_Cut(prev_m, target))
+            prev_cells += prev_m.ncells
+        self._diffuse(cuts, fresh, hierarchy, prev_cells, nprocs)
         maps = tuple(
-            OwnerMap(fresh.maps[l].shape, corners, ranks)
-            for l, (corners, ranks) in enumerate(levels)
+            target if cut is None else cut.owner_map()
+            for target, cut in zip(fresh.maps, cuts)
         )
         return PartitionResult(
             maps=maps,
@@ -140,25 +204,9 @@ class StickyRepartitioner(Partitioner):
         )
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _loads(
-        levels: list[list[np.ndarray]],
-        hierarchy: GridHierarchy,
-        nprocs: int,
-    ) -> np.ndarray:
-        """Per-rank loads of the working distribution (same math as
-        :func:`~repro.partition.base.proc_loads`)."""
-        loads = np.zeros(nprocs, dtype=np.float64)
-        for level, (corners, ranks) in zip(hierarchy, levels):
-            if corners.shape[0]:
-                counts = np.zeros(nprocs, dtype=np.int64)
-                np.add.at(counts, ranks, corner_volumes(corners))
-                loads += counts * float(level.time_refinement_weight())
-        return loads
-
     def _diffuse(
         self,
-        levels: list[list[np.ndarray]],
+        cuts: list[_Cut | None],
         fresh: PartitionResult,
         hierarchy: GridHierarchy,
         prev_cells: int,
@@ -172,7 +220,17 @@ class StickyRepartitioner(Partitioner):
         )
         if budget == 0:
             return
-        loads = self._loads(levels, hierarchy, nprocs)
+        weights = [float(level.time_refinement_weight()) for level in hierarchy]
+        # Per-rank loads of the working distribution (same math as
+        # repro.partition.base.proc_loads).
+        loads = np.zeros(nprocs, dtype=np.float64)
+        for target, cut, w in zip(fresh.maps, cuts, weights):
+            counts = (
+                target.rank_cell_counts(nprocs)
+                if cut is None
+                else cut.rank_counts(nprocs)
+            )
+            loads += counts * w
         moved = 0
         # Iterate overloaded ranks; move their cells towards the fresh owner.
         for _ in range(8 * nprocs):
@@ -182,17 +240,13 @@ class StickyRepartitioner(Partitioner):
             worst = int(np.argmax(loads))
             if loads[worst] <= self.imbalance_tolerance * avg:
                 return
-            progress = False
-            for l in range(hierarchy.nlevels):
-                corners, ranks = levels[l]
-                target = fresh.maps[l]
-                w = float(hierarchy[l].time_refinement_weight())
-                worst_sel = ranks == worst
-                away = target.ranks != worst
-                movable, _, tj = pair_intersections(
-                    corners[worst_sel], target.corners[away]
-                )
-                volume = int(corner_volumes(movable).sum())
+            for cut, w in zip(cuts, weights):
+                if cut is None:
+                    continue
+                # A piece's two owners differ, so every piece `worst`
+                # holds goes to another rank.
+                movable = cut.cur == worst
+                volume = int(cut.volumes[movable].sum())
                 if volume == 0:
                     continue
                 # How many cells bring `worst` back under tolerance?
@@ -202,30 +256,12 @@ class StickyRepartitioner(Partitioner):
                     take = min(take, budget - moved)
                     if take <= 0:
                         return
-                # First `take` movable cells in row-major scan order —
-                # the sparse, bit-identical counterpart of the raster
-                # path's np.flatnonzero(movable)[:take].
-                chosen_c, src = first_cells_in_scan_order(
-                    movable, target.shape, take
-                )
-                chosen_r = target.ranks[away][tj][src]
+                dest, cells = cut.move(movable, take, volume)
                 dest_counts = np.zeros(nprocs, dtype=np.int64)
-                np.add.at(dest_counts, chosen_r, corner_volumes(chosen_c))
-                remaining = subtract_corners(corners[worst_sel], chosen_c)
-                levels[l] = [
-                    np.concatenate((corners[~worst_sel], remaining, chosen_c)),
-                    np.concatenate(
-                        (
-                            ranks[~worst_sel],
-                            np.full(remaining.shape[0], worst, np.int32),
-                            chosen_r,
-                        )
-                    ),
-                ]
+                np.add.at(dest_counts, dest, cells)
                 loads += dest_counts * w
                 loads[worst] -= take * w
                 moved += take
-                progress = True
                 break
-            if not progress:
+            else:
                 return

@@ -131,7 +131,8 @@ def migration_cells(prev: "PartitionResult", cur: "PartitionResult") -> int:
     the level persisted, else the refined ancestor source) is built by
     overlaying owner maps, and the migrated count is the new level's
     owned cells minus the rank-matched intersection volume with its
-    source map.
+    source map.  Level 0's source map is the previous level-0 map
+    itself: the overlays start at level 1.
     """
     total = 0
     src_c: np.ndarray | None = None
@@ -157,13 +158,16 @@ def migration_cells(prev: "PartitionResult", cur: "PartitionResult") -> int:
                 )
             src_c = src_c * ratio
             src_shape = b.shape
-        if l < prev.nlevels:
-            pl = prev.maps[l]
-            if pl.shape != b.shape:
-                raise ValueError(
-                    f"level {l} raster shapes differ: {pl.shape} vs {b.shape}"
+            if l < prev.nlevels:
+                pl = prev.maps[l]
+                if pl.shape != b.shape:
+                    raise ValueError(
+                        f"level {l} raster shapes differ: {pl.shape} "
+                        f"vs {b.shape}"
+                    )
+                src_c, src_r = overlay_corners(
+                    pl.corners, pl.ranks, src_c, src_r
                 )
-            src_c, src_r = overlay_corners(pl.corners, pl.ranks, src_c, src_r)
         total += b.ncells - matched_volume(src_c, src_r, b.corners, b.ranks)
     return total
 

@@ -14,7 +14,9 @@ per-level rasters, :func:`upsample` refines a raster and
 :func:`block_sum` coarsens one, the oracle of the rasterless
 :func:`~repro.geometry.block_overlaps` behind the column and unit
 workloads and ``beta_L``: each corner row's rasterized mask, block-summed
-and weighted, summed over the rows.
+and weighted, summed over the rows.  :func:`sticky_partition` is the
+sticky remapper's persistence and diffusion on rasters, the oracle of
+:class:`~repro.partition.StickyRepartitioner`'s sparse cut.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "rasterize_owners",
     "rasters",
     "step_cells",
+    "sticky_partition",
     "upsample",
 ]
 
@@ -196,3 +199,69 @@ def step_cells(hierarchy, result, previous, ghost_width: int = 1):
         0 if previous is None else migration_cells(rasters(previous), cur)
     )
     return comm, interlevel, migrated
+
+
+def sticky_partition(
+    previous: tuple[np.ndarray, ...],
+    fresh: tuple[np.ndarray, ...],
+    hierarchy,
+    nprocs: int,
+    imbalance_tolerance: float,
+    migration_budget: float | None,
+) -> tuple[np.ndarray, ...]:
+    """The sticky remapper's rasters, given the previous and the fresh
+    distribution's rasters.
+
+    A cell both rasters of a level own keeps its previous owner, every
+    other owned cell its fresh one.  Then, while the most-loaded rank
+    ``worst`` exceeds ``imbalance_tolerance`` times the mean load, the
+    first level holding cells that ``worst`` owns and the fresh raster
+    gives to another rank hands ``take`` of them, the first in row-major
+    order (``np.flatnonzero(movable)[:take]``), to their fresh owners:
+    ``take`` covers the excess load, at most all of them and at most
+    what is left of ``migration_budget`` times the previous cell count.
+    """
+    work: list[np.ndarray] = []
+    prev_cells = 0
+    for l, target in enumerate(fresh):
+        out = target.copy()
+        if l < len(previous) and previous[l].shape == target.shape:
+            both = (previous[l] != NO_OWNER) & (target != NO_OWNER)
+            out[both] = previous[l][both]
+            prev_cells += int((previous[l] != NO_OWNER).sum())
+        work.append(out)
+    budget = (
+        None if migration_budget is None else int(migration_budget * prev_cells)
+    )
+    if budget == 0:
+        return tuple(work)
+    weights = [float(level.time_refinement_weight()) for level in hierarchy]
+    loads = proc_loads(work, hierarchy, nprocs)
+    moved = 0
+    for _ in range(8 * nprocs):
+        avg = loads.mean()
+        if avg <= 0:
+            break
+        worst = int(np.argmax(loads))
+        if loads[worst] <= imbalance_tolerance * avg:
+            break
+        for out, target, w in zip(work, fresh, weights):
+            movable = np.flatnonzero((out == worst) & (target != worst))
+            if movable.size == 0:
+                continue
+            excess = (loads[worst] - imbalance_tolerance * avg) / w
+            take = int(min(movable.size, max(1, np.ceil(excess))))
+            if budget is not None:
+                take = min(take, budget - moved)
+                if take <= 0:
+                    return tuple(work)
+            cells = movable[:take]
+            dest = target.flat[cells]
+            out.flat[cells] = dest
+            loads += np.bincount(dest, minlength=nprocs) * w
+            loads[worst] -= take * w
+            moved += take
+            break
+        else:
+            break
+    return tuple(work)

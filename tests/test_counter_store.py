@@ -34,13 +34,13 @@ from repro.telemetry.metrics import BUILTIN_COUNTERS
 #: sweeps of ``matched_volume``, which ignore the cutoff and count as
 #: brute-force queries.
 GOLDEN = {
-    "repro_pair_queries_total": 180,
-    "repro_pair_grid_queries_total": 90,
+    "repro_pair_queries_total": 170,
+    "repro_pair_grid_queries_total": 80,
     "repro_pair_brute_queries_total": 54,
-    "repro_pair_pair_product_total": 4744,
+    "repro_pair_pair_product_total": 4344,
     "repro_pair_bruteforce_pairs_total": 942,
-    "repro_pair_candidate_pairs_total": 2434,
-    "repro_pair_exact_pairs_total": 838,
+    "repro_pair_candidate_pairs_total": 2236,
+    "repro_pair_exact_pairs_total": 778,
     # The two replays read the trace the trace run published from the
     # store's read cache.
     "repro_store_read_cache_hits_total": 2,
@@ -134,7 +134,7 @@ def test_golden_sweep_counters_agree_across_surfaces(tmp_path, monkeypatch):
     timings = aggregate_timings(store.root)
     assert timings["counters"] == GOLDEN
     text = render_timings(timings)
-    assert "pair kernels: 180 queries, 4,744 brute-force pair product" in text
+    assert "pair kernels: 170 queries, 4,344 brute-force pair product" in text
 
     snapshot = {
         c["name"]: c["value"]

@@ -8,8 +8,15 @@ that swaps in the oracle.  Every test here takes its row from the table.
   kernels pick their path by pair product, so patching the module's
   ``_BRUTE_CUTOFF`` to ``-1`` puts every multi-row query on the grid and
   patching it to ``10**18`` puts every query on brute force.
-* **batched subtraction** (``ownermap._subtract_groups``) against a
-  **sequential** :meth:`Box.subtract` **sweep** over each group's holes.
+* **batched subtraction** (``ownermap._subtract_groups``, behind
+  ``overlay_corners``, ``overlay_pairs`` and so the sticky remapper's
+  output) against a **sequential** :meth:`Box.subtract` **sweep** over
+  each group's holes.
+* **scan walk** (``ownermap._scan_index``, one walk over the axes that
+  finds a region's ``k``-th cell in row-major order, behind
+  ``split_in_scan_order`` and the sticky remapper's partial moves)
+  against the **bisection** over ``overlap_volume`` queries of the scan
+  prefix it replaces (:func:`bisect_scan_index`).
 * **rank-padded sweep** (``matched_volume``'s one broadcast over
   rank-padded corner blocks) against the **per-rank loop** of
   ``overlap_volume`` queries it replaces (``ownermap._RANK_PAD_CELLS``
@@ -73,13 +80,17 @@ from repro.experiments.workloads import paper_config, shadow_shape, workload_ndi
 from repro.geometry import (
     Box,
     BoxList,
+    NO_OWNER,
+    OwnerMap,
     box_corners,
+    corner_volumes,
     face_contacts,
     matched_volume,
     overlap_volume,
     overlay_corners,
     pair_intersections,
-    subtract_corners,
+    prefix_corners,
+    split_in_scan_order,
 )
 from repro.geometry import boxlist, ownermap, pairindex, raster, rasterize_mask
 from repro.hierarchy import hierarchy as hierarchy_module
@@ -124,6 +135,25 @@ def sequential_subtraction() -> ContextManager:
     return mock.patch.object(
         ownermap, "_subtract_groups", sequential_subtract_groups
     )
+
+
+def bisect_scan_index(
+    corners: np.ndarray, shape: Sequence[int], k: int
+) -> int:
+    """``_scan_index`` by bisection: the smallest ``t`` whose scan prefix
+    holds ``k`` region cells, one ``overlap_volume`` query per probe."""
+    lo, hi = 0, int(np.prod(tuple(shape), dtype=np.int64))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if overlap_volume(corners, prefix_corners(shape, mid)) >= k:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def bisected_scan_order() -> ContextManager:
+    return mock.patch.object(ownermap, "_scan_index", bisect_scan_index)
 
 
 def per_rank_queries() -> ContextManager:
@@ -300,6 +330,10 @@ ORACLES = {
         "batched _subtract_groups", "sequential Box.subtract sweep",
         nullcontext, sequential_subtraction,
     ),
+    "scan-order": Oracle(
+        "scan walk over the axes", "bisection over overlap_volume",
+        nullcontext, bisected_scan_order,
+    ),
     "rank-pad": Oracle(
         "rank-padded matched_volume sweep", "per-rank overlap_volume loop",
         nullcontext, per_rank_queries,
@@ -362,15 +396,21 @@ def _replay(name: str, hierarchies) -> list:
     return steps
 
 
-@pytest.mark.parametrize("ndim", [2, 3])
-@pytest.mark.parametrize("name", tuple(registry("partitioner")))
-@pytest.mark.parametrize(
-    "row",
-    [
+#: ``(row, partitioner)`` of every replay: the geometry rows under every
+#: registered partitioner, the scan walk under the one that moves cells
+#: in scan order.
+REPLAYS = [
+    (row, name)
+    for row in (
         "grid", "subtract", "rank-pad", "coalesce", "cell-boxes",
         "box-overlap", "core-labels",
-    ],
-)
+    )
+    for name in registry("partitioner")
+] + [("scan-order", "sticky-sfc")]
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+@pytest.mark.parametrize("row,name", REPLAYS)
 @settings(
     max_examples=10,
     deadline=None,
@@ -647,14 +687,65 @@ def test_batched_subtract_matches_sequential_sweep(ndim, data):
     row = ORACLES["subtract"]
     with row.fast():
         c_fast, r_fast = overlay_corners(top, top_ranks, bottom, bottom_ranks)
-        s_fast = subtract_corners(bottom, top)
     with row.reference():
         c_ref, r_ref = overlay_corners(top, top_ranks, bottom, bottom_ranks)
-        s_ref = subtract_corners(bottom, top)
     np.testing.assert_array_equal(c_fast, c_ref)
     np.testing.assert_array_equal(r_fast, r_ref)
     assert r_fast.dtype == r_ref.dtype
-    np.testing.assert_array_equal(s_fast, s_ref)
+
+
+# ---------------------------------------------------------------------------
+# the scan walk vs the bisection over overlap_volume queries
+
+
+@st.composite
+def scan_regions(draw, ndim: int) -> OwnerMap:
+    """A sparse to full region of a 1-4-D grid, cut into the boxes
+    ``OwnerMap.from_raster`` makes of a raster of three ranks."""
+    side = 3 if ndim == 4 else 6
+    shape = tuple(draw(st.integers(1, side)) for _ in range(ndim))
+    density = draw(st.sampled_from([0.1, 0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    raster = np.where(
+        rng.random(shape) < density, rng.integers(0, 3, size=shape), NO_OWNER
+    )
+    return OwnerMap.from_raster(raster.astype(np.int32))
+
+
+def _flat_cells(corners: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Row-major flat indices of the cells the rows cover."""
+    ndim = len(shape)
+    mask = np.zeros(shape, dtype=bool)
+    for row in corners:
+        mask[tuple(slice(a, b) for a, b in zip(row[:ndim], row[ndim:]))] = True
+    return np.flatnonzero(mask)
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_scan_split_matches_flatnonzero(ndim, data):
+    """For every ``k``, on the walk and on the bisection alike, the
+    chosen and remaining rows are disjoint and cover exactly
+    ``np.flatnonzero(mask)[:k]`` and ``[k:]``, and each lies inside the
+    input row its source index names."""
+    region = data.draw(scan_regions(ndim))
+    shape, corners = region.shape, region.corners
+    cells = np.flatnonzero(region.rasterize() != NO_OWNER)
+    row = ORACLES["scan-order"]
+    for k in range(1, cells.size + 1):
+        for path in (row.fast, row.reference):
+            with path():
+                split = split_in_scan_order(corners, shape, k)
+            for pieces, src, want in (
+                (split[0], split[1], cells[:k]),
+                (split[2], split[3], cells[k:]),
+            ):
+                assert int(corner_volumes(pieces).sum()) == want.size
+                np.testing.assert_array_equal(_flat_cells(pieces, shape), want)
+                parent = corners[src]
+                assert (pieces[:, :ndim] >= parent[:, :ndim]).all()
+                assert (pieces[:, ndim:] <= parent[:, ndim:]).all()
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from repro.engine import create, registry
 from repro.geometry import NO_OWNER, Box, OwnerMap
@@ -19,8 +22,9 @@ from repro.partition import (
     proc_loads,
 )
 
+from tests import dense_oracle as dense
 from tests.dense_oracle import rasters
-from tests.strategies import nested_hierarchies_2d
+from tests.strategies import nested_hierarchies, nested_hierarchies_2d
 
 ALL_PARTITIONERS = [
     DomainSfcPartitioner(),
@@ -344,6 +348,40 @@ class TestSticky:
             StickyRepartitioner(DomainSfcPartitioner(), imbalance_tolerance=0.5)
         with pytest.raises(ValueError):
             StickyRepartitioner(DomainSfcPartitioner(), migration_budget=-0.1)
+
+    @pytest.mark.parametrize("inner", [DomainSfcPartitioner, NaturePlusFable])
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @settings(
+        max_examples=20,
+        deadline=None,
+        phases=(Phase.explicit, Phase.reuse, Phase.generate),
+    )
+    @given(data=st.data())
+    def test_matches_dense_oracle(self, ndim, inner, data):
+        """Every budget and tolerance: the sparse cut hands over exactly
+        the cells the dense diffusion's ``np.flatnonzero(movable)[:take]``
+        does, with the same load arithmetic.  Hypothesis does not shrink
+        a failure here: shrinking whole partitions takes minutes, and the
+        failing example is reported as drawn."""
+        side = data.draw(st.sampled_from([4, 8]))
+        before = data.draw(nested_hierarchies(ndim, side))
+        after = data.draw(nested_hierarchies(ndim, side))
+        nprocs = data.draw(st.integers(2, 5))
+        part = inner()
+        previous = part.partition(before, nprocs)
+        fresh = rasters(part.partition(after, nprocs))
+        for tolerance, budget in itertools.product(
+            (1.0, 1.25), (None, 0, 0.05, 0.25)
+        ):
+            sticky = StickyRepartitioner(part, tolerance, budget)
+            got = sticky.partition(after, nprocs, previous)
+            want = dense.sticky_partition(
+                rasters(previous), fresh, after, nprocs, tolerance, budget
+            )
+            for level, (g, w) in enumerate(zip(rasters(got), want)):
+                np.testing.assert_array_equal(
+                    g, w, err_msg=f"level {level}, {tolerance=}, {budget=}"
+                )
 
     def test_diffusion_respects_tolerance_when_unbounded(self, small_traces):
         h = small_traces["sc2d"][-1].hierarchy

@@ -75,6 +75,8 @@ REMOVED_NAMES = {
     "trace_meta": ("repro.engine.executor",),
     "_cache_get": ("repro.engine.store",),
     "add_box_overlap": ("repro.geometry", "repro.geometry.raster"),
+    "first_cells_in_scan_order": ("repro.geometry", "repro.geometry.ownermap"),
+    "subtract_corners": ("repro.geometry", "repro.geometry.ownermap"),
 }
 
 #: ``(module, class, attribute)``: retired methods.
@@ -154,6 +156,22 @@ def test_removed_names_are_gone():
         for name in getattr(importlib.import_module(module), "__all__", ())
     }
     assert not exported & set(REMOVED_NAMES)
+
+
+def test_scan_order_surface():
+    """The sparse scan-order kernels the sticky remapper moves cells
+    with: a region split at its ``k``-th cell, and the scan prefix and
+    suffix of a grid it clips against."""
+    geometry = importlib.import_module("repro.geometry")
+    for name in ("split_in_scan_order", "prefix_corners", "suffix_corners"):
+        assert name in geometry.__all__, name
+    assert list(
+        inspect.signature(geometry.split_in_scan_order).parameters
+    ) == ["corners", "shape", "k"]
+    for name in ("prefix_corners", "suffix_corners"):
+        assert list(
+            inspect.signature(getattr(geometry, name)).parameters
+        ) == ["shape", "count"]
 
 
 def test_removed_methods_are_gone():
