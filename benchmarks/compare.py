@@ -10,7 +10,7 @@ benchmark case with the wall-clock and peak-memory delta versus the
 baseline record.  Two gates apply:
 
 * **counters: exact.**  The deterministic ``counters`` of a record
-  (candidate pairs, grid queries, queries, ...) must equal its
+  (candidate pairs, sweep queries, queries, ...) must equal its
   baseline's; any difference exits 1.  So does a case recorded twice in
   one suite, in either directory: records are matched by case, and a
   second copy would hide the first.

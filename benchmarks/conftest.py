@@ -23,12 +23,17 @@ suite into ``benchmarks/out/`` (override with ``REPRO_BENCH_OUT``) so
 CI can diff timings and counters across commits without scraping
 stdout.  Counter dicts come from metrics-registry deltas
 (:func:`repro.telemetry.counter_deltas`, see :func:`pair_counters`).
+A record's wall is :func:`best_wall` of several untraced calls and its
+peak :func:`traced_peak` of one more: a few-millisecond case timed once
+reads a slow call on a shared host as a regression.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +76,37 @@ def record_bench(suite: str, case: str, wall_s: float,
     record.update(extra)
     records.append(record)
     return record
+
+
+#: Untraced calls :func:`best_wall` makes at most, and the wall it stops
+#: after: a millisecond case gets every call, a minute-long one just one.
+BENCH_REPEATS = 5
+BENCH_REPEAT_BUDGET_S = 1.0
+
+
+def best_wall(fn, *args) -> float:
+    """The best wall of up to ``BENCH_REPEATS`` untraced ``fn(*args)``
+    calls, stopping once ``BENCH_REPEAT_BUDGET_S`` has been spent."""
+    best, spent = float("inf"), 0.0
+    for _ in range(BENCH_REPEATS):
+        t0 = time.perf_counter()
+        fn(*args)
+        seconds = time.perf_counter() - t0
+        best, spent = min(best, seconds), spent + seconds
+        if spent >= BENCH_REPEAT_BUDGET_S:
+            break
+    return best
+
+
+def traced_peak(fn, *args) -> tuple[object, float]:
+    """``(result, peak MB)`` of one ``fn(*args)`` call under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak / 1e6
 
 
 def pair_counters(deltas: dict) -> dict:

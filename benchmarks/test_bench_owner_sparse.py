@@ -18,9 +18,6 @@ CI-sized variants.  The printed table is the reproduction record for the
 
 from __future__ import annotations
 
-import time
-import tracemalloc
-
 import pytest
 
 from repro.engine.components import create
@@ -33,7 +30,9 @@ from repro.simulator import (
     migration_cells,
 )
 
-from conftest import BENCH_NPROCS, bench_scale, record_bench
+from conftest import (
+    BENCH_NPROCS, bench_scale, best_wall, record_bench, traced_peak,
+)
 from tests import dense_oracle as dense
 
 
@@ -85,15 +84,11 @@ def _dense_metrics(hierarchy, prev, cur) -> tuple:
     return ghost, pairs, inter, dense.migration_cells(prev_rasters, cur_rasters)
 
 
-def _measure(fn, *args) -> tuple[tuple, float, int]:
-    """(result, seconds, peak allocated bytes) of one invocation."""
-    tracemalloc.start()
-    t0 = time.perf_counter()
-    result = fn(*args)
-    seconds = time.perf_counter() - t0
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return result, seconds, peak
+def _measure(fn, *args) -> tuple[tuple, float, float]:
+    """(result, best seconds, peak MB): the result and peak of one traced
+    call, the wall of the untraced ones."""
+    result, peak_mb = traced_peak(fn, *args)
+    return result, best_wall(fn, *args), peak_mb
 
 
 def _compare(app: str, scale: str) -> dict:
@@ -111,8 +106,8 @@ def _compare(app: str, scale: str) -> dict:
         "boxes": sum(m.nboxes for m in cur.maps),
         "sparse_s": sparse_s,
         "dense_s": dense_s,
-        "sparse_peak_mb": sparse_peak / 1e6,
-        "dense_peak_mb": dense_peak / 1e6,
+        "sparse_peak_mb": sparse_peak,
+        "dense_peak_mb": dense_peak,
     }
     print(
         f"\n  {row['workload']:<12} cells={row['cells']:>10,} "
@@ -120,7 +115,7 @@ def _compare(app: str, scale: str) -> dict:
         f"/ {row['sparse_peak_mb']:8.1f} MB | dense {dense_s * 1e3:8.1f} ms "
         f"/ {row['dense_peak_mb']:8.1f} MB | "
         f"speedup x{dense_s / max(sparse_s, 1e-9):.1f}, "
-        f"memory x{dense_peak / max(sparse_peak, 1):.0f}"
+        f"memory x{dense_peak / max(sparse_peak, 1e-6):.0f}"
     )
     record_bench("owner_sparse", f"sparse:{row['workload']}", sparse_s,
                  peak_mb=row["sparse_peak_mb"],

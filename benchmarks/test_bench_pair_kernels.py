@@ -1,14 +1,14 @@
-"""Quadratic vs grid-bucket cost of the pair-kernel metric set.
+"""Quadratic vs slab-sweep cost of the pair-kernel metric set.
 
 Times — and measures the peak allocation of — one full per-step metric
 evaluation (ghost exchange, message pairs, inter-level transfer,
 migration) on each candidate path, selected through the brute-force
-cutoff seam (the ``grid`` row of ``tests/test_oracles.py``):
+cutoff seam (the ``sweep`` row of ``tests/test_oracles.py``):
 
-* **indexed**: grid-bucket pair pruning for every multi-row query —
-  candidates near-linear in the box count;
-* **bruteforce**: the O(boxes^2) broadcast for every query, the grid's
-  oracle.
+* **indexed**: the slab-sweep join for every multi-row query — exactly
+  the intersecting (or, for faces, touching) pairs as candidates;
+* **bruteforce**: the O(boxes^2) broadcast for every query, the
+  sweep's oracle.
 
 The rank-matched volumes of the inter-level and migration metrics
 (``matched_volume``) take neither path: their same-rank sweep ignores
@@ -22,7 +22,7 @@ base, 5 levels — a 1024^3 finest index space); at
 The 3-D workloads run with every merge patched out: the one coalesce
 behind ``cell_boxes`` and ``OwnerMap.coalesced``
 (``ownermap._coalesce_rows``) is the identity, so the maps hold
-Nature+Fable's unit runs clipped to the patches, the grid's stress
+Nature+Fable's unit runs clipped to the patches, the sweep's stress
 operands.  The maps Nature+Fable hands over (merged by ``cell_boxes``)
 hold 6-10x fewer boxes, and the coalesced maps the simulator measures
 15-30x fewer.  At ``ultra`` the brute-force path is *not run* — its
@@ -31,16 +31,13 @@ infeasibility record.  The
 printed table, including candidate vs exact vs brute-force pair counts,
 is the reproduction record.
 
-:func:`test_replay_grid_matches_bruteforce` replays whole partitioner
+:func:`test_replay_sweep_matches_bruteforce` replays whole partitioner
 runs on both paths and asserts identical step metrics; at ``paper``
-scale it covers the real queries whose mixed box scales make the grid
-coarsen its cell.
+scale it covers the real queries whose mixed box scales make the sweep
+widen its slabs.
 """
 
 from __future__ import annotations
-
-import time
-import tracemalloc
 
 import pytest
 
@@ -55,13 +52,16 @@ from repro.simulator import (
 )
 from repro.telemetry import counter_deltas
 
-from conftest import BENCH_NPROCS, bench_scale, pair_counters, record_bench
+from conftest import (
+    BENCH_NPROCS, bench_scale, best_wall, pair_counters, record_bench,
+    traced_peak,
+)
 from test_bench_owner_sparse import _distributions
 from tests.test_oracles import ORACLES
 
-#: Every multi-row pair query on the grid (``fast``) or every query on
+#: Every multi-row pair query on the sweep (``fast``) or every query on
 #: brute force (``reference``).
-GRID = ORACLES["grid"]
+SWEEP = ORACLES["sweep"]
 
 
 def _uncoalesced_distributions(app: str, scale: str):
@@ -90,29 +90,28 @@ def _metric_set(hierarchy, prev, cur) -> tuple:
 
 
 def _measure(path, hierarchy, prev, cur):
-    """(result, seconds, peak bytes, counter deltas) on one path."""
-    tracemalloc.start()
-    t0 = time.perf_counter()
-    with path(), counter_deltas() as moved:
-        result = _metric_set(hierarchy, prev, cur)
-    seconds = time.perf_counter() - t0
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return result, seconds, peak, pair_counters(moved)
+    """(result, best seconds, peak MB, counter deltas) on one path: the
+    result, peak and counters of one traced call, the wall of the
+    untraced ones."""
+    with path():
+        with counter_deltas() as moved:
+            result, peak_mb = traced_peak(_metric_set, hierarchy, prev, cur)
+        seconds = best_wall(_metric_set, hierarchy, prev, cur)
+    return result, seconds, peak_mb, pair_counters(moved)
 
 
 def _compare(app: str, scale: str, distributions, run_brute: bool = True,
              label: str = "") -> dict:
     hierarchy, prev, cur = distributions
     indexed_out, indexed_s, indexed_peak, counters = _measure(
-        GRID.fast, hierarchy, prev, cur
+        SWEEP.fast, hierarchy, prev, cur
     )
     row = {
         "workload": f"{app}:{scale}{label}",
         "cells": hierarchy.ncells,
         "boxes": sum(m.nboxes for m in cur.maps),
         "indexed_s": indexed_s,
-        "indexed_peak_mb": indexed_peak / 1e6,
+        "indexed_peak_mb": indexed_peak,
         "pair_product": counters["pair_product"],
         "candidate_pairs": counters["candidate_pairs"],
         "exact_pairs": counters["exact_pairs"],
@@ -138,11 +137,11 @@ def _compare(app: str, scale: str, distributions, run_brute: bool = True,
         )
         return row
     brute_out, brute_s, brute_peak, _ = _measure(
-        GRID.reference, hierarchy, prev, cur
+        SWEEP.reference, hierarchy, prev, cur
     )
     assert indexed_out == brute_out, "indexed/bruteforce metric mismatch"
     row["brute_s"] = brute_s
-    row["brute_peak_mb"] = brute_peak / 1e6
+    row["brute_peak_mb"] = brute_peak
     record_bench(
         "pair_kernels", f"bruteforce:{row['workload']}", brute_s,
         peak_mb=row["brute_peak_mb"],
@@ -153,22 +152,22 @@ def _compare(app: str, scale: str, distributions, run_brute: bool = True,
         f"  {'':12} brute force {brute_s * 1e3:8.1f} ms / "
         f"{row['brute_peak_mb']:7.1f} MB | "
         f"speedup x{brute_s / max(indexed_s, 1e-9):.1f}, "
-        f"memory x{brute_peak / max(indexed_peak, 1):.1f}"
+        f"memory x{brute_peak / max(indexed_peak, 1e-6):.1f}"
     )
     return row
 
 
 def test_pair_kernels_2d(benchmark):
-    """2-D paper scale: the grid must agree with brute force.
+    """2-D paper scale: the sweep must agree with brute force.
 
     Most 2-D queries are small enough for the brute-force branch, which
-    is why the production path sends them there: forcing the grid on
+    is why the production path sends them there: forcing the sweep on
     all of them measures its setup cost, not a win.
     """
     scale = bench_scale()
     distributions = _distributions("tp2d", scale)
     row = _compare("tp2d", scale, distributions)
-    with GRID.fast():
+    with SWEEP.fast():
         benchmark(_metric_set, *distributions)
     # Identical results asserted inside _compare; the 2-D workloads are
     # small enough that either path is fast — no ordering assertion.
@@ -186,7 +185,7 @@ def test_pair_kernels_3d_deep(benchmark):
     scale = "deep" if bench_scale() == "paper" else "small"
     distributions = _uncoalesced_distributions("tp3d", scale)
     row = _compare("tp3d", scale, distributions)
-    with GRID.fast():
+    with SWEEP.fast():
         benchmark(_metric_set, *distributions)
     if scale == "deep":
         assert row["brute_s"] >= 3.0 * row["indexed_s"], (
@@ -209,7 +208,7 @@ def test_pair_kernels_3d_ultra(benchmark):
     # own keeps the two records apart.
     row = _compare("tp3d", scale, distributions, run_brute=(scale == "small"),
                    label="" if scale == "ultra" else ":ultra")
-    with GRID.fast():
+    with SWEEP.fast():
         benchmark(_metric_set, *distributions)
     if scale == "ultra":
         # The pruning gap is the record: candidates must be orders of
@@ -219,16 +218,16 @@ def test_pair_kernels_3d_ultra(benchmark):
 
 @pytest.mark.parametrize("partitioner", ["nature+fable", "sticky-sfc"])
 @pytest.mark.parametrize("app", ["bl2d", "bl3d"])
-def test_replay_grid_matches_bruteforce(app, partitioner):
+def test_replay_sweep_matches_bruteforce(app, partitioner):
     """Whole replays give identical step metrics on both paths.
 
     Partitioning and measuring with every multi-row pair query on the
-    grid, and with every query on brute force, must produce equal
+    sweep, and with every query on brute force, must produce equal
     :class:`StepMetrics` at every regrid step.
     """
     trace = paper_trace(app, bench_scale())
     steps = []
-    for path in (GRID.fast, GRID.reference):
+    for path in (SWEEP.fast, SWEEP.reference):
         with path():
             steps.append(TraceSimulator().run(
                 trace, create("partitioner", partitioner), BENCH_NPROCS
@@ -242,7 +241,7 @@ def test_full_replay_indexed_ultra(benchmark):
     scale = "ultra" if bench_scale() == "paper" else "small"
     trace = paper_trace("tp3d", scale)
     sim = TraceSimulator()
-    with GRID.fast():
+    with SWEEP.fast():
         result = benchmark.pedantic(
             sim.run,
             args=(trace, create("partitioner", "nature+fable"), BENCH_NPROCS),

@@ -31,8 +31,8 @@ def intersection_volume(a: Sequence[Box], b: Sequence[Box]) -> int:
 
     For internally-disjoint ``a`` and ``b`` this is exactly
     ``|union(a) ∩ union(b)|``.  Delegates to
-    :func:`~repro.geometry.ownermap.overlap_volume`, whose grid-bucket
-    candidates prune large pair products to near-linear.
+    :func:`~repro.geometry.ownermap.overlap_volume`, whose slab-sweep
+    join prunes large pair products to the intersecting pairs.
     """
     from .ownermap import overlap_volume
 

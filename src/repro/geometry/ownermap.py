@@ -26,9 +26,10 @@ The pair kernels themselves (:func:`pair_intersections`,
 :func:`overlap_volume`, :func:`face_contacts`) ask
 :func:`~repro.geometry.pairindex.candidate_pairs` for their candidates:
 small queries run a chunked brute-force broadcast, large ones a
-grid-bucket join that prunes the O(n_a * n_b) product to near-linear
-before the exact arithmetic runs.  Output ordering is bit-identical on
-both paths, and the broadcast is the grid's test oracle.
+slab-sweep join that hands the exact arithmetic only the pairs that
+intersect (or, for faces, touch) instead of the O(n_a * n_b) product.
+Output ordering is bit-identical on both paths, and the broadcast is
+the join's test oracle.
 :func:`matched_volume`, behind the migration and inter-level metrics,
 runs its own broadcast instead: every same-rank pair in one sweep over
 rank-padded corner blocks, whatever the brute-force cutoff, with one
@@ -141,7 +142,7 @@ def pair_intersections(
     ranks or other per-box payloads through the intersection).
 
     Pairs are emitted in ``ai``-major, ``bj``-minor order on both
-    candidate paths (grid or brute force), so downstream consumers see
+    candidate paths (sweep or brute force), so downstream consumers see
     the same rows whichever path served the query.
     """
     ndim = a.shape[1] // 2
@@ -301,7 +302,8 @@ def face_contacts(
     out_b: list[np.ndarray] = []
     out_area: list[np.ndarray] = []
     # Touching boxes do not *intersect*, so the face query needs the
-    # closed-interval candidate set: abutting pairs cohabit a bucket too.
+    # closed-interval candidate set, in which abutting pairs pair too;
+    # one array as both operands makes it the join's cheaper self-join.
     # One candidate pass serves all ndim axis filters; per-axis emission
     # order (ai-major, bj-minor) matches the brute-force sweeps below.
     cand = candidate_pairs(corners, corners, closed=True)

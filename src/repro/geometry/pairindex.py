@@ -1,40 +1,63 @@
-"""Grid-bucket pair pruning: sub-quadratic candidates for the pair kernels.
+"""Slab-sweep pair join: the exact candidate pairs of the pair kernels.
 
 The owner-map kernels (:func:`~repro.geometry.ownermap.pair_intersections`,
 :func:`~repro.geometry.ownermap.face_contacts`,
-:func:`~repro.geometry.ownermap.overlap_volume`) are exact sweeps over
-*candidate* box pairs.  There is one candidate policy, picked per query
-by the size of its pair product:
+:func:`~repro.geometry.ownermap.overlap_volume`) run their exact
+arithmetic over *candidate* box pairs.  There is one candidate policy,
+picked per query by the size of its pair product:
 
 * **brute force** at or below ``_BRUTE_CUTOFF`` pairs: :func:`candidate_pairs`
   returns ``None`` and the kernel runs its quadratic broadcast.  Most
-  queries are this small, and for them the broadcast beats the grid's
-  setup cost.
-* **grid** above it: boxes are bucketed into a coarse integer grid whose
-  cell size is the *median box extent* per axis (so a typical box
-  touches O(2^ndim) cells).  Cell incidences are packed into int64 keys
-  (mixed-radix over the grid extents) and the two inputs are joined on
-  sorted unique keys: only pairs sharing at least one bucket are
-  emitted.  Two boxes that intersect (or abut, for the *closed* face
-  query) always share a cell, so the candidate set is a superset of the
-  exact answer — pruning never changes results.  Mixed scales (a few
-  large or long boxes among many small ones) can push the incidences
-  past ``_GRID_INCIDENCE_FACTOR`` times the box count; the cell is then
-  doubled along the axis whose spans sum highest until they fit.
+  queries are this small, and for them the broadcast beats the join's
+  setup cost.  A one-row operand is tested against every row of the
+  other directly, with no join to build.
+* **slab sweep** above it.  The *sweep axis* ``d`` is the axis along
+  which the fewest pairs overlap in projection (counted exactly, with
+  two sorts and two binary searches per axis); the *slab axis* ``e`` is
+  the next one.  Space is cut into slabs along ``e``, as wide as the
+  median box extent there, doubled until the boxes' slab incidences (one
+  per slab a box spans) fit in ``_SLAB_INCIDENCE_FACTOR`` times the box
+  count.  Within a slab the incidences are sorted by ``lo[d]``, and each
+  overlapping pair is one binary-search range: the ``b`` rows starting
+  in ``[lo_a, hi_a)`` of an ``a`` row (case 1), or the ``a`` rows
+  starting in ``(lo_b, hi_b)`` of a ``b`` row (case 2).  A *closed*
+  query (boxes as ``[lo, hi]``, so that abutting boxes pair too, as the
+  face query needs) closes both ranges at the top.  The two cases run as
+  one: the ``b`` rows' sort keys (slab, then ``lo[d]``) move above every
+  ``a`` row's, so one sort and two binary searches give every range.
 
-Candidates are deduplicated and returned in brute-force emission order
-(``ai``-major, ``bj``-minor via a sort + dedup on packed pair keys), so
-every kernel produces **bit-identical** outputs on either path.  The
-brute-force branch is the grid's oracle: tests patch ``_BRUTE_CUTOFF``
-to ``-1`` (the grid serves every multi-row query) or to ``10**18``
-(brute force serves every query) and assert equal outputs.  The kernels
-charge their pruning effectiveness (candidate pairs generated vs. exact
-pairs surviving vs. the brute-force product) to the metrics registry's
-``repro_pair_*_total`` counters, which the benchmark tables, run
-profiles and ``repro report --timings`` all read.
+**Each pair is emitted once.**  Within a slab the two cases are
+disjoint: case 1 holds the pairs with ``lo_a[d] <= lo_b[d]``, case 2
+those with ``lo_b[d] < lo_a[d]``.  Across slabs, a pair is kept only in
+its *reference slab*, the one holding ``max(lo_a[e], lo_b[e])``, which
+both boxes span whenever they overlap along ``e``.  The interval test
+on the remaining axes then leaves exactly the pairs of the brute-force
+hit matrix (``lo_a < hi_b`` and ``lo_b < hi_a`` on every axis, ``<=``
+for a closed query), so no dedup pass is needed: one sort of the packed
+key ``ai * n_b + bj`` gives the brute-force emission order
+(``ai``-major, ``bj``-minor), and every kernel produces
+**bit-identical** outputs on either path.  The ranges expand in chunks
+of at most ``_SWEEP_CHUNK_PAIRS`` pairs, so a query's memory stays
+bounded like the broadcasts'.
+
+**Self-joins.**  When both operands are the same array (``a is b``: every
+:func:`~repro.geometry.ownermap.face_contacts` query and
+``OwnerMap.validate_disjoint``), case 2 is case 1 mirrored: the join
+runs case 1 alone and adds ``(bj, ai)`` for every pair with
+``lo_b[d] > lo_a[d]``, which halves the work.
+
+**The seam.**  The brute-force branch is the join's oracle: tests patch
+``_BRUTE_CUTOFF`` to ``-1`` (the join serves every multi-row query) or
+to ``10**18`` (brute force serves every query) and assert equal
+outputs.  The kernels charge their pruning effectiveness (candidate
+pairs generated vs. exact pairs surviving vs. the brute-force product)
+to the metrics registry's ``repro_pair_*_total`` counters, which the
+benchmark tables, run profiles and ``repro report --timings`` all read.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -43,13 +66,18 @@ from ..telemetry.metrics import PAIR_COUNTER_FIELDS, metrics_registry
 __all__ = ["candidate_pairs"]
 
 #: Pair products at or below this run the kernels' brute-force
-#: broadcast: for small inputs it beats the grid's setup cost.
+#: broadcast: for small inputs it beats the join's setup cost.
 _BRUTE_CUTOFF = 16_384
 
-#: Incidence budget: while its cell-incidence lists exceed this factor
-#: times the box count (boxes spanning many buckets each), the grid
-#: coarsens its cell.
-_GRID_INCIDENCE_FACTOR = 32
+#: Incidence budget: while the boxes span more slabs in all than this
+#: factor times their count, the slab width doubles.  2 beat 3 and 4 on
+#: the pair queries of a ``deep3d`` pass: fewer incidences to sort and
+#: search outweigh the extra pairs the interval test then drops.
+_SLAB_INCIDENCE_FACTOR = 2
+
+#: Pairs one range expansion materialises at most (16 MB per int64
+#: temporary).
+_SWEEP_CHUNK_PAIRS = 1 << 21
 
 #: Charges kernel events to the metrics registry's
 #: ``repro_pair_<field>_total`` counters (``_record(queries=1, ...)``).
@@ -87,12 +115,13 @@ def candidate_pairs(
     Returns ``None`` when the caller should run its brute-force
     broadcast (a pair product at or below ``_BRUTE_CUTOFF``); otherwise
     two int64 index arrays in canonical brute-force emission order
-    (``ai``-major, ``bj``-minor, no duplicates) that are a superset of
-    all intersecting pairs.
+    (``ai``-major, ``bj``-minor, no duplicates) holding exactly the
+    pairs that pass the interval test ``lo_a < hi_b`` and
+    ``lo_b < hi_a`` on every axis.
 
-    ``closed`` treats boxes as closed intervals ``[lo, hi]`` so *abutting*
-    boxes also cohabit a bucket — the face-contact query needs touching
-    pairs, not just overlapping ones.
+    ``closed`` treats boxes as closed intervals ``[lo, hi]`` (``<=`` in
+    the test), so *abutting* boxes pair too — the face-contact query
+    needs touching pairs, not just overlapping ones.
     """
     n_a, n_b = a.shape[0], b.shape[0]
     _record(queries=1, pair_product=n_a * n_b)
@@ -103,9 +132,9 @@ def candidate_pairs(
         return empty, empty
     if n_a == 1 or n_b == 1:
         # One-row operand: the interval test along every axis *is* the
-        # candidate filter — O(n), no grid to build.
+        # join — O(n), no slabs to build.
         return _single_candidates(a, b, closed)
-    return _grid_candidates(a, b, closed)
+    return _sweep_candidates(a, b, closed)
 
 
 def _single_candidates(
@@ -124,130 +153,164 @@ def _single_candidates(
     return ai.astype(np.int64), bj.astype(np.int64)
 
 
-def _canonical(ai: np.ndarray, bj: np.ndarray, n_b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dedup + sort into brute-force emission order (ai-major, bj-minor).
+def _sweep_axes(
+    a: np.ndarray, b: np.ndarray, closed: bool
+) -> tuple[int, int | None]:
+    """``(sweep axis, slab axis)``: the axes along which the fewest and
+    the next-fewest pairs overlap in projection (``None`` in 1-D).
 
-    Explicit sort + neighbour mask instead of :func:`np.unique`: the
-    duplicated candidate streams here are an order of magnitude cheaper
-    to sort than to hash, and the result is identical.
+    Along an axis a pair overlaps when ``lo_b < hi_a`` and
+    ``lo_a < hi_b``.  Failing both means ``lo_b >= hi_a >= lo_a >= hi_b
+    >= lo_b``, which boxes with ``lo <= hi`` do only when both are flat
+    at one point, so the overlap count is, bar those, the two
+    conditions' counts minus the pair product.  Each count is one binary
+    search of one operand's ends into the other's sorted starts; ranking
+    the axes needs only their sum.
     """
-    if ai.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    packed = ai.astype(np.int64) * np.int64(n_b) + bj
-    packed.sort()
-    keep = np.empty(packed.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(packed[1:], packed[:-1], out=keep[1:])
-    packed = packed[keep]
-    _record(candidate_pairs=packed.size)
-    return packed // n_b, packed % n_b
+    ndim = a.shape[1] // 2
+    if ndim == 1:
+        return 0, None
+    side = "right" if closed else "left"
+    starts_b = np.sort(b[:, :ndim].T, axis=1)
+    starts_a = starts_b if a is b else np.sort(a[:, :ndim].T, axis=1)
+    overlap = np.empty(ndim, dtype=np.int64)
+    for x in range(ndim):
+        overlap[x] = np.searchsorted(starts_b[x], a[:, ndim + x], side).sum()
+        if a is b:
+            overlap[x] *= 2
+        else:
+            overlap[x] += np.searchsorted(starts_a[x], b[:, ndim + x], side).sum()
+    d, e = np.argsort(overlap, kind="stable")[:2]
+    return int(d), int(e)
 
 
-def _sorted_groups(
-    keys: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(unique keys, group start, group count)`` of a pre-sorted array.
+def _slab_spans(
+    lo: np.ndarray, hi: np.ndarray, closed: bool, reach: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """First and last slab of every box along the slab axis.
 
-    Equivalent to ``np.unique(keys, return_index=True,
-    return_counts=True)`` but skips the redundant hash/sort pass — the
-    callers sorted ``keys`` already.
+    A box spans the slabs from its ``lo`` to its top cell (``hi - 1``
+    open, ``hi`` closed, ``lo`` for a zero-extent box), so two boxes
+    that pass the interval test along the axis both span the slab
+    holding the larger ``lo``.  The width starts at the median box
+    extent and doubles until the incidences fit the budget and the sort
+    key (below ``2 * nslabs * reach``) fits an int64 with a bit of
+    headroom; one slab always does.
     """
-    if keys.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return keys[:0], empty, empty
-    boundary = np.empty(keys.size, dtype=bool)
-    boundary[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    counts = np.diff(np.append(starts, keys.size))
-    return keys[starts], starts, counts
+    n = lo.size
+    width = max(1, int(np.partition(hi - lo, n // 2)[n // 2]))
+    base = lo.min()
+    top = np.maximum(lo, hi if closed else hi - 1) - base
+    lo = lo - base
+    while True:
+        first, last = lo // width, top // width
+        nslabs = int(last.max()) + 1
+        incidences = int((last - first).sum()) + n
+        if nslabs == 1 or (
+            incidences <= _SLAB_INCIDENCE_FACTOR * n and nslabs * reach < 2**61
+        ):
+            return first, last
+        width *= 2
 
 
-def _grid_candidates(
+def _ranges(
+    start: np.ndarray, count: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(query, position)`` of every pair the binary-search ranges
+    ``[start, start + count)`` hold, in chunks of at most
+    ``_SWEEP_CHUNK_PAIRS`` pairs (a single larger range is one chunk)."""
+    ends = np.cumsum(count)
+    q0, n = 0, count.size
+    while q0 < n:
+        done = int(ends[q0] - count[q0])
+        q1 = max(
+            q0 + 1,
+            int(np.searchsorted(ends, done + _SWEEP_CHUNK_PAIRS, "right")),
+        )
+        c = count[q0:q1]
+        total = int(ends[q1 - 1]) - done
+        if total:
+            query = np.repeat(np.arange(q0, q1), c)
+            shift = start[q0:q1] - (ends[q0:q1] - c - done)
+            yield query, np.arange(total) + np.repeat(shift, c)
+        q0 = q1
+
+
+def _sweep_candidates(
     a: np.ndarray, b: np.ndarray, closed: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bucket-join candidates (see module docstring for the scheme)."""
+    """Slab-sweep join (see the module docstring for the scheme)."""
     ndim = a.shape[1] // 2
-    lo = np.concatenate((a[:, :ndim], b[:, :ndim]))
-    hi = np.concatenate((a[:, ndim:], b[:, ndim:]))
-    extents = hi - lo
-    # Cell size: the median box extent per axis — a typical box then
-    # touches at most 2 cells per axis.  max(1, ...) guards thin boxes.
-    cell = np.maximum(1, np.median(extents, axis=0).astype(np.int64))
-    inclusive_hi = hi if closed else hi - 1
-    lo_min, hi_max = lo.min(axis=0), inclusive_hi.max(axis=0)
-    reach = hi_max - lo_min + 1
-    budget = _GRID_INCIDENCE_FACTOR * (a.shape[0] + b.shape[0]) + 1024
-    while True:
-        base = lo_min // cell
-        dims = hi_max // cell - base + 1
-        # int64 key packing must not overflow: grow cells until the grid
-        # extent product fits (2 bits of headroom).
-        if int(np.prod([int(d) for d in dims])) >= 2**62:
-            cell = cell * 2
-            continue
-        lo_cell = lo // cell - base
-        hi_cell = inclusive_hi // cell - base
-        spans = hi_cell - lo_cell + 1
-        incidences = int(np.prod(spans, axis=1, dtype=np.int64).sum())
-        # Mixed scales (a few large or long boxes among many small ones)
-        # overflow the incidence budget at the median cell: double the
-        # cell along the axis whose spans sum highest, among the axes it
-        # does not cover whole yet.  A cell covering its axis leaves every
-        # box at most 2 cells along it, so the loop ends.
-        weight = np.where(cell < reach, spans.sum(axis=0), 0)
-        if incidences <= budget or not weight.any():
-            break
-        cell[int(np.argmax(weight))] *= 2
-    _record(grid_queries=1)
-    strides = np.ones(ndim, dtype=np.int64)
-    for d in range(ndim - 2, -1, -1):
-        strides[d] = strides[d + 1] * dims[d + 1]
-    ka, ia = _cell_keys(lo_cell[: a.shape[0]], spans[: a.shape[0]], strides)
-    kb, ib = _cell_keys(lo_cell[a.shape[0]:], spans[a.shape[0]:], strides)
-    order_a = np.argsort(ka, kind="stable")
-    order_b = np.argsort(kb, kind="stable")
-    ka, ia = ka[order_a], ia[order_a]
-    kb, ib = kb[order_b], ib[order_b]
-    ua, start_a, count_a = _sorted_groups(ka)
-    ub, start_b, count_b = _sorted_groups(kb)
-    _, pa, pb = np.intersect1d(ua, ub, assume_unique=True, return_indices=True)
-    if pa.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    ca, cb = count_a[pa], count_b[pb]
-    sa, sb = start_a[pa], start_b[pb]
-    block = ca * cb  # pairs per shared bucket
-    starts = np.concatenate(([0], np.cumsum(block)[:-1]))
-    total = int(block.sum())
-    gid = np.repeat(np.arange(block.size), block)
-    t = np.arange(total, dtype=np.int64) - np.repeat(starts, block)
-    ai = ia[sa[gid] + t // cb[gid]]
-    bj = ib[sb[gid] + t % cb[gid]]
-    return _canonical(ai, bj, b.shape[0])
-
-
-def _cell_keys(
-    lo_cell: np.ndarray, spans: np.ndarray, strides: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(packed cell key, box id)`` per (cell, box) incidence.
-
-    Vectorized mixed-radix enumeration: every box emits one row per grid
-    cell it touches, keys packed with the global grid strides.
-    """
-    n, ndim = lo_cell.shape
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    counts = np.prod(spans, axis=1, dtype=np.int64)
-    total = int(counts.sum())
-    box_ids = np.repeat(np.arange(n, dtype=np.int64), counts)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    rem = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-    keys = np.zeros(total, dtype=np.int64)
-    for d in range(ndim - 1, -1, -1):
-        radix = spans[box_ids, d]
-        keys += (lo_cell[box_ids, d] + rem % radix) * strides[d]
-        rem //= radix
-    return keys, box_ids
+    n_a, n_b = a.shape[0], b.shape[0]
+    self_join = a is b
+    # One row table: a's rows, then b's (b is a in a self-join).
+    rows = a if self_join else np.concatenate((a, b))
+    columns = np.ascontiguousarray(rows.T)
+    lo, hi = columns[:ndim], columns[ndim:]
+    d, e = _sweep_axes(a, b, closed)
+    base = min(int(lo[d].min()), int(hi[d].min()))
+    reach = max(int(lo[d].max()), int(hi[d].max())) - base + 1
+    if e is None:
+        first = last = np.zeros(rows.shape[0], dtype=np.int64)
+    else:
+        first, last = _slab_spans(lo[e], hi[e], closed, reach)
+    # One incidence per (box, slab) the box spans, keyed by slab, then
+    # by lo along the sweep axis; ``opens`` marks each box's first slab.
+    span = last - first + 1
+    offsets = np.cumsum(span) - span
+    box = np.repeat(np.arange(rows.shape[0]), span)
+    slab = np.arange(box.size) + np.repeat(first - offsets, span)
+    key = slab * reach
+    opens = np.zeros(box.size, dtype=bool)
+    opens[offsets] = True
+    upper = key + (hi[d][box] - base + int(closed))
+    key += lo[d][box] - base
+    if self_join:
+        # Case 1 alone: the rows starting in [lo, hi) (closed: [lo, hi]).
+        lower = key
+    else:
+        # The b rows' keys move above every a row's.  Case 1: an a row
+        # finds the b rows starting in [lo_a, hi_a); case 2: a b row
+        # finds the a rows starting in (lo_b, hi_b) (closed: up to hi).
+        shift = (int(last.max()) + 1) * reach
+        is_b = box >= n_a
+        lower = key + np.where(is_b, 1, shift)
+        upper += np.where(is_b, 0, shift)
+        key[is_b] += shift
+    order = np.argsort(key)
+    sorted_key, found, found_opens = key[order], box[order], opens[order]
+    start = np.searchsorted(sorted_key, lower)
+    count = np.maximum(np.searchsorted(sorted_key, upper) - start, 0)
+    # The interval test on every axis the sweep leaves open.  Along d,
+    # case 1 is exact unless a row is flat or inverted there (as in
+    # lo_b == lo_a == hi_b).
+    flat = (hi[d] < lo[d]) if closed else (hi[d] <= lo[d])
+    axes = [x for x in range(ndim) if x != d or flat.any()]
+    less = np.less_equal if closed else np.less
+    out_q: list[np.ndarray] = []
+    out_f: list[np.ndarray] = []
+    for query, pos in _ranges(start, count):
+        qi, fj = box[query], found[pos]
+        # Reference slab: the one holding max(lo_a[e], lo_b[e]), where
+        # one of the two boxes opens.
+        keep = opens[query] | found_opens[pos]
+        for x in axes:
+            keep &= less(lo[x][qi], hi[x][fj])
+            keep &= less(lo[x][fj], hi[x][qi])
+        out_q.append(qi[keep])
+        out_f.append(fj[keep])
+    qi = np.concatenate(out_q) if out_q else np.empty(0, dtype=np.int64)
+    fj = np.concatenate(out_f) if out_f else np.empty(0, dtype=np.int64)
+    if self_join:
+        # Case 2 is case 1 mirrored: (fj, qi) wherever lo_f[d] > lo_q[d].
+        mirror = lo[d][fj] > lo[d][qi]
+        ai = np.concatenate((qi, fj[mirror]))
+        bj = np.concatenate((fj, qi[mirror]))
+    else:
+        # Every pair holds one a row (below n_a) and one b row.
+        ai, bj = np.minimum(qi, fj), np.maximum(qi, fj) - n_a
+    packed = ai * np.int64(n_b) + bj
+    packed.sort()
+    _record(sweep_queries=1, candidate_pairs=packed.size)
+    ai = packed // n_b
+    return ai, packed - ai * n_b

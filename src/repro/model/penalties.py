@@ -36,7 +36,7 @@ constraint:
   would yield the same result as beta_L = beta_C = 0.4" (section 4.3).
 
 ``beta_m``'s patch-set intersections prune large pair queries with
-grid-bucket candidates, and ``beta_C`` and ``beta_L`` are sums over
+the slab-sweep join, and ``beta_C`` and ``beta_L`` are sums over
 patches, so evaluating the dynamic state stays near-linear in the patch
 count at every scale.
 """

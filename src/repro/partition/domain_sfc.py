@@ -19,8 +19,8 @@ sequence, :func:`~repro.geometry.cell_boxes` merges same-rank units
 into boxes, and the per-level owner maps are those boxes refined to each
 level and clipped against its patches.
 The unit-vs-patch clipping runs through
-:func:`~repro.geometry.pair_intersections`, whose grid-bucket candidates
-keep the overlap query near-linear in blocks + patches at
+:func:`~repro.geometry.pair_intersections`, whose slab-sweep join
+keeps the overlap query near-linear in blocks + patches at
 ``deep``/``ultra`` scale.
 """
 

@@ -7,11 +7,11 @@ consecutive distributions and per-rank loads — is computed on sparse
 between owner boxes for the ghost metrics, broadcasted corner
 intersections for inter-level transfer and migration.  Cost scales with
 patch counts, not with the volume of the finest index space.  Large pair
-queries run on the grid-bucket candidate join of
-:mod:`repro.geometry.pairindex`, which prunes the candidate product to
-near-linear in the box count, so ``deep`` and ``ultra`` 3-D runs are
-tractable end to end; small ones run the brute-force broadcast, the
-grid's oracle in the tests.
+queries run on the slab-sweep candidate join of
+:mod:`repro.geometry.pairindex`, which hands the exact arithmetic only
+the pairs that intersect (or touch), so ``deep`` and ``ultra`` 3-D runs
+are tractable end to end; small ones run the brute-force broadcast, the
+join's oracle in the tests.
 
 Every function takes owner maps only; a dense owner raster (int32,
 :data:`~repro.geometry.NO_OWNER` outside the refined region) converts

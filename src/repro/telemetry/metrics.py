@@ -46,11 +46,11 @@ __all__ = [
 
 #: Pair-kernel tallies, counted as ``repro_pair_<field>_total``.
 #: ``pair_product`` is what a pure brute-force run would examine,
-#: ``candidate_pairs`` what the grid emitted to the exact arithmetic,
+#: ``candidate_pairs`` what the slab sweep emitted to the exact arithmetic,
 #: ``exact_pairs`` what survived it.
 PAIR_COUNTER_FIELDS = (
     "queries",
-    "grid_queries",
+    "sweep_queries",
     "brute_queries",
     "pair_product",
     "bruteforce_pairs",

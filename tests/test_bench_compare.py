@@ -36,7 +36,7 @@ def _write(directory: Path, wall_s: float, counters: dict) -> Path:
     return directory
 
 
-COUNTERS = {"queries": 96, "candidate_pairs": 8549, "grid_queries": 60}
+COUNTERS = {"queries": 96, "candidate_pairs": 8549, "sweep_queries": 60}
 
 
 def test_equal_counters_pass_and_wall_stays_soft(compare, tmp_path, capsys):

@@ -30,16 +30,16 @@ from repro.telemetry.metrics import BUILTIN_COUNTERS
 
 #: Counters of the golden sweep's runs: tp2d at ``small`` under
 #: nature+fable and patch-lpt on 4 ranks, every multi-row query on the
-#: grid (the brute-force cutoff patched to -1) except the rank-matched
+#: slab sweep (the brute-force cutoff patched to -1) except the rank-matched
 #: sweeps of ``matched_volume``, which ignore the cutoff and count as
 #: brute-force queries.
 GOLDEN = {
     "repro_pair_queries_total": 170,
-    "repro_pair_grid_queries_total": 80,
+    "repro_pair_sweep_queries_total": 80,
     "repro_pair_brute_queries_total": 54,
     "repro_pair_pair_product_total": 4344,
     "repro_pair_bruteforce_pairs_total": 942,
-    "repro_pair_candidate_pairs_total": 2236,
+    "repro_pair_candidate_pairs_total": 1456,
     "repro_pair_exact_pairs_total": 778,
     # The two replays read the trace the trace run published from the
     # store's read cache.

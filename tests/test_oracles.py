@@ -4,10 +4,10 @@ Each row of :data:`ORACLES` names a fast path, the oracle it must agree
 with, and two context managers: one that runs the fast path and one
 that swaps in the oracle.  Every test here takes its row from the table.
 
-* **grid candidates** against the **brute-force branch**: the pair
-  kernels pick their path by pair product, so patching the module's
-  ``_BRUTE_CUTOFF`` to ``-1`` puts every multi-row query on the grid and
-  patching it to ``10**18`` puts every query on brute force.
+* **slab-sweep candidates** against the **brute-force branch**: the
+  pair kernels pick their path by pair product, so patching the module's
+  ``_BRUTE_CUTOFF`` to ``-1`` puts every multi-row query on the sweep
+  and patching it to ``10**18`` puts every query on brute force.
 * **batched subtraction** (``ownermap._subtract_groups``, behind
   ``overlay_corners``, ``overlay_pairs`` and so the sticky remapper's
   output) against a **sequential** :meth:`Box.subtract` **sweep** over
@@ -76,6 +76,7 @@ from repro.clustering import buffer_flags
 from repro.engine import ResultStore, create, registry
 from repro.engine import store as store_module
 from repro.engine.store import clear_read_cache, read_cache_stats
+from repro.experiments import paper_trace
 from repro.experiments.workloads import paper_config, shadow_shape, workload_ndim
 from repro.geometry import (
     Box,
@@ -103,8 +104,8 @@ from tests.strategies import disjoint_boxlists, nested_hierarchies
 from tests.test_store_cache import _make_result
 
 
-def grid_everywhere() -> ContextManager:
-    """Every multi-row pair query takes the grid."""
+def sweep_everywhere() -> ContextManager:
+    """Every multi-row pair query takes the slab sweep."""
     return mock.patch.object(pairindex, "_BRUTE_CUTOFF", -1)
 
 
@@ -322,9 +323,9 @@ class Oracle:
 
 
 ORACLES = {
-    "grid": Oracle(
-        "grid candidates", "brute-force branch",
-        grid_everywhere, brute_force_everywhere,
+    "sweep": Oracle(
+        "slab-sweep candidates", "brute-force branch",
+        sweep_everywhere, brute_force_everywhere,
     ),
     "subtract": Oracle(
         "batched _subtract_groups", "sequential Box.subtract sweep",
@@ -371,7 +372,7 @@ ORACLES = {
     ),
 }
 
-GRID = ORACLES["grid"]
+SWEEP = ORACLES["sweep"]
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +403,7 @@ def _replay(name: str, hierarchies) -> list:
 REPLAYS = [
     (row, name)
     for row in (
-        "grid", "subtract", "rank-pad", "coalesce", "cell-boxes",
+        "sweep", "subtract", "rank-pad", "coalesce", "cell-boxes",
         "box-overlap", "core-labels",
     )
     for name in registry("partitioner")
@@ -438,8 +439,24 @@ def test_replay_matches_oracle(row, name, ndim, data):
     assert fast == reference, f"{oracle.fast_path} != {oracle.oracle}"
 
 
+@pytest.mark.parametrize("row,name", REPLAYS)
+def test_replay_matches_oracle_on_3d_trace(row, name):
+    """The replays of :func:`test_replay_matches_oracle` over bl3d's
+    ``small`` trace, whose levels hold up to 14 patches, so the ``sweep``
+    row serves the multi-row pair queries of a real 3-D regrid sequence
+    (46 to 63 per replay under patch-lpt, nature+fable and sticky-sfc;
+    the 2-D ``small`` traces hold one patch per level)."""
+    hierarchies = [snap.hierarchy for snap in paper_trace("bl3d", "small")]
+    oracle = ORACLES[row]
+    with oracle.fast():
+        fast = _replay(name, hierarchies)
+    with oracle.reference():
+        reference = _replay(name, hierarchies)
+    assert fast == reference, f"{oracle.fast_path} != {oracle.oracle}"
+
+
 # ---------------------------------------------------------------------------
-# grid candidates vs the brute-force branch, kernel by kernel
+# slab-sweep candidates vs the brute-force branch, kernel by kernel
 
 
 def corner_arrays(ndim: int, max_boxes: int = 20, max_coord: int = 64,
@@ -458,12 +475,12 @@ def corner_arrays(ndim: int, max_boxes: int = 20, max_coord: int = 64,
 
 
 def _assert_pair_results_identical(a: np.ndarray, b: np.ndarray) -> None:
-    """The grid must be *bit-identical* to brute force: same corner
+    """The sweep must be *bit-identical* to brute force: same corner
     rows, same (ai, bj) source indices, same emission order."""
-    with GRID.reference():
+    with SWEEP.reference():
         ref = pair_intersections(a, b)
         ref_vol = overlap_volume(a, b)
-    with GRID.fast():
+    with SWEEP.fast():
         got = pair_intersections(a, b)
         got_vol = overlap_volume(a, b)
     assert got_vol == ref_vol
@@ -475,9 +492,9 @@ def _assert_pair_results_identical(a: np.ndarray, b: np.ndarray) -> None:
 def _assert_face_results_identical(
     corners: np.ndarray, ranks: np.ndarray
 ) -> None:
-    with GRID.reference():
+    with SWEEP.reference():
         ref = face_contacts(corners, ranks)
-    with GRID.fast():
+    with SWEEP.fast():
         got = face_contacts(corners, ranks)
     for r, g in zip(ref, got):
         assert r.shape == g.shape
@@ -485,8 +502,8 @@ def _assert_face_results_identical(
 
 
 @pytest.mark.parametrize("ndim", [1, 2, 3, 4])
-class TestGridCandidates:
-    """The grid is a pure pruning layer: it must reproduce the
+class TestSweepCandidates:
+    """The sweep is a pure pruning layer: it must reproduce the
     brute-force kernels bit for bit."""
 
     @settings(max_examples=30, deadline=None)
@@ -507,7 +524,7 @@ class TestGridCandidates:
         _assert_face_results_identical(corners, ranks)
 
     def test_all_boxes_in_one_cell(self, ndim):
-        # Adversarial: every box identical (maximal bucket collisions).
+        # Adversarial: every box identical (one slab, every pair in it).
         row = [0] * ndim + [2] * ndim
         a = np.tile(np.asarray([row], dtype=np.int64), (40, 1))
         _assert_pair_results_identical(a, a)
@@ -516,8 +533,8 @@ class TestGridCandidates:
 
     def test_long_skinny_boxes(self, ndim):
         # Adversarial: extreme aspect ratios, one family long in axis 0
-        # crossing an orthogonal family long in every other axis — the
-        # median cell is half a long side, so every pair is a candidate.
+        # crossing an orthogonal family long in every other axis — half
+        # the boxes span every slab at the median width.
         n = 30
         a = np.zeros((n, 2 * ndim), dtype=np.int64)
         b = np.zeros((n, 2 * ndim), dtype=np.int64)
@@ -544,7 +561,7 @@ class TestGridCandidates:
         _assert_face_results_identical(one, np.zeros(1, dtype=np.int32))
         _assert_face_results_identical(empty, np.empty(0, dtype=np.int32))
 
-    def test_abutting_boxes_share_closed_bucket(self, ndim):
+    def test_abutting_boxes_pair_in_closed_query(self, ndim):
         # Face contacts need *touching* pairs; a tiling of unit-offset
         # slabs is all faces, no overlap.
         n = 24
@@ -559,9 +576,8 @@ class TestGridCandidates:
 
     def test_domain_box_among_unit_boxes(self, ndim):
         # Mixed scales: one box covering the whole domain among unit
-        # boxes spans 32k-65k median (unit) cells, far over the incidence
-        # budget.  The grid coarsens its cell until the incidences fit —
-        # it must terminate and stay exact.
+        # boxes spans every slab of the median (unit) width, and pairs
+        # with every other box.
         side = 2 ** (16 // ndim)
         lo = np.random.default_rng(ndim).integers(0, side, size=(300, ndim))
         domain = [[0] * ndim + [side] * ndim]
@@ -571,33 +587,111 @@ class TestGridCandidates:
         ranks = (np.arange(corners.shape[0]) % 4).astype(np.int32)
         _assert_pair_results_identical(corners, corners)
         _assert_face_results_identical(corners, ranks)
-        with GRID.fast(), counter_deltas() as c:
+        with SWEEP.fast(), counter_deltas() as c:
             pair_intersections(corners, corners)
             face_contacts(corners, ranks)
-        assert c["repro_pair_grid_queries_total"] == 2
+        assert c["repro_pair_sweep_queries_total"] == 2
+
+    def test_long_boxes_widen_the_slabs(self, ndim):
+        # 40 boxes long along every axis among 200 unit boxes span 1000
+        # slabs each at the median (unit) width, 200 times the incidence
+        # budget: the slabs widen until the incidences fit, and the
+        # answer stays exact.
+        rng = np.random.default_rng(ndim)
+        lo = rng.integers(0, 1000, size=(200, ndim))
+        unit = np.concatenate((lo, lo + 1), axis=1)
+        start = rng.integers(0, 8, size=(40, ndim))
+        long = np.concatenate((start, start + 992), axis=1)
+        corners = np.concatenate((unit, long)).astype(np.int64)
+        if ndim > 1:
+            _, e = pairindex._sweep_axes(corners, corners, False)
+            first, last = pairindex._slab_spans(
+                corners[:, e], corners[:, ndim + e], False, 1000
+            )
+            assert last.max() < 100
+            incidences = int((last - first + 1).sum())
+            assert incidences <= pairindex._SLAB_INCIDENCE_FACTOR * 240
+        ranks = (np.arange(corners.shape[0]) % 4).astype(np.int32)
+        _assert_pair_results_identical(corners, corners)
+        _assert_pair_results_identical(unit, long)
+        _assert_face_results_identical(corners, ranks)
 
     def test_counters_record_pruning(self, ndim):
         rng = np.random.default_rng(7)
         lo = rng.integers(0, 4000, size=(600, ndim))
         a = np.concatenate((lo, lo + 4), axis=1).astype(np.int64)
-        with GRID.fast(), counter_deltas() as c:
+        with SWEEP.fast(), counter_deltas() as c:
             pair_intersections(a, a)
         candidates = c["repro_pair_candidate_pairs_total"]
         assert c["repro_pair_queries_total"] == 1
         assert c["repro_pair_pair_product_total"] == 600 * 600
         assert c["repro_pair_bruteforce_pairs_total"] == 0
         assert 0 < candidates < c["repro_pair_pair_product_total"]
-        assert c["repro_pair_exact_pairs_total"] <= candidates
+        # Exact candidates: every one of them intersects.
+        assert c["repro_pair_exact_pairs_total"] == candidates
+
+
+@st.composite
+def join_operands(draw, ndim: int) -> np.ndarray:
+    """A corner array of 1 to 40 rows for the join, at negative and
+    positive coordinates, with zero extents, rows abutting the row
+    before them, rows spanning the whole range and duplicate rows."""
+    n = draw(st.sampled_from([1, 2]) | st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    lo = rng.integers(-40, 40, size=(n, ndim))
+    hi = lo + rng.integers(0, 12, size=(n, ndim))  # extent 0 included
+    for i in range(1, n):
+        kind = rng.integers(0, 6)
+        if kind == 0:  # abuts row i - 1 along one axis
+            x = rng.integers(0, ndim)
+            lo[i], hi[i] = lo[i - 1], hi[i - 1]
+            hi[i, x] = hi[i - 1, x] + rng.integers(0, 12)
+            lo[i, x] = hi[i - 1, x]
+        elif kind == 1:  # spans every slab
+            lo[i], hi[i] = -48, 60
+        elif kind == 2:  # duplicates an earlier row
+            j = rng.integers(0, i)
+            lo[i], hi[i] = lo[j], hi[j]
+    return np.concatenate((lo, hi), axis=1).astype(np.int64)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+@pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sweep_candidates_are_the_hit_matrix(ndim, closed, data):
+    """The join returns exactly the brute-force hit matrix's pairs.
+
+    With every multi-row query on the sweep, :func:`candidate_pairs` is
+    ``np.nonzero`` of the interval test on every axis (``<=`` for a
+    closed query): the same pairs in the same order, as int64, and not
+    a superset.  A self-join (``a is b``) takes the mirrored path, which
+    must equal the general path on a copy of ``a``.
+    """
+    a = data.draw(join_operands(ndim))
+    b = a if data.draw(st.booleans()) else data.draw(join_operands(ndim))
+    less = np.less_equal if closed else np.less
+    hit = less(a[:, None, :ndim], b[None, :, ndim:])
+    hit &= less(b[None, :, :ndim], a[:, None, ndim:])
+    want = np.nonzero(hit.all(axis=2))
+    calls = [(a, b)] + ([(a, a.copy())] if b is a else [])
+    with SWEEP.fast():
+        for left, right in calls:
+            got = pairindex.candidate_pairs(left, right, closed)
+            for g, w in zip(got, want):
+                assert g.dtype == np.int64
+                np.testing.assert_array_equal(g, w)
 
 
 def mixed_scale_corners() -> tuple[np.ndarray, np.ndarray]:
     """64 full-height 16x16x512 columns tiling a 128x128x512 domain, and
     600 boxes of 4x4x(12 or 24) at seeded positions inside them.
 
-    The shape of a deep 3-D migration overlay: each column spans ~700
-    cells of the median box extent, which overflows the grid's incidence
-    budget at its first cell size.  Every small box lies in exactly one
-    column, so the exact answer has 600 pairs.
+    The shape of a deep 3-D migration overlay: a column is 4 small boxes
+    wide and 21-43 long, so every small box overlaps the columns'
+    projections along z, and the sweep must pick x and y for its axes.
+    Every small box lies in exactly one column, so the exact answer has
+    600 pairs.
     """
     x, y = np.meshgrid(np.arange(0, 128, 16), np.arange(0, 128, 16))
     x, y = x.ravel(), y.ravel()
@@ -611,9 +705,9 @@ def mixed_scale_corners() -> tuple[np.ndarray, np.ndarray]:
     return columns.astype(np.int64), small.astype(np.int64)
 
 
-class TestMixedScaleGrid:
-    """Large boxes among many small ones stay on the grid path: the cell
-    coarsens until the incidences fit, bit-identical to brute force."""
+class TestMixedScaleSweep:
+    """Large boxes among many small ones stay on the sweep path,
+    bit-identical to brute force."""
 
     def test_kernels_match_bruteforce(self):
         columns, small = mixed_scale_corners()
@@ -632,9 +726,9 @@ class TestMixedScaleGrid:
                 face_contacts(both, both_ranks),
             )
 
-        with GRID.reference():
+        with SWEEP.reference():
             ref = kernels()
-        for path in (nullcontext, GRID.fast):
+        for path in (nullcontext, SWEEP.fast):
             with path():
                 got = kernels()
             assert got[1:3] == ref[1:3], path
@@ -647,15 +741,14 @@ class TestMixedScaleGrid:
         with counter_deltas() as c:
             corners, _, _ = pair_intersections(columns, small)
         assert corners.shape[0] == 600
-        assert c["repro_pair_grid_queries_total"] == 1
+        assert c["repro_pair_sweep_queries_total"] == 1
         assert c["repro_pair_candidate_pairs_total"] == 600
 
     def test_zero_extent_boxes_terminate(self):
-        # An open query gives a zero-extent box no cell along its flat
-        # axes.  99 needles flat in x and y span only z, once each, so z
-        # gets the highest span sum while the slab still overflows the
-        # budget: coarsening must skip axes its cell already covers, or
-        # it would double z forever.
+        # Zero-extent boxes: 99 needles flat in x and y beside one
+        # 4096-wide plate.  The median extent along a flat axis is 0, so
+        # the slab width starts at 1 and must double to a finite width,
+        # and a flat box must still span the slab that holds its lo.
         z = np.arange(99)
         needles = np.column_stack((0 * z, 0 * z, z, 0 * z, 0 * z, z + 1))
         corners = np.concatenate(
