@@ -5,10 +5,14 @@ evaluation (ghost exchange, message pairs, inter-level transfer,
 migration) on each candidate path, selected through the brute-force
 cutoff seam (the ``sweep`` row of ``tests/test_oracles.py``):
 
-* **indexed**: the slab-sweep join for every multi-row query — exactly
-  the intersecting (or, for faces, touching) pairs as candidates;
-* **bruteforce**: the O(boxes^2) broadcast for every query, the
-  sweep's oracle.
+* **indexed**: the slab sweep for every query whose operands both hold
+  two rows or more;
+* **bruteforce**: the hit matrix for every query — the interval test on
+  all O(boxes^2) pairs, in chunks — the sweep's oracle.
+
+Both paths find exactly the intersecting (or, for faces, touching)
+pairs and feed them to the same arithmetic, so the two rows differ only
+in how the candidates are found.
 
 The rank-matched volumes of the inter-level and migration metrics
 (``matched_volume``) take neither path: their same-rank sweep ignores
@@ -59,8 +63,8 @@ from conftest import (
 from test_bench_owner_sparse import _distributions
 from tests.test_oracles import ORACLES
 
-#: Every multi-row pair query on the sweep (``fast``) or every query on
-#: brute force (``reference``).
+#: Every pair query with two rows or more a side on the sweep (``fast``)
+#: or every query on the hit matrix (``reference``).
 SWEEP = ORACLES["sweep"]
 
 
@@ -158,11 +162,11 @@ def _compare(app: str, scale: str, distributions, run_brute: bool = True,
 
 
 def test_pair_kernels_2d(benchmark):
-    """2-D paper scale: the sweep must agree with brute force.
+    """2-D paper scale: the sweep must agree with the hit matrix.
 
-    Most 2-D queries are small enough for the brute-force branch, which
-    is why the production path sends them there: forcing the sweep on
-    all of them measures its setup cost, not a win.
+    Most 2-D queries are small enough for the hit matrix, which is why
+    the production path sends them there: forcing the sweep on all of
+    them measures its setup cost, not a win.
     """
     scale = bench_scale()
     distributions = _distributions("tp2d", scale)
@@ -221,9 +225,9 @@ def test_pair_kernels_3d_ultra(benchmark):
 def test_replay_sweep_matches_bruteforce(app, partitioner):
     """Whole replays give identical step metrics on both paths.
 
-    Partitioning and measuring with every multi-row pair query on the
-    sweep, and with every query on brute force, must produce equal
-    :class:`StepMetrics` at every regrid step.
+    Partitioning and measuring with every pair query of two rows or
+    more a side on the sweep, and with every query on the hit matrix,
+    must produce equal :class:`StepMetrics` at every regrid step.
     """
     trace = paper_trace(app, bench_scale())
     steps = []

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .box import Box
 
 __all__ = [
@@ -34,19 +32,13 @@ def intersection_volume(a: Sequence[Box], b: Sequence[Box]) -> int:
     :func:`~repro.geometry.ownermap.overlap_volume`, whose slab-sweep
     join prunes large pair products to the intersecting pairs.
     """
-    from .ownermap import overlap_volume
+    from .ownermap import box_corners, overlap_volume
 
     a = [x for x in a if not x.empty]
     b = [x for x in b if not x.empty]
     if not a or not b:
         return 0
-    corners_a = np.array(
-        [tuple(x.lo) + tuple(x.hi) for x in a], dtype=np.int64
-    )
-    corners_b = np.array(
-        [tuple(x.lo) + tuple(x.hi) for x in b], dtype=np.int64
-    )
-    return overlap_volume(corners_a, corners_b)
+    return overlap_volume(box_corners(a), box_corners(b))
 
 
 def coalesce_boxes(boxes: Sequence[Box]) -> list[Box]:

@@ -23,13 +23,14 @@ regardless of how the region is cut into boxes — so
 ``from_raster(rasterize(m)) == m`` always holds.
 
 The pair kernels themselves (:func:`pair_intersections`,
-:func:`overlap_volume`, :func:`face_contacts`) ask
-:func:`~repro.geometry.pairindex.candidate_pairs` for their candidates:
-small queries run a chunked brute-force broadcast, large ones a
-slab-sweep join that hands the exact arithmetic only the pairs that
-intersect (or, for faces, touch) instead of the O(n_a * n_b) product.
-Output ordering is bit-identical on both paths, and the broadcast is
-the join's test oracle.
+:func:`overlap_volume`, :func:`face_contacts`) each run one exact
+arithmetic over the pairs
+:func:`~repro.geometry.pairindex.candidate_pairs` returns: the pairs
+that intersect (or, for faces, touch) in projection on every axis,
+never the O(n_a * n_b) product.  A chunked hit matrix finds them for
+small queries and a slab sweep for large ones; both return the same
+pairs in the same order, so the outputs are bit-identical whichever
+path served a query, and the hit matrix is the sweep's test oracle.
 :func:`matched_volume`, behind the migration and inter-level metrics,
 runs its own broadcast instead: every same-rank pair in one sweep over
 rank-padded corner blocks, whatever the brute-force cutoff, with one
@@ -52,12 +53,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .box import Box
-from .pairindex import (
-    _record_brute,
-    _record_brute_query,
-    _record_exact,
-    candidate_pairs,
-)
+from .pairindex import _record_brute_query, _record_exact, candidate_pairs
 from .raster import NO_OWNER, paint_box
 
 __all__ = [
@@ -75,12 +71,6 @@ __all__ = [
     "suffix_corners",
     "split_in_scan_order",
 ]
-
-#: Row budget of one broadcasted (chunk, nboxes) pair sweep (~128 MB per
-#: int64 temporary; the sweeps run one axis at a time).  Keeps worst-case
-#: pair kernels bounded in memory no matter how fragmented a distribution
-#: gets.
-_PAIR_CHUNK_CELLS = 16_000_000
 
 #: Padded-cell budget of :func:`matched_volume`'s one-broadcast sweep
 #: (ranks x deepest rank group of ``a`` x deepest of ``b``; 2 MB per
@@ -110,26 +100,17 @@ def corner_volumes(corners: np.ndarray) -> np.ndarray:
     return np.prod(widths, axis=1, dtype=np.int64)
 
 
-def _chunks(n_a: int, n_b: int) -> Iterator[slice]:
-    """Slices over the first operand keeping each broadcast bounded."""
-    if n_a == 0 or n_b == 0:
-        return
-    step = max(1, _PAIR_CHUNK_CELLS // max(1, n_b))
-    for start in range(0, n_a, step):
-        yield slice(start, min(start + step, n_a))
-
-
-def _axis_widths(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
-    """``(n_a, n_b)`` signed widths of every pairwise intersection along
-    axis ``d`` (positive where the two boxes overlap there).
-
-    The brute-force sweeps call this one axis at a time instead of
-    materialising ``(n_a, n_b, ndim)`` corner arrays.
-    """
+def _pair_corners(
+    a: np.ndarray, b: np.ndarray, ai: np.ndarray, bj: np.ndarray
+) -> np.ndarray:
+    """Intersection corner rows of the pairs ``(a[ai], b[bj])``: the max
+    of the lo halves, the min of the hi halves (a row is empty, or
+    inverted, where the pair does not intersect)."""
     ndim = a.shape[1] // 2
-    width = np.minimum(a[:, None, ndim + d], b[:, ndim + d])
-    width -= np.maximum(a[:, None, d], b[:, d])
-    return width
+    rows_a, rows_b = a[ai], b[bj]
+    corners = np.maximum(rows_a, rows_b)
+    np.minimum(rows_a[:, ndim:], rows_b[:, ndim:], out=corners[:, ndim:])
+    return corners
 
 
 def pair_intersections(
@@ -141,74 +122,28 @@ def pair_intersections(
     source row index into ``a`` and ``b`` for each (so callers can carry
     ranks or other per-box payloads through the intersection).
 
-    Pairs are emitted in ``ai``-major, ``bj``-minor order on both
-    candidate paths (sweep or brute force), so downstream consumers see
-    the same rows whichever path served the query.
+    Pairs are emitted in ``ai``-major, ``bj``-minor order, the order of
+    :func:`~repro.geometry.pairindex.candidate_pairs` on either of its
+    paths (hit matrix or slab sweep).
     """
     ndim = a.shape[1] // 2
-    cand = candidate_pairs(a, b)
-    if cand is not None:
-        ai, bj = cand
-        lo = np.maximum(a[ai, :ndim], b[bj, :ndim])
-        hi = np.minimum(a[ai, ndim:], b[bj, ndim:])
-        keep = (hi > lo).all(axis=1)
-        _record_exact(int(keep.sum()))
-        return (
-            np.concatenate((lo[keep], hi[keep]), axis=1),
-            ai[keep],
-            bj[keep],
-        )
-    _record_brute(a.shape[0] * b.shape[0])
-    out_c: list[np.ndarray] = []
-    out_i: list[np.ndarray] = []
-    out_j: list[np.ndarray] = []
-    for sl in _chunks(a.shape[0], b.shape[0]):
-        nonempty = _axis_widths(a[sl], b, 0) > 0
-        for d in range(1, ndim):
-            nonempty &= _axis_widths(a[sl], b, d) > 0
-        if not nonempty.any():
-            continue
-        ii, jj = np.nonzero(nonempty)
-        ii += sl.start
-        # Corners of the surviving pairs only: max of the lo halves,
-        # min of the hi halves.
-        rows_a, rows_b = a[ii], b[jj]
-        corners = np.maximum(rows_a, rows_b)
-        np.minimum(rows_a[:, ndim:], rows_b[:, ndim:], out=corners[:, ndim:])
-        out_c.append(corners)
-        out_i.append(ii)
-        out_j.append(jj)
-    if not out_c:
-        empty = np.empty(0, dtype=np.int64)
-        return np.empty((0, 2 * ndim), dtype=np.int64), empty, empty
-    _record_exact(sum(c.shape[0] for c in out_c))
-    return (
-        np.concatenate(out_c),
-        np.concatenate(out_i),
-        np.concatenate(out_j),
-    )
+    ai, bj = candidate_pairs(a, b)
+    corners = _pair_corners(a, b, ai, bj)
+    # The interval test passes flat and inverted rows too; an
+    # intersection is non-empty only where hi > lo on every axis.
+    keep = (corners[:, ndim:] > corners[:, :ndim]).all(axis=1)
+    _record_exact(np.count_nonzero(keep))
+    return corners[keep], ai[keep], bj[keep]
 
 
 def overlap_volume(a: np.ndarray, b: np.ndarray) -> int:
     """``sum_ij |a_i ∩ b_j|`` over two corner arrays (rank-agnostic)."""
     ndim = a.shape[1] // 2
-    cand = candidate_pairs(a, b)
-    if cand is not None:
-        ai, bj = cand
-        lo = np.maximum(a[ai, :ndim], b[bj, :ndim])
-        hi = np.minimum(a[ai, ndim:], b[bj, ndim:])
-        width = np.clip(hi - lo, 0, None)
-        vol = np.prod(width, axis=1, dtype=np.int64)
-        _record_exact(int((vol > 0).sum()))
-        return int(vol.sum())
-    _record_brute(a.shape[0] * b.shape[0])
-    total = 0
-    for sl in _chunks(a.shape[0], b.shape[0]):
-        vol = np.maximum(_axis_widths(a[sl], b, 0), 0)
-        for d in range(1, ndim):
-            vol *= np.maximum(_axis_widths(a[sl], b, d), 0)
-        total += int(vol.sum())
-    return total
+    corners = _pair_corners(a, b, *candidate_pairs(a, b))
+    width = np.maximum(corners[:, ndim:] - corners[:, :ndim], 0)
+    vol = np.prod(width, axis=1, dtype=np.int64)
+    _record_exact(np.count_nonzero(vol))
+    return int(vol.sum())
 
 
 def _rank_blocks(
@@ -294,7 +229,6 @@ def face_contacts(
     along at most one axis with positive cross-section).  This is the
     sparse counterpart of counting unequal-owner cell faces on a raster.
     """
-    n = corners.shape[0]
     ndim = corners.shape[1] // 2
     lo = corners[:, :ndim]
     hi = corners[:, ndim:]
@@ -303,66 +237,33 @@ def face_contacts(
     out_area: list[np.ndarray] = []
     # Touching boxes do not *intersect*, so the face query needs the
     # closed-interval candidate set, in which abutting pairs pair too;
-    # one array as both operands makes it the join's cheaper self-join.
-    # One candidate pass serves all ndim axis filters; per-axis emission
-    # order (ai-major, bj-minor) matches the brute-force sweeps below.
-    cand = candidate_pairs(corners, corners, closed=True)
-    if cand is not None:
-        ai, bj = cand
-        rank_differs = ranks[ai] != ranks[bj]
-        for d in range(ndim):
-            sel = (hi[ai, d] == lo[bj, d]) & rank_differs
-            if not sel.any():
-                continue
-            ii, jj = ai[sel], bj[sel]
-            area = np.ones(ii.size, dtype=np.int64)
-            for e in range(ndim):
-                if e == d:
-                    continue
-                width = np.minimum(hi[ii, e], hi[jj, e]) - np.maximum(
-                    lo[ii, e], lo[jj, e]
-                )
-                area *= np.clip(width, 0, None)
-            keep = area > 0
-            if keep.any():
-                out_a.append(ranks[ii[keep]])
-                out_b.append(ranks[jj[keep]])
-                out_area.append(area[keep])
-        _record_exact(sum(x.size for x in out_a))
-        if not out_a:
-            empty32 = np.empty(0, dtype=np.int32)
-            return empty32, empty32, np.empty(0, dtype=np.int64)
-        return (
-            np.concatenate(out_a),
-            np.concatenate(out_b),
-            np.concatenate(out_area),
-        )
-    _record_brute(n * n)
+    # one array as both operands makes it the sweep's cheaper self-join.
+    # One candidate pass serves all ndim axis filters, each emitting its
+    # contacts in the candidates' order (ai-major, bj-minor).
+    ai, bj = candidate_pairs(corners, corners, closed=True)
+    rank_differs = ranks[ai] != ranks[bj]
     for d in range(ndim):
-        for sl in _chunks(n, n):
-            contact = hi[sl, None, d] == lo[None, :, d]
-            contact &= ranks[sl, None] != ranks[None, :]
-            if not contact.any():
+        sel = (hi[ai, d] == lo[bj, d]) & rank_differs
+        if not sel.any():
+            continue
+        ii, jj = ai[sel], bj[sel]
+        area = np.ones(ii.size, dtype=np.int64)
+        for e in range(ndim):
+            if e == d:
                 continue
-            ii, jj = np.nonzero(contact)
-            ii += sl.start
-            area = np.ones(ii.size, dtype=np.int64)
-            for e in range(ndim):
-                if e == d:
-                    continue
-                width = np.minimum(hi[ii, e], hi[jj, e]) - np.maximum(
-                    lo[ii, e], lo[jj, e]
-                )
-                area *= np.clip(width, 0, None)
-            keep = area > 0
-            if keep.any():
-                out_a.append(ranks[ii[keep]])
-                out_b.append(ranks[jj[keep]])
-                out_area.append(area[keep])
+            width = np.minimum(hi[ii, e], hi[jj, e]) - np.maximum(
+                lo[ii, e], lo[jj, e]
+            )
+            area *= np.clip(width, 0, None)
+        keep = area > 0
+        if keep.any():
+            out_a.append(ranks[ii[keep]])
+            out_b.append(ranks[jj[keep]])
+            out_area.append(area[keep])
+    _record_exact(sum(x.size for x in out_a))
     if not out_a:
         empty32 = np.empty(0, dtype=np.int32)
         return empty32, empty32, np.empty(0, dtype=np.int64)
-    _record_exact(sum(x.size for x in out_a))
     return (
         np.concatenate(out_a),
         np.concatenate(out_b),

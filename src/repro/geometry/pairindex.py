@@ -1,16 +1,21 @@
-"""Slab-sweep pair join: the exact candidate pairs of the pair kernels.
+"""Exact candidate pairs of the pair kernels: hit matrix or slab sweep.
 
 The owner-map kernels (:func:`~repro.geometry.ownermap.pair_intersections`,
 :func:`~repro.geometry.ownermap.face_contacts`,
-:func:`~repro.geometry.ownermap.overlap_volume`) run their exact
-arithmetic over *candidate* box pairs.  There is one candidate policy,
-picked per query by the size of its pair product:
+:func:`~repro.geometry.ownermap.overlap_volume`) run one exact
+arithmetic each over the ``(ai, bj)`` box pairs :func:`candidate_pairs`
+returns: exactly the pairs that pass the interval test ``lo_a < hi_b``
+and ``lo_b < hi_a`` on every axis (``<=`` for a closed query), in
+``ai``-major, ``bj``-minor order.  Two ways find them, picked per query
+by the size of its pair product:
 
-* **brute force** at or below ``_BRUTE_CUTOFF`` pairs: :func:`candidate_pairs`
-  returns ``None`` and the kernel runs its quadratic broadcast.  Most
-  queries are this small, and for them the broadcast beats the join's
+* **hit matrix** at or below ``_BRUTE_CUTOFF`` pairs, or when an
+  operand has at most one row: the interval test on every pair, one
+  axis at a time on boolean ``(rows, n_b)`` blocks of at most
+  ``_CHUNK_PAIRS`` pairs, and ``np.nonzero`` of each block.  Most
+  queries are this small, and for them the test beats the sweep's
   setup cost.  A one-row operand is tested against every row of the
-  other directly, with no join to build.
+  other directly, with no slabs to build.
 * **slab sweep** above it.  The *sweep axis* ``d`` is the axis along
   which the fewest pairs overlap in projection (counted exactly, with
   two sorts and two binary searches per axis); the *slab axis* ``e`` is
@@ -31,14 +36,11 @@ disjoint: case 1 holds the pairs with ``lo_a[d] <= lo_b[d]``, case 2
 those with ``lo_b[d] < lo_a[d]``.  Across slabs, a pair is kept only in
 its *reference slab*, the one holding ``max(lo_a[e], lo_b[e])``, which
 both boxes span whenever they overlap along ``e``.  The interval test
-on the remaining axes then leaves exactly the pairs of the brute-force
-hit matrix (``lo_a < hi_b`` and ``lo_b < hi_a`` on every axis, ``<=``
-for a closed query), so no dedup pass is needed: one sort of the packed
-key ``ai * n_b + bj`` gives the brute-force emission order
-(``ai``-major, ``bj``-minor), and every kernel produces
-**bit-identical** outputs on either path.  The ranges expand in chunks
-of at most ``_SWEEP_CHUNK_PAIRS`` pairs, so a query's memory stays
-bounded like the broadcasts'.
+on the remaining axes then leaves exactly the pairs of the hit matrix,
+so no dedup pass is needed: one sort of the packed key ``ai * n_b + bj``
+gives the hit matrix's order, and the two paths return the same arrays.
+The ranges expand in chunks of at most ``_CHUNK_PAIRS`` pairs, so a
+query's memory stays bounded on either path.
 
 **Self-joins.**  When both operands are the same array (``a is b``: every
 :func:`~repro.geometry.ownermap.face_contacts` query and
@@ -46,13 +48,16 @@ bounded like the broadcasts'.
 runs case 1 alone and adds ``(bj, ai)`` for every pair with
 ``lo_b[d] > lo_a[d]``, which halves the work.
 
-**The seam.**  The brute-force branch is the join's oracle: tests patch
-``_BRUTE_CUTOFF`` to ``-1`` (the join serves every multi-row query) or
-to ``10**18`` (brute force serves every query) and assert equal
-outputs.  The kernels charge their pruning effectiveness (candidate
-pairs generated vs. exact pairs surviving vs. the brute-force product)
-to the metrics registry's ``repro_pair_*_total`` counters, which the
-benchmark tables, run profiles and ``repro report --timings`` all read.
+**The seam.**  The hit matrix is the sweep's oracle: tests patch
+``_BRUTE_CUTOFF`` to ``-1`` (the sweep serves every query whose
+operands both hold two rows or more) or to ``10**18`` (the hit matrix
+serves every query) and assert equal outputs.  The seam decides only
+how the candidates are found: both paths feed the kernels' one
+arithmetic.  The kernels charge their pruning effectiveness (pairs
+examined by the hit matrix or emitted by the sweep vs. exact pairs
+surviving vs. the brute-force product) to the metrics registry's
+``repro_pair_*_total`` counters, which the benchmark tables, run
+profiles and ``repro report --timings`` all read.
 """
 
 from __future__ import annotations
@@ -65,8 +70,8 @@ from ..telemetry.metrics import PAIR_COUNTER_FIELDS, metrics_registry
 
 __all__ = ["candidate_pairs"]
 
-#: Pair products at or below this run the kernels' brute-force
-#: broadcast: for small inputs it beats the join's setup cost.
+#: Pair products at or below this take the hit matrix: for small
+#: inputs it beats the slab sweep's setup cost.
 _BRUTE_CUTOFF = 16_384
 
 #: Incidence budget: while the boxes span more slabs in all than this
@@ -75,9 +80,9 @@ _BRUTE_CUTOFF = 16_384
 #: search outweigh the extra pairs the interval test then drops.
 _SLAB_INCIDENCE_FACTOR = 2
 
-#: Pairs one range expansion materialises at most (16 MB per int64
-#: temporary).
-_SWEEP_CHUNK_PAIRS = 1 << 21
+#: Pairs one hit-matrix block or one sweep range expansion holds at
+#: most (2 MB per boolean block, 16 MB per int64 temporary).
+_CHUNK_PAIRS = 1 << 21
 
 #: Charges kernel events to the metrics registry's
 #: ``repro_pair_<field>_total`` counters (``_record(queries=1, ...)``).
@@ -89,11 +94,6 @@ _record = metrics_registry().counter_group(
 def _record_exact(n: int) -> None:
     """Called by the kernels with the surviving pair count."""
     _record(exact_pairs=int(n))
-
-
-def _record_brute(n_pairs: int) -> None:
-    """Called by the kernels when the brute-force broadcast runs."""
-    _record(brute_queries=1, bruteforce_pairs=int(n_pairs))
 
 
 def _record_brute_query(n_pairs: int) -> None:
@@ -109,15 +109,14 @@ def _record_brute_query(n_pairs: int) -> None:
 
 def candidate_pairs(
     a: np.ndarray, b: np.ndarray, closed: bool = False
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Candidate ``(ai, bj)`` index pairs of two corner arrays.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(ai, bj)`` index pairs of two corner arrays that pass the
+    interval test ``lo_a < hi_b`` and ``lo_b < hi_a`` on every axis.
 
-    Returns ``None`` when the caller should run its brute-force
-    broadcast (a pair product at or below ``_BRUTE_CUTOFF``); otherwise
-    two int64 index arrays in canonical brute-force emission order
-    (``ai``-major, ``bj``-minor, no duplicates) holding exactly the
-    pairs that pass the interval test ``lo_a < hi_b`` and
-    ``lo_b < hi_a`` on every axis.
+    Returns two int64 index arrays in ``ai``-major, ``bj``-minor order,
+    with no duplicates, on every query: the hit matrix finds them at or
+    below ``_BRUTE_CUTOFF`` pairs or for an operand of at most one row,
+    the slab sweep above that.
 
     ``closed`` treats boxes as closed intervals ``[lo, hi]`` (``<=`` in
     the test), so *abutting* boxes pair too — the face-contact query
@@ -125,32 +124,42 @@ def candidate_pairs(
     """
     n_a, n_b = a.shape[0], b.shape[0]
     _record(queries=1, pair_product=n_a * n_b)
-    if n_a * n_b <= _BRUTE_CUTOFF:
-        return None
-    if n_a == 0 or n_b == 0:  # reachable only below a zero cutoff
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    if n_a == 1 or n_b == 1:
-        # One-row operand: the interval test along every axis *is* the
-        # join — O(n), no slabs to build.
-        return _single_candidates(a, b, closed)
+    if n_a * n_b <= _BRUTE_CUTOFF or min(n_a, n_b) <= 1:
+        return _hit_candidates(a, b, closed)
     return _sweep_candidates(a, b, closed)
 
 
-def _single_candidates(
+def _hit_candidates(
     a: np.ndarray, b: np.ndarray, closed: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact candidates when either operand is a single box."""
+    """``np.nonzero`` of the hit matrix, the interval test on every pair.
+
+    The matrix is built in blocks of ``a`` rows, at most
+    ``_CHUNK_PAIRS`` pairs (and at least one row) each, one axis at a
+    time on 2-D ``(rows, n_b)`` arrays; an empty ``a`` is one empty
+    block.
+    """
+    n_a, n_b = a.shape[0], b.shape[0]
+    _record(brute_queries=1, bruteforce_pairs=n_a * n_b)
     ndim = a.shape[1] // 2
-    if closed:
-        hit = (a[:, None, :ndim] <= b[None, :, ndim:]).all(axis=2)
-        hit &= (a[:, None, ndim:] >= b[None, :, :ndim]).all(axis=2)
-    else:
-        hit = (a[:, None, :ndim] < b[None, :, ndim:]).all(axis=2)
-        hit &= (a[:, None, ndim:] > b[None, :, :ndim]).all(axis=2)
-    ai, bj = np.nonzero(hit)  # row-major: already ai-major, bj-minor
-    _record(candidate_pairs=ai.size)
-    return ai.astype(np.int64), bj.astype(np.int64)
+    less = np.less_equal if closed else np.less
+    step = max(1, _CHUNK_PAIRS // max(1, n_b))
+    out_i: list[np.ndarray] = []
+    out_j: list[np.ndarray] = []
+    for start in range(0, max(n_a, 1), step):
+        rows = a[start : start + step]
+        hit = less(rows[:, None, 0], b[:, ndim])
+        hit &= less(b[:, 0], rows[:, None, ndim])
+        for x in range(1, ndim):
+            hit &= less(rows[:, None, x], b[:, ndim + x])
+            hit &= less(b[:, x], rows[:, None, ndim + x])
+        ai, bj = np.nonzero(hit)  # row-major: ai-major, bj-minor
+        ai += start
+        out_i.append(ai)
+        out_j.append(bj)
+    if len(out_i) == 1:
+        return out_i[0], out_j[0]
+    return np.concatenate(out_i), np.concatenate(out_j)
 
 
 def _sweep_axes(
@@ -218,14 +227,14 @@ def _ranges(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``(query, position)`` of every pair the binary-search ranges
     ``[start, start + count)`` hold, in chunks of at most
-    ``_SWEEP_CHUNK_PAIRS`` pairs (a single larger range is one chunk)."""
+    ``_CHUNK_PAIRS`` pairs (a single larger range is one chunk)."""
     ends = np.cumsum(count)
     q0, n = 0, count.size
     while q0 < n:
         done = int(ends[q0] - count[q0])
         q1 = max(
             q0 + 1,
-            int(np.searchsorted(ends, done + _SWEEP_CHUNK_PAIRS, "right")),
+            int(np.searchsorted(ends, done + _CHUNK_PAIRS, "right")),
         )
         c = count[q0:q1]
         total = int(ends[q1 - 1]) - done

@@ -30,7 +30,7 @@ import abc
 
 import numpy as np
 
-from ..geometry import OwnerMap, intersection_volume
+from ..geometry import OwnerMap, box_corners, overlap_volume
 from ..hierarchy import GridHierarchy
 
 __all__ = ["PartitionResult", "Partitioner", "proc_loads"]
@@ -106,8 +106,8 @@ class PartitionResult:
             m.validate_disjoint()
             owned = m.ncells
             refined = level.ncells
-            covered = intersection_volume(
-                [b for b, _ in m.boxes()], level.patches.boxes
+            covered = overlap_volume(
+                m.corners, box_corners(level.patches, hierarchy.ndim)
             )
             missing = refined - covered
             extra = owned - covered

@@ -39,9 +39,9 @@ first part leaves.  The output overlays the remaining pieces, under
 their current owners, on the fresh map through
 :func:`~repro.geometry.overlay_pairs`, which reuses the pairs the cut
 already holds.  The pair query behind the cut prunes large operands
-with the slab-sweep join (:mod:`repro.geometry.pairindex`), which
-emits pairs in the brute-force broadcast's canonical order, so the
-remapper's output does not depend on which path served the query.
+with the slab sweep (:mod:`repro.geometry.pairindex`), which emits
+pairs in the hit matrix's canonical order, so the remapper's output
+does not depend on which path served the query.
 """
 
 from __future__ import annotations

@@ -4,14 +4,14 @@ Everything the execution simulator measures — ghost-cell exchange volume,
 parent-child (inter-level) transfer volume, data migration between
 consecutive distributions and per-rank loads — is computed on sparse
 :class:`~repro.geometry.OwnerMap` corner arrays: face-adjacency sweeps
-between owner boxes for the ghost metrics, broadcasted corner
-intersections for inter-level transfer and migration.  Cost scales with
-patch counts, not with the volume of the finest index space.  Large pair
-queries run on the slab-sweep candidate join of
-:mod:`repro.geometry.pairindex`, which hands the exact arithmetic only
-the pairs that intersect (or touch), so ``deep`` and ``ultra`` 3-D runs
-are tractable end to end; small ones run the brute-force broadcast, the
-join's oracle in the tests.
+between owner boxes for the ghost metrics, corner intersections for
+inter-level transfer and migration.  Cost scales with patch counts, not
+with the volume of the finest index space.  Every pair query hands the
+exact arithmetic only the pairs that intersect (or touch), found by
+:mod:`repro.geometry.pairindex`: a chunked hit matrix for small queries
+and a slab sweep for large ones, so ``deep`` and ``ultra`` 3-D runs are
+tractable end to end.  The hit matrix is the sweep's oracle in the
+tests.
 
 Every function takes owner maps only; a dense owner raster (int32,
 :data:`~repro.geometry.NO_OWNER` outside the refined region) converts

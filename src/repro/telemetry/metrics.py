@@ -45,9 +45,13 @@ __all__ = [
 ]
 
 #: Pair-kernel tallies, counted as ``repro_pair_<field>_total``.
-#: ``pair_product`` is what a pure brute-force run would examine,
-#: ``candidate_pairs`` what the slab sweep emitted to the exact arithmetic,
-#: ``exact_pairs`` what survived it.
+#: ``pair_product`` is what a pure brute-force run would examine.
+#: ``brute_queries`` and ``bruteforce_pairs`` count the queries the hit
+#: matrix served (one-row operands included) and the pairs it examined,
+#: plus ``matched_volume``'s rank-padded broadcasts;
+#: ``sweep_queries`` and ``candidate_pairs`` the queries the slab sweep
+#: served and the candidates it emitted.  ``exact_pairs`` counts the
+#: pairs that survived the kernels' exact arithmetic on either path.
 PAIR_COUNTER_FIELDS = (
     "queries",
     "sweep_queries",

@@ -29,17 +29,22 @@ from repro.telemetry import (
 from repro.telemetry.metrics import BUILTIN_COUNTERS
 
 #: Counters of the golden sweep's runs: tp2d at ``small`` under
-#: nature+fable and patch-lpt on 4 ranks, every multi-row query on the
-#: slab sweep (the brute-force cutoff patched to -1) except the rank-matched
-#: sweeps of ``matched_volume``, which ignore the cutoff and count as
-#: brute-force queries.
+#: nature+fable and patch-lpt on 4 ranks, with the brute-force cutoff
+#: patched to -1, so the slab sweep serves every query whose operands
+#: both hold two rows or more.  Two kinds count as brute-force queries:
+#: the 36 one-row queries, which the hit matrix serves, and the
+#: rank-matched sweeps of ``matched_volume``, which ignore the cutoff;
+#: ``bruteforce_pairs`` counts the pairs both examined.
+#: ``candidate_pairs`` counts the sweep's candidates only, and
+#: ``exact_pairs`` the survivors of every query of the three
+#: candidate kernels.
 GOLDEN = {
     "repro_pair_queries_total": 170,
     "repro_pair_sweep_queries_total": 80,
-    "repro_pair_brute_queries_total": 54,
+    "repro_pair_brute_queries_total": 90,
     "repro_pair_pair_product_total": 4344,
-    "repro_pair_bruteforce_pairs_total": 942,
-    "repro_pair_candidate_pairs_total": 1456,
+    "repro_pair_bruteforce_pairs_total": 1064,
+    "repro_pair_candidate_pairs_total": 1334,
     "repro_pair_exact_pairs_total": 778,
     # The two replays read the trace the trace run published from the
     # store's read cache.

@@ -4,10 +4,13 @@ Each row of :data:`ORACLES` names a fast path, the oracle it must agree
 with, and two context managers: one that runs the fast path and one
 that swaps in the oracle.  Every test here takes its row from the table.
 
-* **slab-sweep candidates** against the **brute-force branch**: the
-  pair kernels pick their path by pair product, so patching the module's
-  ``_BRUTE_CUTOFF`` to ``-1`` puts every multi-row query on the sweep
-  and patching it to ``10**18`` puts every query on brute force.
+* **slab-sweep candidates** against the **hit-matrix candidates**:
+  ``candidate_pairs`` picks its path by pair product, so patching the
+  module's ``_BRUTE_CUTOFF`` to ``-1`` puts every query whose operands
+  both hold two rows or more on the sweep, and patching it to ``10**18``
+  puts every query on the hit matrix.  Both paths feed the pair
+  kernels' one arithmetic, so the row checks the candidates;
+  ``tests/dense_oracle.py`` is the arithmetic's oracle.
 * **batched subtraction** (``ownermap._subtract_groups``, behind
   ``overlay_corners``, ``overlay_pairs`` and so the sticky remapper's
   output) against a **sequential** :meth:`Box.subtract` **sweep** over
@@ -105,12 +108,13 @@ from tests.test_store_cache import _make_result
 
 
 def sweep_everywhere() -> ContextManager:
-    """Every multi-row pair query takes the slab sweep."""
+    """Every pair query with two rows or more a side takes the slab
+    sweep."""
     return mock.patch.object(pairindex, "_BRUTE_CUTOFF", -1)
 
 
-def brute_force_everywhere() -> ContextManager:
-    """Every pair query takes the brute-force branch."""
+def hit_matrix_everywhere() -> ContextManager:
+    """Every pair query takes the hit matrix."""
     return mock.patch.object(pairindex, "_BRUTE_CUTOFF", 10**18)
 
 
@@ -324,8 +328,8 @@ class Oracle:
 
 ORACLES = {
     "sweep": Oracle(
-        "slab-sweep candidates", "brute-force branch",
-        sweep_everywhere, brute_force_everywhere,
+        "slab-sweep candidates", "hit-matrix candidates",
+        sweep_everywhere, hit_matrix_everywhere,
     ),
     "subtract": Oracle(
         "batched _subtract_groups", "sequential Box.subtract sweep",
@@ -456,7 +460,7 @@ def test_replay_matches_oracle_on_3d_trace(row, name):
 
 
 # ---------------------------------------------------------------------------
-# slab-sweep candidates vs the brute-force branch, kernel by kernel
+# slab-sweep candidates vs the hit-matrix candidates, kernel by kernel
 
 
 def corner_arrays(ndim: int, max_boxes: int = 20, max_coord: int = 64,
@@ -475,7 +479,7 @@ def corner_arrays(ndim: int, max_boxes: int = 20, max_coord: int = 64,
 
 
 def _assert_pair_results_identical(a: np.ndarray, b: np.ndarray) -> None:
-    """The sweep must be *bit-identical* to brute force: same corner
+    """The sweep must be *bit-identical* to the hit matrix: same corner
     rows, same (ai, bj) source indices, same emission order."""
     with SWEEP.reference():
         ref = pair_intersections(a, b)
@@ -503,8 +507,10 @@ def _assert_face_results_identical(
 
 @pytest.mark.parametrize("ndim", [1, 2, 3, 4])
 class TestSweepCandidates:
-    """The sweep is a pure pruning layer: it must reproduce the
-    brute-force kernels bit for bit."""
+    """The sweep and the hit matrix feed one arithmetic per kernel, so
+    the kernels' outputs on the two paths differ only if the candidates
+    do: every output must match bit for bit.  ``tests/dense_oracle.py``
+    stays the oracle of the arithmetic itself."""
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -633,10 +639,10 @@ class TestSweepCandidates:
 
 @st.composite
 def join_operands(draw, ndim: int) -> np.ndarray:
-    """A corner array of 1 to 40 rows for the join, at negative and
+    """A corner array of 0 to 40 rows for the join, at negative and
     positive coordinates, with zero extents, rows abutting the row
     before them, rows spanning the whole range and duplicate rows."""
-    n = draw(st.sampled_from([1, 2]) | st.integers(3, 40))
+    n = draw(st.sampled_from([0, 1, 2]) | st.integers(3, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     lo = rng.integers(-40, 40, size=(n, ndim))
     hi = lo + rng.integers(0, 12, size=(n, ndim))  # extent 0 included
@@ -655,18 +661,28 @@ def join_operands(draw, ndim: int) -> np.ndarray:
     return np.concatenate((lo, hi), axis=1).astype(np.int64)
 
 
+@contextmanager
+def chunked_hit_matrix():
+    """Every pair query on the hit matrix, in blocks of at most 50 pairs."""
+    with SWEEP.reference(), mock.patch.object(pairindex, "_CHUNK_PAIRS", 50):
+        yield
+
+
 @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
 @pytest.mark.parametrize("ndim", [1, 2, 3, 4])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_sweep_candidates_are_the_hit_matrix(ndim, closed, data):
-    """The join returns exactly the brute-force hit matrix's pairs.
+    """Both candidate paths return exactly the hit matrix's pairs.
 
-    With every multi-row query on the sweep, :func:`candidate_pairs` is
-    ``np.nonzero`` of the interval test on every axis (``<=`` for a
-    closed query): the same pairs in the same order, as int64, and not
-    a superset.  A self-join (``a is b``) takes the mirrored path, which
-    must equal the general path on a copy of ``a``.
+    :func:`candidate_pairs` is ``np.nonzero`` of the interval test on
+    every axis (``<=`` for a closed query): the same pairs in the same
+    order, as int64, and not a superset.  It must be so with every query
+    of two rows or more a side on the sweep, and with every query on the
+    hit matrix cut into blocks of a few pairs, whose row offsets must
+    carry into ``ai``.  Empty and one-row operands take the hit matrix
+    on both.  A self-join (``a is b``) takes the sweep's mirrored path,
+    which must equal the general path on a copy of ``a``.
     """
     a = data.draw(join_operands(ndim))
     b = a if data.draw(st.booleans()) else data.draw(join_operands(ndim))
@@ -675,12 +691,13 @@ def test_sweep_candidates_are_the_hit_matrix(ndim, closed, data):
     hit &= less(b[None, :, :ndim], a[:, None, ndim:])
     want = np.nonzero(hit.all(axis=2))
     calls = [(a, b)] + ([(a, a.copy())] if b is a else [])
-    with SWEEP.fast():
-        for left, right in calls:
-            got = pairindex.candidate_pairs(left, right, closed)
-            for g, w in zip(got, want):
-                assert g.dtype == np.int64
-                np.testing.assert_array_equal(g, w)
+    for path in (SWEEP.fast, chunked_hit_matrix):
+        with path():
+            for left, right in calls:
+                got = pairindex.candidate_pairs(left, right, closed)
+                for g, w in zip(got, want):
+                    assert g.dtype == np.int64
+                    np.testing.assert_array_equal(g, w)
 
 
 def mixed_scale_corners() -> tuple[np.ndarray, np.ndarray]:
@@ -707,7 +724,7 @@ def mixed_scale_corners() -> tuple[np.ndarray, np.ndarray]:
 
 class TestMixedScaleSweep:
     """Large boxes among many small ones stay on the sweep path,
-    bit-identical to brute force."""
+    bit-identical to the hit matrix."""
 
     def test_kernels_match_bruteforce(self):
         columns, small = mixed_scale_corners()
